@@ -24,7 +24,6 @@ from .chains import (
 )
 from .inequalities import (
     LinearInequalitySystem,
-    Rational,
     Row,
     rationalize,
 )

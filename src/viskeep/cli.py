@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import demos
+from .boxes import Box
 from .chains import (
-    ChainSpec,
     ParameterMaps,
     ScheduleInfeasibleError,
     chain_to_json_dict,
@@ -32,38 +34,21 @@ from .chains import (
     generate_schedule,
     load_chain,
     max_chain_length,
+    save_chain,
 )
 from .inequalities import LinearInequalitySystem
 from .scenarios import (
-    BasicScenario,
-    CircleScenario,
-    UbbScenario,
-    build_basic_system,
-    build_circle_system,
-    build_ubb_system,
-    exact_basic,
-    exact_circle,
-    derive_conditions_fme,
-    feasible_basic,
-    feasible_circle,
-    feasible_ubb,
-    gain_polytope,
-    gain_polytope_circle,
-    gain_polytope_ubb,
     load_scenario,
     rationalization_record,
     save_scenario,
     scenario_to_json_dict,
 )
 from .simulate import (
+    BOUND_TOL,
     LeaderProfile,
     monitor,
     profile_from_json_dict,
-    simulate_basic,
     simulate_chain,
-    simulate_circle,
-    simulate_ubb,
-    uniform_noise,
 )
 from .synthesis import InfeasiblePolytopeError, min_norm_gain
 from .systems import (
@@ -88,24 +73,92 @@ def _write_json(path, payload) -> None:
             fh.write("\n")
 
 
-def _dispatch(sc):
-    if isinstance(sc, UbbScenario):
-        return feasible_ubb, gain_polytope_ubb, build_ubb_system
-    if isinstance(sc, BasicScenario):
-        return feasible_basic, gain_polytope, build_basic_system
-    if isinstance(sc, CircleScenario):
-        return feasible_circle, gain_polytope_circle, build_circle_system
-    raise ValueError(f"unsupported scenario {sc!r}")
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _check_payload(sc):
+    """What `check` writes for a scenario, with the closed-form report."""
+    report = sc.conditions()
+    payload = {"scenario": scenario_to_json_dict(sc)}
+    payload.update(report.to_json_dict())
+    payload.update(sc.check_extras(report))
+    return payload, report
+
+
+def _synth_payload(sc, tau=Fraction(1)):
+    """What `synth` writes: the min-norm gain of the reduced polytope and
+    its certificates, plus that polytope; raises InfeasiblePolytopeError."""
+    poly = sc.polytope().reduce()
+    result = min_norm_gain(poly)
+    K = GainMatrix(*result.exact_gain)
+    sysd = sc.system()
+    adm = check_admissible(K, sysd.S, sysd.U)
+    inv = check_D_invariant_cone(sysd, K, tau)
+    payload = {
+        "scenario": scenario_to_json_dict(sc),
+        "feasible_conditions": sc.conditions().to_json_dict(),
+        "polytope_rows": len(poly.rows),
+        "rationalization": rationalization_record(sc.constants()),
+        "certificates": {
+            "admissible": adm.holds,
+            "invariant": inv.holds,
+            "exact": adm.exact and inv.exact,
+            "tau": float(tau),
+        },
+    }
+    payload.update(result.to_json_dict())
+    return payload, poly
+
+
+def _certified(payload) -> bool:
+    certs = payload["certificates"]
+    return certs["admissible"] and certs["invariant"]
+
+
+def _gain_of(data) -> GainMatrix:
+    """Gain from a flat ``{"k11", "k22", "k23"}`` object or a synth payload."""
+    g = data.get("gain", data)
+    K = GainMatrix(float(g["k11"]), float(g["k22"]), float(g["k23"]))
+    if not all(math.isfinite(k) for k in K.entries()):
+        raise ValueError(f"gain entries must be finite numbers: {g}")
+    return K
+
+
+def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
+              noise_amplitude=None, seed=0) -> bool:
+    """Run one pair, write trace.csv and violations.json; True if clean."""
+    trace = sc.simulate(K, profile, s0, horizon, dt, noise_amplitude, seed)
+    sysd = sc.system()
+    rep = monitor(trace, sysd.S, sysd.U, tol=tol)
+    trace.to_csv(out_dir / "trace.csv")
+    payload = rep.to_json_dict()
+    payload["clamp_events"] = trace.clamp_events
+    _write_json(out_dir / "violations.json", payload)
+    return rep.clean and trace.clamp_events == 0
+
+
+def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir,
+               tol=BOUND_TOL) -> bool:
+    """Run a chain, write trace_link<k>.csv and violations.json; True if clean."""
+    traces = simulate_chain(spec, gains, profile, s0, horizon, dt)
+    clean = True
+    reports = []
+    for k, trace in enumerate(traces, start=1):
+        g = spec.links[k - 1]
+        S = Box.symmetric((g.a, g.a, g.b))
+        U = Box.symmetric((spec.robots[k].V, spec.robots[k].Omega))
+        rep = monitor(trace, S, U, tol=tol)
+        trace.to_csv(out_dir / f"trace_link{k}.csv")
+        reports.append(rep.to_json_dict())
+        clean = clean and rep.clean and trace.clamp_events == 0
+    _write_json(out_dir / "violations.json", {"links": reports})
+    return clean
 
 
 def cmd_check(args) -> int:
-    sc = load_scenario(args.scenario)
-    feas, _, _ = _dispatch(sc)
-    report = feas(sc)
-    payload = {"scenario": scenario_to_json_dict(sc)}
-    payload.update(report.to_json_dict())
-    if isinstance(sc, BasicScenario) and not isinstance(sc, UbbScenario):
-        payload["projection_agrees"] = derive_conditions_fme(sc) == report.feasible
+    payload, report = _check_payload(load_scenario(args.scenario))
     _write_json(args.out, payload)
     if not report.feasible:
         print(f"infeasible: {report.worst().condition}", file=sys.stderr)
@@ -114,50 +167,18 @@ def cmd_check(args) -> int:
 
 def cmd_synth(args) -> int:
     sc = load_scenario(args.scenario)
-    feas, poly_fn, build_fn = _dispatch(sc)
-    poly = poly_fn(sc).reduce()
     try:
-        result = min_norm_gain(poly)
+        payload, poly = _synth_payload(sc, args.tau)
     except InfeasiblePolytopeError:
         print("gain polytope is empty", file=sys.stderr)
         return EXIT_INFEASIBLE
-    K = GainMatrix(*result.exact_gain)
-    sysd = build_fn(sc)
-    adm = check_admissible(K, sysd.S, sysd.U)
-    inv = check_D_invariant_cone(sysd, K, args.tau)
-    consts = (exact_circle(sc) if isinstance(sc, CircleScenario)
-              else exact_basic(sc))
-    payload = {
-        "scenario": scenario_to_json_dict(sc),
-        "feasible_conditions": feas(sc).to_json_dict(),
-        "polytope_rows": len(poly.rows),
-        "rationalization": rationalization_record(consts),
-        "certificates": {
-            "admissible": adm.holds,
-            "invariant": inv.holds,
-            "tau": args.tau,
-        },
-    }
-    payload.update(result.to_json_dict())
     _write_json(args.out, payload)
     if args.dump_polytope:
         Path(args.dump_polytope).write_text(poly.to_text())
-    ok = adm.holds and inv.holds
-    if not ok:
+    if not _certified(payload):
         print("certificate verification failed", file=sys.stderr)
-    return EXIT_OK if ok else EXIT_INFEASIBLE
-
-
-def _load_gain(path) -> GainMatrix:
-    with open(path) as fh:
-        data = json.load(fh)
-    g = data.get("gain", data)
-    return GainMatrix(float(g["k11"]), float(g["k22"]), float(g["k23"]))
-
-
-def _load_profile(path) -> LeaderProfile:
-    with open(path) as fh:
-        return profile_from_json_dict(json.load(fh))
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def _parse_s0(text: str):
@@ -167,82 +188,44 @@ def _parse_s0(text: str):
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    profile = (profile_from_json_dict(_read_json(args.profile)) if args.profile
+               else LeaderProfile(lambda t: 0.0, lambda t: 0.0))
     if args.chain_spec:
         spec = load_chain(args.chain_spec)
         if not args.gains:
             raise ValueError("chain simulation needs --gains")
-        with open(args.gains) as fh:
-            gain_list = json.load(fh)
-        gains = [GainMatrix(g["k11"], g["k22"], g["k23"]) for g in gain_list]
-        profile = (_load_profile(args.profile) if args.profile
-                   else LeaderProfile(lambda t: 0.0, lambda t: 0.0))
+        gains = [_gain_of(g) for g in _read_json(args.gains)]
         s0 = ([_parse_s0(tok) for tok in args.s0.split(";")] if args.s0
               else [(0.0, 0.0, 0.0)] * (spec.n - 1))
-        traces = simulate_chain(spec, gains, profile, s0, args.horizon, args.dt)
-        clean = True
-        reports = []
-        for k, trace in enumerate(traces, start=1):
-            g = spec.links[k - 1]
-            from .boxes import Box
-            S = Box.symmetric((g.a, g.a, g.b))
-            U = Box.symmetric((spec.robots[k].V, spec.robots[k].Omega))
-            rep = monitor(trace, S, U, tol=args.tol)
-            trace.to_csv(out_dir / f"trace_link{k}.csv")
-            reports.append(rep.to_json_dict())
-            clean = clean and rep.clean and trace.clamp_events == 0
-        _write_json(out_dir / "violations.json", {"links": reports})
-        return EXIT_OK if clean else EXIT_INFEASIBLE
-
-    sc = load_scenario(args.scenario)
-    if args.gain:
-        K = _load_gain(args.gain)
+        clean = _run_chain(spec, gains, profile, s0, args.horizon, args.dt,
+                           out_dir, args.tol)
     else:
-        _, poly_fn, _ = _dispatch(sc)
-        K = GainMatrix(*min_norm_gain(poly_fn(sc).reduce()).exact_gain).as_floats()
-    profile = (_load_profile(args.profile) if args.profile
-               else LeaderProfile(lambda t: 0.0, lambda t: 0.0))
-    s0 = _parse_s0(args.s0) if args.s0 else (0.0, 0.0, 0.0)
-    if isinstance(sc, UbbScenario):
-        sampler = None
-        if args.noise_amplitude is not None:
-            sampler = uniform_noise(args.noise_amplitude, args.noise_amplitude,
-                                    args.seed)
-        trace = simulate_ubb(sc, K, profile, sampler, s0, args.horizon,
-                             args.dt, seed=args.seed)
-        sysd = build_ubb_system(sc)
-    elif isinstance(sc, BasicScenario):
-        trace = simulate_basic(sc, K, profile, s0, args.horizon, args.dt)
-        sysd = build_basic_system(sc)
-    else:
-        trace = simulate_circle(sc, K, profile, s0, args.horizon, args.dt)
-        sysd = build_circle_system(sc)
-    rep = monitor(trace, sysd.S, sysd.U, tol=args.tol)
-    trace.to_csv(out_dir / "trace.csv")
-    payload = rep.to_json_dict()
-    payload["clamp_events"] = trace.clamp_events
-    _write_json(out_dir / "violations.json", payload)
-    return EXIT_OK if rep.clean and trace.clamp_events == 0 else EXIT_INFEASIBLE
+        sc = load_scenario(args.scenario)
+        if args.gain:
+            K = _gain_of(_read_json(args.gain))
+        else:
+            res = min_norm_gain(sc.polytope().reduce())
+            K = GainMatrix(*res.exact_gain).as_floats()
+        s0 = _parse_s0(args.s0) if args.s0 else (0.0, 0.0, 0.0)
+        clean = _run_pair(sc, K, profile, s0, args.horizon, args.dt, out_dir,
+                          args.tol, args.noise_amplitude, args.seed)
+    return EXIT_OK if clean else EXIT_INFEASIBLE
 
 
-def _parse_maps(text: str) -> ParameterMaps:
+def _key_values(text: str) -> dict:
+    """``k1=v1,k2=v2`` as a dict of floats."""
     vals = {}
     for tok in text.split(","):
         key, _, val = tok.partition("=")
         vals[key.strip()] = float(val)
-    try:
-        return ParameterMaps.constant(vals["a"], vals["b"], vals["d"])
-    except KeyError as exc:
-        raise ValueError("maps need a=..,b=..,d=..") from exc
+    return vals
 
 
 def cmd_chain(args) -> int:
     payload = {}
     feasible = True
     if args.generate:
-        vals = {}
-        for tok in args.generate.split(","):
-            key, _, val = tok.partition("=")
-            vals[key.strip()] = float(val)
+        vals = _key_values(args.generate)
         try:
             spec = generate_schedule(
                 a=vals["a"], d=vals["d"], n=int(vals["n"]), V_1=vals["V1"],
@@ -265,7 +248,11 @@ def cmd_chain(args) -> int:
         if args.closed:
             payload["closed"] = closed_chain_check(spec).to_json_dict()
     if args.maps:
-        maps = _parse_maps(args.maps)
+        vals = _key_values(args.maps)
+        try:
+            maps = ParameterMaps.constant(vals["a"], vals["b"], vals["d"])
+        except KeyError as exc:
+            raise ValueError("maps need a=..,b=..,d=..") from exc
         res = max_chain_length(maps, args.max_n)
         payload["max_chain_length"] = {
             "max_robots": res.max_robots, "capped": res.capped,
@@ -287,7 +274,7 @@ def cmd_fme(args) -> int:
     else:
         keep = []
     projected = system.project(keep)
-    feasible = all(row.rhs >= 0 for row in projected.project(()).rows)
+    feasible = projected.is_feasible()
     out = projected.to_text()
     if args.out:
         Path(args.out).write_text(out)
@@ -298,77 +285,44 @@ def cmd_fme(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    """Each bundle's files are what check (chain for the chain bundle),
+    synth and simulate write for its scenario.json and profile.json."""
     out_root = Path(args.out)
-    horizon = args.horizon
-    overall = EXIT_OK
     summary = {}
     for b in demos.BUNDLES:
         out_dir = out_root / b.name
         out_dir.mkdir(parents=True, exist_ok=True)
-        if b.name == "chain":
-            from .chains import save_chain
-
-            save_chain(b.scenario, out_dir / "scenario.json")
-            rep = feasible_chain(b.scenario)
-            _write_json(out_dir / "check.json", rep.to_json_dict())
-            gains = []
-            for k in range(1, b.scenario.n):
-                link_sc = b.scenario.link_scenario(k)
-                res = min_norm_gain(gain_polytope(link_sc).reduce())
-                gains.append(res)
-            _write_json(out_dir / "gains.json",
-                        [r.to_json_dict() for r in gains])
-            traces = simulate_chain(
-                b.scenario, [r.gain for r in gains], b.profile, b.s0,
-                horizon, args.dt,
-            )
-            clean = rep.feasible
-            from .boxes import Box
-
-            for k, trace in enumerate(traces, start=1):
-                g = b.scenario.links[k - 1]
-                S = Box.symmetric((g.a, g.a, g.b))
-                U = Box.symmetric(
-                    (b.scenario.robots[k].V, b.scenario.robots[k].Omega)
-                )
-                mon = monitor(trace, S, U)
-                trace.to_csv(out_dir / f"trace_link{k}.csv")
-                clean = clean and mon.clean and trace.clamp_events == 0
-            summary[b.name] = "ok" if clean else "VIOLATIONS"
-            if not clean:
-                overall = EXIT_INFEASIBLE
-            continue
-
-        save_scenario(b.scenario, out_dir / "scenario.json")
         _write_json(out_dir / "profile.json", demos.PROFILE_JSON[b.name])
-        feas, poly_fn, build_fn = _dispatch(b.scenario)
-        rep = feas(b.scenario)
-        _write_json(out_dir / "check.json", rep.to_json_dict())
-        res = min_norm_gain(poly_fn(b.scenario).reduce())
-        _write_json(out_dir / "gain.json", res.to_json_dict())
-        if b.name == "basic":
-            trace = simulate_basic(b.scenario, res.gain, b.profile, b.s0,
-                                   horizon, args.dt)
-        elif b.name == "ubb":
-            sampler = uniform_noise(b.noise_amplitude, b.noise_amplitude,
-                                    args.seed)
-            trace = simulate_ubb(b.scenario, res.gain, b.profile, sampler,
-                                 b.s0, horizon, args.dt)
+        if b.name == "chain":
+            spec = b.scenario
+            save_chain(spec, out_dir / "scenario.json")
+            report = feasible_chain(spec)
+            _write_json(out_dir / "check.json",
+                        {"feasible": report.to_json_dict()})
+            gains = [_synth_payload(spec.link_scenario(k))[0]
+                     for k in range(1, spec.n)]
+            _write_json(out_dir / "gains.json", gains)
+            certified = all(map(_certified, gains))
+            clean = _run_chain(spec, [_gain_of(g) for g in gains], b.profile,
+                               b.s0, args.horizon, args.dt, out_dir)
         else:
-            trace = simulate_circle(b.scenario, res.gain, b.profile, b.s0,
-                                    horizon, args.dt)
-        sysd = build_fn(b.scenario)
-        mon = monitor(trace, sysd.S, sysd.U)
-        trace.to_csv(out_dir / "trace.csv")
-        _write_json(out_dir / "violations.json", mon.to_json_dict())
-        clean = rep.feasible and mon.clean and trace.clamp_events == 0
-        summary[b.name] = "ok" if clean else "VIOLATIONS"
-        if not clean:
-            overall = EXIT_INFEASIBLE
+            save_scenario(b.scenario, out_dir / "scenario.json")
+            check, report = _check_payload(b.scenario)
+            _write_json(out_dir / "check.json", check)
+            gain, _ = _synth_payload(b.scenario)
+            _write_json(out_dir / "gain.json", gain)
+            certified = _certified(gain)
+            clean = _run_pair(b.scenario, _gain_of(gain), b.profile, b.s0,
+                              args.horizon, args.dt, out_dir,
+                              noise_amplitude=b.noise_amplitude,
+                              seed=args.seed)
+        ok = report.feasible and certified and clean
+        summary[b.name] = "ok" if ok else "VIOLATIONS"
     _write_json(out_root / "summary.json", summary)
     for name, status in summary.items():
         print(f"{name}: {status}")
-    return overall
+    ok = all(status == "ok" for status in summary.values())
+    return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="minimum-norm certified gain")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--tau", type=float, default=1.0)
+    p.add_argument("--tau", type=Fraction, default=Fraction(1))
     p.add_argument("--out")
     p.add_argument("--dump-polytope")
     p.set_defaults(func=cmd_synth)

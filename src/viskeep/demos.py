@@ -16,17 +16,35 @@ from typing import Optional, Sequence
 
 from .chains import ChainSpec
 from .scenarios import BasicScenario, CircleScenario, UbbScenario
-from .simulate import LeaderProfile, constant, sinusoid
+from .simulate import LeaderProfile, profile_from_json_dict
 from .systems import GainMatrix
 
 PI = math.pi
 
+# Leader motion of each bundle, as the demo writes it to profile.json.
+PROFILE_JSON = {
+    "basic": {
+        "v": {"type": "sin", "amplitude": 0.05, "omega": 1.0},
+        "omega": {"type": "cos", "amplitude": PI / 20, "omega": 0.1},
+    },
+    "ubb": {
+        "v": {"type": "constant", "value": 0.01},
+        "omega": {"type": "sin", "amplitude": -PI / 20, "omega": 0.08},
+    },
+    "circle": {
+        "v": {"type": "sin", "amplitude": 0.05, "omega": 1.0},
+        "omega": {"type": "constant", "value": PI / 30},
+    },
+    "chain": {
+        "v": {"type": "constant", "value": 0.01},
+        "omega": {"type": "constant", "value": PI / 52},
+    },
+}
+
 BASIC_SCENARIO = BasicScenario(
     a=0.4, b=PI / 4, d=2.0, V_F=0.9, V_L=0.1, Omega_F=PI / 3, Omega_L=PI / 15,
 )
-BASIC_PROFILE = LeaderProfile(
-    v=sinusoid(0.05, 1.0), omega=sinusoid(PI / 20, 0.1, kind="cos"),
-)
+BASIC_PROFILE = profile_from_json_dict(PROFILE_JSON["basic"])
 BASIC_S0 = (0.3285, -0.1626, 0.1071)
 REF_GAIN_BASIC = GainMatrix(1.5173, 0.3707, 0.4925)
 
@@ -34,9 +52,7 @@ UBB_SCENARIO = UbbScenario(
     a=0.4, b=PI / 4, d=2.0, V_F=0.95, V_L=0.03, Omega_F=PI / 4,
     Omega_L=PI / 18, H_F=0.12, H_L=0.12,
 )
-UBB_PROFILE = LeaderProfile(
-    v=constant(0.01), omega=sinusoid(-PI / 20, 0.08),
-)
+UBB_PROFILE = profile_from_json_dict(PROFILE_JSON["ubb"])
 UBB_S0 = BASIC_S0
 UBB_NOISE_AMPLITUDE = 0.1
 REF_GAIN_UBB = GainMatrix(1.6735, 0.5896, 0.5326)
@@ -45,9 +61,7 @@ CIRCLE_SCENARIO = CircleScenario(
     a=0.4, b=PI / 4, gamma=PI / 6, rho=0.3, V_F=0.8, V_L=0.06,
     Omega_F=PI / 3, Omega_L=PI / 25,
 )
-CIRCLE_PROFILE = LeaderProfile(
-    v=sinusoid(0.05, 1.0), omega=constant(PI / 30),
-)
+CIRCLE_PROFILE = profile_from_json_dict(PROFILE_JSON["circle"])
 CIRCLE_S0 = (0.0, 0.0, 0.5597)
 # Kept for provenance only: this gain is not a solution of CIRCLE_SCENARIO.
 # At the window corner (-a, -a, b), with the leader on the orbit, the
@@ -61,7 +75,7 @@ CHAIN_SPEC = ChainSpec.make(
     links=[(0.4, PI / 14, 3.0), (0.4, PI / 9, 3.0), (0.4, PI / 4, 3.0)],
     robots=[(0.02, PI / 50), (0.085, PI / 35), (0.25, PI / 21), (0.8, PI / 6)],
 )
-CHAIN_PROFILE = LeaderProfile(v=constant(0.01), omega=constant(PI / 52))
+CHAIN_PROFILE = profile_from_json_dict(PROFILE_JSON["chain"])
 CHAIN_S0 = ((0.0, 0.0, 0.0374), (0.0, 0.0, 0.2244), (0.0, 0.0, 0.2618))
 REF_GAINS_CHAIN = (
     GainMatrix(0.2066, 0.0315, 0.3361),
@@ -98,23 +112,3 @@ def bundle(name: str) -> DemoBundle:
         if b.name == name:
             return b
     raise KeyError(name)
-
-
-PROFILE_JSON = {
-    "basic": {
-        "v": {"type": "sin", "amplitude": 0.05, "omega": 1.0},
-        "omega": {"type": "cos", "amplitude": PI / 20, "omega": 0.1},
-    },
-    "ubb": {
-        "v": {"type": "constant", "value": 0.01},
-        "omega": {"type": "sin", "amplitude": -PI / 20, "omega": 0.08},
-    },
-    "circle": {
-        "v": {"type": "sin", "amplitude": 0.05, "omega": 1.0},
-        "omega": {"type": "constant", "value": PI / 30},
-    },
-    "chain": {
-        "v": {"type": "constant", "value": 0.01},
-        "omega": {"type": "constant", "value": PI / 52},
-    },
-}

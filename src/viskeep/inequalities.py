@@ -15,10 +15,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple, Sequence
 
-# The exact scalar type used throughout the package.  Stored in lowest terms
-# with a positive denominator, with exact field arithmetic.
-Rational = Fraction
-
 #: Default bound on denominators when approximating irrational constants.
 DEFAULT_MAX_DENOMINATOR = 10**12
 
@@ -37,11 +33,6 @@ class Row(NamedTuple):
 
     g: tuple[Fraction, ...]
     rhs: Fraction
-
-    def scaled(self, factor: Fraction) -> "Row":
-        if factor <= 0:
-            raise ValueError("row scaling must be positive")
-        return Row(tuple(c * factor for c in self.g), self.rhs * factor)
 
 
 def make_row(coeffs: Sequence, rhs) -> Row:
@@ -227,9 +218,6 @@ class LinearInequalitySystem:
             float(row.rhs) - sum(float(c) * x for c, x in zip(row.g, pt))
             for row in self.rows
         ]
-
-    def deduplicate(self) -> "LinearInequalitySystem":
-        return LinearInequalitySystem(self.num_vars, _dedup(self.rows))
 
     # ------------------------------------------------------------------
     # Text format: one row per line, "c1 c2 ... cn <= r", rationals "p/q"

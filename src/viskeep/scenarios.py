@@ -34,6 +34,7 @@ from .inequalities import (
     _dedup,
     rationalize,
 )
+from .simulate import simulate_basic, simulate_circle, simulate_ubb, uniform_noise
 from .systems import UncertainLinearSystem, _mat, _zeros
 
 HALF_PI = math.pi / 2
@@ -46,7 +47,12 @@ HALF_PI = math.pi / 2
 
 @dataclass(frozen=True)
 class BasicScenario:
-    """Box window (half-widths a, a, b), standoff d, speed and turn bounds."""
+    """Box window (half-widths a, a, b), standoff d, speed and turn bounds.
+
+    Each scenario class carries its family's JSON kind, conditions, gain
+    polytope, uncertain system, exact constants and simulator."""
+
+    kind = "basic"
 
     a: float
     b: float
@@ -71,10 +77,32 @@ class BasicScenario:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
+    def conditions(self) -> FeasibilityReport:
+        return feasible_basic(self)
+
+    def polytope(self) -> LinearInequalitySystem:
+        return gain_polytope(self)
+
+    def system(self) -> UncertainLinearSystem:
+        return build_basic_system(self)
+
+    def constants(self) -> ExactBasic:
+        return exact_basic(self)
+
+    def check_extras(self, report: FeasibilityReport) -> dict:
+        """Keys `viskeep check` adds: the exact FME projection's verdict
+        against the closed form."""
+        return {"projection_agrees": derive_conditions_fme(self) == report.feasible}
+
+    def simulate(self, K, profile, s0, T, dt, noise_amplitude=None, seed=0):
+        return simulate_basic(self, K, profile, s0, T, dt)
+
 
 @dataclass(frozen=True)
 class UbbScenario(BasicScenario):
     """Basic scenario plus lateral disturbance amplitudes."""
+
+    kind = "ubb"
 
     H_F: float = 0.0
     H_L: float = 0.0
@@ -85,10 +113,30 @@ class UbbScenario(BasicScenario):
         if self.H_F < 0 or self.H_L < 0:
             raise ValueError("H_F and H_L must be nonnegative")
 
+    def conditions(self) -> FeasibilityReport:
+        return feasible_ubb(self)
+
+    def polytope(self) -> LinearInequalitySystem:
+        return gain_polytope_ubb(self)
+
+    def system(self) -> UncertainLinearSystem:
+        return build_ubb_system(self)
+
+    def check_extras(self, report: FeasibilityReport) -> dict:
+        return {}
+
+    def simulate(self, K, profile, s0, T, dt, noise_amplitude=None, seed=0):
+        """Uniform lateral noise of the given amplitude, or (H_F, H_L)."""
+        amp = noise_amplitude
+        noise = None if amp is None else uniform_noise(amp, amp, seed)
+        return simulate_ubb(self, K, profile, noise, s0, T, dt, seed=seed)
+
 
 @dataclass(frozen=True)
 class CircleScenario:
     """Orbit scenario: bearing gamma and orbit rate rho replace d."""
+
+    kind = "circle"
 
     a: float
     b: float
@@ -119,6 +167,24 @@ class CircleScenario:
             raise ValueError("Omega_F must be positive")
         if not 0 < self.Omega_L < self.rho:
             raise ValueError("Omega_L must lie in (0, rho)")
+
+    def conditions(self) -> FeasibilityReport:
+        return feasible_circle(self)
+
+    def polytope(self) -> LinearInequalitySystem:
+        return gain_polytope_circle(self)
+
+    def system(self) -> UncertainLinearSystem:
+        return build_circle_system(self)
+
+    def constants(self) -> ExactCircle:
+        return exact_circle(self)
+
+    def check_extras(self, report: FeasibilityReport) -> dict:
+        return {}
+
+    def simulate(self, K, profile, s0, T, dt, noise_amplitude=None, seed=0):
+        return simulate_circle(self, K, profile, s0, T, dt)
 
 
 # ----------------------------------------------------------------------
@@ -578,9 +644,7 @@ def derive_conditions_fme(
     the closed-form conditions are the worst-vertex selection of the same
     projected family.
     """
-    poly = gain_polytope(sc, max_denominator)
-    projected = poly.project(())
-    return all(row.rhs >= 0 for row in projected.rows)
+    return gain_polytope(sc, max_denominator).is_feasible()
 
 
 # ----------------------------------------------------------------------
@@ -588,16 +652,11 @@ def derive_conditions_fme(
 # ----------------------------------------------------------------------
 
 
+SCENARIO_CLASSES = (BasicScenario, UbbScenario, CircleScenario)
+
+
 def scenario_to_json_dict(sc) -> dict:
-    if isinstance(sc, UbbScenario):
-        kind = "ubb"
-    elif isinstance(sc, BasicScenario):
-        kind = "basic"
-    elif isinstance(sc, CircleScenario):
-        kind = "circle"
-    else:
-        raise TypeError(f"not a scenario: {sc!r}")
-    out = {"type": kind}
+    out = {"type": sc.kind}
     for f in fields(sc):
         out[f.name] = getattr(sc, f.name)
     return out
@@ -605,17 +664,14 @@ def scenario_to_json_dict(sc) -> dict:
 
 def scenario_from_json_dict(data: dict):
     kind = data.get("type")
+    cls = next((c for c in SCENARIO_CLASSES if c.kind == kind), None)
+    if cls is None:
+        raise ValueError(f"unknown scenario type: {kind!r}")
     args = {k: v for k, v in data.items() if k != "type"}
     try:
-        if kind == "basic":
-            return BasicScenario(**args)
-        if kind == "ubb":
-            return UbbScenario(**args)
-        if kind == "circle":
-            return CircleScenario(**args)
+        return cls(**args)
     except TypeError as exc:
         raise ValueError(f"bad scenario fields: {exc}") from exc
-    raise ValueError(f"unknown scenario type: {kind!r}")
 
 
 def load_scenario(path):

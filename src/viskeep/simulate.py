@@ -19,14 +19,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 import numpy as np
 
 from .boxes import Box
-from .chains import ChainSpec
-from .scenarios import BasicScenario, CircleScenario, UbbScenario
 from .systems import GainMatrix
+
+if TYPE_CHECKING:  # scenarios calls the simulators, so import for types only
+    from .chains import ChainSpec
+    from .scenarios import BasicScenario, CircleScenario, UbbScenario
 
 BOUND_TOL = 1e-9
 
@@ -101,7 +103,7 @@ def profile_from_json_dict(data: dict) -> LeaderProfile:
 def _checked(sig: Callable[[float], float], bound: float, name: str) -> Callable[[float], float]:
     def f(t: float) -> float:
         val = sig(t)
-        if abs(val) > bound + BOUND_TOL:
+        if not abs(val) <= bound + BOUND_TOL:  # NaN fails too
             raise ValueError(
                 f"leader profile exceeds its bound: |{name}({t:.6g})| = "
                 f"{abs(val):.6g} > {bound:.6g}"
@@ -140,18 +142,20 @@ class SimTrace:
                    "hF", "hL", "xF", "yF", "thF", "xL", "yL", "thL")
 
     def to_csv(self, path) -> None:
-        blank = np.full((len(self.times), 2), np.nan)
-        noise = self.noise if self.noise is not None else blank
-        data = np.column_stack([
-            self.times, self.states, self.inputs, self.leader, noise,
-            self.pose_f, self.pose_l,
-        ])
+        """One row per sample, each value as ``%.12g``; without noise the
+        hF and hL fields are empty."""
+        blocks = [self.times[:, None], self.states, self.inputs, self.leader]
+        noise_cell = ""
+        if self.noise is not None:
+            blocks.append(self.noise)
+            noise_cell = "%.12g"
+        blocks += [self.pose_f, self.pose_l]
+        row = ",".join(["%.12g"] * 8 + [noise_cell] * 2 + ["%.12g"] * 6) + "\n"
+        data = np.hstack(blocks)
         with open(path, "w") as fh:
             fh.write(",".join(self.CSV_COLUMNS) + "\n")
-            for row in data:
-                fh.write(",".join(
-                    "" if math.isnan(x) else f"{x:.12g}" for x in row
-                ) + "\n")
+            for i in range(0, len(data), 4096):  # chunks keep tolist() small
+                fh.writelines(row % tuple(r) for r in data[i:i + 4096].tolist())
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,8 @@ class ViolationReport:
 
 
 def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> ViolationReport:
-    """Per-sample box check of states against S and inputs against U."""
+    """Per-sample box check of states against S and inputs against U; a
+    non-finite sample is a violation with infinite excess."""
     labels_s = ("dp1", "p2", "beta")
     labels_u = ("vF", "wF")
     state_viol, input_viol = [], []
@@ -188,7 +193,8 @@ def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> Violatio
     ):
         lo = np.array(box.lo_f)
         hi = np.array(box.hi_f)
-        excess = np.maximum(arr - hi, lo - arr)
+        excess = np.where(np.isfinite(arr), np.maximum(arr - hi, lo - arr),
+                          np.inf)
         for j, label in enumerate(labels):
             col = excess[:, j]
             worst = float(col.max(initial=0.0))
@@ -410,7 +416,7 @@ def simulate_ubb(
 
     def checked_sampler(i: int) -> tuple:
         hF, hL = h_sampler(i)
-        if abs(hF) > sc.H_F + BOUND_TOL or abs(hL) > sc.H_L + BOUND_TOL:
+        if not (abs(hF) <= sc.H_F + BOUND_TOL and abs(hL) <= sc.H_L + BOUND_TOL):
             raise ValueError("noise sample exceeds its amplitude bound")
         return hF, hL
 

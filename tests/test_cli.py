@@ -4,7 +4,13 @@ import math
 import pytest
 
 from viskeep.cli import main
-from viskeep.demos import BASIC_SCENARIO, CHAIN_SPEC, PROFILE_JSON
+from viskeep.demos import (
+    BASIC_SCENARIO,
+    CHAIN_S0,
+    CHAIN_SPEC,
+    PROFILE_JSON,
+    bundle,
+)
 from viskeep.chains import chain_to_json_dict
 from viskeep.scenarios import save_scenario, scenario_to_json_dict
 
@@ -59,6 +65,8 @@ def test_synth_window(basic_file, tmp_path):
     assert data["gain"]["k11"] == pytest.approx(1.5173, abs=1e-3)
     assert data["certificates"]["admissible"] is True
     assert data["certificates"]["invariant"] is True
+    assert data["certificates"]["exact"] is True
+    assert data["certificates"]["tau"] == 1.0
     assert data["kkt_residual"] <= 1e-7
     assert "rationalization" in data
     assert dump.exists() and "<=" in dump.read_text()
@@ -190,10 +198,16 @@ def test_fme_matches_check_on_polytope_dump(basic_file, tmp_path):
                  "--out", str(tmp_path / "proj.txt")]) == 0
 
 
-def test_demo_bundle(tmp_path, capsys):
-    out = tmp_path / "demo"
-    code = main(["demo", "--out", str(out), "--horizon", "2.0"])
-    assert code == 0
+@pytest.fixture(scope="module")
+def demo_out(tmp_path_factory):
+    out = tmp_path_factory.mktemp("demo")
+    assert main(["demo", "--out", str(out), "--horizon", "2.0",
+                 "--seed", "3"]) == 0
+    return out
+
+
+def test_demo_bundle(demo_out, tmp_path):
+    out = demo_out
     summary = json.loads((out / "summary.json").read_text())
     assert summary == {"basic": "ok", "ubb": "ok", "circle": "ok",
                        "chain": "ok"}
@@ -203,3 +217,71 @@ def test_demo_bundle(tmp_path, capsys):
         assert (out / name / "trace.csv").exists()
     assert (out / "chain" / "trace_link3.csv").exists()
     assert (out / "chain" / "gains.json").exists()
+
+    # each pair artifact is what check, synth and simulate write from the
+    # bundle's own scenario.json and profile.json
+    for name, noise in (("basic", []), ("ubb", ["--noise-amplitude", "0.1"])):
+        src, mine = out / name, tmp_path / name
+        scenario = str(src / "scenario.json")
+        assert main(["check", "--scenario", scenario,
+                     "--out", str(mine / "check.json")]) == 0
+        assert main(["synth", "--scenario", scenario,
+                     "--out", str(mine / "gain.json")]) == 0
+        assert main([
+            "simulate", "--scenario", scenario,
+            "--gain", str(src / "gain.json"),
+            "--profile", str(src / "profile.json"),
+            "--s0", ",".join(repr(x) for x in bundle(name).s0),
+            "--horizon", "2.0", "--seed", "3", "--out", str(mine),
+        ] + noise) == 0
+        for f in ("check.json", "gain.json", "violations.json", "trace.csv"):
+            assert (mine / f).read_bytes() == (src / f).read_bytes(), (name, f)
+
+    chain = out / "chain"
+    assert (chain / "profile.json").exists()
+    assert (chain / "violations.json").exists()
+    gains = json.loads((chain / "gains.json").read_text())
+    assert len(gains) == 3
+    for g in gains:
+        assert g["certificates"] == {"admissible": True, "invariant": True,
+                                     "exact": True, "tau": 1.0}
+    assert main(["chain", "--spec", str(chain / "scenario.json"),
+                 "--out", str(tmp_path / "chain.json")]) == 0
+    assert (tmp_path / "chain.json").read_bytes() == \
+        (chain / "check.json").read_bytes()
+
+
+def test_simulate_takes_demo_gain_files(demo_out, tmp_path):
+    chain, mine = demo_out / "chain", tmp_path / "chain"
+    assert main([
+        "simulate", "--chain-spec", str(chain / "scenario.json"),
+        "--gains", str(chain / "gains.json"),
+        "--profile", str(chain / "profile.json"),
+        "--s0", ";".join(",".join(repr(x) for x in s) for s in CHAIN_S0),
+        "--horizon", "2.0", "--out", str(mine),
+    ]) == 0
+    for f in ("violations.json", "trace_link1.csv", "trace_link3.csv"):
+        assert (mine / f).read_bytes() == (chain / f).read_bytes(), f
+    basic = demo_out / "basic"
+    assert main(["simulate", "--scenario", str(basic / "scenario.json"),
+                 "--gain", str(basic / "gain.json"), "--horizon", "0.5",
+                 "--out", str(tmp_path / "basic")]) == 0
+
+
+@pytest.mark.parametrize("gain, v", [
+    ({"k11": math.nan, "k22": 0.3707, "k23": 0.4925},
+     PROFILE_JSON["basic"]["v"]),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "constant", "value": math.nan}),
+], ids=["gain", "profile"])
+def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
+                                           gain, v):
+    gain_file = write_json(tmp_path / "gain.json", gain)
+    profile = write_json(tmp_path / "profile.json",
+                         {"v": v, "omega": PROFILE_JSON["basic"]["omega"]})
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file),
+                 "--gain", str(gain_file), "--profile", str(profile),
+                 "--horizon", "1.0", "--out", str(out)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (out / "violations.json").exists()

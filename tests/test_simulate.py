@@ -376,6 +376,47 @@ def test_monitor_boundary_touch_is_clean():
     assert monitor(trace, sysd.S, sysd.U).clean
 
 
+def test_monitor_counts_non_finite_samples():
+    trace = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, STILL,
+                           (0, 0, 0), T=0.01, dt=1e-3)
+    trace.states[4, 2] = math.nan
+    trace.inputs[6, 0] = math.inf
+    sysd = build_basic_system(BASIC_SCENARIO)
+    rep = monitor(trace, sysd.S, sysd.U)
+    assert not rep.clean
+    assert len(rep.state_violations) == 1 and len(rep.input_violations) == 1
+    assert rep.first_violation_time == pytest.approx(0.004)
+    assert rep.max_excess["beta"] == math.inf
+
+
+def _reference_csv(trace, path):
+    """Per-cell writer that `SimTrace.to_csv` must match byte for byte."""
+    blank = np.full((len(trace.times), 2), np.nan)
+    noise = trace.noise if trace.noise is not None else blank
+    data = np.column_stack([
+        trace.times, trace.states, trace.inputs, trace.leader, noise,
+        trace.pose_f, trace.pose_l,
+    ])
+    with open(path, "w") as fh:
+        fh.write(",".join(trace.CSV_COLUMNS) + "\n")
+        for row in data:
+            fh.write(",".join(
+                "" if math.isnan(x) else f"{x:.12g}" for x in row
+            ) + "\n")
+
+
+def test_csv_matches_reference_writer(tmp_path):
+    basic = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
+                           BASIC_S0, T=2.0, dt=1e-3)
+    ubb = simulate_ubb(UBB_SCENARIO, REF_GAIN_UBB, UBB_PROFILE,
+                       uniform_noise(0.1, 0.1, seed=3), UBB_S0, T=2.0, dt=1e-3)
+    for trace in (basic, ubb):
+        trace.to_csv(tmp_path / "new.csv")
+        _reference_csv(trace, tmp_path / "ref.csv")
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+
 def test_csv_output(tmp_path):
     trace = simulate_ubb(UBB_SCENARIO, REF_GAIN_UBB, UBB_PROFILE, None,
                          UBB_S0, T=0.05, dt=1e-3, seed=1)
