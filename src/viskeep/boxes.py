@@ -156,18 +156,19 @@ def shifted_cone(
     """Shift each cone plane inward by the worst disturbance push.
 
     Row ``(g, xi)`` becomes ``(g, xi - max_{w, r} tau * g . E(w) r)`` with the
-    maximum over all parameter vertices ``w`` and disturbance vertices ``r``.
+    maximum over the parameter vertices ``w`` given (those of the parameters
+    ``E`` depends on suffice) and disturbance vertices ``r``.  ``E`` is
+    evaluated once per parameter vertex.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
     tau = Fraction(tau) if isinstance(tau, (int, Fraction)) else tau
-    Q_list = list(Q_vertices)
+    E_list = [E_family(w) for w in Q_vertices]
     D_list = list(D_vertices)
     rows = []
     for g, xi in cone.rows:
         worst = None
-        for w in Q_list:
-            E = E_family(w)
+        for E in E_list:
             # gE[k] = sum_i g_i * E[i][k]
             gE = [
                 sum(gi * Ei[k] for gi, Ei in zip(g, E))

@@ -119,8 +119,11 @@ def _certified(payload) -> bool:
 
 def _gain_of(data) -> GainMatrix:
     """Gain from a flat ``{"k11", "k22", "k23"}`` object or a synth payload."""
-    g = data.get("gain", data)
-    K = GainMatrix(float(g["k11"]), float(g["k22"]), float(g["k23"]))
+    g = data.get("gain", data) if isinstance(data, dict) else data
+    try:
+        K = GainMatrix(float(g["k11"]), float(g["k22"]), float(g["k23"]))
+    except (TypeError, ValueError) as exc:  # null, list, text, ...
+        raise ValueError(f"gain entries must be finite numbers: {g}") from exc
     if not all(math.isfinite(k) for k in K.entries()):
         raise ValueError(f"gain entries must be finite numbers: {g}")
     return K
@@ -186,6 +189,8 @@ def _parse_s0(text: str):
 
 
 def cmd_simulate(args) -> int:
+    if not (args.scenario or args.chain_spec):
+        raise ValueError("simulate needs --scenario or --chain-spec")
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = (profile_from_json_dict(_read_json(args.profile)) if args.profile

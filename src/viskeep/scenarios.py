@@ -35,7 +35,13 @@ from .inequalities import (
     rationalize,
 )
 from .simulate import simulate_basic, simulate_circle, simulate_ubb, uniform_noise
-from .systems import UncertainLinearSystem, _mat, _zeros
+from .systems import (
+    UncertainLinearSystem,
+    _mat,
+    _relevant_params,
+    _sub_vertices,
+    _zeros,
+)
 
 HALF_PI = math.pi / 2
 
@@ -497,29 +503,6 @@ def admissibility_rows(S: Box, U: Box) -> list[Row]:
     return list(_dedup(rows))
 
 
-def _relevant_params(stack) -> list[int]:
-    """0-based parameter indices with a nonzero coefficient matrix."""
-    out = []
-    for l, M in enumerate(stack[1:]):
-        if any(c != 0 for row in M for c in row):
-            out.append(l)
-    return out
-
-
-def _sub_vertices(box: Box, indices: list[int]):
-    """Vertices of the box varying only along `indices`, others at 0 will
-    not matter for the rows; fixed at lo for determinism."""
-    if not indices:
-        yield tuple(box.lo)
-        return
-    choices = [(box.lo[i], box.hi[i]) for i in indices]
-    for combo in product(*choices):
-        w = list(box.lo)
-        for i, val in zip(indices, combo):
-            w[i] = val
-        yield tuple(w)
-
-
 def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[Row]:
     """Shifted-cone certificate rows, rearranged as inequalities in
     ``(k11, k22, k23)``.
@@ -534,14 +517,14 @@ def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[Row]:
         raise ValueError("gain rows require a 3-state, 2-input system")
     tau = Fraction(tau)
     ab_params = sorted(set(_relevant_params(sys.A)) | set(_relevant_params(sys.B)))
+    AB = [(sys.eval_A(w), sys.eval_B(w)) for w in _sub_vertices(sys.Q, ab_params)]
+    e_params = list(_sub_vertices(sys.Q, _relevant_params(sys.E)))
     rows: list[Row] = []
     for v in sys.S.vertices():
         cone = vertex_cone(sys.S, v)
-        shifted = shifted_cone(cone, tau, sys.eval_E, sys.Q.vertices(), sys.D.vertices())
+        shifted = shifted_cone(cone, tau, sys.eval_E, e_params, sys.D.vertices())
         for (g, _one), (_g2, xi_shifted) in zip(cone.rows, shifted.rows):
-            for w in _sub_vertices(sys.Q, ab_params):
-                Aw = sys.eval_A(w)
-                Bw = sys.eval_B(w)
+            for Aw, Bw in AB:
                 gA = [sum(gi * Aw[i][j] for i, gi in enumerate(g)) for j in range(3)]
                 gB = [sum(gi * Bw[i][j] for i, gi in enumerate(g)) for j in range(2)]
                 const = sum(gi * vi for gi, vi in zip(g, v)) \
@@ -663,6 +646,8 @@ def scenario_to_json_dict(sc) -> dict:
 
 
 def scenario_from_json_dict(data: dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"scenario must be a JSON object, not {data!r}")
     kind = data.get("type")
     cls = next((c for c in SCENARIO_CLASSES if c.kind == kind), None)
     if cls is None:

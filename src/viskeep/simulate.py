@@ -82,6 +82,8 @@ class LeaderProfile:
 
 def profile_from_json_dict(data: dict) -> LeaderProfile:
     def build(spec) -> Callable[[float], float]:
+        if not isinstance(spec, dict):
+            raise ValueError(f"profile signal must be a JSON object, not {spec!r}")
         kind = spec["type"]
         if kind == "constant":
             return constant(spec["value"])
@@ -97,6 +99,8 @@ def profile_from_json_dict(data: dict) -> LeaderProfile:
             return sum_of(build(terms[0]), build(terms[1]))
         raise ValueError(f"unknown profile type {kind!r}")
 
+    if not isinstance(data, dict):
+        raise ValueError(f"profile must be a JSON object, not {data!r}")
     return LeaderProfile(v=build(data["v"]), omega=build(data["omega"]))
 
 

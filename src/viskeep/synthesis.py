@@ -17,30 +17,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .inequalities import LinearInequalitySystem
+from .inequalities import LinearInequalitySystem, _solve_exact
 from .systems import GainMatrix
 
 
 class InfeasiblePolytopeError(ValueError):
     pass
-
-
-def _solve_exact(M: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Gaussian elimination over the rationals; None if singular."""
-    k = len(M)
-    aug = [row[:] + [r] for row, r in zip(M, rhs)]
-    for col in range(k):
-        pivot = next((i for i in range(col, k) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[k] for row in aug]
 
 
 def _project_origin(rows) -> Optional[tuple[Fraction, ...]]:

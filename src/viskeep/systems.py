@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -57,6 +58,30 @@ def _affine(stack: Sequence[Matrix], q: Sequence) -> Matrix:
                 if c != 0:
                     out[i][j] = out[i][j] + c * ql
     return tuple(tuple(row) for row in out)
+
+
+def _relevant_params(stack) -> list[int]:
+    """0-based parameter indices with a nonzero coefficient matrix."""
+    out = []
+    for l, M in enumerate(stack[1:]):
+        if any(c != 0 for row in M for c in row):
+            out.append(l)
+    return out
+
+
+def _sub_vertices(box: Box, indices: list[int]):
+    """Vertices of the box varying only along `indices`; the other entries
+    are fixed at lo for determinism (a family that ignores them takes the
+    same values as over all vertices)."""
+    if not indices:
+        yield tuple(box.lo)
+        return
+    choices = [(box.lo[i], box.hi[i]) for i in indices]
+    for combo in product(*choices):
+        w = list(box.lo)
+        for i, val in zip(indices, combo):
+            w[i] = val
+        yield tuple(w)
 
 
 @dataclass(frozen=True)
@@ -322,38 +347,52 @@ def check_D_invariant_cone(
     """Shifted vertex-cone condition: ``(I + tau F(w)) v`` in C_v shifted.
 
     Each plane of the cone at vertex ``v`` is offset inward by the worst
-    case ``tau * g . E(w) r`` over all parameter and disturbance vertices.
+    case ``tau * g . E(w) r`` over all parameter and disturbance vertices
+    (taken over the vertices of the parameters E depends on).  ``F(w)``
+    depends only on the parameters of A and B, so each distinct ``F(w)`` is
+    checked once and its violations are reported for every ``w`` sharing it.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
     exact, tau_c, conv, S_verts, Q_verts, D_verts = _certificate_inputs(sys, K, tau)
     tol = 0 if exact else FLOAT_TOL
     F = closed_loop(sys, K if exact else K.as_floats())
-    F_list = [(w, F(w)) for w in Q_verts]
+    ab_params = sorted(set(_relevant_params(sys.A)) | set(_relevant_params(sys.B)))
+    keys = [tuple(w[i] for i in ab_params) for w in Q_verts]
+    F_of = {}
+    for key, w in zip(keys, Q_verts):
+        if key not in F_of:
+            F_of[key] = F(w)
+    e_params = list(_sub_vertices(sys.Q, _relevant_params(sys.E)))
     violations = []
     for v_exact in sys.S.vertices():
         cone = vertex_cone(sys.S, v_exact)
         shifted = shifted_cone(
             cone, Fraction(tau) if exact else tau_c,
-            sys.eval_E, sys.Q.vertices(), sys.D.vertices(),
+            sys.eval_E, e_params, sys.D.vertices(),
         )
         v = conv(v_exact)
         rows = [
             (conv(g), xi if exact else float(xi))
             for g, xi in shifted.rows
         ]
-        for w, Fw in F_list:
+        failed = {}  # F(w) key -> [(cone row, slack)] of violated rows
+        for key, Fw in F_of.items():
             Fv = _mat_vec(Fw, v)
             y = tuple(vi + tau_c * fi for vi, fi in zip(v, Fv))
+            failed[key] = []
             for h, (g, xi) in enumerate(rows):
                 val = sum(c * yi for c, yi in zip(g, y))
                 if val > xi + tol:
-                    violations.append(
-                        Violation(
-                            _float_tuple(v), _float_tuple(w), None,
-                            f"cone row {h}", float(xi - val),
-                        )
+                    failed[key].append((h, float(xi - val)))
+        for key, w in zip(keys, Q_verts):
+            for h, slack in failed[key]:
+                violations.append(
+                    Violation(
+                        _float_tuple(v), _float_tuple(w), None,
+                        f"cone row {h}", slack,
                     )
+                )
     return CertificateReport(
         holds=not violations,
         violations=tuple(violations),

@@ -273,7 +273,11 @@ def test_simulate_takes_demo_gain_files(demo_out, tmp_path):
      PROFILE_JSON["basic"]["v"]),
     ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
      {"type": "constant", "value": math.nan}),
-], ids=["gain", "profile"])
+    ({"k11": None, "k22": 0.3707, "k23": 0.4925},
+     PROFILE_JSON["basic"]["v"]),
+    ({"k11": [1.5173], "k22": 0.3707, "k23": 0.4925},
+     PROFILE_JSON["basic"]["v"]),
+], ids=["gain", "profile", "null-gain", "list-gain"])
 def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
                                            gain, v):
     gain_file = write_json(tmp_path / "gain.json", gain)
@@ -285,3 +289,21 @@ def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
                  "--horizon", "1.0", "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
     assert not (out / "violations.json").exists()
+
+
+def test_simulate_needs_scenario_or_chain_spec(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--horizon", "0.1", "--out", str(out)]) == 2
+    assert "--scenario or --chain-spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["scenario", "profile"])
+def test_non_object_json_files_exit_2(basic_file, tmp_path, capsys, flag):
+    bad = write_json(tmp_path / "list.json", [1])
+    if flag == "scenario":
+        argv = ["check", "--scenario", str(bad)]
+    else:
+        argv = ["simulate", "--scenario", str(basic_file), "--profile",
+                str(bad), "--horizon", "0.1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "must be a JSON object" in capsys.readouterr().err

@@ -3,12 +3,15 @@ from itertools import combinations
 
 import pytest
 
+from viskeep import demos
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
+    _implied,
     normalized_key,
     rationalize,
 )
+from viskeep.scenarios import gain_polytope
 
 F = Fraction
 
@@ -259,6 +262,109 @@ def test_reduce_preserves_membership(rnd):
         for _ in range(1000):
             x = tuple(F(rnd.randint(-8, 8), 2) for _ in range(n))
             assert system.satisfies(x) == reduced.satisfies(x)
+
+
+def _reduce_oracle(system):
+    """The sequential loop deciding every row by Fourier-Motzkin alone."""
+    survivors = list(system.rows)
+    i = 0
+    while i < len(survivors):
+        others = survivors[:i] + survivors[i + 1:]
+        if _implied(others, survivors[i], system.num_vars):
+            survivors.pop(i)
+        else:
+            i += 1
+    return tuple(survivors)
+
+
+def _random_reduce_system(rnd):
+    """1-3 variables with exact and scaled duplicates, parallel and
+    opposite rows, zero rows and contradictory pairs mixed in."""
+    n = rnd.randint(1, 3)
+    rows = []
+    for _ in range(rnd.randint(0, 9)):
+        g = tuple(F(rnd.randint(-3, 3)) for _ in range(n))
+        rows.append((g, F(rnd.randint(-3, 6))))
+        if rnd.random() < 0.4:
+            g0, c0 = rnd.choice(rows)
+            k = F(rnd.randint(1, 4), rnd.randint(1, 3))
+            twist = rnd.randrange(5)
+            if twist == 0:  # exact duplicate
+                rows.append((g0, c0))
+            elif twist == 1:  # scaled duplicate
+                rows.append((tuple(k * c for c in g0), k * c0))
+            elif twist == 2:  # parallel, shifted
+                rows.append((tuple(k * c for c in g0), k * c0 + rnd.choice((-1, 1))))
+            elif twist == 3:  # opposite: a slab, or empty
+                rows.append((tuple(-c for c in g0), -c0 + rnd.randint(-2, 2)))
+            else:  # constant row 0 <= c
+                rows.append(((F(0),) * n, F(rnd.randint(-1, 2))))
+    rnd.shuffle(rows)
+    return sys_of(n, rows)
+
+
+def test_reduce_matches_sequential_fme_oracle(rnd):
+    infeasible = unbounded = 0
+    for _ in range(240):
+        system = _random_reduce_system(rnd)
+        reduced = system.reduce()
+        assert reduced.rows == _reduce_oracle(system), system.to_text()
+        if not system.is_feasible():
+            infeasible += 1
+        elif len(reduced.rows) <= system.num_vars:  # too few for a polytope
+            unbounded += 1
+    assert infeasible >= 50 and unbounded >= 50, (infeasible, unbounded)
+
+
+def test_reduce_matches_oracle_below_float_resolution(rnd):
+    """Rows moved by 1e-30 look equal in floats: the float proposals are
+    wrong there, and only the exact checks (or the fallback) decide."""
+    tiny = F(1, 10**30)
+    for _ in range(150):
+        n = rnd.randint(1, 3)
+        rows = []
+        for _ in range(rnd.randint(1, 5)):
+            g = tuple(F(rnd.randint(-2, 2)) for _ in range(n))
+            c = F(rnd.randint(-2, 3))
+            rows.append((g, c))
+            if rnd.random() < 0.6:
+                rows.append((g, c + rnd.choice((-tiny, tiny))))
+            if rnd.random() < 0.3:
+                rows.append((tuple(x + rnd.choice((-tiny, tiny)) for x in g), c))
+        rnd.shuffle(rows)
+        system = sys_of(n, rows)
+        assert system.reduce().rows == _reduce_oracle(system), system.to_text()
+
+
+def _bundle_polytopes():
+    polys = {b.name: b.scenario.polytope() for b in demos.BUNDLES
+             if b.name != "chain"}
+    spec = demos.CHAIN_SPEC
+    for k in range(1, spec.n):
+        polys[f"chain link {k}"] = gain_polytope(spec.link_scenario(k))
+    return polys
+
+
+def test_reduce_matches_oracle_on_bundle_polytopes():
+    for name, poly in _bundle_polytopes().items():
+        assert poly.reduce().rows == _reduce_oracle(poly), name
+
+
+def test_reduce_of_feasible_bundles_needs_no_elimination(monkeypatch):
+    """Every decision on the bundled polytopes is settled by a verified
+    certificate: a silent fall back to elimination fails here."""
+    calls = []
+    eliminate = LinearInequalitySystem.eliminate
+
+    def counted(self, var):
+        calls.append(var)
+        return eliminate(self, var)
+
+    polys = _bundle_polytopes()
+    monkeypatch.setattr(LinearInequalitySystem, "eliminate", counted)
+    for name in ("basic", "ubb", "circle"):
+        polys[name].reduce()
+        assert calls == [], name
 
 
 # ----------------------------------------------------------------------

@@ -29,9 +29,13 @@ from viskeep.scenarios import (
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
+from viskeep.boxes import shifted_cone, vertex_cone
+from viskeep.demos import CIRCLE_SCENARIO, UBB_SCENARIO
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
     GainMatrix,
+    _relevant_params,
+    _sub_vertices,
     check_admissible,
     check_D_invariant_cone,
 )
@@ -319,6 +323,22 @@ def test_polytope_sample_gains_are_certified(rnd):
         if hits >= 8:
             break
     assert hits >= 5
+
+
+def test_shifted_cone_needs_only_the_parameters_of_E():
+    """The shifted cones over the vertices of E's parameters (4) equal the
+    ones over all 64 parameter vertices, row for row."""
+    for sysd in (build_ubb_system(UBB_SCENARIO),
+                 build_circle_system(CIRCLE_SCENARIO)):
+        e_vertices = list(_sub_vertices(sysd.Q, _relevant_params(sysd.E)))
+        assert len(e_vertices) == 4 and len(sysd.Q.vertices()) == 64
+        for v in sysd.S.vertices():
+            cone = vertex_cone(sysd.S, v)
+            full = shifted_cone(cone, 1, sysd.eval_E, sysd.Q.vertices(),
+                                sysd.D.vertices())
+            part = shifted_cone(cone, 1, sysd.eval_E, e_vertices,
+                                sysd.D.vertices())
+            assert part.rows == full.rows
 
 
 def test_orbit_polytope_is_certified_but_rejects_reference_gain():

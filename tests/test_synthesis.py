@@ -129,8 +129,9 @@ def test_dense_grid_oracle_two_variables(rnd):
 
 
 def test_convex_solver_oracle_three_variables(rnd):
-    cvxpy = pytest.importorskip("cvxpy")
+    """The exact min-norm point against scipy's SLSQP on ``min |x|^2``."""
     import numpy as np
+    from scipy.optimize import minimize
 
     found = 0
     while found < 8:
@@ -141,12 +142,16 @@ def test_convex_solver_oracle_three_variables(rnd):
         res = min_norm_gain(poly)
         G = np.array([[float(c) for c in r.g] for r in poly.rows])
         h = np.array([float(r.rhs) for r in poly.rows])
-        x = cvxpy.Variable(3)
-        prob = cvxpy.Problem(
-            cvxpy.Minimize(cvxpy.sum_squares(x)), [G @ x <= h]
+        sol = minimize(
+            lambda x: x @ x, np.zeros(3), jac=lambda x: 2 * x,
+            method="SLSQP",
+            constraints=[{"type": "ineq", "fun": lambda x: h - G @ x,
+                          "jac": lambda x: -G}],
+            options={"ftol": 1e-15, "maxiter": 500},
         )
-        prob.solve()
-        assert res.norm == pytest.approx(math.sqrt(prob.value), abs=1e-6)
+        assert sol.success, sol.message
+        assert np.all(G @ sol.x <= h + 1e-9)
+        assert res.norm == pytest.approx(float(np.linalg.norm(sol.x)), abs=1e-6)
 
 
 def test_min_norm_gain_not_strictly_interior():
