@@ -197,6 +197,9 @@ def cmd_simulate(args) -> int:
                else LeaderProfile(lambda t: 0.0, lambda t: 0.0))
     if args.chain_spec:
         spec = load_chain(args.chain_spec)
+        if args.noise_amplitude is not None:
+            raise ValueError("--noise-amplitude applies to ubb scenarios only, "
+                             "not to chains")
         if not args.gains:
             raise ValueError("chain simulation needs --gains")
         gains = [_gain_of(g) for g in _read_json(args.gains)]
@@ -206,6 +209,9 @@ def cmd_simulate(args) -> int:
                            out_dir, args.tol)
     else:
         sc = load_scenario(args.scenario)
+        if args.noise_amplitude is not None and sc.kind != "ubb":
+            raise ValueError("--noise-amplitude applies to ubb scenarios only, "
+                             f"not to {sc.kind}")
         if args.gain:
             K = _gain_of(_read_json(args.gain))
         else:

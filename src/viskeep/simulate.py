@@ -2,12 +2,15 @@
 
 The certificates in :mod:`viskeep.systems` address a linear family that
 absorbs the true vehicle kinematics; this module closes the loop on the
-original trigonometric model.  Classical RK4 with a fixed step integrates
-the relative state together with both world poses, the feedback is
-evaluated at every integration stage (continuous feedback, so step-halving
-convergence is clean), inputs are clamped to their boxes with an event
-counter, and a monitor checks every sample against the state and input
-boxes.
+original trigonometric model.  One classical RK4 integrator with a fixed
+step runs every simulation: it integrates each link's relative state
+together with every robot's world pose, robot k+1 pursuing robot k, so a
+pair is a one-link chain.  The feedback is evaluated at every integration
+stage (continuous feedback, so step-halving convergence is clean), inputs
+are clamped to their boxes with an event counter, and a monitor checks
+every sample against the state and input boxes.  The leader profile is
+sampled once per distinct stage time: at t for the record and k1, at
+t + dt/2 for k2 and k3, and at t + dt for k4.
 
 Angles are never wrapped: on certified runs the heading difference stays
 well inside (-pi/2, pi/2), and a wrap guard aborts if it ever passes pi,
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -58,7 +62,7 @@ def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[fl
     order cannot change a trajectory.
     """
     if dt_hold <= 0:
-        raise ValueError("dt_hold must be positive")
+        raise ValueError(f"random profile hold must be positive, not {dt_hold!r}")
 
     def f(t: float) -> float:
         i = int(t / dt_hold)
@@ -81,21 +85,34 @@ class LeaderProfile:
 
 
 def profile_from_json_dict(data: dict) -> LeaderProfile:
+    """Profile from its JSON form; a malformed signal is a ValueError."""
+    def number(spec, key, default=None):
+        val = spec.get(key, default)
+        if type(val) not in (int, float) or not math.isfinite(val):  # no bool
+            raise ValueError(f"{spec['type']} profile needs a finite number "
+                             f"for {key!r}, not {val!r}")
+        return val
+
     def build(spec) -> Callable[[float], float]:
         if not isinstance(spec, dict):
             raise ValueError(f"profile signal must be a JSON object, not {spec!r}")
-        kind = spec["type"]
+        kind = spec.get("type")
         if kind == "constant":
-            return constant(spec["value"])
+            return constant(number(spec, "value"))
         if kind in ("sin", "cos"):
-            return sinusoid(spec["amplitude"], spec["omega"],
-                            spec.get("phase", 0.0), kind)
+            return sinusoid(number(spec, "amplitude"), number(spec, "omega"),
+                            number(spec, "phase", 0.0), kind)
         if kind == "random":
-            return random_hold(spec["amplitude"], spec["hold"], spec.get("seed", 0))
+            seed = spec.get("seed", 0)
+            if type(seed) is not int:
+                raise ValueError(f"random profile seed must be an integer, "
+                                 f"not {seed!r}")
+            return random_hold(number(spec, "amplitude"), number(spec, "hold"),
+                               seed)
         if kind == "sum":
-            terms = spec["terms"]
-            if len(terms) != 2:
-                raise ValueError("sum profile takes exactly two terms")
+            terms = spec.get("terms")
+            if not (isinstance(terms, list) and len(terms) == 2):
+                raise ValueError("sum profile takes a list of exactly two terms")
             return sum_of(build(terms[0]), build(terms[1]))
         raise ValueError(f"unknown profile type {kind!r}")
 
@@ -217,7 +234,7 @@ def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> Violatio
 
 
 # ----------------------------------------------------------------------
-# Integration cores
+# The integrator
 # ----------------------------------------------------------------------
 
 
@@ -230,27 +247,6 @@ def _steps(T: float, dt: float) -> int:
     return n
 
 
-def _rk4(f, t: float, y: tuple, dt: float) -> tuple:
-    half = 0.5 * dt
-    k1 = f(t, y)
-    k2 = f(t + half, tuple(a + half * b for a, b in zip(y, k1)))
-    k3 = f(t + half, tuple(a + half * b for a, b in zip(y, k2)))
-    k4 = f(t + dt, tuple(a + dt * b for a, b in zip(y, k3)))
-    sixth = dt / 6.0
-    return tuple(
-        a + sixth * (b + 2.0 * (c + d) + e)
-        for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-    )
-
-
-def _clamp(val: float, bound: float) -> float:
-    if val > bound:
-        return bound
-    if val < -bound:
-        return -bound
-    return val
-
-
 def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:
     """Relative coordinates (p1, p2, beta) of the leader seen from the
     follower, recomputed from two world poses."""
@@ -261,100 +257,122 @@ def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:
     return (c * dx + s * dy, -s * dx + c * dy, tl - tf)
 
 
-def _pair_loop(
-    *,
-    K: GainMatrix,
-    bounds: tuple,  # (V_F, Omega_F, V_L, Omega_L)
-    prof: LeaderProfile,
+def _integrate(
+    links: Sequence,
+    lead_limits: tuple,
+    profile: LeaderProfile,
     s0: Sequence,
+    poses: Sequence,
     T: float,
     dt: float,
-    d_offset: tuple,  # window center in raw relative coordinates
-    omega_shift: float,  # added back to both turn rates (orbit runs)
-    noise_step: Optional[Callable[[int], tuple]],
-    meta: dict,
-) -> SimTrace:
-    """Shared integrator for the pair scenarios.
+    metas: Sequence,
+    rho: float = 0.0,
+    noise_step: Optional[Callable[[int], tuple]] = None,
+) -> list[SimTrace]:
+    """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link.
 
-    State vector: (dp1, dp2, dbeta, xF, yF, thF, xL, yL, thL) where the
-    first three are window-centered; the raw relative coordinates are the
-    centered ones plus `d_offset`.
+    ``links[k]`` is ``(gain, (V, Omega), (o1, o2, o3))``: link k's gain, its
+    follower's input bounds and its window center in raw relative
+    coordinates.  ``lead_limits`` bounds the profile of robot 0, ``s0``
+    holds the window-centered link states and ``poses`` the n world poses.
+    ``rho`` is added back to every turn rate (orbit runs), and
+    ``noise_step(i)`` gives the lateral noise of each robot, held across the
+    stages of step i.
+
+    The state vector is robot 0's pose, then for each link its centered
+    state and its follower's pose.
     """
-    V_F, Om_F, V_L, Om_L = bounds
-    k11, k22, k23 = (float(K.k11), float(K.k22), float(K.k23))
-    o1, o2, o3 = d_offset
-    rho = omega_shift
-    prof_v = _checked(prof.v, V_L, "v")
-    prof_w = _checked(prof.omega, Om_L, "omega")
+    params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
+    prof_v = _checked(profile.v, lead_limits[0], "v")
+    prof_w = _checked(profile.omega, lead_limits[1], "omega")
     n_steps = _steps(T, dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+    h = (0.0,) * (len(links) + 1)
 
-    h_cell = [0.0, 0.0]
+    def deriv(y, h, v, w):
+        """dy/dt, given robot 0's speed offset v and turn rate w."""
+        hL = h[0]
+        c, s = math.cos(y[2]), math.sin(y[2])
+        dy = [(1.0 + v) * c - hL * s, (1.0 + v) * s + hL * c, w]
+        for r, (k11, k22, k23, V, Om, o1, o2, o3) in enumerate(params, 1):
+            j = 6 * r - 3
+            s1, s2, s3 = y[j], y[j + 1], y[j + 2]
+            u1 = k11 * s1
+            u2 = k22 * s2 + k23 * s3
+            vF = V if u1 > V else -V if u1 < -V else u1
+            wF = (Om if u2 > Om else -Om if u2 < -Om else u2) + rho
+            hF = h[r]
+            p1, p2, beta = s1 + o1, s2 + o2, s3 + o3
+            cb, sb = math.cos(beta), math.sin(beta)
+            cf, sf = math.cos(y[j + 5]), math.sin(y[j + 5])
+            dy += (
+                (cb - 1.0) - vF + p2 * wF + v * cb - hL * sb,
+                sb - hF - p1 * wF + v * sb + hL * cb,
+                w - wF,
+                (1.0 + vF) * cf - hF * sf,
+                (1.0 + vF) * sf + hF * cf,
+                wF,
+            )
+            v, w, hL = vF, wF, hF
+        return dy
 
-    def deriv(t, y):
-        s1, s2, s3, xf, yf, tf, xl, yl, tl = y
-        vF = _clamp(k11 * s1, V_F)
-        wF = _clamp(k22 * s2 + k23 * s3, Om_F) + rho
-        vL = prof_v(t)
-        wL = prof_w(t) + rho
-        hF, hL = h_cell
-        p1 = s1 + o1
-        p2 = s2 + o2
-        beta = s3 + o3
-        cb, sb = math.cos(beta), math.sin(beta)
-        ds1 = (cb - 1.0) - vF + p2 * wF + vL * cb - hL * sb
-        ds2 = sb - hF - p1 * wF + vL * sb + hL * cb
-        ds3 = wL - wF
-        sf, cf = math.sin(tf), math.cos(tf)
-        sl, cl = math.sin(tl), math.cos(tl)
-        return (
-            ds1, ds2, ds3,
-            (1.0 + vF) * cf - hF * sf, (1.0 + vF) * sf + hF * cf, wF,
-            (1.0 + vL) * cl - hL * sl, (1.0 + vL) * sl + hL * cl, wL,
-        )
-
-    # follower starts at the origin pose; leader placed from the state
-    s = tuple(float(x) for x in s0)
-    p1_0, p2_0, beta_0 = s[0] + o1, s[1] + o2, s[2] + o3
-    y = (s[0], s[1], s[2], 0.0, 0.0, 0.0, p1_0, p2_0, beta_0)
-
-    times = np.empty(n_steps + 1)
-    states = np.empty((n_steps + 1, 3))
-    inputs = np.empty((n_steps + 1, 2))
-    leader = np.empty((n_steps + 1, 2))
-    noise = np.empty((n_steps + 1, 2)) if noise_step else None
-    pose_f = np.empty((n_steps + 1, 3))
-    pose_l = np.empty((n_steps + 1, 3))
-    clamps = 0
-
+    y = list(poses[0])
+    for s, pose in zip(s0, poses[1:]):
+        y += (*s, *pose)
+    ys, us, hs = array("d"), array("d"), array("d")
+    clamps = [0] * len(links)
     for i in range(n_steps + 1):
         t = i * dt
-        if noise_step:
-            h_cell[0], h_cell[1] = noise_step(i)
-            noise[i] = h_cell
-        s1, s2, s3 = y[0], y[1], y[2]
-        if abs(s3 + o3) > math.pi:
-            raise ValueError(
-                f"heading difference left (-pi, pi) at t={t:.6g}; "
-                "invariance lost"
-            )
-        u1_raw = k11 * s1
-        u2_raw = k22 * s2 + k23 * s3
-        if abs(u1_raw) > V_F or abs(u2_raw) > Om_F:
-            clamps += 1
-        times[i] = t
-        states[i] = (s1, s2, s3)
-        inputs[i] = (_clamp(u1_raw, V_F), _clamp(u2_raw, Om_F))
-        leader[i] = (prof_v(t), prof_w(t))
-        pose_f[i] = y[3:6]
-        pose_l[i] = y[6:9]
-        if i < n_steps:
-            y = _rk4(deriv, t, y, dt)
+        if noise_step is not None:
+            h = noise_step(i)
+            hs.extend(h)
+        u = []
+        for r, (k11, k22, k23, V, Om, o1, o2, o3) in enumerate(params, 1):
+            j = 6 * r - 3
+            s1, s2, s3 = y[j], y[j + 1], y[j + 2]
+            if abs(s3 + o3) > math.pi:
+                raise ValueError(
+                    f"heading difference left (-pi, pi) on link {r} "
+                    f"at t={t:.6g}; invariance lost"
+                )
+            u1 = k11 * s1
+            u2 = k22 * s2 + k23 * s3
+            if abs(u1) > V or abs(u2) > Om:
+                clamps[r - 1] += 1
+            u += (V if u1 > V else -V if u1 < -V else u1,
+                  Om if u2 > Om else -Om if u2 < -Om else u2)
+        v, w = prof_v(t), prof_w(t)
+        ys.extend(y)
+        us.extend((v, w, *u))
+        if i == n_steps:
+            break
+        vh, wh = prof_v(t + half), prof_w(t + half)
+        v1, w1 = prof_v(t + dt), prof_w(t + dt)
+        k1 = deriv(y, h, v, w + rho)
+        k2 = deriv([a + half * b for a, b in zip(y, k1)], h, vh, wh + rho)
+        k3 = deriv([a + half * b for a, b in zip(y, k2)], h, vh, wh + rho)
+        k4 = deriv([a + dt * b for a, b in zip(y, k3)], h, v1, w1 + rho)
+        y = [a + sixth * (b + 2.0 * (c + d) + e)
+             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
 
-    return SimTrace(
-        times=times, states=states, inputs=inputs, leader=leader,
-        noise=noise, pose_f=pose_f, pose_l=pose_l, clamp_events=clamps,
-        meta=meta,
-    )
+    # rows of Y: each robot's pose with each link's state between them; of
+    # U: each robot's realized inputs (the profile for robot 0); of H: each
+    # robot's noise.  Link k joins robots k and k + 1.
+    Y = np.frombuffer(ys).reshape(n_steps + 1, -1)
+    U = np.frombuffer(us).reshape(n_steps + 1, -1)
+    H = (np.frombuffer(hs).reshape(n_steps + 1, -1)
+         if noise_step is not None else None)
+    times = np.arange(n_steps + 1) * dt
+    return [
+        SimTrace(
+            times=times, states=Y[:, 6 * k + 3:6 * k + 6],
+            inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
+            noise=None if H is None else H[:, [k + 1, k]],
+            pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
+            clamp_events=clamps[k], meta=meta,
+        )
+        for k, meta in enumerate(metas)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -362,12 +380,30 @@ def _pair_loop(
 # ----------------------------------------------------------------------
 
 
-def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0"):
+def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0") -> tuple:
+    """`s0` as floats, once it is known to lie in the window."""
     if len(s0) != 3:
         raise ValueError(f"{what} must have three components")
     for x, h in zip(s0, half_widths):
         if abs(float(x)) > float(h) + 1e-12:
             raise ValueError(f"{what} lies outside the visibility window")
+    return tuple(float(x) for x in s0)
+
+
+def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
+                   T: float, dt: float, kind: str, offset: tuple,
+                   rho: float = 0.0, noise_step=None) -> SimTrace:
+    """A pair is a one-link run: the follower starts at the origin pose and
+    the leader is placed from the state."""
+    s = _check_s0(s0, (sc.a, sc.a, sc.b))
+    gain = [float(K.k11), float(K.k22), float(K.k23)]
+    leader = tuple(x + o for x, o in zip(s, offset))
+    meta = {"kind": kind, "dt": dt, "T": T, "integrator": "rk4", "gain": gain}
+    return _integrate(
+        [(gain, (sc.V_F, sc.Omega_F), offset)], (sc.V_L, sc.Omega_L),
+        profile, [s], [leader, (0.0, 0.0, 0.0)], T, dt, [meta], rho,
+        noise_step,
+    )[0]
 
 
 def simulate_basic(
@@ -379,18 +415,7 @@ def simulate_basic(
     dt: float = 1e-3,
 ) -> SimTrace:
     """Closed-loop run of the straight-pursuit model."""
-    _check_s0(s0, (sc.a, sc.a, sc.b))
-    return _pair_loop(
-        K=K,
-        bounds=(sc.V_F, sc.Omega_F, sc.V_L, sc.Omega_L),
-        prof=profile,
-        s0=s0, T=T, dt=dt,
-        d_offset=(sc.d, 0.0, 0.0),
-        omega_shift=0.0,
-        noise_step=None,
-        meta={"kind": "basic", "dt": dt, "T": T, "integrator": "rk4",
-              "gain": [float(K.k11), float(K.k22), float(K.k23)]},
-    )
+    return _simulate_pair(sc, K, profile, s0, T, dt, "basic", (sc.d, 0.0, 0.0))
 
 
 def uniform_noise(amp_f: float, amp_l: float, seed: int = 0) -> Callable[[int], tuple]:
@@ -414,27 +439,17 @@ def simulate_ubb(
     seed: int = 0,
 ) -> SimTrace:
     """Run with lateral disturbances resampled every integration step."""
-    _check_s0(s0, (sc.a, sc.a, sc.b))
     if h_sampler is None:
         h_sampler = uniform_noise(sc.H_F, sc.H_L, seed)
 
-    def checked_sampler(i: int) -> tuple:
+    def noise_step(i: int) -> tuple:
         hF, hL = h_sampler(i)
         if not (abs(hF) <= sc.H_F + BOUND_TOL and abs(hL) <= sc.H_L + BOUND_TOL):
             raise ValueError("noise sample exceeds its amplitude bound")
-        return hF, hL
+        return hL, hF  # robot order: leader, follower
 
-    return _pair_loop(
-        K=K,
-        bounds=(sc.V_F, sc.Omega_F, sc.V_L, sc.Omega_L),
-        prof=profile,
-        s0=s0, T=T, dt=dt,
-        d_offset=(sc.d, 0.0, 0.0),
-        omega_shift=0.0,
-        noise_step=checked_sampler,
-        meta={"kind": "ubb", "dt": dt, "T": T, "integrator": "rk4",
-              "gain": [float(K.k11), float(K.k22), float(K.k23)]},
-    )
+    return _simulate_pair(sc, K, profile, s0, T, dt, "ubb", (sc.d, 0.0, 0.0),
+                          noise_step=noise_step)
 
 
 def simulate_circle(
@@ -448,20 +463,10 @@ def simulate_circle(
     """Orbit-window run: feedback acts on the shifted state and the orbit
     rate is added back to both turn rates; `profile.omega` is the leader's
     shifted turn rate."""
-    _check_s0(s0, (sc.a, sc.a, sc.b))
-    off1 = math.sin(sc.gamma) / sc.rho
-    off2 = (1 - math.cos(sc.gamma)) / sc.rho
-    return _pair_loop(
-        K=K,
-        bounds=(sc.V_F, sc.Omega_F, sc.V_L, sc.Omega_L),
-        prof=profile,
-        s0=s0, T=T, dt=dt,
-        d_offset=(off1, off2, sc.gamma),
-        omega_shift=sc.rho,
-        noise_step=None,
-        meta={"kind": "circle", "dt": dt, "T": T, "integrator": "rk4",
-              "gain": [float(K.k11), float(K.k22), float(K.k23)]},
-    )
+    offset = (math.sin(sc.gamma) / sc.rho, (1 - math.cos(sc.gamma)) / sc.rho,
+              sc.gamma)
+    return _simulate_pair(sc, K, profile, s0, T, dt, "circle", offset,
+                          rho=sc.rho)
 
 
 def simulate_chain(
@@ -480,106 +485,21 @@ def simulate_chain(
     n = spec.n
     if len(gains) != n - 1 or len(s0) != n - 1:
         raise ValueError("need one gain and one initial state per link")
-    for k in range(1, n):
-        g = spec.links[k - 1]
-        _check_s0(s0[k - 1], (g.a, g.a, g.b), what=f"s0[{k - 1}]")
-    Ks = [(float(K.k11), float(K.k22), float(K.k23)) for K in gains]
-    ds = [g.d for g in spec.links]
-    VF = [r.V for r in spec.robots]
-    OmF = [r.Omega for r in spec.robots]
-    prof_v = _checked(lead_profile.v, VF[0], "v")
-    prof_w = _checked(lead_profile.omega, OmF[0], "omega")
-    n_steps = _steps(T, dt)
-    n_states = 3 * (n - 1)
-
-    def inputs_of(y):
-        """Realized inputs of robots 2..n given all link states."""
-        out = []
-        for k in range(n - 1):
-            k11, k22, k23 = Ks[k]
-            s1, s2, s3 = y[3 * k], y[3 * k + 1], y[3 * k + 2]
-            out.append((
-                _clamp(k11 * s1, VF[k + 1]),
-                _clamp(k22 * s2 + k23 * s3, OmF[k + 1]),
-            ))
-        return out
-
-    def deriv(t, y):
-        us = inputs_of(y)
-        v_prev, w_prev = prof_v(t), prof_w(t)
-        dy = []
-        for k in range(n - 1):
-            vF, wF = us[k]
-            s1, s2, s3 = y[3 * k], y[3 * k + 1], y[3 * k + 2]
-            cb, sb = math.cos(s3), math.sin(s3)
-            dy.append((cb - 1.0) - vF + s2 * wF + v_prev * cb)
-            dy.append(sb - (s1 + ds[k]) * wF + v_prev * sb)
-            dy.append(w_prev - wF)
-            v_prev, w_prev = vF, wF
-        # poses: robot 1 first, then followers
-        v_prev, w_prev = prof_v(t), prof_w(t)
-        base = n_states
-        for k in range(n):
-            th = y[base + 3 * k + 2]
-            if k > 0:
-                v_prev, w_prev = us[k - 1]
-            dy.append((1.0 + v_prev) * math.cos(th))
-            dy.append((1.0 + v_prev) * math.sin(th))
-            dy.append(w_prev)
-        return tuple(dy)
-
+    s = [_check_s0(x, (g.a, g.a, g.b), what=f"s0[{k}]")
+         for k, (x, g) in enumerate(zip(s0, spec.links))]
     # poses chained back from robot 1 at the origin
     poses = [(0.0, 0.0, 0.0)]
-    for k in range(1, n):
-        s1, s2, s3 = (float(x) for x in s0[k - 1])
-        p1, p2 = s1 + ds[k - 1], s2
+    for (s1, s2, s3), g in zip(s, spec.links):
+        p1, p2 = s1 + g.d, s2
         x_prev, y_prev, th_prev = poses[-1]
         th = th_prev - s3
         c, s_ = math.cos(th), math.sin(th)
         poses.append((x_prev - (c * p1 - s_ * p2), y_prev - (s_ * p1 + c * p2), th))
-
-    y = tuple(float(x) for link in s0 for x in link) + tuple(
-        x for pose in poses for x in pose
-    )
-
-    times = np.empty(n_steps + 1)
-    states = [np.empty((n_steps + 1, 3)) for _ in range(n - 1)]
-    inputs = [np.empty((n_steps + 1, 2)) for _ in range(n - 1)]
-    leaders = [np.empty((n_steps + 1, 2)) for _ in range(n - 1)]
-    pose_arr = [np.empty((n_steps + 1, 3)) for _ in range(n)]
-    clamps = [0] * (n - 1)
-
-    for i in range(n_steps + 1):
-        t = i * dt
-        times[i] = t
-        us = inputs_of(y)
-        lead = (prof_v(t), prof_w(t))
-        for k in range(n - 1):
-            s1, s2, s3 = y[3 * k], y[3 * k + 1], y[3 * k + 2]
-            if abs(s3) > math.pi:
-                raise ValueError(
-                    f"heading difference left (-pi, pi) on link {k + 1} "
-                    f"at t={t:.6g}"
-                )
-            k11, k22, k23 = Ks[k]
-            if (abs(k11 * s1) > VF[k + 1]
-                    or abs(k22 * s2 + k23 * s3) > OmF[k + 1]):
-                clamps[k] += 1
-            states[k][i] = (s1, s2, s3)
-            inputs[k][i] = us[k]
-            leaders[k][i] = lead if k == 0 else us[k - 1]
-        for k in range(n):
-            pose_arr[k][i] = y[n_states + 3 * k: n_states + 3 * k + 3]
-        if i < n_steps:
-            y = _rk4(deriv, t, y, dt)
-
-    traces = []
-    for k in range(n - 1):
-        traces.append(SimTrace(
-            times=times.copy(), states=states[k], inputs=inputs[k],
-            leader=leaders[k], pose_f=pose_arr[k + 1], pose_l=pose_arr[k],
-            clamp_events=clamps[k],
-            meta={"kind": "chain", "link": k + 1, "dt": dt, "T": T,
-                  "integrator": "rk4", "gain": list(Ks[k])},
-        ))
-    return traces
+    links = [((float(K.k11), float(K.k22), float(K.k23)), spec.robots[k],
+              (g.d, 0.0, 0.0))
+             for k, (K, g) in enumerate(zip(gains, spec.links), start=1)]
+    metas = [{"kind": "chain", "link": k, "dt": dt, "T": T, "integrator": "rk4",
+              "gain": list(gain)}
+             for k, (gain, _, _) in enumerate(links, start=1)]
+    return _integrate(links, spec.robots[0], lead_profile, s, poses, T, dt,
+                      metas)

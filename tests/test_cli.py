@@ -277,7 +277,23 @@ def test_simulate_takes_demo_gain_files(demo_out, tmp_path):
      PROFILE_JSON["basic"]["v"]),
     ({"k11": [1.5173], "k22": 0.3707, "k23": 0.4925},
      PROFILE_JSON["basic"]["v"]),
-], ids=["gain", "profile", "null-gain", "list-gain"])
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "constant", "value": None}),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "sin", "amplitude": "x", "omega": 1}),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "sin", "amplitude": 0.01, "omega": [1]}),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "cos", "amplitude": 0.01, "omega": 1, "phase": None}),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "random", "amplitude": 0.01, "hold": None}),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "random", "amplitude": 0.01, "hold": 0.5, "seed": 1.5}),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "sum", "terms": 3}),
+], ids=["gain", "profile", "null-gain", "list-gain", "null-value",
+        "text-amplitude", "list-omega", "null-phase", "null-hold",
+        "float-seed", "int-terms"])
 def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
                                            gain, v):
     gain_file = write_json(tmp_path / "gain.json", gain)
@@ -288,6 +304,25 @@ def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
                  "--gain", str(gain_file), "--profile", str(profile),
                  "--horizon", "1.0", "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not (out / "violations.json").exists()
+
+
+@pytest.mark.parametrize("family", ["basic", "circle", "chain"])
+def test_noise_amplitude_only_for_ubb(tmp_path, capsys, family):
+    sc = bundle(family).scenario
+    path = tmp_path / "scenario.json"
+    if family == "chain":
+        write_json(path, chain_to_json_dict(sc))
+        gains = write_json(tmp_path / "gains.json",
+                           [{"k11": 0.2, "k22": 0.03, "k23": 0.3}] * 3)
+        argv = ["--chain-spec", str(path), "--gains", str(gains)]
+    else:
+        save_scenario(sc, path)
+        argv = ["--scenario", str(path)]
+    out = tmp_path / "run"
+    assert main(["simulate", *argv, "--noise-amplitude", "0.5",
+                 "--horizon", "0.1", "--out", str(out)]) == 2
+    assert "applies to ubb scenarios only" in capsys.readouterr().err
     assert not (out / "violations.json").exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from viskeep.boxes import Box
+from viskeep.chains import ChainSpec
 from viskeep.demos import (
     BASIC_PROFILE,
     BASIC_S0,
@@ -82,6 +83,24 @@ def test_profile_json_round_trip():
     })
     assert prof.v(0.0) == pytest.approx(0.01)
     assert abs(prof.omega(1.0)) <= 0.1
+
+
+def test_leader_profile_sampled_once_per_stage_time():
+    # t for the record and k1, t + dt/2 for k2 and k3, t + dt for k4
+    calls = {"v": 0, "omega": 0}
+
+    def counted(name, sig):
+        def f(t):
+            calls[name] += 1
+            return sig(t)
+        return f
+
+    prof = LeaderProfile(counted("v", BASIC_PROFILE.v),
+                         counted("omega", BASIC_PROFILE.omega))
+    n = 200
+    simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, prof, BASIC_S0,
+                   T=n * 1e-3, dt=1e-3)
+    assert calls == {"v": 3 * n + 1, "omega": 3 * n + 1}
 
 
 def test_profile_bound_violation_is_input_error():
@@ -311,6 +330,27 @@ def test_chain_pose_consistency():
         ])
         rel[:, 0] -= CHAIN_SPEC.links[k - 1].d
         assert np.abs(rel - trace.states).max() < 1e-6
+
+
+@pytest.mark.parametrize("K", [REF_GAIN_BASIC, GainMatrix(9.0, 7.0, 5.0)],
+                         ids=["clean", "clamped"])
+def test_pair_is_a_one_link_chain(K):
+    sc = BASIC_SCENARIO
+    spec = ChainSpec.make([(sc.a, sc.b, sc.d)],
+                          [(sc.V_L, sc.Omega_L), (sc.V_F, sc.Omega_F)])
+    assert spec.link_scenario(1) == sc
+    s0 = (0.3, -0.3, 0.2)
+    pair = simulate_basic(spec.link_scenario(1), K, BASIC_PROFILE, s0, T=5.0)
+    [link] = simulate_chain(spec, [K], BASIC_PROFILE, [s0], T=5.0)
+    for name in ("states", "inputs", "leader"):
+        assert getattr(pair, name).tobytes() == getattr(link, name).tobytes()
+    assert pair.clamp_events == link.clamp_events
+    # the pair puts the follower at the origin, the chain the leader
+    rel_pair = np.array([reconstruct_relative(pf, pl)
+                         for pf, pl in zip(pair.pose_f, pair.pose_l)])
+    rel_link = np.array([reconstruct_relative(pf, pl)
+                         for pf, pl in zip(link.pose_f, link.pose_l)])
+    assert np.abs(rel_pair - rel_link).max() < 1e-12
 
 
 def test_chain_input_validation():
