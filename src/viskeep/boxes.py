@@ -169,13 +169,13 @@ def shifted_cone(
     for g, xi in cone.rows:
         worst = None
         for E in E_list:
-            # gE[k] = sum_i g_i * E[i][k]
+            # gE[k] = sum_i g_i * E[i][k], zero terms skipped
             gE = [
-                sum(gi * Ei[k] for gi, Ei in zip(g, E))
+                sum(gi * Ei[k] for gi, Ei in zip(g, E) if gi)
                 for k in range(len(E[0]) if E else 0)
             ]
             for r in D_list:
-                push = sum(c * rk for c, rk in zip(gE, r))
+                push = sum(c * rk for c, rk in zip(gE, r) if c)
                 if worst is None or push > worst:
                     worst = push
         shift = tau * worst if worst is not None else 0

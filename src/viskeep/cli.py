@@ -191,6 +191,12 @@ def _parse_s0(text: str):
 def cmd_simulate(args) -> int:
     if not (args.scenario or args.chain_spec):
         raise ValueError("simulate needs --scenario or --chain-spec")
+    if args.chain_spec and args.gain:
+        raise ValueError("--gain applies to --scenario runs; a chain takes "
+                         "its gains from --gains")
+    if not args.chain_spec and args.gains:
+        raise ValueError("--gains applies to --chain-spec runs; a pair takes "
+                         "its gain from --gain")
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = (profile_from_json_dict(_read_json(args.profile)) if args.profile

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -59,15 +59,11 @@ def normalized_key(row: Row) -> tuple:
         if r != 0:
             r = Fraction(1 if r > 0 else -1)
         return (row.g, r)
-    denom_lcm = 1
-    for c in row.g:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in row.g]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    scale = Fraction(denom_lcm, g)
-    return (tuple(c * scale for c in row.g), row.rhs * scale)
+    denom_lcm = lcm(*(c.denominator for c in row.g))
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in row.g]
+    g = gcd(*ints)
+    return (tuple(Fraction(v // g) for v in ints),
+            row.rhs * Fraction(denom_lcm, g))
 
 
 def normalize_row(row: Row) -> Row:

@@ -11,9 +11,8 @@ Three scenario families are supported:
 
 Each scenario owns (i) an exact uncertain-system transcription of the
 relative dynamics, (ii) closed-form solvability conditions, and (iii) the
-polytope of feasible sparse gains ``(k11, k22, k23)``, built either from the
-explicitly instantiated inequality families (basic) or from the generic
-shifted-cone certificate pipeline (ubb, circle).
+polytope of feasible sparse gains ``(k11, k22, k23)``, built for every family
+by one route: the shifted-cone certificate of its uncertain system.
 """
 
 from __future__ import annotations
@@ -23,10 +22,9 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
-from .boxes import Box, shifted_cone, vertex_cone
+from .boxes import Box
 from .inequalities import (
     DEFAULT_MAX_DENOMINATOR,
     LinearInequalitySystem,
@@ -38,7 +36,7 @@ from .simulate import simulate_basic, simulate_circle, simulate_ubb, uniform_noi
 from .systems import (
     UncertainLinearSystem,
     _mat,
-    _relevant_params,
+    _shifted_vertex_cones,
     _sub_vertices,
     _zeros,
 )
@@ -500,99 +498,60 @@ def admissibility_rows(S: Box, U: Box) -> list[Row]:
         ):
             lead = next(abs(c) for c in g if c != 0)
             rows.append(Row(tuple(c / lead for c in g), hi / lead))
-    return list(_dedup(rows))
+    return rows
 
 
 def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[Row]:
     """Shifted-cone certificate rows, rearranged as inequalities in
     ``(k11, k22, k23)``.
 
-    For each window vertex and each plane ``g . s <= 1`` through it, the
-    condition ``g . (I + tau F(w)) v <= 1 - max tau g . E r`` is linear in
-    the gain entries because ``F = A + B K`` and ``K`` has the fixed sparse
-    pattern.  Rows are enumerated over the parameter vertices that matter
-    to A and B, then deduplicated exactly.
-    """
+    For each window vertex ``v`` and each face ``g . s <= 1`` of its cone,
+    ``g . (I + tau F(w)) v <= 1 - max tau g . E r`` is linear in the gain
+    entries because ``F = A + B K``.  The face of state ``i`` reads row ``i``
+    of A and B alone, so it is enumerated over the vertices of the
+    parameters whose A or B slice has a nonzero row ``i``.  Rows come by
+    window vertex, then face, then parameter vertex, and may repeat."""
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
     tau = Fraction(tau)
-    ab_params = sorted(set(_relevant_params(sys.A)) | set(_relevant_params(sys.B)))
-    AB = [(sys.eval_A(w), sys.eval_B(w)) for w in _sub_vertices(sys.Q, ab_params)]
-    e_params = list(_sub_vertices(sys.Q, _relevant_params(sys.E)))
+    AB = []  # state i -> rows i of (A(w), B(w)) over the vertices that matter
+    for i in range(sys.n):
+        params = [l for l, (Al, Bl) in enumerate(zip(sys.A[1:], sys.B[1:]))
+                  if any(Al[i]) or any(Bl[i])]
+        AB.append([(sys.eval_A(w)[i], sys.eval_B(w)[i])
+                   for w in _sub_vertices(sys.Q, params)])
+    terms = {}  # face -> [(tau g_i A(w)_i, tau g_i B(w)_i)]
     rows: list[Row] = []
-    for v in sys.S.vertices():
-        cone = vertex_cone(sys.S, v)
-        shifted = shifted_cone(cone, tau, sys.eval_E, e_params, sys.D.vertices())
-        for (g, _one), (_g2, xi_shifted) in zip(cone.rows, shifted.rows):
-            for Aw, Bw in AB:
-                gA = [sum(gi * Aw[i][j] for i, gi in enumerate(g)) for j in range(3)]
-                gB = [sum(gi * Bw[i][j] for i, gi in enumerate(g)) for j in range(2)]
-                const = sum(gi * vi for gi, vi in zip(g, v)) \
-                    + tau * sum(c * vi for c, vi in zip(gA, v))
-                coeffs = (
-                    tau * gB[0] * v[0],
-                    tau * gB[1] * v[1],
-                    tau * gB[1] * v[2],
-                )
+    for v, faces in _shifted_vertex_cones(sys, tau):
+        for f, (g, xi_shifted) in faces:
+            i = f % sys.n
+            if f not in terms:
+                scale = tau * g[i]
+                terms[f] = [([scale * x for x in a], [scale * x for x in b])
+                            for a, b in AB[i]]
+            for gA, gB in terms[f]:
+                const = g[i] * v[i] + sum(a * x for a, x in zip(gA, v) if a)
+                coeffs = (gB[0] * v[0], gB[1] * v[1], gB[1] * v[2])
                 rows.append(Row(coeffs, xi_shifted - const))
-    return list(_dedup(rows))
+    return rows
+
+
+def _pipeline_polytope(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySystem:
+    """Invariance then admissibility rows, exact duplicates dropped once."""
+    rows = invariance_rows(sys, tau) + admissibility_rows(sys.S, sys.U)
+    return LinearInequalitySystem(3, _dedup(rows))
 
 
 def gain_polytope(
     sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
 ) -> LinearInequalitySystem:
-    """Feasible-gain polytope for the basic window.
-
-    The eight parametric inequality families of the vertex construction are
-    instantiated on the corners of the parameters each family mentions
-    (q2, q4 for the k11 families; q1, q3 for the standoff families; none
-    for the turn-rate pair), the admissibility rows are appended and exact
-    duplicates dropped.
-    """
+    """Feasible-gain polytope for the basic window, from the shifted-cone
+    pipeline like the other families; warns when the closed-form
+    solvability conditions fail."""
     if not feasible_basic(sc).feasible:
         warnings.warn("scenario fails the closed-form solvability conditions",
                       stacklevel=2)
-    c = exact_basic(sc, max_denominator)
-    one = Fraction(1)
-    zero = Fraction(0)
-    r = c.b / c.a
-    q1c = (c.sin_b / c.b - one, zero)
-    q2c = (-(one - c.cos_b) / c.b, (one - c.cos_b) / c.b)
-    q3c = (-c.a, c.a)
-    q4c = (-c.a, c.a)
-    VLa = c.V_L / c.a
-    VLsba = c.V_L * c.sin_b / c.a
-    OLb = c.Omega_L / c.b
-    ab = c.a / c.b
-
-    rows: list[Row] = []
-    for q2, q4 in product(q2c, q4c):  # family 1
-        rows.append(Row((-one, q4, r * q4), -r * q2 - VLa))
-    for q1, q3 in product(q1c, q3c):  # family 2
-        dq = c.d + q3
-        rows.append(Row((zero, -dq, -r * dq), -r * (one + q1) - VLsba))
-    for q2, q4 in product(q2c, q4c):  # family 3
-        rows.append(Row((-one, q4, -r * q4), r * q2 - VLa))
-    for q1, q3 in product(q1c, q3c):  # family 4
-        dq = c.d + q3
-        rows.append(Row((zero, -dq, r * dq), r * (one + q1) - VLsba))
-    rows.append(Row((zero, -ab, -one), -OLb))  # family 5
-    rows.append(Row((zero, ab, -one), -OLb))   # family 6
-    for q2, q4 in product(q2c, q4c):  # family 7
-        rows.append(Row((-one, -q4, r * q4), -r * q2 - VLa))
-    for q2, q4 in product(q2c, q4c):  # family 8
-        rows.append(Row((-one, -q4, -r * q4), r * q2 - VLa))
-
-    S = Box.symmetric((c.a, c.a, c.b))
-    U = Box.symmetric((c.V_F, c.Omega_F))
-    rows.extend(admissibility_rows(S, U))
-    return LinearInequalitySystem(3, _dedup(rows))
-
-
-def _pipeline_polytope(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySystem:
-    rows = invariance_rows(sys, tau)
-    rows.extend(admissibility_rows(sys.S, sys.U))
-    return LinearInequalitySystem(3, _dedup(rows))
+    return _pipeline_polytope(build_basic_system(sc, max_denominator))
 
 
 def gain_polytope_ubb(
@@ -609,13 +568,6 @@ def gain_polytope_circle(
 ) -> LinearInequalitySystem:
     """Feasible-gain polytope for the orbit window, same pipeline."""
     return _pipeline_polytope(build_circle_system(sc, max_denominator))
-
-
-def gain_polytope_pipeline(
-    sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> LinearInequalitySystem:
-    """Basic polytope via the generic pipeline (cross-check route)."""
-    return _pipeline_polytope(build_basic_system(sc, max_denominator))
 
 
 def derive_conditions_fme(

@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .boxes import Box, shifted_cone, vertex_cone
+from .boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
 
 FLOAT_TOL = 1e-9
 
@@ -82,6 +82,24 @@ def _sub_vertices(box: Box, indices: list[int]):
         for i, val in zip(indices, combo):
             w[i] = val
         yield tuple(w)
+
+
+def _shifted_vertex_cones(sys: UncertainLinearSystem, tau):
+    """Yield ``(v, faces)`` for every window vertex ``v`` in ``S.vertices()``
+    order: ``faces`` pairs the rows of ``vertex_cone(S, v)``, each shifted
+    inward by the worst disturbance push, with their face index ``f``
+    (``i`` for ``s_i = hi_i``, ``n + i`` for ``s_i = lo_i``).  All 2n faces
+    are shifted by one :func:`shifted_cone` call over the vertices of the
+    parameters E depends on."""
+    S = sys.S
+    planes = vertex_cone(S, S.hi).rows + vertex_cone(S, S.lo).rows
+    e_vertices = list(_sub_vertices(sys.Q, _relevant_params(sys.E)))
+    shifted = shifted_cone(HalfspaceCone(planes), tau, sys.eval_E,
+                           e_vertices, sys.D.vertices()).rows
+    for v in S.vertices():
+        faces = [i if x == hi else S.dim + i
+                 for i, (x, hi) in enumerate(zip(v, S.hi))]
+        yield v, [(f, shifted[f]) for f in faces]
 
 
 @dataclass(frozen=True)
@@ -347,10 +365,10 @@ def check_D_invariant_cone(
     """Shifted vertex-cone condition: ``(I + tau F(w)) v`` in C_v shifted.
 
     Each plane of the cone at vertex ``v`` is offset inward by the worst
-    case ``tau * g . E(w) r`` over all parameter and disturbance vertices
-    (taken over the vertices of the parameters E depends on).  ``F(w)``
-    depends only on the parameters of A and B, so each distinct ``F(w)`` is
-    checked once and its violations are reported for every ``w`` sharing it.
+    case ``tau * g . E(w) r`` over the vertices of D and of the parameters
+    E depends on, computed once per face of S.  ``F(w)`` depends only on
+    the parameters of A and B, so each distinct ``F(w)`` is checked once
+    and its violations are reported for every ``w`` sharing it.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
@@ -363,19 +381,10 @@ def check_D_invariant_cone(
     for key, w in zip(keys, Q_verts):
         if key not in F_of:
             F_of[key] = F(w)
-    e_params = list(_sub_vertices(sys.Q, _relevant_params(sys.E)))
     violations = []
-    for v_exact in sys.S.vertices():
-        cone = vertex_cone(sys.S, v_exact)
-        shifted = shifted_cone(
-            cone, Fraction(tau) if exact else tau_c,
-            sys.eval_E, e_params, sys.D.vertices(),
-        )
+    for v_exact, faces in _shifted_vertex_cones(sys, tau_c):
         v = conv(v_exact)
-        rows = [
-            (conv(g), xi if exact else float(xi))
-            for g, xi in shifted.rows
-        ]
+        rows = [(conv(g), xi if exact else float(xi)) for _, (g, xi) in faces]
         failed = {}  # F(w) key -> [(cone row, slack)] of violated rows
         for key, Fw in F_of.items():
             Fv = _mat_vec(Fw, v)

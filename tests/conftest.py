@@ -1,10 +1,18 @@
 import math
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from viskeep.boxes import Box
-from viskeep.scenarios import BasicScenario, feasible_basic
+from viskeep.inequalities import LinearInequalitySystem, Row, _dedup
+from viskeep.scenarios import (
+    BasicScenario,
+    admissibility_rows,
+    exact_basic,
+    feasible_basic,
+)
 from viskeep.systems import GainMatrix, UncertainLinearSystem, _mat, _zeros
 
 
@@ -57,6 +65,53 @@ def random_basic_scenario(rnd: random.Random, want_feasible=None,
         if want_feasible is not None and report.feasible != want_feasible:
             continue
         return sc
+
+
+def family_polytope(sc: BasicScenario) -> LinearInequalitySystem:
+    """Basic gain polytope from the eight hand-expanded inequality families
+    of the vertex construction: the oracle for the generic shifted-cone
+    route of ``gain_polytope``.
+
+    Each family is instantiated on the corners of the parameters it
+    mentions (q2, q4 for the k11 families; q1, q3 for the standoff
+    families; none for the turn-rate pair), the admissibility rows are
+    appended and exact duplicates dropped.
+    """
+    c = exact_basic(sc)
+    one = Fraction(1)
+    zero = Fraction(0)
+    r = c.b / c.a
+    q1c = (c.sin_b / c.b - one, zero)
+    q2c = (-(one - c.cos_b) / c.b, (one - c.cos_b) / c.b)
+    q3c = (-c.a, c.a)
+    q4c = (-c.a, c.a)
+    VLa = c.V_L / c.a
+    VLsba = c.V_L * c.sin_b / c.a
+    OLb = c.Omega_L / c.b
+    ab = c.a / c.b
+
+    rows = []
+    for q2, q4 in product(q2c, q4c):  # family 1
+        rows.append(Row((-one, q4, r * q4), -r * q2 - VLa))
+    for q1, q3 in product(q1c, q3c):  # family 2
+        dq = c.d + q3
+        rows.append(Row((zero, -dq, -r * dq), -r * (one + q1) - VLsba))
+    for q2, q4 in product(q2c, q4c):  # family 3
+        rows.append(Row((-one, q4, -r * q4), r * q2 - VLa))
+    for q1, q3 in product(q1c, q3c):  # family 4
+        dq = c.d + q3
+        rows.append(Row((zero, -dq, r * dq), r * (one + q1) - VLsba))
+    rows.append(Row((zero, -ab, -one), -OLb))  # family 5
+    rows.append(Row((zero, ab, -one), -OLb))   # family 6
+    for q2, q4 in product(q2c, q4c):  # family 7
+        rows.append(Row((-one, -q4, r * q4), -r * q2 - VLa))
+    for q2, q4 in product(q2c, q4c):  # family 8
+        rows.append(Row((-one, -q4, -r * q4), r * q2 - VLa))
+
+    S = Box.symmetric((c.a, c.a, c.b))
+    U = Box.symmetric((c.V_F, c.Omega_F))
+    rows.extend(admissibility_rows(S, U))
+    return LinearInequalitySystem(3, _dedup(rows))
 
 
 def random_moderate_system(rnd: random.Random):

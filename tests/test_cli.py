@@ -326,6 +326,30 @@ def test_noise_amplitude_only_for_ubb(tmp_path, capsys, family):
     assert not (out / "violations.json").exists()
 
 
+@pytest.mark.parametrize("family", ["basic", "chain"])
+def test_gain_flag_of_the_other_mode_exits_2(tmp_path, capsys, family):
+    sc = bundle(family).scenario
+    path = tmp_path / "scenario.json"
+    gain = write_json(tmp_path / "gain.json",
+                      {"k11": 1.5173, "k22": 0.3707, "k23": 0.4925})
+    gains = write_json(tmp_path / "gains.json",
+                       [{"k11": 0.2, "k22": 0.03, "k23": 0.3}] * 3)
+    if family == "chain":
+        write_json(path, chain_to_json_dict(sc))
+        argv = ["--chain-spec", str(path), "--gains", str(gains),
+                "--gain", str(gain)]
+        ignored = "--gain applies"
+    else:
+        save_scenario(sc, path)
+        argv = ["--scenario", str(path), "--gains", str(gains)]
+        ignored = "--gains applies"
+    out = tmp_path / "run"
+    assert main(["simulate", *argv, "--horizon", "0.1",
+                 "--out", str(out)]) == 2
+    assert ignored in capsys.readouterr().err
+    assert not (out / "violations.json").exists()
+
+
 def test_simulate_needs_scenario_or_chain_spec(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--horizon", "0.1", "--out", str(out)]) == 2

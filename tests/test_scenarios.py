@@ -21,7 +21,6 @@ from viskeep.scenarios import (
     feasible_ubb,
     gain_polytope,
     gain_polytope_circle,
-    gain_polytope_pipeline,
     gain_polytope_ubb,
     load_scenario,
     rationalization_record,
@@ -30,17 +29,23 @@ from viskeep.scenarios import (
     scenario_to_json_dict,
 )
 from viskeep.boxes import shifted_cone, vertex_cone
-from viskeep.demos import CIRCLE_SCENARIO, UBB_SCENARIO
+from viskeep.demos import (
+    BUNDLES,
+    CHAIN_SPEC,
+    CIRCLE_SCENARIO,
+    UBB_SCENARIO,
+)
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
     GainMatrix,
     _relevant_params,
+    _shifted_vertex_cones,
     _sub_vertices,
     check_admissible,
     check_D_invariant_cone,
 )
 
-from conftest import random_basic_scenario
+from conftest import family_polytope, random_basic_scenario
 
 F = Fraction
 
@@ -252,14 +257,18 @@ def test_saturated_leader_speed_empties_polytope():
 
 
 def test_pipeline_route_matches_family_route(rnd):
-    assert row_keys(gain_polytope(WINDOW)) == row_keys(
-        gain_polytope_pipeline(WINDOW)
-    )
-    for _ in range(6):
-        sc = random_basic_scenario(rnd, want_feasible=True)
-        assert row_keys(gain_polytope(sc)) == row_keys(
-            gain_polytope_pipeline(sc)
-        )
+    """The one production route against the hand-expanded families, on
+    feasible and infeasible windows and on every link of the demo chain."""
+    cases = [WINDOW]
+    cases += [random_basic_scenario(rnd, want_feasible=True) for _ in range(6)]
+    cases += [random_basic_scenario(rnd, want_feasible=False) for _ in range(3)]
+    cases += [CHAIN_SPEC.link_scenario(k) for k in range(1, CHAIN_SPEC.n)]
+    assert len(cases) == 13
+    for sc in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            poly = gain_polytope(sc)
+        assert row_keys(poly) == row_keys(family_polytope(sc))
 
 
 def test_disturbed_polytope_accepts_reference_gain():
@@ -326,19 +335,21 @@ def test_polytope_sample_gains_are_certified(rnd):
 
 
 def test_shifted_cone_needs_only_the_parameters_of_E():
-    """The shifted cones over the vertices of E's parameters (4) equal the
-    ones over all 64 parameter vertices, row for row."""
-    for sysd in (build_ubb_system(UBB_SCENARIO),
+    """The shared face shifts, taken over the vertices of E's parameters (4)
+    with each face of the window shifted once, give at every window vertex
+    the rows of that vertex's own cone shifted over all 64 parameter
+    vertices, row for row."""
+    basic = next(b.scenario for b in BUNDLES if b.name == "basic")
+    for sysd in (build_basic_system(basic), build_ubb_system(UBB_SCENARIO),
                  build_circle_system(CIRCLE_SCENARIO)):
         e_vertices = list(_sub_vertices(sysd.Q, _relevant_params(sysd.E)))
         assert len(e_vertices) == 4 and len(sysd.Q.vertices()) == 64
-        for v in sysd.S.vertices():
-            cone = vertex_cone(sysd.S, v)
-            full = shifted_cone(cone, 1, sysd.eval_E, sysd.Q.vertices(),
-                                sysd.D.vertices())
-            part = shifted_cone(cone, 1, sysd.eval_E, e_vertices,
-                                sysd.D.vertices())
-            assert part.rows == full.rows
+        shared = list(_shifted_vertex_cones(sysd, 1))
+        assert [v for v, _ in shared] == list(sysd.S.vertices())
+        for v, faces in shared:
+            full = shifted_cone(vertex_cone(sysd.S, v), 1, sysd.eval_E,
+                                sysd.Q.vertices(), sysd.D.vertices())
+            assert [row for _, row in faces] == list(full.rows)
 
 
 def test_orbit_polytope_is_certified_but_rejects_reference_gain():
