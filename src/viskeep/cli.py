@@ -191,6 +191,9 @@ def _parse_s0(text: str):
 def cmd_simulate(args) -> int:
     if not (args.scenario or args.chain_spec):
         raise ValueError("simulate needs --scenario or --chain-spec")
+    if args.chain_spec and args.scenario:
+        raise ValueError("--scenario applies to pair runs; a chain takes "
+                         "its links from --chain-spec")
     if args.chain_spec and args.gain:
         raise ValueError("--gain applies to --scenario runs; a chain takes "
                          "its gains from --gains")

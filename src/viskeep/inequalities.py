@@ -4,8 +4,13 @@ A system is a finite list of rows ``g . x <= r`` over ``num_vars`` variables,
 with every coefficient and right-hand side a :class:`fractions.Fraction`.
 Everything here is exact: projection by Fourier-Motzkin elimination,
 feasibility decisions and redundancy removal produce certificates that are
-free of floating-point ambiguity.  Irrational constants enter only through
-:func:`rationalize`, which makes the single approximation point explicit.
+free of floating-point ambiguity.  Floats may propose a certificate (a
+feasible point, a Farkas set, an implying combination, the active rows of
+a nearest point), all from one table (:func:`_float_table`), but each is
+checked in ``Fraction`` arithmetic before it decides anything, and
+elimination decides whatever no verified certificate settles.  Irrational
+constants enter only through :func:`rationalize`, which makes the single
+approximation point explicit.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ import numpy as np
 #: Default bound on denominators when approximating irrational constants.
 DEFAULT_MAX_DENOMINATOR = 10**12
 
-#: Most ``num_vars``-row subsets :meth:`LinearInequalitySystem.reduce`
-#: solves in floats to propose certificates (at most about 0.2 MB per 1,000
-#: subsets in 3 variables); larger systems are decided by elimination alone.
+#: Most row subsets a float proposal table solves (at most about 0.2 MB per
+#: 1,000 subsets in 3 variables); larger systems get no proposals and are
+#: decided by elimination alone.
 MAX_PROPOSAL_SUBSETS = 40_000
 
 
@@ -158,11 +163,20 @@ class LinearInequalitySystem:
     def is_feasible(self) -> bool:
         """Exact nonemptiness of the solution set.
 
-        Projects onto the empty variable set; the system is feasible iff
-        every surviving constant row has a nonnegative right-hand side.
+        Decided by an exact certificate that floats propose (see
+        :class:`_Certifier`): nonempty when the origin or the intersection
+        point of ``num_vars`` rows satisfies every row, empty when at most
+        ``num_vars + 1`` rows have nonnegative multipliers combining to
+        ``0 <= negative`` (Farkas).  When neither verifies, the system is
+        projected onto the empty variable set by Fourier-Motzkin
+        elimination, and it is feasible iff every surviving constant row
+        has a nonnegative right-hand side.
         """
-        projected = self.project(())
-        return all(row.rhs >= 0 for row in projected.rows)
+        verdict = _Certifier(self.rows, self.num_vars).feasible()
+        if verdict is None:
+            projected = self.project(())
+            verdict = all(row.rhs >= 0 for row in projected.rows)
+        return verdict
 
     # ------------------------------------------------------------------
     # Redundancy removal
@@ -340,12 +354,61 @@ def _dot(g: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
 #: Float tolerance of the proposals (on rows scaled to unit norm); it only
 #: decides which certificate to verify first, never a verdict.
 _EPS = 1e-9
-#: Proposals of each kind verified per row before falling back.
+#: Proposals of each kind verified per decision before falling back.
 _TRIES = 3
 
 
+def _float_table(rows: Sequence[Row], num_vars: int, sizes: Sequence[int]):
+    """The table every float proposal is drawn from: the rows as floats
+    scaled to unit normals (a zero row keeps the sign of its right-hand
+    side), ``(G, c)``, and for each size in `sizes` the subsets of that many
+    rows whose normals are independent in floats.  None when a value does
+    not fit a float or there are more than ``MAX_PROPOSAL_SUBSETS`` subsets."""
+    m = len(rows)
+    if sum(comb(m, k) for k in sizes) > MAX_PROPOSAL_SUBSETS:
+        return None
+    try:
+        G = np.array([[float(c) for c in r.g] for r in rows]).reshape(m, num_vars)
+        c = np.array([float(r.rhs) for r in rows])
+    except OverflowError:
+        return None
+    norm = np.linalg.norm(G, axis=1)
+    zero = norm == 0
+    scale = np.where(zero, 1.0, norm)
+    G, c = G / scale[:, None], np.where(zero, np.sign(c), c / scale)
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(c))):
+        return None
+    regular = []
+    for k in sizes:
+        subsets = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
+        GS = G[subsets]
+        regular.append(subsets[np.linalg.det(GS @ GS.transpose(0, 2, 1)) > 1e-10])
+    return G, c, regular
+
+
+def _nearest_point_proposals(rows: Sequence[Row], num_vars: int) -> list[tuple[int, ...]]:
+    """Row sets of at most ``num_vars`` rows whose float projection of the
+    origin satisfies every row and has multipliers ``<= 0`` (the nearest
+    point's KKT conditions), least norm first, at most ``_TRIES``."""
+    table = _float_table(rows, num_vars, range(1, num_vars + 1))
+    if table is None:
+        return []
+    G, c, regular = table
+    found = []  # (norm^2, subset)
+    for subsets in regular:
+        GS = G[subsets]
+        lam = np.linalg.solve(GS @ GS.transpose(0, 2, 1), c[subsets][..., None])[..., 0]
+        x = np.einsum("bk,bkn->bn", lam, GS)
+        ok = np.all(x @ G.T <= c + _EPS, axis=1) & np.all(lam <= _EPS, axis=1)
+        found += [(float(x[b] @ x[b]), tuple(int(j) for j in subsets[b]))
+                  for b in np.flatnonzero(ok)]
+    found.sort(key=lambda f: f[0])
+    return [subset for _, subset in found[:_TRIES]]
+
+
 class _Certifier:
-    """Exact certificates, proposed in floats, for the decisions of reduce().
+    """Exact certificates, proposed in floats, for the decisions of reduce()
+    and is_feasible().
 
     Every ``num_vars``-row subset of the rows with independent normals (a
     *basis*) is solved once in numpy: its intersection point ``x_B`` and its
@@ -357,7 +420,9 @@ class _Certifier:
     implication), or (c) a basis plus one more row whose nonnegative
     combination reads ``0 <= negative`` (the others are empty).  The best
     few proposals are checked in ``Fraction`` arithmetic; :meth:`decide`
-    returns None when none holds up.
+    returns None when none holds up.  :meth:`feasible` decides the whole
+    system from the same table: an intersection point satisfying every row,
+    or a basis plus one row reading ``0 <= negative``.
     """
 
     def __init__(self, rows: Sequence[Row], num_vars: int):
@@ -368,25 +433,14 @@ class _Certifier:
         self.bases = None
         self._rays = None
         m = len(rows)
-        if num_vars == 0 or m <= num_vars or comb(m, num_vars) > MAX_PROPOSAL_SUBSETS:
+        table = (_float_table(rows, num_vars, (num_vars,))
+                 if 0 < num_vars < m else None)
+        if table is None:
             return
-        try:
-            G = np.array([[float(c) for c in r.g] for r in rows])
-            c = np.array([float(r.rhs) for r in rows])
-        except OverflowError:
-            return
-        norm = np.linalg.norm(G, axis=1)
-        zero = norm == 0
-        scale = np.where(zero, 1.0, norm)
-        self.G = G / scale[:, None]
-        self.c = np.where(zero, np.sign(c), c / scale)
-        bases = np.array(list(combinations(range(m), num_vars)), dtype=np.intp)
-        GB = self.G[bases]
-        regular = np.abs(np.linalg.det(GB)) > 1e-10
-        bases, GB = bases[regular], GB[regular]
-        self.inv = np.linalg.inv(GB) if len(bases) else GB
+        self.G, self.c, (bases,) = table
+        self.inv = np.linalg.inv(self.G[bases]) if len(bases) else self.G[bases]
         self.x = np.einsum("bij,bj->bi", self.inv, self.c[bases])
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.c))):
+        if not np.all(np.isfinite(self.x)):
             return
         self.bases = bases
         self.base_alive = np.ones(len(bases), dtype=bool)
@@ -413,6 +467,24 @@ class _Certifier:
         if self.bases is not None:
             self.nviol -= self._slack(j) < -_EPS
             self.base_alive &= self._without(j)
+
+    def feasible(self) -> Optional[bool]:
+        """True if some point satisfies every row, False if some rows have
+        no common point, None if no proposal verified."""
+        if all(r.rhs >= 0 for r in self.rows):
+            return True  # the origin
+        if any(not any(r.g) and r.rhs < 0 for r in self.rows):
+            return False  # 0 <= c with c < 0
+        if self.bases is not None:
+            cand = np.flatnonzero(self.nviol == 0)
+            worst = (self.c - self.x[cand] @ self.G.T).min(axis=1, initial=np.inf)
+            for b in cand[np.argsort(-worst, kind="stable")][:_TRIES]:
+                x = self._vertex(b)
+                if x is not None and self._satisfies_others(None, x):
+                    return True
+            if self._farkas(None, np.arange(len(self.bases))):
+                return False
+        return None
 
     def decide(self, i: int) -> Optional[bool]:
         """True if row i is implied by the other survivors, False if not,
@@ -455,7 +527,7 @@ class _Certifier:
         B = self._basis_rows(b)
         return _solve_exact([list(r.g) for r in B], [r.rhs for r in B])
 
-    def _satisfies_others(self, i: int, x: Sequence[Fraction]) -> bool:
+    def _satisfies_others(self, i: Optional[int], x: Sequence[Fraction]) -> bool:
         return all(
             _dot(self.rows[j].g, x) <= self.rows[j].rhs
             for j in np.flatnonzero(self.alive) if j != i
@@ -550,10 +622,10 @@ class _Certifier:
         found = self._combination(b, row.g)
         return found is not None and found[1] <= row.rhs
 
-    def _farkas(self, i: int, usable: np.ndarray) -> bool:
-        """Find and keep a verified set of other survivors with no common
-        point: basis b and row k with ``g_k + sum y_j g_j = 0``, ``y >= 0``
-        and ``c_k + sum y_j c_j < 0``."""
+    def _farkas(self, i: Optional[int], usable: np.ndarray) -> bool:
+        """Find and keep a verified set of survivors other than row i with
+        no common point: basis b and row k with ``g_k + sum y_j g_j = 0``,
+        ``y >= 0`` and ``c_k + sum y_j c_j < 0``."""
         proposals = []
         for k in np.flatnonzero(self.alive):
             if k == i:

@@ -36,6 +36,7 @@ from .simulate import simulate_basic, simulate_circle, simulate_ubb, uniform_noi
 from .systems import (
     UncertainLinearSystem,
     _mat,
+    _relevant_params,
     _shifted_vertex_cones,
     _sub_vertices,
     _zeros,
@@ -516,8 +517,8 @@ def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[Row]:
     tau = Fraction(tau)
     AB = []  # state i -> rows i of (A(w), B(w)) over the vertices that matter
     for i in range(sys.n):
-        params = [l for l, (Al, Bl) in enumerate(zip(sys.A[1:], sys.B[1:]))
-                  if any(Al[i]) or any(Bl[i])]
+        params = sorted(set(_relevant_params(sys.A, i))
+                        | set(_relevant_params(sys.B, i)))
         AB.append([(sys.eval_A(w)[i], sys.eval_B(w)[i])
                    for w in _sub_vertices(sys.Q, params)])
     terms = {}  # face -> [(tau g_i A(w)_i, tau g_i B(w)_i)]
@@ -573,11 +574,13 @@ def gain_polytope_circle(
 def derive_conditions_fme(
     sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
 ) -> bool:
-    """Decide polytope nonemptiness by eliminating all three gain variables.
+    """Decide the nonemptiness of the gain polytope exactly.
 
-    Agrees with :func:`feasible_basic` away from the condition boundaries;
-    the closed-form conditions are the worst-vertex selection of the same
-    projected family.
+    :meth:`LinearInequalitySystem.is_feasible` checks a feasible point or a
+    Farkas set that floats propose, and eliminates all three gain variables
+    only when neither verifies.  Agrees with :func:`feasible_basic` away
+    from the condition boundaries; the closed-form conditions are the
+    worst-vertex selection of the family that elimination projects.
     """
     return gain_polytope(sc, max_denominator).is_feasible()
 

@@ -1,12 +1,17 @@
 """Minimum-norm gain selection on a 3-variable gain polytope.
 
-The nearest point to the origin of ``{x : G x <= c}`` is found by exhaustive
-active-set enumeration: the origin is projected onto the affine hull of
-every independent subset of at most three rows, infeasible candidates are
-discarded, and the feasible candidate of least norm is returned.  All
-candidate points and feasibility tests are exact (rational), so the result
-carries a zero-residual optimality certificate rather than a solver
-tolerance.
+The nearest point to the origin of ``{x : G x <= c}`` is the projection of
+the origin onto ``{x : g_i . x = c_i, i in T}`` for some independent set
+``T`` of at most three rows, namely one whose projection satisfies every row
+and has multipliers ``lambda <= 0`` (``x = sum lambda_i g_i``; these are
+the KKT conditions, which make the point optimal).  numpy projects the
+origin onto every such set at once and proposes the float-feasible,
+float-KKT candidates in order of norm; the first whose exact (rational)
+projection passes both conditions is the optimum, which is unique.  When no
+proposal verifies (always the case for an empty polytope), the polytope is
+reduced and its row sets are checked exactly one by one; when none passes,
+the polytope is empty.  Either way the result carries a zero-residual
+optimality certificate rather than a solver tolerance.
 """
 
 from __future__ import annotations
@@ -15,9 +20,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .inequalities import LinearInequalitySystem, _solve_exact
+from .inequalities import (
+    LinearInequalitySystem,
+    _nearest_point_proposals,
+    _solve_exact,
+)
 from .systems import GainMatrix
 
 
@@ -25,17 +34,26 @@ class InfeasiblePolytopeError(ValueError):
     pass
 
 
-def _project_origin(rows) -> Optional[tuple[Fraction, ...]]:
-    """Projection of the origin onto ``{x : g_i . x = c_i}``; None if the
-    chosen rows are linearly dependent."""
-    G = [list(r.g) for r in rows]
-    c = [r.rhs for r in rows]
+def _kkt_point(poly: LinearInequalitySystem,
+               subset: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
+    """Exact projection of the origin onto ``{x : g_i . x = c_i}`` over the
+    rows of `subset`, if it satisfies every row of `poly` and its
+    multipliers are ``<= 0``; None otherwise (or if the rows are
+    dependent)."""
+    G = [list(poly.rows[i].g) for i in subset]
+    c = [poly.rows[i].rhs for i in subset]
     gram = [[sum(a * b for a, b in zip(gi, gj)) for gj in G] for gi in G]
     lam = _solve_exact(gram, c)
-    if lam is None:
+    if lam is None or any(l > 0 for l in lam):
         return None
-    n = len(G[0])
-    return tuple(sum(l * G[i][j] for i, l in enumerate(lam)) for j in range(n))
+    point = tuple(sum(l * g[j] for l, g in zip(lam, G))
+                  for j in range(poly.num_vars))
+    return point if poly.satisfies(point) else None
+
+
+def _first_kkt_point(poly: LinearInequalitySystem,
+                     subsets: Iterable[Sequence[int]]) -> Optional[tuple[Fraction, ...]]:
+    return next(filter(None, (_kkt_point(poly, s) for s in subsets)), None)
 
 
 @dataclass(frozen=True)
@@ -62,95 +80,40 @@ class SynthesisResult:
 def min_norm_gain(poly: LinearInequalitySystem) -> SynthesisResult:
     """Unique nearest point of the polytope to the origin.
 
-    Enumerates active sets in lexicographic row order; exact-norm ties
-    between distinct candidates are broken by the lexicographically smaller
-    point (the optimum itself is unique, so this only fixes iteration
-    bookkeeping).  Raises :class:`InfeasiblePolytopeError` when no candidate
-    satisfies the system.
+    The origin when it is feasible; otherwise the first proposal (see
+    :func:`~viskeep.inequalities._nearest_point_proposals`) that passes the
+    exact KKT check of :func:`_kkt_point`.  When none does, the row sets of
+    the reduced polytope are checked exactly, by size and in lexicographic
+    order, until one passes; a nonempty polytope always has one, so when
+    none does the polytope is empty and :class:`InfeasiblePolytopeError`
+    is raised.
     """
     if poly.num_vars > 3:
         raise ValueError("active-set enumeration is meant for <= 3 variables")
-    reduced = poly.reduce()
-    n = reduced.num_vars
-    zero = tuple(Fraction(0) for _ in range(n))
-
-    candidates = []
-    if reduced.satisfies(zero):
-        candidates.append(zero)
-    else:
-        indices = range(len(reduced.rows))
-        best: Optional[tuple[Fraction, ...]] = None
-        best_norm2: Optional[Fraction] = None
-        for size in range(1, n + 1):
-            for subset in combinations(indices, size):
-                point = _project_origin([reduced.rows[i] for i in subset])
-                if point is None or not reduced.satisfies(point):
-                    continue
-                norm2 = sum(x * x for x in point)
-                if (
-                    best_norm2 is None
-                    or norm2 < best_norm2
-                    or (norm2 == best_norm2 and point < best)
-                ):
-                    best, best_norm2 = point, norm2
-        if best is None:
+    n = poly.num_vars
+    gain_exact: Optional[tuple[Fraction, ...]] = tuple(Fraction(0) for _ in range(n))
+    if not poly.satisfies(gain_exact):
+        gain_exact = _first_kkt_point(poly, _nearest_point_proposals(poly.rows, n))
+        if gain_exact is None:
+            reduced = poly.reduce()
+            gain_exact = _first_kkt_point(reduced, (
+                subset for size in range(1, n + 1)
+                for subset in combinations(range(len(reduced.rows)), size)))
+        if gain_exact is None:
             raise InfeasiblePolytopeError("gain polytope is empty")
-        candidates.append(best)
-    gain_exact = candidates[0]
 
     active = tuple(
         i for i, row in enumerate(poly.rows)
         if sum(c * x for c, x in zip(row.g, gain_exact)) == row.rhs
     )
-    residual = _kkt_residual(poly, gain_exact, active)
     gain_f = tuple(float(x) for x in gain_exact) + (0.0,) * (3 - n)
-    gm = GainMatrix(*gain_f)
     return SynthesisResult(
-        gain=gm,
+        gain=GainMatrix(*gain_f),
         norm=math.sqrt(float(sum(x * x for x in gain_exact))),
         active_rows=active,
-        kkt_residual=residual,
+        kkt_residual=0.0,
         exact_gain=gain_exact,
     )
-
-
-def _kkt_residual(poly, point, active) -> float:
-    """Optimality certificate for the nearest-point candidate.
-
-    At the projection of the origin onto ``{x : G x <= c}`` there exist
-    multipliers ``mu >= 0`` on the active rows with ``x = -sum mu_i g_i``.
-    Independent subsets of the active rows are searched for an exact
-    nonnegative representation; success gives residual 0.
-    """
-    if all(x == 0 for x in point):
-        return 0.0
-    if not active:
-        return float(math.sqrt(float(sum(x * x for x in point))))
-    n = poly.num_vars
-    rows = [poly.rows[i] for i in active]
-    for size in range(1, min(n, len(rows)) + 1):
-        for subset in combinations(range(len(rows)), size):
-            G = [list(rows[i].g) for i in subset]
-            gram = [[sum(a * b for a, b in zip(gi, gj)) for gj in G] for gi in G]
-            rhs = [
-                -sum(gc * x for gc, x in zip(G[i], point)) for i in range(len(G))
-            ]
-            mult = _solve_exact(gram, rhs)
-            if mult is None or any(m < 0 for m in mult):
-                continue
-            recon = [
-                -sum(mult[i] * G[i][j] for i in range(len(G))) for j in range(n)
-            ]
-            if all(r == x for r, x in zip(recon, point)):
-                return 0.0
-    # fall back to a float residual (not expected on exact candidates)
-    import numpy as np
-
-    G = np.array([[float(c) for c in poly.rows[i].g] for i in active])
-    x = np.array([float(v) for v in point])
-    mult, *_ = np.linalg.lstsq(-G.T, x, rcond=None)
-    mult = np.clip(mult, 0.0, None)
-    return float(np.linalg.norm(-G.T @ mult - x))
 
 
 def is_strictly_interior(

@@ -44,29 +44,28 @@ def _mat_vec(M: Sequence, v: Sequence):
     return tuple(sum(c * x for c, x in zip(row, v)) for row in M)
 
 
-def _affine(stack: Sequence[Matrix], q: Sequence) -> Matrix:
-    """Evaluate ``stack[0] + sum_l stack[l] * q_l``."""
-    n = len(stack[0])
-    m = len(stack[0][0]) if n else 0
-    out = [list(row) for row in stack[0]]
+def _affine_row(stack: Sequence[Matrix], i: int, q: Sequence) -> tuple:
+    """Row ``i`` of ``stack[0] + sum_l stack[l] * q_l``."""
+    out = list(stack[0][i])
     for coeff_mat, ql in zip(stack[1:], q):
         if ql == 0:
             continue
-        for i in range(n):
-            for j in range(m):
-                c = coeff_mat[i][j]
-                if c != 0:
-                    out[i][j] = out[i][j] + c * ql
-    return tuple(tuple(row) for row in out)
+        for j, c in enumerate(coeff_mat[i]):
+            if c != 0:
+                out[j] = out[j] + c * ql
+    return tuple(out)
 
 
-def _relevant_params(stack) -> list[int]:
-    """0-based parameter indices with a nonzero coefficient matrix."""
-    out = []
-    for l, M in enumerate(stack[1:]):
-        if any(c != 0 for row in M for c in row):
-            out.append(l)
-    return out
+def _affine(stack: Sequence[Matrix], q: Sequence) -> Matrix:
+    """Evaluate ``stack[0] + sum_l stack[l] * q_l``."""
+    return tuple(_affine_row(stack, i, q) for i in range(len(stack[0])))
+
+
+def _relevant_params(stack, row: Optional[int] = None) -> list[int]:
+    """0-based parameter indices with a nonzero coefficient matrix, or with
+    a nonzero row `row` of it."""
+    return [l for l, M in enumerate(stack[1:])
+            if any(c != 0 for r in (M if row is None else (M[row],)) for c in r)]
 
 
 def _sub_vertices(box: Box, indices: list[int]):
@@ -366,42 +365,51 @@ def check_D_invariant_cone(
 
     Each plane of the cone at vertex ``v`` is offset inward by the worst
     case ``tau * g . E(w) r`` over the vertices of D and of the parameters
-    E depends on, computed once per face of S.  ``F(w)`` depends only on
-    the parameters of A and B, so each distinct ``F(w)`` is checked once
-    and its violations are reported for every ``w`` sharing it.
+    E depends on, computed once per face of S.  A face of ``s_i`` reads
+    only entry ``i`` of ``(I + tau F(w)) v``, and row ``i`` of ``F(w)``
+    depends only on the parameters with a nonzero coefficient in that row,
+    so each entry is formed once per vertex of those parameters and its
+    violations are reported for every ``w`` sharing it.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    exact, tau_c, conv, S_verts, Q_verts, D_verts = _certificate_inputs(sys, K, tau)
+    exact, tau_c, conv, _, Q_verts, _ = _certificate_inputs(sys, K, tau)
     tol = 0 if exact else FLOAT_TOL
-    F = closed_loop(sys, K if exact else K.as_floats())
-    ab_params = sorted(set(_relevant_params(sys.A)) | set(_relevant_params(sys.B)))
-    keys = [tuple(w[i] for i in ab_params) for w in Q_verts]
-    F_of = {}
-    for key, w in zip(keys, Q_verts):
-        if key not in F_of:
-            F_of[key] = F(w)
+    F = closed_loop(sys, K if exact else K.as_floats()).F
+    keys = []  # state i -> key of each w: its values on the parameters of row i
+    F_rows = []  # state i -> {key: row i of F(w)}
+    for i in range(sys.n):
+        params = _relevant_params(F, i)
+        keys.append([tuple(w[l] for l in params) for w in Q_verts])
+        rows = {}
+        for key, w in zip(keys[i], Q_verts):
+            if key not in rows:
+                rows[key] = _affine_row(F, i, w)
+        F_rows.append(rows)
     violations = []
     for v_exact, faces in _shifted_vertex_cones(sys, tau_c):
         v = conv(v_exact)
-        rows = [(conv(g), xi if exact else float(xi)) for _, (g, xi) in faces]
-        failed = {}  # F(w) key -> [(cone row, slack)] of violated rows
-        for key, Fw in F_of.items():
-            Fv = _mat_vec(Fw, v)
-            y = tuple(vi + tau_c * fi for vi, fi in zip(v, Fv))
-            failed[key] = []
-            for h, (g, xi) in enumerate(rows):
-                val = sum(c * yi for c, yi in zip(g, y))
+        failed = []  # (cone row, state, {key: slack} of its violations)
+        for h, (f, (g, xi)) in enumerate(faces):
+            i = f % sys.n
+            gi, xi = (g[i], xi) if exact else (float(g[i]), float(xi))
+            slacks = {}
+            for key, row in F_rows[i].items():
+                val = gi * (v[i] + tau_c * sum(c * x for c, x in zip(row, v)))
                 if val > xi + tol:
-                    failed[key].append((h, float(xi - val)))
-        for key, w in zip(keys, Q_verts):
-            for h, slack in failed[key]:
-                violations.append(
-                    Violation(
-                        _float_tuple(v), _float_tuple(w), None,
-                        f"cone row {h}", slack,
+                    slacks[key] = float(xi - val)
+            if slacks:
+                failed.append((h, i, slacks))
+        for k, w in enumerate(Q_verts):
+            for h, i, slacks in failed:
+                slack = slacks.get(keys[i][k])
+                if slack is not None:
+                    violations.append(
+                        Violation(
+                            _float_tuple(v), _float_tuple(w), None,
+                            f"cone row {h}", slack,
+                        )
                     )
-                )
     return CertificateReport(
         holds=not violations,
         violations=tuple(violations),

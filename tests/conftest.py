@@ -1,19 +1,38 @@
 import math
 import random
+from dataclasses import asdict
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from viskeep.boxes import Box
-from viskeep.inequalities import LinearInequalitySystem, Row, _dedup
+from viskeep.demos import CIRCLE_SCENARIO
+from viskeep.inequalities import LinearInequalitySystem, Row, _dedup, _solve_exact
 from viskeep.scenarios import (
     BasicScenario,
+    CircleScenario,
+    UbbScenario,
     admissibility_rows,
     exact_basic,
     feasible_basic,
 )
-from viskeep.systems import GainMatrix, UncertainLinearSystem, _mat, _zeros
+from viskeep.synthesis import InfeasiblePolytopeError, SynthesisResult
+from viskeep.systems import (
+    FLOAT_TOL,
+    CertificateReport,
+    GainMatrix,
+    UncertainLinearSystem,
+    Violation,
+    _certificate_inputs,
+    _float_tuple,
+    _mat,
+    _mat_vec,
+    _relevant_params,
+    _shifted_vertex_cones,
+    _zeros,
+    closed_loop,
+)
 
 
 def random_basic_scenario(rnd: random.Random, want_feasible=None,
@@ -67,6 +86,32 @@ def random_basic_scenario(rnd: random.Random, want_feasible=None,
         return sc
 
 
+def random_family_scenario(rnd: random.Random, kind: str):
+    """Random scenario of family `kind`, of either closed-form verdict.
+
+    Basic draws come from :func:`random_basic_scenario`; ubb draws add
+    lateral disturbance bounds up to 0.03 to one; circle draws scale every
+    field of the bundled orbit scenario by 0.95-1.05, then the speed and
+    turn-rate bounds by 0.8-1.25 more, until the family's hypotheses hold.
+    """
+    if kind == "basic":
+        return random_basic_scenario(rnd)
+    if kind == "ubb":
+        return UbbScenario(**asdict(random_basic_scenario(rnd)),
+                           H_F=rnd.uniform(0, 0.03), H_L=rnd.uniform(0, 0.03))
+    while True:
+        fields = {k: v * rnd.uniform(0.95, 1.05)
+                  for k, v in asdict(CIRCLE_SCENARIO).items()}
+        for k in ("V_F", "V_L", "Omega_F", "Omega_L"):
+            fields[k] *= rnd.uniform(0.8, 1.25)
+        try:
+            sc = CircleScenario(**fields)
+            sc.system()
+        except ValueError:
+            continue
+        return sc
+
+
 def family_polytope(sc: BasicScenario) -> LinearInequalitySystem:
     """Basic gain polytope from the eight hand-expanded inequality families
     of the vertex construction: the oracle for the generic shifted-cone
@@ -112,6 +157,142 @@ def family_polytope(sc: BasicScenario) -> LinearInequalitySystem:
     U = Box.symmetric((c.V_F, c.Omega_F))
     rows.extend(admissibility_rows(S, U))
     return LinearInequalitySystem(3, _dedup(rows))
+
+
+def _project_origin(rows):
+    """Projection of the origin onto ``{x : g_i . x = c_i}``; None if the
+    chosen rows are linearly dependent."""
+    G = [list(r.g) for r in rows]
+    c = [r.rhs for r in rows]
+    gram = [[sum(a * b for a, b in zip(gi, gj)) for gj in G] for gi in G]
+    lam = _solve_exact(gram, c)
+    if lam is None:
+        return None
+    n = len(G[0])
+    return tuple(sum(l * G[i][j] for i, l in enumerate(lam)) for j in range(n))
+
+
+def min_norm_oracle(poly: LinearInequalitySystem) -> SynthesisResult:
+    """Nearest point of the polytope to the origin by exhaustive active-set
+    enumeration: the oracle for ``synthesis.min_norm_gain``.
+
+    The origin is projected onto the affine hull of every independent
+    subset of at most three rows of the reduced polytope, in lexicographic
+    order; infeasible candidates are discarded and the feasible candidate of
+    least norm is kept (exact-norm ties go to the lexicographically smaller
+    point).  The KKT residual comes from a search of the active rows for an
+    exact nonnegative representation of the point.
+    """
+    reduced = poly.reduce()
+    n = reduced.num_vars
+    zero = tuple(Fraction(0) for _ in range(n))
+    if reduced.satisfies(zero):
+        best = zero
+    else:
+        best, best_norm2 = None, None
+        for size in range(1, n + 1):
+            for subset in combinations(range(len(reduced.rows)), size):
+                point = _project_origin([reduced.rows[i] for i in subset])
+                if point is None or not reduced.satisfies(point):
+                    continue
+                norm2 = sum(x * x for x in point)
+                if (best_norm2 is None or norm2 < best_norm2
+                        or (norm2 == best_norm2 and point < best)):
+                    best, best_norm2 = point, norm2
+        if best is None:
+            raise InfeasiblePolytopeError("gain polytope is empty")
+    active = tuple(
+        i for i, row in enumerate(poly.rows)
+        if sum(c * x for c, x in zip(row.g, best)) == row.rhs
+    )
+    gain_f = tuple(float(x) for x in best) + (0.0,) * (3 - n)
+    return SynthesisResult(
+        gain=GainMatrix(*gain_f),
+        norm=math.sqrt(float(sum(x * x for x in best))),
+        active_rows=active,
+        kkt_residual=_kkt_residual(poly, best, active),
+        exact_gain=best,
+    )
+
+
+def _kkt_residual(poly, point, active) -> float:
+    """0.0 if independent active rows represent ``point`` exactly as
+    ``-sum mu_i g_i`` with ``mu >= 0``; else the float least-squares
+    residual of that representation."""
+    if all(x == 0 for x in point):
+        return 0.0
+    if not active:
+        return float(math.sqrt(float(sum(x * x for x in point))))
+    n = poly.num_vars
+    rows = [poly.rows[i] for i in active]
+    for size in range(1, min(n, len(rows)) + 1):
+        for subset in combinations(range(len(rows)), size):
+            G = [list(rows[i].g) for i in subset]
+            gram = [[sum(a * b for a, b in zip(gi, gj)) for gj in G] for gi in G]
+            rhs = [
+                -sum(gc * x for gc, x in zip(G[i], point)) for i in range(len(G))
+            ]
+            mult = _solve_exact(gram, rhs)
+            if mult is None or any(m < 0 for m in mult):
+                continue
+            recon = [
+                -sum(mult[i] * G[i][j] for i in range(len(G))) for j in range(n)
+            ]
+            if all(r == x for r, x in zip(recon, point)):
+                return 0.0
+    import numpy as np
+
+    G = np.array([[float(c) for c in poly.rows[i].g] for i in active])
+    x = np.array([float(v) for v in point])
+    mult, *_ = np.linalg.lstsq(-G.T, x, rcond=None)
+    mult = np.clip(mult, 0.0, None)
+    return float(np.linalg.norm(-G.T @ mult - x))
+
+
+def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
+                            tau) -> CertificateReport:
+    """Shifted vertex-cone certificate with every distinct ``F(w)`` (over
+    the parameters of A and B) multiplied by ``v`` in full and dotted with
+    every cone plane: the oracle for ``systems.check_D_invariant_cone``."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    exact, tau_c, conv, S_verts, Q_verts, D_verts = _certificate_inputs(sys, K, tau)
+    tol = 0 if exact else FLOAT_TOL
+    F = closed_loop(sys, K if exact else K.as_floats())
+    ab_params = sorted(set(_relevant_params(sys.A)) | set(_relevant_params(sys.B)))
+    keys = [tuple(w[i] for i in ab_params) for w in Q_verts]
+    F_of = {}
+    for key, w in zip(keys, Q_verts):
+        if key not in F_of:
+            F_of[key] = F(w)
+    violations = []
+    for v_exact, faces in _shifted_vertex_cones(sys, tau_c):
+        v = conv(v_exact)
+        rows = [(conv(g), xi if exact else float(xi)) for _, (g, xi) in faces]
+        failed = {}  # F(w) key -> [(cone row, slack)] of violated rows
+        for key, Fw in F_of.items():
+            Fv = _mat_vec(Fw, v)
+            y = tuple(vi + tau_c * fi for vi, fi in zip(v, Fv))
+            failed[key] = []
+            for h, (g, xi) in enumerate(rows):
+                val = sum(c * yi for c, yi in zip(g, y))
+                if val > xi + tol:
+                    failed[key].append((h, float(xi - val)))
+        for key, w in zip(keys, Q_verts):
+            for h, slack in failed[key]:
+                violations.append(
+                    Violation(
+                        _float_tuple(v), _float_tuple(w), None,
+                        f"cone row {h}", slack,
+                    )
+                )
+    return CertificateReport(
+        holds=not violations,
+        violations=tuple(violations),
+        kind="D-invariance (shifted cone)",
+        tau=float(tau_c),
+        exact=exact,
+    )
 
 
 def random_moderate_system(rnd: random.Random):

@@ -356,6 +356,18 @@ def test_simulate_needs_scenario_or_chain_spec(tmp_path, capsys):
     assert "--scenario or --chain-spec" in capsys.readouterr().err
 
 
+def test_scenario_beside_chain_spec_exits_2(basic_file, tmp_path, capsys):
+    chain = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+    gains = write_json(tmp_path / "gains.json",
+                       [{"k11": 0.2, "k22": 0.03, "k23": 0.3}] * 3)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file),
+                 "--chain-spec", str(chain), "--gains", str(gains),
+                 "--horizon", "0.1", "--out", str(out)]) == 2
+    assert "--scenario applies" in capsys.readouterr().err
+    assert not (out / "violations.json").exists()
+
+
 @pytest.mark.parametrize("flag", ["scenario", "profile"])
 def test_non_object_json_files_exit_2(basic_file, tmp_path, capsys, flag):
     bad = write_json(tmp_path / "list.json", [1])

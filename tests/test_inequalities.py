@@ -345,6 +345,30 @@ def _bundle_polytopes():
     return polys
 
 
+def _fme_feasible(system):
+    """Feasibility by projection onto no variables: the oracle for the
+    certificate route of ``is_feasible``."""
+    return all(row.rhs >= 0 for row in system.project(()).rows)
+
+
+def test_is_feasible_matches_fme_projection(rnd):
+    """The systems of the sequential-FME reduce test (the same seed and
+    draws), then the bundle polytopes and chain links, reduced or not."""
+    infeasible = unbounded = 0
+    for _ in range(240):
+        system = _random_reduce_system(rnd)
+        feasible = system.is_feasible()
+        assert feasible == _fme_feasible(system), system.to_text()
+        if not feasible:
+            infeasible += 1
+        elif len(system.reduce().rows) <= system.num_vars:
+            unbounded += 1
+    assert infeasible >= 50 and unbounded >= 50, (infeasible, unbounded)
+    for name, poly in _bundle_polytopes().items():
+        for system in (poly, poly.reduce()):
+            assert system.is_feasible() is _fme_feasible(system) is True, name
+
+
 def test_reduce_matches_oracle_on_bundle_polytopes():
     for name, poly in _bundle_polytopes().items():
         assert poly.reduce().rows == _reduce_oracle(poly), name

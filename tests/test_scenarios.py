@@ -387,6 +387,27 @@ def test_projection_agrees_with_conditions_quick(rnd):
             assert derive_conditions_fme(sc) == feasible_basic(sc).feasible
 
 
+def test_fme_check_needs_no_elimination(rnd, monkeypatch):
+    """The projection check is settled by a verified point or Farkas set on
+    the window and on random feasible and infeasible scenarios: a silent
+    fall back to elimination fails here."""
+    calls = []
+    eliminate = LinearInequalitySystem.eliminate
+
+    def counted(self, var):
+        calls.append(var)
+        return eliminate(self, var)
+
+    cases = [WINDOW] + [random_basic_scenario(rnd, feasible)
+                        for feasible in (True, False) for _ in range(8)]
+    monkeypatch.setattr(LinearInequalitySystem, "eliminate", counted)
+    for sc in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert derive_conditions_fme(sc) == feasible_basic(sc).feasible
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # JSON files
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from viskeep import synthesis
+from viskeep.demos import BUNDLES, CHAIN_SPEC
 from viskeep.inequalities import LinearInequalitySystem
 from viskeep.scenarios import BasicScenario, gain_polytope
 from viskeep.synthesis import (
@@ -10,6 +12,8 @@ from viskeep.synthesis import (
     is_strictly_interior,
     min_norm_gain,
 )
+
+from conftest import min_norm_oracle, random_family_scenario
 
 F = Fraction
 
@@ -77,6 +81,59 @@ def test_redundancy_removal_preserves_min_norm_gain():
     poly = gain_polytope(WINDOW)
     assert min_norm_gain(poly).exact_gain == \
         min_norm_gain(poly.reduce()).exact_gain
+
+
+@pytest.mark.filterwarnings("ignore:scenario fails")
+def test_min_norm_gain_matches_enumeration_oracle(rnd, monkeypatch):
+    """Both routes, the verified float proposals and the exact fallback,
+    against the exhaustive active-set enumeration, on the unreduced and
+    the reduced polytopes of random scenarios and the chain links."""
+    polys = [random_family_scenario(rnd, kind).polytope()
+             for kind in ("basic", "ubb", "circle") for _ in range(14)]
+    polys += [gain_polytope(CHAIN_SPEC.link_scenario(k))
+              for k in range(1, CHAIN_SPEC.n)]
+    cases = [q for poly in polys for q in (poly, poly.reduce())]
+    wants = []
+    for q in cases:
+        try:
+            wants.append(min_norm_oracle(q))
+        except InfeasiblePolytopeError:
+            wants.append(None)
+    assert sum(w is not None for w in wants) >= 40
+    assert sum(w is None for w in wants) >= 10
+    for route in ("proposals", "fallback"):
+        if route == "fallback":
+            monkeypatch.setattr(synthesis, "_nearest_point_proposals", lambda rows, n: [])
+        for q, want in zip(cases, wants):
+            if want is None:
+                with pytest.raises(InfeasiblePolytopeError):
+                    min_norm_gain(q)
+                continue
+            got = min_norm_gain(q)
+            assert got.exact_gain == want.exact_gain, route
+            assert got.active_rows == want.active_rows, route
+            assert got.norm == want.norm, route
+            assert got.kkt_residual == want.kkt_residual == 0.0, route
+
+
+def test_min_norm_gain_of_bundles_needs_no_reduce(monkeypatch):
+    """On the bundled polytopes a float proposal verifies: a silent fall
+    back to reduce() and the exact enumeration fails here."""
+    calls = []
+    reduce = LinearInequalitySystem.reduce
+
+    def counted(self):
+        calls.append(len(self.rows))
+        return reduce(self)
+
+    polys = [b.scenario.polytope() for b in BUNDLES if b.name != "chain"]
+    polys += [gain_polytope(CHAIN_SPEC.link_scenario(k))
+              for k in range(1, CHAIN_SPEC.n)]
+    reduced = [poly.reduce() for poly in polys]
+    monkeypatch.setattr(LinearInequalitySystem, "reduce", counted)
+    for poly in polys + reduced:
+        min_norm_gain(poly)
+    assert calls == []
 
 
 def _random_boxed_polytope(rnd, n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from viskeep.boxes import Box
+from viskeep.demos import BUNDLES
 from viskeep.scenarios import BasicScenario, build_basic_system, gain_polytope
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
@@ -187,6 +188,7 @@ def test_dropping_heading_gain_breaks_invariance():
     assert any(v.row == "cone row 2" for v in rep.violations)
 
 
+from conftest import cone_certificate_oracle
 from conftest import random_moderate_system as _random_moderate_system
 
 
@@ -225,6 +227,32 @@ def test_cone_verdict_independent_of_tau_without_disturbance(rnd):
             for tau in (0.1, 1.0, 10.0)
         }
         assert len(verdicts) == 1
+
+
+def test_cone_certificate_matches_full_product_oracle(rnd):
+    """Reports byte-equal to the full ``F(w) v`` product over the bundle
+    systems and random systems, for exact and float gains that hold or
+    fail and for exact and float tau."""
+    pairs = [_random_moderate_system(rnd) for _ in range(4)]
+    bundles = [b.scenario for b in BUNDLES if b.name != "chain"]
+    systems = [sc.system() for sc in bundles] + [sysd for sysd, _ in pairs]
+    gains = [GainMatrix(F(0), F(0), F(0))] + [K for _, K in pairs]
+    for sc in bundles:
+        res = min_norm_gain(sc.polytope())
+        gains += [GainMatrix(*res.exact_gain), res.gain]
+    assert len(gains) == 11
+    verdicts = set()
+    for sysd in systems:
+        for K in gains:
+            for tau in (F(1), F(1, 2), 0.25):
+                want = cone_certificate_oracle(sysd, K, tau)
+                got = check_D_invariant_cone(sysd, K, tau)
+                assert repr(got) == repr(want)
+                assert got.to_text() == want.to_text()
+                assert got.to_csv() == want.to_csv()
+                verdicts.add((got.holds, got.exact))
+    assert verdicts == {(True, True), (True, False), (False, True),
+                        (False, False)}
 
 
 # ----------------------------------------------------------------------
