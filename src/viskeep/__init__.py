@@ -56,7 +56,6 @@ from .simulate import (
 from .synthesis import (
     InfeasiblePolytopeError,
     SynthesisResult,
-    is_strictly_interior,
     min_norm_gain,
 )
 from .systems import (
@@ -65,7 +64,6 @@ from .systems import (
     UncertainLinearSystem,
     check_admissible,
     check_D_invariant_cone,
-    check_D_invariant_euler,
     closed_loop,
     eval_matrices,
     simulate_linear_switching,

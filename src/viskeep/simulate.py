@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 import numpy as np
 
 from .boxes import Box
-from .systems import GainMatrix
+from .systems import GainMatrix, _steps
 
 if TYPE_CHECKING:  # scenarios calls the simulators, so import for types only
     from .chains import ChainSpec
@@ -58,15 +58,25 @@ def sinusoid(amplitude: float, omega: float, phase: float = 0.0,
 def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[float], float]:
     """Uniform value in [-amplitude, amplitude], resampled every dt_hold.
 
-    The value of hold interval i depends only on (seed, i), so evaluation
-    order cannot change a trajectory.
+    The value of hold interval ``i = int(t / dt_hold)`` is the first draw
+    of ``random.Random(f"{seed}:{i}")``, so it depends only on (seed, i)
+    and evaluation order cannot change a trajectory.  The last interval's
+    value is memoized: seeding a generator costs about 60 sinusoid
+    samples, and an integrator samples each interval thousands of times,
+    so one generator is built per interval visited in a row.
     """
     if dt_hold <= 0:
         raise ValueError(f"random profile hold must be positive, not {dt_hold!r}")
+    memo = (None, 0.0)  # (interval, its value), rebound as one tuple
 
     def f(t: float) -> float:
+        nonlocal memo
         i = int(t / dt_hold)
-        return random.Random(f"{seed}:{i}").uniform(-amplitude, amplitude)
+        key, val = memo
+        if key != i:
+            val = random.Random(f"{seed}:{i}").uniform(-amplitude, amplitude)
+            memo = (i, val)
+        return val
 
     return f
 
@@ -236,15 +246,6 @@ def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> Violatio
 # ----------------------------------------------------------------------
 # The integrator
 # ----------------------------------------------------------------------
-
-
-def _steps(T: float, dt: float) -> int:
-    if dt <= 0 or T < dt:
-        raise ValueError("need dt > 0 and T >= dt")
-    n = int(round(T / dt))
-    if abs(n * dt - T) > 1e-9:
-        raise ValueError("T must be an integer multiple of dt")
-    return n
 
 
 def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:

@@ -114,14 +114,3 @@ def min_norm_gain(poly: LinearInequalitySystem) -> SynthesisResult:
         kkt_residual=0.0,
         exact_gain=gain_exact,
     )
-
-
-def is_strictly_interior(
-    poly: LinearInequalitySystem, gain, eps: float = 1e-6
-) -> bool:
-    """True iff every row has slack greater than eps at the gain."""
-    if isinstance(gain, GainMatrix):
-        point: Sequence = gain.entries()
-    else:
-        point = gain
-    return all(s > eps for s in poly.slacks(point))

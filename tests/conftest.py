@@ -4,6 +4,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from viskeep.boxes import Box
@@ -30,6 +31,7 @@ from viskeep.systems import (
     _mat_vec,
     _relevant_params,
     _shifted_vertex_cones,
+    _stack_f,
     _zeros,
     closed_loop,
 )
@@ -249,6 +251,68 @@ def _kkt_residual(poly, point, active) -> float:
     return float(np.linalg.norm(-G.T @ mult - x))
 
 
+def check_D_invariant_euler(
+    sys: UncertainLinearSystem, K: GainMatrix, tau
+) -> CertificateReport:
+    """One-step vertex condition: ``v + tau (F(w) v + E(w) r)`` in S.
+
+    A test oracle: criterion 6 checks that its verdict agrees with
+    ``systems.check_D_invariant_cone`` on moderate rates.
+    """
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    exact, tau_c, conv, S_verts, Q_verts, D_verts = _certificate_inputs(sys, K, tau)
+    tol = 0 if exact else FLOAT_TOL
+    F = closed_loop(sys, K if exact else K.as_floats())
+    lo = sys.S.lo if exact else sys.S.lo_f
+    hi = sys.S.hi if exact else sys.S.hi_f
+    violations = []
+    for w in Q_verts:
+        Fw = F(w)
+        Ew = sys.eval_E(w)
+        for v in S_verts:
+            Fv = _mat_vec(Fw, v)
+            for r in D_verts:
+                Er = _mat_vec(Ew, r)
+                x = tuple(
+                    vi + tau_c * (fi + ei) for vi, fi, ei in zip(v, Fv, Er)
+                )
+                for i, xi in enumerate(x):
+                    if xi > hi[i] + tol:
+                        violations.append(
+                            Violation(
+                                _float_tuple(v), _float_tuple(w), _float_tuple(r),
+                                f"s[{i}] <= hi", float(hi[i] - xi),
+                            )
+                        )
+                    if xi < lo[i] - tol:
+                        violations.append(
+                            Violation(
+                                _float_tuple(v), _float_tuple(w), _float_tuple(r),
+                                f"s[{i}] >= lo", float(xi - lo[i]),
+                            )
+                        )
+    return CertificateReport(
+        holds=not violations,
+        violations=tuple(violations),
+        kind="D-invariance (one-step)",
+        tau=float(tau_c),
+        exact=exact,
+    )
+
+
+def is_strictly_interior(
+    poly: LinearInequalitySystem, gain, eps: float = 1e-6
+) -> bool:
+    """True iff every row has slack greater than eps at the gain: the
+    check that a min-norm gain lies on the polytope boundary."""
+    if isinstance(gain, GainMatrix):
+        point = gain.entries()
+    else:
+        point = gain
+    return all(s > eps for s in poly.slacks(point))
+
+
 def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                             tau) -> CertificateReport:
     """Shifted vertex-cone certificate with every distinct ``F(w)`` (over
@@ -293,6 +357,64 @@ def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         tau=float(tau_c),
         exact=exact,
     )
+
+
+def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
+                     n_runs: int = 200, horizon: float = 30.0,
+                     dt: float = 1e-3, dwell: float = 0.1, seed: int = 0,
+                     tol: float = 1e-6):
+    """Linear switching runs stepped one ``dt`` at a time, runs-first, with
+    the box excess taken after every step: the oracle for
+    ``systems.simulate_linear_switching``, with the same random draws in
+    the same order and the same degree-4 Taylor step."""
+    rng = np.random.default_rng(seed)
+    n = sys.n
+    A = _stack_f(sys.A)
+    B = _stack_f(sys.B)
+    E = _stack_f(sys.E)
+    Km = np.array([[float(x) for x in row] for row in K.matrix()])
+    Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
+    Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
+    lo = np.array(sys.S.lo_f)
+    hi = np.array(sys.S.hi_f)
+
+    x = rng.uniform(lo, hi, size=(n_runs, n))
+    steps_per_dwell = max(1, int(round(dwell / dt)))
+    total_steps = int(round(horizon / dt))
+    eye = np.eye(n)
+    max_excess = 0.0
+    done = 0
+    while done < total_steps:
+        seg = min(steps_per_dwell, total_steps - done)
+        q = Qv[rng.integers(0, len(Qv), size=n_runs)]
+        d = Dv[rng.integers(0, len(Dv), size=n_runs)]
+        if sys.p:
+            Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:])
+            Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:])
+            Eq = E[0] + np.einsum("rl,lij->rij", q, E[1:])
+        else:
+            Aq = np.broadcast_to(A[0], (n_runs, n, n))
+            Bq = np.broadcast_to(B[0], (n_runs, n, sys.m))
+            Eq = np.broadcast_to(E[0], (n_runs, n, sys.l))
+        F = Aq + Bq @ Km
+        c = np.einsum("rij,rj->ri", Eq, d) if sys.l else np.zeros((n_runs, n))
+        dtF = dt * F
+        dtF2 = dtF @ dtF
+        dtF3 = dtF2 @ dtF
+        phi = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
+        psi = dt * np.einsum(
+            "rij,rj->ri", eye + dtF / 2 + dtF2 / 6 + dtF3 / 24, c
+        )
+        for _ in range(seg):
+            x = np.einsum("rij,rj->ri", phi, x) + psi
+            excess = max(
+                float(np.max(lo - x, initial=0.0)),
+                float(np.max(x - hi, initial=0.0)),
+            )
+            if excess > max_excess:
+                max_excess = excess
+        done += seg
+    return max_excess <= tol, max_excess
 
 
 def random_moderate_system(rnd: random.Random):

@@ -16,7 +16,11 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_basic_scenario, random_moderate_system
+from conftest import (
+    check_D_invariant_euler,
+    random_basic_scenario,
+    random_moderate_system,
+)
 
 from viskeep.boxes import Box
 from viskeep.chains import (
@@ -76,7 +80,6 @@ from viskeep.systems import (
     GainMatrix,
     check_admissible,
     check_D_invariant_cone,
-    check_D_invariant_euler,
     simulate_linear_switching,
 )
 

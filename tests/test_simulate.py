@@ -1,8 +1,10 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
+from viskeep import simulate
 from viskeep.boxes import Box
 from viskeep.chains import ChainSpec
 from viskeep.demos import (
@@ -71,6 +73,53 @@ def test_random_hold_deterministic_and_held():
     assert f(0.21) == f(0.29)  # same hold interval
     assert f(0.21) != f(0.31)
     assert all(abs(f(0.05 * i)) <= 0.5 for i in range(100))
+
+
+def _unmemoized_hold(amplitude, dt_hold, seed):
+    """A fresh generator on every call: the reference for random_hold."""
+    return lambda t: random.Random(f"{seed}:{int(t / dt_hold)}").uniform(
+        -amplitude, amplitude)
+
+
+def test_random_hold_memo_independent_of_evaluation_order():
+    f = random_hold(0.3, 0.25, seed=5)
+    g = random_hold(0.7, 0.1, seed=9)
+    ref_f = _unmemoized_hold(0.3, 0.25, 5)
+    ref_g = _unmemoized_hold(0.7, 0.1, 9)
+    times = [0.01 * k for k in range(300)]
+    shuffled = times[:]
+    random.Random(3).shuffle(shuffled)
+    repeated = [0.1, 0.1, 0.1, 2.0, 0.0, 2.0]
+    for t in shuffled + times[::-1] + repeated + times:
+        assert f(t) == ref_f(t)  # the two closures interleave
+        assert g(t) == ref_g(t)
+
+
+def test_random_hold_builds_one_generator_per_interval(monkeypatch):
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    profile = LeaderProfile(constant(0.0), random_hold(0.05, 0.5, seed=2))
+    monkeypatch.setattr(simulate.random, "Random", Counting)
+    simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, profile, (0.0, 0.0, 0.0),
+                   T=3.0, dt=1e-3)
+    assert 1 <= len(built) <= 7  # hold intervals 0..6 of the 3 s run
+
+
+def test_random_hold_trace_bit_equal_to_unmemoized_reference():
+    def run(hold):
+        profile = LeaderProfile(hold(0.05, 0.2, 4), hold(0.1, 0.3, 7))
+        return simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, profile,
+                              (0.1, -0.05, 0.2), T=2.0, dt=1e-3)
+
+    got, want = run(random_hold), run(_unmemoized_hold)
+    for name in ("times", "states", "inputs", "leader", "pose_f", "pose_l"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.ptp(got.leader[:, 1]) > 0.01  # the hold did switch
 
 
 def test_profile_json_round_trip():

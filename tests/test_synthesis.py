@@ -7,13 +7,9 @@ from viskeep import synthesis
 from viskeep.demos import BUNDLES, CHAIN_SPEC
 from viskeep.inequalities import LinearInequalitySystem
 from viskeep.scenarios import BasicScenario, gain_polytope
-from viskeep.synthesis import (
-    InfeasiblePolytopeError,
-    is_strictly_interior,
-    min_norm_gain,
-)
+from viskeep.synthesis import InfeasiblePolytopeError, min_norm_gain
 
-from conftest import min_norm_oracle, random_family_scenario
+from conftest import is_strictly_interior, min_norm_oracle, random_family_scenario
 
 F = Fraction
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from viskeep.boxes import Box
-from viskeep.demos import BUNDLES
+from viskeep.demos import BASIC_SCENARIO, BUNDLES
 from viskeep.scenarios import BasicScenario, build_basic_system, gain_polytope
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
@@ -16,13 +16,20 @@ from viskeep.systems import (
     Violation,
     check_admissible,
     check_D_invariant_cone,
-    check_D_invariant_euler,
     closed_loop,
     eval_matrices,
     simulate_linear_switching,
     _mat,
     _zeros,
 )
+
+from conftest import (
+    check_D_invariant_euler,
+    cone_certificate_oracle,
+    random_basic_scenario,
+    switching_oracle,
+)
+from conftest import random_moderate_system as _random_moderate_system
 
 F = Fraction
 
@@ -188,10 +195,6 @@ def test_dropping_heading_gain_breaks_invariance():
     assert any(v.row == "cone row 2" for v in rep.violations)
 
 
-from conftest import cone_certificate_oracle
-from conftest import random_moderate_system as _random_moderate_system
-
-
 def test_one_step_and_cone_agree_on_moderate_rates(rnd):
     for _ in range(60):
         sysd, K = _random_moderate_system(rnd)
@@ -297,3 +300,75 @@ def test_linear_switching_detects_unstable_loop():
         dt=1e-3, dwell=0.1, seed=1,
     )
     assert not ok and excess > 1e-3
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"horizon": 4e-4},  # below one step
+    {"horizon": 0.0},
+    {"horizon": 0.0105},  # not a multiple of dt
+    {"n_runs": 0},
+    {"n_runs": -3},
+    {"dt": 0.0},
+    {"dt": -1e-3},
+    {"dwell": 0.0},
+    {"dwell": -0.1},
+], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_linear_switching_rejects_runs_it_cannot_simulate(kwargs):
+    sysd = build_basic_system(BASIC_SCENARIO)
+    call = {"n_runs": 4, "horizon": 0.01, "dt": 1e-3, "dwell": 0.1, **kwargs}
+    with pytest.raises(ValueError):
+        simulate_linear_switching(sysd, GainMatrix(0.0, 0.0, 0.0), **call)
+
+
+def test_linear_switching_matches_per_step_oracle():
+    """Same verdict and the same largest excess, to 1e-12 relative, as the
+    loop that steps one dt at a time and checks the box after every step."""
+    rnd = random.Random(808)
+    cases = []
+    zero = GainMatrix(0.0, 0.0, 0.0)
+    for b in BUNDLES:
+        if b.name == "chain":
+            continue
+        sysd = b.scenario.system()
+        gain = min_norm_gain(b.scenario.polytope()).gain
+        cases += [(sysd, gain, {}), (sysd, zero, {})]
+    for _ in range(10):
+        sc = random_basic_scenario(rnd, want_feasible=True)
+        res = min_norm_gain(gain_polytope(sc))
+        sysd = build_basic_system(sc)
+        assert check_D_invariant_cone(sysd, GainMatrix(*res.exact_gain), 1).holds
+        cases.append((sysd, res.gain, {}))
+    unstable = toy_system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    cases.append((unstable, zero, {}))
+    basic = build_basic_system(BASIC_SCENARIO)
+    cases += [
+        (basic, zero, {"horizon": 0.25, "dwell": 0.1}),  # partial last segment
+        (unstable, zero, {"horizon": 0.25, "dwell": 0.1}),
+        (basic, zero, {"horizon": 0.05, "dwell": 4e-4}),  # dwell < dt
+        (unstable, zero, {"horizon": 0.05, "dwell": 4e-4}),
+    ]
+    excesses = []
+    for i, (sysd, K, kwargs) in enumerate(cases):
+        call = {"n_runs": 30, "horizon": 3.0, "dt": 1e-3, "dwell": 0.1,
+                "seed": i, **kwargs}
+        ok, excess = simulate_linear_switching(sysd, K, **call)
+        want_ok, want = switching_oracle(sysd, K, **call)
+        assert ok == want_ok, (i, excess, want)
+        assert math.isclose(excess, want, rel_tol=1e-12, abs_tol=0.0), (i, excess, want)
+        excesses.append(excess)
+    assert sum(e == 0.0 for e in excesses) >= 13  # certified gains stay in
+    assert sum(e > 1e-3 for e in excesses) >= 6  # the others leave
+
+
+def test_linear_switching_flags_runs_that_overflow():
+    """A run that overflows and then turns NaN within one segment is an
+    infinite excess, not a clean run; the per-step oracle also fails it."""
+    k = 1e4
+    sysd = toy_system([[k, -k, 0], [k, k, 0], [0, 0, k]])
+    call = {"n_runs": 4, "horizon": 0.1, "dt": 1e-3, "dwell": 0.1}
+    zero = GainMatrix(0.0, 0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, excess = simulate_linear_switching(sysd, zero, **call)
+        want_ok, _ = switching_oracle(sysd, zero, **call)
+    assert not ok and not want_ok
+    assert excess == math.inf
