@@ -19,6 +19,7 @@ from .scenarios import (
     BasicScenario,
     ConditionMargin,
     FeasibilityReport,
+    _link_bounds,
     _report,
 )
 
@@ -27,6 +28,13 @@ class LinkGeometry(NamedTuple):
     a: float
     b: float
     d: float
+
+
+def _check_geometry(g: LinkGeometry) -> None:
+    """A window with ``a > 0``, standoff ``d > a`` and ``0 < b <= pi/2``,
+    or a ValueError."""
+    if not (g.a > 0 and g.d > g.a and 0 < g.b <= math.pi / 2 + 1e-12):
+        raise ValueError(f"bad link geometry {g}")
 
 
 class RobotLimits(NamedTuple):
@@ -50,8 +58,7 @@ class ChainSpec:
         if len(self.robots) != self.n:
             raise ValueError(f"expected {self.n} robots, got {len(self.robots)}")
         for g in self.links:
-            if not (g.a > 0 and g.d > g.a and 0 < g.b <= math.pi / 2 + 1e-12):
-                raise ValueError(f"bad link geometry {g}")
+            _check_geometry(g)
         for r in self.robots:
             if not (0 < r.V < 1 and r.Omega > 0):
                 raise ValueError(f"bad robot limits {r}")
@@ -89,20 +96,6 @@ class ParameterMaps:
         return cls(lambda k: a, lambda k: b, lambda k: d)
 
 
-def _speed_floor(V_prev: float, g: LinkGeometry) -> float:
-    """Minimum follower speed bound over one link."""
-    return V_prev * (1 + g.a * math.sin(g.b) / (g.d - g.a)) \
-        + 1 - math.cos(g.b) + g.a * g.b / (g.d - g.a)
-
-
-def _omega_lower(V_prev: float, g: LinkGeometry) -> float:
-    return (V_prev * math.sin(g.b) + g.b) / (g.d - g.a)
-
-
-def _omega_upper(V: float, g: LinkGeometry) -> float:
-    return (1 - V) * math.sin(g.b) / (g.d + g.a)
-
-
 def feasible_chain(spec: ChainSpec) -> FeasibilityReport:
     """Propagated pair conditions along the whole chain.
 
@@ -114,22 +107,22 @@ def feasible_chain(spec: ChainSpec) -> FeasibilityReport:
     V = [r.V for r in spec.robots]
     Om = [r.Omega for r in spec.robots]
     for k in range(1, spec.n):  # link k: robot k+1 follows robot k
-        bound = _speed_floor(V[k - 1], spec.links[k - 1])
+        bound = _link_bounds(V[k - 1], *spec.links[k - 1]).speed
         conds.append(
             ConditionMargin(f"speed_{k + 1}", V[k], bound, V[k] - bound)
         )
-    up1 = _omega_upper(V[0], spec.links[0])
+    up1 = _link_bounds(V[0], *spec.links[0]).leader_turn
     conds.append(ConditionMargin("turn_rate_1_upper", Om[0], up1, up1 - Om[0]))
     for k in range(2, spec.n):  # interior robots
-        lo = _omega_lower(V[k - 2], spec.links[k - 2])
-        hi = _omega_upper(V[k - 1], spec.links[k - 1])
+        lo = _link_bounds(V[k - 2], *spec.links[k - 2]).follower_turn
+        hi = _link_bounds(V[k - 1], *spec.links[k - 1]).leader_turn
         conds.append(
             ConditionMargin(f"turn_rate_{k}_lower", Om[k - 1], lo, Om[k - 1] - lo)
         )
         conds.append(
             ConditionMargin(f"turn_rate_{k}_upper", Om[k - 1], hi, hi - Om[k - 1])
         )
-    lo_n = _omega_lower(V[spec.n - 2], spec.links[spec.n - 2])
+    lo_n = _link_bounds(V[spec.n - 2], *spec.links[spec.n - 2]).follower_turn
     conds.append(
         ConditionMargin(
             f"turn_rate_{spec.n}_lower", Om[spec.n - 1], lo_n,
@@ -157,8 +150,8 @@ def min_speed_schedule(links: Sequence, V_1: float) -> list[float]:
     if not 0 < V_1 < 1:
         raise ValueError("V_1 must lie in (0, 1)")
     speeds = [V_1]
-    for i, g in enumerate(links, start=2):
-        nxt = _speed_floor(speeds[-1], LinkGeometry(*g))
+    for i, (a, b, d) in enumerate(links, start=2):
+        nxt = _link_bounds(speeds[-1], a, b, d).speed
         speeds.append(nxt)
         if nxt >= 1:
             raise SaturationError(i, speeds)
@@ -176,11 +169,14 @@ def max_chain_length(maps: ParameterMaps, n_max: int) -> ChainLengthResult:
     Evaluates, by direct summation for each N,
     ``sum_{i=2..N} (1 - cos b_i + a_i b_i / (d_i - a_i))
     * prod_{k=i+1..N} (1 + a_k sin b_k / (d_k - a_k)) < 1``.
+    Each link geometry it evaluates must be one a :class:`ChainSpec`
+    accepts; otherwise it raises a ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     best = 1
     for N in range(2, n_max + 1):
+        _check_geometry(LinkGeometry(maps.f_a(N), maps.f_b(N), maps.f_d(N)))
         total = 0.0
         for i in range(2, N + 1):
             a, b, d = maps.f_a(i), maps.f_b(i), maps.f_d(i)
@@ -219,7 +215,7 @@ def closed_chain_check(
         c = 1 - math.cos(g.b) + g.a * g.b / (g.d - g.a)
         x = (x - c) / (1 + alpha)
     chain_upper = x
-    wrap_lower = _speed_floor(V[-1], wrap)
+    wrap_lower = _link_bounds(V[-1], *wrap).speed
     conds = list(open_report.conditions)
     conds.append(
         ConditionMargin("speed_1_chain_upper", V[0], chain_upper, chain_upper - V[0])
@@ -281,7 +277,7 @@ def generate_schedule(
     def speed_after(V_prev: float, bk: float) -> float:
         # inflate the per-link increment; keeps every speed floor slack
         # positive without compounding the whole recursion
-        floor = _speed_floor(V_prev, LinkGeometry(a, bk, d))
+        floor = _link_bounds(V_prev, a, bk, d).speed
         return floor + safety * (floor - V_prev)
 
     V.append(speed_after(V[0], b[0]))
@@ -289,7 +285,7 @@ def generate_schedule(
         raise ScheduleInfeasibleError(1, "first link saturates the speed")
     for k in range(2, n):
         # choose b_{k+1} so the sandwich for robot k keeps relative width
-        lo = _omega_lower(V[k - 2], LinkGeometry(a, b[k - 2], d))
+        lo = _link_bounds(V[k - 2], a, b[k - 2], d).follower_turn
         need = lo * (d + a) / ((1 - V[k - 1]) * (1 - safety))
         if need > 1:
             raise ScheduleInfeasibleError(k, f"robot {k} sandwich closes")
@@ -301,14 +297,14 @@ def generate_schedule(
         if V[-1] >= 1:
             raise ScheduleInfeasibleError(k, f"speed saturates at robot {k + 1}")
 
-    omegas = [(1 - safety) * _omega_upper(V[0], LinkGeometry(a, b[0], d))]
+    omegas = [(1 - safety) * _link_bounds(V[0], a, b[0], d).leader_turn]
     for k in range(2, n):
-        lo = _omega_lower(V[k - 2], LinkGeometry(a, b[k - 2], d))
-        hi = _omega_upper(V[k - 1], LinkGeometry(a, b[k - 1], d))
+        lo = _link_bounds(V[k - 2], a, b[k - 2], d).follower_turn
+        hi = _link_bounds(V[k - 1], a, b[k - 1], d).leader_turn
         if not lo < hi:
             raise ScheduleInfeasibleError(k, f"robot {k} sandwich empty")
         omegas.append(math.sqrt(lo * hi))
-    omegas.append((1 + safety) * _omega_lower(V[n - 2], LinkGeometry(a, b[n - 2], d)))
+    omegas.append((1 + safety) * _link_bounds(V[n - 2], a, b[n - 2], d).follower_turn)
 
     spec = ChainSpec.make(
         links=[(a, bk, d) for bk in b],

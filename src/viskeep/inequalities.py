@@ -5,10 +5,11 @@ with every coefficient and right-hand side a :class:`fractions.Fraction`.
 Everything here is exact: projection by Fourier-Motzkin elimination,
 feasibility decisions and redundancy removal produce certificates that are
 free of floating-point ambiguity.  Floats may propose a certificate (a
-feasible point, a Farkas set, an implying combination, the active rows of
-a nearest point), all from one table (:func:`_float_table`), but each is
-checked in ``Fraction`` arithmetic before it decides anything, and
-elimination decides whatever no verified certificate settles.  Irrational
+feasible point, a Farkas set, an implying combination, a witness point, the
+active rows of a nearest point), all from one table of rows and their bases
+(:func:`_float_table`), but each is checked in ``Fraction`` arithmetic
+before it decides anything, and elimination decides whatever no verified
+certificate settles.  Irrational
 constants enter only through :func:`rationalize`, which makes the single
 approximation point explicit.
 """
@@ -197,10 +198,11 @@ class LinearInequalitySystem:
         * implied because the others are empty: multipliers ``y >= 0`` on
           at most ``num_vars + 1`` other rows with ``sum y_j g_j = 0`` and
           ``sum y_j c_j < 0`` (Farkas), reused while its rows survive;
-        * kept: the intersection point of ``num_vars`` other rows, which
-          satisfies every other survivor and violates row ``i``; when the
-          others are unbounded along ``g_i``, that point moved far enough
-          along an extreme ray of theirs.
+        * kept: a point that satisfies every other survivor and violates
+          row ``i``: the intersection point of ``num_vars`` other rows, or
+          (when no such vertex exists, for instance because the others are
+          unbounded along ``g_i``) the intersection point of a basis that
+          holds row ``i``, with row ``i`` pushed out past its bound.
 
         When no proposal verifies (for instance when the other rows have no
         vertex, or the system has more than ``MAX_PROPOSAL_SUBSETS``
@@ -361,9 +363,10 @@ _TRIES = 3
 def _float_table(rows: Sequence[Row], num_vars: int, sizes: Sequence[int]):
     """The table every float proposal is drawn from: the rows as floats
     scaled to unit normals (a zero row keeps the sign of its right-hand
-    side), ``(G, c)``, and for each size in `sizes` the subsets of that many
-    rows whose normals are independent in floats.  None when a value does
-    not fit a float or there are more than ``MAX_PROPOSAL_SUBSETS`` subsets."""
+    side), ``(G, c)``, the float length of each row, and for each size in
+    `sizes` the subsets of that many rows whose normals are independent in
+    floats.  None when a value does not fit a float or there are more than
+    ``MAX_PROPOSAL_SUBSETS`` subsets."""
     m = len(rows)
     if sum(comb(m, k) for k in sizes) > MAX_PROPOSAL_SUBSETS:
         return None
@@ -383,7 +386,7 @@ def _float_table(rows: Sequence[Row], num_vars: int, sizes: Sequence[int]):
         subsets = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
         GS = G[subsets]
         regular.append(subsets[np.linalg.det(GS @ GS.transpose(0, 2, 1)) > 1e-10])
-    return G, c, regular
+    return G, c, scale, regular
 
 
 def _nearest_point_proposals(rows: Sequence[Row], num_vars: int) -> list[tuple[int, ...]]:
@@ -393,7 +396,7 @@ def _nearest_point_proposals(rows: Sequence[Row], num_vars: int) -> list[tuple[i
     table = _float_table(rows, num_vars, range(1, num_vars + 1))
     if table is None:
         return []
-    G, c, regular = table
+    G, c, _, regular = table
     found = []  # (norm^2, subset)
     for subsets in regular:
         GS = G[subsets]
@@ -414,15 +417,18 @@ class _Certifier:
     *basis*) is solved once in numpy: its intersection point ``x_B`` and its
     inverse.  A decision on row ``i`` then filters the bases made of other
     surviving rows for (a) intersection points that satisfy every other
-    survivor and violate row ``i`` (a non-implication witness; when the
-    others are unbounded along ``g_i``, such a point moved out along a ray
-    of theirs), (b) nonnegative multipliers that combine to row ``i`` (an
-    implication), or (c) a basis plus one more row whose nonnegative
-    combination reads ``0 <= negative`` (the others are empty).  The best
-    few proposals are checked in ``Fraction`` arithmetic; :meth:`decide`
-    returns None when none holds up.  :meth:`feasible` decides the whole
-    system from the same table: an intersection point satisfying every row,
-    or a basis plus one row reading ``0 <= negative``.
+    survivor and violate row ``i`` (a non-implication witness), (b)
+    nonnegative multipliers that combine to row ``i`` (an implication), or
+    (c) a basis plus one more row whose nonnegative combination reads
+    ``0 <= negative`` (the others are empty).  When none of these holds up,
+    the surviving bases that hold row ``i`` give one more witness: the point
+    ``x_B + inv[:, pos(i)]`` that keeps the other basis rows tight and
+    pushes row ``i`` out by one unit, which is how a row is shown needed
+    when the others are unbounded along ``g_i``.  The best few proposals
+    are checked in ``Fraction`` arithmetic; :meth:`decide` returns None
+    when none holds up.  :meth:`feasible` decides the whole system from the
+    same table: an intersection point satisfying every row, or a basis plus
+    one row reading ``0 <= negative``.
     """
 
     def __init__(self, rows: Sequence[Row], num_vars: int):
@@ -431,13 +437,12 @@ class _Certifier:
         self.alive = np.ones(len(rows), dtype=bool)
         self.farkas: Optional[frozenset] = None  # rows with no common point
         self.bases = None
-        self._rays = None
         m = len(rows)
         table = (_float_table(rows, num_vars, (num_vars,))
                  if 0 < num_vars < m else None)
         if table is None:
             return
-        self.G, self.c, (bases,) = table
+        self.G, self.c, self.length, (bases,) = table
         self.inv = np.linalg.inv(self.G[bases]) if len(bases) else self.G[bases]
         self.x = np.einsum("bij,bj->bi", self.inv, self.c[bases])
         if not np.all(np.isfinite(self.x)):
@@ -515,17 +520,23 @@ class _Certifier:
                 self._violates_only(i, self._vertex(b)) for b in witnesses
             ):
                 return False
-        if self._ray_witness(i, usable[feasible][:_TRIES]):
+        if self._pushed_out_witness(i):
             return False
         return None
 
     def _basis_rows(self, b: int) -> list[Row]:
         return [self.rows[j] for j in self.bases[b]]
 
-    def _vertex(self, b: int) -> Optional[list[Fraction]]:
-        """Exact intersection point of the rows of basis b."""
+    def _vertex(self, b: int,
+                pushed: Optional[int] = None) -> Optional[list[Fraction]]:
+        """Exact intersection point of the rows of basis b, with the
+        right-hand side of row `pushed` raised by its float length."""
         B = self._basis_rows(b)
-        return _solve_exact([list(r.g) for r in B], [r.rhs for r in B])
+        rhs = [r.rhs for r in B]
+        if pushed is not None:
+            k = list(self.bases[b]).index(pushed)
+            rhs[k] += Fraction(float(self.length[pushed]))
+        return _solve_exact([list(r.g) for r in B], rhs)
 
     def _satisfies_others(self, i: Optional[int], x: Sequence[Fraction]) -> bool:
         return all(
@@ -540,73 +551,20 @@ class _Certifier:
         return (x is not None and _dot(row.g, x) > row.rhs
                 and self._satisfies_others(i, x))
 
-    def _ray_witness(self, i: int, starts: np.ndarray) -> bool:
-        """Witness when the others are unbounded along g_i: a point of the
-        others moved far enough along an extreme ray ``d`` of their
-        recession cone (``g_j . d <= 0``, on ``num_vars - 1`` of their
-        planes) with ``g_i . d > 0``."""
-        subsets, D, R = self._ray_table()
+    def _pushed_out_witness(self, i: int) -> bool:
+        """Witness from a surviving basis that holds row i, with row i
+        pushed out by one unit of its scaled row and the other basis rows
+        kept tight: ``x_B + inv[:, pos(i)]`` in floats.  The point always
+        violates row i; it is a witness when it satisfies every other
+        survivor, which covers the others being unbounded along ``g_i``."""
+        cand = np.flatnonzero(self.base_alive & (self.bases == i).any(axis=1))
+        pos = np.argmax(self.bases[cand] == i, axis=1)
+        x = self.x[cand] + self.inv[cand, :, pos]
         others = self.alive.copy()
         others[i] = False
-        ok = (others[subsets].all(axis=1) & (R[i] > _EPS)
-              & (R[others] <= _EPS).all(axis=0))
-        rays = np.flatnonzero(ok)
-        rays = rays[np.argsort(-R[i, rays], kind="stable")][:_TRIES]
-        if not len(rays):
-            return False
-        points = (self._vertex(b) for b in starts)
-        x0 = next((x for x in points
-                   if x is not None and self._satisfies_others(i, x)), None)
-        if x0 is None:
-            return False
-        row = self.rows[i]
-        for r in rays:
-            d = self._null_vector(subsets[r], D[r])
-            gd = _dot(row.g, d) if d is not None else 0
-            if gd > 0:
-                t = max(Fraction(0), (row.rhs - _dot(row.g, x0)) / gd) + 1
-                if self._violates_only(i, [a + t * e for a, e in zip(x0, d)]):
-                    return True
-        return False
-
-    def _ray_table(self):
-        """Unit null vectors of every ``num_vars - 1``-row subset, both
-        signs, and their products with every row: computed once, on the
-        first unbounded decision."""
-        if self._rays is None:
-            n, m = self.n, len(self.rows)
-            subsets = list(combinations(range(m), n - 1))
-            subsets = np.array(subsets, dtype=np.intp).reshape(len(subsets), n - 1)
-            if n == 1:
-                D = np.ones((1, 1))
-            else:  # cofactor expansion: the generalized cross product
-                M = self.G[subsets]
-                D = np.stack([(-1) ** k * np.linalg.det(np.delete(M, k, axis=2))
-                              for k in range(n)], axis=1)
-                norm = np.linalg.norm(D, axis=1)
-                regular = norm > 1e-10
-                subsets, D = subsets[regular], D[regular] / norm[regular, None]
-            subsets = np.concatenate([subsets, subsets])
-            D = np.concatenate([D, -D])
-            self._rays = (subsets, D, self.G @ D.T)
-        return self._rays
-
-    def _null_vector(self, subset, d_float) -> Optional[list[Fraction]]:
-        """Exact ``d`` with ``g_j . d = 0`` on the subset, signed like
-        ``d_float`` and scaled to +-1 in its largest coordinate."""
-        r = int(np.argmax(np.abs(d_float)))
-        sign = Fraction(1 if d_float[r] > 0 else -1)
-        rest = [k for k in range(self.n) if k != r]
-        B = [self.rows[j].g for j in subset]
-        sol = _solve_exact([[g[k] for k in rest] for g in B],
-                           [-g[r] * sign for g in B])
-        if sol is None:
-            return None
-        d = [Fraction(0)] * self.n
-        d[r] = sign
-        for k, v in zip(rest, sol):
-            d[k] = v
-        return d
+        ok = np.all(x @ self.G[others].T <= self.c[others] + _EPS, axis=1)
+        return any(self._violates_only(i, self._vertex(b, pushed=i))
+                   for b in cand[ok][:_TRIES])
 
     def _combination(self, b: int, g: Sequence[Fraction]):
         """Exact ``y`` with ``sum y_j g_j = g`` over basis b, and

@@ -26,7 +26,6 @@ from typing import NamedTuple
 
 from .boxes import Box
 from .inequalities import (
-    DEFAULT_MAX_DENOMINATOR,
     LinearInequalitySystem,
     Row,
     _dedup,
@@ -228,8 +227,8 @@ class ExactCircle(NamedTuple):
     cos_bmg: Fraction
 
 
-def exact_basic(sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> ExactBasic:
-    rat = lambda x: rationalize(x, max_denominator)
+def exact_basic(sc: BasicScenario) -> ExactBasic:
+    rat = rationalize
     return ExactBasic(
         a=rat(sc.a), b=rat(sc.b), d=rat(sc.d),
         V_F=rat(sc.V_F), V_L=rat(sc.V_L),
@@ -239,8 +238,8 @@ def exact_basic(sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATO
     )
 
 
-def exact_circle(sc: CircleScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> ExactCircle:
-    rat = lambda x: rationalize(x, max_denominator)
+def exact_circle(sc: CircleScenario) -> ExactCircle:
+    rat = rationalize
     return ExactCircle(
         a=rat(sc.a), b=rat(sc.b), gamma=rat(sc.gamma), rho=rat(sc.rho),
         V_F=rat(sc.V_F), V_L=rat(sc.V_L),
@@ -275,16 +274,14 @@ def _basic_Q(c: ExactBasic) -> Box:
     ])
 
 
-def build_basic_system(
-    sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> UncertainLinearSystem:
+def build_basic_system(sc: BasicScenario) -> UncertainLinearSystem:
     """Three-state, two-input, two-disturbance family for the basic window.
 
     State (dp1, p2, beta), input (v_F, w_F), disturbance (v_L, w_L);
     parameters q1..q6 absorb the trigonometric nonlinearities, each ranging
     over the interval it realizes on the window.
     """
-    c = exact_basic(sc, max_denominator)
+    c = exact_basic(sc)
     z = _zeros(3, 3)
     A0 = _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     A1 = _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
@@ -308,13 +305,11 @@ def build_basic_system(
     )
 
 
-def build_ubb_system(
-    sc: UbbScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> UncertainLinearSystem:
+def build_ubb_system(sc: UbbScenario) -> UncertainLinearSystem:
     """Basic family with the disturbance vector enlarged to
     (v_L, w_L, h_F, h_L): the lateral perturbations enter through E(q)."""
-    base = build_basic_system(sc, max_denominator)
-    c = exact_basic(sc, max_denominator)
+    base = build_basic_system(sc)
+    c = exact_basic(sc)
     E0 = _mat([[1, 0, 0, 0], [0, 0, -1, 1], [0, 1, 0, 0]])
     E5 = _mat([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     E6 = _mat([[0, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 0]])
@@ -329,12 +324,10 @@ def build_ubb_system(
     )
 
 
-def build_circle_system(
-    sc: CircleScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> UncertainLinearSystem:
+def build_circle_system(sc: CircleScenario) -> UncertainLinearSystem:
     """Orbit-window family in the shifted coordinates
     (dp1, dp2, dbeta) with input (v_F, dw_F) and disturbance (v_L, dw_L)."""
-    c = exact_circle(sc, max_denominator)
+    c = exact_circle(sc)
     one = Fraction(1)
     z = _zeros(3, 3)
     zb = _zeros(3, 2)
@@ -429,33 +422,43 @@ def _report(conds: list[ConditionMargin]) -> FeasibilityReport:
     return FeasibilityReport(all(c.slack >= 0 for c in conds), tuple(conds))
 
 
-def feasible_basic(sc: BasicScenario) -> FeasibilityReport:
-    """Closed-form solvability test for the basic window."""
-    sb, cb = math.sin(sc.b), math.cos(sc.b)
-    vf_bound = sc.V_L * (1 + sc.a * sb / (sc.d - sc.a)) + 1 - cb \
-        + sc.a * sc.b / (sc.d - sc.a)
-    ol_bound = (1 - sc.V_L) * sb / (sc.d + sc.a)
-    of_bound = (sc.V_L * sb + sc.b) / (sc.d - sc.a)
+class _LinkBounds(NamedTuple):
+    speed: float  # follower speed floor
+    leader_turn: float  # leader turn-rate cap
+    follower_turn: float  # follower turn-rate floor
+
+
+def _link_bounds(V_L: float, a: float, b: float, d: float,
+                 H_F: float = 0, H_L: float = 0) -> _LinkBounds:
+    """Closed-form bounds of one box-window link with leader speed V_L and
+    lateral disturbance amplitudes H_F, H_L; pairs and chains share them."""
+    sb, cb = math.sin(b), math.cos(b)
+    H = H_F + H_L
+    return _LinkBounds(
+        V_L * (1 + a * sb / (d - a)) + 1 - cb
+        + a * (H_F + H_L + b) / (d - a) + H_L * sb,
+        ((1 - V_L) * sb - H) / (d + a),
+        (V_L * sb + b + H) / (d - a),
+    )
+
+
+def _pair_report(sc, vf_bound: float, ol_bound: float,
+                 of_bound: float) -> FeasibilityReport:
     return _report([
         ConditionMargin("follower_speed", sc.V_F, vf_bound, sc.V_F - vf_bound),
         ConditionMargin("leader_turn_rate", sc.Omega_L, ol_bound, ol_bound - sc.Omega_L),
         ConditionMargin("follower_turn_rate", sc.Omega_F, of_bound, sc.Omega_F - of_bound),
     ])
+
+
+def feasible_basic(sc: BasicScenario) -> FeasibilityReport:
+    """Closed-form solvability test for the basic window."""
+    return _pair_report(sc, *_link_bounds(sc.V_L, sc.a, sc.b, sc.d))
 
 
 def feasible_ubb(sc: UbbScenario) -> FeasibilityReport:
     """Solvability test with lateral disturbance amplitudes H_F, H_L."""
-    sb, cb = math.sin(sc.b), math.cos(sc.b)
-    H = sc.H_F + sc.H_L
-    vf_bound = sc.V_L * (1 + sc.a * sb / (sc.d - sc.a)) + 1 - cb \
-        + sc.a * (sc.H_F + sc.H_L + sc.b) / (sc.d - sc.a) + sc.H_L * sb
-    ol_bound = ((1 - sc.V_L) * sb - H) / (sc.d + sc.a)
-    of_bound = (sc.V_L * sb + sc.b + H) / (sc.d - sc.a)
-    return _report([
-        ConditionMargin("follower_speed", sc.V_F, vf_bound, sc.V_F - vf_bound),
-        ConditionMargin("leader_turn_rate", sc.Omega_L, ol_bound, ol_bound - sc.Omega_L),
-        ConditionMargin("follower_turn_rate", sc.Omega_F, of_bound, sc.Omega_F - of_bound),
-    ])
+    return _pair_report(sc, *_link_bounds(sc.V_L, sc.a, sc.b, sc.d, sc.H_F, sc.H_L))
 
 
 def feasible_circle(sc: CircleScenario) -> FeasibilityReport:
@@ -470,11 +473,7 @@ def feasible_circle(sc: CircleScenario) -> FeasibilityReport:
     vf_bound = sc.V_L * (cbm + sbp * k) + cg + ra - k * (sbp - sg + ra) - cbp
     ol_bound = sc.rho * ((1 - sc.V_L) * sbp / (sg + ra) - 1)
     of_bound = sc.rho * (sc.V_L * sbp + sbm + sg + ra) / (sg - ra)
-    return _report([
-        ConditionMargin("follower_speed", sc.V_F, vf_bound, sc.V_F - vf_bound),
-        ConditionMargin("leader_turn_rate", sc.Omega_L, ol_bound, ol_bound - sc.Omega_L),
-        ConditionMargin("follower_turn_rate", sc.Omega_F, of_bound, sc.Omega_F - of_bound),
-    ])
+    return _pair_report(sc, vf_bound, ol_bound, of_bound)
 
 
 # ----------------------------------------------------------------------
@@ -543,37 +542,29 @@ def _pipeline_polytope(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySys
     return LinearInequalitySystem(3, _dedup(rows))
 
 
-def gain_polytope(
-    sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> LinearInequalitySystem:
+def gain_polytope(sc: BasicScenario) -> LinearInequalitySystem:
     """Feasible-gain polytope for the basic window, from the shifted-cone
     pipeline like the other families; warns when the closed-form
     solvability conditions fail."""
     if not feasible_basic(sc).feasible:
         warnings.warn("scenario fails the closed-form solvability conditions",
                       stacklevel=2)
-    return _pipeline_polytope(build_basic_system(sc, max_denominator))
+    return _pipeline_polytope(build_basic_system(sc))
 
 
-def gain_polytope_ubb(
-    sc: UbbScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> LinearInequalitySystem:
+def gain_polytope_ubb(sc: UbbScenario) -> LinearInequalitySystem:
     """Feasible-gain polytope under lateral disturbances, from the generic
     shifted-cone pipeline; membership is equivalent to passing both the
     admissibility and cone certificates of the ubb system."""
-    return _pipeline_polytope(build_ubb_system(sc, max_denominator))
+    return _pipeline_polytope(build_ubb_system(sc))
 
 
-def gain_polytope_circle(
-    sc: CircleScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> LinearInequalitySystem:
+def gain_polytope_circle(sc: CircleScenario) -> LinearInequalitySystem:
     """Feasible-gain polytope for the orbit window, same pipeline."""
-    return _pipeline_polytope(build_circle_system(sc, max_denominator))
+    return _pipeline_polytope(build_circle_system(sc))
 
 
-def derive_conditions_fme(
-    sc: BasicScenario, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> bool:
+def derive_conditions_fme(sc: BasicScenario) -> bool:
     """Decide the nonemptiness of the gain polytope exactly.
 
     :meth:`LinearInequalitySystem.is_feasible` checks a feasible point or a
@@ -582,7 +573,7 @@ def derive_conditions_fme(
     from the condition boundaries; the closed-form conditions are the
     worst-vertex selection of the family that elimination projects.
     """
-    return gain_polytope(sc, max_denominator).is_feasible()
+    return gain_polytope(sc).is_feasible()
 
 
 # ----------------------------------------------------------------------

@@ -385,10 +385,11 @@ def _stack_f(stack) -> np.ndarray:
 
 
 def _steps(T: float, dt: float) -> int:
-    """Number of steps of size ``dt`` in a horizon ``T``: a positive
+    """Number of steps of size ``dt`` in a finite horizon ``T``: a positive
     integer, or a ValueError."""
-    if dt <= 0 or T < dt:
-        raise ValueError("need dt > 0 and T >= dt")
+    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T < dt:
+        raise ValueError(f"need finite dt > 0 and T >= dt, not dt={dt!r} "
+                         f"and T={T!r}")
     n = int(round(T / dt))
     if abs(n * dt - T) > 1e-9:
         raise ValueError("T must be an integer multiple of dt")

@@ -159,6 +159,16 @@ def test_chain_command_length_bound(tmp_path):
     assert data["max_chain_length"]["capped"] is False
 
 
+@pytest.mark.parametrize("maps", ["a=0.4,b=0.1,d=0.3", "a=-1,b=0.1,d=3",
+                                  "a=0.1,b=2,d=7"])
+def test_chain_command_rejects_impossible_maps(tmp_path, capsys, maps):
+    out = tmp_path / "len.json"
+    assert main(["chain", "--maps", maps, "--max-n", "5",
+                 "--out", str(out)]) == 2
+    assert "bad link geometry" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_chain_command_generate(tmp_path):
     out = tmp_path / "generated.json"
     code = main(["chain", "--generate", "a=0.1,d=7,n=10,V1=0.02",
@@ -304,6 +314,16 @@ def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
                  "--gain", str(gain_file), "--profile", str(profile),
                  "--horizon", "1.0", "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not (out / "violations.json").exists()
+
+
+@pytest.mark.parametrize("horizon", ["inf", "1e400", "nan"])
+def test_simulate_rejects_non_finite_horizon(basic_file, tmp_path, capsys,
+                                             horizon):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file),
+                 "--horizon", horizon, "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
     assert not (out / "violations.json").exists()
 
 

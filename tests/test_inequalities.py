@@ -391,6 +391,23 @@ def test_reduce_of_feasible_bundles_needs_no_elimination(monkeypatch):
         assert calls == [], name
 
 
+def test_reduce_keeps_a_lone_upper_bound_without_elimination(monkeypatch):
+    """In a box, no vertex of the other rows violates ``x <= 1``: only a
+    basis vertex with that row pushed out witnesses that it is needed."""
+    calls = []
+    eliminate = LinearInequalitySystem.eliminate
+
+    def counted(self, var):
+        calls.append(var)
+        return eliminate(self, var)
+
+    box = sys_of(3, [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1),
+                     ((0, -1, 0), 1), ((0, 0, 1), 1), ((0, 0, -1), 1)])
+    monkeypatch.setattr(LinearInequalitySystem, "eliminate", counted)
+    assert box.reduce() == box
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # satisfies
 # ----------------------------------------------------------------------

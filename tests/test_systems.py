@@ -306,6 +306,7 @@ def test_linear_switching_detects_unstable_loop():
     {"horizon": 4e-4},  # below one step
     {"horizon": 0.0},
     {"horizon": 0.0105},  # not a multiple of dt
+    {"horizon": math.inf},
     {"n_runs": 0},
     {"n_runs": -3},
     {"dt": 0.0},
