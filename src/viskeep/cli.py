@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -405,14 +406,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message, *_where, **_kw) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    """Run one command; each warning is printed as one ``warning: <message>``
+    line, and the library's (UserWarning) every time it is raised."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -2,15 +2,15 @@
 
 The certificates in :mod:`viskeep.systems` address a linear family that
 absorbs the true vehicle kinematics; this module closes the loop on the
-original trigonometric model.  One classical RK4 integrator with a fixed
-step runs every simulation: it integrates each link's relative state
-together with every robot's world pose, robot k+1 pursuing robot k, so a
-pair is a one-link chain.  The feedback is evaluated at every integration
-stage (continuous feedback, so step-halving convergence is clean), inputs
-are clamped to their boxes with an event counter, and a monitor checks
-every sample against the state and input boxes.  The leader profile is
-sampled once per distinct stage time: at t for the record and k1, at
-t + dt/2 for k2 and k3, and at t + dt for k4.
+original trigonometric model.  One fixed-step RK4 integrator runs every
+simulation, robot k+1 pursuing robot k, so a pair is a one-link chain.
+Its time loop is Python generated once per link count: every state
+component is a local, the four stages are unrolled, and each expression
+keeps the float operations of a plain RK4 loop in their order, so a trace
+is bit-for-bit that loop's.  The feedback is evaluated at every stage,
+inputs are clamped to their boxes with an event counter, and a monitor
+checks every sample against the state and input boxes.  The leader profile
+is sampled at t (record and k1), t + dt/2 (k2, k3) and t + dt (k4).
 
 Angles are never wrapped: on certified runs the heading difference stays
 well inside (-pi/2, pi/2), and a wrap guard aborts if it ever passes pi,
@@ -213,6 +213,8 @@ class ViolationReport:
 def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> ViolationReport:
     """Per-sample box check of states against S and inputs against U; a
     non-finite sample is a violation with infinite excess."""
+    if not 0 <= tol < math.inf:  # NaN or inf would pass every sample
+        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
     labels_s = ("dp1", "p2", "beta")
     labels_u = ("vF", "wF")
     state_viol, input_viol = [], []
@@ -258,18 +260,87 @@ def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:
     return (c * dx + s * dy, -s * dx + c * dy, tl - tf)
 
 
-def _integrate(
-    links: Sequence,
-    lead_limits: tuple,
-    profile: LeaderProfile,
-    s0: Sequence,
-    poses: Sequence,
-    T: float,
-    dt: float,
-    metas: Sequence,
-    rho: float = 0.0,
-    noise_step: Optional[Callable[[int], tuple]] = None,
-) -> list[SimTrace]:
+def _rk4_source(n: int) -> str:
+    """Source of ``run``, the time loop of an n-link chain (see _integrate).
+
+    The state is robot 0's pose ``x0, y0, q0``, then per link r its centered
+    state ``s1_r, s2_r, s3_r`` and its follower's pose ``xr, yr, qr``, all
+    locals.  Positions enter no derivative, so they get no stage inputs.
+    """
+    links = range(1, n + 1)
+    state = ["x0", "y0", "q0"] + [f"{c}{r}" for r in links
+                                  for c in ("s1_", "s2_", "s3_", "x", "y", "q")]
+    moving = [a for a in state if a[0] in "qs"]
+    noise = ", ".join(f"h{r}" for r in range(n + 1))
+
+    def feedback(r, s1, s2, s3):  # link r's clamped inputs vF{r}, uw{r}
+        return [f"u1, u2 = k11_{r} * {s1}, k22_{r} * {s2} + k23_{r} * {s3}",
+                f"vF{r} = V_{r} if u1 > V_{r} else nV_{r} if u1 < nV_{r} else u1",
+                f"uw{r} = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2"]
+
+    loop = ["t = i * dt", "if noise_step is not None:",
+            f"    h = noise_step(i); hs.extend(h); {noise}, = h"]
+    for r in links:  # the record: wrap guard, clamp counter, realized inputs
+        loop += [f"if abs(s3_{r} + o3_{r}) > pi:",
+                 f"    raise ValueError(f'heading difference left (-pi, pi) on "
+                 f"link {r} at t={{t:.6g}}; invariance lost')",
+                 *feedback(r, f"s1_{r}", f"s2_{r}", f"s3_{r}"),
+                 f"if abs(u1) > V_{r} or abs(u2) > Om_{r}: n{r} += 1"]
+    loop += ["v, w = prof_v(t), prof_w(t)", f"ys.extend(({', '.join(state)}))",
+             f"us.extend((v, w, {', '.join(f'vF{r}, uw{r}' for r in links)}))",
+             "if i == n_steps: break",
+             "vh, wh, v1, w1 = (prof_v(t + half), prof_w(t + half), "
+             "prof_v(t + dt), prof_w(t + dt))",
+             "w, wh, w1 = w + rho, wh + rho, w1 + rho"]
+    for m, step, v, w in ((1, None, "v", "w"), (2, "half", "vh", "wh"),
+                          (3, "half", "vh", "wh"), (4, "dt", "v1", "w1")):
+        z = {a: a if step is None else f"z_{a}" for a in moving}
+        if step is not None:
+            loop += [f"z_{a} = {a} + {step} * k{m - 1}_{a}" for a in moving]
+        loop += [f"e, c, s = 1.0 + {v}, cos({z['q0']}), sin({z['q0']})",
+                 f"k{m}_x0, k{m}_y0, k{m}_q0 = e * c - h0 * s, e * s + h0 * c, {w}"]
+        for r in links:  # robot r pursues robot r - 1, which moves at v, w
+            s1, s2, s3, q = (z[f"{c}{r}"] for c in ("s1_", "s2_", "s3_", "q"))
+            if step is not None:  # stage 1 reuses the record's feedback
+                loop += feedback(r, s1, s2, s3)
+            loop += [
+                f"wF{r}, beta = uw{r} + rho, {s3} + o3_{r}",
+                f"cb, sb, cf, sf = cos(beta), sin(beta), cos({q}), sin({q})",
+                f"k{m}_s1_{r} = (cb - 1.0) - vF{r} + ({s2} + o2_{r}) * wF{r} "
+                f"+ {v} * cb - h{r - 1} * sb",
+                f"k{m}_s2_{r} = sb - h{r} - ({s1} + o1_{r}) * wF{r} "
+                f"+ {v} * sb + h{r - 1} * cb",
+                f"k{m}_s3_{r}, e = {w} - wF{r}, 1.0 + vF{r}",
+                f"k{m}_x{r}, k{m}_y{r}, k{m}_q{r} = e * cf - h{r} * sf, "
+                f"e * sf + h{r} * cf, wF{r}",
+            ]
+            v, w = f"vF{r}", f"wF{r}"
+    loop += [f"{a} = {a} + sixth * (k1_{a} + 2.0 * (k2_{a} + k3_{a}) + k4_{a})"
+             for a in state]
+    head = [
+        "def run(params, rho, dt, n_steps, prof_v, prof_w, noise_step, y, ys, us, hs):",
+        "cos, sin, pi, half, sixth = math.cos, math.sin, math.pi, 0.5 * dt, dt / 6.0",
+        "".join(f"(k11_{r}, k22_{r}, k23_{r}, V_{r}, Om_{r}, o1_{r}, o2_{r}, "
+                f"o3_{r}), " for r in links) + "= params",
+        *(f"nV_{r}, nOm_{r} = -V_{r}, -Om_{r}" for r in links),
+        f"{', '.join(state)}, = y",
+        f"{noise}, = (0.0,) * {n + 1}",
+        f"{', '.join(f'n{r}' for r in links)}, = (0,) * {n}",
+        "for i in range(n_steps + 1):",
+        *("    " + line for line in loop),
+        f"return ({', '.join(f'n{r}' for r in links)},)",
+    ]
+    return "\n    ".join(head) + "\n"
+
+
+_RK4: dict = {}  # link count -> its compiled run()
+
+
+def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
+               s0: Sequence, poses: Sequence, T: float, dt: float,
+               metas: Sequence, rho: float = 0.0,
+               noise_step: Optional[Callable[[int], tuple]] = None,
+               ) -> list[SimTrace]:
     """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link.
 
     ``links[k]`` is ``(gain, (V, Omega), (o1, o2, o3))``: link k's gain, its
@@ -279,82 +350,19 @@ def _integrate(
     ``rho`` is added back to every turn rate (orbit runs), and
     ``noise_step(i)`` gives the lateral noise of each robot, held across the
     stages of step i.
-
-    The state vector is robot 0's pose, then for each link its centered
-    state and its follower's pose.
     """
     params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
     prof_v = _checked(profile.v, lead_limits[0], "v")
     prof_w = _checked(profile.omega, lead_limits[1], "omega")
     n_steps = _steps(T, dt)
-    half, sixth = 0.5 * dt, dt / 6.0
-    h = (0.0,) * (len(links) + 1)
-
-    def deriv(y, h, v, w):
-        """dy/dt, given robot 0's speed offset v and turn rate w."""
-        hL = h[0]
-        c, s = math.cos(y[2]), math.sin(y[2])
-        dy = [(1.0 + v) * c - hL * s, (1.0 + v) * s + hL * c, w]
-        for r, (k11, k22, k23, V, Om, o1, o2, o3) in enumerate(params, 1):
-            j = 6 * r - 3
-            s1, s2, s3 = y[j], y[j + 1], y[j + 2]
-            u1 = k11 * s1
-            u2 = k22 * s2 + k23 * s3
-            vF = V if u1 > V else -V if u1 < -V else u1
-            wF = (Om if u2 > Om else -Om if u2 < -Om else u2) + rho
-            hF = h[r]
-            p1, p2, beta = s1 + o1, s2 + o2, s3 + o3
-            cb, sb = math.cos(beta), math.sin(beta)
-            cf, sf = math.cos(y[j + 5]), math.sin(y[j + 5])
-            dy += (
-                (cb - 1.0) - vF + p2 * wF + v * cb - hL * sb,
-                sb - hF - p1 * wF + v * sb + hL * cb,
-                w - wF,
-                (1.0 + vF) * cf - hF * sf,
-                (1.0 + vF) * sf + hF * cf,
-                wF,
-            )
-            v, w, hL = vF, wF, hF
-        return dy
-
-    y = list(poses[0])
-    for s, pose in zip(s0, poses[1:]):
-        y += (*s, *pose)
+    if len(links) not in _RK4:
+        scope = {"math": math}
+        exec(_rk4_source(len(links)), scope)
+        _RK4[len(links)] = scope["run"]
+    y = [*poses[0], *(x for s, pose in zip(s0, poses[1:]) for x in (*s, *pose))]
     ys, us, hs = array("d"), array("d"), array("d")
-    clamps = [0] * len(links)
-    for i in range(n_steps + 1):
-        t = i * dt
-        if noise_step is not None:
-            h = noise_step(i)
-            hs.extend(h)
-        u = []
-        for r, (k11, k22, k23, V, Om, o1, o2, o3) in enumerate(params, 1):
-            j = 6 * r - 3
-            s1, s2, s3 = y[j], y[j + 1], y[j + 2]
-            if abs(s3 + o3) > math.pi:
-                raise ValueError(
-                    f"heading difference left (-pi, pi) on link {r} "
-                    f"at t={t:.6g}; invariance lost"
-                )
-            u1 = k11 * s1
-            u2 = k22 * s2 + k23 * s3
-            if abs(u1) > V or abs(u2) > Om:
-                clamps[r - 1] += 1
-            u += (V if u1 > V else -V if u1 < -V else u1,
-                  Om if u2 > Om else -Om if u2 < -Om else u2)
-        v, w = prof_v(t), prof_w(t)
-        ys.extend(y)
-        us.extend((v, w, *u))
-        if i == n_steps:
-            break
-        vh, wh = prof_v(t + half), prof_w(t + half)
-        v1, w1 = prof_v(t + dt), prof_w(t + dt)
-        k1 = deriv(y, h, v, w + rho)
-        k2 = deriv([a + half * b for a, b in zip(y, k1)], h, vh, wh + rho)
-        k3 = deriv([a + half * b for a, b in zip(y, k2)], h, vh, wh + rho)
-        k4 = deriv([a + dt * b for a, b in zip(y, k3)], h, v1, w1 + rho)
-        y = [a + sixth * (b + 2.0 * (c + d) + e)
-             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+    clamps = _RK4[len(links)](params, rho, dt, n_steps, prof_v, prof_w,
+                              noise_step, y, ys, us, hs)
 
     # rows of Y: each robot's pose with each link's state between them; of
     # U: each robot's realized inputs (the profile for robot 0); of H: each
@@ -386,7 +394,7 @@ def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0") -> tuple:
     if len(s0) != 3:
         raise ValueError(f"{what} must have three components")
     for x, h in zip(s0, half_widths):
-        if abs(float(x)) > float(h) + 1e-12:
+        if not abs(float(x)) <= float(h) + 1e-12:  # NaN fails too
             raise ValueError(f"{what} lies outside the visibility window")
     return tuple(float(x) for x in s0)
 
@@ -407,14 +415,8 @@ def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
     )[0]
 
 
-def simulate_basic(
-    sc: BasicScenario,
-    K: GainMatrix,
-    profile: LeaderProfile,
-    s0: Sequence,
-    T: float,
-    dt: float = 1e-3,
-) -> SimTrace:
+def simulate_basic(sc: BasicScenario, K: GainMatrix, profile: LeaderProfile,
+                   s0: Sequence, T: float, dt: float = 1e-3) -> SimTrace:
     """Closed-loop run of the straight-pursuit model."""
     return _simulate_pair(sc, K, profile, s0, T, dt, "basic", (sc.d, 0.0, 0.0))
 
@@ -453,14 +455,8 @@ def simulate_ubb(
                           noise_step=noise_step)
 
 
-def simulate_circle(
-    sc: CircleScenario,
-    K: GainMatrix,
-    profile: LeaderProfile,
-    s0: Sequence,
-    T: float,
-    dt: float = 1e-3,
-) -> SimTrace:
+def simulate_circle(sc: CircleScenario, K: GainMatrix, profile: LeaderProfile,
+                    s0: Sequence, T: float, dt: float = 1e-3) -> SimTrace:
     """Orbit-window run: feedback acts on the shifted state and the orbit
     rate is added back to both turn rates; `profile.omega` is the leader's
     shifted turn rate."""

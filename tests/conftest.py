@@ -1,8 +1,10 @@
 import math
 import random
+from array import array
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from viskeep.scenarios import (
     exact_basic,
     feasible_basic,
 )
+from viskeep.simulate import LeaderProfile, SimTrace, _checked
 from viskeep.synthesis import InfeasiblePolytopeError, SynthesisResult
 from viskeep.systems import (
     FLOAT_TOL,
@@ -32,6 +35,7 @@ from viskeep.systems import (
     _relevant_params,
     _shifted_vertex_cones,
     _stack_f,
+    _steps,
     _zeros,
     closed_loop,
 )
@@ -415,6 +419,126 @@ def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                 max_excess = excess
         done += seg
     return max_excess <= tol, max_excess
+
+
+def integrate_oracle(
+    links: Sequence,
+    lead_limits: tuple,
+    profile: LeaderProfile,
+    s0: Sequence,
+    poses: Sequence,
+    T: float,
+    dt: float,
+    metas: Sequence,
+    rho: float = 0.0,
+    noise_step: Optional[Callable[[int], tuple]] = None,
+) -> list[SimTrace]:
+    """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link:
+    the plain RK4 loop, one ``deriv`` call per stage, that the generated
+    ``simulate._integrate`` must match bit for bit.
+
+    ``links[k]`` is ``(gain, (V, Omega), (o1, o2, o3))``: link k's gain, its
+    follower's input bounds and its window center in raw relative
+    coordinates.  ``lead_limits`` bounds the profile of robot 0, ``s0``
+    holds the window-centered link states and ``poses`` the n world poses.
+    ``rho`` is added back to every turn rate (orbit runs), and
+    ``noise_step(i)`` gives the lateral noise of each robot, held across the
+    stages of step i.
+
+    The state vector is robot 0's pose, then for each link its centered
+    state and its follower's pose.
+    """
+    params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
+    prof_v = _checked(profile.v, lead_limits[0], "v")
+    prof_w = _checked(profile.omega, lead_limits[1], "omega")
+    n_steps = _steps(T, dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+    h = (0.0,) * (len(links) + 1)
+
+    def deriv(y, h, v, w):
+        """dy/dt, given robot 0's speed offset v and turn rate w."""
+        hL = h[0]
+        c, s = math.cos(y[2]), math.sin(y[2])
+        dy = [(1.0 + v) * c - hL * s, (1.0 + v) * s + hL * c, w]
+        for r, (k11, k22, k23, V, Om, o1, o2, o3) in enumerate(params, 1):
+            j = 6 * r - 3
+            s1, s2, s3 = y[j], y[j + 1], y[j + 2]
+            u1 = k11 * s1
+            u2 = k22 * s2 + k23 * s3
+            vF = V if u1 > V else -V if u1 < -V else u1
+            wF = (Om if u2 > Om else -Om if u2 < -Om else u2) + rho
+            hF = h[r]
+            p1, p2, beta = s1 + o1, s2 + o2, s3 + o3
+            cb, sb = math.cos(beta), math.sin(beta)
+            cf, sf = math.cos(y[j + 5]), math.sin(y[j + 5])
+            dy += (
+                (cb - 1.0) - vF + p2 * wF + v * cb - hL * sb,
+                sb - hF - p1 * wF + v * sb + hL * cb,
+                w - wF,
+                (1.0 + vF) * cf - hF * sf,
+                (1.0 + vF) * sf + hF * cf,
+                wF,
+            )
+            v, w, hL = vF, wF, hF
+        return dy
+
+    y = list(poses[0])
+    for s, pose in zip(s0, poses[1:]):
+        y += (*s, *pose)
+    ys, us, hs = array("d"), array("d"), array("d")
+    clamps = [0] * len(links)
+    for i in range(n_steps + 1):
+        t = i * dt
+        if noise_step is not None:
+            h = noise_step(i)
+            hs.extend(h)
+        u = []
+        for r, (k11, k22, k23, V, Om, o1, o2, o3) in enumerate(params, 1):
+            j = 6 * r - 3
+            s1, s2, s3 = y[j], y[j + 1], y[j + 2]
+            if abs(s3 + o3) > math.pi:
+                raise ValueError(
+                    f"heading difference left (-pi, pi) on link {r} "
+                    f"at t={t:.6g}; invariance lost"
+                )
+            u1 = k11 * s1
+            u2 = k22 * s2 + k23 * s3
+            if abs(u1) > V or abs(u2) > Om:
+                clamps[r - 1] += 1
+            u += (V if u1 > V else -V if u1 < -V else u1,
+                  Om if u2 > Om else -Om if u2 < -Om else u2)
+        v, w = prof_v(t), prof_w(t)
+        ys.extend(y)
+        us.extend((v, w, *u))
+        if i == n_steps:
+            break
+        vh, wh = prof_v(t + half), prof_w(t + half)
+        v1, w1 = prof_v(t + dt), prof_w(t + dt)
+        k1 = deriv(y, h, v, w + rho)
+        k2 = deriv([a + half * b for a, b in zip(y, k1)], h, vh, wh + rho)
+        k3 = deriv([a + half * b for a, b in zip(y, k2)], h, vh, wh + rho)
+        k4 = deriv([a + dt * b for a, b in zip(y, k3)], h, v1, w1 + rho)
+        y = [a + sixth * (b + 2.0 * (c + d) + e)
+             for a, b, c, d, e in zip(y, k1, k2, k3, k4)]
+
+    # rows of Y: each robot's pose with each link's state between them; of
+    # U: each robot's realized inputs (the profile for robot 0); of H: each
+    # robot's noise.  Link k joins robots k and k + 1.
+    Y = np.frombuffer(ys).reshape(n_steps + 1, -1)
+    U = np.frombuffer(us).reshape(n_steps + 1, -1)
+    H = (np.frombuffer(hs).reshape(n_steps + 1, -1)
+         if noise_step is not None else None)
+    times = np.arange(n_steps + 1) * dt
+    return [
+        SimTrace(
+            times=times, states=Y[:, 6 * k + 3:6 * k + 6],
+            inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
+            noise=None if H is None else H[:, [k + 1, k]],
+            pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
+            clamp_events=clamps[k], meta=meta,
+        )
+        for k, meta in enumerate(metas)
+    ]
 
 
 def random_moderate_system(rnd: random.Random):

@@ -327,6 +327,54 @@ def test_simulate_rejects_non_finite_horizon(basic_file, tmp_path, capsys,
     assert not (out / "violations.json").exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_simulate_rejects_tol_that_is_not_finite_and_nonnegative(
+        basic_file, tmp_path, capsys, tol):
+    gain = write_json(tmp_path / "gain.json", {"k11": 0, "k22": 0, "k23": 0})
+    profile = write_json(tmp_path / "profile.json", {
+        "v": {"type": "constant", "value": 0.09},
+        "omega": {"type": "constant", "value": 0.2},
+    })
+    argv = ["simulate", "--scenario", str(basic_file), "--gain", str(gain),
+            "--profile", str(profile), "--horizon", "10"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1  # p2 leaves
+    out = tmp_path / "tol"
+    assert main(argv + ["--out", str(out), "--tol", tol]) == 2
+    assert "tol must be a finite number >= 0" in capsys.readouterr().err
+    assert not (out / "violations.json").exists()
+
+
+@pytest.mark.parametrize("s0", ["nan,0,0", "0,0,nan"])
+def test_simulate_rejects_nan_start(basic_file, tmp_path, capsys, s0):
+    assert main(["simulate", "--scenario", str(basic_file), "--s0", s0,
+                 "--horizon", "1.0", "--out", str(tmp_path / "x")]) == 2
+    assert "s0 lies outside the visibility window" in capsys.readouterr().err
+
+
+def test_simulate_rejects_nan_chain_start(tmp_path, capsys):
+    spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+    gains = write_json(tmp_path / "gains.json",
+                       [{"k11": 0.2, "k22": 0.03, "k23": 0.3}] * 3)
+    assert main(["simulate", "--chain-spec", str(spec), "--gains", str(gains),
+                 "--s0", "0,0,0;0,nan,0;0,0,0", "--horizon", "1.0",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "s0[1] lies outside" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "synth"])
+def test_library_warning_is_one_stable_line_each_time(tmp_path, capsys,
+                                                      command):
+    sc = scenario_to_json_dict(BASIC_SCENARIO)
+    sc["Omega_L"] = 0.27
+    path = write_json(tmp_path / "bad.json", sc)
+    for _ in range(2):
+        main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert ("warning: scenario fails the closed-form solvability "
+                "conditions") in err.splitlines()
+        assert ".py:" not in err and "UserWarning" not in err
+
+
 @pytest.mark.parametrize("family", ["basic", "circle", "chain"])
 def test_noise_amplitude_only_for_ubb(tmp_path, capsys, family):
     sc = bundle(family).scenario

@@ -24,6 +24,7 @@ from viskeep.demos import (
     UBB_PROFILE,
     UBB_S0,
     UBB_SCENARIO,
+    bundle,
 )
 from viskeep.scenarios import (
     build_basic_system,
@@ -49,6 +50,8 @@ from viskeep.simulate import (
 )
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import GainMatrix
+
+from conftest import integrate_oracle
 
 STILL = LeaderProfile(constant(0.0), constant(0.0))
 
@@ -409,6 +412,116 @@ def test_chain_input_validation():
     with pytest.raises(ValueError, match="outside"):
         simulate_chain(CHAIN_SPEC, REF_GAINS_CHAIN, CHAIN_PROFILE,
                        [(0, 0, 0.5), (0, 0, 0), (0, 0, 0)], T=1.0)
+
+
+# ----------------------------------------------------------------------
+# the generated integrator against the plain RK4 loop
+# ----------------------------------------------------------------------
+
+
+def _synth_gain(sc):
+    return GainMatrix(*min_norm_gain(sc.polytope().reduce()).exact_gain).as_floats()
+
+
+def _demo_run(name):
+    b = bundle(name)
+    if name == "chain":
+        gains = [_synth_gain(b.scenario.link_scenario(k))
+                 for k in range(1, b.scenario.n)]
+        return lambda: simulate_chain(b.scenario, gains, b.profile, b.s0, T=2.0)
+    K = _synth_gain(b.scenario)
+    return lambda: [b.scenario.simulate(K, b.profile, b.s0, 2.0, 1e-3,
+                                        b.noise_amplitude, 0)]
+
+
+def _chain_run(n_links):
+    """n_links links behind a leader with a random-hold turn rate."""
+    spec = ChainSpec.make(
+        [(0.4, math.pi / 14, 3.0), (0.4, math.pi / 9, 3.0),
+         (0.4, math.pi / 4, 3.0), (0.5, math.pi / 4, 3.0)][:n_links],
+        [(0.02, math.pi / 50), (0.085, math.pi / 35), (0.25, math.pi / 21),
+         (0.5, math.pi / 8), (0.8, math.pi / 6)][:n_links + 1],
+    )
+    prof = LeaderProfile(sinusoid(0.015, 1.0),
+                         random_hold(math.pi / 60, 0.25, seed=n_links))
+    gains = [GainMatrix(0.3 * k, 0.1, 0.35) for k in range(1, n_links + 1)]
+    s0 = [(0.1, -0.1 * k, 0.03 * k) for k in range(1, n_links + 1)]
+    return lambda: simulate_chain(spec, gains, prof, s0, T=2.0)
+
+
+def _pair_run(K, profile):
+    return lambda: [simulate_basic(BASIC_SCENARIO, K, profile,
+                                   (0.3, -0.3, 0.2), T=2.0)]
+
+
+INTEGRATOR_CASES = {
+    **{name: lambda name=name: _demo_run(name)
+       for name in ("basic", "ubb", "circle", "chain")},
+    **{f"chain-{n}": lambda n=n: _chain_run(n) for n in (1, 2, 3, 4)},
+    "clamped": lambda: _pair_run(GainMatrix(9.0, 7.0, 5.0), BASIC_PROFILE),
+    "clamped-turn": lambda: _pair_run(GainMatrix(1.0, 9.0, 7.0), BASIC_PROFILE),
+    "random-hold": lambda: _pair_run(REF_GAIN_BASIC, LeaderProfile(
+        random_hold(0.08, 0.3, seed=7), random_hold(math.pi / 20, 0.5, seed=8))),
+}
+
+
+@pytest.mark.parametrize("case", INTEGRATOR_CASES)
+def test_generated_integrator_matches_plain_loop(case, monkeypatch):
+    run = INTEGRATOR_CASES[case]()
+    fast = run()
+    monkeypatch.setattr(simulate, "_integrate", integrate_oracle)
+    slow = run()
+    assert len(fast) == len(slow)
+    for a, b in zip(fast, slow):
+        for name in ("times", "states", "inputs", "leader", "noise",
+                     "pose_f", "pose_l"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None), name
+            if x is not None:
+                assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert (a.clamp_events, a.meta) == (b.clamp_events, b.meta)
+    if case.startswith("clamped"):
+        assert fast[0].clamp_events > 0
+    if case == "ubb":
+        assert fast[0].noise is not None
+
+
+def _wrap_run():
+    sc = BASIC_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
+                                  V_L=0.1, Omega_F=math.pi / 3, Omega_L=2.2)
+    spin = LeaderProfile(constant(0.0), constant(2.0))
+    return simulate_basic(sc, GainMatrix(0.0, 0.0, 0.0), spin, (0, 0, 0),
+                          T=3.0)
+
+
+def _chain_wrap_run():  # robot 1 follows the spinning leader, robot 2 not
+    spec = ChainSpec.make([(0.4, math.pi / 2, 3.0)] * 2,
+                          [(0.02, 2.0), (0.3, 2.5), (0.3, 0.01)])
+    spin = LeaderProfile(constant(0.0), constant(1.9))
+    return simulate_chain(spec, [GainMatrix(0.0, 0.0, 5.0),
+                                 GainMatrix(0.0, 0.0, 0.0)],
+                          spin, [(0.0, 0.0, 0.0)] * 2, T=5.0)
+
+
+def _bound_run():  # |v| = 0.2 |sin t| passes V_L = 0.1 at t = pi/6
+    prof = LeaderProfile(sinusoid(0.2, 1.0), constant(0.0))
+    return simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, prof, (0, 0, 0),
+                          T=2.0)
+
+
+@pytest.mark.parametrize("run, match", [
+    (_wrap_run, "heading difference left .* on link 1 at t="),
+    (_chain_wrap_run, "on link 2 at t="),
+    (_bound_run, "exceeds its bound: \\|v\\(0.52"),
+], ids=["wrap", "chain-wrap", "profile-bound"])
+def test_generated_integrator_raises_like_plain_loop(run, match, monkeypatch):
+    messages = []
+    for integrate in (simulate._integrate, integrate_oracle):
+        monkeypatch.setattr(simulate, "_integrate", integrate)
+        with pytest.raises(ValueError, match=match) as exc:
+            run()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 # ----------------------------------------------------------------------
