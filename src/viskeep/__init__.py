@@ -65,7 +65,6 @@ from .systems import (
     check_admissible,
     check_D_invariant_cone,
     closed_loop,
-    eval_matrices,
     simulate_linear_switching,
 )
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .inequalities import Row
+from .inequalities import Row, _over
 
 VERTEX_DIMENSION_GUARD = 20
 
@@ -158,26 +159,35 @@ def shifted_cone(
     Row ``(g, xi)`` becomes ``(g, xi - max_{w, r} tau * g . E(w) r)`` with the
     maximum over the parameter vertices ``w`` given (those of the parameters
     ``E`` depends on suffice) and disturbance vertices ``r``.  ``E`` is
-    evaluated once per parameter vertex.
+    evaluated once per parameter vertex.  The pushes are compared as
+    integers: every ``E(w)``, every ``r`` and each plane go over one
+    denominator, and only the worst push of a plane becomes a Fraction.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
     tau = Fraction(tau) if isinstance(tau, (int, Fraction)) else tau
     E_list = [E_family(w) for w in Q_vertices]
     D_list = list(D_vertices)
+    # a push is an integer over dE * dD * (the plane's denominator)
+    dE = lcm(*(x.denominator for E in E_list for row in E for x in row))
+    dD = lcm(*(x.denominator for r in D_list for x in r))
+    E_int = [[[x.numerator * (dE // x.denominator) for x in row] for row in E]
+             for E in E_list]
+    D_int = [[x.numerator * (dD // x.denominator) for x in r] for r in D_list]
     rows = []
     for g, xi in cone.rows:
+        gn, dg = _over(g)
         worst = None
-        for E in E_list:
+        for E in E_int:
             # gE[k] = sum_i g_i * E[i][k], zero terms skipped
             gE = [
-                sum(gi * Ei[k] for gi, Ei in zip(g, E) if gi)
+                sum(gi * Ei[k] for gi, Ei in zip(gn, E) if gi)
                 for k in range(len(E[0]) if E else 0)
             ]
-            for r in D_list:
+            for r in D_int:
                 push = sum(c * rk for c, rk in zip(gE, r) if c)
                 if worst is None or push > worst:
                     worst = push
-        shift = tau * worst if worst is not None else 0
+        shift = tau * Fraction(worst, dg * dE * dD) if worst is not None else 0
         rows.append(Row(g, xi - shift))
     return HalfspaceCone(tuple(rows))

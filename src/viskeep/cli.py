@@ -47,6 +47,7 @@ from .scenarios import (
 from .simulate import (
     BOUND_TOL,
     LeaderProfile,
+    _check_tol,
     monitor,
     profile_from_json_dict,
     simulate_chain,
@@ -198,6 +199,7 @@ def cmd_simulate(args) -> int:
     if args.chain_spec and args.gain:
         raise ValueError("--gain applies to --scenario runs; a chain takes "
                          "its gains from --gains")
+    _check_tol(args.tol)  # before the run, not after it
     if not args.chain_spec and args.gains:
         raise ValueError("--gains applies to --chain-spec runs; a pair takes "
                          "its gain from --gain")

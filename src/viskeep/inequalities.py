@@ -7,19 +7,27 @@ feasibility decisions and redundancy removal produce certificates that are
 free of floating-point ambiguity.  Floats may propose a certificate (a
 feasible point, a Farkas set, an implying combination, a witness point, the
 active rows of a nearest point), all from one table of rows and their bases
-(:func:`_float_table`), but each is checked in ``Fraction`` arithmetic
-before it decides anything, and elimination decides whatever no verified
-certificate settles.  Irrational
-constants enter only through :func:`rationalize`, which makes the single
-approximation point explicit.
+(:func:`_float_table`), but each is checked exactly before it decides
+anything, and elimination decides whatever no verified certificate settles.
+
+The exact checks run in Python integers, fraction-free.  Each row is read
+in its primitive integer form ``(a_1, ..., a_n, b)`` (:func:`normalized_key`,
+a positive multiple of the row), linear systems are solved by Bareiss
+elimination into numerators over one determinant (:func:`_solve_exact`), and
+a test is an integer sign test such as ``a . num <= b * den``.  Fractions
+are built only at the edges: the rows themselves and the points handed
+back.  Irrational constants enter only through :func:`rationalize`, which
+makes the single approximation point explicit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, gcd, lcm
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -49,43 +57,66 @@ class Row(NamedTuple):
     rhs: Fraction
 
 
-def make_row(coeffs: Sequence, rhs) -> Row:
-    return Row(tuple(Fraction(c) for c in coeffs), Fraction(rhs))
-
-
-def normalized_key(row: Row) -> tuple:
-    """Canonical form used for exact duplicate detection.
-
-    Coefficients are scaled to integers with overall gcd 1 (positive scale
-    only, so the inequality direction is preserved).  A row with all-zero
-    coefficients is scaled so its rhs lies in {-1, 0, 1}.
-    """
-    if all(c == 0 for c in row.g):
-        r = row.rhs
-        if r != 0:
-            r = Fraction(1 if r > 0 else -1)
-        return (row.g, r)
-    denom_lcm = lcm(*(c.denominator for c in row.g))
-    ints = [c.numerator * (denom_lcm // c.denominator) for c in row.g]
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """`ints` divided by their gcd; a zero vector stays zero."""
     g = gcd(*ints)
-    return (tuple(Fraction(v // g) for v in ints),
-            row.rhs * Fraction(denom_lcm, g))
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def normalize_row(row: Row) -> Row:
-    key = normalized_key(row)
-    return Row(tuple(key[0]), key[1])
+def _over(values: Sequence) -> tuple[list[int], int]:
+    """Rationals (or ints) as integer numerators over one positive
+    denominator."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _dedup(rows: Iterable[Row]) -> tuple[Row, ...]:
-    seen = set()
-    out = []
-    for row in rows:
-        key = normalized_key(row)
+def normalized_key(row: Row) -> tuple[int, ...]:
+    """Canonical form used for exact duplicate detection, and the integer
+    form every exact test reads: the primitive integer vector
+    ``(a_1, ..., a_n, b)``, a positive multiple of ``(g, rhs)`` with gcd 1.
+
+    The scale is positive, so ``a . x <= b`` is the same inequality, and two
+    rows share a key iff one is a positive multiple of the other.  A row
+    with all-zero coefficients gets ``b`` in {-1, 0, 1}.
+    """
+    return _primitive(_over(row.g + (row.rhs,))[0])
+
+
+def _key_row(key: Sequence[int]) -> Row:
+    """The row of `key` with integer coefficients of gcd 1 (a zero row
+    keeps the key's right-hand side in {-1, 0, 1})."""
+    g = gcd(*key[:-1]) or 1
+    return Row(tuple(Fraction(a // g) for a in key[:-1]), Fraction(key[-1], g))
+
+
+def _scaled_rows(scaled: Iterable[tuple[Sequence[int], int]]
+                 ) -> tuple[tuple[Row, ...], tuple[tuple[int, ...], ...]]:
+    """The rows ``nums / den`` (``den > 0``, last entry the right-hand
+    side) with exact duplicates dropped, keeping the first occurrence, and
+    their keys.  Duplicates are found on the integers; only the rows that
+    survive are built as Fractions."""
+    rows, keys, seen = [], [], set()
+    for nums, den in scaled:
+        key = _primitive(nums)
         if key not in seen:
             seen.add(key)
-            out.append(row)
-    return tuple(out)
+            keys.append(key)
+            rows.append(Row(tuple(Fraction(a, den) for a in nums[:-1]),
+                            Fraction(nums[-1], den)))
+    return tuple(rows), tuple(keys)
+
+
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    """``sum a_k x_k`` over the shorter of the two (a row's right-hand side
+    is left out against a point)."""
+    return sum(map(mul, a, x))
+
+
+def _holds(a: Sequence[int], x: tuple[Sequence[int], int]) -> bool:
+    """The integer row ``a = (a_1, ..., a_n, b)`` holds at the point
+    ``num / den`` (``den > 0``): ``a . num <= b * den``."""
+    num, den = x
+    return _dot(a, num) <= a[-1] * den
 
 
 @dataclass(frozen=True)
@@ -102,9 +133,19 @@ class LinearInequalitySystem:
                     f"row has {len(row.g)} coefficients, expected {self.num_vars}"
                 )
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row's integer form, :func:`normalized_key`; every exact
+        decision reads these, never the Fractions."""
+        return tuple(map(normalized_key, self.rows))
+
     @classmethod
-    def from_rows(cls, num_vars: int, rows: Iterable) -> "LinearInequalitySystem":
-        return cls(num_vars, tuple(make_row(g, rhs) for g, rhs in rows))
+    def _keyed(cls, num_vars: int, rows: Sequence[Row],
+               keys: Sequence[tuple[int, ...]]) -> "LinearInequalitySystem":
+        """System of `rows` whose integer forms `keys` are already known."""
+        system = cls(num_vars, tuple(rows))
+        system.__dict__["int_rows"] = tuple(keys)
+        return system
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -125,30 +166,26 @@ class LinearInequalitySystem:
         if not 0 <= var < self.num_vars:
             raise ValueError(f"variable index {var} out of range")
         zero, pos, neg = [], [], []
-        for row in self.rows:
-            c = row.g[var]
-            if c == 0:
-                zero.append(row)
-            elif c > 0:
-                pos.append(row)
-            else:
-                neg.append(row)
+        for row, key in zip(self.rows, self.int_rows):
+            c = key[var]
+            (zero if c == 0 else pos if c > 0 else neg).append((row, key))
 
-        def drop(row: Row) -> Row:
-            return Row(row.g[:var] + row.g[var + 1:], row.rhs)
+        def drop(t: tuple) -> tuple:
+            return t[:var] + t[var + 1:]
 
-        out: list[Row] = [drop(r) for r in zero]
-        for p in pos:
-            inv_p = 1 / p.g[var]
-            for n in neg:
-                inv_n = -1 / n.g[var]
-                g = tuple(
-                    cp * inv_p + cn * inv_n
-                    for cp, cn in zip(drop(p).g, drop(n).g)
-                )
-                rhs = p.rhs * inv_p + n.rhs * inv_n
-                out.append(normalize_row(Row(g, rhs)))
-        return LinearInequalitySystem(self.num_vars - 1, _dedup(out))
+        candidates = [(drop(key), Row(drop(row.g), row.rhs)) for row, key in zero]
+        candidates += [
+            # -n_var * p + p_var * n: a positive combination in which var cancels
+            (drop(_primitive([-n[var] * cp + p[var] * cn for cp, cn in zip(p, n)])), None)
+            for _, p in pos for _, n in neg
+        ]
+        rows, keys, seen = [], [], set()
+        for key, row in candidates:
+            if key not in seen:
+                seen.add(key)
+                keys.append(key)
+                rows.append(_key_row(key) if row is None else row)
+        return LinearInequalitySystem._keyed(self.num_vars - 1, rows, keys)
 
     def project(self, keep: Iterable[int]) -> "LinearInequalitySystem":
         """Repeated elimination of the complement of `keep`, ascending."""
@@ -173,7 +210,7 @@ class LinearInequalitySystem:
         elimination, and it is feasible iff every surviving constant row
         has a nonnegative right-hand side.
         """
-        verdict = _Certifier(self.rows, self.num_vars).feasible()
+        verdict = _Certifier(self).feasible()
         if verdict is None:
             projected = self.project(())
             verdict = all(row.rhs >= 0 for row in projected.rows)
@@ -212,7 +249,7 @@ class LinearInequalitySystem:
         onto ``s``.  Every decision is exact, so which route settles a row
         never changes the result.
         """
-        certifier = _Certifier(self.rows, self.num_vars)
+        certifier = _Certifier(self)
         survivors = list(range(len(self.rows)))
         i = 0
         while i < len(survivors):
@@ -237,7 +274,8 @@ class LinearInequalitySystem:
     def satisfies(self, point: Sequence, tol: float = 0.0) -> bool:
         """True iff ``g . point <= rhs + tol`` for every row.
 
-        With ``tol == 0`` and a vector of rationals/ints the test is exact;
+        With ``tol == 0`` and a vector of rationals/ints the test is exact,
+        an integer sign test per row on the point over one denominator;
         otherwise it is evaluated in floating point.
         """
         if len(point) != self.num_vars:
@@ -248,11 +286,8 @@ class LinearInequalitySystem:
             raise ValueError("tol must be nonnegative")
         exact = tol == 0 and all(isinstance(x, (Fraction, int)) for x in point)
         if exact:
-            pt = [Fraction(x) for x in point]
-            return all(
-                sum(c * x for c, x in zip(row.g, pt)) <= row.rhs
-                for row in self.rows
-            )
+            pt = _over(point)
+            return all(_holds(a, pt) for a in self.int_rows)
         pt = [float(x) for x in point]
         return all(
             sum(float(c) * x for c, x in zip(row.g, pt)) <= float(row.rhs) + tol
@@ -331,26 +366,43 @@ def _implied(others: list[Row], row: Row, num_vars: int) -> bool:
     return lower is not None and lower > upper
 
 
-def _solve_exact(M: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Gaussian elimination over the rationals; None if singular."""
+def _solve_exact(M: Sequence[Sequence[int]],
+                 rhs: Sequence[int]) -> Optional[tuple[list[int], int]]:
+    """Fraction-free (Bareiss) solution of ``M x = rhs`` over the integers:
+    ``(num, det)`` with ``x = num / det`` and ``det = |det M| > 0``, or None
+    if M is singular.
+
+    Every entry of the eliminated matrix is a minor of ``[M | rhs]``, so
+    each division by the previous pivot is exact and entries grow only as
+    minors do, with no gcd taken (Bareiss, Math. Comp. 22, 1968; Edmonds,
+    J. Res. NBS 71B, 1967); back-substitution gives
+    the Cramer numerators ``det(M_i)`` (``M`` with column i replaced by
+    ``rhs``), also by exact division.  Entries below the diagonal are left
+    as they are; nothing reads them again.
+    """
     k = len(M)
-    aug = [row[:] + [r] for row, r in zip(M, rhs)]
+    aug = [list(row) + [r] for row, r in zip(M, rhs)]
+    prev = 1
     for col in range(k):
-        pivot = next((i for i in range(col, k) if aug[i][col] != 0), None)
+        pivot = next((i for i in range(col, k) if aug[i][col]), None)
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[k] for row in aug]
-
-
-def _dot(g: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    return sum((c * v for c, v in zip(g, x)), Fraction(0))
+        top = aug[col]
+        p = top[col]
+        for row in aug[col + 1:]:
+            a = row[col]
+            for j in range(col + 1, k + 1):
+                row[j] = (p * row[j] - a * top[j]) // prev
+        prev = p
+    det = prev  # the last pivot: det M, up to the sign of the row swaps
+    num = [0] * k
+    for i in range(k - 1, -1, -1):
+        row = aug[i]
+        num[i] = (det * row[k] - _dot(row[i + 1:k], num[i + 1:])) // row[i]
+    if det < 0:
+        return [-v for v in num], -det
+    return num, det
 
 
 #: Float tolerance of the proposals (on rows scaled to unit norm); it only
@@ -425,15 +477,22 @@ class _Certifier:
     ``x_B + inv[:, pos(i)]`` that keeps the other basis rows tight and
     pushes row ``i`` out by one unit, which is how a row is shown needed
     when the others are unbounded along ``g_i``.  The best few proposals
-    are checked in ``Fraction`` arithmetic; :meth:`decide` returns None
+    are checked exactly, on each row's integer form ``(a, b)`` (see
+    :func:`normalized_key`): a point is solved by :func:`_solve_exact` as
+    ``num / den`` and tested with ``a . num <= b * den``; multipliers are
+    solved the same way, and only their signs and one combined right-hand
+    side are compared.  Positive row scales change neither the points nor
+    the signs, so these are the ``Fraction`` certificates of the rows as
+    given.  :meth:`decide` returns None
     when none holds up.  :meth:`feasible` decides the whole system from the
     same table: an intersection point satisfying every row, or a basis plus
     one row reading ``0 <= negative``.
     """
 
-    def __init__(self, rows: Sequence[Row], num_vars: int):
-        self.rows = rows
-        self.n = num_vars
+    def __init__(self, system: LinearInequalitySystem):
+        rows = self.rows = system.rows
+        num_vars = self.n = system.num_vars
+        self.ints = system.int_rows
         self.alive = np.ones(len(rows), dtype=bool)
         self.farkas: Optional[frozenset] = None  # rows with no common point
         self.bases = None
@@ -476,9 +535,9 @@ class _Certifier:
     def feasible(self) -> Optional[bool]:
         """True if some point satisfies every row, False if some rows have
         no common point, None if no proposal verified."""
-        if all(r.rhs >= 0 for r in self.rows):
+        if all(a[-1] >= 0 for a in self.ints):
             return True  # the origin
-        if any(not any(r.g) and r.rhs < 0 for r in self.rows):
+        if any(not any(a[:-1]) and a[-1] < 0 for a in self.ints):
             return False  # 0 <= c with c < 0
         if self.bases is not None:
             cand = np.flatnonzero(self.nviol == 0)
@@ -494,8 +553,8 @@ class _Certifier:
     def decide(self, i: int) -> Optional[bool]:
         """True if row i is implied by the other survivors, False if not,
         None if no proposal verified."""
-        row = self.rows[i]
-        if not any(row.g) and row.rhs >= 0:
+        a = self.ints[i]
+        if not any(a[:-1]) and a[-1] >= 0:
             return True  # 0 <= c_i holds everywhere
         if self.farkas is not None and i not in self.farkas:
             return True
@@ -524,31 +583,37 @@ class _Certifier:
             return False
         return None
 
-    def _basis_rows(self, b: int) -> list[Row]:
-        return [self.rows[j] for j in self.bases[b]]
+    def _basis_rows(self, b: int) -> list[tuple[int, ...]]:
+        return [self.ints[j] for j in self.bases[b]]
 
-    def _vertex(self, b: int,
-                pushed: Optional[int] = None) -> Optional[list[Fraction]]:
-        """Exact intersection point of the rows of basis b, with the
-        right-hand side of row `pushed` raised by its float length."""
+    def _vertex(self, b: int, pushed: Optional[int] = None
+                ) -> Optional[tuple[list[int], int]]:
+        """Exact intersection point ``num / den`` of the rows of basis b,
+        with the right-hand side of row `pushed` raised by its float length
+        (the length of the row as given, which its integer form scales)."""
         B = self._basis_rows(b)
-        rhs = [r.rhs for r in B]
+        rhs = [a[-1] for a in B]
+        den = 1
         if pushed is not None:
-            k = list(self.bases[b]).index(pushed)
-            rhs[k] += Fraction(float(self.length[pushed]))
-        return _solve_exact([list(r.g) for r in B], rhs)
+            row, key = self.rows[pushed], self.ints[pushed]
+            k = next(k for k, c in enumerate(row.g) if c)
+            shift = Fraction(key[k]) / row.g[k] * Fraction(float(self.length[pushed]))
+            den = shift.denominator
+            rhs = [r * den for r in rhs]
+            rhs[list(self.bases[b]).index(pushed)] += shift.numerator
+        found = _solve_exact([a[:-1] for a in B], rhs)
+        return None if found is None else (found[0], found[1] * den)
 
-    def _satisfies_others(self, i: Optional[int], x: Sequence[Fraction]) -> bool:
-        return all(
-            _dot(self.rows[j].g, x) <= self.rows[j].rhs
-            for j in np.flatnonzero(self.alive) if j != i
-        )
+    def _satisfies_others(self, i: Optional[int],
+                          x: tuple[list[int], int]) -> bool:
+        return all(_holds(self.ints[j], x)
+                   for j in np.flatnonzero(self.alive) if j != i)
 
-    def _violates_only(self, i: int, x: Optional[Sequence[Fraction]]) -> bool:
+    def _violates_only(self, i: int,
+                       x: Optional[tuple[list[int], int]]) -> bool:
         """x is a non-implication witness for row i: it violates row i and
         satisfies every other survivor."""
-        row = self.rows[i]
-        return (x is not None and _dot(row.g, x) > row.rhs
+        return (x is not None and not _holds(self.ints[i], x)
                 and self._satisfies_others(i, x))
 
     def _pushed_out_witness(self, i: int) -> bool:
@@ -566,24 +631,27 @@ class _Certifier:
         return any(self._violates_only(i, self._vertex(b, pushed=i))
                    for b in cand[ok][:_TRIES])
 
-    def _combination(self, b: int, g: Sequence[Fraction]):
-        """Exact ``y`` with ``sum y_j g_j = g`` over basis b, and
-        ``sum y_j c_j``; None unless ``y >= 0``."""
+    def _combination(self, b: int, a: Sequence[int]):
+        """``(y, s, det)``: ``y / det >= 0`` with ``sum y_j a_j = det * a``
+        over the integer rows of basis b (right-hand sides aside), and their
+        combined right-hand side ``s / det = sum y_j b_j / det``; None
+        unless ``y >= 0``."""
         B = self._basis_rows(b)
-        y = _solve_exact([[r.g[k] for r in B] for k in range(self.n)], list(g))
-        if y is None or any(v < 0 for v in y):
+        found = _solve_exact([[r[k] for r in B] for k in range(self.n)], a[:self.n])
+        if found is None or any(v < 0 for v in found[0]):
             return None
-        return y, _dot(y, [r.rhs for r in B])
+        y, det = found
+        return y, sum(v * r[-1] for v, r in zip(y, B)), det
 
     def _implication(self, i: int, b: int) -> bool:
-        row = self.rows[i]
-        found = self._combination(b, row.g)
-        return found is not None and found[1] <= row.rhs
+        a = self.ints[i]
+        found = self._combination(b, a)
+        return found is not None and found[1] <= a[-1] * found[2]
 
     def _farkas(self, i: Optional[int], usable: np.ndarray) -> bool:
         """Find and keep a verified set of survivors other than row i with
-        no common point: basis b and row k with ``g_k + sum y_j g_j = 0``,
-        ``y >= 0`` and ``c_k + sum y_j c_j < 0``."""
+        no common point: basis b and row k with ``a_k + sum y_j a_j = 0``,
+        ``y >= 0`` and ``b_k + sum y_j b_j < 0``."""
         proposals = []
         for k in np.flatnonzero(self.alive):
             if k == i:
@@ -598,12 +666,11 @@ class _Certifier:
             if margin[best] > -_EPS:
                 proposals.append((-margin[best], int(k), int(cand[best])))
         for _, k, b in sorted(proposals)[:_TRIES]:
-            row = self.rows[k]
-            found = self._combination(b, tuple(-c for c in row.g))
-            if found is not None and row.rhs + found[1] < 0:
-                y, _ = found
+            a = self.ints[k]
+            found = self._combination(b, [-c for c in a])
+            if found is not None and a[-1] * found[2] + found[1] < 0:
                 self.farkas = frozenset(
-                    [k] + [int(j) for j, v in zip(self.bases[b], y) if v > 0]
+                    [k] + [int(j) for j, v in zip(self.bases[b], found[0]) if v > 0]
                 )
                 return True
         return False

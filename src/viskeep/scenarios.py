@@ -27,17 +27,15 @@ from typing import NamedTuple
 from .boxes import Box
 from .inequalities import (
     LinearInequalitySystem,
-    Row,
-    _dedup,
+    _over,
+    _scaled_rows,
     rationalize,
 )
 from .simulate import simulate_basic, simulate_circle, simulate_ubb, uniform_noise
 from .systems import (
     UncertainLinearSystem,
+    _gain_rows,
     _mat,
-    _relevant_params,
-    _shifted_vertex_cones,
-    _sub_vertices,
     _zeros,
 )
 
@@ -481,27 +479,34 @@ def feasible_circle(sc: CircleScenario) -> FeasibilityReport:
 # ----------------------------------------------------------------------
 
 
-def admissibility_rows(S: Box, U: Box) -> list[Row]:
+#: A row ``nums[:-1] . k <= nums[-1]`` over the gain ``k``, given as the
+#: integers ``nums`` over ``den > 0``: the row of Fractions ``nums / den``.
+ScaledRow = tuple[tuple[int, ...], int]
+
+
+def admissibility_rows(S: Box, U: Box) -> list[ScaledRow]:
     """Rows of ``K v in U`` over the window vertices, for the sparse gain.
 
     u1 = k11 * s1 and u2 = k22 * s2 + k23 * s3; each row is scaled so its
-    leading coefficient has magnitude 1.
+    leading coefficient has magnitude 1.  Each vertex goes over one
+    denominator, so every row is a few integer products.
     """
     rows = []
     for v in S.vertices():
-        v1, v2, v3 = v
-        for g, hi in (
-            ((v1, Fraction(0), Fraction(0)), U.hi[0]),
-            ((-v1, Fraction(0), Fraction(0)), -U.lo[0]),
-            ((Fraction(0), v2, v3), U.hi[1]),
-            ((Fraction(0), -v2, -v3), -U.lo[1]),
+        (v1, v2, v3), Vd = _over(v)
+        for g, bound in (
+            ((v1, 0, 0), U.hi[0]),
+            ((-v1, 0, 0), -U.lo[0]),
+            ((0, v2, v3), U.hi[1]),
+            ((0, -v2, -v3), -U.lo[1]),
         ):
             lead = next(abs(c) for c in g if c != 0)
-            rows.append(Row(tuple(c / lead for c in g), hi / lead))
+            rows.append((tuple(c * bound.denominator for c in g)
+                         + (bound.numerator * Vd,), bound.denominator * lead))
     return rows
 
 
-def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[Row]:
+def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[ScaledRow]:
     """Shifted-cone certificate rows, rearranged as inequalities in
     ``(k11, k22, k23)``.
 
@@ -510,36 +515,20 @@ def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[Row]:
     entries because ``F = A + B K``.  The face of state ``i`` reads row ``i``
     of A and B alone, so it is enumerated over the vertices of the
     parameters whose A or B slice has a nonzero row ``i``.  Rows come by
-    window vertex, then face, then parameter vertex, and may repeat."""
-    if (sys.n, sys.m) != (3, 2):
-        raise ValueError("gain rows require a 3-state, 2-input system")
-    tau = Fraction(tau)
-    AB = []  # state i -> rows i of (A(w), B(w)) over the vertices that matter
-    for i in range(sys.n):
-        params = sorted(set(_relevant_params(sys.A, i))
-                        | set(_relevant_params(sys.B, i)))
-        AB.append([(sys.eval_A(w)[i], sys.eval_B(w)[i])
-                   for w in _sub_vertices(sys.Q, params)])
-    terms = {}  # face -> [(tau g_i A(w)_i, tau g_i B(w)_i)]
-    rows: list[Row] = []
-    for v, faces in _shifted_vertex_cones(sys, tau):
-        for f, (g, xi_shifted) in faces:
-            i = f % sys.n
-            if f not in terms:
-                scale = tau * g[i]
-                terms[f] = [([scale * x for x in a], [scale * x for x in b])
-                            for a, b in AB[i]]
-            for gA, gB in terms[f]:
-                const = g[i] * v[i] + sum(a * x for a, x in zip(gA, v) if a)
-                coeffs = (gB[0] * v[0], gB[1] * v[1], gB[1] * v[2])
-                rows.append(Row(coeffs, xi_shifted - const))
-    return rows
+    window vertex, then face, then parameter vertex, and may repeat; see
+    :func:`~viskeep.systems._gain_rows`, which the exact cone certificate
+    reads too."""
+    return [(nums, den) for _, cone in _gain_rows(sys, tau)
+            for _, rows in cone for _, nums, den in rows]
 
 
 def _pipeline_polytope(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySystem:
-    """Invariance then admissibility rows, exact duplicates dropped once."""
-    rows = invariance_rows(sys, tau) + admissibility_rows(sys.S, sys.U)
-    return LinearInequalitySystem(3, _dedup(rows))
+    """Invariance then admissibility rows, exact duplicates dropped once on
+    their integer keys; only the rows that survive are built as Fractions,
+    and their keys are the system's integer rows."""
+    rows, keys = _scaled_rows(invariance_rows(sys, tau)
+                              + admissibility_rows(sys.S, sys.U))
+    return LinearInequalitySystem._keyed(3, rows, keys)
 
 
 def gain_polytope(sc: BasicScenario) -> LinearInequalitySystem:

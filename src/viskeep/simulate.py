@@ -210,11 +210,15 @@ class ViolationReport:
         }
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:  # NaN or inf would pass every sample
+        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
+
+
 def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> ViolationReport:
     """Per-sample box check of states against S and inputs against U; a
     non-finite sample is a violation with infinite excess."""
-    if not 0 <= tol < math.inf:  # NaN or inf would pass every sample
-        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
+    _check_tol(tol)
     labels_s = ("dp1", "p2", "beta")
     labels_u = ("vF", "wF")
     state_viol, input_viol = [], []
@@ -248,16 +252,6 @@ def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> Violatio
 # ----------------------------------------------------------------------
 # The integrator
 # ----------------------------------------------------------------------
-
-
-def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:
-    """Relative coordinates (p1, p2, beta) of the leader seen from the
-    follower, recomputed from two world poses."""
-    xf, yf, tf = pose_f
-    xl, yl, tl = pose_l
-    dx, dy = xl - xf, yl - yf
-    c, s = math.cos(tf), math.sin(tf)
-    return (c * dx + s * dy, -s * dx + c * dy, tl - tf)
 
 
 def _rk4_source(n: int) -> str:
@@ -425,10 +419,6 @@ def uniform_noise(amp_f: float, amp_l: float, seed: int = 0) -> Callable[[int], 
     """Per-step uniform lateral noise, held constant across RK4 stages."""
     rng = random.Random(seed)
     return lambda i: (rng.uniform(-amp_f, amp_f), rng.uniform(-amp_l, amp_l))
-
-
-def constant_noise(h_f: float, h_l: float) -> Callable[[int], tuple]:
-    return lambda i: (h_f, h_l)
 
 
 def simulate_ubb(

@@ -24,10 +24,15 @@ from typing import Iterable, Optional, Sequence
 
 from .inequalities import (
     LinearInequalitySystem,
+    _dot,
+    _holds,
     _nearest_point_proposals,
     _solve_exact,
 )
 from .systems import GainMatrix
+
+#: A point ``num / den`` with integer numerators and ``den > 0``.
+Point = tuple[list[int], int]
 
 
 class InfeasiblePolytopeError(ValueError):
@@ -35,24 +40,29 @@ class InfeasiblePolytopeError(ValueError):
 
 
 def _kkt_point(poly: LinearInequalitySystem,
-               subset: Sequence[int]) -> Optional[tuple[Fraction, ...]]:
+               subset: Sequence[int]) -> Optional[Point]:
     """Exact projection of the origin onto ``{x : g_i . x = c_i}`` over the
     rows of `subset`, if it satisfies every row of `poly` and its
     multipliers are ``<= 0``; None otherwise (or if the rows are
-    dependent)."""
-    G = [list(poly.rows[i].g) for i in subset]
-    c = [poly.rows[i].rhs for i in subset]
-    gram = [[sum(a * b for a, b in zip(gi, gj)) for gj in G] for gi in G]
-    lam = _solve_exact(gram, c)
-    if lam is None or any(l > 0 for l in lam):
+    dependent).
+
+    Solved on the rows' integer forms ``(a_i, b_i)``: the same planes, and
+    multipliers scaled by positive factors, so with the same signs.  The
+    Gram system ``[a_i . a_j] lam = b`` gives ``lam / det``, the point is
+    ``sum lam_i a_i / det``, and every test is an integer sign test."""
+    n = poly.num_vars
+    A = [poly.int_rows[i] for i in subset]
+    gram = [[_dot(ai[:n], aj) for aj in A] for ai in A]
+    found = _solve_exact(gram, [a[-1] for a in A])
+    if found is None or any(l > 0 for l in found[0]):
         return None
-    point = tuple(sum(l * g[j] for l, g in zip(lam, G))
-                  for j in range(poly.num_vars))
-    return point if poly.satisfies(point) else None
+    lam, det = found
+    point = ([sum(l * a[j] for l, a in zip(lam, A)) for j in range(n)], det)
+    return point if all(_holds(a, point) for a in poly.int_rows) else None
 
 
 def _first_kkt_point(poly: LinearInequalitySystem,
-                     subsets: Iterable[Sequence[int]]) -> Optional[tuple[Fraction, ...]]:
+                     subsets: Iterable[Sequence[int]]) -> Optional[Point]:
     return next(filter(None, (_kkt_point(poly, s) for s in subsets)), None)
 
 
@@ -91,25 +101,25 @@ def min_norm_gain(poly: LinearInequalitySystem) -> SynthesisResult:
     if poly.num_vars > 3:
         raise ValueError("active-set enumeration is meant for <= 3 variables")
     n = poly.num_vars
-    gain_exact: Optional[tuple[Fraction, ...]] = tuple(Fraction(0) for _ in range(n))
-    if not poly.satisfies(gain_exact):
-        gain_exact = _first_kkt_point(poly, _nearest_point_proposals(poly.rows, n))
-        if gain_exact is None:
+    point: Optional[Point] = ([0] * n, 1)
+    if not all(_holds(a, point) for a in poly.int_rows):
+        point = _first_kkt_point(poly, _nearest_point_proposals(poly.rows, n))
+        if point is None:
             reduced = poly.reduce()
-            gain_exact = _first_kkt_point(reduced, (
+            point = _first_kkt_point(reduced, (
                 subset for size in range(1, n + 1)
                 for subset in combinations(range(len(reduced.rows)), size)))
-        if gain_exact is None:
+        if point is None:
             raise InfeasiblePolytopeError("gain polytope is empty")
 
-    active = tuple(
-        i for i, row in enumerate(poly.rows)
-        if sum(c * x for c, x in zip(row.g, gain_exact)) == row.rhs
-    )
+    num, den = point
+    active = tuple(i for i, a in enumerate(poly.int_rows)
+                   if _dot(a, num) == a[-1] * den)
+    gain_exact = tuple(Fraction(v, den) for v in num)
     gain_f = tuple(float(x) for x in gain_exact) + (0.0,) * (3 - n)
     return SynthesisResult(
         gain=GainMatrix(*gain_f),
-        norm=math.sqrt(float(sum(x * x for x in gain_exact))),
+        norm=math.sqrt(sum(v * v for v in num) / den ** 2),
         active_rows=active,
         kkt_residual=0.0,
         exact_gain=gain_exact,

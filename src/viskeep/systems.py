@@ -12,7 +12,8 @@ checking finitely many vertex conditions:
   plane shifted inward by the worst disturbance push.
 
 All three run either in floats (absolute tolerance 1e-9) or, when the gain
-and tau are rational, in exact arithmetic.
+and tau are rational, in exact arithmetic: every quantity goes over a
+common denominator and each test is an integer sign test.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
+from .inequalities import _dot, _over
 
 FLOAT_TOL = 1e-9
 
@@ -99,6 +101,62 @@ def _shifted_vertex_cones(sys: UncertainLinearSystem, tau):
         faces = [i if x == hi else S.dim + i
                  for i, (x, hi) in enumerate(zip(v, S.hi))]
         yield v, [(f, shifted[f]) for f in faces]
+
+
+def _ab_params(sys: UncertainLinearSystem, i: int) -> list[int]:
+    """Parameters with a nonzero row ``i`` of A or of B."""
+    return sorted(set(_relevant_params(sys.A, i)) | set(_relevant_params(sys.B, i)))
+
+
+def _gain_rows(sys: UncertainLinearSystem, tau):
+    """The shifted-cone certificate as inequalities in the sparse gain
+    ``(k11, k22, k23)``, in integers.
+
+    Yields ``(v, cone)`` for every window vertex ``v`` in ``S.vertices()``
+    order.  ``cone`` holds, for each face ``g . s <= xi`` of the shifted
+    vertex cone in turn, its state ``i`` and a list of ``(key, nums, den)``
+    over the vertices ``w`` of the parameters in row ``i`` of A and B
+    (``key`` is their values): the condition
+    ``g . (I + tau F(w)) v <= xi``, ``F = A + B K``, read as
+    ``nums[:3] . k <= nums[3]``, which is linear in the gain because the
+    face reads only entry ``i``.  ``nums / den`` (``den > 0``) is the row
+    ``(tau g_i B(w)_i0 v_0, tau g_i B(w)_i1 v_1, tau g_i B(w)_i1 v_2,
+    xi - g_i v_i - tau g_i A(w)_i . v)`` exactly: every constant is put
+    over one denominator once, and a row costs a few integer products.
+    """
+    if (sys.n, sys.m) != (3, 2):
+        raise ValueError("gain rows require a 3-state, 2-input system")
+    tau = Fraction(tau)
+    AB = []  # state i -> [(key, numerators of A(w)_i and B(w)_i, their den)]
+    for i in range(sys.n):
+        params = _ab_params(sys, i)
+        AB.append([
+            (tuple(w[l] for l in params),
+             *_over(_affine_row(sys.A, i, w) + _affine_row(sys.B, i, w)))
+            for w in _sub_vertices(sys.Q, params)
+        ])
+    terms = {}  # face -> [(key, coefficient terms, xi term, g_i term, den)]
+    for v, faces in _shifted_vertex_cones(sys, tau):
+        Vn, Vd = _over(v)
+        cone = []
+        for f, (g, xi) in faces:
+            i = f % sys.n
+            if f not in terms:
+                # the row's terms over t.den gi.den xi.den d Vd, d the
+                # denominator of A(w)_i and B(w)_i, Vd that of v
+                t, gi = tau * g[i], g[i]
+                lead = t.numerator * gi.denominator * xi.denominator
+                x0 = xi.numerator * t.denominator * gi.denominator
+                g0 = gi.numerator * t.denominator * xi.denominator
+                den = t.denominator * gi.denominator * xi.denominator
+                terms[f] = [(key, [lead * x for x in ABn], x0 * d, g0 * d, den * d)
+                            for key, ABn, d in AB[i]]
+            cone.append((i, [
+                (key, (P[3] * Vn[0], P[4] * Vn[1], P[4] * Vn[2],
+                       x0 * Vd - g0 * Vn[i] - _dot(P, Vn)), den * Vd)
+                for key, P, x0, g0, den in terms[f]
+            ]))
+        yield v, cone
 
 
 @dataclass(frozen=True)
@@ -185,17 +243,6 @@ class UncertainLinearSystem:
         return _affine(self.E, q)
 
 
-def eval_matrices(sys: UncertainLinearSystem, q: Sequence):
-    """Exact affine evaluation of ``(A(q), B(q), E(q))``."""
-    if len(q) != sys.p:
-        raise ValueError(f"q has {len(q)} entries, expected {sys.p}")
-    if not sys.Q.contains(q, tol=FLOAT_TOL):
-        import warnings
-
-        warnings.warn("parameter vector lies outside Q", stacklevel=2)
-    return sys.eval_A(q), sys.eval_B(q), sys.eval_E(q)
-
-
 @dataclass(frozen=True)
 class ClosedLoopFamily:
     """``F(q) = A(q) + B(q) K``, affine in q for a constant gain."""
@@ -272,23 +319,40 @@ def _float_tuple(v) -> tuple:
 
 
 def check_admissible(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
-    """``K v`` inside U for every vertex ``v`` of S."""
+    """``K v`` inside U for every vertex ``v`` of S.
+
+    With an exact gain, K, the vertices of S and U are each put over one
+    denominator, so ``K v`` and its bounds are integers over ``den`` and
+    every test is an integer sign test; otherwise the test runs in floats
+    with tolerance ``FLOAT_TOL``."""
     exact = K.is_exact()
-    tol = 0 if exact else FLOAT_TOL
     Km = K.matrix()
+    if exact:
+        Kn, Kd = _over([x for row in Km for x in row])
+        w = len(Km[0])
+        Kn = [Kn[j:j + w] for j in range(0, len(Kn), w)]
+        Vd = math.lcm(*(x.denominator for x in S.lo + S.hi))
+        Un, Ud = _over(U.lo + U.hi)
+        den, tol = Kd * Vd * Ud, 0
+        lo = [x * Kd * Vd for x in Un[:U.dim]]
+        hi = [x * Kd * Vd for x in Un[U.dim:]]
+    else:
+        den, tol, lo, hi = 1, FLOAT_TOL, U.lo_f, U.hi_f
     violations = []
     for v in S.vertices():
-        vv = v if exact else _float_tuple(v)
-        u = _mat_vec(Km, vv)
-        for j, (lo, hi, uj) in enumerate(zip(U.lo, U.hi, u)):
-            lo_b, hi_b, val = (lo, hi, uj) if exact else (float(lo), float(hi), float(uj))
+        if exact:
+            Vn = [x.numerator * (Vd // x.denominator) for x in v]
+            u = [_dot(row, Vn) * Ud for row in Kn]
+        else:
+            u = [float(x) for x in _mat_vec(Km, _float_tuple(v))]
+        for j, (lo_b, hi_b, val) in enumerate(zip(lo, hi, u)):
             if val > hi_b + tol:
                 violations.append(
-                    Violation(_float_tuple(v), None, None, f"u[{j}] <= hi", float(hi_b - val))
+                    Violation(_float_tuple(v), None, None, f"u[{j}] <= hi", (hi_b - val) / den)
                 )
             if val < lo_b - tol:
                 violations.append(
-                    Violation(_float_tuple(v), None, None, f"u[{j}] >= lo", float(val - lo_b))
+                    Violation(_float_tuple(v), None, None, f"u[{j}] >= lo", (val - lo_b) / den)
                 )
     return CertificateReport(
         holds=not violations,
@@ -312,6 +376,51 @@ def _certificate_inputs(sys, K, tau):
     return exact, tau, conv, S_verts, Q_verts, D_verts
 
 
+def _cone_failures_exact(sys, K, tau):
+    """Exact path of :func:`check_D_invariant_cone`, on the integer rows of
+    :func:`_gain_rows`: the gain ``k = Kn / Kd`` fails a row iff
+    ``nums[3] * Kd - nums[:3] . Kn < 0``, and that integer over
+    ``den * Kd`` is the slack ``xi - g . (I + tau F(w)) v`` exactly."""
+    Kn, Kd = _over(K.entries())
+    for v, cone in _gain_rows(sys, tau):
+        failed = []  # (cone row, state, {key: slack} of its violations)
+        for h, (i, rows) in enumerate(cone):
+            slacks = {}
+            for key, nums, den in rows:
+                gap = nums[3] * Kd - _dot(nums, Kn)
+                if gap < 0:
+                    slacks[key] = gap / (den * Kd)
+            if slacks:
+                failed.append((h, i, slacks))
+        yield v, failed
+
+
+def _cone_failures_float(sys, K, tau, Q_verts, keys):
+    """Float path of :func:`check_D_invariant_cone`: row ``i`` of ``F(w)``
+    once per key, applied to ``v`` and tested with tolerance
+    ``FLOAT_TOL``."""
+    F = closed_loop(sys, K.as_floats()).F
+    F_rows = [{} for _ in range(sys.n)]  # state i -> {key: row i of F(w)}
+    for i, rows in enumerate(F_rows):
+        for key, w in zip(keys[i], Q_verts):
+            if key not in rows:
+                rows[key] = _affine_row(F, i, w)
+    for v_exact, faces in _shifted_vertex_cones(sys, tau):
+        v = _float_tuple(v_exact)
+        failed = []
+        for h, (f, (g, xi)) in enumerate(faces):
+            i = f % sys.n
+            gi, xi = float(g[i]), float(xi)
+            slacks = {}
+            for key, row in F_rows[i].items():
+                val = gi * (v[i] + tau * sum(c * x for c, x in zip(row, v)))
+                if val > xi + FLOAT_TOL:
+                    slacks[key] = float(xi - val)
+            if slacks:
+                failed.append((h, i, slacks))
+        yield v_exact, failed
+
+
 def check_D_invariant_cone(
     sys: UncertainLinearSystem, K: GainMatrix, tau
 ) -> CertificateReport:
@@ -321,39 +430,22 @@ def check_D_invariant_cone(
     case ``tau * g . E(w) r`` over the vertices of D and of the parameters
     E depends on, computed once per face of S.  A face of ``s_i`` reads
     only entry ``i`` of ``(I + tau F(w)) v``, and row ``i`` of ``F(w)``
-    depends only on the parameters with a nonzero coefficient in that row,
-    so each entry is formed once per vertex of those parameters and its
-    violations are reported for every ``w`` sharing it.
+    depends only on the parameters with a nonzero row ``i`` of A or B, so
+    each entry is formed once per vertex of those parameters and its
+    violations are reported for every ``w`` sharing it.  With an exact gain
+    and tau each entry is an integer sign test on the gain-polytope rows of
+    :func:`_gain_rows`; otherwise it is evaluated in floats.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    exact, tau_c, conv, _, Q_verts, _ = _certificate_inputs(sys, K, tau)
-    tol = 0 if exact else FLOAT_TOL
-    F = closed_loop(sys, K if exact else K.as_floats()).F
-    keys = []  # state i -> key of each w: its values on the parameters of row i
-    F_rows = []  # state i -> {key: row i of F(w)}
-    for i in range(sys.n):
-        params = _relevant_params(F, i)
-        keys.append([tuple(w[l] for l in params) for w in Q_verts])
-        rows = {}
-        for key, w in zip(keys[i], Q_verts):
-            if key not in rows:
-                rows[key] = _affine_row(F, i, w)
-        F_rows.append(rows)
+    exact, tau_c, _, _, Q_verts, _ = _certificate_inputs(sys, K, tau)
+    # state i -> key of each w: its values on the parameters of row i
+    keys = [[tuple(w[l] for l in params) for w in Q_verts]
+            for params in (_ab_params(sys, i) for i in range(sys.n))]
+    failures = (_cone_failures_exact(sys, K, tau_c) if exact
+                else _cone_failures_float(sys, K, tau_c, Q_verts, keys))
     violations = []
-    for v_exact, faces in _shifted_vertex_cones(sys, tau_c):
-        v = conv(v_exact)
-        failed = []  # (cone row, state, {key: slack} of its violations)
-        for h, (f, (g, xi)) in enumerate(faces):
-            i = f % sys.n
-            gi, xi = (g[i], xi) if exact else (float(g[i]), float(xi))
-            slacks = {}
-            for key, row in F_rows[i].items():
-                val = gi * (v[i] + tau_c * sum(c * x for c, x in zip(row, v)))
-                if val > xi + tol:
-                    slacks[key] = float(xi - val)
-            if slacks:
-                failed.append((h, i, slacks))
+    for v, failed in failures:
         for k, w in enumerate(Q_verts):
             for h, i, slacks in failed:
                 slack = slacks.get(keys[i][k])
@@ -396,6 +488,66 @@ def _steps(T: float, dt: float) -> int:
     return n
 
 
+def _switching_segments(sys: UncertainLinearSystem, K: GainMatrix,
+                        n_runs: int, total_steps: int, dt: float, dwell: float,
+                        seed: int):
+    """The states of every run, one dwell segment at a time: yields the
+    ``(steps, n, runs)`` buffer of each segment, valid until the next one
+    (see :func:`simulate_linear_switching`)."""
+    rng = np.random.default_rng(seed)
+    n = sys.n
+    A = _stack_f(sys.A)
+    B = _stack_f(sys.B)
+    E = _stack_f(sys.E)
+    Km = np.array([[float(x) for x in row] for row in K.matrix()])
+    Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
+    Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
+
+    # phi and the psi operator of every parameter vertex, built once; each
+    # segment gathers them per run (phi kept run-last, (n, n, vertices))
+    if sys.p:
+        Aq = A[0] + np.einsum("rl,lij->rij", Qv, A[1:])
+        Bq = B[0] + np.einsum("rl,lij->rij", Qv, B[1:])
+        Eq = E[0] + np.einsum("rl,lij->rij", Qv, E[1:])
+    else:
+        Aq, Bq, Eq = A[:1], B[:1], E[:1]
+    eye = np.eye(n)
+    dtF = dt * (Aq + Bq @ Km)
+    dtF2 = dtF @ dtF
+    dtF3 = dtF2 @ dtF
+    phi_q = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
+    phi_q = np.ascontiguousarray(phi_q.transpose(1, 2, 0))
+    psi_q = eye + dtF / 2 + dtF2 / 6 + dtF3 / 24
+
+    x = rng.uniform(np.array(sys.S.lo_f), np.array(sys.S.hi_f), size=(n_runs, n)).T
+    steps_per_dwell = max(1, int(round(dwell / dt)))
+    buf = np.empty((min(steps_per_dwell, total_steps), n, n_runs))
+    done = 0
+    while done < total_steps:
+        seg = min(steps_per_dwell, total_steps - done)
+        qi = rng.integers(0, len(Qv), size=n_runs)
+        d = Dv[rng.integers(0, len(Dv), size=n_runs)]
+        c = np.einsum("rij,rj->ri", Eq[qi], d) if sys.l else np.zeros((n_runs, n))
+        phi = phi_q.take(qi, axis=2)  # C order, as the kernel expects
+        psi = np.ascontiguousarray((dt * np.einsum("rij,rj->ri", psi_q[qi], c)).T)
+        out = buf[:seg]
+        np.einsum("ijr,jr->ir", phi, x, out=out[0])
+        out[0] += psi
+        # out[f + k] = phi^f out[k] + x_f, x_f being out[f - 1] from zero
+        phi_f, x_f, f = phi, psi, 1
+        while f < seg:
+            m = min(f, seg - f)
+            np.einsum("ijr,kjr->kir", phi_f, out[:m], out=out[f:f + m])
+            out[f:f + m] += x_f
+            f += m
+            if f < seg:  # then m was f: double it
+                x_f = np.einsum("ijr,jr->ir", phi_f, x_f) + x_f
+                phi_f = np.einsum("ijr,jkr->ikr", phi_f, phi_f)
+        yield out
+        x = out[-1].copy()  # the next segment overwrites the buffer
+        done += seg
+
+
 def simulate_linear_switching(
     sys: UncertainLinearSystem,
     K: GainMatrix,
@@ -415,8 +567,11 @@ def simulate_linear_switching(
     is the largest box violation observed at any step (0.0 for clean runs,
     ``inf`` once a run is no longer finite).
 
-    Every run advances one dwell segment at a time, with the states kept
-    run-last, ``(n, runs)``, in a preallocated ``(steps, n, runs)`` buffer.
+    The step operators ``phi`` and ``psi`` depend only on the parameter
+    vertex (``psi`` applied to ``E(q) d``), so they are built once per
+    vertex of Q and gathered per run at each switch.  Every run advances one
+    dwell segment at a time, with the states kept run-last, ``(n, runs)``,
+    in a preallocated ``(steps, n, runs)`` buffer.
     The state ``f + k`` steps into a segment is ``phi^f`` applied to the
     state ``k`` steps in, plus the state ``f`` steps in from zero, so the
     filled part of the buffer doubles with each batched ``einsum``: 7 of
@@ -430,60 +585,13 @@ def simulate_linear_switching(
     if n_runs < 1 or dwell <= 0:
         raise ValueError(f"need n_runs >= 1 and dwell > 0, not {n_runs!r} "
                          f"and {dwell!r}")
-    rng = np.random.default_rng(seed)
-    n = sys.n
-    A = _stack_f(sys.A)
-    B = _stack_f(sys.B)
-    E = _stack_f(sys.E)
-    Km = np.array([[float(x) for x in row] for row in K.matrix()])
-    Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
-    Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
-    lo = np.array(sys.S.lo_f)
-    hi = np.array(sys.S.hi_f)
-
-    x = rng.uniform(lo, hi, size=(n_runs, n)).T
-    steps_per_dwell = max(1, int(round(dwell / dt)))
-    buf = np.empty((min(steps_per_dwell, total_steps), n, n_runs))
-    lo_c, hi_c = lo[:, None], hi[:, None]
-    eye = np.eye(n)
+    lo_c = np.array(sys.S.lo_f)[:, None]
+    hi_c = np.array(sys.S.hi_f)[:, None]
     max_excess = 0.0
-    done = 0
-    while done < total_steps:
-        seg = min(steps_per_dwell, total_steps - done)
-        q = Qv[rng.integers(0, len(Qv), size=n_runs)]
-        d = Dv[rng.integers(0, len(Dv), size=n_runs)]
-        Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:]) if sys.p else np.broadcast_to(A[0], (n_runs, n, n))
-        Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:]) if sys.p else np.broadcast_to(B[0], (n_runs, n, sys.m))
-        Eq = E[0] + np.einsum("rl,lij->rij", q, E[1:]) if sys.p else np.broadcast_to(E[0], (n_runs, n, sys.l))
-        F = Aq + Bq @ Km
-        c = np.einsum("rij,rj->ri", Eq, d) if sys.l else np.zeros((n_runs, n))
-        dtF = dt * F
-        dtF2 = dtF @ dtF
-        dtF3 = dtF2 @ dtF
-        phi = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
-        psi = dt * np.einsum(
-            "rij,rj->ri", eye + dtF / 2 + dtF2 / 6 + dtF3 / 24, c
-        )
-        phi = np.ascontiguousarray(phi.transpose(1, 2, 0))
-        psi = np.ascontiguousarray(psi.T)
-        out = buf[:seg]
-        np.einsum("ijr,jr->ir", phi, x, out=out[0])
-        out[0] += psi
-        # out[f + k] = phi^f out[k] + x_f, x_f being out[f - 1] from zero
-        phi_f, x_f, f = phi, psi, 1
-        while f < seg:
-            m = min(f, seg - f)
-            np.einsum("ijr,kjr->kir", phi_f, out[:m], out=out[f:f + m])
-            out[f:f + m] += x_f
-            f += m
-            if f < seg:  # then m was f: double it
-                x_f = np.einsum("ijr,jr->ir", phi_f, x_f) + x_f
-                phi_f = np.einsum("ijr,jkr->ikr", phi_f, phi_f)
-        x = out[-1].copy()  # the next segment overwrites the buffer
+    for out in _switching_segments(sys, K, n_runs, total_steps, dt, dwell, seed):
         excess = float(np.maximum(np.max(lo_c - out, initial=0.0),
                                   np.max(out - hi_c, initial=0.0)))
         if math.isnan(excess):  # a run overflowed, then lost its value
             excess = math.inf
         max_excess = max(max_excess, excess)
-        done += seg
     return max_excess <= tol, max_excess

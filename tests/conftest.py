@@ -4,6 +4,7 @@ from array import array
 from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -11,12 +12,11 @@ import pytest
 
 from viskeep.boxes import Box
 from viskeep.demos import CIRCLE_SCENARIO
-from viskeep.inequalities import LinearInequalitySystem, Row, _dedup, _solve_exact
+from viskeep.inequalities import LinearInequalitySystem, Row
 from viskeep.scenarios import (
     BasicScenario,
     CircleScenario,
     UbbScenario,
-    admissibility_rows,
     exact_basic,
     feasible_basic,
 )
@@ -28,6 +28,7 @@ from viskeep.systems import (
     GainMatrix,
     UncertainLinearSystem,
     Violation,
+    _affine_row,
     _certificate_inputs,
     _float_tuple,
     _mat,
@@ -36,6 +37,7 @@ from viskeep.systems import (
     _shifted_vertex_cones,
     _stack_f,
     _steps,
+    _sub_vertices,
     _zeros,
     closed_loop,
 )
@@ -118,6 +120,177 @@ def random_family_scenario(rnd: random.Random, kind: str):
         return sc
 
 
+def system_from_rows(num_vars: int, rows) -> LinearInequalitySystem:
+    """System of ``(coefficients, rhs)`` pairs, each entry made a Fraction."""
+    return LinearInequalitySystem(num_vars, tuple(
+        Row(tuple(Fraction(c) for c in g), Fraction(rhs)) for g, rhs in rows))
+
+
+def solve_exact_oracle(M, rhs):
+    """Gaussian elimination over the rationals; None if singular: the
+    oracle for the fraction-free ``inequalities._solve_exact``."""
+    k = len(M)
+    aug = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(M, rhs)]
+    for col in range(k):
+        pivot = next((i for i in range(col, k) if aug[i][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [x * inv for x in aug[col]]
+        for i in range(k):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return [row[k] for row in aug]
+
+
+def normalized_key_oracle(row: Row) -> tuple:
+    """Fraction key of a row: coefficients scaled to integers with overall
+    gcd 1 (positive scale), the rhs scaled alike; a row with all-zero
+    coefficients keeps its rhs sign in {-1, 0, 1}.  The oracle for the
+    integer ``inequalities.normalized_key``: both split rows into the same
+    duplicate classes."""
+    if all(c == 0 for c in row.g):
+        r = row.rhs
+        if r != 0:
+            r = Fraction(1 if r > 0 else -1)
+        return (row.g, r)
+    denom_lcm = lcm(*(c.denominator for c in row.g))
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in row.g]
+    g = gcd(*ints)
+    return (tuple(Fraction(v // g) for v in ints),
+            row.rhs * Fraction(denom_lcm, g))
+
+
+def dedup_oracle(rows) -> tuple:
+    """Rows with exact duplicates dropped on the Fraction key, keeping the
+    first occurrence."""
+    seen = set()
+    out = []
+    for row in rows:
+        key = normalized_key_oracle(row)
+        if key not in seen:
+            seen.add(key)
+            out.append(row)
+    return tuple(out)
+
+
+def eliminate_oracle(system: LinearInequalitySystem, var: int) -> LinearInequalitySystem:
+    """One Fourier-Motzkin step in ``Fraction`` arithmetic: rows free of
+    `var` first, then every (positive, negative) pair, each combination
+    scaled to integer coefficients with gcd 1, duplicates dropped on the
+    Fraction key.  The oracle for ``LinearInequalitySystem.eliminate``."""
+    zero = [r for r in system.rows if r.g[var] == 0]
+    pos = [r for r in system.rows if r.g[var] > 0]
+    neg = [r for r in system.rows if r.g[var] < 0]
+
+    def drop(row: Row) -> Row:
+        return Row(row.g[:var] + row.g[var + 1:], row.rhs)
+
+    out = [drop(r) for r in zero]
+    for p in pos:
+        inv_p = 1 / p.g[var]
+        for n in neg:
+            inv_n = -1 / n.g[var]
+            g = tuple(cp * inv_p + cn * inv_n for cp, cn in zip(drop(p).g, drop(n).g))
+            key = normalized_key_oracle(Row(g, p.rhs * inv_p + n.rhs * inv_n))
+            out.append(Row(tuple(key[0]), key[1]))
+    return LinearInequalitySystem(system.num_vars - 1, dedup_oracle(out))
+
+
+def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:
+    """Rows of ``K v in U`` over the window vertices, for the sparse gain.
+
+    u1 = k11 * s1 and u2 = k22 * s2 + k23 * s3; each row is scaled so its
+    leading coefficient has magnitude 1.  Built in ``Fraction`` arithmetic.
+    """
+    rows = []
+    for v in S.vertices():
+        v1, v2, v3 = v
+        for g, hi in (
+            ((v1, Fraction(0), Fraction(0)), U.hi[0]),
+            ((-v1, Fraction(0), Fraction(0)), -U.lo[0]),
+            ((Fraction(0), v2, v3), U.hi[1]),
+            ((Fraction(0), -v2, -v3), -U.lo[1]),
+        ):
+            lead = next(abs(c) for c in g if c != 0)
+            rows.append(Row(tuple(c / lead for c in g), hi / lead))
+    return rows
+
+
+def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
+    """Shifted-cone certificate rows, rearranged as inequalities in
+    ``(k11, k22, k23)``.
+
+    For each window vertex ``v`` and each face ``g . s <= 1`` of its cone,
+    ``g . (I + tau F(w)) v <= 1 - max tau g . E r`` is linear in the gain
+    entries because ``F = A + B K``.  The face of state ``i`` reads row ``i``
+    of A and B alone, so it is enumerated over the vertices of the
+    parameters whose A or B slice has a nonzero row ``i``.  Rows come by
+    window vertex, then face, then parameter vertex, and may repeat.  Built
+    in ``Fraction`` arithmetic: with :func:`admissibility_rows_oracle`, the
+    oracle for the integer rows of ``scenarios.invariance_rows``."""
+    if (sys.n, sys.m) != (3, 2):
+        raise ValueError("gain rows require a 3-state, 2-input system")
+    tau = Fraction(tau)
+    AB = []  # state i -> rows i of (A(w), B(w)) over the vertices that matter
+    for i in range(sys.n):
+        params = sorted(set(_relevant_params(sys.A, i))
+                        | set(_relevant_params(sys.B, i)))
+        AB.append([(sys.eval_A(w)[i], sys.eval_B(w)[i])
+                   for w in _sub_vertices(sys.Q, params)])
+    terms = {}  # face -> [(tau g_i A(w)_i, tau g_i B(w)_i)]
+    rows: list[Row] = []
+    for v, faces in _shifted_vertex_cones(sys, tau):
+        for f, (g, xi_shifted) in faces:
+            i = f % sys.n
+            if f not in terms:
+                scale = tau * g[i]
+                terms[f] = [([scale * x for x in a], [scale * x for x in b])
+                            for a, b in AB[i]]
+            for gA, gB in terms[f]:
+                const = g[i] * v[i] + sum(a * x for a, x in zip(gA, v) if a)
+                coeffs = (gB[0] * v[0], gB[1] * v[1], gB[1] * v[2])
+                rows.append(Row(coeffs, xi_shifted - const))
+    return rows
+
+
+def pipeline_polytope_oracle(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySystem:
+    """Invariance then admissibility rows as Fractions, duplicates dropped
+    on the Fraction key: the polytope ``scenarios._pipeline_polytope`` must
+    give row for row."""
+    rows = invariance_rows_oracle(sys, tau) + admissibility_rows_oracle(sys.S, sys.U)
+    return LinearInequalitySystem(3, dedup_oracle(rows))
+
+
+def eval_matrices(sys: UncertainLinearSystem, q: Sequence):
+    """Exact affine evaluation of ``(A(q), B(q), E(q))``; warns when q lies
+    outside Q."""
+    if len(q) != sys.p:
+        raise ValueError(f"q has {len(q)} entries, expected {sys.p}")
+    if not sys.Q.contains(q, tol=FLOAT_TOL):
+        import warnings
+
+        warnings.warn("parameter vector lies outside Q", stacklevel=2)
+    return sys.eval_A(q), sys.eval_B(q), sys.eval_E(q)
+
+
+def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:
+    """Relative coordinates (p1, p2, beta) of the leader seen from the
+    follower, recomputed from two world poses."""
+    xf, yf, tf = pose_f
+    xl, yl, tl = pose_l
+    dx, dy = xl - xf, yl - yf
+    c, s = math.cos(tf), math.sin(tf)
+    return (c * dx + s * dy, -s * dx + c * dy, tl - tf)
+
+
+def constant_noise(h_f: float, h_l: float) -> Callable[[int], tuple]:
+    """Lateral noise held at (h_f, h_l) for the whole run."""
+    return lambda i: (h_f, h_l)
+
+
 def family_polytope(sc: BasicScenario) -> LinearInequalitySystem:
     """Basic gain polytope from the eight hand-expanded inequality families
     of the vertex construction: the oracle for the generic shifted-cone
@@ -161,8 +334,8 @@ def family_polytope(sc: BasicScenario) -> LinearInequalitySystem:
 
     S = Box.symmetric((c.a, c.a, c.b))
     U = Box.symmetric((c.V_F, c.Omega_F))
-    rows.extend(admissibility_rows(S, U))
-    return LinearInequalitySystem(3, _dedup(rows))
+    rows.extend(admissibility_rows_oracle(S, U))
+    return LinearInequalitySystem(3, dedup_oracle(rows))
 
 
 def _project_origin(rows):
@@ -171,7 +344,7 @@ def _project_origin(rows):
     G = [list(r.g) for r in rows]
     c = [r.rhs for r in rows]
     gram = [[sum(a * b for a, b in zip(gi, gj)) for gj in G] for gi in G]
-    lam = _solve_exact(gram, c)
+    lam = solve_exact_oracle(gram, c)
     if lam is None:
         return None
     n = len(G[0])
@@ -238,7 +411,7 @@ def _kkt_residual(poly, point, active) -> float:
             rhs = [
                 -sum(gc * x for gc, x in zip(G[i], point)) for i in range(len(G))
             ]
-            mult = _solve_exact(gram, rhs)
+            mult = solve_exact_oracle(gram, rhs)
             if mult is None or any(m < 0 for m in mult):
                 continue
             recon = [
@@ -317,6 +490,35 @@ def is_strictly_interior(
     return all(s > eps for s in poly.slacks(point))
 
 
+def admissibility_oracle(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
+    """``K v`` inside U for every vertex ``v`` of S, in ``Fraction``
+    arithmetic for an exact gain: the oracle for the integer sign tests of
+    ``systems.check_admissible``."""
+    exact = K.is_exact()
+    tol = 0 if exact else FLOAT_TOL
+    Km = K.matrix()
+    violations = []
+    for v in S.vertices():
+        vv = v if exact else _float_tuple(v)
+        u = _mat_vec(Km, vv)
+        for j, (lo, hi, uj) in enumerate(zip(U.lo, U.hi, u)):
+            lo_b, hi_b, val = (lo, hi, uj) if exact else (float(lo), float(hi), float(uj))
+            if val > hi_b + tol:
+                violations.append(
+                    Violation(_float_tuple(v), None, None, f"u[{j}] <= hi", float(hi_b - val))
+                )
+            if val < lo_b - tol:
+                violations.append(
+                    Violation(_float_tuple(v), None, None, f"u[{j}] >= lo", float(val - lo_b))
+                )
+    return CertificateReport(
+        holds=not violations,
+        violations=tuple(violations),
+        kind="admissibility",
+        exact=exact,
+    )
+
+
 def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                             tau) -> CertificateReport:
     """Shifted vertex-cone certificate with every distinct ``F(w)`` (over
@@ -354,6 +556,69 @@ def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                         f"cone row {h}", slack,
                     )
                 )
+    return CertificateReport(
+        holds=not violations,
+        violations=tuple(violations),
+        kind="D-invariance (shifted cone)",
+        tau=float(tau_c),
+        exact=exact,
+    )
+
+
+def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
+                                tau) -> CertificateReport:
+    """Shifted vertex-cone condition: ``(I + tau F(w)) v`` in C_v shifted,
+    formed row by row in ``Fraction`` arithmetic when the gain is exact:
+    the oracle for the integer sign tests of
+    ``systems.check_D_invariant_cone``.
+
+    Each plane of the cone at vertex ``v`` is offset inward by the worst
+    case ``tau * g . E(w) r`` over the vertices of D and of the parameters
+    E depends on, computed once per face of S.  A face of ``s_i`` reads
+    only entry ``i`` of ``(I + tau F(w)) v``, and row ``i`` of ``F(w)``
+    depends only on the parameters with a nonzero coefficient in that row,
+    so each entry is formed once per vertex of those parameters and its
+    violations are reported for every ``w`` sharing it.
+    """
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    exact, tau_c, conv, _, Q_verts, _ = _certificate_inputs(sys, K, tau)
+    tol = 0 if exact else FLOAT_TOL
+    F = closed_loop(sys, K if exact else K.as_floats()).F
+    keys = []  # state i -> key of each w: its values on the parameters of row i
+    F_rows = []  # state i -> {key: row i of F(w)}
+    for i in range(sys.n):
+        params = _relevant_params(F, i)
+        keys.append([tuple(w[l] for l in params) for w in Q_verts])
+        rows = {}
+        for key, w in zip(keys[i], Q_verts):
+            if key not in rows:
+                rows[key] = _affine_row(F, i, w)
+        F_rows.append(rows)
+    violations = []
+    for v_exact, faces in _shifted_vertex_cones(sys, tau_c):
+        v = conv(v_exact)
+        failed = []  # (cone row, state, {key: slack} of its violations)
+        for h, (f, (g, xi)) in enumerate(faces):
+            i = f % sys.n
+            gi, xi = (g[i], xi) if exact else (float(g[i]), float(xi))
+            slacks = {}
+            for key, row in F_rows[i].items():
+                val = gi * (v[i] + tau_c * sum(c * x for c, x in zip(row, v)))
+                if val > xi + tol:
+                    slacks[key] = float(xi - val)
+            if slacks:
+                failed.append((h, i, slacks))
+        for k, w in enumerate(Q_verts):
+            for h, i, slacks in failed:
+                slack = slacks.get(keys[i][k])
+                if slack is not None:
+                    violations.append(
+                        Violation(
+                            _float_tuple(v), _float_tuple(w), None,
+                            f"cone row {h}", slack,
+                        )
+                    )
     return CertificateReport(
         holds=not violations,
         violations=tuple(violations),
@@ -419,6 +684,64 @@ def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                 max_excess = excess
         done += seg
     return max_excess <= tol, max_excess
+
+
+def switching_segments_oracle(sys: UncertainLinearSystem, K: GainMatrix,
+                              n_runs: int, total_steps: int, dt: float,
+                              dwell: float, seed: int):
+    """The states of each dwell segment with ``A(q)``, ``B(q)``, ``E(q)``,
+    ``phi`` and ``psi`` rebuilt for every run in every segment: the oracle
+    for ``systems._switching_segments``, which builds them once per
+    parameter vertex and must give the same floats bit for bit."""
+    rng = np.random.default_rng(seed)
+    n = sys.n
+    A = _stack_f(sys.A)
+    B = _stack_f(sys.B)
+    E = _stack_f(sys.E)
+    Km = np.array([[float(x) for x in row] for row in K.matrix()])
+    Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
+    Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
+    lo = np.array(sys.S.lo_f)
+    hi = np.array(sys.S.hi_f)
+
+    x = rng.uniform(lo, hi, size=(n_runs, n)).T
+    steps_per_dwell = max(1, int(round(dwell / dt)))
+    buf = np.empty((min(steps_per_dwell, total_steps), n, n_runs))
+    eye = np.eye(n)
+    done = 0
+    while done < total_steps:
+        seg = min(steps_per_dwell, total_steps - done)
+        q = Qv[rng.integers(0, len(Qv), size=n_runs)]
+        d = Dv[rng.integers(0, len(Dv), size=n_runs)]
+        Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:]) if sys.p else np.broadcast_to(A[0], (n_runs, n, n))
+        Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:]) if sys.p else np.broadcast_to(B[0], (n_runs, n, sys.m))
+        Eq = E[0] + np.einsum("rl,lij->rij", q, E[1:]) if sys.p else np.broadcast_to(E[0], (n_runs, n, sys.l))
+        F = Aq + Bq @ Km
+        c = np.einsum("rij,rj->ri", Eq, d) if sys.l else np.zeros((n_runs, n))
+        dtF = dt * F
+        dtF2 = dtF @ dtF
+        dtF3 = dtF2 @ dtF
+        phi = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
+        psi = dt * np.einsum(
+            "rij,rj->ri", eye + dtF / 2 + dtF2 / 6 + dtF3 / 24, c
+        )
+        phi = np.ascontiguousarray(phi.transpose(1, 2, 0))
+        psi = np.ascontiguousarray(psi.T)
+        out = buf[:seg]
+        np.einsum("ijr,jr->ir", phi, x, out=out[0])
+        out[0] += psi
+        phi_f, x_f, f = phi, psi, 1
+        while f < seg:
+            m = min(f, seg - f)
+            np.einsum("ijr,kjr->kir", phi_f, out[:m], out=out[f:f + m])
+            out[f:f + m] += x_f
+            f += m
+            if f < seg:
+                x_f = np.einsum("ijr,jr->ir", phi_f, x_f) + x_f
+                phi_f = np.einsum("ijr,jkr->ikr", phi_f, phi_f)
+        yield out
+        x = out[-1].copy()
+        done += seg
 
 
 def integrate_oracle(

@@ -20,6 +20,7 @@ from conftest import (
     check_D_invariant_euler,
     random_basic_scenario,
     random_moderate_system,
+    reconstruct_relative,
 )
 
 from viskeep.boxes import Box
@@ -68,7 +69,6 @@ from viskeep.simulate import (
     LeaderProfile,
     constant,
     monitor,
-    reconstruct_relative,
     simulate_basic,
     simulate_chain,
     simulate_circle,

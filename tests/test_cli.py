@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from viskeep import simulate
 from viskeep.cli import main
 from viskeep.demos import (
     BASIC_SCENARIO,
@@ -340,6 +341,27 @@ def test_simulate_rejects_tol_that_is_not_finite_and_nonnegative(
     assert main(argv + ["--out", str(tmp_path / "run")]) == 1  # p2 leaves
     out = tmp_path / "tol"
     assert main(argv + ["--out", str(out), "--tol", tol]) == 2
+    assert "tol must be a finite number >= 0" in capsys.readouterr().err
+    assert not (out / "violations.json").exists()
+
+
+@pytest.mark.parametrize("run", ["pair", "chain"])
+def test_simulate_checks_tol_before_integrating(basic_file, tmp_path, capsys,
+                                                monkeypatch, run):
+    def no_run(*args, **kwargs):
+        raise AssertionError("integrated before the --tol check")
+
+    monkeypatch.setattr(simulate, "_integrate", no_run)
+    if run == "pair":
+        argv = ["--scenario", str(basic_file)]
+    else:
+        spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+        gains = write_json(tmp_path / "gains.json",
+                           [{"k11": 0.2, "k22": 0.03, "k23": 0.3}] * 3)
+        argv = ["--chain-spec", str(spec), "--gains", str(gains)]
+    out = tmp_path / "run"
+    assert main(["simulate", *argv, "--tol", "nan", "--horizon", "60",
+                 "--out", str(out)]) == 2
     assert "tol must be a finite number >= 0" in capsys.readouterr().err
     assert not (out / "violations.json").exists()
 

@@ -1,3 +1,5 @@
+import math
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -7,17 +9,31 @@ from viskeep import demos
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
+    _Certifier,
     _implied,
+    _over,
+    _solve_exact,
     normalized_key,
     rationalize,
 )
 from viskeep.scenarios import gain_polytope
 
+from conftest import (
+    admissibility_rows_oracle,
+    eliminate_oracle,
+    invariance_rows_oracle,
+    normalized_key_oracle,
+    pipeline_polytope_oracle,
+    random_family_scenario,
+    solve_exact_oracle,
+    system_from_rows,
+)
+
 F = Fraction
 
 
 def sys_of(num_vars, rows):
-    return LinearInequalitySystem.from_rows(num_vars, rows)
+    return system_from_rows(num_vars, rows)
 
 
 def keys(system):
@@ -408,6 +424,22 @@ def test_reduce_keeps_a_lone_upper_bound_without_elimination(monkeypatch):
     assert calls == []
 
 
+def test_certificates_accept_tight_combinations():
+    """Integer certificates with no slack to spare: ``x + y <= 2`` is the
+    sum of ``x <= 1`` and ``y <= 1`` (implied with equality), and
+    ``x + y <= -1`` meets ``-x <= 0``, ``-y <= 0`` in a Farkas sum reading
+    ``0 <= -1``, and three rows meet in a single point."""
+    square = sys_of(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((-1, 0), 0),
+                        ((0, -1), 0)])
+    assert _Certifier(square).decide(2) is True
+    assert _Certifier(square).decide(0) is False
+    assert square.reduce().rows == tuple(square.rows[k] for k in (0, 1, 3, 4))
+    empty = sys_of(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), -1), ((1, 0), 5)])
+    assert _Certifier(empty).feasible() is False
+    point = sys_of(2, [((-1, 0), -1), ((0, -1), -1), ((1, 1), 2)])  # just (1, 1)
+    assert _Certifier(point).feasible() is True
+
+
 # ----------------------------------------------------------------------
 # satisfies
 # ----------------------------------------------------------------------
@@ -451,3 +483,154 @@ def test_from_text_rejects_garbage():
         LinearInequalitySystem.from_text("")
     with pytest.raises(ValueError):
         LinearInequalitySystem.from_text("1 2 <= 0\n1 <= 0\n")
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against its Fraction oracles
+# ----------------------------------------------------------------------
+
+
+def _rational(rnd):
+    """Signed rational with numerator and denominator up to 1e40."""
+    den = rnd.choice([1, rnd.randint(1, 12), rnd.randint(1, 10**40)])
+    num = rnd.choice([rnd.randint(-9, 9), rnd.randint(-10**40, 10**40)])
+    return F(num, den)
+
+
+def _det(M):
+    """Determinant by Fraction elimination."""
+    M = [list(map(F, row)) for row in M]
+    det = F(1)
+    for col in range(len(M)):
+        pivot = next((i for i in range(col, len(M)) if M[i][col]), None)
+        if pivot is None:
+            return F(0)
+        if pivot != col:
+            M[col], M[pivot] = M[pivot], M[col]
+            det = -det
+        det *= M[col][col]
+        for row in M[col + 1:]:
+            f = row[col] / M[col][col]
+            row[col:] = [x - f * y for x, y in zip(row[col:], M[col][col:])]
+    return det
+
+
+def test_bareiss_matches_gaussian_elimination(rnd):
+    """600 square systems, 2 to 6 unknowns: dense, singular (a combination
+    row or a zero column), and permuted triangular ones that need a row
+    swap at several pivots; each equation scaled to integers, which keeps
+    the solution."""
+    singular = swapped = 0
+    for t in range(600):
+        k = rnd.randint(2, 6)
+        M = [[_rational(rnd) for _ in range(k)] for _ in range(k)]
+        rhs = [_rational(rnd) for _ in range(k)]
+        kind = t % 4
+        if kind == 1:
+            coef = [_rational(rnd) for _ in range(k - 1)]
+            M[-1] = [sum(c * M[i][j] for i, c in enumerate(coef)) for j in range(k)]
+        elif kind == 2:
+            M = [[x if j >= i else F(0) for j, x in enumerate(row)]
+                 for i, row in enumerate(M)]
+            M = [[x or F(1) if i == j else x for j, x in enumerate(row)]
+                 for i, row in enumerate(M)]
+            rnd.shuffle(M)
+            swapped += M[0][0] == 0
+        elif kind == 3:
+            col = rnd.randrange(k)
+            for row in M:
+                row[col] = F(0)
+        ints = [_over(row + [r])[0] for row, r in zip(M, rhs)]
+        got = _solve_exact([r[:-1] for r in ints], [r[-1] for r in ints])
+        want = solve_exact_oracle(M, rhs)
+        if want is None:
+            singular += 1
+            assert got is None and _det(M) == 0
+        else:
+            num, den = got
+            assert den == abs(_det([r[:-1] for r in ints])) > 0
+            assert [F(v, den) for v in num] == want
+    assert singular >= 300 and swapped >= 100
+
+
+def test_integer_key_classes_match_fraction_key(rnd):
+    """The integer key splits rows into the same duplicate classes as the
+    Fraction key: the unreduced rows of the pair bundles, and random rows
+    with positive and negative multiples and all-zero coefficient rows."""
+    rows = []
+    for b in demos.BUNDLES:
+        if b.name != "chain":
+            sysd = b.scenario.system()
+            rows += invariance_rows_oracle(sysd) + admissibility_rows_oracle(sysd.S, sysd.U)
+    bundle_rows = len(rows)
+    for _ in range(400):
+        n = rnd.randint(1, 4)
+        if rnd.random() < 0.2:
+            g = (F(0),) * n
+        else:
+            g = tuple(rnd.choice([F(0), _rational(rnd)]) for _ in range(n))
+        row = Row(g, rnd.choice([F(0), _rational(rnd)]))
+        rows.append(row)
+        for _ in range(rnd.randint(0, 2)):
+            s = abs(_rational(rnd)) or F(1)
+            s = s if rnd.random() < 0.7 else -s
+            rows.append(Row(tuple(s * c for c in row.g), s * row.rhs))
+
+    def classes(key):
+        first = {}
+        return [first.setdefault((len(r.g), key(r)), len(first)) for r in rows]
+
+    want = classes(normalized_key_oracle)
+    assert classes(normalized_key) == want
+    assert len(set(want[:bundle_rows])) < bundle_rows  # the bundles repeat rows
+    assert len(set(want)) < len(rows)
+    for row in rows:
+        key = normalized_key(row)
+        assert math.gcd(*key) in (0, 1)
+        assert all(F(a) * row.rhs == F(key[-1]) * c for a, c in zip(key, row.g))
+
+
+def test_pipeline_rows_equal_the_fraction_pipeline(rnd):
+    """The integer pipeline builds the same rows, in the same order, as the
+    Fraction rows deduplicated on the Fraction key, and its seeded integer
+    rows are the rows' keys."""
+    cases = [b.scenario for b in demos.BUNDLES if b.name != "chain"]
+    cases += [random_family_scenario(rnd, kind)
+              for kind in ("basic", "ubb", "circle") for _ in range(3)]
+    for sc in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            poly = sc.polytope()
+        assert poly.rows == pipeline_polytope_oracle(sc.system()).rows
+        assert poly.int_rows == tuple(map(normalized_key, poly.rows))
+
+
+def test_eliminate_matches_fraction_elimination(rnd):
+    systems = [sys_of(3, [(r.g, r.rhs) for r in gain_polytope(demos.BASIC_SCENARIO).rows])]
+    for _ in range(150):
+        n = rnd.randint(1, 4)
+        rows = [(tuple(rnd.choice([0, 0, _rational(rnd)]) for _ in range(n)),
+                 _rational(rnd)) for _ in range(rnd.randint(1, 9))]
+        systems.append(sys_of(n, rows + rows[:rnd.randint(0, 2)]))
+    for system in systems:
+        for var in range(system.num_vars):
+            got = system.eliminate(var)
+            assert got == eliminate_oracle(system, var)
+            assert got.int_rows == tuple(map(normalized_key, got.rows))
+
+
+def test_exact_satisfies_matches_fraction_test(rnd):
+    for _ in range(200):
+        n = rnd.randint(1, 4)
+        system = sys_of(n, [(tuple(_rational(rnd) for _ in range(n)), _rational(rnd))
+                            for _ in range(rnd.randint(1, 6))])
+        point = [rnd.choice([rnd.randint(-3, 3), _rational(rnd)]) for _ in range(n)]
+        if rnd.random() < 0.3:  # a point on the first row's plane
+            g, rhs = system.rows[0]
+            k = next((k for k, c in enumerate(g) if c), None)
+            if k is not None:
+                point[k] = 0
+                point[k] = (rhs - sum(c * x for c, x in zip(g, point))) / g[k]
+        want = all(sum(c * F(x) for c, x in zip(r.g, point)) <= r.rhs
+                   for r in system.rows)
+        assert system.satisfies(point) == want

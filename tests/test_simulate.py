@@ -35,11 +35,9 @@ from viskeep.scenarios import (
 from viskeep.simulate import (
     LeaderProfile,
     constant,
-    constant_noise,
     monitor,
     profile_from_json_dict,
     random_hold,
-    reconstruct_relative,
     simulate_basic,
     simulate_chain,
     simulate_circle,
@@ -51,7 +49,7 @@ from viskeep.simulate import (
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import GainMatrix
 
-from conftest import integrate_oracle
+from conftest import constant_noise, integrate_oracle, reconstruct_relative
 
 STILL = LeaderProfile(constant(0.0), constant(0.0))
 

@@ -9,7 +9,12 @@ from viskeep.inequalities import LinearInequalitySystem
 from viskeep.scenarios import BasicScenario, gain_polytope
 from viskeep.synthesis import InfeasiblePolytopeError, min_norm_gain
 
-from conftest import is_strictly_interior, min_norm_oracle, random_family_scenario
+from conftest import (
+    is_strictly_interior,
+    min_norm_oracle,
+    random_family_scenario,
+    system_from_rows,
+)
 
 F = Fraction
 
@@ -19,7 +24,7 @@ REF_GAIN = (1.5173, 0.3707, 0.4925)
 
 
 def sys_of(num_vars, rows):
-    return LinearInequalitySystem.from_rows(num_vars, rows)
+    return system_from_rows(num_vars, rows)
 
 
 def test_nearest_point_on_a_ray():
@@ -46,6 +51,18 @@ def test_corner_projection():
     res = min_norm_gain(sys_of(2, [((-1, 0), -1), ((0, -1), -2)]))
     assert res.exact_gain == (1, 2)
     assert res.kkt_residual == 0.0
+
+
+def test_kkt_point_accepts_a_zero_multiplier():
+    """``x >= 1`` and ``x + y >= 1`` meet at the nearest point (1, 0), where
+    the second row is active with multiplier 0: that row set certifies the
+    optimum, and so does ``x >= 1`` alone."""
+    poly = sys_of(2, [((-3, 0), -3), ((-2, -2), -2), ((0, 1), 5)])
+    assert synthesis._kkt_point(poly, (0, 1)) == ([1, 0], 1)
+    assert synthesis._kkt_point(poly, (0,)) == ([1, 0], 1)
+    assert synthesis._kkt_point(poly, (1,)) is None  # (1/2, 1/2) violates x >= 1
+    res = min_norm_gain(poly)
+    assert res.exact_gain == (1, 0) and res.active_rows == (0, 1)
 
 
 def test_window_gain_reproduction():

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -17,17 +18,21 @@ from viskeep.systems import (
     check_admissible,
     check_D_invariant_cone,
     closed_loop,
-    eval_matrices,
     simulate_linear_switching,
     _mat,
+    _switching_segments,
     _zeros,
 )
 
 from conftest import (
+    admissibility_oracle,
     check_D_invariant_euler,
     cone_certificate_oracle,
+    cone_certificate_row_oracle,
+    eval_matrices,
     random_basic_scenario,
     switching_oracle,
+    switching_segments_oracle,
 )
 from conftest import random_moderate_system as _random_moderate_system
 
@@ -125,6 +130,17 @@ def test_zero_gain_admissible():
 def test_reference_gain_admissible_for_window():
     sysd = build_basic_system(WINDOW)
     assert check_admissible(REF_GAIN, sysd.S, sysd.U).holds
+
+
+def test_exact_gain_on_the_input_bounds_is_admissible():
+    """``k11 = V_F / a`` drives u1 exactly to both speed bounds, which is
+    admissible; a gain larger by 1e-40 is not, on both sides."""
+    sysd = build_basic_system(WINDOW)
+    k11 = sysd.U.hi[0] / sysd.S.hi[0]
+    assert check_admissible(GainMatrix(k11, F(0), F(0)), sysd.S, sysd.U).holds
+    rep = check_admissible(GainMatrix(k11 + F(1, 10**40), F(0), F(0)), sysd.S, sysd.U)
+    assert {v.row for v in rep.violations} == {"u[0] <= hi", "u[0] >= lo"}
+    assert all(-1e-38 < v.slack < 0 for v in rep.violations)
 
 
 def test_oversized_gain_violates_speed_bound():
@@ -258,6 +274,43 @@ def test_cone_certificate_matches_full_product_oracle(rnd):
                         (False, False)}
 
 
+def test_integer_certificates_match_fraction_oracles(rnd):
+    """Exact gains with denominators up to 1e40, from the min-norm gain of
+    each pair bundle moved by up to 30%, and on random systems: the integer
+    cone and admissibility certificates report byte for byte what the
+    Fraction oracles report, holding and failing."""
+    cases = []
+    for b in BUNDLES:
+        if b.name == "chain":
+            continue
+        sysd = b.scenario.system()
+        k0 = min_norm_gain(b.scenario.polytope()).exact_gain
+        for rel in (0, 0, 1e-30, 1e-9, 1e-3, 0.3):
+            den = rnd.randint(1, 10**40)
+            K = GainMatrix(*(F(round(x * den * (1 + rnd.uniform(-rel, rel))), den)
+                             for x in k0))
+            cases.append((sysd, K))
+    for _ in range(4):
+        sysd, K = _random_moderate_system(rnd)
+        den = rnd.randint(1, 10**40)
+        cases.append((sysd, GainMatrix(*(F(round(k * den), den) for k in K.entries()))))
+    verdicts = set()
+    for sysd, K in cases:
+        assert K.is_exact()
+        for tau in (F(1), F(1, 3)):
+            got = check_D_invariant_cone(sysd, K, tau)
+            for want in (cone_certificate_oracle(sysd, K, tau),
+                         cone_certificate_row_oracle(sysd, K, tau)):
+                assert (repr(got), got.to_text(), got.to_csv()) == (
+                    repr(want), want.to_text(), want.to_csv())
+            verdicts.add(got.holds)
+        got = check_admissible(K, sysd.S, sysd.U)
+        want = admissibility_oracle(K, sysd.S, sysd.U)
+        assert (repr(got), got.to_csv()) == (repr(want), want.to_csv())
+        verdicts.add(("admissible", got.holds))
+    assert verdicts == {True, False, ("admissible", True), ("admissible", False)}
+
+
 # ----------------------------------------------------------------------
 # linear switching oracle
 # ----------------------------------------------------------------------
@@ -359,6 +412,35 @@ def test_linear_switching_matches_per_step_oracle():
         excesses.append(excess)
     assert sum(e == 0.0 for e in excesses) >= 13  # certified gains stay in
     assert sum(e > 1e-3 for e in excesses) >= 6  # the others leave
+
+
+def test_linear_switching_bit_equal_to_per_run_operators():
+    """Operators built once per parameter vertex and gathered per run give
+    every state of every run bit for bit as operators rebuilt per run and
+    segment do: on the criterion-7 inputs (the certified gain, and the zero
+    gain, whose runs leave the box), on the pair bundles, on a
+    parameter-free family and on a partial last segment."""
+    rnd = random.Random(701)
+    cases = []
+    zero = GainMatrix(0.0, 0.0, 0.0)
+    for _ in range(50):
+        sc = random_basic_scenario(rnd, want_feasible=True)
+        sysd = build_basic_system(sc)
+        cases += [(sysd, min_norm_gain(gain_polytope(sc)).gain, 3000),
+                  (sysd, zero, 3000)]
+    for b in BUNDLES:
+        if b.name != "chain":
+            cases.append((b.scenario.system(), zero, 3000))
+    toy = toy_system([[0.5, 0, 0], [0, -0.3, 0.2], [0, 0, 0.1]])
+    cases += [(toy, zero, 3000), (cases[0][0], zero, 250)]
+    for i, (sysd, K, steps) in enumerate(cases):
+        call = (sysd, K, 200, steps, 1e-3, 0.1, i)
+        segments = 0
+        for got, want in zip_longest(_switching_segments(*call),
+                                     switching_segments_oracle(*call)):
+            assert got.tobytes() == want.tobytes(), (i, segments)
+            segments += 1
+        assert segments == -(-steps // 100)
 
 
 def test_linear_switching_flags_runs_that_overflow():
