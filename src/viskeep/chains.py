@@ -51,6 +51,8 @@ class ChainSpec:
     robots: tuple[RobotLimits, ...]
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise ValueError(f"n must be an integer, not {self.n!r}")
         if self.n < 2:
             raise ValueError("a chain needs at least two robots")
         if len(self.links) != self.n - 1:

@@ -17,6 +17,7 @@ Exit codes: 0 success/feasible, 1 analytic infeasibility or violated run,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -37,7 +38,7 @@ from .chains import (
     max_chain_length,
     save_chain,
 )
-from .inequalities import LinearInequalitySystem
+from .inequalities import LinearInequalitySystem, _fraction
 from .scenarios import (
     load_scenario,
     rationalization_record,
@@ -171,6 +172,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if not args.tau > 0:  # before the polytope, not after it
+        raise ValueError("tau must be positive")
     sc = load_scenario(args.scenario)
     try:
         payload, poly = _synth_payload(sc, args.tau)
@@ -362,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="minimum-norm certified gain")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--tau", type=Fraction, default=Fraction(1))
+    p.add_argument("--tau", type=_fraction, default=Fraction(1))
     p.add_argument("--out")
     p.add_argument("--dump-polytope")
     p.set_defaults(func=cmd_synth)
@@ -412,11 +415,16 @@ def _print_warning(message, *_where, **_kw) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on its first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     """Run one command; each warning is printed as one ``warning: <message>``
     line, and the library's (UserWarning) every time it is raised."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("always", UserWarning)
         warnings.showwarning = _print_warning

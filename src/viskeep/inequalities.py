@@ -4,20 +4,19 @@ A system is a finite list of rows ``g . x <= r`` over ``num_vars`` variables,
 with every coefficient and right-hand side a :class:`fractions.Fraction`.
 Everything here is exact: projection by Fourier-Motzkin elimination,
 feasibility decisions and redundancy removal produce certificates that are
-free of floating-point ambiguity.  Floats may propose a certificate (a
-feasible point, a Farkas set, an implying combination, a witness point, the
-active rows of a nearest point), all from one table of rows and their bases
-(:func:`_float_table`), but each is checked exactly before it decides
-anything, and elimination decides whatever no verified certificate settles.
+free of floating-point ambiguity.  Feasibility and implication are linear
+programs over nonnegative multipliers of the rows, solved by one small
+two-phase simplex (:func:`_simplex`) whose every pivot is exact.
 
-The exact checks run in Python integers, fraction-free.  Each row is read
+The exact work runs in Python integers, fraction-free.  Each row is read
 in its primitive integer form ``(a_1, ..., a_n, b)`` (:func:`normalized_key`,
 a positive multiple of the row), linear systems are solved by Bareiss
-elimination into numerators over one determinant (:func:`_solve_exact`), and
-a test is an integer sign test such as ``a . num <= b * den``.  Fractions
-are built only at the edges: the rows themselves and the points handed
-back.  Irrational constants enter only through :func:`rationalize`, which
-makes the single approximation point explicit.
+elimination into numerators over one determinant (:func:`_solve_exact`), the
+simplex tableau is kept the same way, and a test is an integer sign test
+such as ``a . num <= b * den``.  Fractions are built only at the edges: the
+rows themselves and the points handed back.  Irrational constants enter
+only through :func:`rationalize`, which makes the single approximation
+point explicit.
 """
 
 from __future__ import annotations
@@ -25,20 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 #: Default bound on denominators when approximating irrational constants.
 DEFAULT_MAX_DENOMINATOR = 10**12
-
-#: Most row subsets a float proposal table solves (at most about 0.2 MB per
-#: 1,000 subsets in 3 variables); larger systems get no proposals and are
-#: decided by elimination alone.
-MAX_PROPOSAL_SUBSETS = 40_000
 
 
 def rationalize(x: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Fraction:
@@ -48,6 +39,15 @@ def rationalize(x: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Fra
     plain ``Fraction(x)`` conversions elsewhere are exact by construction.
     """
     return Fraction(x).limit_denominator(max_denominator)
+
+
+def _fraction(text: str) -> Fraction:
+    """`text` read as a rational; a zero denominator is a ValueError like
+    any other malformed number."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class Row(NamedTuple):
@@ -199,22 +199,11 @@ class LinearInequalitySystem:
         return system
 
     def is_feasible(self) -> bool:
-        """Exact nonemptiness of the solution set.
-
-        Decided by an exact certificate that floats propose (see
-        :class:`_Certifier`): nonempty when the origin or the intersection
-        point of ``num_vars`` rows satisfies every row, empty when at most
-        ``num_vars + 1`` rows have nonnegative multipliers combining to
-        ``0 <= negative`` (Farkas).  When neither verifies, the system is
-        projected onto the empty variable set by Fourier-Motzkin
-        elimination, and it is feasible iff every surviving constant row
-        has a nonnegative right-hand side.
-        """
-        verdict = _Certifier(self).feasible()
-        if verdict is None:
-            projected = self.project(())
-            verdict = all(row.rhs >= 0 for row in projected.rows)
-        return verdict
+        """Exact nonemptiness of the solution set, decided by one exact
+        linear program over multipliers of the rows (see
+        :func:`_farkas_set`): empty iff some nonnegative combination reads
+        ``0 <= negative``."""
+        return _farkas_set(self.int_rows, self.num_vars) is None
 
     # ------------------------------------------------------------------
     # Redundancy removal
@@ -226,46 +215,49 @@ class LinearInequalitySystem:
         Rows are visited in order, and row ``i`` is dropped iff the rows
         still surviving besides it imply it, i.e. admit no point with
         ``g_i . x > c_i`` (this includes the case where they admit no point
-        at all).  Each decision rests on an exact rational certificate that
-        floats only propose (see :class:`_Certifier`):
+        at all).  One exact linear program decides whether the rows are
+        empty (:func:`_farkas_set`), and the verdict is kept as the rows
+        are dropped:
 
-        * implied: multipliers ``y >= 0`` on at most ``num_vars``
-          independent other rows with ``sum y_j g_j = g_i`` and
-          ``sum y_j c_j <= c_i``;
-        * implied because the others are empty: multipliers ``y >= 0`` on
-          at most ``num_vars + 1`` other rows with ``sum y_j g_j = 0`` and
-          ``sum y_j c_j < 0`` (Farkas), reused while its rows survive;
-        * kept: a point that satisfies every other survivor and violates
-          row ``i``: the intersection point of ``num_vars`` other rows, or
-          (when no such vertex exists, for instance because the others are
-          unbounded along ``g_i``) the intersection point of a basis that
-          holds row ``i``, with row ``i`` pushed out past its bound.
+        * nonempty: row ``i`` is dropped iff the least ``sum y_j c_j`` over
+          ``y >= 0`` on the other survivors with ``sum y_j g_j = g_i`` is at
+          most ``c_i`` (:func:`_implies`); when no such ``y`` exists the
+          others are unbounded along ``g_i`` and the row is kept;
+        * empty, with a Farkas set: a row outside the set is dropped with no
+          program, since the others are still empty.  A row inside it is
+          dropped iff the other survivors are empty too, and their Farkas
+          set takes over; otherwise every point of the others violates it.
 
-        When no proposal verifies (for instance when the other rows have no
-        vertex, or the system has more than ``MAX_PROPOSAL_SUBSETS``
-        ``num_vars``-row subsets), the row is decided by Fourier-Motzkin
-        elimination of the test system: the other rows plus
-        ``-g_i . x + s <= -c_i`` with an auxiliary slack ``s``, projected
-        onto ``s``.  Every decision is exact, so which route settles a row
-        never changes the result.
+        A system of at most ``num_vars`` rows is decided row by row by
+        Fourier-Motzkin elimination of the test system: the other rows
+        plus ``-g_i . x + s <= -c_i`` with an auxiliary slack ``s``,
+        projected onto ``s``.  Every decision is exact, so the route never
+        changes the result.
         """
-        certifier = _Certifier(self)
+        ints, n = self.int_rows, self.num_vars
         survivors = list(range(len(self.rows)))
+        by_elimination = len(survivors) <= n
+        farkas = None if by_elimination else _farkas_set(ints, n)
         i = 0
         while i < len(survivors):
             k = survivors[i]
-            verdict = certifier.decide(k)
-            if verdict is None:
-                others = [self.rows[j] for j in survivors if j != k]
-                verdict = _implied(others, self.rows[k], self.num_vars)
-            if verdict:
+            others = survivors[:i] + survivors[i + 1:]
+            if by_elimination:
+                implied = _implied([self.rows[j] for j in others], self.rows[k], n)
+            elif farkas is None:
+                implied = _implies([ints[j] for j in others], n, ints[k])
+            else:
+                implied = k not in farkas
+                if not implied:
+                    rest = _farkas_set([ints[j] for j in others], n)
+                    if rest is not None:
+                        farkas, implied = [others[j] for j in rest], True
+            if implied:
                 survivors.pop(i)
-                certifier.drop(k)
             else:
                 i += 1
-        return LinearInequalitySystem(
-            self.num_vars, tuple(self.rows[j] for j in survivors)
-        )
+        return LinearInequalitySystem._keyed(
+            n, [self.rows[j] for j in survivors], [ints[j] for j in survivors])
 
     # ------------------------------------------------------------------
     # Point queries
@@ -324,12 +316,12 @@ class LinearInequalitySystem:
             if "<=" not in line:
                 raise ValueError(f"line {lineno}: missing '<='")
             lhs, _, rhs = line.partition("<=")
-            coeffs = [Fraction(tok) for tok in lhs.split()]
+            coeffs = [_fraction(tok) for tok in lhs.split()]
             if width is None:
                 width = len(coeffs)
             elif len(coeffs) != width:
                 raise ValueError(f"line {lineno}: inconsistent variable count")
-            rows.append(Row(tuple(coeffs), Fraction(rhs.strip())))
+            rows.append(Row(tuple(coeffs), _fraction(rhs.strip())))
         if width is None:
             raise ValueError("no rows found")
         return cls(width, tuple(rows))
@@ -405,272 +397,115 @@ def _solve_exact(M: Sequence[Sequence[int]],
     return num, det
 
 
-#: Float tolerance of the proposals (on rows scaled to unit norm); it only
-#: decides which certificate to verify first, never a verdict.
-_EPS = 1e-9
-#: Proposals of each kind verified per decision before falling back.
-_TRIES = 3
+def _simplex(cols: Sequence[Sequence[int]], rhs: Sequence[int],
+             costs: Sequence[int], reached: Callable[[int, int], bool]
+             ) -> Optional[tuple[bool, list[int]]]:
+    """Two-phase simplex in integers for ``min costs . y`` subject to
+    ``sum_j y_j cols[j] = rhs`` and ``y >= 0``.
 
+    None if no ``y >= 0`` meets the equations.  Otherwise the second phase
+    pivots until ``reached(num, den)`` holds for the objective ``num / den``
+    of the current basic solution, or until that solution is optimal, and
+    the result is whether `reached` held, with the support of the solution
+    (the ``j`` with ``y_j > 0``).
 
-def _float_table(rows: Sequence[Row], num_vars: int, sizes: Sequence[int]):
-    """The table every float proposal is drawn from: the rows as floats
-    scaled to unit normals (a zero row keeps the sign of its right-hand
-    side), ``(G, c)``, the float length of each row, and for each size in
-    `sizes` the subsets of that many rows whose normals are independent in
-    floats.  None when a value does not fit a float or there are more than
-    ``MAX_PROPOSAL_SUBSETS`` subsets."""
-    m = len(rows)
-    if sum(comb(m, k) for k in sizes) > MAX_PROPOSAL_SUBSETS:
-        return None
-    try:
-        G = np.array([[float(c) for c in r.g] for r in rows]).reshape(m, num_vars)
-        c = np.array([float(r.rhs) for r in rows])
-    except OverflowError:
-        return None
-    norm = np.linalg.norm(G, axis=1)
-    zero = norm == 0
-    scale = np.where(zero, 1.0, norm)
-    G, c = G / scale[:, None], np.where(zero, np.sign(c), c / scale)
-    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(c))):
-        return None
-    regular = []
-    for k in sizes:
-        subsets = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
-        GS = G[subsets]
-        regular.append(subsets[np.linalg.det(GS @ GS.transpose(0, 2, 1)) > 1e-10])
-    return G, c, scale, regular
-
-
-def _nearest_point_proposals(rows: Sequence[Row], num_vars: int) -> list[tuple[int, ...]]:
-    """Row sets of at most ``num_vars`` rows whose float projection of the
-    origin satisfies every row and has multipliers ``<= 0`` (the nearest
-    point's KKT conditions), least norm first, at most ``_TRIES``."""
-    table = _float_table(rows, num_vars, range(1, num_vars + 1))
-    if table is None:
-        return []
-    G, c, _, regular = table
-    found = []  # (norm^2, subset)
-    for subsets in regular:
-        GS = G[subsets]
-        lam = np.linalg.solve(GS @ GS.transpose(0, 2, 1), c[subsets][..., None])[..., 0]
-        x = np.einsum("bk,bkn->bn", lam, GS)
-        ok = np.all(x @ G.T <= c + _EPS, axis=1) & np.all(lam <= _EPS, axis=1)
-        found += [(float(x[b] @ x[b]), tuple(int(j) for j in subsets[b]))
-                  for b in np.flatnonzero(ok)]
-    found.sort(key=lambda f: f[0])
-    return [subset for _, subset in found[:_TRIES]]
-
-
-class _Certifier:
-    """Exact certificates, proposed in floats, for the decisions of reduce()
-    and is_feasible().
-
-    Every ``num_vars``-row subset of the rows with independent normals (a
-    *basis*) is solved once in numpy: its intersection point ``x_B`` and its
-    inverse.  A decision on row ``i`` then filters the bases made of other
-    surviving rows for (a) intersection points that satisfy every other
-    survivor and violate row ``i`` (a non-implication witness), (b)
-    nonnegative multipliers that combine to row ``i`` (an implication), or
-    (c) a basis plus one more row whose nonnegative combination reads
-    ``0 <= negative`` (the others are empty).  When none of these holds up,
-    the surviving bases that hold row ``i`` give one more witness: the point
-    ``x_B + inv[:, pos(i)]`` that keeps the other basis rows tight and
-    pushes row ``i`` out by one unit, which is how a row is shown needed
-    when the others are unbounded along ``g_i``.  The best few proposals
-    are checked exactly, on each row's integer form ``(a, b)`` (see
-    :func:`normalized_key`): a point is solved by :func:`_solve_exact` as
-    ``num / den`` and tested with ``a . num <= b * den``; multipliers are
-    solved the same way, and only their signs and one combined right-hand
-    side are compared.  Positive row scales change neither the points nor
-    the signs, so these are the ``Fraction`` certificates of the rows as
-    given.  :meth:`decide` returns None
-    when none holds up.  :meth:`feasible` decides the whole system from the
-    same table: an intersection point satisfying every row, or a basis plus
-    one row reading ``0 <= negative``.
+    The tableau is fraction-free: integers over one positive common
+    denominator ``den``, the determinant of the basis up to sign.  A pivot
+    at ``p`` replaces every other row ``t`` by ``(p t - t_c top) / den``, an
+    exact division, and ``p`` becomes the denominator (Edmonds, J. Res. NBS
+    71B, 1967; Bareiss, Math. Comp. 22, 1968).  The first phase starts from
+    one artificial variable per equation, each equation signed so that its
+    right-hand side is >= 0, and minimises their sum; an artificial still
+    basic at zero is then pivoted out at any nonzero entry of its row, the
+    row negated first when that entry is negative.  Both phases follow
+    Bland's rule (the lowest entering index, ratio ties to the lowest basic
+    index), so neither cycles.
     """
+    k, m = len(cols), len(rhs)
+    tab = []
+    for r, b in enumerate(rhs):
+        sign = -1 if b < 0 else 1
+        tab.append([sign * col[r] for col in cols]
+                   + [int(j == r) for j in range(m)] + [sign * b])
+    cost = list(costs) + [0] * (m + 1)
+    phase1 = [int(k <= j < k + m) - sum(row[j] for row in tab)
+              for j in range(k + m + 1)]
+    tab += [cost, phase1]
+    basis = list(range(k, k + m))
+    den = 1
 
-    def __init__(self, system: LinearInequalitySystem):
-        rows = self.rows = system.rows
-        num_vars = self.n = system.num_vars
-        self.ints = system.int_rows
-        self.alive = np.ones(len(rows), dtype=bool)
-        self.farkas: Optional[frozenset] = None  # rows with no common point
-        self.bases = None
-        m = len(rows)
-        table = (_float_table(rows, num_vars, (num_vars,))
-                 if 0 < num_vars < m else None)
-        if table is None:
-            return
-        self.G, self.c, self.length, (bases,) = table
-        self.inv = np.linalg.inv(self.G[bases]) if len(bases) else self.G[bases]
-        self.x = np.einsum("bij,bj->bi", self.inv, self.c[bases])
-        if not np.all(np.isfinite(self.x)):
-            return
-        self.bases = bases
-        self.base_alive = np.ones(len(bases), dtype=bool)
-        # number of surviving rows each intersection point violates
-        self.nviol = np.zeros(len(bases), dtype=np.intp)
-        for j in range(m):
-            self.nviol += self._slack(j) < -_EPS
+    def pivot(r: int, c: int) -> None:
+        nonlocal den
+        top = tab[r]
+        if top[c] < 0:  # only an artificial at zero leaves at one
+            top[:] = [-v for v in top]
+        p = top[c]
+        for row in tab:
+            if row is not top:
+                f = row[c]
+                row[:] = [(p * v - f * t) // den for v, t in zip(row, top)]
+        den = p
+        basis[r] = c
 
-    def _slack(self, j: int) -> np.ndarray:
-        return self.c[j] - self.x @ self.G[j]
-
-    def _multipliers(self, usable: np.ndarray, j: int) -> np.ndarray:
-        """``y`` with ``sum_b y_b g_b = g_j`` over each usable basis (unit
-        rows, so the signs are those of the exact multipliers)."""
-        return np.einsum("bji,j->bi", self.inv[usable], self.G[j])
-
-    def _without(self, j: int) -> np.ndarray:
-        return ~(self.bases == j).any(axis=1)
-
-    def drop(self, j: int) -> None:
-        self.alive[j] = False
-        if self.farkas is not None and j in self.farkas:
-            self.farkas = None
-        if self.bases is not None:
-            self.nviol -= self._slack(j) < -_EPS
-            self.base_alive &= self._without(j)
-
-    def feasible(self) -> Optional[bool]:
-        """True if some point satisfies every row, False if some rows have
-        no common point, None if no proposal verified."""
-        if all(a[-1] >= 0 for a in self.ints):
-            return True  # the origin
-        if any(not any(a[:-1]) and a[-1] < 0 for a in self.ints):
-            return False  # 0 <= c with c < 0
-        if self.bases is not None:
-            cand = np.flatnonzero(self.nviol == 0)
-            worst = (self.c - self.x[cand] @ self.G.T).min(axis=1, initial=np.inf)
-            for b in cand[np.argsort(-worst, kind="stable")][:_TRIES]:
-                x = self._vertex(b)
-                if x is not None and self._satisfies_others(None, x):
-                    return True
-            if self._farkas(None, np.arange(len(self.bases))):
+    def solve(obj: list[int], done: Callable[[], bool]) -> bool:
+        """Pivot on the objective row `obj` until `done()` (True) or until
+        no column improves it (False)."""
+        while not done():
+            c = next((j for j in range(k) if obj[j] < 0), None)
+            if c is None:
                 return False
+            r = None  # the least ratio rhs / entry over the positive entries
+            for i in range(m):
+                a = tab[i][c]
+                if a > 0:
+                    if r is None:
+                        r = i
+                        continue
+                    d = tab[i][-1] * tab[r][c] - tab[r][-1] * a
+                    if d < 0 or d == 0 and basis[i] < basis[r]:
+                        r = i
+            if r is None:  # neither caller's problem is unbounded
+                raise ArithmeticError("unbounded linear program")
+            pivot(r, c)
+        return True
+
+    solve(phase1, lambda: phase1[-1] == 0)
+    if phase1[-1] < 0:  # the artificials sum to -phase1[-1] / den > 0
         return None
+    tab.pop()
+    for r in range(m):
+        if basis[r] >= k:
+            c = next((j for j in range(k) if tab[r][j]), None)
+            if c is not None:
+                pivot(r, c)
+    hit = solve(cost, lambda: reached(-cost[-1], den))
+    return hit, [basis[r] for r in range(m) if basis[r] < k and tab[r][-1] > 0]
 
-    def decide(self, i: int) -> Optional[bool]:
-        """True if row i is implied by the other survivors, False if not,
-        None if no proposal verified."""
-        a = self.ints[i]
-        if not any(a[:-1]) and a[-1] >= 0:
-            return True  # 0 <= c_i holds everywhere
-        if self.farkas is not None and i not in self.farkas:
-            return True
-        if self.bases is None:
-            return None
-        usable = np.flatnonzero(self.base_alive & self._without(i))
-        s_i = self._slack(i)[usable]
-        viol_i = s_i < -_EPS
-        feasible = self.nviol[usable] - viol_i == 0
-        if not feasible.any():
-            return True if self._farkas(i, usable) else None
-        order = np.flatnonzero(feasible & (s_i < 0))
-        witnesses = usable[order[np.argsort(s_i[order], kind="stable")][:_TRIES]]
-        margin = np.minimum(self._multipliers(usable, i).min(axis=1), s_i)
-        order = np.flatnonzero(margin >= -_EPS)
-        implications = usable[order[np.argsort(-margin[order], kind="stable")][:_TRIES]]
-        implied_first = not (len(witnesses) and self._slack(i)[witnesses[0]] < -_EPS)
-        for implied in (implied_first, not implied_first):
-            if implied and any(self._implication(i, b) for b in implications):
-                return True
-            if not implied and any(
-                self._violates_only(i, self._vertex(b)) for b in witnesses
-            ):
-                return False
-        if self._pushed_out_witness(i):
-            return False
-        return None
 
-    def _basis_rows(self, b: int) -> list[tuple[int, ...]]:
-        return [self.ints[j] for j in self.bases[b]]
+def _farkas_set(keys: Sequence[tuple[int, ...]],
+                num_vars: int) -> Optional[list[int]]:
+    """Positions of integer rows among `keys` that have no common point, or
+    None if all of them have one.
 
-    def _vertex(self, b: int, pushed: Optional[int] = None
-                ) -> Optional[tuple[list[int], int]]:
-        """Exact intersection point ``num / den`` of the rows of basis b,
-        with the right-hand side of row `pushed` raised by its float length
-        (the length of the row as given, which its integer form scales)."""
-        B = self._basis_rows(b)
-        rhs = [a[-1] for a in B]
-        den = 1
-        if pushed is not None:
-            row, key = self.rows[pushed], self.ints[pushed]
-            k = next(k for k, c in enumerate(row.g) if c)
-            shift = Fraction(key[k]) / row.g[k] * Fraction(float(self.length[pushed]))
-            den = shift.denominator
-            rhs = [r * den for r in rhs]
-            rhs[list(self.bases[b]).index(pushed)] += shift.numerator
-        found = _solve_exact([a[:-1] for a in B], rhs)
-        return None if found is None else (found[0], found[1] * den)
+    One linear program over multipliers ``y >= 0``: ``min sum y_j b_j``
+    subject to ``sum y_j a_j = 0`` and ``sum y_j = 1``.  By duality its
+    optimum is the largest ``t`` for which some point meets every row with
+    slack ``t``.  A negative value reads ``0 <= negative`` (Farkas), and the
+    rows of its support have no common point.  When no such ``y`` exists,
+    some direction decreases every ``a_j . x`` (Gordan), and far enough
+    along it every row holds."""
+    found = _simplex([a[:num_vars] + (1,) for a in keys], [0] * num_vars + [1],
+                     [a[-1] for a in keys], lambda value, den: value < 0)
+    return found[1] if found is not None and found[0] else None
 
-    def _satisfies_others(self, i: Optional[int],
-                          x: tuple[list[int], int]) -> bool:
-        return all(_holds(self.ints[j], x)
-                   for j in np.flatnonzero(self.alive) if j != i)
 
-    def _violates_only(self, i: int,
-                       x: Optional[tuple[list[int], int]]) -> bool:
-        """x is a non-implication witness for row i: it violates row i and
-        satisfies every other survivor."""
-        return (x is not None and not _holds(self.ints[i], x)
-                and self._satisfies_others(i, x))
-
-    def _pushed_out_witness(self, i: int) -> bool:
-        """Witness from a surviving basis that holds row i, with row i
-        pushed out by one unit of its scaled row and the other basis rows
-        kept tight: ``x_B + inv[:, pos(i)]`` in floats.  The point always
-        violates row i; it is a witness when it satisfies every other
-        survivor, which covers the others being unbounded along ``g_i``."""
-        cand = np.flatnonzero(self.base_alive & (self.bases == i).any(axis=1))
-        pos = np.argmax(self.bases[cand] == i, axis=1)
-        x = self.x[cand] + self.inv[cand, :, pos]
-        others = self.alive.copy()
-        others[i] = False
-        ok = np.all(x @ self.G[others].T <= self.c[others] + _EPS, axis=1)
-        return any(self._violates_only(i, self._vertex(b, pushed=i))
-                   for b in cand[ok][:_TRIES])
-
-    def _combination(self, b: int, a: Sequence[int]):
-        """``(y, s, det)``: ``y / det >= 0`` with ``sum y_j a_j = det * a``
-        over the integer rows of basis b (right-hand sides aside), and their
-        combined right-hand side ``s / det = sum y_j b_j / det``; None
-        unless ``y >= 0``."""
-        B = self._basis_rows(b)
-        found = _solve_exact([[r[k] for r in B] for k in range(self.n)], a[:self.n])
-        if found is None or any(v < 0 for v in found[0]):
-            return None
-        y, det = found
-        return y, sum(v * r[-1] for v, r in zip(y, B)), det
-
-    def _implication(self, i: int, b: int) -> bool:
-        a = self.ints[i]
-        found = self._combination(b, a)
-        return found is not None and found[1] <= a[-1] * found[2]
-
-    def _farkas(self, i: Optional[int], usable: np.ndarray) -> bool:
-        """Find and keep a verified set of survivors other than row i with
-        no common point: basis b and row k with ``a_k + sum y_j a_j = 0``,
-        ``y >= 0`` and ``b_k + sum y_j b_j < 0``."""
-        proposals = []
-        for k in np.flatnonzero(self.alive):
-            if k == i:
-                continue
-            keep = self._without(k)[usable]
-            if not keep.any():
-                continue
-            cand = usable[keep]
-            y = -self._multipliers(cand, k)
-            margin = np.minimum(y.min(axis=1), -self._slack(k)[cand])
-            best = int(np.argmax(margin))
-            if margin[best] > -_EPS:
-                proposals.append((-margin[best], int(k), int(cand[best])))
-        for _, k, b in sorted(proposals)[:_TRIES]:
-            a = self.ints[k]
-            found = self._combination(b, [-c for c in a])
-            if found is not None and a[-1] * found[2] + found[1] < 0:
-                self.farkas = frozenset(
-                    [k] + [int(j) for j, v in zip(self.bases[b], found[0]) if v > 0]
-                )
-                return True
-        return False
+def _implies(keys: Sequence[tuple[int, ...]], num_vars: int,
+             a: tuple[int, ...]) -> bool:
+    """Whether the integer rows `keys`, which have a common point, imply the
+    row `a`: some ``y >= 0`` has ``sum y_j a_j`` equal to its normal and
+    ``sum y_j b_j`` at most its right-hand side.  The least such sum is the
+    maximum of ``a . x`` over the rows (duality); when no ``y`` combines to
+    the normal, the rows are unbounded along it."""
+    found = _simplex([r[:num_vars] for r in keys], a[:num_vars],
+                     [r[-1] for r in keys], lambda value, den: value <= a[-1] * den)
+    return found is not None and found[0]

@@ -556,11 +556,11 @@ def gain_polytope_circle(sc: CircleScenario) -> LinearInequalitySystem:
 def derive_conditions_fme(sc: BasicScenario) -> bool:
     """Decide the nonemptiness of the gain polytope exactly.
 
-    :meth:`LinearInequalitySystem.is_feasible` checks a feasible point or a
-    Farkas set that floats propose, and eliminates all three gain variables
-    only when neither verifies.  Agrees with :func:`feasible_basic` away
-    from the condition boundaries; the closed-form conditions are the
-    worst-vertex selection of the family that elimination projects.
+    :meth:`LinearInequalitySystem.is_feasible` solves one exact linear
+    program over multipliers of the rows, whose negative value is a Farkas
+    set.  Agrees with :func:`feasible_basic` away from the condition
+    boundaries; the closed-form conditions are the worst-vertex selection
+    of the family that eliminating all three gain variables projects.
     """
     return gain_polytope(sc).is_feasible()
 

@@ -22,11 +22,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .inequalities import (
     LinearInequalitySystem,
+    Row,
     _dot,
     _holds,
-    _nearest_point_proposals,
     _solve_exact,
 )
 from .systems import GainMatrix
@@ -34,9 +36,57 @@ from .systems import GainMatrix
 #: A point ``num / den`` with integer numerators and ``den > 0``.
 Point = tuple[list[int], int]
 
+#: Most row subsets the float proposals solve (at most about 0.2 MB per
+#: 1,000 subsets in 3 variables); larger polytopes get no proposals.
+MAX_PROPOSAL_SUBSETS = 40_000
+#: Float tolerance of the proposals (on rows scaled to unit norm); it only
+#: decides which row sets to verify first, never a result.
+_EPS = 1e-9
+#: Proposals verified before falling back to the exact enumeration.
+_TRIES = 3
+
 
 class InfeasiblePolytopeError(ValueError):
     pass
+
+
+def _nearest_point_proposals(rows: Sequence[Row], num_vars: int) -> list[tuple[int, ...]]:
+    """Row sets of at most ``num_vars`` rows whose float projection of the
+    origin satisfies every row and has multipliers ``<= 0`` (the nearest
+    point's KKT conditions), least norm first, at most ``_TRIES``.
+
+    The rows are scaled to unit normals in floats (a zero row keeps the
+    sign of its right-hand side), and only row sets with independent
+    normals are projected on.  None are proposed when a value does not fit
+    a float or there are more than ``MAX_PROPOSAL_SUBSETS`` row sets."""
+    m = len(rows)
+    sizes = range(1, num_vars + 1)
+    if sum(math.comb(m, k) for k in sizes) > MAX_PROPOSAL_SUBSETS:
+        return []
+    try:
+        G = np.array([[float(c) for c in r.g] for r in rows]).reshape(m, num_vars)
+        c = np.array([float(r.rhs) for r in rows])
+    except OverflowError:
+        return []
+    norm = np.linalg.norm(G, axis=1)
+    zero = norm == 0
+    scale = np.where(zero, 1.0, norm)
+    G, c = G / scale[:, None], np.where(zero, np.sign(c), c / scale)
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(c))):
+        return []
+    found = []  # (norm^2, subset)
+    for k in sizes:
+        subsets = np.array(list(combinations(range(m), k)), dtype=np.intp).reshape(-1, k)
+        GS = G[subsets]
+        subsets = subsets[np.linalg.det(GS @ GS.transpose(0, 2, 1)) > 1e-10]
+        GS = G[subsets]
+        lam = np.linalg.solve(GS @ GS.transpose(0, 2, 1), c[subsets][..., None])[..., 0]
+        x = np.einsum("bk,bkn->bn", lam, GS)
+        ok = np.all(x @ G.T <= c + _EPS, axis=1) & np.all(lam <= _EPS, axis=1)
+        found += [(float(x[b] @ x[b]), tuple(int(j) for j in subsets[b]))
+                  for b in np.flatnonzero(ok)]
+    found.sort(key=lambda f: f[0])
+    return [subset for _, subset in found[:_TRIES]]
 
 
 def _kkt_point(poly: LinearInequalitySystem,
@@ -91,7 +141,7 @@ def min_norm_gain(poly: LinearInequalitySystem) -> SynthesisResult:
     """Unique nearest point of the polytope to the origin.
 
     The origin when it is feasible; otherwise the first proposal (see
-    :func:`~viskeep.inequalities._nearest_point_proposals`) that passes the
+    :func:`_nearest_point_proposals`) that passes the
     exact KKT check of :func:`_kkt_point`.  When none does, the row sets of
     the reduced polytope are checked exactly, by size and in lexicographic
     order, until one passes; a nonempty polytope always has one, so when

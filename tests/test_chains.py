@@ -6,6 +6,7 @@ from viskeep.chains import (
     ChainSpec,
     LinkGeometry,
     ParameterMaps,
+    RobotLimits,
     SaturationError,
     ScheduleInfeasibleError,
     chain_from_json_dict,
@@ -209,6 +210,10 @@ def test_chain_spec_validation():
         ChainSpec.make(links=[(0.4, 0.3, 0.3)], robots=[(0.1, 1), (0.2, 1)])
     with pytest.raises(ValueError):
         ChainSpec.make(links=[(0.4, 0.3, 2.0)], robots=[(1.2, 1), (0.2, 1)])
+    for n in (2.0, True):  # 1 != 2.0 - 1 is False, but range(1, 2.0) fails
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ChainSpec(n=n, links=(LinkGeometry(0.4, 0.3, 2.0),),
+                      robots=(RobotLimits(0.1, 1), RobotLimits(0.2, 1)))
 
 
 def test_chain_json_round_trip():

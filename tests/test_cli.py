@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from viskeep import simulate
-from viskeep.cli import main
+from viskeep import cli, simulate
+from viskeep.cli import build_parser, main
 from viskeep.demos import (
     BASIC_SCENARIO,
     CHAIN_S0,
@@ -468,3 +469,80 @@ def test_non_object_json_files_exit_2(basic_file, tmp_path, capsys, flag):
                 str(bad), "--horizon", "0.1", "--out", str(tmp_path / "run")]
     assert main(argv) == 2
     assert "must be a JSON object" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
+def test_bundle_synth_matches_recorded_bytes(name, tmp_path):
+    """The gain.json and --dump-polytope text of each pair bundle, byte for
+    byte as recorded in tests/data."""
+    path = tmp_path / "scenario.json"
+    save_scenario(bundle(name).scenario, path)
+    gain, dump = tmp_path / "gain.json", tmp_path / "poly.txt"
+    assert main(["synth", "--scenario", str(path), "--out", str(gain),
+                 "--dump-polytope", str(dump)]) == 0
+    assert gain.read_bytes() == (DATA / f"{name}_gain.json").read_bytes()
+    assert dump.read_bytes() == (DATA / f"{name}_polytope.txt").read_bytes()
+
+
+def test_main_builds_one_parser(basic_file, tmp_path, capsys, monkeypatch):
+    """Two calls share one parser, and it still parses after an argparse
+    error."""
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        assert main(["check", "--scenario", str(basic_file)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--no-such-flag"])
+        assert exc.value.code == 2
+        out = tmp_path / "report.json"
+        assert main(["check", "--scenario", str(basic_file),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["feasible"] is True
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_fme_zero_denominator_exits_2(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text("1 0 <= 2\n1/0 1 <= 3\n")
+    assert main(["fme", "--input", str(path)]) == 2
+    assert "zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_synth_tau_with_zero_denominator_exits_2(basic_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--scenario", str(basic_file), "--tau", "1/0"])
+    assert exc.value.code == 2
+    assert "--tau" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tau", ["0", "-1/2"])
+def test_synth_checks_tau_before_the_polytope(basic_file, tmp_path, capsys,
+                                              monkeypatch, tau):
+    def no_polytope(*args, **kwargs):
+        raise AssertionError("built the polytope before the --tau check")
+
+    monkeypatch.setattr(cli, "_synth_payload", no_polytope)
+    out = tmp_path / "gain.json"
+    assert main(["synth", "--scenario", str(basic_file), f"--tau={tau}",
+                 "--out", str(out)]) == 2
+    assert "tau must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [4.0, True])
+def test_chain_spec_with_non_integer_n_exits_2(tmp_path, capsys, n):
+    spec = write_json(tmp_path / "chain.json",
+                      {**chain_to_json_dict(CHAIN_SPEC), "n": n})
+    assert main(["chain", "--spec", str(spec)]) == 2
+    assert "n must be an integer" in capsys.readouterr().err

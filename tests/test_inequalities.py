@@ -1,16 +1,19 @@
+import ast
 import math
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from viskeep import demos
+from viskeep import demos, inequalities
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
-    _Certifier,
+    _farkas_set,
     _implied,
+    _implies,
     _over,
     _solve_exact,
     normalized_key,
@@ -293,10 +296,11 @@ def _reduce_oracle(system):
     return tuple(survivors)
 
 
-def _random_reduce_system(rnd):
-    """1-3 variables with exact and scaled duplicates, parallel and
-    opposite rows, zero rows and contradictory pairs mixed in."""
-    n = rnd.randint(1, 3)
+def _random_reduce_system(rnd, num_vars=None, max_rows=None):
+    """1-3 variables (or `num_vars`) with exact and scaled duplicates,
+    parallel and opposite rows, zero rows and contradictory pairs mixed in;
+    the first `max_rows` rows after the shuffle, when that is given."""
+    n = rnd.randint(1, 3) if num_vars is None else num_vars
     rows = []
     for _ in range(rnd.randint(0, 9)):
         g = tuple(F(rnd.randint(-3, 3)) for _ in range(n))
@@ -316,7 +320,7 @@ def _random_reduce_system(rnd):
             else:  # constant row 0 <= c
                 rows.append(((F(0),) * n, F(rnd.randint(-1, 2))))
     rnd.shuffle(rows)
-    return sys_of(n, rows)
+    return sys_of(n, rows[:max_rows])
 
 
 def test_reduce_matches_sequential_fme_oracle(rnd):
@@ -332,9 +336,26 @@ def test_reduce_matches_sequential_fme_oracle(rnd):
     assert infeasible >= 50 and unbounded >= 50, (infeasible, unbounded)
 
 
+def test_reduce_and_is_feasible_match_the_oracles_in_four_variables(rnd):
+    """The same twists in 4 variables, at most 8 rows: bases of 4 rows and
+    Farkas sets of up to 5, where the 3-variable systems above stop."""
+    infeasible = unbounded = 0
+    for _ in range(150):
+        system = _random_reduce_system(rnd, num_vars=4, max_rows=8)
+        reduced = system.reduce()
+        assert reduced.rows == _reduce_oracle(system), system.to_text()
+        feasible = system.is_feasible()
+        assert feasible == _fme_feasible(system), system.to_text()
+        if not feasible:
+            infeasible += 1
+        elif len(reduced.rows) <= system.num_vars:
+            unbounded += 1
+    assert infeasible >= 20 and unbounded >= 40, (infeasible, unbounded)
+
+
 def test_reduce_matches_oracle_below_float_resolution(rnd):
-    """Rows moved by 1e-30 look equal in floats: the float proposals are
-    wrong there, and only the exact checks (or the fallback) decide."""
+    """Rows moved by 1e-30 look equal in floats, and every pivot of the
+    exact simplex still tells them apart."""
     tiny = F(1, 10**30)
     for _ in range(150):
         n = rnd.randint(1, 3)
@@ -363,7 +384,7 @@ def _bundle_polytopes():
 
 def _fme_feasible(system):
     """Feasibility by projection onto no variables: the oracle for the
-    certificate route of ``is_feasible``."""
+    simplex route of ``is_feasible``."""
     return all(row.rhs >= 0 for row in system.project(()).rows)
 
 
@@ -391,8 +412,8 @@ def test_reduce_matches_oracle_on_bundle_polytopes():
 
 
 def test_reduce_of_feasible_bundles_needs_no_elimination(monkeypatch):
-    """Every decision on the bundled polytopes is settled by a verified
-    certificate: a silent fall back to elimination fails here."""
+    """Every decision on the bundled polytopes is settled by the exact
+    simplex: a silent fall back to elimination fails here."""
     calls = []
     eliminate = LinearInequalitySystem.eliminate
 
@@ -408,8 +429,9 @@ def test_reduce_of_feasible_bundles_needs_no_elimination(monkeypatch):
 
 
 def test_reduce_keeps_a_lone_upper_bound_without_elimination(monkeypatch):
-    """In a box, no vertex of the other rows violates ``x <= 1``: only a
-    basis vertex with that row pushed out witnesses that it is needed."""
+    """In a box, the other rows are unbounded along ``x``: no multipliers
+    combine them to ``x <= 1``, and the simplex keeps the row without
+    elimination."""
     calls = []
     eliminate = LinearInequalitySystem.eliminate
 
@@ -425,19 +447,35 @@ def test_reduce_keeps_a_lone_upper_bound_without_elimination(monkeypatch):
 
 
 def test_certificates_accept_tight_combinations():
-    """Integer certificates with no slack to spare: ``x + y <= 2`` is the
-    sum of ``x <= 1`` and ``y <= 1`` (implied with equality), and
+    """The exact kernel with no slack to spare: ``x + y <= 2`` is the sum of
+    ``x <= 1`` and ``y <= 1`` (implied with equality), ``x <= 1`` is needed,
     ``x + y <= -1`` meets ``-x <= 0``, ``-y <= 0`` in a Farkas sum reading
-    ``0 <= -1``, and three rows meet in a single point."""
+    exactly ``0 <= -1``, and three rows meet in a single point."""
     square = sys_of(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((-1, 0), 0),
                         ((0, -1), 0)])
-    assert _Certifier(square).decide(2) is True
-    assert _Certifier(square).decide(0) is False
+    keys = square.int_rows
+    assert _implies([keys[j] for j in (0, 1, 3, 4)], 2, keys[2]) is True
+    assert _implies([keys[j] for j in (1, 2, 3, 4)], 2, keys[0]) is False
     assert square.reduce().rows == tuple(square.rows[k] for k in (0, 1, 3, 4))
     empty = sys_of(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), -1), ((1, 0), 5)])
-    assert _Certifier(empty).feasible() is False
+    assert sorted(_farkas_set(empty.int_rows, 2)) == [0, 1, 2]
+    assert not empty.is_feasible()
     point = sys_of(2, [((-1, 0), -1), ((0, -1), -1), ((1, 1), 2)])  # just (1, 1)
-    assert _Certifier(point).feasible() is True
+    assert _farkas_set(point.int_rows, 2) is None
+    assert point.is_feasible() and point.reduce() == point
+
+
+def test_inequalities_imports_no_numpy():
+    """Every verdict of the exact module is reached in integers: it does not
+    import numpy, so no float table can creep back in."""
+    tree = ast.parse(Path(inequalities.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert "numpy" not in imported, imported
 
 
 # ----------------------------------------------------------------------

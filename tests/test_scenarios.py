@@ -388,9 +388,9 @@ def test_projection_agrees_with_conditions_quick(rnd):
 
 
 def test_fme_check_needs_no_elimination(rnd, monkeypatch):
-    """The projection check is settled by a verified point or Farkas set on
-    the window and on random feasible and infeasible scenarios: a silent
-    fall back to elimination fails here."""
+    """The projection check is settled by the exact simplex on the window
+    and on random feasible and infeasible scenarios: a silent fall back to
+    elimination fails here."""
     calls = []
     eliminate = LinearInequalitySystem.eliminate
 
