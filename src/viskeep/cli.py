@@ -38,7 +38,7 @@ from .chains import (
     max_chain_length,
     save_chain,
 )
-from .inequalities import LinearInequalitySystem, _fraction
+from .inequalities import LinearInequalitySystem, rational
 from .scenarios import (
     load_scenario,
     rationalization_record,
@@ -252,9 +252,12 @@ def cmd_chain(args) -> int:
     feasible = True
     if args.generate:
         vals = _key_values(args.generate)
+        n = vals["n"]
+        if not n.is_integer():
+            raise ValueError(f"n must be an integer, not {n!r}")
         try:
             spec = generate_schedule(
-                a=vals["a"], d=vals["d"], n=int(vals["n"]), V_1=vals["V1"],
+                a=vals["a"], d=vals["d"], n=int(n), V_1=vals["V1"],
                 safety=vals.get("safety", 0.1),
             )
         except ScheduleInfeasibleError as exc:
@@ -365,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="minimum-norm certified gain")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--tau", type=_fraction, default=Fraction(1))
+    p.add_argument("--tau", type=rational, default=Fraction(1))
     p.add_argument("--out")
     p.add_argument("--dump-polytope")
     p.set_defaults(func=cmd_synth)

@@ -41,7 +41,7 @@ def rationalize(x: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Fra
     return Fraction(x).limit_denominator(max_denominator)
 
 
-def _fraction(text: str) -> Fraction:
+def rational(text: str) -> Fraction:
     """`text` read as a rational; a zero denominator is a ValueError like
     any other malformed number."""
     try:
@@ -316,12 +316,12 @@ class LinearInequalitySystem:
             if "<=" not in line:
                 raise ValueError(f"line {lineno}: missing '<='")
             lhs, _, rhs = line.partition("<=")
-            coeffs = [_fraction(tok) for tok in lhs.split()]
+            coeffs = [rational(tok) for tok in lhs.split()]
             if width is None:
                 width = len(coeffs)
             elif len(coeffs) != width:
                 raise ValueError(f"line {lineno}: inconsistent variable count")
-            rows.append(Row(tuple(coeffs), _fraction(rhs.strip())))
+            rows.append(Row(tuple(coeffs), rational(rhs.strip())))
         if width is None:
             raise ValueError("no rows found")
         return cls(width, tuple(rows))

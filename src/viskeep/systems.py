@@ -362,20 +362,6 @@ def check_admissible(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
     )
 
 
-def _certificate_inputs(sys, K, tau):
-    exact = K.is_exact() and isinstance(tau, (int, Fraction))
-    if exact:
-        tau = Fraction(tau)
-        conv = lambda v: v
-    else:
-        tau = float(tau)
-        conv = _float_tuple
-    S_verts = [conv(v) for v in sys.S.vertices()]
-    Q_verts = [conv(w) for w in sys.Q.vertices()]
-    D_verts = [conv(r) for r in sys.D.vertices()]
-    return exact, tau, conv, S_verts, Q_verts, D_verts
-
-
 def _cone_failures_exact(sys, K, tau):
     """Exact path of :func:`check_D_invariant_cone`, on the integer rows of
     :func:`_gain_rows`: the gain ``k = Kn / Kd`` fails a row iff
@@ -438,7 +424,9 @@ def check_D_invariant_cone(
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    exact, tau_c, _, _, Q_verts, _ = _certificate_inputs(sys, K, tau)
+    exact = K.is_exact() and isinstance(tau, (int, Fraction))
+    tau_c = Fraction(tau) if exact else float(tau)
+    Q_verts = sys.Q.vertices() if exact else sys.Q.vertices_f()
     # state i -> key of each w: its values on the parameters of row i
     keys = [[tuple(w[l] for l in params) for w in Q_verts]
             for params in (_ab_params(sys, i) for i in range(sys.n))]

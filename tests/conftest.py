@@ -29,7 +29,6 @@ from viskeep.systems import (
     UncertainLinearSystem,
     Violation,
     _affine_row,
-    _certificate_inputs,
     _float_tuple,
     _mat,
     _mat_vec,
@@ -426,6 +425,23 @@ def _kkt_residual(poly, point, active) -> float:
     mult, *_ = np.linalg.lstsq(-G.T, x, rcond=None)
     mult = np.clip(mult, 0.0, None)
     return float(np.linalg.norm(-G.T @ mult - x))
+
+
+def _certificate_inputs(sys, K, tau):
+    """The certificate oracles' inputs: whether the check is exact, tau,
+    the vertex conversion and the vertices of S, Q and D, all as Fractions
+    for an exact gain and tau, else as floats."""
+    exact = K.is_exact() and isinstance(tau, (int, Fraction))
+    if exact:
+        tau = Fraction(tau)
+        conv = lambda v: v
+    else:
+        tau = float(tau)
+        conv = _float_tuple
+    S_verts = [conv(v) for v in sys.S.vertices()]
+    Q_verts = [conv(w) for w in sys.Q.vertices()]
+    D_verts = [conv(r) for r in sys.D.vertices()]
+    return exact, tau, conv, S_verts, Q_verts, D_verts
 
 
 def check_D_invariant_euler(

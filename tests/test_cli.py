@@ -523,7 +523,9 @@ def test_synth_tau_with_zero_denominator_exits_2(basic_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["synth", "--scenario", str(basic_file), "--tau", "1/0"])
     assert exc.value.code == 2
-    assert "--tau" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--tau: invalid rational value: '1/0'" in err
+    assert "_fraction" not in err
 
 
 @pytest.mark.parametrize("tau", ["0", "-1/2"])
@@ -546,3 +548,12 @@ def test_chain_spec_with_non_integer_n_exits_2(tmp_path, capsys, n):
                       {**chain_to_json_dict(CHAIN_SPEC), "n": n})
     assert main(["chain", "--spec", str(spec)]) == 2
     assert "n must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["2.5", "inf", "1e400", "nan"])
+def test_chain_generate_with_non_integer_n_exits_2(tmp_path, capsys, n):
+    out = tmp_path / "generated.json"
+    assert main(["chain", "--generate", f"a=0.4,d=3,n={n},V1=0.1",
+                 "--out", str(out)]) == 2
+    assert "n must be an integer" in capsys.readouterr().err
+    assert not out.exists()

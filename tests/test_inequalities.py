@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from viskeep import demos, inequalities
+from viskeep import demos, inequalities, synthesis
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
@@ -466,16 +466,18 @@ def test_certificates_accept_tight_combinations():
 
 
 def test_inequalities_imports_no_numpy():
-    """Every verdict of the exact module is reached in integers: it does not
-    import numpy, so no float table can creep back in."""
-    tree = ast.parse(Path(inequalities.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            imported.add(node.module.split(".")[0])
-    assert "numpy" not in imported, imported
+    """Every verdict of the exact module and of the min-norm selection is
+    reached in integers: neither imports numpy, so no float table or float
+    proposal can creep back in."""
+    for module in (inequalities, synthesis):
+        tree = ast.parse(Path(module.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "numpy" not in imported, (module.__name__, imported)
 
 
 # ----------------------------------------------------------------------

@@ -58,9 +58,10 @@ def test_kkt_point_accepts_a_zero_multiplier():
     the second row is active with multiplier 0: that row set certifies the
     optimum, and so does ``x >= 1`` alone."""
     poly = sys_of(2, [((-3, 0), -3), ((-2, -2), -2), ((0, 1), 5)])
-    assert synthesis._kkt_point(poly, (0, 1)) == ([1, 0], 1)
-    assert synthesis._kkt_point(poly, (0,)) == ([1, 0], 1)
-    assert synthesis._kkt_point(poly, (1,)) is None  # (1/2, 1/2) violates x >= 1
+    rows = poly.int_rows
+    assert synthesis._kkt_point(rows, (0, 1)) == ([1, 0], 1)
+    assert synthesis._kkt_point(rows, (0,)) == ([1, 0], 1)
+    assert synthesis._kkt_point(rows, (1,)) is None  # (1/2, 1/2) violates x >= 1
     res = min_norm_gain(poly)
     assert res.exact_gain == (1, 0) and res.active_rows == (0, 1)
 
@@ -96,42 +97,84 @@ def test_redundancy_removal_preserves_min_norm_gain():
         min_norm_gain(poly.reduce()).exact_gain
 
 
+def _assert_matches_oracle(q, want):
+    if want is None:
+        with pytest.raises(InfeasiblePolytopeError):
+            min_norm_gain(q)
+        return
+    got = min_norm_gain(q)
+    assert got.exact_gain == want.exact_gain
+    assert got.active_rows == want.active_rows
+    assert got.norm == want.norm
+    assert got.kkt_residual == want.kkt_residual == 0.0
+
+
+def _oracle_or_none(q):
+    try:
+        return min_norm_oracle(q)
+    except InfeasiblePolytopeError:
+        return None
+
+
+def _random_family_polytopes(rnd):
+    return [random_family_scenario(rnd, kind).polytope()
+            for kind in ("basic", "ubb", "circle") for _ in range(14)]
+
+
 @pytest.mark.filterwarnings("ignore:scenario fails")
-def test_min_norm_gain_matches_enumeration_oracle(rnd, monkeypatch):
-    """Both routes, the verified float proposals and the exact fallback,
-    against the exhaustive active-set enumeration, on the unreduced and
-    the reduced polytopes of random scenarios and the chain links."""
-    polys = [random_family_scenario(rnd, kind).polytope()
-             for kind in ("basic", "ubb", "circle") for _ in range(14)]
+def test_min_norm_gain_matches_enumeration_oracle(rnd):
+    """The exact min-norm loop against the exhaustive active-set
+    enumeration, on the unreduced and the reduced polytopes of random
+    scenarios and the chain links."""
+    polys = _random_family_polytopes(rnd)
     polys += [gain_polytope(CHAIN_SPEC.link_scenario(k))
               for k in range(1, CHAIN_SPEC.n)]
     cases = [q for poly in polys for q in (poly, poly.reduce())]
-    wants = []
-    for q in cases:
-        try:
-            wants.append(min_norm_oracle(q))
-        except InfeasiblePolytopeError:
-            wants.append(None)
+    wants = [_oracle_or_none(q) for q in cases]
     assert sum(w is not None for w in wants) >= 40
     assert sum(w is None for w in wants) >= 10
-    for route in ("proposals", "fallback"):
-        if route == "fallback":
-            monkeypatch.setattr(synthesis, "_nearest_point_proposals", lambda rows, n: [])
-        for q, want in zip(cases, wants):
-            if want is None:
-                with pytest.raises(InfeasiblePolytopeError):
-                    min_norm_gain(q)
-                continue
-            got = min_norm_gain(q)
-            assert got.exact_gain == want.exact_gain, route
-            assert got.active_rows == want.active_rows, route
-            assert got.norm == want.norm, route
-            assert got.kkt_residual == want.kkt_residual == 0.0, route
+    for q, want in zip(cases, wants):
+        _assert_matches_oracle(q, want)
 
 
-def test_min_norm_gain_of_bundles_needs_no_reduce(monkeypatch):
-    """On the bundled polytopes a float proposal verifies: a silent fall
-    back to reduce() and the exact enumeration fails here."""
+def _random_small_system(rnd, n):
+    """A random system in `n` variables with small rational entries, in
+    which a row may be zero, a duplicate of an earlier row, or parallel to
+    one (a positive multiple with a shifted right-hand side)."""
+    rows = []
+    for _ in range(rnd.randint(1, 8)):
+        pick = rnd.random()
+        if rows and pick < 0.1:
+            rows.append(rnd.choice(rows))
+        elif rows and pick < 0.2:
+            g, c = rnd.choice(rows)
+            s = F(rnd.randint(1, 4), rnd.randint(1, 3))
+            rows.append((tuple(s * x for x in g), s * c + rnd.randint(-1, 1)))
+        elif pick < 0.25:
+            rows.append(((F(0),) * n, F(rnd.randint(-2, 2))))
+        else:
+            rows.append((tuple(F(rnd.randint(-4, 4), rnd.randint(1, 3))
+                               for _ in range(n)),
+                         F(rnd.randint(-5, 5), rnd.randint(1, 2))))
+    return sys_of(n, rows)
+
+
+def test_min_norm_gain_matches_oracle_on_small_systems(rnd):
+    """600 random 1-3-variable systems with zero, duplicate and parallel
+    rows, feasible and empty, against the exhaustive enumeration."""
+    systems = [_random_small_system(rnd, rnd.randint(1, 3)) for _ in range(600)]
+    wants = [_oracle_or_none(q) for q in systems]
+    assert sum(w is None for w in wants) >= 100
+    assert sum(w is not None and any(w.exact_gain) for w in wants) >= 100
+    for q, want in zip(systems, wants):
+        _assert_matches_oracle(q, want)
+
+
+@pytest.mark.filterwarnings("ignore:scenario fails")
+def test_min_norm_gain_of_bundles_needs_no_reduce(rnd, monkeypatch):
+    """min_norm_gain reduces no feasible polytope: not the bundled and
+    chain-link ones, not random-family ones, reduced or not.  An empty one
+    is reduced exactly once, for the exhaustive emptiness verdict."""
     calls = []
     reduce = LinearInequalitySystem.reduce
 
@@ -142,11 +185,19 @@ def test_min_norm_gain_of_bundles_needs_no_reduce(monkeypatch):
     polys = [b.scenario.polytope() for b in BUNDLES if b.name != "chain"]
     polys += [gain_polytope(CHAIN_SPEC.link_scenario(k))
               for k in range(1, CHAIN_SPEC.n)]
-    reduced = [poly.reduce() for poly in polys]
+    polys += _random_family_polytopes(rnd)
+    cases = polys + [poly.reduce() for poly in polys]
+    feasible = [q for q in cases if q.is_feasible()]
+    empty = [q for q in cases if not q.is_feasible()]
+    assert len(feasible) >= 40 and len(empty) >= 10
     monkeypatch.setattr(LinearInequalitySystem, "reduce", counted)
-    for poly in polys + reduced:
-        min_norm_gain(poly)
+    for q in feasible:
+        min_norm_gain(q)
     assert calls == []
+    for q in empty:
+        with pytest.raises(InfeasiblePolytopeError):
+            min_norm_gain(q)
+    assert calls == [len(q.rows) for q in empty]
 
 
 def _random_boxed_polytope(rnd, n):
