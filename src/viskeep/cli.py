@@ -92,11 +92,12 @@ def _check_payload(sc):
 
 def _synth_payload(sc, tau=Fraction(1)):
     """What `synth` writes: the min-norm gain of the reduced polytope and
-    its certificates, plus that polytope; raises InfeasiblePolytopeError."""
-    poly = sc.polytope().reduce()
+    its certificates, plus that polytope; raises InfeasiblePolytopeError.
+    The scenario's uncertain system is built once, for all three."""
+    sysd = sc.system()
+    poly = sc.polytope(sysd).reduce()
     result = min_norm_gain(poly)
     K = GainMatrix(*result.exact_gain)
-    sysd = sc.system()
     adm = check_admissible(K, sysd.S, sysd.U)
     inv = check_D_invariant_cone(sysd, K, tau)
     payload = {
@@ -230,7 +231,7 @@ def cmd_simulate(args) -> int:
         if args.gain:
             K = _gain_of(_read_json(args.gain))
         else:
-            res = min_norm_gain(sc.polytope().reduce())
+            res = min_norm_gain(sc.polytope())  # the optimum is unique
             K = GainMatrix(*res.exact_gain).as_floats()
         s0 = _parse_s0(args.s0) if args.s0 else (0.0, 0.0, 0.0)
         clean = _run_pair(sc, K, profile, s0, args.horizon, args.dt, out_dir,

@@ -4,9 +4,12 @@ A system is a finite list of rows ``g . x <= r`` over ``num_vars`` variables,
 with every coefficient and right-hand side a :class:`fractions.Fraction`.
 Everything here is exact: projection by Fourier-Motzkin elimination,
 feasibility decisions and redundancy removal produce certificates that are
-free of floating-point ambiguity.  Feasibility and implication are linear
-programs over nonnegative multipliers of the rows, solved by one small
-two-phase simplex (:func:`_simplex`) whose every pivot is exact.
+free of floating-point ambiguity.  Feasibility is one linear program over
+nonnegative multipliers of the rows, solved by a small two-phase simplex
+(:func:`_simplex`): it finds a vertex of the rows or a Farkas set
+(:func:`_vertex_or_farkas`).  Redundancy removal then decides every row
+by a primal simplex over the points that starts from the last vertex
+(:func:`_walk`).  Every pivot is exact.
 
 The exact work runs in Python integers, fraction-free.  Each row is read
 in its primitive integer form ``(a_1, ..., a_n, b)`` (:func:`normalized_key`,
@@ -200,10 +203,10 @@ class LinearInequalitySystem:
 
     def is_feasible(self) -> bool:
         """Exact nonemptiness of the solution set, decided by one exact
-        linear program over multipliers of the rows (see
-        :func:`_farkas_set`): empty iff some nonnegative combination reads
+        linear program (:func:`_vertex_or_farkas`): it finds a vertex of
+        the rows, or a Farkas set, whose nonnegative combination reads
         ``0 <= negative``."""
-        return _farkas_set(self.int_rows, self.num_vars) is None
+        return _vertex_or_farkas(self.int_rows, self.num_vars)[0] is not None
 
     # ------------------------------------------------------------------
     # Redundancy removal
@@ -215,14 +218,17 @@ class LinearInequalitySystem:
         Rows are visited in order, and row ``i`` is dropped iff the rows
         still surviving besides it imply it, i.e. admit no point with
         ``g_i . x > c_i`` (this includes the case where they admit no point
-        at all).  One exact linear program decides whether the rows are
-        empty (:func:`_farkas_set`), and the verdict is kept as the rows
-        are dropped:
+        at all).  One cold linear program finds a vertex of the rows or a
+        Farkas set (:func:`_vertex_or_farkas`), and every row is decided
+        from there:
 
-        * nonempty: row ``i`` is dropped iff the least ``sum y_j c_j`` over
-          ``y >= 0`` on the other survivors with ``sum y_j g_j = g_i`` is at
-          most ``c_i`` (:func:`_implies`); when no such ``y`` exists the
-          others are unbounded along ``g_i`` and the row is kept;
+        * nonempty: row ``i`` is dropped iff ``max g_i . x`` over the other
+          survivors is at most ``c_i``, found by a primal simplex that starts
+          at the current vertex (:func:`_walk`).  It stops at the first point
+          that violates the row, or at an unbounded edge, and the row is
+          kept; the next row starts from the same vertex.  At an optimum the
+          row is dropped, and its end vertex, one of the remaining
+          survivors, is where the next row starts;
         * empty, with a Farkas set: a row outside the set is dropped with no
           program, since the others are still empty.  A row inside it is
           dropped iff the other survivors are empty too, and their Farkas
@@ -237,21 +243,24 @@ class LinearInequalitySystem:
         ints, n = self.int_rows, self.num_vars
         survivors = list(range(len(self.rows)))
         by_elimination = len(survivors) <= n
-        farkas = None if by_elimination else _farkas_set(ints, n)
+        rows, found = (None, None) if by_elimination else _vertex_or_farkas(ints, n)
         i = 0
         while i < len(survivors):
             k = survivors[i]
             others = survivors[:i] + survivors[i + 1:]
             if by_elimination:
                 implied = _implied([self.rows[j] for j in others], self.rows[k], n)
-            elif farkas is None:
-                implied = _implies([ints[j] for j in others], n, ints[k])
+            elif rows is not None:
+                end = _walk(rows, others, k, found)
+                implied = end is not None
+                if implied:
+                    found = end
             else:
-                implied = k not in farkas
+                implied = k not in found
                 if not implied:
-                    rest = _farkas_set([ints[j] for j in others], n)
-                    if rest is not None:
-                        farkas, implied = [others[j] for j in rest], True
+                    rest_rows, rest = _vertex_or_farkas([ints[j] for j in others], n)
+                    if rest_rows is None:
+                        found, implied = [others[j] for j in rest], True
             if implied:
                 survivors.pop(i)
             else:
@@ -398,16 +407,16 @@ def _solve_exact(M: Sequence[Sequence[int]],
 
 
 def _simplex(cols: Sequence[Sequence[int]], rhs: Sequence[int],
-             costs: Sequence[int], reached: Callable[[int, int], bool]
-             ) -> Optional[tuple[bool, list[int]]]:
+             costs: Sequence[int]) -> tuple[bool, list[int]]:
     """Two-phase simplex in integers for ``min costs . y`` subject to
-    ``sum_j y_j cols[j] = rhs`` and ``y >= 0``.
+    ``sum_j y_j cols[j] = rhs`` and ``y >= 0``, where some ``y >= 0`` meets
+    the equations and they are independent.
 
-    None if no ``y >= 0`` meets the equations.  Otherwise the second phase
-    pivots until ``reached(num, den)`` holds for the objective ``num / den``
-    of the current basic solution, or until that solution is optimal, and
-    the result is whether `reached` held, with the support of the solution
-    (the ``j`` with ``y_j > 0``).
+    ``(True, basis)`` at an optimum, with the basic column of each equation;
+    ``(False, support)`` when the objective is unbounded below, with the
+    support of the ray the simplex found: the entering column ``c`` with no
+    positive entry and the basic columns that grow along it.  On that ray
+    ``sum y_j cols[j]`` stays put and ``costs . y`` falls.
 
     The tableau is fraction-free: integers over one positive common
     denominator ``den``, the determinant of the basis up to sign.  A pivot
@@ -447,13 +456,14 @@ def _simplex(cols: Sequence[Sequence[int]], rhs: Sequence[int],
         den = p
         basis[r] = c
 
-    def solve(obj: list[int], done: Callable[[], bool]) -> bool:
-        """Pivot on the objective row `obj` until `done()` (True) or until
-        no column improves it (False)."""
+    def solve(obj: list[int], done: Callable[[], bool]) -> Optional[int]:
+        """Pivot on the objective row `obj` until `done()` or until no column
+        improves it (None), or until column ``c`` improves it without bound
+        (``c``)."""
         while not done():
             c = next((j for j in range(k) if obj[j] < 0), None)
             if c is None:
-                return False
+                return None
             r = None  # the least ratio rhs / entry over the positive entries
             for i in range(m):
                 a = tab[i][c]
@@ -464,48 +474,130 @@ def _simplex(cols: Sequence[Sequence[int]], rhs: Sequence[int],
                     d = tab[i][-1] * tab[r][c] - tab[r][-1] * a
                     if d < 0 or d == 0 and basis[i] < basis[r]:
                         r = i
-            if r is None:  # neither caller's problem is unbounded
-                raise ArithmeticError("unbounded linear program")
+            if r is None:
+                return c
             pivot(r, c)
-        return True
+        return None
 
     solve(phase1, lambda: phase1[-1] == 0)
-    if phase1[-1] < 0:  # the artificials sum to -phase1[-1] / den > 0
-        return None
+    if phase1[-1]:  # the artificials sum to -phase1[-1] / den > 0
+        raise ArithmeticError("no y >= 0 meets the equations")
     tab.pop()
     for r in range(m):
         if basis[r] >= k:
-            c = next((j for j in range(k) if tab[r][j]), None)
-            if c is not None:
-                pivot(r, c)
-    hit = solve(cost, lambda: reached(-cost[-1], den))
-    return hit, [basis[r] for r in range(m) if basis[r] < k and tab[r][-1] > 0]
+            pivot(r, next(j for j in range(k) if tab[r][j]))
+    c = solve(cost, lambda: False)
+    if c is None:
+        return True, basis
+    return False, [c] + [basis[r] for r in range(m) if tab[r][c] < 0]
 
 
-def _farkas_set(keys: Sequence[tuple[int, ...]],
-                num_vars: int) -> Optional[list[int]]:
-    """Positions of integer rows among `keys` that have no common point, or
-    None if all of them have one.
+def _column_basis(keys: Sequence[tuple[int, ...]], num_vars: int) -> list[int]:
+    """The variables, lowest first, whose columns of the normals of `keys`
+    form a basis of all ``num_vars`` columns, by fraction-free elimination.
 
-    One linear program over multipliers ``y >= 0``: ``min sum y_j b_j``
-    subject to ``sum y_j a_j = 0`` and ``sum y_j = 1``.  By duality its
-    optimum is the largest ``t`` for which some point meets every row with
-    slack ``t``.  A negative value reads ``0 <= negative`` (Farkas), and the
-    rows of its support have no common point.  When no such ``y`` exists,
-    some direction decreases every ``a_j . x`` (Gordan), and far enough
-    along it every row holds."""
-    found = _simplex([a[:num_vars] + (1,) for a in keys], [0] * num_vars + [1],
-                     [a[-1] for a in keys], lambda value, den: value < 0)
-    return found[1] if found is not None and found[0] else None
+    Every other column ``T`` is then ``A[:, T] = A[:, S] C`` for the basis
+    ``S``, so ``a . x = a_S . (x_S + C x_T)`` for every row: the system in
+    the variables ``S`` has the same points up to that linear map, the same
+    empty row sets and the same implied rows."""
+    basis, echelon = [], []  # echelon: (position of the lead, column)
+    for v in range(num_vars):
+        col = [a[v] for a in keys]
+        for p, e in echelon:
+            if col[p]:
+                col = _primitive([e[p] * c - col[p] * x for c, x in zip(col, e)])
+        lead = next((p for p, c in enumerate(col) if c), None)
+        if lead is not None:
+            echelon.append((lead, col))
+            basis.append(v)
+    return basis
 
 
-def _implies(keys: Sequence[tuple[int, ...]], num_vars: int,
-             a: tuple[int, ...]) -> bool:
-    """Whether the integer rows `keys`, which have a common point, imply the
-    row `a`: some ``y >= 0`` has ``sum y_j a_j`` equal to its normal and
-    ``sum y_j b_j`` at most its right-hand side.  The least such sum is the
-    maximum of ``a . x`` over the rows (duality); when no ``y`` combines to
-    the normal, the rows are unbounded along it."""
-    found = _simplex([r[:num_vars] for r in keys], a[:num_vars],
-                     [r[-1] for r in keys], lambda value, den: value <= a[-1] * den)
-    return found is not None and found[0]
+def _vertex_or_farkas(keys: Sequence[tuple[int, ...]], num_vars: int
+                      ) -> tuple[Optional[list[tuple[int, ...]]], list[int]]:
+    """One cold linear program that finds a vertex of the integer rows
+    `keys`, or a Farkas set when they have no common point.
+
+    The rows are first taken in the ``r`` variables of their
+    :func:`_column_basis`, where the normals span all ``r`` dimensions.  The
+    program is ``min sum y_j b_j`` over ``y >= 0`` with ``sum y_j a_j =
+    a_0``, the first row's normal, so ``y = e_0`` meets it.  Its dual is
+    ``max a_0 . x`` over the rows, so it is unbounded iff they are empty, and
+    then the support of its unbounded ray reads ``0 <= negative``: a Farkas
+    set.  Otherwise the ``r`` rows of its optimal basis meet in a point that
+    satisfies every row (its reduced costs are the slacks), a vertex.
+
+    Returns ``(rows, basis)``, the rows in the ``r`` variables and the
+    positions of that vertex's rows, or ``(None, farkas)``."""
+    cols = _column_basis(keys, num_vars)
+    rows = [tuple(a[v] for v in cols) + (a[-1],) for a in keys]
+    r = len(cols)
+    bounded, found = _simplex([a[:r] for a in rows], rows[0][:r] if rows else (),
+                              [a[-1] for a in rows])
+    return (rows if bounded else None), found
+
+
+def _walk(rows: Sequence[tuple[int, ...]], others: Sequence[int], i: int,
+          basis: Sequence[int]) -> Optional[list[int]]:
+    """Decide whether the rows `others` (ascending positions in `rows`)
+    imply row `i`, by a primal simplex for ``max a_i . x`` over them started at the
+    vertex `basis`: ``len(basis)`` positions among `others` and `i` whose
+    rows meet in a point that satisfies all of them, with the normals
+    spanning every variable.
+
+    Returns the basis of a vertex of `others` at which the maximum is
+    reached, at most ``b_i`` (the row is implied), or None as soon as a
+    point of `others` violates row `i` or an edge runs off unbounded (the
+    row is needed).  If `i` is in `basis`, it is pivoted out first: the edge
+    that leaves its plane outwards, and a positive step along it already
+    violates it.  Then, while some multiplier of ``a_i`` in the basis rows
+    is negative, the row of lowest position among them leaves and the
+    ratio test picks the row that enters, ties to the lowest position
+    (Bland's rule: no cycling).  Points, multipliers and edges are solved
+    exactly (:func:`_solve_exact`)."""
+    a, basis, r = rows[i], list(basis), len(basis)
+
+    def point() -> tuple[list[int], int]:
+        return _solve_exact([rows[k][:-1] for k in basis],
+                            [rows[k][-1] for k in basis])
+
+    def edge(pos: int, out: int, x: tuple[list[int], int]
+             ) -> Optional[tuple[int, int]]:
+        """The row that enters and its slack at the point `x` of the basis,
+        along the edge that keeps every basis row but ``basis[pos]`` tight
+        and moves ``a . x`` of that row by `out`; None if no row of
+        `others` bounds the edge."""
+        num, den = x
+        d, _ = _solve_exact([rows[k][:-1] for k in basis],
+                            [out if p == pos else 0 for p in range(r)])
+        best = None  # (row, slack, rate): the least slack / rate
+        for k in others:
+            rate = _dot(rows[k], d)
+            if rate > 0 and k not in basis:
+                slack = rows[k][-1] * den - _dot(rows[k], num)
+                if best is None or slack * best[2] < best[1] * rate:
+                    best = (k, slack, rate)
+        return None if best is None else best[:2]
+
+    x = None  # the point of the basis, solved when a step needs it
+    if i in basis:
+        pos = basis.index(i)
+        x = point()
+        found = edge(pos, 1, x)
+        if found is None or found[1] > 0:
+            return None
+        basis[pos] = found[0]  # a zero step: the point stays
+    while True:
+        lam, _ = _solve_exact([[rows[k][v] for k in basis] for v in range(r)],
+                              a[:r])
+        neg = [k for k, l in zip(basis, lam) if l < 0]
+        if not neg:
+            return basis
+        pos = basis.index(min(neg))
+        found = edge(pos, -1, x or point())
+        if found is None:
+            return None
+        basis[pos] = found[0]
+        x = point()
+        if _dot(a, x[0]) > a[-1] * x[1]:
+            return None

@@ -52,7 +52,9 @@ class BasicScenario:
     """Box window (half-widths a, a, b), standoff d, speed and turn bounds.
 
     Each scenario class carries its family's JSON kind, conditions, gain
-    polytope, uncertain system, exact constants and simulator."""
+    polytope, uncertain system, exact constants and simulator.  The
+    polytope is built from `system` when one is passed: the scenario's
+    uncertain system, already built by the caller."""
 
     kind = "basic"
 
@@ -82,8 +84,8 @@ class BasicScenario:
     def conditions(self) -> FeasibilityReport:
         return feasible_basic(self)
 
-    def polytope(self) -> LinearInequalitySystem:
-        return gain_polytope(self)
+    def polytope(self, system=None) -> LinearInequalitySystem:
+        return gain_polytope(self, system)
 
     def system(self) -> UncertainLinearSystem:
         return build_basic_system(self)
@@ -118,8 +120,8 @@ class UbbScenario(BasicScenario):
     def conditions(self) -> FeasibilityReport:
         return feasible_ubb(self)
 
-    def polytope(self) -> LinearInequalitySystem:
-        return gain_polytope_ubb(self)
+    def polytope(self, system=None) -> LinearInequalitySystem:
+        return gain_polytope_ubb(self, system)
 
     def system(self) -> UncertainLinearSystem:
         return build_ubb_system(self)
@@ -173,8 +175,8 @@ class CircleScenario:
     def conditions(self) -> FeasibilityReport:
         return feasible_circle(self)
 
-    def polytope(self) -> LinearInequalitySystem:
-        return gain_polytope_circle(self)
+    def polytope(self, system=None) -> LinearInequalitySystem:
+        return gain_polytope_circle(self, system)
 
     def system(self) -> UncertainLinearSystem:
         return build_circle_system(self)
@@ -305,9 +307,9 @@ def build_basic_system(sc: BasicScenario) -> UncertainLinearSystem:
 
 def build_ubb_system(sc: UbbScenario) -> UncertainLinearSystem:
     """Basic family with the disturbance vector enlarged to
-    (v_L, w_L, h_F, h_L): the lateral perturbations enter through E(q)."""
+    (v_L, w_L, h_F, h_L): the lateral perturbations enter through E(q).
+    The constants of the basic family are read off its system."""
     base = build_basic_system(sc)
-    c = exact_basic(sc)
     E0 = _mat([[1, 0, 0, 0], [0, 0, -1, 1], [0, 1, 0, 0]])
     E5 = _mat([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     E6 = _mat([[0, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 0]])
@@ -317,7 +319,7 @@ def build_ubb_system(sc: UbbScenario) -> UncertainLinearSystem:
         A=base.A, B=base.B,
         E=(E0, zb, zb, zb, zb, E5, E6),
         S=base.S, U=base.U,
-        D=Box.symmetric((c.V_L, c.Omega_L, c.H_F, c.H_L)),
+        D=Box.symmetric(base.D.hi + (rationalize(sc.H_F), rationalize(sc.H_L))),
         Q=base.Q,
     )
 
@@ -531,26 +533,28 @@ def _pipeline_polytope(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySys
     return LinearInequalitySystem._keyed(3, rows, keys)
 
 
-def gain_polytope(sc: BasicScenario) -> LinearInequalitySystem:
+def gain_polytope(sc: BasicScenario, system=None) -> LinearInequalitySystem:
     """Feasible-gain polytope for the basic window, from the shifted-cone
     pipeline like the other families; warns when the closed-form
-    solvability conditions fail."""
+    solvability conditions fail.  `system` is ``build_basic_system(sc)``,
+    built here when not passed."""
     if not feasible_basic(sc).feasible:
         warnings.warn("scenario fails the closed-form solvability conditions",
                       stacklevel=2)
-    return _pipeline_polytope(build_basic_system(sc))
+    return _pipeline_polytope(build_basic_system(sc) if system is None else system)
 
 
-def gain_polytope_ubb(sc: UbbScenario) -> LinearInequalitySystem:
+def gain_polytope_ubb(sc: UbbScenario, system=None) -> LinearInequalitySystem:
     """Feasible-gain polytope under lateral disturbances, from the generic
     shifted-cone pipeline; membership is equivalent to passing both the
-    admissibility and cone certificates of the ubb system."""
-    return _pipeline_polytope(build_ubb_system(sc))
+    admissibility and cone certificates of the ubb system (`system`, built
+    here when not passed)."""
+    return _pipeline_polytope(build_ubb_system(sc) if system is None else system)
 
 
-def gain_polytope_circle(sc: CircleScenario) -> LinearInequalitySystem:
+def gain_polytope_circle(sc: CircleScenario, system=None) -> LinearInequalitySystem:
     """Feasible-gain polytope for the orbit window, same pipeline."""
-    return _pipeline_polytope(build_circle_system(sc))
+    return _pipeline_polytope(build_circle_system(sc) if system is None else system)
 
 
 def derive_conditions_fme(sc: BasicScenario) -> bool:

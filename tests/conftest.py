@@ -12,7 +12,7 @@ import pytest
 
 from viskeep.boxes import Box
 from viskeep.demos import CIRCLE_SCENARIO
-from viskeep.inequalities import LinearInequalitySystem, Row
+from viskeep.inequalities import LinearInequalitySystem, Row, _implied
 from viskeep.scenarios import (
     BasicScenario,
     CircleScenario,
@@ -196,6 +196,160 @@ def eliminate_oracle(system: LinearInequalitySystem, var: int) -> LinearInequali
             key = normalized_key_oracle(Row(g, p.rhs * inv_p + n.rhs * inv_n))
             out.append(Row(tuple(key[0]), key[1]))
     return LinearInequalitySystem(system.num_vars - 1, dedup_oracle(out))
+
+
+# ----------------------------------------------------------------------
+# The per-row linear programs that decided reduce() before the warm-started
+# vertex walk: a cold two-phase simplex for every row, an emptiness program
+# over multipliers summing to one, and the same sequential survivor loop
+# ----------------------------------------------------------------------
+
+
+def _simplex_oracle(cols: Sequence[Sequence[int]], rhs: Sequence[int],
+                    costs: Sequence[int], reached: Callable[[int, int], bool]
+                    ) -> Optional[tuple[bool, list[int]]]:
+    """Two-phase simplex in integers for ``min costs . y`` subject to
+    ``sum_j y_j cols[j] = rhs`` and ``y >= 0``.
+
+    None if no ``y >= 0`` meets the equations.  Otherwise the second phase
+    pivots until ``reached(num, den)`` holds for the objective ``num / den``
+    of the current basic solution, or until that solution is optimal, and
+    the result is whether `reached` held, with the support of the solution
+    (the ``j`` with ``y_j > 0``).
+
+    The tableau is fraction-free: integers over one positive common
+    denominator ``den``, the determinant of the basis up to sign.  A pivot
+    at ``p`` replaces every other row ``t`` by ``(p t - t_c top) / den``, an
+    exact division, and ``p`` becomes the denominator (Edmonds, J. Res. NBS
+    71B, 1967; Bareiss, Math. Comp. 22, 1968).  The first phase starts from
+    one artificial variable per equation, each equation signed so that its
+    right-hand side is >= 0, and minimises their sum; an artificial still
+    basic at zero is then pivoted out at any nonzero entry of its row, the
+    row negated first when that entry is negative.  Both phases follow
+    Bland's rule (the lowest entering index, ratio ties to the lowest basic
+    index), so neither cycles.
+    """
+    k, m = len(cols), len(rhs)
+    tab = []
+    for r, b in enumerate(rhs):
+        sign = -1 if b < 0 else 1
+        tab.append([sign * col[r] for col in cols]
+                   + [int(j == r) for j in range(m)] + [sign * b])
+    cost = list(costs) + [0] * (m + 1)
+    phase1 = [int(k <= j < k + m) - sum(row[j] for row in tab)
+              for j in range(k + m + 1)]
+    tab += [cost, phase1]
+    basis = list(range(k, k + m))
+    den = 1
+
+    def pivot(r: int, c: int) -> None:
+        nonlocal den
+        top = tab[r]
+        if top[c] < 0:  # only an artificial at zero leaves at one
+            top[:] = [-v for v in top]
+        p = top[c]
+        for row in tab:
+            if row is not top:
+                f = row[c]
+                row[:] = [(p * v - f * t) // den for v, t in zip(row, top)]
+        den = p
+        basis[r] = c
+
+    def solve(obj: list[int], done: Callable[[], bool]) -> bool:
+        """Pivot on the objective row `obj` until `done()` (True) or until
+        no column improves it (False)."""
+        while not done():
+            c = next((j for j in range(k) if obj[j] < 0), None)
+            if c is None:
+                return False
+            r = None  # the least ratio rhs / entry over the positive entries
+            for i in range(m):
+                a = tab[i][c]
+                if a > 0:
+                    if r is None:
+                        r = i
+                        continue
+                    d = tab[i][-1] * tab[r][c] - tab[r][-1] * a
+                    if d < 0 or d == 0 and basis[i] < basis[r]:
+                        r = i
+            if r is None:  # neither caller's problem is unbounded
+                raise ArithmeticError("unbounded linear program")
+            pivot(r, c)
+        return True
+
+    solve(phase1, lambda: phase1[-1] == 0)
+    if phase1[-1] < 0:  # the artificials sum to -phase1[-1] / den > 0
+        return None
+    tab.pop()
+    for r in range(m):
+        if basis[r] >= k:
+            c = next((j for j in range(k) if tab[r][j]), None)
+            if c is not None:
+                pivot(r, c)
+    hit = solve(cost, lambda: reached(-cost[-1], den))
+    return hit, [basis[r] for r in range(m) if basis[r] < k and tab[r][-1] > 0]
+
+
+def _farkas_set_oracle(keys: Sequence[tuple[int, ...]],
+                       num_vars: int) -> Optional[list[int]]:
+    """Positions of integer rows among `keys` that have no common point, or
+    None if all of them have one.
+
+    One linear program over multipliers ``y >= 0``: ``min sum y_j b_j``
+    subject to ``sum y_j a_j = 0`` and ``sum y_j = 1``.  By duality its
+    optimum is the largest ``t`` for which some point meets every row with
+    slack ``t``.  A negative value reads ``0 <= negative`` (Farkas), and the
+    rows of its support have no common point.  When no such ``y`` exists,
+    some direction decreases every ``a_j . x`` (Gordan), and far enough
+    along it every row holds."""
+    found = _simplex_oracle([a[:num_vars] + (1,) for a in keys],
+                            [0] * num_vars + [1], [a[-1] for a in keys],
+                            lambda value, den: value < 0)
+    return found[1] if found is not None and found[0] else None
+
+
+def _implies_oracle(keys: Sequence[tuple[int, ...]], num_vars: int,
+                    a: tuple[int, ...]) -> bool:
+    """Whether the integer rows `keys`, which have a common point, imply the
+    row `a`: some ``y >= 0`` has ``sum y_j a_j`` equal to its normal and
+    ``sum y_j b_j`` at most its right-hand side.  The least such sum is the
+    maximum of ``a . x`` over the rows (duality); when no ``y`` combines to
+    the normal, the rows are unbounded along it."""
+    found = _simplex_oracle([r[:num_vars] for r in keys], a[:num_vars],
+                            [r[-1] for r in keys],
+                            lambda value, den: value <= a[-1] * den)
+    return found is not None and found[0]
+
+
+def reduce_lp_oracle(system: LinearInequalitySystem) -> tuple[Row, ...]:
+    """The rows ``reduce()`` keeps, each decided by its own cold linear
+    program: the others imply row ``i`` iff some ``y >= 0`` over them
+    combines to its normal with ``sum y_j b_j <= b_i``.  While the
+    survivors are empty their Farkas set stands in, as in ``reduce()``, and
+    systems of at most ``num_vars`` rows go by elimination there too."""
+    ints, n = system.int_rows, system.num_vars
+    survivors = list(range(len(ints)))
+    by_elimination = len(survivors) <= n
+    farkas = None if by_elimination else _farkas_set_oracle(ints, n)
+    i = 0
+    while i < len(survivors):
+        k = survivors[i]
+        others = survivors[:i] + survivors[i + 1:]
+        if by_elimination:
+            implied = _implied([system.rows[j] for j in others], system.rows[k], n)
+        elif farkas is None:
+            implied = _implies_oracle([ints[j] for j in others], n, ints[k])
+        else:
+            implied = k not in farkas
+            if not implied:
+                rest = _farkas_set_oracle([ints[j] for j in others], n)
+                if rest is not None:
+                    farkas, implied = [others[j] for j in rest], True
+        if implied:
+            survivors.pop(i)
+        else:
+            i += 1
+    return tuple(system.rows[j] for j in survivors)
 
 
 def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:

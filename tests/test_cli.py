@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from viskeep import cli, simulate
+from viskeep import cli, scenarios, simulate
 from viskeep.cli import build_parser, main
 from viskeep.demos import (
     BASIC_SCENARIO,
@@ -14,6 +14,7 @@ from viskeep.demos import (
     bundle,
 )
 from viskeep.chains import chain_to_json_dict
+from viskeep.inequalities import LinearInequalitySystem
 from viskeep.scenarios import save_scenario, scenario_to_json_dict
 
 
@@ -278,6 +279,55 @@ def test_simulate_takes_demo_gain_files(demo_out, tmp_path):
     assert main(["simulate", "--scenario", str(basic / "scenario.json"),
                  "--gain", str(basic / "gain.json"), "--horizon", "0.5",
                  "--out", str(tmp_path / "basic")]) == 0
+
+
+def test_simulate_without_gain_needs_no_reduce(demo_out, tmp_path, monkeypatch):
+    """Without --gain a pair runs the min-norm gain of the unreduced
+    polytope, the unique optimum that synth reports: the trace and the
+    violations are the bundle's, byte for byte, and nothing is reduced."""
+    reduced = []
+    reduce = LinearInequalitySystem.reduce
+
+    def counted(self):
+        reduced.append(len(self.rows))
+        return reduce(self)
+
+    monkeypatch.setattr(LinearInequalitySystem, "reduce", counted)
+    for name in ("basic", "ubb", "circle"):
+        src, mine = demo_out / name, tmp_path / name
+        noise = bundle(name).noise_amplitude
+        assert main([
+            "simulate", "--scenario", str(src / "scenario.json"),
+            "--profile", str(src / "profile.json"),
+            "--s0", ",".join(repr(x) for x in bundle(name).s0),
+            "--horizon", "2.0", "--seed", "3", "--out", str(mine),
+        ] + ([] if noise is None else ["--noise-amplitude", repr(noise)])) == 0
+        for f in ("violations.json", "trace.csv"):
+            assert (mine / f).read_bytes() == (src / f).read_bytes(), (name, f)
+    assert reduced == []
+
+
+@pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
+def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
+    """One synth builds its scenario's uncertain system once, for the
+    polytope and both certificates; ubb reads the basic constants off the
+    basic system it extends."""
+    calls = []
+    for build in ("build_basic_system", "build_ubb_system",
+                  "build_circle_system", "exact_basic", "exact_circle"):
+        def counted(sc, _fn=getattr(scenarios, build), _name=build):
+            calls.append(_name)
+            return _fn(sc)
+        monkeypatch.setattr(scenarios, build, counted)
+    path = tmp_path / "scenario.json"
+    save_scenario(bundle(name).scenario, path)
+    assert main(["synth", "--scenario", str(path),
+                 "--out", str(tmp_path / "gain.json")]) == 0
+    exact = "exact_circle" if name == "circle" else "exact_basic"
+    built = {"basic": ["build_basic_system"], "circle": ["build_circle_system"],
+             "ubb": ["build_ubb_system", "build_basic_system"]}[name]
+    # the second constants call is the rationalization record
+    assert sorted(calls) == sorted(built + [exact, exact]), calls
 
 
 @pytest.mark.parametrize("gain, v", [

@@ -11,11 +11,11 @@ from viskeep import demos, inequalities, synthesis
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
-    _farkas_set,
     _implied,
-    _implies,
     _over,
     _solve_exact,
+    _vertex_or_farkas,
+    _walk,
     normalized_key,
     rationalize,
 )
@@ -28,6 +28,7 @@ from conftest import (
     normalized_key_oracle,
     pipeline_polytope_oracle,
     random_family_scenario,
+    reduce_lp_oracle,
     solve_exact_oracle,
     system_from_rows,
 )
@@ -446,6 +447,82 @@ def test_reduce_keeps_a_lone_upper_bound_without_elimination(monkeypatch):
     assert calls == []
 
 
+def test_reduce_matches_the_per_row_lp_oracle_on_gain_polytopes(rnd):
+    """Seeded basic, ubb and circle gain polytopes, of either verdict, each
+    row decided by the cold per-row programs of the oracle."""
+    feasible = empty = 0
+    for kind in ("basic", "ubb", "circle") * 12:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the closed-form warning
+            poly = random_family_scenario(rnd, kind).polytope()
+        assert poly.reduce().rows == reduce_lp_oracle(poly), kind
+        if poly.is_feasible():
+            feasible += 1
+        else:
+            empty += 1
+    assert feasible >= 10 and empty >= 5, (feasible, empty)
+
+
+def test_reduce_matches_oracles_on_degenerate_vertices():
+    """A pyramid whose faces all pass through the apex, with scaled
+    duplicates of each face, and rows whose normals span only a plane of
+    the three variables: every vertex the walk meets is degenerate, and in
+    the plane the system is taken in two variables."""
+    faces = [((1, 0, 1), 0), ((0, 1, 1), 0), ((-1, 0, 1), 0), ((0, -1, 1), 0),
+             ((1, 1, 2), 0), ((-1, 1, 2), 0)]
+    base = [((0, 0, -1), 1)]
+
+    def scaled(k):
+        return [(tuple(k * c for c in g), 0) for g, _ in faces]
+
+    for rows in (faces + base, base + faces + scaled(3),
+                 scaled(2) + faces + base):
+        system = sys_of(3, rows)
+        assert system.reduce().rows == _reduce_oracle(system) \
+            == reduce_lp_oracle(system), system.to_text()
+    plane = sys_of(3, [((1, 1, 0), 2), ((-1, -1, 0), 1), ((1, 1, 0), 3),
+                       ((0, 0, 1), 1), ((0, 0, -1), 0), ((1, 1, 1), 3),
+                       ((2, 2, -1), 4), ((-1, -1, 1), 2)])
+    assert plane.reduce().rows == _reduce_oracle(plane) \
+        == reduce_lp_oracle(plane), plane.to_text()
+    assert len(plane.reduce().rows) == 4
+    empty = sys_of(3, [((1, 1, 0), 2), ((0, 0, 1), 1), ((-1, -1, 0), -3),
+                       ((1, 1, 1), 0), ((2, 2, 0), 4)])
+    assert not empty.is_feasible()
+    assert empty.reduce().rows == _reduce_oracle(empty) \
+        == reduce_lp_oracle(empty), empty.to_text()
+
+
+def test_reduce_of_feasible_bundles_runs_one_cold_lp(monkeypatch):
+    """Each feasible bundle polytope is reduced from one cold simplex; every
+    row after it starts from a vertex already found."""
+    calls = []
+    simplex = inequalities._simplex
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return simplex(*args)
+
+    monkeypatch.setattr(inequalities, "_simplex", counted)
+    for name, poly in _bundle_polytopes().items():
+        calls.clear()
+        poly.reduce()
+        assert calls == [len(poly.rows)], name
+
+
+def test_walk_follows_blands_rule():
+    """From the origin of the triangle ``x, y >= 0``, ``x + y <= 1``, the
+    walk for ``x <= 2`` lets ``-x <= 0`` leave (its multiplier is the
+    negative one) and reaches ``(1, 0)``, where ``x + y <= 1`` and
+    ``x <= 1`` tie in the ratio test: the lower row enters.  ``x <= 2`` is
+    implied there, and the end basis is the one the tie picked."""
+    tri = sys_of(2, [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 1), 1),
+                     ((1, 0), 1), ((1, 0), 2)])
+    assert _walk(tri.int_rows, range(5), 5, [0, 1]) == [3, 1]
+    # without x + y <= 1 the others are the unit square, where x + y reaches 2
+    assert _walk(tri.int_rows, (0, 1, 2, 4), 3, [0, 1]) is None
+
+
 def test_certificates_accept_tight_combinations():
     """The exact kernel with no slack to spare: ``x + y <= 2`` is the sum of
     ``x <= 1`` and ``y <= 1`` (implied with equality), ``x <= 1`` is needed,
@@ -453,15 +530,17 @@ def test_certificates_accept_tight_combinations():
     exactly ``0 <= -1``, and three rows meet in a single point."""
     square = sys_of(2, [((1, 0), 1), ((0, 1), 1), ((1, 1), 2), ((-1, 0), 0),
                         ((0, -1), 0)])
-    keys = square.int_rows
-    assert _implies([keys[j] for j in (0, 1, 3, 4)], 2, keys[2]) is True
-    assert _implies([keys[j] for j in (1, 2, 3, 4)], 2, keys[0]) is False
+    rows, vertex = _vertex_or_farkas(square.int_rows, 2)
+    assert _walk(rows, (0, 1, 3, 4), 2, vertex) is not None
+    assert _walk(rows, (1, 2, 3, 4), 0, vertex) is None
     assert square.reduce().rows == tuple(square.rows[k] for k in (0, 1, 3, 4))
     empty = sys_of(2, [((-1, 0), 0), ((0, -1), 0), ((1, 1), -1), ((1, 0), 5)])
-    assert sorted(_farkas_set(empty.int_rows, 2)) == [0, 1, 2]
+    rows, farkas = _vertex_or_farkas(empty.int_rows, 2)
+    assert rows is None and sorted(farkas) == [0, 1, 2]
     assert not empty.is_feasible()
     point = sys_of(2, [((-1, 0), -1), ((0, -1), -1), ((1, 1), 2)])  # just (1, 1)
-    assert _farkas_set(point.int_rows, 2) is None
+    rows, vertex = _vertex_or_farkas(point.int_rows, 2)
+    assert rows is not None and len(vertex) == 2
     assert point.is_feasible() and point.reduce() == point
 
 
