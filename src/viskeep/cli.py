@@ -122,15 +122,22 @@ def _certified(payload) -> bool:
 
 
 def _gain_of(data) -> GainMatrix:
-    """Gain from a flat ``{"k11", "k22", "k23"}`` object or a synth payload."""
+    """Gain from a flat ``{"k11", "k22", "k23"}`` object or a synth payload;
+    each entry must be a finite JSON number, not a bool or a string."""
+    keys = ("k11", "k22", "k23")
     g = data.get("gain", data) if isinstance(data, dict) else data
-    try:
-        K = GainMatrix(float(g["k11"]), float(g["k22"]), float(g["k23"]))
-    except (TypeError, ValueError) as exc:  # null, list, text, ...
-        raise ValueError(f"gain entries must be finite numbers: {g}") from exc
-    if not all(math.isfinite(k) for k in K.entries()):
-        raise ValueError(f"gain entries must be finite numbers: {g}")
-    return K
+    if not (isinstance(g, dict) and all(key in g for key in keys)):
+        raise ValueError(f"gain needs the entries 'k11', 'k22' and 'k23': {g}")
+    for key in keys:
+        val = g[key]
+        try:
+            finite = type(val) in (int, float) and math.isfinite(val)  # no bool
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"gain entry {key!r} must be a finite number, "
+                             f"not {val!r}")
+    return GainMatrix(*(float(g[key]) for key in keys))
 
 
 def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
@@ -297,7 +304,9 @@ def cmd_fme(args) -> int:
     text = Path(args.input).read_text()
     system = LinearInequalitySystem.from_text(text)
     if args.eliminate:
-        drop = sorted({int(tok) for tok in args.eliminate.split(",")})
+        drop = {int(tok) for tok in args.eliminate.split(",")}
+        if not drop <= set(range(system.num_vars)):
+            raise ValueError("eliminate contains an out-of-range variable index")
         keep = [i for i in range(system.num_vars) if i not in drop]
     elif args.keep is not None:
         keep = sorted({int(tok) for tok in args.keep.split(",")} if args.keep else set())

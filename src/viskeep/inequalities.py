@@ -5,18 +5,19 @@ with every coefficient and right-hand side a :class:`fractions.Fraction`.
 Everything here is exact: projection by Fourier-Motzkin elimination,
 feasibility decisions and redundancy removal produce certificates that are
 free of floating-point ambiguity.  Feasibility is one linear program over
-nonnegative multipliers of the rows, solved by a small two-phase simplex
-(:func:`_simplex`): it finds a vertex of the rows or a Farkas set
-(:func:`_vertex_or_farkas`).  Redundancy removal then decides every row
-by a primal simplex over the points that starts from the last vertex
-(:func:`_walk`).  Every pivot is exact.
+nonnegative multipliers of the rows, solved from a crash basis of the
+rows by a revised simplex, a dual simplex over the points: it finds a
+vertex of the rows or a Farkas set (:func:`_vertex_or_farkas`).
+Redundancy removal then decides every row by a primal simplex over the
+points that starts from the last vertex (:func:`_walk`).  Both move
+between bases of rows that meet in one point, and every pivot is exact.
 
 The exact work runs in Python integers, fraction-free.  Each row is read
 in its primitive integer form ``(a_1, ..., a_n, b)`` (:func:`normalized_key`,
-a positive multiple of the row), linear systems are solved by Bareiss
-elimination into numerators over one determinant (:func:`_solve_exact`), the
-simplex tableau is kept the same way, and a test is an integer sign test
-such as ``a . num <= b * den``.  Fractions are built only at the edges: the
+a positive multiple of the row), the points and multipliers of a basis are
+solved by Bareiss elimination into numerators over one determinant
+(:func:`_solve_exact`), and a test is an integer sign test such as
+``a . num <= b * den``.  Fractions are built only at the edges: the
 rows themselves and the points handed back.  Irrational constants enter
 only through :func:`rationalize`, which makes the single approximation
 point explicit.
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 #: Default bound on denominators when approximating irrational constants.
 DEFAULT_MAX_DENOMINATOR = 10**12
@@ -368,12 +369,13 @@ def _implied(others: list[Row], row: Row, num_vars: int) -> bool:
 
 
 def _solve_exact(M: Sequence[Sequence[int]],
-                 rhs: Sequence[int]) -> Optional[tuple[list[int], int]]:
-    """Fraction-free (Bareiss) solution of ``M x = rhs`` over the integers:
-    ``(num, det)`` with ``x = num / det`` and ``det = |det M| > 0``, or None
-    if M is singular.
+                 *rhs: Sequence[int]) -> Optional[tuple]:
+    """Fraction-free (Bareiss) solution of ``M x = rhs_i`` over the
+    integers for each right-hand side given, from one elimination:
+    ``(num_1, ..., det)`` with ``x_i = num_i / det`` and ``det = |det M| >
+    0``, or None if M is singular.
 
-    Every entry of the eliminated matrix is a minor of ``[M | rhs]``, so
+    Every entry of the eliminated matrix is a minor of ``[M | rhs_i]``, so
     each division by the previous pivot is exact and entries grow only as
     minors do, with no gcd taken (Bareiss, Math. Comp. 22, 1968; Edmonds,
     J. Res. NBS 71B, 1967); back-substitution gives
@@ -381,8 +383,8 @@ def _solve_exact(M: Sequence[Sequence[int]],
     ``rhs``), also by exact division.  Entries below the diagonal are left
     as they are; nothing reads them again.
     """
-    k = len(M)
-    aug = [list(row) + [r] for row, r in zip(M, rhs)]
+    k, width = len(M), len(M) + len(rhs)
+    aug = [list(row) + list(b) for row, b in zip(M, zip(*rhs))]
     prev = 1
     for col in range(k):
         pivot = next((i for i in range(col, k) if aug[i][col]), None)
@@ -393,103 +395,34 @@ def _solve_exact(M: Sequence[Sequence[int]],
         p = top[col]
         for row in aug[col + 1:]:
             a = row[col]
-            for j in range(col + 1, k + 1):
+            for j in range(col + 1, width):
                 row[j] = (p * row[j] - a * top[j]) // prev
         prev = p
-    det = prev  # the last pivot: det M, up to the sign of the row swaps
-    num = [0] * k
-    for i in range(k - 1, -1, -1):
-        row = aug[i]
-        num[i] = (det * row[k] - _dot(row[i + 1:k], num[i + 1:])) // row[i]
-    if det < 0:
-        return [-v for v in num], -det
-    return num, det
+    sign = -1 if prev < 0 else 1  # the last pivot: det M, up to sign
+    nums = []
+    for c in range(k, width):
+        num = [0] * k
+        for i in range(k - 1, -1, -1):
+            row = aug[i]
+            num[i] = (prev * row[c] - _dot(row[i + 1:k], num[i + 1:])) // row[i]
+        nums.append([sign * v for v in num])
+    return (*nums, sign * prev)
 
 
-def _simplex(cols: Sequence[Sequence[int]], rhs: Sequence[int],
-             costs: Sequence[int]) -> tuple[bool, list[int]]:
-    """Two-phase simplex in integers for ``min costs . y`` subject to
-    ``sum_j y_j cols[j] = rhs`` and ``y >= 0``, where some ``y >= 0`` meets
-    the equations and they are independent.
+def _point(rows: Sequence[tuple[int, ...]],
+           basis: Sequence[int]) -> tuple[list[int], int]:
+    """The point ``num / den`` where the rows at `basis` are tight."""
+    return _solve_exact([rows[k][:-1] for k in basis],
+                        [rows[k][-1] for k in basis])
 
-    ``(True, basis)`` at an optimum, with the basic column of each equation;
-    ``(False, support)`` when the objective is unbounded below, with the
-    support of the ray the simplex found: the entering column ``c`` with no
-    positive entry and the basic columns that grow along it.  On that ray
-    ``sum y_j cols[j]`` stays put and ``costs . y`` falls.
 
-    The tableau is fraction-free: integers over one positive common
-    denominator ``den``, the determinant of the basis up to sign.  A pivot
-    at ``p`` replaces every other row ``t`` by ``(p t - t_c top) / den``, an
-    exact division, and ``p`` becomes the denominator (Edmonds, J. Res. NBS
-    71B, 1967; Bareiss, Math. Comp. 22, 1968).  The first phase starts from
-    one artificial variable per equation, each equation signed so that its
-    right-hand side is >= 0, and minimises their sum; an artificial still
-    basic at zero is then pivoted out at any nonzero entry of its row, the
-    row negated first when that entry is negative.  Both phases follow
-    Bland's rule (the lowest entering index, ratio ties to the lowest basic
-    index), so neither cycles.
-    """
-    k, m = len(cols), len(rhs)
-    tab = []
-    for r, b in enumerate(rhs):
-        sign = -1 if b < 0 else 1
-        tab.append([sign * col[r] for col in cols]
-                   + [int(j == r) for j in range(m)] + [sign * b])
-    cost = list(costs) + [0] * (m + 1)
-    phase1 = [int(k <= j < k + m) - sum(row[j] for row in tab)
-              for j in range(k + m + 1)]
-    tab += [cost, phase1]
-    basis = list(range(k, k + m))
-    den = 1
-
-    def pivot(r: int, c: int) -> None:
-        nonlocal den
-        top = tab[r]
-        if top[c] < 0:  # only an artificial at zero leaves at one
-            top[:] = [-v for v in top]
-        p = top[c]
-        for row in tab:
-            if row is not top:
-                f = row[c]
-                row[:] = [(p * v - f * t) // den for v, t in zip(row, top)]
-        den = p
-        basis[r] = c
-
-    def solve(obj: list[int], done: Callable[[], bool]) -> Optional[int]:
-        """Pivot on the objective row `obj` until `done()` or until no column
-        improves it (None), or until column ``c`` improves it without bound
-        (``c``)."""
-        while not done():
-            c = next((j for j in range(k) if obj[j] < 0), None)
-            if c is None:
-                return None
-            r = None  # the least ratio rhs / entry over the positive entries
-            for i in range(m):
-                a = tab[i][c]
-                if a > 0:
-                    if r is None:
-                        r = i
-                        continue
-                    d = tab[i][-1] * tab[r][c] - tab[r][-1] * a
-                    if d < 0 or d == 0 and basis[i] < basis[r]:
-                        r = i
-            if r is None:
-                return c
-            pivot(r, c)
-        return None
-
-    solve(phase1, lambda: phase1[-1] == 0)
-    if phase1[-1]:  # the artificials sum to -phase1[-1] / den > 0
-        raise ArithmeticError("no y >= 0 meets the equations")
-    tab.pop()
-    for r in range(m):
-        if basis[r] >= k:
-            pivot(r, next(j for j in range(k) if tab[r][j]))
-    c = solve(cost, lambda: False)
-    if c is None:
-        return True, basis
-    return False, [c] + [basis[r] for r in range(m) if tab[r][c] < 0]
+def _multipliers(rows: Sequence[tuple[int, ...]], basis: Sequence[int],
+                 *normals: Sequence[int]) -> tuple:
+    """For each of `normals`, the multipliers of the basis rows' normals
+    that sum to it, over one common denominator: ``(num_1, ..., den)``."""
+    r = len(basis)
+    return _solve_exact([[rows[k][v] for k in basis] for v in range(r)],
+                        *(a[:r] for a in normals))
 
 
 def _column_basis(keys: Sequence[tuple[int, ...]], num_vars: int) -> list[int]:
@@ -521,20 +454,47 @@ def _vertex_or_farkas(keys: Sequence[tuple[int, ...]], num_vars: int
     The rows are first taken in the ``r`` variables of their
     :func:`_column_basis`, where the normals span all ``r`` dimensions.  The
     program is ``min sum y_j b_j`` over ``y >= 0`` with ``sum y_j a_j =
-    a_0``, the first row's normal, so ``y = e_0`` meets it.  Its dual is
-    ``max a_0 . x`` over the rows, so it is unbounded iff they are empty, and
-    then the support of its unbounded ray reads ``0 <= negative``: a Farkas
-    set.  Otherwise the ``r`` rows of its optimal basis meet in a point that
-    satisfies every row (its reduced costs are the slacks), a vertex.
+    a_o``, the normal of the first nonzero row ``o``.  Its dual is ``max
+    a_o . x`` over the rows, so it is unbounded iff they are empty.  A basis
+    is ``r`` rows with independent normals; the crash basis is the lowest
+    such rows (the column basis of the transposed normals), ``o`` first, so
+    ``y = e_o`` is a basic feasible solution and no first phase is needed.
+
+    Each step solves the basis point ``x``.  If it satisfies every row, the
+    reduced costs ``b_j - a_j . x`` are all ``>= 0`` and ``x`` is a vertex.
+    Otherwise the lowest violated row ``j`` enters, and one solve gives the
+    multipliers ``y`` of ``a_o`` and ``d`` of ``a_j`` in the basis rows.
+    The basis row with the least ``y_k / d_k`` over ``d_k > 0`` leaves, ties
+    to the lowest row (Bland's rule: no cycling).  With no ``d_k > 0`` the
+    program is unbounded: ``a_j - sum d_k a_k = 0`` sums row ``j`` and the
+    rows with ``d_k < 0`` to ``0 <= negative``, since ``x`` violates ``j``
+    and is tight on the basis rows, a Farkas set.
 
     Returns ``(rows, basis)``, the rows in the ``r`` variables and the
     positions of that vertex's rows, or ``(None, farkas)``."""
     cols = _column_basis(keys, num_vars)
-    rows = [tuple(a[v] for v in cols) + (a[-1],) for a in keys]
     r = len(cols)
-    bounded, found = _simplex([a[:r] for a in rows], rows[0][:r] if rows else (),
-                              [a[-1] for a in rows])
-    return (rows if bounded else None), found
+    rows = [tuple(a[v] for v in cols) + (a[-1],) for a in keys]
+    basis = _column_basis(list(zip(*(a[:r] for a in rows))), len(rows))
+    obj = rows[basis[0]] if basis else ()
+    while True:
+        x = _point(rows, basis)
+        j = next((j for j, a in enumerate(rows) if not _holds(a, x)), None)
+        if j is None:
+            return rows, basis
+        y, d, _ = _multipliers(rows, basis, obj, rows[j])
+        leave = None  # the position in `basis` of the least y_k / d_k
+        for p, dk in enumerate(d):
+            if dk > 0:
+                if leave is None:
+                    leave = p
+                    continue
+                diff = y[p] * d[leave] - y[leave] * dk
+                if diff < 0 or diff == 0 and basis[p] < basis[leave]:
+                    leave = p
+        if leave is None:
+            return None, [j] + [k for k, dk in zip(basis, d) if dk < 0]
+        basis[leave] = j
 
 
 def _walk(rows: Sequence[tuple[int, ...]], others: Sequence[int], i: int,
@@ -557,10 +517,6 @@ def _walk(rows: Sequence[tuple[int, ...]], others: Sequence[int], i: int,
     exactly (:func:`_solve_exact`)."""
     a, basis, r = rows[i], list(basis), len(basis)
 
-    def point() -> tuple[list[int], int]:
-        return _solve_exact([rows[k][:-1] for k in basis],
-                            [rows[k][-1] for k in basis])
-
     def edge(pos: int, out: int, x: tuple[list[int], int]
              ) -> Optional[tuple[int, int]]:
         """The row that enters and its slack at the point `x` of the basis,
@@ -582,22 +538,21 @@ def _walk(rows: Sequence[tuple[int, ...]], others: Sequence[int], i: int,
     x = None  # the point of the basis, solved when a step needs it
     if i in basis:
         pos = basis.index(i)
-        x = point()
+        x = _point(rows, basis)
         found = edge(pos, 1, x)
         if found is None or found[1] > 0:
             return None
         basis[pos] = found[0]  # a zero step: the point stays
     while True:
-        lam, _ = _solve_exact([[rows[k][v] for k in basis] for v in range(r)],
-                              a[:r])
+        lam, _ = _multipliers(rows, basis, a)
         neg = [k for k, l in zip(basis, lam) if l < 0]
         if not neg:
             return basis
         pos = basis.index(min(neg))
-        found = edge(pos, -1, x or point())
+        found = edge(pos, -1, x or _point(rows, basis))
         if found is None:
             return None
         basis[pos] = found[0]
-        x = point()
+        x = _point(rows, basis)
         if _dot(a, x[0]) > a[-1] * x[1]:
             return None

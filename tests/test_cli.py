@@ -202,6 +202,20 @@ def test_fme_detects_infeasible(tmp_path, capsys):
     assert "feasible: False" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, index", [
+    ("--eliminate", "5"), ("--eliminate", "-1"), ("--eliminate", "0,2"),
+    ("--keep", "7"),
+])
+def test_fme_out_of_range_index_exits_2(tmp_path, capsys, flag, index):
+    path = tmp_path / "sys.txt"
+    path.write_text("1 0 <= 2\n-1 0 <= -1\n1 1 <= 3\n")
+    out = tmp_path / "projected.txt"
+    assert main(["fme", "--input", str(path), flag, index,
+                 "--out", str(out)]) == 2
+    assert "contains an out-of-range variable index" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fme_matches_check_on_polytope_dump(basic_file, tmp_path):
     gain_out = tmp_path / "gain.json"
     dump = tmp_path / "poly.txt"
@@ -366,6 +380,31 @@ def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
                  "--gain", str(gain_file), "--profile", str(profile),
                  "--horizon", "1.0", "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+    assert not (out / "violations.json").exists()
+
+
+@pytest.mark.parametrize("gain, message", [
+    ({"k11": True, "k22": 0.3707, "k23": 0.4925},
+     "gain entry 'k11' must be a finite number, not True"),
+    ({"k11": 1.5173, "k22": "1.5", "k23": 0.4925},
+     "gain entry 'k22' must be a finite number, not '1.5'"),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 10**400},
+     "gain entry 'k23' must be a finite number"),
+    ({"k11": 1.5173, "k22": 0.3707},
+     "gain needs the entries 'k11', 'k22' and 'k23'"),
+    ([1.5173, 0.3707, 0.4925],
+     "gain needs the entries 'k11', 'k22' and 'k23'"),
+], ids=["bool", "text", "huge-int", "missing", "list"])
+def test_simulate_gain_entries_are_json_numbers(basic_file, tmp_path, capsys,
+                                                gain, message):
+    """A bool or a string is not a gain entry, though ``float()`` takes
+    both; a missing entry is named with the other two."""
+    gain_file = write_json(tmp_path / "gain.json", gain)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file),
+                 "--gain", str(gain_file), "--horizon", "1.0",
+                 "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not (out / "violations.json").exists()
 
 

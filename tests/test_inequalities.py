@@ -11,6 +11,7 @@ from viskeep import demos, inequalities, synthesis
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
+    _column_basis,
     _implied,
     _over,
     _solve_exact,
@@ -22,6 +23,7 @@ from viskeep.inequalities import (
 from viskeep.scenarios import gain_polytope
 
 from conftest import (
+    _farkas_set_oracle,
     admissibility_rows_oracle,
     eliminate_oracle,
     invariance_rows_oracle,
@@ -494,16 +496,16 @@ def test_reduce_matches_oracles_on_degenerate_vertices():
 
 
 def test_reduce_of_feasible_bundles_runs_one_cold_lp(monkeypatch):
-    """Each feasible bundle polytope is reduced from one cold simplex; every
-    row after it starts from a vertex already found."""
+    """Each feasible bundle polytope is reduced from one cold linear
+    program; every row after it starts from a vertex already found."""
     calls = []
-    simplex = inequalities._simplex
+    cold = inequalities._vertex_or_farkas
 
     def counted(*args):
         calls.append(len(args[0]))
-        return simplex(*args)
+        return cold(*args)
 
-    monkeypatch.setattr(inequalities, "_simplex", counted)
+    monkeypatch.setattr(inequalities, "_vertex_or_farkas", counted)
     for name, poly in _bundle_polytopes().items():
         calls.clear()
         poly.reduce()
@@ -542,6 +544,67 @@ def test_certificates_accept_tight_combinations():
     rows, vertex = _vertex_or_farkas(point.int_rows, 2)
     assert rows is not None and len(vertex) == 2
     assert point.is_feasible() and point.reduce() == point
+
+
+# the apex of a pyramid: eight rows through the origin, and its crash basis
+# (rows 0, 1, 2) meets at (-2, 1, 1)
+APEX = [((1, 1, 1), 0), ((0, -1, 1), 0), ((0, 1, 0), 1), ((0, 0, -1), 1),
+        ((1, 0, 1), 0), ((-1, 0, 1), 0), ((0, 1, 1), 0), ((0, 0, 1), 0),
+        ((1, 1, 2), 0), ((-1, 1, 2), 0)]
+
+
+@pytest.mark.parametrize("num_vars, rows, end", [
+    (2, [((0, 0), 1), ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)], [1, 2]),
+    (2, [((0, 0), -1), ((1, 0), 1), ((0, 1), 1), ((-1, -1), 1)], [0]),
+    (2, [((0, 0), 1), ((0, 0), 0), ((0, 0), 2)], []),
+    (2, [((0, 0), 1), ((0, 0), 0), ((0, 0), -1)], [2]),
+    (3, [((1, 2, 3), 1), ((0, 0, 0), 0), ((-1, -2, -3), 1), ((2, 4, 6), 5)],
+     [0]),
+    (3, [((1, 2, 3), 1), ((-2, -4, -6), -3), ((3, 6, 9), 7)], [0, 1]),
+    (3, [((1, 1, 0), 2), ((-1, -1, 0), 1), ((0, 0, 1), 1), ((1, 1, 1), 3),
+         ((2, 2, -1), 4), ((-1, -1, 1), 2)], None),
+    (3, APEX, [0, 5, 6]),
+    (3, APEX + [((0, 0, -1), -1)], None),
+], ids=["zero-first", "zero-first-negative", "all-zero", "all-zero-negative",
+        "rank-1", "rank-1-empty", "rank-2", "apex", "apex-empty"])
+def test_crash_basis_finds_a_vertex_or_a_farkas_set(num_vars, rows, end):
+    """The cold program from its crash basis, the lowest rows with
+    independent normals: a zero first row is passed over, ``0 <= -1`` is a
+    Farkas set alone, all-zero normals leave an empty basis, and normals of
+    rank ``r < num_vars`` give bases of ``r`` rows.  At the apex the ratio
+    test ties between rows 2 and 5, which come in basis positions 2 and 1:
+    the lower row leaves (Bland's rule), and that tie decides the end basis
+    ``[0, 5, 6]`` (ties to the first position would end at rows 0, 2 and 6).
+
+    A returned basis is a vertex: its rows meet in one point, which
+    satisfies every row.  A returned Farkas set has no common point.
+    ``is_feasible()`` and ``reduce()`` agree with the oracles."""
+    system = sys_of(num_vars, rows)
+    ints = system.int_rows
+    reduced, found = _vertex_or_farkas(ints, num_vars)
+    if end is not None:
+        assert sorted(found) == end
+    if reduced is None:
+        farkas = LinearInequalitySystem(
+            num_vars, tuple(system.rows[k] for k in found))
+        assert not _fme_feasible(farkas)
+    else:
+        cols = _column_basis(ints, num_vars)
+        assert len(found) == len(cols)
+        solved = _solve_exact([reduced[k][:-1] for k in found],
+                              [reduced[k][-1] for k in found])
+        assert solved is not None
+        point = [F(0)] * num_vars  # the other variables at zero
+        for v, x in zip(cols, solved[0]):
+            point[v] = F(x, solved[1])
+        assert system.satisfies(point)
+        for k in found:
+            row = system.rows[k]
+            assert sum(c * x for c, x in zip(row.g, point)) == row.rhs
+    assert system.is_feasible() is (reduced is not None) \
+        is (_farkas_set_oracle(ints, num_vars) is None)
+    assert system.reduce().rows == reduce_lp_oracle(system) \
+        == _reduce_oracle(system), system.to_text()
 
 
 def test_inequalities_imports_no_numpy():
@@ -638,7 +701,8 @@ def test_bareiss_matches_gaussian_elimination(rnd):
     """600 square systems, 2 to 6 unknowns: dense, singular (a combination
     row or a zero column), and permuted triangular ones that need a row
     swap at several pivots; each equation scaled to integers, which keeps
-    the solution."""
+    the solution.  A second right-hand side solved in the same call gets
+    the same numerators for the first and the oracle's for the second."""
     singular = swapped = 0
     for t in range(600):
         k = rnd.randint(2, 6)
@@ -662,13 +726,20 @@ def test_bareiss_matches_gaussian_elimination(rnd):
         ints = [_over(row + [r])[0] for row, r in zip(M, rhs)]
         got = _solve_exact([r[:-1] for r in ints], [r[-1] for r in ints])
         want = solve_exact_oracle(M, rhs)
+        rhs2 = [_rational(rnd) for _ in range(k)]
+        both = [_over(row + [r, r2])[0] for row, r, r2 in zip(M, rhs, rhs2)]
+        got2 = _solve_exact([r[:-2] for r in both], [r[-2] for r in both],
+                            [r[-1] for r in both])
         if want is None:
             singular += 1
-            assert got is None and _det(M) == 0
+            assert got is None and got2 is None and _det(M) == 0
         else:
             num, den = got
             assert den == abs(_det([r[:-1] for r in ints])) > 0
             assert [F(v, den) for v in num] == want
+            first, second, den2 = got2
+            assert [F(v, den2) for v in first] == want
+            assert [F(v, den2) for v in second] == solve_exact_oracle(M, rhs2)
     assert singular >= 300 and swapped >= 100
 
 
