@@ -149,23 +149,21 @@ def vertex_cone(box: Box, v: Sequence) -> HalfspaceCone:
 
 def shifted_cone(
     cone: HalfspaceCone,
-    tau,
     E_family: Callable[[Sequence], Sequence],
     Q_vertices: Iterable[Sequence],
     D_vertices: Iterable[Sequence],
 ) -> HalfspaceCone:
     """Shift each cone plane inward by the worst disturbance push.
 
-    Row ``(g, xi)`` becomes ``(g, xi - max_{w, r} tau * g . E(w) r)`` with the
+    Row ``(g, xi)`` becomes ``(g, xi - max_{w, r} g . E(w) r)`` with the
     maximum over the parameter vertices ``w`` given (those of the parameters
-    ``E`` depends on suffice) and disturbance vertices ``r``.  ``E`` is
-    evaluated once per parameter vertex.  The pushes are compared as
-    integers: every ``E(w)``, every ``r`` and each plane go over one
+    ``E`` depends on suffice) and disturbance vertices ``r``.  On a face
+    ``g . s <= 1`` through ``v``, ``g . (v + F v) <= 1 - push`` is Nagumo's
+    ``g . F v + push <= 0``, which a step ``dt > 0`` only scales.
+    ``E`` is evaluated once per parameter vertex.  The pushes are compared
+    as integers: every ``E(w)``, every ``r`` and each plane go over one
     denominator, and only the worst push of a plane becomes a Fraction.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    tau = Fraction(tau) if isinstance(tau, (int, Fraction)) else tau
     E_list = [E_family(w) for w in Q_vertices]
     D_list = list(D_vertices)
     # a push is an integer over dE * dD * (the plane's denominator)
@@ -188,6 +186,6 @@ def shifted_cone(
                 push = sum(c * rk for c, rk in zip(gE, r) if c)
                 if worst is None or push > worst:
                     worst = push
-        shift = tau * Fraction(worst, dg * dE * dD) if worst is not None else 0
+        shift = Fraction(worst, dg * dE * dD) if worst is not None else 0
         rows.append(Row(g, xi - shift))
     return HalfspaceCone(tuple(rows))

@@ -19,10 +19,8 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import warnings
-from fractions import Fraction
 from pathlib import Path
 
 from . import demos
@@ -38,7 +36,7 @@ from .chains import (
     max_chain_length,
     save_chain,
 )
-from .inequalities import LinearInequalitySystem, rational
+from .inequalities import LinearInequalitySystem
 from .scenarios import (
     load_scenario,
     rationalization_record,
@@ -49,6 +47,7 @@ from .simulate import (
     BOUND_TOL,
     LeaderProfile,
     _check_tol,
+    _finite_number,
     monitor,
     profile_from_json_dict,
     simulate_chain,
@@ -90,7 +89,7 @@ def _check_payload(sc):
     return payload, report
 
 
-def _synth_payload(sc, tau=Fraction(1)):
+def _synth_payload(sc):
     """What `synth` writes: the min-norm gain of the reduced polytope and
     its certificates, plus that polytope; raises InfeasiblePolytopeError.
     The scenario's uncertain system is built once, for all three."""
@@ -99,7 +98,7 @@ def _synth_payload(sc, tau=Fraction(1)):
     result = min_norm_gain(poly)
     K = GainMatrix(*result.exact_gain)
     adm = check_admissible(K, sysd.S, sysd.U)
-    inv = check_D_invariant_cone(sysd, K, tau)
+    inv = check_D_invariant_cone(sysd, K)
     payload = {
         "scenario": scenario_to_json_dict(sc),
         "feasible_conditions": sc.conditions().to_json_dict(),
@@ -109,7 +108,6 @@ def _synth_payload(sc, tau=Fraction(1)):
             "admissible": adm.holds,
             "invariant": inv.holds,
             "exact": adm.exact and inv.exact,
-            "tau": float(tau),
         },
     }
     payload.update(result.to_json_dict())
@@ -130,11 +128,7 @@ def _gain_of(data) -> GainMatrix:
         raise ValueError(f"gain needs the entries 'k11', 'k22' and 'k23': {g}")
     for key in keys:
         val = g[key]
-        try:
-            finite = type(val) in (int, float) and math.isfinite(val)  # no bool
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
+        if not _finite_number(val):
             raise ValueError(f"gain entry {key!r} must be a finite number, "
                              f"not {val!r}")
     return GainMatrix(*(float(g[key]) for key in keys))
@@ -180,11 +174,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if not args.tau > 0:  # before the polytope, not after it
-        raise ValueError("tau must be positive")
     sc = load_scenario(args.scenario)
     try:
-        payload, poly = _synth_payload(sc, args.tau)
+        payload, poly = _synth_payload(sc)
     except InfeasiblePolytopeError:
         print("gain polytope is empty", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -303,8 +295,8 @@ def cmd_chain(args) -> int:
 def cmd_fme(args) -> int:
     text = Path(args.input).read_text()
     system = LinearInequalitySystem.from_text(text)
-    if args.eliminate:
-        drop = {int(tok) for tok in args.eliminate.split(",")}
+    if args.eliminate is not None:
+        drop = {int(tok) for tok in args.eliminate.split(",")} if args.eliminate else set()
         if not drop <= set(range(system.num_vars)):
             raise ValueError("eliminate contains an out-of-range variable index")
         keep = [i for i in range(system.num_vars) if i not in drop]
@@ -378,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="minimum-norm certified gain")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--tau", type=rational, default=Fraction(1))
     p.add_argument("--out")
     p.add_argument("--dump-polytope")
     p.set_defaults(func=cmd_synth)
@@ -409,8 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fme", help="project an inequality-system file")
     p.add_argument("--input", required=True)
-    p.add_argument("--eliminate", help="comma-separated variable indices")
-    p.add_argument("--keep", help="comma-separated variable indices")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--eliminate", help="comma-separated variable indices")
+    which.add_argument("--keep", help="comma-separated variable indices")
     p.add_argument("--out")
     p.set_defaults(func=cmd_fme)
 

@@ -508,27 +508,28 @@ def admissibility_rows(S: Box, U: Box) -> list[ScaledRow]:
     return rows
 
 
-def invariance_rows(sys: UncertainLinearSystem, tau=1) -> list[ScaledRow]:
+def invariance_rows(sys: UncertainLinearSystem) -> list[ScaledRow]:
     """Shifted-cone certificate rows, rearranged as inequalities in
     ``(k11, k22, k23)``.
 
     For each window vertex ``v`` and each face ``g . s <= 1`` of its cone,
-    ``g . (I + tau F(w)) v <= 1 - max tau g . E r`` is linear in the gain
-    entries because ``F = A + B K``.  The face of state ``i`` reads row ``i``
-    of A and B alone, so it is enumerated over the vertices of the
-    parameters whose A or B slice has a nonzero row ``i``.  Rows come by
-    window vertex, then face, then parameter vertex, and may repeat; see
-    :func:`~viskeep.systems._gain_rows`, which the exact cone certificate
-    reads too."""
-    return [(nums, den) for _, cone in _gain_rows(sys, tau)
+    ``g . (I + F(w)) v <= 1 - max g . E r`` is linear in the gain entries
+    because ``F = A + B K``; as ``g . v = 1`` it is Nagumo's ``g . F(w) v +
+    max g . E r <= 0``, which a step ``dt > 0`` only scales.  The face of
+    state ``i`` reads row ``i`` of A and B alone, so it is enumerated over
+    the vertices of the parameters whose A or B slice has a nonzero row
+    ``i``.  Rows come by window vertex, then face, then parameter vertex,
+    and may repeat; see :func:`~viskeep.systems._gain_rows`, which the
+    exact cone certificate reads too."""
+    return [(nums, den) for _, cone in _gain_rows(sys)
             for _, rows in cone for _, nums, den in rows]
 
 
-def _pipeline_polytope(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySystem:
+def _pipeline_polytope(sys: UncertainLinearSystem) -> LinearInequalitySystem:
     """Invariance then admissibility rows, exact duplicates dropped once on
     their integer keys; only the rows that survive are built as Fractions,
     and their keys are the system's integer rows."""
-    rows, keys = _scaled_rows(invariance_rows(sys, tau)
+    rows, keys = _scaled_rows(invariance_rows(sys)
                               + admissibility_rows(sys.S, sys.U))
     return LinearInequalitySystem._keyed(3, rows, keys)
 

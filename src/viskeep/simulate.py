@@ -94,11 +94,19 @@ class LeaderProfile:
     omega: Callable[[float], float]
 
 
+def _finite_number(val) -> bool:
+    """A finite int or float, not a bool and not an int beyond the floats."""
+    try:
+        return type(val) in (int, float) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def profile_from_json_dict(data: dict) -> LeaderProfile:
     """Profile from its JSON form; a malformed signal is a ValueError."""
     def number(spec, key, default=None):
         val = spec.get(key, default)
-        if type(val) not in (int, float) or not math.isfinite(val):  # no bool
+        if not _finite_number(val):
             raise ValueError(f"{spec['type']} profile needs a finite number "
                              f"for {key!r}, not {val!r}")
         return val

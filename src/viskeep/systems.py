@@ -6,14 +6,15 @@ disturbance (D) and parameter (Q).  A feedback ``u = K s`` is certified by
 checking finitely many vertex conditions:
 
 * admissibility: ``K v`` inside U for every vertex ``v`` of S;
-* one-step form: ``v + tau (F(w) v + E(w) r)`` inside S for all vertices
-  ``v`` of S, ``w`` of Q and ``r`` of D, where ``F = A + B K``;
-* cone form: ``(I + tau F(w)) v`` inside the vertex cone of ``v`` with each
-  plane shifted inward by the worst disturbance push.
+* D-invariance: ``(I + F(w)) v``, ``F = A + B K``, inside the vertex cone
+  of ``v`` with each plane shifted inward by the worst disturbance push.
+  As ``g . v = 1`` on a face ``g . s <= 1`` through ``v``, that is Nagumo's
+  sub-tangentiality ``g . F(w) v + max_r g . E(w) r <= 0`` (Blanchini,
+  Automatica 1999); a one-step form with step ``dt`` scales it by ``dt``.
 
-All three run either in floats (absolute tolerance 1e-9) or, when the gain
-and tau are rational, in exact arithmetic: every quantity goes over a
-common denominator and each test is an integer sign test.
+Both run either in floats (absolute tolerance 1e-9) or, when the gain is
+rational, in exact arithmetic: every quantity goes over a common
+denominator and each test is an integer sign test.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def _sub_vertices(box: Box, indices: list[int]):
         yield tuple(w)
 
 
-def _shifted_vertex_cones(sys: UncertainLinearSystem, tau):
+def _shifted_vertex_cones(sys: UncertainLinearSystem):
     """Yield ``(v, faces)`` for every window vertex ``v`` in ``S.vertices()``
     order: ``faces`` pairs the rows of ``vertex_cone(S, v)``, each shifted
     inward by the worst disturbance push, with their face index ``f``
@@ -95,7 +96,7 @@ def _shifted_vertex_cones(sys: UncertainLinearSystem, tau):
     S = sys.S
     planes = vertex_cone(S, S.hi).rows + vertex_cone(S, S.lo).rows
     e_vertices = list(_sub_vertices(sys.Q, _relevant_params(sys.E)))
-    shifted = shifted_cone(HalfspaceCone(planes), tau, sys.eval_E,
+    shifted = shifted_cone(HalfspaceCone(planes), sys.eval_E,
                            e_vertices, sys.D.vertices()).rows
     for v in S.vertices():
         faces = [i if x == hi else S.dim + i
@@ -108,7 +109,7 @@ def _ab_params(sys: UncertainLinearSystem, i: int) -> list[int]:
     return sorted(set(_relevant_params(sys.A, i)) | set(_relevant_params(sys.B, i)))
 
 
-def _gain_rows(sys: UncertainLinearSystem, tau):
+def _gain_rows(sys: UncertainLinearSystem):
     """The shifted-cone certificate as inequalities in the sparse gain
     ``(k11, k22, k23)``, in integers.
 
@@ -117,16 +118,15 @@ def _gain_rows(sys: UncertainLinearSystem, tau):
     vertex cone in turn, its state ``i`` and a list of ``(key, nums, den)``
     over the vertices ``w`` of the parameters in row ``i`` of A and B
     (``key`` is their values): the condition
-    ``g . (I + tau F(w)) v <= xi``, ``F = A + B K``, read as
+    ``g . (I + F(w)) v <= xi``, ``F = A + B K``, read as
     ``nums[:3] . k <= nums[3]``, which is linear in the gain because the
     face reads only entry ``i``.  ``nums / den`` (``den > 0``) is the row
-    ``(tau g_i B(w)_i0 v_0, tau g_i B(w)_i1 v_1, tau g_i B(w)_i1 v_2,
-    xi - g_i v_i - tau g_i A(w)_i . v)`` exactly: every constant is put
-    over one denominator once, and a row costs a few integer products.
+    ``(g_i B(w)_i0 v_0, g_i B(w)_i1 v_1, g_i B(w)_i1 v_2,
+    xi - g_i v_i - g_i A(w)_i . v)`` exactly: every constant is put over
+    one denominator once, and a row costs a few integer products.
     """
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
-    tau = Fraction(tau)
     AB = []  # state i -> [(key, numerators of A(w)_i and B(w)_i, their den)]
     for i in range(sys.n):
         params = _ab_params(sys, i)
@@ -136,20 +136,19 @@ def _gain_rows(sys: UncertainLinearSystem, tau):
             for w in _sub_vertices(sys.Q, params)
         ])
     terms = {}  # face -> [(key, coefficient terms, xi term, g_i term, den)]
-    for v, faces in _shifted_vertex_cones(sys, tau):
+    for v, faces in _shifted_vertex_cones(sys):
         Vn, Vd = _over(v)
         cone = []
         for f, (g, xi) in faces:
             i = f % sys.n
             if f not in terms:
-                # the row's terms over t.den gi.den xi.den d Vd, d the
+                # the row's terms over gi.den xi.den d Vd, d the
                 # denominator of A(w)_i and B(w)_i, Vd that of v
-                t, gi = tau * g[i], g[i]
-                lead = t.numerator * gi.denominator * xi.denominator
-                x0 = xi.numerator * t.denominator * gi.denominator
-                g0 = gi.numerator * t.denominator * xi.denominator
-                den = t.denominator * gi.denominator * xi.denominator
-                terms[f] = [(key, [lead * x for x in ABn], x0 * d, g0 * d, den * d)
+                gi = g[i]
+                g0 = gi.numerator * xi.denominator
+                x0 = xi.numerator * gi.denominator
+                den = gi.denominator * xi.denominator
+                terms[f] = [(key, [g0 * x for x in ABn], x0 * d, g0 * d, den * d)
                             for key, ABn, d in AB[i]]
             cone.append((i, [
                 (key, (P[3] * Vn[0], P[4] * Vn[1], P[4] * Vn[2],
@@ -283,7 +282,6 @@ class CertificateReport:
     holds: bool
     violations: tuple[Violation, ...]
     kind: str = "certificate"
-    tau: Optional[float] = None
     exact: bool = False
 
     def __post_init__(self):
@@ -292,8 +290,6 @@ class CertificateReport:
 
     def to_text(self) -> str:
         head = f"{self.kind}: {'HOLDS' if self.holds else 'FAILS'}"
-        if self.tau is not None:
-            head += f" (tau={self.tau})"
         head += " [exact]" if self.exact else " [float]"
         lines = [head]
         for v in self.violations:
@@ -362,13 +358,13 @@ def check_admissible(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
     )
 
 
-def _cone_failures_exact(sys, K, tau):
+def _cone_failures_exact(sys, K):
     """Exact path of :func:`check_D_invariant_cone`, on the integer rows of
     :func:`_gain_rows`: the gain ``k = Kn / Kd`` fails a row iff
     ``nums[3] * Kd - nums[:3] . Kn < 0``, and that integer over
-    ``den * Kd`` is the slack ``xi - g . (I + tau F(w)) v`` exactly."""
+    ``den * Kd`` is the slack ``xi - g . (I + F(w)) v`` exactly."""
     Kn, Kd = _over(K.entries())
-    for v, cone in _gain_rows(sys, tau):
+    for v, cone in _gain_rows(sys):
         failed = []  # (cone row, state, {key: slack} of its violations)
         for h, (i, rows) in enumerate(cone):
             slacks = {}
@@ -381,7 +377,7 @@ def _cone_failures_exact(sys, K, tau):
         yield v, failed
 
 
-def _cone_failures_float(sys, K, tau, Q_verts, keys):
+def _cone_failures_float(sys, K, Q_verts, keys):
     """Float path of :func:`check_D_invariant_cone`: row ``i`` of ``F(w)``
     once per key, applied to ``v`` and tested with tolerance
     ``FLOAT_TOL``."""
@@ -391,7 +387,7 @@ def _cone_failures_float(sys, K, tau, Q_verts, keys):
         for key, w in zip(keys[i], Q_verts):
             if key not in rows:
                 rows[key] = _affine_row(F, i, w)
-    for v_exact, faces in _shifted_vertex_cones(sys, tau):
+    for v_exact, faces in _shifted_vertex_cones(sys):
         v = _float_tuple(v_exact)
         failed = []
         for h, (f, (g, xi)) in enumerate(faces):
@@ -399,7 +395,7 @@ def _cone_failures_float(sys, K, tau, Q_verts, keys):
             gi, xi = float(g[i]), float(xi)
             slacks = {}
             for key, row in F_rows[i].items():
-                val = gi * (v[i] + tau * sum(c * x for c, x in zip(row, v)))
+                val = gi * (v[i] + sum(c * x for c, x in zip(row, v)))
                 if val > xi + FLOAT_TOL:
                     slacks[key] = float(xi - val)
             if slacks:
@@ -408,30 +404,31 @@ def _cone_failures_float(sys, K, tau, Q_verts, keys):
 
 
 def check_D_invariant_cone(
-    sys: UncertainLinearSystem, K: GainMatrix, tau
+    sys: UncertainLinearSystem, K: GainMatrix, _tau=None
 ) -> CertificateReport:
-    """Shifted vertex-cone condition: ``(I + tau F(w)) v`` in C_v shifted.
+    """Shifted vertex-cone condition: ``(I + F(w)) v`` in C_v shifted.
 
-    Each plane of the cone at vertex ``v`` is offset inward by the worst
-    case ``tau * g . E(w) r`` over the vertices of D and of the parameters
-    E depends on, computed once per face of S.  A face of ``s_i`` reads
-    only entry ``i`` of ``(I + tau F(w)) v``, and row ``i`` of ``F(w)``
-    depends only on the parameters with a nonzero row ``i`` of A or B, so
-    each entry is formed once per vertex of those parameters and its
-    violations are reported for every ``w`` sharing it.  With an exact gain
-    and tau each entry is an integer sign test on the gain-polytope rows of
-    :func:`_gain_rows`; otherwise it is evaluated in floats.
+    Each plane ``g . s <= 1`` of the cone at vertex ``v`` is offset inward
+    by the worst case ``g . E(w) r`` over the vertices of D and of the
+    parameters E depends on, computed once per face of S.  As ``g . v = 1``,
+    this is Nagumo's ``g . F(w) v + max g . E r <= 0``, which a step
+    ``dt > 0`` only scales.  A face of ``s_i`` reads only entry ``i`` of
+    ``(I + F(w)) v``, and row ``i`` of ``F(w)`` depends only on the
+    parameters with a nonzero row ``i`` of A or B, so each entry is formed
+    once per vertex of those parameters and its violations are reported
+    for every ``w`` sharing it.  With an exact gain each entry is an
+    integer sign test on the gain-polytope rows of :func:`_gain_rows`;
+    otherwise it is evaluated in floats.  The third parameter is ignored;
+    it stays for the call ``check_D_invariant_cone(sysd, K, 1)`` in
+    ``perfbench/workloads.py``, which still passes a step tau.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    exact = K.is_exact() and isinstance(tau, (int, Fraction))
-    tau_c = Fraction(tau) if exact else float(tau)
+    exact = K.is_exact()
     Q_verts = sys.Q.vertices() if exact else sys.Q.vertices_f()
     # state i -> key of each w: its values on the parameters of row i
     keys = [[tuple(w[l] for l in params) for w in Q_verts]
             for params in (_ab_params(sys, i) for i in range(sys.n))]
-    failures = (_cone_failures_exact(sys, K, tau_c) if exact
-                else _cone_failures_float(sys, K, tau_c, Q_verts, keys))
+    failures = (_cone_failures_exact(sys, K) if exact
+                else _cone_failures_float(sys, K, Q_verts, keys))
     violations = []
     for v, failed in failures:
         for k, w in enumerate(Q_verts):
@@ -448,7 +445,6 @@ def check_D_invariant_cone(
         holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
-        tau=float(tau_c),
         exact=exact,
     )
 

@@ -372,9 +372,19 @@ def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:
     return rows
 
 
+def tau_cones(sys: UncertainLinearSystem, tau):
+    """The vertex cones of ``systems._shifted_vertex_cones`` for the
+    one-step form with step `tau`: each step-free plane ``g . s <= xi``,
+    whose ``1 - xi`` is the worst disturbance push, becomes
+    ``g . s <= 1 - tau (1 - xi)``.  Exact for a rational `tau`."""
+    tau = Fraction(tau) if isinstance(tau, (int, Fraction)) else tau
+    for v, faces in _shifted_vertex_cones(sys):
+        yield v, [(f, Row(g, 1 - tau * (1 - xi))) for f, (g, xi) in faces]
+
+
 def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
-    """Shifted-cone certificate rows, rearranged as inequalities in
-    ``(k11, k22, k23)``.
+    """Shifted-cone certificate rows at step `tau`, rearranged as
+    inequalities in ``(k11, k22, k23)``.
 
     For each window vertex ``v`` and each face ``g . s <= 1`` of its cone,
     ``g . (I + tau F(w)) v <= 1 - max tau g . E r`` is linear in the gain
@@ -383,7 +393,9 @@ def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
     parameters whose A or B slice has a nonzero row ``i``.  Rows come by
     window vertex, then face, then parameter vertex, and may repeat.  Built
     in ``Fraction`` arithmetic: with :func:`admissibility_rows_oracle`, the
-    oracle for the integer rows of ``scenarios.invariance_rows``."""
+    oracle for the integer rows of ``scenarios.invariance_rows``, which
+    equal these at ``tau = 1`` and these divided by `tau` at any other
+    step."""
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
     tau = Fraction(tau)
@@ -395,7 +407,7 @@ def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
                    for w in _sub_vertices(sys.Q, params)])
     terms = {}  # face -> [(tau g_i A(w)_i, tau g_i B(w)_i)]
     rows: list[Row] = []
-    for v, faces in _shifted_vertex_cones(sys, tau):
+    for v, faces in tau_cones(sys, tau):
         for f, (g, xi_shifted) in faces:
             i = f % sys.n
             if f not in terms:
@@ -410,9 +422,10 @@ def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
 
 
 def pipeline_polytope_oracle(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySystem:
-    """Invariance then admissibility rows as Fractions, duplicates dropped
-    on the Fraction key: the polytope ``scenarios._pipeline_polytope`` must
-    give row for row."""
+    """Invariance rows at step `tau` then admissibility rows as Fractions,
+    duplicates dropped on the Fraction key: the polytope
+    ``scenarios._pipeline_polytope`` must give row for row at ``tau = 1``,
+    and key for key at any ``tau > 0``."""
     rows = invariance_rows_oracle(sys, tau) + admissibility_rows_oracle(sys.S, sys.U)
     return LinearInequalitySystem(3, dedup_oracle(rows))
 
@@ -643,7 +656,6 @@ def check_D_invariant_euler(
         holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (one-step)",
-        tau=float(tau_c),
         exact=exact,
     )
 
@@ -690,10 +702,13 @@ def admissibility_oracle(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
 
 
 def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
-                            tau) -> CertificateReport:
-    """Shifted vertex-cone certificate with every distinct ``F(w)`` (over
+                            tau=1) -> CertificateReport:
+    """Shifted vertex-cone certificate at step `tau`, ``(I + tau F(w)) v``
+    in the cones of :func:`tau_cones`, with every distinct ``F(w)`` (over
     the parameters of A and B) multiplied by ``v`` in full and dotted with
-    every cone plane: the oracle for ``systems.check_D_invariant_cone``."""
+    every cone plane: the oracle for ``systems.check_D_invariant_cone``,
+    whose report it gives at ``tau = 1`` and whose verdict at any
+    ``tau > 0``."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     exact, tau_c, conv, S_verts, Q_verts, D_verts = _certificate_inputs(sys, K, tau)
@@ -706,7 +721,7 @@ def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         if key not in F_of:
             F_of[key] = F(w)
     violations = []
-    for v_exact, faces in _shifted_vertex_cones(sys, tau_c):
+    for v_exact, faces in tau_cones(sys, tau):
         v = conv(v_exact)
         rows = [(conv(g), xi if exact else float(xi)) for _, (g, xi) in faces]
         failed = {}  # F(w) key -> [(cone row, slack)] of violated rows
@@ -730,13 +745,12 @@ def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
-        tau=float(tau_c),
         exact=exact,
     )
 
 
 def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
-                                tau) -> CertificateReport:
+                                tau=1) -> CertificateReport:
     """Shifted vertex-cone condition: ``(I + tau F(w)) v`` in C_v shifted,
     formed row by row in ``Fraction`` arithmetic when the gain is exact:
     the oracle for the integer sign tests of
@@ -766,7 +780,7 @@ def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                 rows[key] = _affine_row(F, i, w)
         F_rows.append(rows)
     violations = []
-    for v_exact, faces in _shifted_vertex_cones(sys, tau_c):
+    for v_exact, faces in tau_cones(sys, tau):
         v = conv(v_exact)
         failed = []  # (cone row, state, {key: slack} of its violations)
         for h, (f, (g, xi)) in enumerate(faces):
@@ -793,7 +807,6 @@ def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
-        tau=float(tau_c),
         exact=exact,
     )
 

@@ -188,7 +188,7 @@ def test_criterion_3_circle_gain():
     res = min_norm_gain(poly)
     K = GainMatrix(*res.exact_gain)
     certified = (check_admissible(K, sysd.S, sysd.U).holds
-                 and check_D_invariant_cone(sysd, K, 1).holds)
+                 and check_D_invariant_cone(sysd, K).holds)
 
     dirty = []
     runs = 0
@@ -307,7 +307,7 @@ def test_criterion_6_certificate_equivalence():
     for _ in range(total):
         sysd, K = random_moderate_system(rnd)
         euler = check_D_invariant_euler(sysd, K, 1.0)
-        cone = check_D_invariant_cone(sysd, K, 1.0)
+        cone = check_D_invariant_cone(sysd, K)
         if euler.holds == cone.holds:
             agreements += 1
     ok = agreements == total
@@ -328,7 +328,7 @@ def test_criterion_7_linear_invariance_oracle():
         res = min_norm_gain(gain_polytope(sc))
         sysd = build_basic_system(sc)
         K = GainMatrix(*res.exact_gain)
-        if not check_D_invariant_cone(sysd, K, 1).holds:
+        if not check_D_invariant_cone(sysd, K).holds:
             failures.append(f"{i}: certificate")
             continue
         ok, excess = simulate_linear_switching(

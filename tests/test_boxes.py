@@ -95,7 +95,7 @@ def test_box_inside_every_vertex_cone(rnd):
 
 def test_shifted_cone_zero_disturbance():
     cone = HalfspaceCone((Row((F(1),), F(1)),))
-    out = shifted_cone(cone, 1, lambda w: ((F(0),),), [()], [(F(1),)])
+    out = shifted_cone(cone, lambda w: ((F(0),),), [()], [(F(1),)])
     assert out == cone
 
 
@@ -103,24 +103,7 @@ def test_shifted_cone_scalar_example():
     # one plane s <= 1, unit disturbance channel, |r| <= 0.3: shift 0.3
     cone = HalfspaceCone((Row((F(1),), F(1)),))
     out = shifted_cone(
-        cone, 1, lambda w: ((F(1),),), [()],
+        cone, lambda w: ((F(1),),), [()],
         [(F(3, 10),), (F(-3, 10),)],
     )
     assert out.rows == (Row((F(1),), F(7, 10)),)
-
-
-def test_shifted_cone_tau_scale_invariance():
-    cone = HalfspaceCone((Row((F(1), F(0)), F(1)), Row((F(0), F(1)), F(1))))
-    E = lambda w: ((F(1), F(0)), (F(0), F(1)))
-    D = [(F(1, 4), F(1, 8)), (F(-1, 4), F(-1, 8))]
-    lam = F(5)
-    a = shifted_cone(cone, 2, E, [()], D)
-    E_scaled = lambda w: tuple(tuple(x / lam for x in row) for row in E(w))
-    b = shifted_cone(cone, 2 * lam, E_scaled, [()], D)
-    assert a == b
-
-
-def test_shifted_cone_requires_positive_tau():
-    cone = HalfspaceCone((Row((F(1),), F(1)),))
-    with pytest.raises(ValueError):
-        shifted_cone(cone, 0, lambda w: ((F(0),),), [()], [(F(0),)])

@@ -69,7 +69,6 @@ def test_synth_window(basic_file, tmp_path):
     assert data["certificates"]["admissible"] is True
     assert data["certificates"]["invariant"] is True
     assert data["certificates"]["exact"] is True
-    assert data["certificates"]["tau"] == 1.0
     assert data["kkt_residual"] <= 1e-7
     assert "rationalization" in data
     assert dump.exists() and "<=" in dump.read_text()
@@ -216,6 +215,30 @@ def test_fme_out_of_range_index_exits_2(tmp_path, capsys, flag, index):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--eliminate", "--keep"])
+def test_fme_empty_index_list(tmp_path, capsys, flag):
+    """``--eliminate ""`` eliminates nothing, and ``--keep ""`` keeps
+    nothing."""
+    path = tmp_path / "sys.txt"
+    path.write_text("1 0 <= 2\n-1 0 <= -1\n1 1 <= 3\n")
+    out = tmp_path / "projected.txt"
+    assert main(["fme", "--input", str(path), flag, "",
+                 "--out", str(out)]) == 0
+    want = (LinearInequalitySystem.from_text(path.read_text())
+            .project([0, 1] if flag == "--eliminate" else []))
+    assert out.read_text() == want.to_text()
+    assert ("1 0 <= 2" in out.read_text()) == (flag == "--eliminate")
+
+
+def test_fme_eliminate_and_keep_together_exit_2(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text("1 0 <= 2\n-1 0 <= -1\n1 1 <= 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["fme", "--input", str(path), "--eliminate", "0", "--keep", "0"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_fme_matches_check_on_polytope_dump(basic_file, tmp_path):
     gain_out = tmp_path / "gain.json"
     dump = tmp_path / "poly.txt"
@@ -271,7 +294,7 @@ def test_demo_bundle(demo_out, tmp_path):
     assert len(gains) == 3
     for g in gains:
         assert g["certificates"] == {"admissible": True, "invariant": True,
-                                     "exact": True, "tau": 1.0}
+                                     "exact": True}
     assert main(["chain", "--spec", str(chain / "scenario.json"),
                  "--out", str(tmp_path / "chain.json")]) == 0
     assert (tmp_path / "chain.json").read_bytes() == \
@@ -367,9 +390,11 @@ def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
      {"type": "random", "amplitude": 0.01, "hold": 0.5, "seed": 1.5}),
     ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
      {"type": "sum", "terms": 3}),
+    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
+     {"type": "constant", "value": 10**401}),
 ], ids=["gain", "profile", "null-gain", "list-gain", "null-value",
         "text-amplitude", "list-omega", "null-phase", "null-hold",
-        "float-seed", "int-terms"])
+        "float-seed", "int-terms", "huge-int-value"])
 def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
                                            gain, v):
     gain_file = write_json(tmp_path / "gain.json", gain)
@@ -606,29 +631,6 @@ def test_fme_zero_denominator_exits_2(tmp_path, capsys):
     path.write_text("1 0 <= 2\n1/0 1 <= 3\n")
     assert main(["fme", "--input", str(path)]) == 2
     assert "zero denominator in '1/0'" in capsys.readouterr().err
-
-
-def test_synth_tau_with_zero_denominator_exits_2(basic_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["synth", "--scenario", str(basic_file), "--tau", "1/0"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "--tau: invalid rational value: '1/0'" in err
-    assert "_fraction" not in err
-
-
-@pytest.mark.parametrize("tau", ["0", "-1/2"])
-def test_synth_checks_tau_before_the_polytope(basic_file, tmp_path, capsys,
-                                              monkeypatch, tau):
-    def no_polytope(*args, **kwargs):
-        raise AssertionError("built the polytope before the --tau check")
-
-    monkeypatch.setattr(cli, "_synth_payload", no_polytope)
-    out = tmp_path / "gain.json"
-    assert main(["synth", "--scenario", str(basic_file), f"--tau={tau}",
-                 "--out", str(out)]) == 2
-    assert "tau must be positive" in capsys.readouterr().err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [4.0, True])

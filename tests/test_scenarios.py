@@ -308,7 +308,7 @@ def test_polytope_membership_equals_certificates(rnd):
             member = poly.satisfies(K.entries())
             cert = (
                 check_admissible(K, sysd.S, sysd.U).holds
-                and check_D_invariant_cone(sysd, K, 1).holds
+                and check_D_invariant_cone(sysd, K).holds
             )
             assert member == cert
 
@@ -328,7 +328,7 @@ def test_polytope_sample_gains_are_certified(rnd):
             continue
         hits += 1
         assert check_admissible(K, sysd.S, sysd.U).holds
-        assert check_D_invariant_cone(sysd, K, 1).holds
+        assert check_D_invariant_cone(sysd, K).holds
         if hits >= 8:
             break
     assert hits >= 5
@@ -344,10 +344,10 @@ def test_shifted_cone_needs_only_the_parameters_of_E():
                  build_circle_system(CIRCLE_SCENARIO)):
         e_vertices = list(_sub_vertices(sysd.Q, _relevant_params(sysd.E)))
         assert len(e_vertices) == 4 and len(sysd.Q.vertices()) == 64
-        shared = list(_shifted_vertex_cones(sysd, 1))
+        shared = list(_shifted_vertex_cones(sysd))
         assert [v for v, _ in shared] == list(sysd.S.vertices())
         for v, faces in shared:
-            full = shifted_cone(vertex_cone(sysd.S, v), 1, sysd.eval_E,
+            full = shifted_cone(vertex_cone(sysd.S, v), sysd.eval_E,
                                 sysd.Q.vertices(), sysd.D.vertices())
             assert [row for _, row in faces] == list(full.rows)
 
@@ -365,7 +365,7 @@ def test_orbit_polytope_is_certified_but_rejects_reference_gain():
     sysd = build_circle_system(ORBIT)
     K = GainMatrix(*res.exact_gain)
     assert check_admissible(K, sysd.S, sysd.U).holds
-    assert check_D_invariant_cone(sysd, K, 1).holds
+    assert check_D_invariant_cone(sysd, K).holds
 
 
 # ----------------------------------------------------------------------

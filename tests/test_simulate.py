@@ -536,7 +536,7 @@ def test_certified_gains_survive_nonlinear_runs(rnd):
         sc = random_basic_scenario(rnd, want_feasible=True)
         res = min_norm_gain(gain_polytope(sc))
         sysd = build_basic_system(sc)
-        assert check_D_invariant_cone(sysd, GainMatrix(*res.exact_gain), 1).holds
+        assert check_D_invariant_cone(sysd, GainMatrix(*res.exact_gain)).holds
         profile = LeaderProfile(
             sinusoid(rnd.uniform(0.2, 0.9) * sc.V_L, rnd.uniform(0.3, 2.0)),
             random_hold(rnd.uniform(0.2, 0.9) * sc.Omega_L, 0.5, seed=i),

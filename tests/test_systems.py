@@ -8,7 +8,13 @@ import pytest
 
 from viskeep.boxes import Box
 from viskeep.demos import BASIC_SCENARIO, BUNDLES
-from viskeep.scenarios import BasicScenario, build_basic_system, gain_polytope
+from viskeep.inequalities import normalized_key
+from viskeep.scenarios import (
+    BasicScenario,
+    _pipeline_polytope,
+    build_basic_system,
+    gain_polytope,
+)
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
     CertificateReport,
@@ -30,7 +36,9 @@ from conftest import (
     cone_certificate_oracle,
     cone_certificate_row_oracle,
     eval_matrices,
+    pipeline_polytope_oracle,
     random_basic_scenario,
+    random_family_scenario,
     switching_oracle,
     switching_segments_oracle,
 )
@@ -174,14 +182,14 @@ def test_contraction_passes_both_certificates():
     sysd = toy_system([[-1, 0, 0], [0, -1, 0], [0, 0, -1]])
     K = GainMatrix(F(0), F(0), F(0))
     assert check_D_invariant_euler(sysd, K, 1).holds
-    assert check_D_invariant_cone(sysd, K, 1).holds
+    assert check_D_invariant_cone(sysd, K).holds
 
 
 def test_expansion_fails_both_certificates():
     sysd = toy_system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     K = GainMatrix(F(0), F(0), F(0))
     euler = check_D_invariant_euler(sysd, K, F(1, 2))
-    cone = check_D_invariant_cone(sysd, K, F(1, 2))
+    cone = check_D_invariant_cone(sysd, K)
     assert not euler.holds and not cone.holds
     assert len(euler.violations) > 0
 
@@ -189,7 +197,7 @@ def test_expansion_fails_both_certificates():
 def test_window_gain_cone_certificate_exact():
     sysd = build_basic_system(WINDOW)
     K = synthesized_gain()
-    rep = check_D_invariant_cone(sysd, K, 1)
+    rep = check_D_invariant_cone(sysd, K)
     assert rep.exact and rep.holds
 
 
@@ -199,14 +207,14 @@ def test_window_one_step_certificate_small_tau():
     K = synthesized_gain()
     assert check_D_invariant_euler(sysd, K, F(1, 2)).holds
     assert not check_D_invariant_euler(sysd, K, 1).holds
-    assert check_D_invariant_cone(sysd, K, 1).holds
+    assert check_D_invariant_cone(sysd, K).holds
 
 
 def test_dropping_heading_gain_breaks_invariance():
     sysd = build_basic_system(WINDOW)
     K = synthesized_gain()
     K0 = GainMatrix(K.k11, K.k22, F(0))
-    rep = check_D_invariant_cone(sysd, K0, 1)
+    rep = check_D_invariant_cone(sysd, K0)
     assert not rep.holds
     assert any(v.row == "cone row 2" for v in rep.violations)
 
@@ -215,43 +223,64 @@ def test_one_step_and_cone_agree_on_moderate_rates(rnd):
     for _ in range(60):
         sysd, K = _random_moderate_system(rnd)
         euler = check_D_invariant_euler(sysd, K, 1.0)
-        cone = check_D_invariant_cone(sysd, K, 1.0)
+        cone = check_D_invariant_cone(sysd, K)
         assert euler.holds == cone.holds
 
 
 def test_enlarging_disturbance_never_rescues(rnd):
     for _ in range(25):
         sysd, K = _random_moderate_system(rnd)
-        if check_D_invariant_cone(sysd, K, 1.0).holds:
+        if check_D_invariant_cone(sysd, K).holds:
             continue
         bigger = UncertainLinearSystem(
             n=3, m=2, l=2, p=3,
             A=sysd.A, B=sysd.B, E=sysd.E,
             S=sysd.S, U=sysd.U, D=sysd.D.scaled(2), Q=sysd.Q,
         )
-        assert not check_D_invariant_cone(bigger, K, 1.0).holds
+        assert not check_D_invariant_cone(bigger, K).holds
 
 
-def test_cone_verdict_independent_of_tau_without_disturbance(rnd):
-    for _ in range(20):
+def test_certificate_does_not_depend_on_the_step(rnd):
+    """The step-free polytope and cone verdict are those of the one-step
+    form at any step: at tau = 1/7, 1 and 13/2, the oracle rows are the
+    pipeline's rows times tau (the same keys, in the same order), and the
+    oracle's cone verdict is the certificate's.  On the pair bundles,
+    seeded scenarios of each family (feasible and infeasible) and random
+    systems with their disturbance and without it."""
+    systems = [b.scenario.system() for b in BUNDLES if b.name != "chain"]
+    systems += [random_family_scenario(rnd, kind).system()
+                for kind in ("basic", "ubb", "circle") for _ in range(3)]
+    for _ in range(2):
         sysd, K = _random_moderate_system(rnd)
         quiet = UncertainLinearSystem(
-            n=3, m=2, l=2, p=3,
-            A=sysd.A, B=sysd.B,
+            n=3, m=2, l=2, p=3, A=sysd.A, B=sysd.B,
             E=tuple(_zeros(3, 2) for _ in range(4)),
             S=sysd.S, U=sysd.U, D=sysd.D, Q=sysd.Q,
         )
-        verdicts = {
-            check_D_invariant_cone(quiet, K, tau).holds
-            for tau in (0.1, 1.0, 10.0)
-        }
-        assert len(verdicts) == 1
+        systems += [sysd, quiet]
+    verdicts, feasible = set(), set()
+    for sysd in systems:
+        poly = _pipeline_polytope(sysd)
+        gains = [GainMatrix(F(0), F(0), F(0))]
+        feasible.add(poly.is_feasible())
+        if poly.is_feasible():
+            k = min_norm_gain(poly).exact_gain
+            gains += [GainMatrix(*k), GainMatrix(k[0], k[1], F(0)),
+                      GainMatrix(*(x * F(11, 10) for x in k))]
+        for tau in (F(1, 7), F(1), F(13, 2)):
+            oracle = pipeline_polytope_oracle(sysd, tau)
+            assert poly.int_rows == tuple(map(normalized_key, oracle.rows))
+            for K in gains:
+                got = check_D_invariant_cone(sysd, K).holds
+                assert got == cone_certificate_oracle(sysd, K, tau).holds
+                verdicts.add(got)
+    assert verdicts == feasible == {True, False}
 
 
 def test_cone_certificate_matches_full_product_oracle(rnd):
     """Reports byte-equal to the full ``F(w) v`` product over the bundle
     systems and random systems, for exact and float gains that hold or
-    fail and for exact and float tau."""
+    fail."""
     pairs = [_random_moderate_system(rnd) for _ in range(4)]
     bundles = [b.scenario for b in BUNDLES if b.name != "chain"]
     systems = [sc.system() for sc in bundles] + [sysd for sysd, _ in pairs]
@@ -263,13 +292,12 @@ def test_cone_certificate_matches_full_product_oracle(rnd):
     verdicts = set()
     for sysd in systems:
         for K in gains:
-            for tau in (F(1), F(1, 2), 0.25):
-                want = cone_certificate_oracle(sysd, K, tau)
-                got = check_D_invariant_cone(sysd, K, tau)
-                assert repr(got) == repr(want)
-                assert got.to_text() == want.to_text()
-                assert got.to_csv() == want.to_csv()
-                verdicts.add((got.holds, got.exact))
+            want = cone_certificate_oracle(sysd, K)
+            got = check_D_invariant_cone(sysd, K)
+            assert repr(got) == repr(want)
+            assert got.to_text() == want.to_text()
+            assert got.to_csv() == want.to_csv()
+            verdicts.add((got.holds, got.exact))
     assert verdicts == {(True, True), (True, False), (False, True),
                         (False, False)}
 
@@ -297,13 +325,12 @@ def test_integer_certificates_match_fraction_oracles(rnd):
     verdicts = set()
     for sysd, K in cases:
         assert K.is_exact()
-        for tau in (F(1), F(1, 3)):
-            got = check_D_invariant_cone(sysd, K, tau)
-            for want in (cone_certificate_oracle(sysd, K, tau),
-                         cone_certificate_row_oracle(sysd, K, tau)):
-                assert (repr(got), got.to_text(), got.to_csv()) == (
-                    repr(want), want.to_text(), want.to_csv())
-            verdicts.add(got.holds)
+        got = check_D_invariant_cone(sysd, K)
+        for want in (cone_certificate_oracle(sysd, K),
+                     cone_certificate_row_oracle(sysd, K)):
+            assert (repr(got), got.to_text(), got.to_csv()) == (
+                repr(want), want.to_text(), want.to_csv())
+        verdicts.add(got.holds)
         got = check_admissible(K, sysd.S, sysd.U)
         want = admissibility_oracle(K, sysd.S, sysd.U)
         assert (repr(got), got.to_csv()) == (repr(want), want.to_csv())
@@ -390,7 +417,7 @@ def test_linear_switching_matches_per_step_oracle():
         sc = random_basic_scenario(rnd, want_feasible=True)
         res = min_norm_gain(gain_polytope(sc))
         sysd = build_basic_system(sc)
-        assert check_D_invariant_cone(sysd, GainMatrix(*res.exact_gain), 1).holds
+        assert check_D_invariant_cone(sysd, GainMatrix(*res.exact_gain)).holds
         cases.append((sysd, res.gain, {}))
     unstable = toy_system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     cases.append((unstable, zero, {}))
