@@ -99,6 +99,26 @@ def test_shifted_cone_zero_disturbance():
     assert out == cone
 
 
+def test_shifted_cone_tau_scale_invariance():
+    # a step tau enters the one-step cone only through tau E(w) r: step 2
+    # with D equals step 2 lam with D / lam, and each plane through the
+    # vertex (xi = 1) moves tau times as far as the step-free shift
+    cone = HalfspaceCone((Row((F(1), F(0)), F(1)), Row((F(0), F(1)), F(1))))
+    E = lambda w: ((F(1), F(0)), (F(0), F(1)))
+    D = [(F(1, 4), F(1, 8)), (F(-1, 4), F(-1, 8))]
+    lam = F(5)
+
+    def one_step(tau, D):
+        tE = lambda w: tuple(tuple(tau * x for x in row) for row in E(w))
+        return shifted_cone(cone, tE, [()], D)
+
+    a = one_step(2, D)
+    b = one_step(2 * lam, [tuple(x / lam for x in r) for r in D])
+    assert a == b
+    free = shifted_cone(cone, E, [()], D)
+    assert a.rows == tuple(Row(g, 1 - 2 * (1 - xi)) for g, xi in free.rows)
+
+
 def test_shifted_cone_scalar_example():
     # one plane s <= 1, unit disturbance channel, |r| <= 0.3: shift 0.3
     cone = HalfspaceCone((Row((F(1),), F(1)),))

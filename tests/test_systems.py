@@ -240,6 +240,24 @@ def test_enlarging_disturbance_never_rescues(rnd):
         assert not check_D_invariant_cone(bigger, K).holds
 
 
+def test_cone_verdict_independent_of_tau_without_disturbance(rnd):
+    """With no disturbance, the one-step cone verdict at float steps
+    0.1, 1 and 10 is one verdict, and it is the step-free certificate's."""
+    for _ in range(20):
+        sysd, K = _random_moderate_system(rnd)
+        quiet = UncertainLinearSystem(
+            n=3, m=2, l=2, p=3,
+            A=sysd.A, B=sysd.B,
+            E=tuple(_zeros(3, 2) for _ in range(4)),
+            S=sysd.S, U=sysd.U, D=sysd.D, Q=sysd.Q,
+        )
+        verdicts = {
+            cone_certificate_oracle(quiet, K, tau).holds
+            for tau in (0.1, 1.0, 10.0)
+        }
+        assert verdicts == {check_D_invariant_cone(quiet, K).holds}
+
+
 def test_certificate_does_not_depend_on_the_step(rnd):
     """The step-free polytope and cone verdict are those of the one-step
     form at any step: at tau = 1/7, 1 and 13/2, the oracle rows are the
