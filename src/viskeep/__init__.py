@@ -6,6 +6,12 @@ the polytope of feedback gains that render the window invariant under all
 admissible leader motions, pick the minimum-norm gain with an exact
 optimality certificate, and validate the result against the original
 nonlinear dynamics in simulation.
+
+Importing the package loads the exact layer only, without numpy.  The
+nonlinear simulators, traces and monitor (``SimTrace``,
+``ViolationReport``, ``monitor``, ``simulate_basic``, ``simulate_ubb``,
+``simulate_circle``, ``simulate_chain`` and ``simulate_scenario``) are
+imported from :mod:`viskeep.simulate`, which loads numpy.
 """
 
 from .boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
@@ -27,6 +33,7 @@ from .inequalities import (
     Row,
     rationalize,
 )
+from .profiles import LeaderProfile
 from .scenarios import (
     BasicScenario,
     CircleScenario,
@@ -42,16 +49,6 @@ from .scenarios import (
     gain_polytope,
     gain_polytope_circle,
     gain_polytope_ubb,
-)
-from .simulate import (
-    LeaderProfile,
-    SimTrace,
-    ViolationReport,
-    monitor,
-    simulate_basic,
-    simulate_chain,
-    simulate_circle,
-    simulate_ubb,
 )
 from .synthesis import (
     InfeasiblePolytopeError,

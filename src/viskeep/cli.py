@@ -43,14 +43,13 @@ from .scenarios import (
     save_scenario,
     scenario_to_json_dict,
 )
-from .simulate import (
+from .profiles import (
     BOUND_TOL,
     LeaderProfile,
     _check_tol,
     _finite_number,
-    monitor,
+    _shown,
     profile_from_json_dict,
-    simulate_chain,
 )
 from .synthesis import InfeasiblePolytopeError, min_norm_gain
 from .systems import (
@@ -130,16 +129,19 @@ def _gain_of(data) -> GainMatrix:
         val = g[key]
         if not _finite_number(val):
             raise ValueError(f"gain entry {key!r} must be a finite number, "
-                             f"not {val!r}")
+                             f"not {_shown(val)}")
     return GainMatrix(*(float(g[key]) for key in keys))
 
 
 def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
               noise_amplitude=None, seed=0) -> bool:
     """Run one pair, write trace.csv and violations.json; True if clean."""
-    trace = sc.simulate(K, profile, s0, horizon, dt, noise_amplitude, seed)
+    from . import simulate  # the float layer, loaded by runs alone
+
+    trace = simulate.simulate_scenario(sc, K, profile, s0, horizon, dt,
+                                       noise_amplitude, seed)
     sysd = sc.system()
-    rep = monitor(trace, sysd.S, sysd.U, tol=tol)
+    rep = simulate.monitor(trace, sysd.S, sysd.U, tol=tol)
     trace.to_csv(out_dir / "trace.csv")
     payload = rep.to_json_dict()
     payload["clamp_events"] = trace.clamp_events
@@ -150,14 +152,16 @@ def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
 def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir,
                tol=BOUND_TOL) -> bool:
     """Run a chain, write trace_link<k>.csv and violations.json; True if clean."""
-    traces = simulate_chain(spec, gains, profile, s0, horizon, dt)
+    from . import simulate  # the float layer, loaded by runs alone
+
+    traces = simulate.simulate_chain(spec, gains, profile, s0, horizon, dt)
     clean = True
     reports = []
     for k, trace in enumerate(traces, start=1):
         g = spec.links[k - 1]
         S = Box.symmetric((g.a, g.a, g.b))
         U = Box.symmetric((spec.robots[k].V, spec.robots[k].Omega))
-        rep = monitor(trace, S, U, tol=tol)
+        rep = simulate.monitor(trace, S, U, tol=tol)
         trace.to_csv(out_dir / f"trace_link{k}.csv")
         reports.append(rep.to_json_dict())
         clean = clean and rep.clean and trace.clamp_events == 0

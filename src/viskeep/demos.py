@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .chains import ChainSpec
 from .scenarios import BasicScenario, CircleScenario, UbbScenario
-from .simulate import LeaderProfile, profile_from_json_dict
+from .profiles import LeaderProfile, profile_from_json_dict
 from .systems import GainMatrix
 
 PI = math.pi

@@ -1,0 +1,144 @@
+"""Leader velocity profiles: the signals a simulation drives robot 0 with.
+
+A profile is a pair of plain functions of time, the leader's speed offset
+and its turn rate, built from their JSON form by
+:func:`profile_from_json_dict`.  This module needs no numpy, so the
+command-line front end and the bundled demos can read and check profiles
+without loading the float layer (:mod:`viskeep.simulate`).
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from dataclasses import dataclass
+from typing import Callable
+
+BOUND_TOL = 1e-9
+
+
+def constant(value: float) -> Callable[[float], float]:
+    return lambda t: value
+
+
+def sinusoid(amplitude: float, omega: float, phase: float = 0.0,
+             kind: str = "sin") -> Callable[[float], float]:
+    if kind == "sin":
+        return lambda t: amplitude * math.sin(omega * t + phase)
+    if kind == "cos":
+        return lambda t: amplitude * math.cos(omega * t + phase)
+    raise ValueError("kind must be 'sin' or 'cos'")
+
+
+def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[float], float]:
+    """Uniform value in [-amplitude, amplitude], resampled every dt_hold.
+
+    The value of hold interval ``i = int(t / dt_hold)`` is the first draw
+    of ``random.Random(f"{seed}:{i}")``, so it depends only on (seed, i)
+    and evaluation order cannot change a trajectory.  The last interval's
+    value is memoized: seeding a generator costs about 60 sinusoid
+    samples, and an integrator samples each interval thousands of times,
+    so one generator is built per interval visited in a row.
+    """
+    if dt_hold <= 0:
+        raise ValueError(f"random profile hold must be positive, not {dt_hold!r}")
+    memo = (None, 0.0)  # (interval, its value), rebound as one tuple
+
+    def f(t: float) -> float:
+        nonlocal memo
+        i = int(t / dt_hold)
+        key, val = memo
+        if key != i:
+            val = random.Random(f"{seed}:{i}").uniform(-amplitude, amplitude)
+            memo = (i, val)
+        return val
+
+    return f
+
+
+def sum_of(f: Callable[[float], float], g: Callable[[float], float]) -> Callable[[float], float]:
+    return lambda t: f(t) + g(t)
+
+
+@dataclass(frozen=True)
+class LeaderProfile:
+    """Leader speed offset and turn-rate signals (turn rate is the shifted
+    quantity for orbit scenarios)."""
+
+    v: Callable[[float], float]
+    omega: Callable[[float], float]
+
+
+def _finite_number(val) -> bool:
+    """A finite int or float, not a bool and not an int beyond the floats."""
+    try:
+        return type(val) in (int, float) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _shown(val) -> str:
+    """`val` for an error line: its repr, but an int beyond the float range
+    by its type and digit count, as its repr can run to thousands of
+    digits."""
+    if type(val) is int:
+        try:
+            float(val)
+        except OverflowError:
+            return f"an int of {len(str(abs(val)))} digits"
+    return repr(val)
+
+
+def profile_from_json_dict(data: dict) -> LeaderProfile:
+    """Profile from its JSON form; a malformed signal is a ValueError."""
+    def number(spec, key, default=None):
+        val = spec.get(key, default)
+        if not _finite_number(val):
+            raise ValueError(f"{spec['type']} profile needs a finite number "
+                             f"for {key!r}, not {_shown(val)}")
+        return val
+
+    def build(spec) -> Callable[[float], float]:
+        if not isinstance(spec, dict):
+            raise ValueError(f"profile signal must be a JSON object, not {spec!r}")
+        kind = spec.get("type")
+        if kind == "constant":
+            return constant(number(spec, "value"))
+        if kind in ("sin", "cos"):
+            return sinusoid(number(spec, "amplitude"), number(spec, "omega"),
+                            number(spec, "phase", 0.0), kind)
+        if kind == "random":
+            seed = spec.get("seed", 0)
+            if type(seed) is not int:
+                raise ValueError(f"random profile seed must be an integer, "
+                                 f"not {seed!r}")
+            return random_hold(number(spec, "amplitude"), number(spec, "hold"),
+                               seed)
+        if kind == "sum":
+            terms = spec.get("terms")
+            if not (isinstance(terms, list) and len(terms) == 2):
+                raise ValueError("sum profile takes a list of exactly two terms")
+            return sum_of(build(terms[0]), build(terms[1]))
+        raise ValueError(f"unknown profile type {kind!r}")
+
+    if not isinstance(data, dict):
+        raise ValueError(f"profile must be a JSON object, not {data!r}")
+    return LeaderProfile(v=build(data["v"]), omega=build(data["omega"]))
+
+
+def _checked(sig: Callable[[float], float], bound: float, name: str) -> Callable[[float], float]:
+    def f(t: float) -> float:
+        val = sig(t)
+        if not abs(val) <= bound + BOUND_TOL:  # NaN fails too
+            raise ValueError(
+                f"leader profile exceeds its bound: |{name}({t:.6g})| = "
+                f"{abs(val):.6g} > {bound:.6g}"
+            )
+        return val
+
+    return f
+
+
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < math.inf:  # NaN or inf would pass every sample
+        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")

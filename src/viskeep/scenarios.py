@@ -31,7 +31,6 @@ from .inequalities import (
     _scaled_rows,
     rationalize,
 )
-from .simulate import simulate_basic, simulate_circle, simulate_ubb, uniform_noise
 from .systems import (
     UncertainLinearSystem,
     _gain_rows,
@@ -52,7 +51,8 @@ class BasicScenario:
     """Box window (half-widths a, a, b), standoff d, speed and turn bounds.
 
     Each scenario class carries its family's JSON kind, conditions, gain
-    polytope, uncertain system, exact constants and simulator.  The
+    polytope, uncertain system and exact constants; its simulator is
+    :func:`viskeep.simulate.simulate_scenario`, keyed on the kind.  The
     polytope is built from `system` when one is passed: the scenario's
     uncertain system, already built by the caller."""
 
@@ -98,9 +98,6 @@ class BasicScenario:
         against the closed form."""
         return {"projection_agrees": derive_conditions_fme(self) == report.feasible}
 
-    def simulate(self, K, profile, s0, T, dt, noise_amplitude=None, seed=0):
-        return simulate_basic(self, K, profile, s0, T, dt)
-
 
 @dataclass(frozen=True)
 class UbbScenario(BasicScenario):
@@ -128,12 +125,6 @@ class UbbScenario(BasicScenario):
 
     def check_extras(self, report: FeasibilityReport) -> dict:
         return {}
-
-    def simulate(self, K, profile, s0, T, dt, noise_amplitude=None, seed=0):
-        """Uniform lateral noise of the given amplitude, or (H_F, H_L)."""
-        amp = noise_amplitude
-        noise = None if amp is None else uniform_noise(amp, amp, seed)
-        return simulate_ubb(self, K, profile, noise, s0, T, dt, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -186,9 +177,6 @@ class CircleScenario:
 
     def check_extras(self, report: FeasibilityReport) -> dict:
         return {}
-
-    def simulate(self, K, profile, s0, T, dt, noise_amplitude=None, seed=0):
-        return simulate_circle(self, K, profile, s0, T, dt)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,10 @@ inputs are clamped to their boxes with an event counter, and a monitor
 checks every sample against the state and input boxes.  The leader profile
 is sampled at t (record and k1), t + dt/2 (k2, k3) and t + dt (k4).
 
+This is the package's float layer, and it loads numpy; the exact layer
+never imports it.  The leader profiles are defined in
+:mod:`viskeep.profiles` and importable from here too.
+
 Angles are never wrapped: on certified runs the heading difference stays
 well inside (-pi/2, pi/2), and a wrap guard aborts if it ever passes pi,
 instead of silently hiding an excursion.
@@ -23,134 +27,25 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .boxes import Box
+from .chains import ChainSpec
+from .profiles import (  # noqa: F401 -- the profile names this module re-exports
+    BOUND_TOL,
+    LeaderProfile,
+    _check_tol,
+    _checked,
+    constant,
+    profile_from_json_dict,
+    random_hold,
+    sinusoid,
+    sum_of,
+)
+from .scenarios import BasicScenario, CircleScenario, UbbScenario
 from .systems import GainMatrix, _steps
-
-if TYPE_CHECKING:  # scenarios calls the simulators, so import for types only
-    from .chains import ChainSpec
-    from .scenarios import BasicScenario, CircleScenario, UbbScenario
-
-BOUND_TOL = 1e-9
-
-
-# ----------------------------------------------------------------------
-# Leader velocity profiles
-# ----------------------------------------------------------------------
-
-
-def constant(value: float) -> Callable[[float], float]:
-    return lambda t: value
-
-
-def sinusoid(amplitude: float, omega: float, phase: float = 0.0,
-             kind: str = "sin") -> Callable[[float], float]:
-    if kind == "sin":
-        return lambda t: amplitude * math.sin(omega * t + phase)
-    if kind == "cos":
-        return lambda t: amplitude * math.cos(omega * t + phase)
-    raise ValueError("kind must be 'sin' or 'cos'")
-
-
-def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[float], float]:
-    """Uniform value in [-amplitude, amplitude], resampled every dt_hold.
-
-    The value of hold interval ``i = int(t / dt_hold)`` is the first draw
-    of ``random.Random(f"{seed}:{i}")``, so it depends only on (seed, i)
-    and evaluation order cannot change a trajectory.  The last interval's
-    value is memoized: seeding a generator costs about 60 sinusoid
-    samples, and an integrator samples each interval thousands of times,
-    so one generator is built per interval visited in a row.
-    """
-    if dt_hold <= 0:
-        raise ValueError(f"random profile hold must be positive, not {dt_hold!r}")
-    memo = (None, 0.0)  # (interval, its value), rebound as one tuple
-
-    def f(t: float) -> float:
-        nonlocal memo
-        i = int(t / dt_hold)
-        key, val = memo
-        if key != i:
-            val = random.Random(f"{seed}:{i}").uniform(-amplitude, amplitude)
-            memo = (i, val)
-        return val
-
-    return f
-
-
-def sum_of(f: Callable[[float], float], g: Callable[[float], float]) -> Callable[[float], float]:
-    return lambda t: f(t) + g(t)
-
-
-@dataclass(frozen=True)
-class LeaderProfile:
-    """Leader speed offset and turn-rate signals (turn rate is the shifted
-    quantity for orbit scenarios)."""
-
-    v: Callable[[float], float]
-    omega: Callable[[float], float]
-
-
-def _finite_number(val) -> bool:
-    """A finite int or float, not a bool and not an int beyond the floats."""
-    try:
-        return type(val) in (int, float) and math.isfinite(val)
-    except OverflowError:
-        return False
-
-
-def profile_from_json_dict(data: dict) -> LeaderProfile:
-    """Profile from its JSON form; a malformed signal is a ValueError."""
-    def number(spec, key, default=None):
-        val = spec.get(key, default)
-        if not _finite_number(val):
-            raise ValueError(f"{spec['type']} profile needs a finite number "
-                             f"for {key!r}, not {val!r}")
-        return val
-
-    def build(spec) -> Callable[[float], float]:
-        if not isinstance(spec, dict):
-            raise ValueError(f"profile signal must be a JSON object, not {spec!r}")
-        kind = spec.get("type")
-        if kind == "constant":
-            return constant(number(spec, "value"))
-        if kind in ("sin", "cos"):
-            return sinusoid(number(spec, "amplitude"), number(spec, "omega"),
-                            number(spec, "phase", 0.0), kind)
-        if kind == "random":
-            seed = spec.get("seed", 0)
-            if type(seed) is not int:
-                raise ValueError(f"random profile seed must be an integer, "
-                                 f"not {seed!r}")
-            return random_hold(number(spec, "amplitude"), number(spec, "hold"),
-                               seed)
-        if kind == "sum":
-            terms = spec.get("terms")
-            if not (isinstance(terms, list) and len(terms) == 2):
-                raise ValueError("sum profile takes a list of exactly two terms")
-            return sum_of(build(terms[0]), build(terms[1]))
-        raise ValueError(f"unknown profile type {kind!r}")
-
-    if not isinstance(data, dict):
-        raise ValueError(f"profile must be a JSON object, not {data!r}")
-    return LeaderProfile(v=build(data["v"]), omega=build(data["omega"]))
-
-
-def _checked(sig: Callable[[float], float], bound: float, name: str) -> Callable[[float], float]:
-    def f(t: float) -> float:
-        val = sig(t)
-        if not abs(val) <= bound + BOUND_TOL:  # NaN fails too
-            raise ValueError(
-                f"leader profile exceeds its bound: |{name}({t:.6g})| = "
-                f"{abs(val):.6g} > {bound:.6g}"
-            )
-        return val
-
-    return f
-
 
 # ----------------------------------------------------------------------
 # Traces and monitoring
@@ -216,11 +111,6 @@ class ViolationReport:
             "state_violations": len(self.state_violations),
             "input_violations": len(self.input_violations),
         }
-
-
-def _check_tol(tol: float) -> None:
-    if not 0 <= tol < math.inf:  # NaN or inf would pass every sample
-        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
 
 
 def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> ViolationReport:
@@ -462,6 +352,25 @@ def simulate_circle(sc: CircleScenario, K: GainMatrix, profile: LeaderProfile,
               sc.gamma)
     return _simulate_pair(sc, K, profile, s0, T, dt, "circle", offset,
                           rho=sc.rho)
+
+
+def simulate_scenario(sc, K: GainMatrix, profile: LeaderProfile,
+                      s0: Sequence, T: float, dt: float,
+                      noise_amplitude: Optional[float] = None,
+                      seed: int = 0) -> SimTrace:
+    """Run a pair scenario with its family's simulator, chosen by
+    ``sc.kind``.  A ubb run takes uniform lateral noise of amplitude
+    ``noise_amplitude`` on both vehicles, or of ``(H_F, H_L)`` when it is
+    None, drawn from ``seed``; the other families have no noise."""
+    if sc.kind == "basic":
+        return simulate_basic(sc, K, profile, s0, T, dt)
+    if sc.kind == "ubb":
+        amp = noise_amplitude
+        noise = None if amp is None else uniform_noise(amp, amp, seed)
+        return simulate_ubb(sc, K, profile, noise, s0, T, dt, seed=seed)
+    if sc.kind == "circle":
+        return simulate_circle(sc, K, profile, s0, T, dt)
+    raise ValueError(f"no simulator for scenario kind {sc.kind!r}")
 
 
 def simulate_chain(

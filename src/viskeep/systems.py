@@ -25,8 +25,6 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
 from .inequalities import _dot, _over
 
@@ -454,12 +452,6 @@ def check_D_invariant_cone(
 # ----------------------------------------------------------------------
 
 
-def _stack_f(stack) -> np.ndarray:
-    return np.array(
-        [[[float(x) for x in row] for row in M] for M in stack], dtype=float
-    )
-
-
 def _steps(T: float, dt: float) -> int:
     """Number of steps of size ``dt`` in a finite horizon ``T``: a positive
     integer, or a ValueError."""
@@ -477,12 +469,14 @@ def _switching_segments(sys: UncertainLinearSystem, K: GainMatrix,
                         seed: int):
     """The states of every run, one dwell segment at a time: yields the
     ``(steps, n, runs)`` buffer of each segment, valid until the next one
-    (see :func:`simulate_linear_switching`)."""
+    (see :func:`simulate_linear_switching`).  The oracle's one numpy
+    import is here, so that loading this module needs none."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = sys.n
-    A = _stack_f(sys.A)
-    B = _stack_f(sys.B)
-    E = _stack_f(sys.E)
+    A, B, E = (np.array([[[float(x) for x in row] for row in M] for M in stack])
+               for stack in (sys.A, sys.B, sys.E))
     Km = np.array([[float(x) for x in row] for row in K.matrix()])
     Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
     Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
@@ -569,13 +563,14 @@ def simulate_linear_switching(
     if n_runs < 1 or dwell <= 0:
         raise ValueError(f"need n_runs >= 1 and dwell > 0, not {n_runs!r} "
                          f"and {dwell!r}")
-    lo_c = np.array(sys.S.lo_f)[:, None]
-    hi_c = np.array(sys.S.hi_f)[:, None]
     max_excess = 0.0
     for out in _switching_segments(sys, K, n_runs, total_steps, dt, dwell, seed):
-        excess = float(np.maximum(np.max(lo_c - out, initial=0.0),
-                                  np.max(out - hi_c, initial=0.0)))
-        if math.isnan(excess):  # a run overflowed, then lost its value
-            excess = math.inf
+        # lo - min and max - hi per state: the largest lo - x and x - hi,
+        # as rounding a difference is monotone
+        below = (sys.S.lo_f - out.min(axis=(0, 2))).max(initial=0.0)
+        above = (out.max(axis=(0, 2)) - sys.S.hi_f).max(initial=0.0)
+        excess = float(max(below, above))
+        if math.isnan(below) or math.isnan(above):
+            excess = math.inf  # a run overflowed, then lost its value
         max_excess = max(max_excess, excess)
     return max_excess <= tol, max_excess

@@ -34,7 +34,6 @@ from viskeep.systems import (
     _mat_vec,
     _relevant_params,
     _shifted_vertex_cones,
-    _stack_f,
     _steps,
     _sub_vertices,
     _zeros,
@@ -808,6 +807,13 @@ def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
         exact=exact,
+    )
+
+
+def _stack_f(stack) -> np.ndarray:
+    """A stack of matrices of Fractions as one float array."""
+    return np.array(
+        [[[float(x) for x in row] for row in M] for M in stack], dtype=float
     )
 
 

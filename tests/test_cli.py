@@ -1,5 +1,10 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -404,7 +409,10 @@ def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
     assert main(["simulate", "--scenario", str(basic_file),
                  "--gain", str(gain_file), "--profile", str(profile),
                  "--horizon", "1.0", "--out", str(out)]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err
+    # a value beyond the float range is named, not echoed digit by digit
+    assert all(len(line) < 200 for line in err.splitlines()), err[:300]
     assert not (out / "violations.json").exists()
 
 
@@ -414,7 +422,7 @@ def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
     ({"k11": 1.5173, "k22": "1.5", "k23": 0.4925},
      "gain entry 'k22' must be a finite number, not '1.5'"),
     ({"k11": 1.5173, "k22": 0.3707, "k23": 10**400},
-     "gain entry 'k23' must be a finite number"),
+     "gain entry 'k23' must be a finite number, not an int of 401 digits"),
     ({"k11": 1.5173, "k22": 0.3707},
      "gain needs the entries 'k11', 'k22' and 'k23'"),
     ([1.5173, 0.3707, 0.4925],
@@ -429,7 +437,9 @@ def test_simulate_gain_entries_are_json_numbers(basic_file, tmp_path, capsys,
     assert main(["simulate", "--scenario", str(basic_file),
                  "--gain", str(gain_file), "--horizon", "1.0",
                  "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert all(len(line) < 200 for line in err.splitlines()), err[:300]
     assert not (out / "violations.json").exists()
 
 
@@ -648,3 +658,90 @@ def test_chain_generate_with_non_integer_n_exits_2(tmp_path, capsys, n):
                  "--out", str(out)]) == 2
     assert "n must be an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _python(code: str, *args: str) -> str:
+    """Stdout of ``python -c code args`` in a fresh interpreter that imports
+    this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_exact_layer_imports_no_numpy():
+    """The package, the command line and every exact module load without
+    numpy; only viskeep.simulate and the linear switching oracle use it."""
+    out = _python(
+        "import sys\n"
+        "import viskeep, viskeep.cli, viskeep.scenarios, viskeep.synthesis\n"
+        "import viskeep.chains, viskeep.systems, viskeep.demos, viskeep.profiles\n"
+        "print('numpy' in sys.modules, 'viskeep.simulate' in sys.modules)\n")
+    assert out.split() == ["False", "False"]
+
+
+# Runs each argv list of the JSON argument through cli.main with numpy
+# blocked, and prints each exit code and stderr as JSON.
+_BLOCKED_RUN = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from viskeep.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        runs.append([main(argv), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_exact_commands_run_with_numpy_blocked(tmp_path):
+    """check, synth, fme and chain --generate reach no numpy at run time:
+    with numpy blocked they give the exit codes, stderr and output files
+    of a run in this process."""
+    empty = scenario_to_json_dict(BASIC_SCENARIO)
+    empty["Omega_L"] = 0.27
+    files = {"empty.json": json.dumps(empty),
+             "two.txt": "1 0 <= 2\n-1 0 <= -1\n1 1 <= 3\n"}
+    names = ("basic", "ubb", "circle")
+    for name in names:
+        files[f"{name}.json"] = json.dumps(scenario_to_json_dict(bundle(name).scenario))
+
+    def commands(root: Path) -> list[list[str]]:
+        for file, text in files.items():
+            (root / file).write_text(text)
+        runs = []
+        for name in names:
+            scenario = str(root / f"{name}.json")
+            runs += [["check", "--scenario", scenario,
+                      "--out", str(root / f"{name}_check.json")],
+                     ["synth", "--scenario", scenario,
+                      "--out", str(root / f"{name}_gain.json"),
+                      "--dump-polytope", str(root / f"{name}_poly.txt")]]
+        return runs + [
+            ["synth", "--scenario", str(root / "empty.json"),
+             "--out", str(root / "empty_gain.json")],
+            ["fme", "--input", str(root / "two.txt"), "--eliminate", "0",
+             "--out", str(root / "projected.txt")],
+            ["chain", "--generate", "a=0.4,d=3,n=5,V1=0.1",
+             "--out", str(root / "chain.json")],
+        ]
+
+    free, blocked = tmp_path / "free", tmp_path / "blocked"
+    free.mkdir()
+    blocked.mkdir()
+    want = []
+    for argv in commands(free):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            want.append([main(argv), err.getvalue()])
+    got = json.loads(_python(_BLOCKED_RUN, json.dumps(commands(blocked))))
+    assert got == want
+    assert [code for code, _ in got] == [0] * 6 + [1, 0, 0]
+    outputs = sorted(p.name for p in free.iterdir())
+    assert outputs == sorted(p.name for p in blocked.iterdir())
+    for name in outputs:
+        assert (blocked / name).read_bytes() == (free / name).read_bytes(), name

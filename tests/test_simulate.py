@@ -428,8 +428,8 @@ def _demo_run(name):
                  for k in range(1, b.scenario.n)]
         return lambda: simulate_chain(b.scenario, gains, b.profile, b.s0, T=2.0)
     K = _synth_gain(b.scenario)
-    return lambda: [b.scenario.simulate(K, b.profile, b.s0, 2.0, 1e-3,
-                                        b.noise_amplitude, 0)]
+    return lambda: [simulate.simulate_scenario(b.scenario, K, b.profile, b.s0,
+                                               2.0, 1e-3, b.noise_amplitude, 0)]
 
 
 def _chain_run(n_links):
