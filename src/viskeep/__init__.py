@@ -61,7 +61,6 @@ from .systems import (
     UncertainLinearSystem,
     check_admissible,
     check_D_invariant_cone,
-    closed_loop,
     simulate_linear_switching,
 )
 

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
+from .profiles import _finite_number, _number, _shown
 from .scenarios import (
     BasicScenario,
     ConditionMargin,
@@ -51,8 +52,8 @@ class ChainSpec:
     robots: tuple[RobotLimits, ...]
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, not {self.n!r}")
+        if type(self.n) is not int or not _finite_number(self.n):
+            raise ValueError(f"n must be an integer, not {_shown(self.n)}")
         if self.n < 2:
             raise ValueError("a chain needs at least two robots")
         if len(self.links) != self.n - 1:
@@ -335,11 +336,19 @@ def chain_to_json_dict(spec: ChainSpec, provenance: Optional[dict] = None) -> di
 
 
 def chain_from_json_dict(data: dict) -> ChainSpec:
+    """Chain from its JSON form: each link's ``a``, ``b``, ``d`` and each
+    robot's ``V``, ``Omega`` must be finite JSON numbers, not bools, and
+    ``n`` an integer (checked by :class:`ChainSpec`); anything else is a
+    ValueError that names the field."""
     try:
-        links = [LinkGeometry(g["a"], g["b"], g["d"]) for g in data["links"]]
-        robots = [RobotLimits(r["V"], r["Omega"]) for r in data["robots"]]
+        links = [LinkGeometry(*(_number(g, key, f"chain link {k}")
+                                for key in ("a", "b", "d")))
+                 for k, g in enumerate(data["links"], start=1)]
+        robots = [RobotLimits(*(_number(r, key, f"chain robot {k}")
+                                for key in ("V", "Omega")))
+                  for k, r in enumerate(data["robots"], start=1)]
         return ChainSpec(n=data["n"], links=tuple(links), robots=tuple(robots))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"bad chain spec: {exc}") from exc
 
 

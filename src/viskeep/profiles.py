@@ -78,29 +78,38 @@ def _finite_number(val) -> bool:
 
 
 def _shown(val) -> str:
-    """`val` for an error line: its repr, but an int beyond the float range
-    by its type and digit count, as its repr can run to thousands of
-    digits."""
+    """`val` for an error line: its repr, but a container by its type and
+    length, and a repr longer than 60 characters (an int's by its digit
+    count) by its size, as such a repr can run to thousands of characters."""
+    if isinstance(val, (dict, list, tuple)):
+        return f"a {type(val).__name__} of length {len(val)}"
+    text = repr(val)
+    if len(text) <= 60:
+        return text
     if type(val) is int:
-        try:
-            float(val)
-        except OverflowError:
-            return f"an int of {len(str(abs(val)))} digits"
-    return repr(val)
+        return f"an int of {len(text.lstrip('-'))} digits"
+    return f"a {type(val).__name__} whose repr has {len(text)} characters"
+
+
+def _number(obj: dict, key: str, where: str, default=None):
+    """``obj[key]``, or `default` when it is absent, which must be a finite
+    JSON number: anything else is a ValueError naming `where` and `key`."""
+    val = obj.get(key, default)
+    if not _finite_number(val):
+        raise ValueError(f"{where} needs a finite number for {key!r}, "
+                         f"not {_shown(val)}")
+    return val
 
 
 def profile_from_json_dict(data: dict) -> LeaderProfile:
     """Profile from its JSON form; a malformed signal is a ValueError."""
     def number(spec, key, default=None):
-        val = spec.get(key, default)
-        if not _finite_number(val):
-            raise ValueError(f"{spec['type']} profile needs a finite number "
-                             f"for {key!r}, not {_shown(val)}")
-        return val
+        return _number(spec, key, f"{spec['type']} profile", default)
 
     def build(spec) -> Callable[[float], float]:
         if not isinstance(spec, dict):
-            raise ValueError(f"profile signal must be a JSON object, not {spec!r}")
+            raise ValueError("profile signal must be a JSON object, "
+                             f"not {_shown(spec)}")
         kind = spec.get("type")
         if kind == "constant":
             return constant(number(spec, "value"))
@@ -111,7 +120,7 @@ def profile_from_json_dict(data: dict) -> LeaderProfile:
             seed = spec.get("seed", 0)
             if type(seed) is not int:
                 raise ValueError(f"random profile seed must be an integer, "
-                                 f"not {seed!r}")
+                                 f"not {_shown(seed)}")
             return random_hold(number(spec, "amplitude"), number(spec, "hold"),
                                seed)
         if kind == "sum":
@@ -119,10 +128,10 @@ def profile_from_json_dict(data: dict) -> LeaderProfile:
             if not (isinstance(terms, list) and len(terms) == 2):
                 raise ValueError("sum profile takes a list of exactly two terms")
             return sum_of(build(terms[0]), build(terms[1]))
-        raise ValueError(f"unknown profile type {kind!r}")
+        raise ValueError(f"unknown profile type {_shown(kind)}")
 
     if not isinstance(data, dict):
-        raise ValueError(f"profile must be a JSON object, not {data!r}")
+        raise ValueError(f"profile must be a JSON object, not {_shown(data)}")
     return LeaderProfile(v=build(data["v"]), omega=build(data["omega"]))
 
 

@@ -31,6 +31,7 @@ from .inequalities import (
     _scaled_rows,
     rationalize,
 )
+from .profiles import _number, _shown
 from .systems import (
     UncertainLinearSystem,
     _gain_rows,
@@ -574,13 +575,21 @@ def scenario_to_json_dict(sc) -> dict:
 
 
 def scenario_from_json_dict(data: dict):
+    """Scenario from its JSON form: a known ``type`` and its family's
+    fields, each a finite JSON number, not a bool; anything else is a
+    ValueError that names the field."""
     if not isinstance(data, dict):
-        raise ValueError(f"scenario must be a JSON object, not {data!r}")
+        raise ValueError(f"scenario must be a JSON object, not {_shown(data)}")
     kind = data.get("type")
     cls = next((c for c in SCENARIO_CLASSES if c.kind == kind), None)
     if cls is None:
-        raise ValueError(f"unknown scenario type: {kind!r}")
+        raise ValueError(f"unknown scenario type: {_shown(kind)}")
     args = {k: v for k, v in data.items() if k != "type"}
+    names = {f.name for f in fields(cls)}
+    for key in args:
+        if key not in names:
+            raise ValueError(f"unknown {kind} scenario field {_shown(key)}")
+        _number(args, key, f"{kind} scenario")
     try:
         return cls(**args)
     except TypeError as exc:

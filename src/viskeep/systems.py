@@ -12,9 +12,10 @@ checking finitely many vertex conditions:
   sub-tangentiality ``g . F(w) v + max_r g . E(w) r <= 0`` (Blanchini,
   Automatica 1999); a one-step form with step ``dt`` scales it by ``dt``.
 
-Both run either in floats (absolute tolerance 1e-9) or, when the gain is
-rational, in exact arithmetic: every quantity goes over a common
-denominator and each test is an integer sign test.
+Both run in exact arithmetic only: every quantity goes over a common
+denominator and each test is an integer sign test.  A float gain entry is
+a dyadic rational, so it is read as ``Fraction(k)`` without rounding and
+decided like any rational gain; a NaN or infinite entry is a ValueError.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from typing import NamedTuple, Optional, Sequence
 from .boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
 from .inequalities import _dot, _over
 
-FLOAT_TOL = 1e-9
-
 Matrix = tuple[tuple, ...]
 
 
@@ -39,10 +38,6 @@ def _mat(rows) -> Matrix:
 
 def _zeros(n: int, m: int) -> Matrix:
     return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
-def _mat_vec(M: Sequence, v: Sequence):
-    return tuple(sum(c * x for c, x in zip(row, v)) for row in M)
 
 
 def _affine_row(stack: Sequence[Matrix], i: int, q: Sequence) -> tuple:
@@ -165,7 +160,7 @@ class GainMatrix:
     k23: float
 
     def matrix(self) -> Matrix:
-        zero = Fraction(0) if self.is_exact() else 0.0
+        zero = Fraction(0)
         return (
             (self.k11, zero, zero),
             (zero, self.k22, self.k23),
@@ -174,18 +169,17 @@ class GainMatrix:
     def entries(self) -> tuple:
         return (self.k11, self.k22, self.k23)
 
-    def is_exact(self) -> bool:
-        return all(
-            isinstance(k, (Fraction, int)) for k in (self.k11, self.k22, self.k23)
-        )
-
     def as_floats(self) -> "GainMatrix":
         return GainMatrix(float(self.k11), float(self.k22), float(self.k23))
 
-    def norm(self) -> float:
-        return math.sqrt(
-            float(self.k11) ** 2 + float(self.k22) ** 2 + float(self.k23) ** 2
-        )
+    def as_fractions(self) -> tuple[Fraction, ...]:
+        """The entries as the rationals they are: a float is a dyadic
+        rational, so ``Fraction(k)`` reads it without rounding.  A NaN or
+        infinite entry is a ValueError that names it."""
+        for name, k in zip(("k11", "k22", "k23"), self.entries()):
+            if isinstance(k, float) and not math.isfinite(k):
+                raise ValueError(f"gain entry {name} is {k!r}, not a finite number")
+        return tuple(map(Fraction, self.entries()))
 
 
 @dataclass(frozen=True)
@@ -240,31 +234,6 @@ class UncertainLinearSystem:
         return _affine(self.E, q)
 
 
-@dataclass(frozen=True)
-class ClosedLoopFamily:
-    """``F(q) = A(q) + B(q) K``, affine in q for a constant gain."""
-
-    F: tuple[Matrix, ...]
-
-    def __call__(self, q: Sequence) -> Matrix:
-        return _affine(self.F, q)
-
-
-def closed_loop(sys: UncertainLinearSystem, K: GainMatrix) -> ClosedLoopFamily:
-    Km = K.matrix()
-    stack = []
-    for Al, Bl in zip(sys.A, sys.B):
-        F = tuple(
-            tuple(
-                Al[i][j] + sum(Bl[i][r] * Km[r][j] for r in range(sys.m))
-                for j in range(sys.n)
-            )
-            for i in range(sys.n)
-        )
-        stack.append(F)
-    return ClosedLoopFamily(tuple(stack))
-
-
 class Violation(NamedTuple):
     vertex: tuple
     q_vertex: Optional[tuple]
@@ -280,16 +249,13 @@ class CertificateReport:
     holds: bool
     violations: tuple[Violation, ...]
     kind: str = "certificate"
-    exact: bool = False
 
     def __post_init__(self):
         if self.holds != (len(self.violations) == 0):
             raise ValueError("holds must mirror emptiness of violations")
 
     def to_text(self) -> str:
-        head = f"{self.kind}: {'HOLDS' if self.holds else 'FAILS'}"
-        head += " [exact]" if self.exact else " [float]"
-        lines = [head]
+        lines = [f"{self.kind}: {'HOLDS' if self.holds else 'FAILS'}"]
         for v in self.violations:
             lines.append(
                 f"  vertex={v.vertex} q={v.q_vertex} d={v.d_vertex} "
@@ -315,90 +281,27 @@ def _float_tuple(v) -> tuple:
 def check_admissible(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
     """``K v`` inside U for every vertex ``v`` of S.
 
-    With an exact gain, K, the vertices of S and U are each put over one
-    denominator, so ``K v`` and its bounds are integers over ``den`` and
-    every test is an integer sign test; otherwise the test runs in floats
-    with tolerance ``FLOAT_TOL``."""
-    exact = K.is_exact()
-    Km = K.matrix()
-    if exact:
-        Kn, Kd = _over([x for row in Km for x in row])
-        w = len(Km[0])
-        Kn = [Kn[j:j + w] for j in range(0, len(Kn), w)]
-        Vd = math.lcm(*(x.denominator for x in S.lo + S.hi))
-        Un, Ud = _over(U.lo + U.hi)
-        den, tol = Kd * Vd * Ud, 0
-        lo = [x * Kd * Vd for x in Un[:U.dim]]
-        hi = [x * Kd * Vd for x in Un[U.dim:]]
-    else:
-        den, tol, lo, hi = 1, FLOAT_TOL, U.lo_f, U.hi_f
+    The entries of K (a float read as the rational it is), the vertices
+    of S and those of U are each put over one denominator, so ``K v`` and
+    its bounds are integers over ``den`` and every test is an integer sign
+    test."""
+    Kn, Kd = _over(K.as_fractions())
+    Vd = math.lcm(*(x.denominator for x in S.lo + S.hi))
+    Un, Ud = _over(U.lo + U.hi)
+    den = Kd * Vd * Ud
+    lo = [x * Kd * Vd for x in Un[:U.dim]]
+    hi = [x * Kd * Vd for x in Un[U.dim:]]
     violations = []
     for v in S.vertices():
-        if exact:
-            Vn = [x.numerator * (Vd // x.denominator) for x in v]
-            u = [_dot(row, Vn) * Ud for row in Kn]
-        else:
-            u = [float(x) for x in _mat_vec(Km, _float_tuple(v))]
+        V0, V1, V2 = (x.numerator * (Vd // x.denominator) for x in v)
+        u = (Kn[0] * V0 * Ud, (Kn[1] * V1 + Kn[2] * V2) * Ud)
         for j, (lo_b, hi_b, val) in enumerate(zip(lo, hi, u)):
-            if val > hi_b + tol:
-                violations.append(
-                    Violation(_float_tuple(v), None, None, f"u[{j}] <= hi", (hi_b - val) / den)
-                )
-            if val < lo_b - tol:
-                violations.append(
-                    Violation(_float_tuple(v), None, None, f"u[{j}] >= lo", (val - lo_b) / den)
-                )
-    return CertificateReport(
-        holds=not violations,
-        violations=tuple(violations),
-        kind="admissibility",
-        exact=exact,
-    )
-
-
-def _cone_failures_exact(sys, K):
-    """Exact path of :func:`check_D_invariant_cone`, on the integer rows of
-    :func:`_gain_rows`: the gain ``k = Kn / Kd`` fails a row iff
-    ``nums[3] * Kd - nums[:3] . Kn < 0``, and that integer over
-    ``den * Kd`` is the slack ``xi - g . (I + F(w)) v`` exactly."""
-    Kn, Kd = _over(K.entries())
-    for v, cone in _gain_rows(sys):
-        failed = []  # (cone row, state, {key: slack} of its violations)
-        for h, (i, rows) in enumerate(cone):
-            slacks = {}
-            for key, nums, den in rows:
-                gap = nums[3] * Kd - _dot(nums, Kn)
+            for row, gap in ((f"u[{j}] <= hi", hi_b - val),
+                             (f"u[{j}] >= lo", val - lo_b)):
                 if gap < 0:
-                    slacks[key] = gap / (den * Kd)
-            if slacks:
-                failed.append((h, i, slacks))
-        yield v, failed
-
-
-def _cone_failures_float(sys, K, Q_verts, keys):
-    """Float path of :func:`check_D_invariant_cone`: row ``i`` of ``F(w)``
-    once per key, applied to ``v`` and tested with tolerance
-    ``FLOAT_TOL``."""
-    F = closed_loop(sys, K.as_floats()).F
-    F_rows = [{} for _ in range(sys.n)]  # state i -> {key: row i of F(w)}
-    for i, rows in enumerate(F_rows):
-        for key, w in zip(keys[i], Q_verts):
-            if key not in rows:
-                rows[key] = _affine_row(F, i, w)
-    for v_exact, faces in _shifted_vertex_cones(sys):
-        v = _float_tuple(v_exact)
-        failed = []
-        for h, (f, (g, xi)) in enumerate(faces):
-            i = f % sys.n
-            gi, xi = float(g[i]), float(xi)
-            slacks = {}
-            for key, row in F_rows[i].items():
-                val = gi * (v[i] + sum(c * x for c, x in zip(row, v)))
-                if val > xi + FLOAT_TOL:
-                    slacks[key] = float(xi - val)
-            if slacks:
-                failed.append((h, i, slacks))
-        yield v_exact, failed
+                    violations.append(
+                        Violation(_float_tuple(v), None, None, row, gap / den))
+    return CertificateReport(not violations, tuple(violations), "admissibility")
 
 
 def check_D_invariant_cone(
@@ -414,21 +317,32 @@ def check_D_invariant_cone(
     ``(I + F(w)) v``, and row ``i`` of ``F(w)`` depends only on the
     parameters with a nonzero row ``i`` of A or B, so each entry is formed
     once per vertex of those parameters and its violations are reported
-    for every ``w`` sharing it.  With an exact gain each entry is an
-    integer sign test on the gain-polytope rows of :func:`_gain_rows`;
-    otherwise it is evaluated in floats.  The third parameter is ignored;
-    it stays for the call ``check_D_invariant_cone(sysd, K, 1)`` in
+    for every ``w`` sharing it.
+
+    Each entry is an integer sign test on the gain-polytope rows of
+    :func:`_gain_rows`: the gain ``k = Kn / Kd`` (a float entry read as the
+    rational it is) fails a row iff ``nums[3] * Kd - nums[:3] . Kn < 0``,
+    and that integer over ``den * Kd`` is the slack
+    ``xi - g . (I + F(w)) v`` exactly.  The third parameter is ignored; it
+    stays for the call ``check_D_invariant_cone(sysd, K, 1)`` in
     ``perfbench/workloads.py``, which still passes a step tau.
     """
-    exact = K.is_exact()
-    Q_verts = sys.Q.vertices() if exact else sys.Q.vertices_f()
+    Kn, Kd = _over(K.as_fractions())
+    Q_verts = sys.Q.vertices()
     # state i -> key of each w: its values on the parameters of row i
     keys = [[tuple(w[l] for l in params) for w in Q_verts]
             for params in (_ab_params(sys, i) for i in range(sys.n))]
-    failures = (_cone_failures_exact(sys, K) if exact
-                else _cone_failures_float(sys, K, Q_verts, keys))
     violations = []
-    for v, failed in failures:
+    for v, cone in _gain_rows(sys):
+        failed = []  # (cone row, state, {key: slack} of its violations)
+        for h, (i, rows) in enumerate(cone):
+            slacks = {}
+            for key, nums, den in rows:
+                gap = nums[3] * Kd - _dot(nums, Kn)
+                if gap < 0:
+                    slacks[key] = gap / (den * Kd)
+            if slacks:
+                failed.append((h, i, slacks))
         for k, w in enumerate(Q_verts):
             for h, i, slacks in failed:
                 slack = slacks.get(keys[i][k])
@@ -439,12 +353,8 @@ def check_D_invariant_cone(
                             f"cone row {h}", slack,
                         )
                     )
-    return CertificateReport(
-        holds=not violations,
-        violations=tuple(violations),
-        kind="D-invariance (shifted cone)",
-        exact=exact,
-    )
+    return CertificateReport(not violations, tuple(violations),
+                             "D-invariance (shifted cone)")
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import math
 import random
 from array import array
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -23,22 +23,22 @@ from viskeep.scenarios import (
 from viskeep.simulate import LeaderProfile, SimTrace, _checked
 from viskeep.synthesis import InfeasiblePolytopeError, SynthesisResult
 from viskeep.systems import (
-    FLOAT_TOL,
     CertificateReport,
     GainMatrix,
     UncertainLinearSystem,
     Violation,
+    _affine,
     _affine_row,
     _float_tuple,
     _mat,
-    _mat_vec,
     _relevant_params,
     _shifted_vertex_cones,
     _steps,
     _sub_vertices,
     _zeros,
-    closed_loop,
 )
+
+FLOAT_TOL = 1e-9  # the absolute tolerance of the oracles' float paths
 
 
 def random_basic_scenario(rnd: random.Random, want_feasible=None,
@@ -593,11 +593,48 @@ def _kkt_residual(poly, point, active) -> float:
     return float(np.linalg.norm(-G.T @ mult - x))
 
 
+def _mat_vec(M: Sequence, v: Sequence):
+    return tuple(sum(c * x for c, x in zip(row, v)) for row in M)
+
+
+def is_exact_gain(K: GainMatrix) -> bool:
+    """Whether every entry of `K` is a Fraction or an int: the oracles then
+    run in Fraction arithmetic, else in floats with ``FLOAT_TOL``."""
+    return all(isinstance(k, (Fraction, int)) for k in K.entries())
+
+
+@dataclass(frozen=True)
+class ClosedLoopFamily:
+    """``F(q) = A(q) + B(q) K``, affine in q for a constant gain."""
+
+    F: tuple
+
+    def __call__(self, q: Sequence):
+        return _affine(self.F, q)
+
+
+def closed_loop(sys: UncertainLinearSystem, K: GainMatrix) -> ClosedLoopFamily:
+    """The closed-loop family of `K`, in the arithmetic of its entries: the
+    ``F(w)`` the certificate oracles multiply out in full."""
+    Km = K.matrix()
+    stack = []
+    for Al, Bl in zip(sys.A, sys.B):
+        F = tuple(
+            tuple(
+                Al[i][j] + sum(Bl[i][r] * Km[r][j] for r in range(sys.m))
+                for j in range(sys.n)
+            )
+            for i in range(sys.n)
+        )
+        stack.append(F)
+    return ClosedLoopFamily(tuple(stack))
+
+
 def _certificate_inputs(sys, K, tau):
     """The certificate oracles' inputs: whether the check is exact, tau,
     the vertex conversion and the vertices of S, Q and D, all as Fractions
     for an exact gain and tau, else as floats."""
-    exact = K.is_exact() and isinstance(tau, (int, Fraction))
+    exact = is_exact_gain(K) and isinstance(tau, (int, Fraction))
     if exact:
         tau = Fraction(tau)
         conv = lambda v: v
@@ -655,7 +692,6 @@ def check_D_invariant_euler(
         holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (one-step)",
-        exact=exact,
     )
 
 
@@ -675,7 +711,7 @@ def admissibility_oracle(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
     """``K v`` inside U for every vertex ``v`` of S, in ``Fraction``
     arithmetic for an exact gain: the oracle for the integer sign tests of
     ``systems.check_admissible``."""
-    exact = K.is_exact()
+    exact = is_exact_gain(K)
     tol = 0 if exact else FLOAT_TOL
     Km = K.matrix()
     violations = []
@@ -696,7 +732,6 @@ def admissibility_oracle(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
         holds=not violations,
         violations=tuple(violations),
         kind="admissibility",
-        exact=exact,
     )
 
 
@@ -744,7 +779,6 @@ def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
-        exact=exact,
     )
 
 
@@ -806,7 +840,6 @@ def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
-        exact=exact,
     )
 
 

@@ -223,3 +223,30 @@ def test_chain_json_round_trip():
     assert data["provenance"] == {"note": "bundled"}
     with pytest.raises(ValueError):
         chain_from_json_dict({"n": 2, "links": []})
+
+
+@pytest.mark.parametrize("where, edit, message", [
+    ("links", {"a": 10**401},
+     "chain link 2 needs a finite number for 'a', not an int of 402 digits"),
+    ("links", {"d": math.inf},
+     "chain link 2 needs a finite number for 'd', not inf"),
+    ("robots", {"V": True},
+     "chain robot 2 needs a finite number for 'V', not True"),
+    ("robots", {"Omega": list(range(3000))},
+     "chain robot 2 needs a finite number for 'Omega', "
+     "not a list of length 3000"),
+], ids=["huge-int", "inf", "bool", "list"])
+def test_chain_json_names_a_field_that_is_not_a_finite_number(where, edit,
+                                                              message):
+    data = chain_to_json_dict(FOUR_ROBOTS)
+    data[where][1].update(edit)
+    with pytest.raises(ValueError) as exc:
+        chain_from_json_dict(data)
+    assert str(exc.value) == message
+
+
+def test_chain_json_names_an_n_beyond_the_float_range():
+    data = {**chain_to_json_dict(FOUR_ROBOTS), "n": 10**400}
+    with pytest.raises(ValueError) as exc:
+        chain_from_json_dict(data)
+    assert str(exc.value) == "n must be an integer, not an int of 401 digits"

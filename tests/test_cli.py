@@ -372,48 +372,75 @@ def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
     assert sorted(calls) == sorted(built + [exact, exact]), calls
 
 
-@pytest.mark.parametrize("gain, v", [
-    ({"k11": math.nan, "k22": 0.3707, "k23": 0.4925},
-     PROFILE_JSON["basic"]["v"]),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "constant", "value": math.nan}),
-    ({"k11": None, "k22": 0.3707, "k23": 0.4925},
-     PROFILE_JSON["basic"]["v"]),
-    ({"k11": [1.5173], "k22": 0.3707, "k23": 0.4925},
-     PROFILE_JSON["basic"]["v"]),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "constant", "value": None}),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "sin", "amplitude": "x", "omega": 1}),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "sin", "amplitude": 0.01, "omega": [1]}),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "cos", "amplitude": 0.01, "omega": 1, "phase": None}),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "random", "amplitude": 0.01, "hold": None}),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "random", "amplitude": 0.01, "hold": 0.5, "seed": 1.5}),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "sum", "terms": 3}),
-    ({"k11": 1.5173, "k22": 0.3707, "k23": 0.4925},
-     {"type": "constant", "value": 10**401}),
+GAIN = {"k11": 1.5173, "k22": 0.3707, "k23": 0.4925}
+V = PROFILE_JSON["basic"]["v"]
+
+
+@pytest.mark.parametrize("command, gain, v, edit", [
+    ("simulate", {**GAIN, "k11": math.nan}, V, None),
+    ("simulate", GAIN, {"type": "constant", "value": math.nan}, None),
+    ("simulate", {**GAIN, "k11": None}, V, None),
+    ("simulate", {**GAIN, "k11": [1.5173]}, V, None),
+    ("simulate", GAIN, {"type": "constant", "value": None}, None),
+    ("simulate", GAIN, {"type": "sin", "amplitude": "x", "omega": 1}, None),
+    ("simulate", GAIN, {"type": "sin", "amplitude": 0.01, "omega": [1]}, None),
+    ("simulate", GAIN,
+     {"type": "cos", "amplitude": 0.01, "omega": 1, "phase": None}, None),
+    ("simulate", GAIN, {"type": "random", "amplitude": 0.01, "hold": None},
+     None),
+    ("simulate", GAIN,
+     {"type": "random", "amplitude": 0.01, "hold": 0.5, "seed": 1.5}, None),
+    ("simulate", GAIN, {"type": "sum", "terms": 3}, None),
+    ("simulate", GAIN, {"type": "constant", "value": 10**401}, None),
+    ("simulate", GAIN, {"type": "constant", "value": [0.0] * 3000}, None),
+    ("simulate", list(range(3000)), V, None),
+    ("simulate", GAIN, list(range(3000)), None),
+    ("check", GAIN, V, {"Omega_F": math.inf}),
+    ("synth", GAIN, V, {"Omega_F": math.inf}),
+    ("check", GAIN, V, {"a": 10**401}),
+    ("synth", GAIN, V, {"a": 10**401}),
+    ("chain", GAIN, V, {"a": 10**401}),
+    ("check", GAIN, V, {"a": True}),
+    ("chain", GAIN, V, {"a": True}),
+    ("check", GAIN, V, {"type": list(range(3000))}),
+    ("check", GAIN, V, {"x" * 3000: 1.0}),
 ], ids=["gain", "profile", "null-gain", "list-gain", "null-value",
         "text-amplitude", "list-omega", "null-phase", "null-hold",
-        "float-seed", "int-terms", "huge-int-value"])
+        "float-seed", "int-terms", "huge-int-value", "long-list-value",
+        "long-list-gain", "long-list-signal", "inf-scenario-check",
+        "inf-scenario-synth", "huge-int-scenario-check",
+        "huge-int-scenario-synth", "huge-int-chain", "bool-scenario",
+        "bool-chain", "long-list-type", "long-field-name"])
 def test_simulate_rejects_non_finite_input(basic_file, tmp_path, capsys,
-                                           gain, v):
-    gain_file = write_json(tmp_path / "gain.json", gain)
-    profile = write_json(tmp_path / "profile.json",
-                         {"v": v, "omega": PROFILE_JSON["basic"]["omega"]})
+                                           command, gain, v, edit):
+    """A value that is not a finite JSON number, in a gain, a profile, a
+    scenario (edited into the basic one, for check and synth) or a chain
+    spec (edited into its first link), exits 2 with a bounded message."""
     out = tmp_path / "run"
-    assert main(["simulate", "--scenario", str(basic_file),
-                 "--gain", str(gain_file), "--profile", str(profile),
-                 "--horizon", "1.0", "--out", str(out)]) == 2
+    if command == "simulate":
+        gain_file = write_json(tmp_path / "gain.json", gain)
+        profile = write_json(tmp_path / "profile.json",
+                             {"v": v, "omega": PROFILE_JSON["basic"]["omega"]})
+        argv = ["simulate", "--scenario", str(basic_file),
+                "--gain", str(gain_file), "--profile", str(profile),
+                "--horizon", "1.0", "--out", str(out)]
+    elif command == "chain":
+        spec = chain_to_json_dict(CHAIN_SPEC)
+        spec["links"][0].update(edit)
+        argv = ["chain", "--spec", str(write_json(tmp_path / "chain.json", spec)),
+                "--out", str(out / "chain.json")]
+    else:
+        sc = {**scenario_to_json_dict(BASIC_SCENARIO), **edit}
+        argv = [command, "--scenario",
+                str(write_json(tmp_path / "scenario.json", sc)),
+                "--out", str(out / "out.json")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error" in err
-    # a value beyond the float range is named, not echoed digit by digit
+    # a value beyond the float range or a long list is named, not echoed
     assert all(len(line) < 200 for line in err.splitlines()), err[:300]
     assert not (out / "violations.json").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("gain, message", [

@@ -436,3 +436,23 @@ def test_scenario_json_rejects_unknown_type():
 def test_scenario_json_rejects_missing_fields():
     with pytest.raises(ValueError):
         scenario_from_json_dict({"type": "basic", "a": 1})
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"Omega_F": math.inf},
+     "ubb scenario needs a finite number for 'Omega_F', not inf"),
+    ({"a": 10**401},
+     "ubb scenario needs a finite number for 'a', not an int of 402 digits"),
+    ({"a": True}, "ubb scenario needs a finite number for 'a', not True"),
+    ({"H_F": "0.1"}, "ubb scenario needs a finite number for 'H_F', not '0.1'"),
+    ({"type": list(range(3000))}, "unknown scenario type: a list of length 3000"),
+    ({"x" * 3000: 1.0},
+     "unknown ubb scenario field a str whose repr has 3002 characters"),
+], ids=["inf", "huge-int", "bool", "text", "long-type", "long-field"])
+def test_scenario_json_names_a_field_that_is_not_a_finite_number(edit, message):
+    """Every field is a finite JSON number, not a bool: anything else is a
+    ValueError that names the field, and a long value is shown by its type
+    and size."""
+    with pytest.raises(ValueError) as exc:
+        scenario_from_json_dict({**scenario_to_json_dict(UBB_SCENARIO), **edit})
+    assert str(exc.value) == message

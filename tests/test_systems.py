@@ -23,7 +23,6 @@ from viskeep.systems import (
     Violation,
     check_admissible,
     check_D_invariant_cone,
-    closed_loop,
     simulate_linear_switching,
     _mat,
     _switching_segments,
@@ -33,9 +32,11 @@ from viskeep.systems import (
 from conftest import (
     admissibility_oracle,
     check_D_invariant_euler,
+    closed_loop,
     cone_certificate_oracle,
     cone_certificate_row_oracle,
     eval_matrices,
+    is_exact_gain,
     pipeline_polytope_oracle,
     random_basic_scenario,
     random_family_scenario,
@@ -198,7 +199,7 @@ def test_window_gain_cone_certificate_exact():
     sysd = build_basic_system(WINDOW)
     K = synthesized_gain()
     rep = check_D_invariant_cone(sysd, K)
-    assert rep.exact and rep.holds
+    assert rep.holds and rep.to_text() == "D-invariance (shifted cone): HOLDS\n"
 
 
 def test_window_one_step_certificate_small_tau():
@@ -298,26 +299,51 @@ def test_certificate_does_not_depend_on_the_step(rnd):
 def test_cone_certificate_matches_full_product_oracle(rnd):
     """Reports byte-equal to the full ``F(w) v`` product over the bundle
     systems and random systems, for exact and float gains that hold or
-    fail."""
+    fail.  A float gain is decided as the rational it is, so its report is
+    the Fraction oracle's on ``Fraction(k)`` of each entry.  The float
+    min-norm gains of the pair bundles fail on their own systems, every
+    violated row by less than 1e-15: the min-norm point lies on the
+    polytope boundary, and rounding it to floats can push it out."""
     pairs = [_random_moderate_system(rnd) for _ in range(4)]
     bundles = [b.scenario for b in BUNDLES if b.name != "chain"]
     systems = [sc.system() for sc in bundles] + [sysd for sysd, _ in pairs]
-    gains = [GainMatrix(F(0), F(0), F(0))] + [K for _, K in pairs]
-    for sc in bundles:
+    # the float gain holds on the basic bundle, each row by 0.028 or more
+    gains = [GainMatrix(F(0), F(0), F(0)), GainMatrix(2.0, 0.5, 0.55)]
+    gains += [K for _, K in pairs]
+    rounded = []
+    for sc, sysd in zip(bundles, systems):
         res = min_norm_gain(sc.polytope())
         gains += [GainMatrix(*res.exact_gain), res.gain]
-    assert len(gains) == 11
+        rounded.append((sysd, res.gain))
+    assert len(gains) == 12
     verdicts = set()
     for sysd in systems:
         for K in gains:
-            want = cone_certificate_oracle(sysd, K)
+            want = cone_certificate_oracle(sysd, GainMatrix(*map(F, K.entries())))
             got = check_D_invariant_cone(sysd, K)
             assert repr(got) == repr(want)
             assert got.to_text() == want.to_text()
             assert got.to_csv() == want.to_csv()
-            verdicts.add((got.holds, got.exact))
+            verdicts.add((got.holds, is_exact_gain(K)))
     assert verdicts == {(True, True), (True, False), (False, True),
                         (False, False)}
+    for sysd, K in rounded:
+        slacks = [v.slack for v in check_D_invariant_cone(sysd, K).violations]
+        assert slacks and all(-1e-15 < s < 0 for s in slacks), slacks
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_certificates_reject_a_gain_entry_that_is_not_finite(bad):
+    """A NaN or infinite gain entry has no rational value to decide: both
+    certificates raise a ValueError that names the entry."""
+    sysd = build_basic_system(BASIC_SCENARIO)
+    for K, name in ((GainMatrix(bad, bad, bad), "k11"),
+                    (GainMatrix(1.5, 0.25, bad), "k23")):
+        with pytest.raises(ValueError, match=f"gain entry {name} is"):
+            check_admissible(K, sysd.S, sysd.U)
+        with pytest.raises(ValueError, match=f"gain entry {name} is"):
+            check_D_invariant_cone(sysd, K)
 
 
 def test_integer_certificates_match_fraction_oracles(rnd):
@@ -342,7 +368,7 @@ def test_integer_certificates_match_fraction_oracles(rnd):
         cases.append((sysd, GainMatrix(*(F(round(k * den), den) for k in K.entries()))))
     verdicts = set()
     for sysd, K in cases:
-        assert K.is_exact()
+        assert is_exact_gain(K)
         got = check_D_invariant_cone(sysd, K)
         for want in (cone_certificate_oracle(sysd, K),
                      cone_certificate_row_oracle(sysd, K)):
