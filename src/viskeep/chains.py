@@ -33,9 +33,16 @@ class LinkGeometry(NamedTuple):
 
 def _check_geometry(g: LinkGeometry) -> None:
     """A window with ``a > 0``, standoff ``d > a`` and ``0 < b <= pi/2``,
-    or a ValueError."""
-    if not (g.a > 0 and g.d > g.a and 0 < g.b <= math.pi / 2 + 1e-12):
-        raise ValueError(f"bad link geometry {g}")
+    or a ValueError naming the field that fails."""
+    if not g.a > 0:
+        bad = f"a = {_shown(g.a)} is not positive"
+    elif not g.d > g.a:
+        bad = f"d = {_shown(g.d)} does not exceed a = {_shown(g.a)}"
+    elif not 0 < g.b <= math.pi / 2 + 1e-12:
+        bad = f"b = {_shown(g.b)} is not in (0, pi/2]"
+    else:
+        return
+    raise ValueError(f"bad link geometry: {bad}")
 
 
 class RobotLimits(NamedTuple):
@@ -63,8 +70,12 @@ class ChainSpec:
         for g in self.links:
             _check_geometry(g)
         for r in self.robots:
-            if not (0 < r.V < 1 and r.Omega > 0):
-                raise ValueError(f"bad robot limits {r}")
+            if not 0 < r.V < 1:
+                raise ValueError(f"bad robot limits: V = {_shown(r.V)} is "
+                                 "not in (0, 1)")
+            if not r.Omega > 0:
+                raise ValueError(f"bad robot limits: Omega = "
+                                 f"{_shown(r.Omega)} is not positive")
 
     @classmethod
     def make(cls, links: Sequence, robots: Sequence) -> "ChainSpec":

@@ -49,6 +49,7 @@ from .profiles import (
     _check_tol,
     _finite_number,
     _shown,
+    constant,
     profile_from_json_dict,
 )
 from .synthesis import InfeasiblePolytopeError, min_norm_gain
@@ -91,8 +92,10 @@ def _check_payload(sc):
 def _synth_payload(sc):
     """What `synth` writes: the min-norm gain of the reduced polytope and
     its certificates, plus that polytope; raises InfeasiblePolytopeError.
-    The scenario's uncertain system is built once, for all three."""
-    sysd = sc.system()
+    The scenario's constants are rationalized and its uncertain system is
+    built once, for all three and the rationalization record."""
+    constants = sc.constants()
+    sysd = sc.system(constants)
     poly = sc.polytope(sysd).reduce()
     result = min_norm_gain(poly)
     K = GainMatrix(*result.exact_gain)
@@ -102,7 +105,7 @@ def _synth_payload(sc):
         "scenario": scenario_to_json_dict(sc),
         "feasible_conditions": sc.conditions().to_json_dict(),
         "polytope_rows": len(poly.rows),
-        "rationalization": rationalization_record(sc.constants()),
+        "rationalization": rationalization_record(constants),
         "certificates": {
             "admissible": adm.holds,
             "invariant": inv.holds,
@@ -214,7 +217,7 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     profile = (profile_from_json_dict(_read_json(args.profile)) if args.profile
-               else LeaderProfile(lambda t: 0.0, lambda t: 0.0))
+               else LeaderProfile(constant(0.0), constant(0.0)))
     if args.chain_spec:
         spec = load_chain(args.chain_spec)
         if args.noise_amplitude is not None:

@@ -5,6 +5,14 @@ and its turn rate, built from their JSON form by
 :func:`profile_from_json_dict`.  This module needs no numpy, so the
 command-line front end and the bundled demos can read and check profiles
 without loading the float layer (:mod:`viskeep.simulate`).
+
+Each built-in signal also carries ``array``, its form over a numpy array of
+times, which the integrator samples a block of steps with: bit for bit its
+scalar calls, or NaN where it cannot reproduce them (a parameter that is not
+a finite int or float, an argument beyond the floats), which sends the block
+back to the scalar calls.  The sinusoids take numpy's sin and cos to round as
+math's do, as the integrator's world poses do (:func:`viskeep.simulate._poses`).
+The array forms import numpy in their bodies.
 """
 
 from __future__ import annotations
@@ -17,17 +25,42 @@ from typing import Callable
 BOUND_TOL = 1e-9
 
 
+def _with_array(f: Callable[[float], float], array) -> Callable[[float], float]:
+    f.array = array
+    return f
+
+
+def _nan_array(t):
+    import numpy as np
+
+    return np.full(len(t), math.nan)
+
+
 def constant(value: float) -> Callable[[float], float]:
-    return lambda t: value
+    def array(t):
+        import numpy as np
+
+        if not _finite_number(value):
+            return _nan_array(t)
+        return np.full(len(t), value, dtype=float)
+
+    return _with_array(lambda t: value, array)
 
 
 def sinusoid(amplitude: float, omega: float, phase: float = 0.0,
              kind: str = "sin") -> Callable[[float], float]:
-    if kind == "sin":
-        return lambda t: amplitude * math.sin(omega * t + phase)
-    if kind == "cos":
-        return lambda t: amplitude * math.cos(omega * t + phase)
-    raise ValueError("kind must be 'sin' or 'cos'")
+    if kind not in ("sin", "cos"):
+        raise ValueError("kind must be 'sin' or 'cos'")
+    fn = getattr(math, kind)
+
+    def array(t):
+        import numpy as np
+
+        if not all(map(_finite_number, (amplitude, omega, phase))):
+            return _nan_array(t)
+        return amplitude * getattr(np, kind)(omega * t + phase)  # NaN at inf
+
+    return _with_array(lambda t: amplitude * fn(omega * t + phase), array)
 
 
 def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[float], float]:
@@ -38,26 +71,45 @@ def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[fl
     and evaluation order cannot change a trajectory.  The last interval's
     value is memoized: seeding a generator costs about 60 sinusoid
     samples, and an integrator samples each interval thousands of times,
-    so one generator is built per interval visited in a row.
+    so one generator is built per interval visited in a row.  The array
+    form visits its intervals in ascending order through the same memo.
     """
     if dt_hold <= 0:
         raise ValueError(f"random profile hold must be positive, not {dt_hold!r}")
     memo = (None, 0.0)  # (interval, its value), rebound as one tuple
 
-    def f(t: float) -> float:
+    def value(i: int) -> float:
         nonlocal memo
-        i = int(t / dt_hold)
         key, val = memo
         if key != i:
             val = random.Random(f"{seed}:{i}").uniform(-amplitude, amplitude)
             memo = (i, val)
         return val
 
-    return f
+    def f(t: float) -> float:
+        return value(int(t / dt_hold))
+
+    def array(t):
+        import numpy as np
+
+        if not (_finite_number(amplitude) and _finite_number(dt_hold)):
+            return _nan_array(t)
+        q = t / dt_hold
+        if not (np.abs(q) < 2.0 ** 62).all():  # int64 holds int(q)
+            return _nan_array(t)
+        keys, at = np.unique(q.astype(np.int64), return_inverse=True)
+        return np.array([value(i) for i in keys.tolist()])[at]
+
+    return _with_array(f, array)
 
 
 def sum_of(f: Callable[[float], float], g: Callable[[float], float]) -> Callable[[float], float]:
-    return lambda t: f(t) + g(t)
+    def h(t: float) -> float:
+        return f(t) + g(t)
+
+    if hasattr(f, "array") and hasattr(g, "array"):
+        return _with_array(h, lambda t: f.array(t) + g.array(t))
+    return h
 
 
 @dataclass(frozen=True)

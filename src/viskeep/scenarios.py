@@ -22,7 +22,7 @@ import math
 import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .boxes import Box
 from .inequalities import (
@@ -88,8 +88,8 @@ class BasicScenario:
     def polytope(self, system=None) -> LinearInequalitySystem:
         return gain_polytope(self, system)
 
-    def system(self) -> UncertainLinearSystem:
-        return build_basic_system(self)
+    def system(self, constants=None) -> UncertainLinearSystem:
+        return build_basic_system(self, constants)
 
     def constants(self) -> ExactBasic:
         return exact_basic(self)
@@ -121,8 +121,8 @@ class UbbScenario(BasicScenario):
     def polytope(self, system=None) -> LinearInequalitySystem:
         return gain_polytope_ubb(self, system)
 
-    def system(self) -> UncertainLinearSystem:
-        return build_ubb_system(self)
+    def system(self, constants=None) -> UncertainLinearSystem:
+        return build_ubb_system(self, constants)
 
     def check_extras(self, report: FeasibilityReport) -> dict:
         return {}
@@ -170,8 +170,8 @@ class CircleScenario:
     def polytope(self, system=None) -> LinearInequalitySystem:
         return gain_polytope_circle(self, system)
 
-    def system(self) -> UncertainLinearSystem:
-        return build_circle_system(self)
+    def system(self, constants=None) -> UncertainLinearSystem:
+        return build_circle_system(self, constants)
 
     def constants(self) -> ExactCircle:
         return exact_circle(self)
@@ -263,14 +263,17 @@ def _basic_Q(c: ExactBasic) -> Box:
     ])
 
 
-def build_basic_system(sc: BasicScenario) -> UncertainLinearSystem:
+def build_basic_system(sc: BasicScenario,
+                       constants: Optional[ExactBasic] = None,
+                       ) -> UncertainLinearSystem:
     """Three-state, two-input, two-disturbance family for the basic window.
 
     State (dp1, p2, beta), input (v_F, w_F), disturbance (v_L, w_L);
     parameters q1..q6 absorb the trigonometric nonlinearities, each ranging
-    over the interval it realizes on the window.
+    over the interval it realizes on the window.  `constants` are the
+    scenario's exact constants when the caller has them already.
     """
-    c = exact_basic(sc)
+    c = exact_basic(sc) if constants is None else constants
     z = _zeros(3, 3)
     A0 = _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     A1 = _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
@@ -294,11 +297,15 @@ def build_basic_system(sc: BasicScenario) -> UncertainLinearSystem:
     )
 
 
-def build_ubb_system(sc: UbbScenario) -> UncertainLinearSystem:
+def build_ubb_system(sc: UbbScenario,
+                     constants: Optional[ExactBasic] = None,
+                     ) -> UncertainLinearSystem:
     """Basic family with the disturbance vector enlarged to
     (v_L, w_L, h_F, h_L): the lateral perturbations enter through E(q).
-    The constants of the basic family are read off its system."""
-    base = build_basic_system(sc)
+    The basic family's system is built from the same constants, which also
+    hold the disturbance amplitudes."""
+    c = exact_basic(sc) if constants is None else constants
+    base = build_basic_system(sc, c)
     E0 = _mat([[1, 0, 0, 0], [0, 0, -1, 1], [0, 1, 0, 0]])
     E5 = _mat([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     E6 = _mat([[0, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 0]])
@@ -308,15 +315,17 @@ def build_ubb_system(sc: UbbScenario) -> UncertainLinearSystem:
         A=base.A, B=base.B,
         E=(E0, zb, zb, zb, zb, E5, E6),
         S=base.S, U=base.U,
-        D=Box.symmetric(base.D.hi + (rationalize(sc.H_F), rationalize(sc.H_L))),
+        D=Box.symmetric(base.D.hi + (c.H_F, c.H_L)),
         Q=base.Q,
     )
 
 
-def build_circle_system(sc: CircleScenario) -> UncertainLinearSystem:
+def build_circle_system(sc: CircleScenario,
+                        constants: Optional[ExactCircle] = None,
+                        ) -> UncertainLinearSystem:
     """Orbit-window family in the shifted coordinates
     (dp1, dp2, dbeta) with input (v_F, dw_F) and disturbance (v_L, dw_L)."""
-    c = exact_circle(sc)
+    c = exact_circle(sc) if constants is None else constants
     one = Fraction(1)
     z = _zeros(3, 3)
     zb = _zeros(3, 2)

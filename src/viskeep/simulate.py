@@ -4,13 +4,25 @@ The certificates in :mod:`viskeep.systems` address a linear family that
 absorbs the true vehicle kinematics; this module closes the loop on the
 original trigonometric model.  One fixed-step RK4 integrator runs every
 simulation, robot k+1 pursuing robot k, so a pair is a one-link chain.
-Its time loop is Python generated once per link count: every state
-component is a local, the four stages are unrolled, and each expression
-keeps the float operations of a plain RK4 loop in their order, so a trace
-is bit-for-bit that loop's.  The feedback is evaluated at every stage,
-inputs are clamped to their boxes with an event counter, and a monitor
-checks every sample against the state and input boxes.  The leader profile
-is sampled at t (record and k1), t + dt/2 (k2, k3) and t + dt (k4).
+It runs in blocks of steps, each in three parts:
+
+1. the leader profile is sampled on the block's grids t (record and k1),
+   t + dt/2 (k2, k3) and t + dt (k4), by the array forms of the built-in
+   signals (:mod:`viskeep.profiles`) or one call per sample, and checked
+   against its bound in bulk;
+2. a time loop, Python generated once per link count, integrates what
+   feeds back: each link's centered state, with its feedback, clamp
+   counter, wrap guard and noise draw.  Every state component is a local
+   and the four stages are unrolled;
+3. the world poses, which no link reads, are integrated after the loop
+   on whole arrays, from the inputs the loop recorded at every stage.
+
+Each expression keeps the float operations of a plain RK4 loop in their
+order, so a trace is bit-for-bit that loop's, and each error is raised
+at the step where that loop raises it: a profile sample out of bound is
+held until the loop reaches its step.  The feedback is evaluated at every
+stage, inputs are clamped to their boxes with an event counter, and a
+monitor checks every sample against the state and input boxes.
 
 This is the package's float layer, and it loads numpy; the exact layer
 never imports it.  The leader profiles are defined in
@@ -153,79 +165,155 @@ def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> Violatio
 
 
 def _rk4_source(n: int) -> str:
-    """Source of ``run``, the time loop of an n-link chain (see _integrate).
+    """Source of ``run``, one block of the time loop of an n-link chain (see
+    _integrate).
 
-    The state is robot 0's pose ``x0, y0, q0``, then per link r its centered
-    state ``s1_r, s2_r, s3_r`` and its follower's pose ``xr, yr, qr``, all
-    locals.  Positions enter no derivative, so they get no stage inputs.
+    The state is each link r's centered state ``s1_r, s2_r, s3_r``, all
+    locals: no world pose enters a link derivative, so the poses are left to
+    `_poses`.  ``lead`` yields robot 0's speed offset and turn rate at t,
+    t + dt/2 and t + dt of each step, and the followers' realized inputs are
+    recorded at every stage for `_poses`.  The run stops after the record of
+    step ``stop``.
     """
     links = range(1, n + 1)
-    state = ["x0", "y0", "q0"] + [f"{c}{r}" for r in links
-                                  for c in ("s1_", "s2_", "s3_", "x", "y", "q")]
-    moving = [a for a in state if a[0] in "qs"]
+    state = [f"{c}{r}" for r in links for c in ("s1_", "s2_", "s3_")]
     noise = ", ".join(f"h{r}" for r in range(n + 1))
 
-    def feedback(r, s1, s2, s3):  # link r's clamped inputs vF{r}, uw{r}
+    def feedback(r, m, s1, s2, s3):  # link r's clamped inputs at stage m
         return [f"u1, u2 = k11_{r} * {s1}, k22_{r} * {s2} + k23_{r} * {s3}",
-                f"vF{r} = V_{r} if u1 > V_{r} else nV_{r} if u1 < nV_{r} else u1",
-                f"uw{r} = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2"]
+                f"vF{r}_{m} = V_{r} if u1 > V_{r} else nV_{r} if u1 < nV_{r} else u1",
+                f"uw{r}_{m} = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2"]
 
-    loop = ["t = i * dt", "if noise_step is not None:",
+    loop = ["if noise_step is not None:",
             f"    h = noise_step(i); hs.extend(h); {noise}, = h"]
     for r in links:  # the record: wrap guard, clamp counter, realized inputs
         loop += [f"if abs(s3_{r} + o3_{r}) > pi:",
                  f"    raise ValueError(f'heading difference left (-pi, pi) on "
-                 f"link {r} at t={{t:.6g}}; invariance lost')",
-                 *feedback(r, f"s1_{r}", f"s2_{r}", f"s3_{r}"),
+                 f"link {r} at t={{i * dt:.6g}}; invariance lost')",
+                 *feedback(r, 1, f"s1_{r}", f"s2_{r}", f"s3_{r}"),
                  f"if abs(u1) > V_{r} or abs(u2) > Om_{r}: n{r} += 1"]
-    loop += ["v, w = prof_v(t), prof_w(t)", f"ys.extend(({', '.join(state)}))",
-             f"us.extend((v, w, {', '.join(f'vF{r}, uw{r}' for r in links)}))",
-             "if i == n_steps: break",
-             "vh, wh, v1, w1 = (prof_v(t + half), prof_w(t + half), "
-             "prof_v(t + dt), prof_w(t + dt))",
-             "w, wh, w1 = w + rho, wh + rho, w1 + rho"]
+    loop += [f"ys.extend(({', '.join(state)}))",
+             f"us.extend(({', '.join(f'vF{r}_1, uw{r}_1' for r in links)}))",
+             "if i == stop: break"]
     for m, step, v, w in ((1, None, "v", "w"), (2, "half", "vh", "wh"),
                           (3, "half", "vh", "wh"), (4, "dt", "v1", "w1")):
-        z = {a: a if step is None else f"z_{a}" for a in moving}
+        z = {a: a if step is None else f"z_{a}" for a in state}
         if step is not None:
-            loop += [f"z_{a} = {a} + {step} * k{m - 1}_{a}" for a in moving]
-        loop += [f"e, c, s = 1.0 + {v}, cos({z['q0']}), sin({z['q0']})",
-                 f"k{m}_x0, k{m}_y0, k{m}_q0 = e * c - h0 * s, e * s + h0 * c, {w}"]
+            loop += [f"z_{a} = {a} + {step} * k{m - 1}_{a}" for a in state]
         for r in links:  # robot r pursues robot r - 1, which moves at v, w
-            s1, s2, s3, q = (z[f"{c}{r}"] for c in ("s1_", "s2_", "s3_", "q"))
+            s1, s2, s3 = (z[f"{c}{r}"] for c in ("s1_", "s2_", "s3_"))
             if step is not None:  # stage 1 reuses the record's feedback
-                loop += feedback(r, s1, s2, s3)
+                loop += feedback(r, m, s1, s2, s3)
+            vF, wF = f"vF{r}_{m}", f"wF{r}_{m}"
             loop += [
-                f"wF{r}, beta = uw{r} + rho, {s3} + o3_{r}",
-                f"cb, sb, cf, sf = cos(beta), sin(beta), cos({q}), sin({q})",
-                f"k{m}_s1_{r} = (cb - 1.0) - vF{r} + ({s2} + o2_{r}) * wF{r} "
+                f"{wF}, beta = uw{r}_{m} + rho, {s3} + o3_{r}",
+                "cb, sb = cos(beta), sin(beta)",
+                f"k{m}_s1_{r} = (cb - 1.0) - {vF} + ({s2} + o2_{r}) * {wF} "
                 f"+ {v} * cb - h{r - 1} * sb",
-                f"k{m}_s2_{r} = sb - h{r} - ({s1} + o1_{r}) * wF{r} "
+                f"k{m}_s2_{r} = sb - h{r} - ({s1} + o1_{r}) * {wF} "
                 f"+ {v} * sb + h{r - 1} * cb",
-                f"k{m}_s3_{r}, e = {w} - wF{r}, 1.0 + vF{r}",
-                f"k{m}_x{r}, k{m}_y{r}, k{m}_q{r} = e * cf - h{r} * sf, "
-                f"e * sf + h{r} * cf, wF{r}",
+                f"k{m}_s3_{r} = {w} - {wF}",
             ]
-            v, w = f"vF{r}", f"wF{r}"
+            v, w = vF, wF
+    loop += ["ks.extend((" + ", ".join(f"vF{r}_{m}, wF{r}_{m}" for m in (2, 3, 4)
+                                       for r in links) + "))"]
     loop += [f"{a} = {a} + sixth * (k1_{a} + 2.0 * (k2_{a} + k3_{a}) + k4_{a})"
              for a in state]
     head = [
-        "def run(params, rho, dt, n_steps, prof_v, prof_w, noise_step, y, ys, us, hs):",
+        "def run(params, rho, dt, i0, i1, stop, lead, noise_step, y, clamps, "
+        "ys, us, ks, hs):",
         "cos, sin, pi, half, sixth = math.cos, math.sin, math.pi, 0.5 * dt, dt / 6.0",
         "".join(f"(k11_{r}, k22_{r}, k23_{r}, V_{r}, Om_{r}, o1_{r}, o2_{r}, "
                 f"o3_{r}), " for r in links) + "= params",
         *(f"nV_{r}, nOm_{r} = -V_{r}, -Om_{r}" for r in links),
         f"{', '.join(state)}, = y",
         f"{noise}, = (0.0,) * {n + 1}",
-        f"{', '.join(f'n{r}' for r in links)}, = (0,) * {n}",
-        "for i in range(n_steps + 1):",
+        f"{', '.join(f'n{r}' for r in links)}, = clamps",
+        "for i, (v, w, vh, wh, v1, w1) in zip(range(i0, i1), lead):",
         *("    " + line for line in loop),
-        f"return ({', '.join(f'n{r}' for r in links)},)",
+        f"return ({', '.join(state)},), ({', '.join(f'n{r}' for r in links)},)",
     ]
     return "\n    ".join(head) + "\n"
 
 
 _RK4: dict = {}  # link count -> its compiled run()
+_BLOCK = 1024  # steps per block: bounds what a run holds beyond its traces
+
+
+def _samples(sig: Callable[[float], float], bound: float, name: str,
+             grid: np.ndarray):
+    """`sig` at the times of `grid`, in that order, and the error the
+    integrator meets at the first sample out of `bound` (None if there is
+    none), where the samples stop.  A built-in signal is sampled by its array
+    form; a block it flags, and every other callable, gets one checked call
+    per sample, so each error is raised by the call that raises it in a
+    plain loop."""
+    array = getattr(sig, "array", None)
+    if array is not None:
+        with np.errstate(all="ignore"):  # inf and NaN fall to the calls below
+            vals = array(grid)
+        if (np.abs(vals) <= bound + BOUND_TOL).all():  # NaN fails too
+            return vals, None
+    checked, vals = _checked(sig, bound, name), []
+    for t in grid.tolist():
+        try:
+            vals.append(checked(t))
+        except Exception as err:  # raised once the loop reaches sample t
+            return vals, err
+    return vals, None
+
+
+def _lead(profile: LeaderProfile, limits: tuple, i0: int, i1: int,
+          last: int, dt: float):
+    """Robot 0's speed offsets and turn rates at t, t + dt/2 and t + dt of
+    steps i0 .. i1 - 1, a row per step (step `last` sampled at t only),
+    then the error the plain loop meets first among these samples and the
+    offset of its step (None, None without one).  Rows from that step on
+    may hold zeros."""
+    t = np.arange(i0, i1) * dt
+    grid = np.column_stack((t, t + 0.5 * dt, t + dt)).ravel()
+    if i1 == last + 1:
+        grid = grid[:-2]
+    # the plain loop samples v, omega at t, then at t + dt/2, then at
+    # t + dt: omega is needed only before the first bad sample of v
+    vs, err = _samples(profile.v, limits[0], "v", grid)
+    bad = len(vs) if err is not None else len(grid)
+    ws, w_err = _samples(profile.omega, limits[1], "omega", grid[:bad])
+    if w_err is not None:
+        err, bad = w_err, len(ws)
+    V, W = np.zeros((2, i1 - i0, 3))
+    V.flat[:len(vs)], W.flat[:len(ws)] = vs, ws
+    return V, W, err, (None if err is None else bad // 3)
+
+
+def _poses(pose: Sequence, e: np.ndarray, w: np.ndarray, h, dt: float):
+    """World poses after each RK4 step from ``pose = (x, y, q)``, arrays
+    over the robots.
+
+    ``e[m]`` and ``w[m]`` hold each robot's speed factor 1 + v and its turn
+    rate at stage m of each step (one row per step), ``h`` its lateral noise
+    (0.0 without).  Each float expression is the plain loop's, and each sum
+    runs in the loop's order, so the poses are its poses bit for bit.  That
+    takes numpy's float64 sin and cos to round as math's do: none of 28
+    million samples differed under NumPy 2.4 on x86-64, and the oracle tests
+    in ``tests/test_simulate.py`` pin it.
+    """
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def advance(a, k):  # a + sixth * (k1 + 2 (k2 + k3) + k4), step by step
+        incr = sixth * (k(0) + 2.0 * (k(1) + k(2)) + k(3))
+        return np.add.accumulate(np.concatenate((a[None], incr)))[1:]
+
+    def dxy(m):  # the x and y derivatives at stage m, side by side
+        z = q if m == 0 else q + (dt if m == 3 else half) * w[m - 1]
+        c, s = np.cos(z), np.sin(z)
+        return np.hstack((e[m] * c - h * s, e[m] * s + h * c))
+
+    x, y, q = pose
+    qs = advance(q, w.__getitem__)
+    q = np.concatenate((q[None], qs[:-1]))
+    xy = advance(np.concatenate((x, y)), dxy)
+    return xy[:, :len(x)], xy[:, len(x):], qs
 
 
 def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
@@ -242,27 +330,70 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     ``rho`` is added back to every turn rate (orbit runs), and
     ``noise_step(i)`` gives the lateral noise of each robot, held across the
     stages of step i.
+
+    The steps run in blocks of ``_BLOCK``.  Each block samples the leader
+    profile on its whole time grid, runs the link states through the
+    generated loop, then integrates every world pose on whole arrays.  A
+    profile sample out of bound is raised when the loop reaches it, so an
+    earlier wrap-guard or noise error still comes first.
     """
     params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
-    prof_v = _checked(profile.v, lead_limits[0], "v")
-    prof_w = _checked(profile.omega, lead_limits[1], "omega")
-    n_steps = _steps(T, dt)
-    if len(links) not in _RK4:
+    n, n_steps = len(links), _steps(T, dt)
+    if n not in _RK4:
         scope = {"math": math}
-        exec(_rk4_source(len(links)), scope)
-        _RK4[len(links)] = scope["run"]
-    y = [*poses[0], *(x for s, pose in zip(s0, poses[1:]) for x in (*s, *pose))]
-    ys, us, hs = array("d"), array("d"), array("d")
-    clamps = _RK4[len(links)](params, rho, dt, n_steps, prof_v, prof_w,
-                              noise_step, y, ys, us, hs)
+        exec(_rk4_source(n), scope)
+        _RK4[n] = scope["run"]
+    run = _RK4[n]
 
     # rows of Y: each robot's pose with each link's state between them; of
     # U: each robot's realized inputs (the profile for robot 0); of H: each
     # robot's noise.  Link k joins robots k and k + 1.
-    Y = np.frombuffer(ys).reshape(n_steps + 1, -1)
-    U = np.frombuffer(us).reshape(n_steps + 1, -1)
-    H = (np.frombuffer(hs).reshape(n_steps + 1, -1)
-         if noise_step is not None else None)
+    Y = np.empty((n_steps + 1, 3 + 6 * n))
+    U = np.empty((n_steps + 1, 2 + 2 * n))
+    H = np.empty((n_steps + 1, n + 1)) if noise_step is not None else None
+    Y[0, [6 * r + c for r in range(n + 1) for c in range(3)]] = np.ravel(poses)
+
+    def block(i0: int, y: list, clamps: list):
+        """Steps i0 .. i1 - 1: their rows, and the poses after them; returns
+        the link states and clamp counters after them."""
+        i1 = min(i0 + _BLOCK, n_steps + 1)
+        V, W, err, j = _lead(profile, lead_limits, i0, i1, n_steps, dt)
+        stop = n_steps if err is None else i0 + j
+        Wr = W + rho  # robot 0's turn rates as integrated
+        ys, us, ks, hs = array("d"), array("d"), array("d"), array("d")
+        y, clamps = run(params, rho, dt, i0, min(i1, stop + 1), stop,
+                        zip(*(X[:, g].tolist() for g in range(3) for X in (V, Wr))),
+                        noise_step, y, clamps, ys, us, ks, hs)
+        if err is not None:
+            raise err
+        rows, Ys = slice(i0, i1), np.frombuffer(ys).reshape(-1, n, 3)
+        for c in range(3):
+            Y[rows, 3 + c::6] = Ys[:, :, c]
+        U[rows, 0], U[rows, 1] = V[:, 0], W[:, 0]
+        U[rows, 2:] = np.frombuffer(us).reshape(-1, 2 * n)
+        if H is not None:
+            H[rows] = np.frombuffer(hs).reshape(-1, n + 1)
+        m = min(i1, n_steps) - i0  # steps with stages
+        if m == 0:
+            return y, clamps
+        # each robot's inputs at the four stages: the profile for robot 0,
+        # the record and then the stages of the loop for the followers
+        K = np.frombuffer(ks).reshape(m, 3, n, 2).transpose(1, 0, 2, 3)
+        E, Q = np.empty((4, m, n + 1)), np.empty((4, m, n + 1))
+        E[:, :, 0], Q[:, :, 0] = V[:m, [0, 1, 1, 2]].T, Wr[:m, [0, 1, 1, 2]].T
+        E[0, :, 1:], Q[0, :, 1:] = U[i0:i0 + m, 2::2], U[i0:i0 + m, 3::2] + rho
+        E[1:, :, 1:], Q[1:, :, 1:] = K[..., 0], K[..., 1]
+        E += 1.0
+        pose = _poses([Y[i0, c::6] for c in range(3)], E, Q,
+                      0.0 if H is None else H[i0:i0 + m], dt)
+        for c, col in enumerate(pose):
+            Y[i0 + 1:i0 + m + 1, c::6] = col
+        return y, clamps
+
+    y, clamps = [x for s in s0 for x in s], [0] * n
+    for i0 in range(0, n_steps + 1, _BLOCK):
+        y, clamps = block(i0, y, clamps)
+
     times = np.arange(n_steps + 1) * dt
     return [
         SimTrace(

@@ -176,6 +176,30 @@ def test_chain_command_rejects_impossible_maps(tmp_path, capsys, maps):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where, edit, message", [
+    ("links", {"a": 10**300},
+     "bad link geometry: d = 3.0 does not exceed a = an int of 301 digits"),
+    ("links", {"b": 2.0}, "bad link geometry: b = 2.0 is not in (0, pi/2]"),
+    ("robots", {"V": 10**300},
+     "bad robot limits: V = an int of 301 digits is not in (0, 1)"),
+    ("robots", {"Omega": -1.0},
+     "bad robot limits: Omega = -1.0 is not positive"),
+], ids=["huge-a", "wide-b", "huge-V", "negative-Omega"])
+def test_chain_spec_errors_name_the_field(tmp_path, capsys, where, edit,
+                                          message):
+    """A finite JSON number that breaks the geometry or the robot limits is
+    named with its field, not echoed with the whole link or robot."""
+    spec = chain_to_json_dict(CHAIN_SPEC)
+    spec[where][0].update(edit)
+    path = write_json(tmp_path / "chain.json", spec)
+    out = tmp_path / "chain_out.json"
+    assert main(["chain", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert all(len(line) < 100 for line in err.splitlines()), err
+    assert not out.exists()
+
+
 def test_chain_command_generate(tmp_path):
     out = tmp_path / "generated.json"
     code = main(["chain", "--generate", "a=0.1,d=7,n=10,V1=0.02",
@@ -351,15 +375,16 @@ def test_simulate_without_gain_needs_no_reduce(demo_out, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
 def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
-    """One synth builds its scenario's uncertain system once, for the
-    polytope and both certificates; ubb reads the basic constants off the
-    basic system it extends."""
+    """One synth rationalizes its scenario's constants once and builds its
+    uncertain system once, for the polytope, both certificates and the
+    rationalization record; ubb hands its constants to the basic system it
+    extends."""
     calls = []
     for build in ("build_basic_system", "build_ubb_system",
                   "build_circle_system", "exact_basic", "exact_circle"):
-        def counted(sc, _fn=getattr(scenarios, build), _name=build):
+        def counted(sc, *args, _fn=getattr(scenarios, build), _name=build):
             calls.append(_name)
-            return _fn(sc)
+            return _fn(sc, *args)
         monkeypatch.setattr(scenarios, build, counted)
     path = tmp_path / "scenario.json"
     save_scenario(bundle(name).scenario, path)
@@ -368,8 +393,7 @@ def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
     exact = "exact_circle" if name == "circle" else "exact_basic"
     built = {"basic": ["build_basic_system"], "circle": ["build_circle_system"],
              "ubb": ["build_ubb_system", "build_basic_system"]}[name]
-    # the second constants call is the rationalization record
-    assert sorted(calls) == sorted(built + [exact, exact]), calls
+    assert sorted(calls) == sorted(built + [exact]), calls
 
 
 GAIN = {"k11": 1.5173, "k22": 0.3707, "k23": 0.4925}

@@ -1,5 +1,8 @@
 import math
 import random
+import re
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,6 +36,7 @@ from viskeep.scenarios import (
     gain_polytope_ubb,
 )
 from viskeep.simulate import (
+    BOUND_TOL,
     LeaderProfile,
     constant,
     monitor,
@@ -109,6 +113,57 @@ def test_random_hold_builds_one_generator_per_interval(monkeypatch):
     simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, profile, (0.0, 0.0, 0.0),
                    T=3.0, dt=1e-3)
     assert 1 <= len(built) <= 7  # hold intervals 0..6 of the 3 s run
+
+
+ARRAY_SIGNALS = {
+    "constant": lambda: constant(0.07),
+    "int-constant": lambda: constant(-1),
+    "sin": lambda: sinusoid(0.05, 1.0),
+    "sin-phase": lambda: sinusoid(0.05, 1.3, phase=0.7),
+    "cos-phase": lambda: sinusoid(-math.pi / 20, 0.08, phase=-2.1, kind="cos"),
+    "random-hold": lambda: random_hold(0.1, 0.25, seed=3),
+    "random-hold-short": lambda: random_hold(math.pi / 60, 0.0123, seed=11),
+    "sum": lambda: sum_of(sinusoid(0.02, 2.0, phase=1.0),
+                          random_hold(0.03, 0.4, seed=5)),
+    "nested-sum": lambda: sum_of(constant(0.01), sum_of(
+        sinusoid(0.01, 0.5, kind="cos"), random_hold(0.02, 0.07, seed=2))),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_SIGNALS)
+def test_array_form_equals_scalar_calls(name):
+    """Each built-in signal's array form gives its scalar calls bit for bit
+    on the three sample grids of a 3 s run (t, t + dt/2 and t + dt, dt =
+    1e-3), called whole or in blocks, whose random holds then straddle two
+    calls."""
+    dt = 1e-3
+    t = np.arange(3001) * dt
+    for grid in (t, t + 0.5 * dt, t + dt):
+        want = np.array([ARRAY_SIGNALS[name]()(x) for x in grid.tolist()],
+                        dtype=float)
+        sig = ARRAY_SIGNALS[name]()
+        whole = sig.array(grid)
+        blocks = np.concatenate([sig.array(grid[i:i + 700])
+                                 for i in range(0, len(grid), 700)])
+        assert whole.dtype == blocks.dtype == float
+        assert whole.tobytes() == want.tobytes() == blocks.tobytes()
+        if name.startswith("random"):
+            assert len(np.unique(whole)) >= 12  # many intervals
+
+
+@pytest.mark.parametrize("sig", [
+    constant(10**400), sinusoid(0.05, 1e308), sinusoid(10**400, 1.0),
+    random_hold(0.1, 1e-300), sum_of(constant(0.0), sinusoid(0.05, 1e308)),
+], ids=["huge-int", "argument-overflow", "huge-amplitude", "tiny-hold",
+        "sum"])
+def test_array_form_is_nan_where_it_cannot_follow_the_scalar_calls(sig):
+    """NaN sends a block back to the scalar calls, which raise or return
+    what the plain loop sees."""
+    t = np.arange(3001) * 1e-3
+    with np.errstate(all="ignore"):
+        vals = sig.array(t)
+    assert np.isnan(vals).any()
+    assert all(math.isfinite(v) for v in vals[~np.isnan(vals)])
 
 
 def test_random_hold_trace_bit_equal_to_unmemoized_reference():
@@ -520,6 +575,106 @@ def test_generated_integrator_raises_like_plain_loop(run, match, monkeypatch):
             run()
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def _oracle_error(run, monkeypatch) -> str:
+    """The message `run` raises, the same under the generated integrator
+    and the plain loop."""
+    messages = []
+    for integrate in (simulate._integrate, integrate_oracle):
+        monkeypatch.setattr(simulate, "_integrate", integrate)
+        with pytest.raises(ValueError) as exc:
+            run()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    return messages[0]
+
+
+def _crossing(bound, t_cross):
+    """Amplitude and rate of a sine whose modulus reaches `bound` at
+    `t_cross` and passes it (with its tolerance) a few 1e-8 s later."""
+    return 2 * bound, math.asin(0.5) / t_cross
+
+
+@pytest.mark.parametrize("signal", ["v", "omega", "v-plain"])
+def test_profile_excess_at_a_half_step_of_a_later_block(signal, monkeypatch):
+    """The profile first leaves its bound at the t + dt/2 sample of a step
+    past the first block: the run raises it at that step, as the plain
+    loop does, whether the block was sampled by the array form or by a
+    plain callable."""
+    dt, j = 1e-3, simulate._BLOCK + 476
+    name = signal.split("-")[0]
+    bound = BASIC_SCENARIO.V_L if name == "v" else BASIC_SCENARIO.Omega_L
+    amp, rate = _crossing(bound, (j + 0.25) * dt)
+    sig = (sinusoid(amp, rate) if signal != "v-plain"
+           else lambda t: amp * math.sin(rate * t))
+    t = j * dt
+    assert abs(sig(t)) <= bound + BOUND_TOL < abs(sig(t + 0.5 * dt))
+    still = constant(0.0)
+    profile = (LeaderProfile(sig, still) if name == "v"
+               else LeaderProfile(still, sig))
+    message = _oracle_error(
+        lambda: simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, profile,
+                               (0.0, 0.0, 0.0), T=(j + 10) * dt),
+        monkeypatch)
+    assert f"exceeds its bound: |{name}({t + 0.5 * dt:.6g})|" in message
+
+
+@pytest.mark.parametrize("t_bad, kind, match", [
+    (1.8, "excess", "heading difference left .* at t=1.571"),
+    (1.2, "excess", "exceeds its bound: \\|v\\(1.2"),
+    (1.2, "overflow", "math domain error"),
+], ids=["wrap-first", "excess-first", "domain-error-first"])
+def test_wrap_guard_and_profile_errors_keep_their_order(t_bad, kind, match,
+                                                        monkeypatch):
+    """The spinning leader trips the wrap guard at t = 1.571, in the block
+    that also holds the profile's first excess at t = 1.8: the guard's
+    error still comes first.  An excess at 1.2 comes first in its turn, and
+    so does a sine whose argument leaves the floats at t = 1.2, an error
+    math.sin raises and the array form cannot."""
+    dt = 1e-3
+    assert 1571 // simulate._BLOCK == 1800 // simulate._BLOCK
+    sc = BASIC_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
+                                  V_L=0.1, Omega_F=math.pi / 3, Omega_L=2.2)
+    if kind == "overflow":
+        v = sinusoid(0.05, sys.float_info.max / t_bad)
+    else:
+        v = sinusoid(*_crossing(sc.V_L, t_bad))
+    spin = LeaderProfile(v, constant(2.0))
+    message = _oracle_error(
+        lambda: simulate_basic(sc, GainMatrix(0.0, 0.0, 0.0), spin,
+                               (0.0, 0.0, 0.0), T=3.0, dt=dt),
+        monkeypatch)
+    assert re.search(match, message), message
+
+
+def test_chain_run_holds_little_beyond_its_traces():
+    """The integrator works in blocks, so a 10 s run on the demo chain peaks
+    within 1 MB + 10 % of what its traces keep: the traces of a run that
+    held a whole run's samples and stage inputs at once would not."""
+    b = bundle("chain")
+
+    def run(T):
+        return simulate_chain(b.scenario, b.ref_gain, b.profile, b.s0, T=T)
+
+    # tracemalloc looks up the line of every allocation.  CPython 3.11 keeps
+    # a code object's line array, which makes that lookup cheap, once a
+    # profile function has seen it run: the traced run then takes under a
+    # second, not 20 s.  The warm-up also compiles the generated loop.
+    sys.setprofile(lambda *args: None)
+    try:
+        run(0.01)
+    finally:
+        sys.setprofile(None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traces = run(10.0)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(traces[0].times) == 10001
+    assert peak <= 1.1 * kept + 1e6, (peak, kept)
 
 
 # ----------------------------------------------------------------------
