@@ -15,12 +15,12 @@ between bases of rows that meet in one point, and every pivot is exact.
 The exact work runs in Python integers, fraction-free.  Each row is read
 in its primitive integer form ``(a_1, ..., a_n, b)`` (:func:`normalized_key`,
 a positive multiple of the row), the points and multipliers of a basis are
-solved by Bareiss elimination into numerators over one determinant
-(:func:`_solve_exact`), and a test is an integer sign test such as
-``a . num <= b * den``.  Fractions are built only at the edges: the
-rows themselves and the points handed back.  Irrational constants enter
-only through :func:`rationalize`, which makes the single approximation
-point explicit.
+solved into numerators over one determinant, in closed form up to 3
+unknowns and by Bareiss elimination beyond (:func:`_solve_exact`), and a
+test is an integer sign test such as ``a . num <= b * den``.  Fractions
+are built only at the edges: the rows themselves and the points handed
+back.  Irrational constants enter only through :func:`rationalize`, which
+makes the single approximation point explicit.
 """
 
 from __future__ import annotations
@@ -370,10 +370,47 @@ def _implied(others: list[Row], row: Row, num_vars: int) -> bool:
 
 def _solve_exact(M: Sequence[Sequence[int]],
                  *rhs: Sequence[int]) -> Optional[tuple]:
-    """Fraction-free (Bareiss) solution of ``M x = rhs_i`` over the
-    integers for each right-hand side given, from one elimination:
-    ``(num_1, ..., det)`` with ``x_i = num_i / det`` and ``det = |det M| >
-    0``, or None if M is singular.
+    """Exact solution of ``M x = rhs_i`` over the integers for each
+    right-hand side given: ``(num_1, ..., det)`` with ``x_i = num_i / det``
+    and ``det = |det M| > 0``, or None if M is singular.
+
+    ``num_i`` is ``det M`` times the solution, the Cramer numerators
+    ``det(M_j)`` (``M`` with column j replaced by ``rhs_i``), sign-flipped
+    with the determinant when it is negative, so the tuple is unique.  Up
+    to 3 unknowns, which every basis of the sparse gain has, it is formed
+    in closed form: ``det M`` by cofactors and the numerators as ``adj(M)
+    rhs_i``.  Larger systems go through :func:`_bareiss`.
+    """
+    k = len(M)
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = M
+        co0, co1, co2 = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * co0 + b * co1 + c * co2
+        adj = ((co0, c * h - b * i, b * f - c * e),
+               (co1, a * i - c * g, c * d - a * f),
+               (co2, b * g - a * h, a * e - b * d))
+    elif k == 2:
+        (a, b), (c, d) = M
+        det = a * d - b * c
+        adj = ((d, -b), (-c, a))
+    elif k == 1:
+        det = M[0][0]
+        adj = ((1,),)
+    else:
+        return _bareiss(M, *rhs)
+    if not det:
+        return None
+    if det < 0:
+        det = -det
+        adj = tuple(tuple(-x for x in row) for row in adj)
+    return (*([_dot(row, y) for row in adj] for y in rhs), det)
+
+
+def _bareiss(M: Sequence[Sequence[int]],
+             *rhs: Sequence[int]) -> Optional[tuple]:
+    """Fraction-free (Bareiss) solution of ``M x = rhs_i`` for any number
+    of unknowns, from one elimination; the same tuple as
+    :func:`_solve_exact`.
 
     Every entry of the eliminated matrix is a minor of ``[M | rhs_i]``, so
     each division by the previous pivot is exact and entries grow only as

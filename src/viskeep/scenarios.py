@@ -34,7 +34,6 @@ from .inequalities import (
 from .profiles import _number, _shown
 from .systems import (
     UncertainLinearSystem,
-    _gain_rows,
     _mat,
     _zeros,
 )
@@ -216,20 +215,40 @@ class ExactCircle(NamedTuple):
     cos_bmg: Fraction
 
 
+#: The constants a scenario requires positive; H_F and H_L may be 0.
+_POSITIVE = ("a", "b", "d", "gamma", "rho", "V_F", "V_L", "Omega_F", "Omega_L")
+
+
+def _positive(sc, constants):
+    """`constants` if every one of them the scenario requires positive
+    stayed positive when rationalized; else a ValueError that names the
+    first one that became 0: a value below ``1 / (2 * 10**12)``, half the
+    least positive rational :func:`rationalize` can give."""
+    for name in _POSITIVE:
+        if name in constants._fields and getattr(constants, name) == 0:
+            raise ValueError(f"{name} = {getattr(sc, name)!r} rationalizes "
+                             f"to 0, but {name} must be positive")
+    return constants
+
+
 def exact_basic(sc: BasicScenario) -> ExactBasic:
+    """The scenario's constants rationalized; a ValueError if one that
+    must be positive rationalizes to 0."""
     rat = rationalize
-    return ExactBasic(
+    return _positive(sc, ExactBasic(
         a=rat(sc.a), b=rat(sc.b), d=rat(sc.d),
         V_F=rat(sc.V_F), V_L=rat(sc.V_L),
         Omega_F=rat(sc.Omega_F), Omega_L=rat(sc.Omega_L),
         sin_b=rat(math.sin(sc.b)), cos_b=rat(math.cos(sc.b)),
         H_F=rat(getattr(sc, "H_F", 0.0)), H_L=rat(getattr(sc, "H_L", 0.0)),
-    )
+    ))
 
 
 def exact_circle(sc: CircleScenario) -> ExactCircle:
+    """The scenario's constants rationalized; a ValueError if one that
+    must be positive rationalizes to 0."""
     rat = rationalize
-    return ExactCircle(
+    return _positive(sc, ExactCircle(
         a=rat(sc.a), b=rat(sc.b), gamma=rat(sc.gamma), rho=rat(sc.rho),
         V_F=rat(sc.V_F), V_L=rat(sc.V_L),
         Omega_F=rat(sc.Omega_F), Omega_L=rat(sc.Omega_L),
@@ -238,7 +257,7 @@ def exact_circle(sc: CircleScenario) -> ExactCircle:
         cos_bpg=rat(math.cos(sc.b + sc.gamma)),
         sin_bmg=rat(math.sin(sc.b - sc.gamma)),
         cos_bmg=rat(math.cos(sc.b - sc.gamma)),
-    )
+    ))
 
 
 def rationalization_record(constants) -> dict:
@@ -517,9 +536,10 @@ def invariance_rows(sys: UncertainLinearSystem) -> list[ScaledRow]:
     state ``i`` reads row ``i`` of A and B alone, so it is enumerated over
     the vertices of the parameters whose A or B slice has a nonzero row
     ``i``.  Rows come by window vertex, then face, then parameter vertex,
-    and may repeat; see :func:`~viskeep.systems._gain_rows`, which the
-    exact cone certificate reads too."""
-    return [(nums, den) for _, cone in _gain_rows(sys)
+    and may repeat; see :func:`~viskeep.systems._gain_rows`.  They are the
+    system's cached ``gain_rows``, which the exact cone certificate reads
+    too."""
+    return [(nums, den) for _, cone in sys.gain_rows
             for _, rows in cone for _, nums, den in rows]
 
 

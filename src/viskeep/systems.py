@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
@@ -104,7 +105,8 @@ def _ab_params(sys: UncertainLinearSystem, i: int) -> list[int]:
 
 def _gain_rows(sys: UncertainLinearSystem):
     """The shifted-cone certificate as inequalities in the sparse gain
-    ``(k11, k22, k23)``, in integers.
+    ``(k11, k22, k23)``, in integers; read them as the system's cached
+    :attr:`UncertainLinearSystem.gain_rows`, built by this once.
 
     Yields ``(v, cone)`` for every window vertex ``v`` in ``S.vertices()``
     order.  ``cone`` holds, for each face ``g . s <= xi`` of the shifted
@@ -143,12 +145,12 @@ def _gain_rows(sys: UncertainLinearSystem):
                 den = gi.denominator * xi.denominator
                 terms[f] = [(key, [g0 * x for x in ABn], x0 * d, g0 * d, den * d)
                             for key, ABn, d in AB[i]]
-            cone.append((i, [
+            cone.append((i, tuple(
                 (key, (P[3] * Vn[0], P[4] * Vn[1], P[4] * Vn[2],
                        x0 * Vd - g0 * Vn[i] - _dot(P, Vn)), den * Vd)
                 for key, P, x0, g0, den in terms[f]
-            ]))
-        yield v, cone
+            )))
+        yield v, tuple(cone)
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,12 @@ class UncertainLinearSystem:
                 raise ValueError(f"{name} has dimension {box.dim}, expected {dim}")
             if not box.contains_origin():
                 raise ValueError(f"{name} must contain the origin")
+
+    @cached_property
+    def gain_rows(self) -> tuple:
+        """The certificate rows of :func:`_gain_rows`, built on first use
+        and then shared by the gain polytope and the cone certificate."""
+        return tuple(_gain_rows(self))
 
     def eval_A(self, q: Sequence) -> Matrix:
         return _affine(self.A, q)
@@ -319,11 +327,13 @@ def check_D_invariant_cone(
     once per vertex of those parameters and its violations are reported
     for every ``w`` sharing it.
 
-    Each entry is an integer sign test on the gain-polytope rows of
-    :func:`_gain_rows`: the gain ``k = Kn / Kd`` (a float entry read as the
+    Each entry is an integer sign test on the gain-polytope rows,
+    ``sys.gain_rows``: the gain ``k = Kn / Kd`` (a float entry read as the
     rational it is) fails a row iff ``nums[3] * Kd - nums[:3] . Kn < 0``,
     and that integer over ``den * Kd`` is the slack
-    ``xi - g . (I + F(w)) v`` exactly.  The third parameter is ignored; it
+    ``xi - g . (I + F(w)) v`` exactly.  The rows are those the gain
+    polytope of `sys` was built from: built once per system, by whichever
+    of the two reads them first.  The third parameter is ignored; it
     stays for the call ``check_D_invariant_cone(sysd, K, 1)`` in
     ``perfbench/workloads.py``, which still passes a step tau.
     """
@@ -333,7 +343,7 @@ def check_D_invariant_cone(
     keys = [[tuple(w[l] for l in params) for w in Q_verts]
             for params in (_ab_params(sys, i) for i in range(sys.n))]
     violations = []
-    for v, cone in _gain_rows(sys):
+    for v, cone in sys.gain_rows:
         failed = []  # (cone row, state, {key: slack} of its violations)
         for h, (i, rows) in enumerate(cone):
             slacks = {}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from viskeep import cli, scenarios, simulate
+from viskeep import cli, scenarios, simulate, systems
 from viskeep.cli import build_parser, main
 from viskeep.demos import (
     BASIC_SCENARIO,
@@ -394,6 +394,53 @@ def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
     built = {"basic": ["build_basic_system"], "circle": ["build_circle_system"],
              "ubb": ["build_ubb_system", "build_basic_system"]}[name]
     assert sorted(calls) == sorted(built + [exact]), calls
+
+
+@pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
+def test_synth_builds_the_certificate_rows_once(name, tmp_path, monkeypatch):
+    """The gain polytope and the cone certificate of one synth read the
+    same cached rows of its system, so the window faces are shifted by one
+    shifted_cone call; a basic check, whose exact projection builds the
+    polytope alone, makes one as well."""
+    calls = []
+
+    def counted(*args, _fn=systems.shifted_cone):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(systems, "shifted_cone", counted)
+    path = tmp_path / "scenario.json"
+    save_scenario(bundle(name).scenario, path)
+    assert main(["synth", "--scenario", str(path),
+                 "--out", str(tmp_path / "gain.json")]) == 0
+    assert len(calls) == 1
+    if name == "basic":
+        calls.clear()
+        assert main(["check", "--scenario", str(path),
+                     "--out", str(tmp_path / "check.json")]) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, field, value", [
+    ("basic", "b", 1e-14), ("basic", "a", 1e-13), ("circle", "a", 1e-14),
+])
+def test_constant_that_rationalizes_to_zero_exits_2(name, field, value,
+                                                     tmp_path, capsys):
+    """A constant the scenario must have positive, so small that it
+    rationalizes to 0, is an input error that names it: exit 2 from synth
+    and from a basic check, whose exact projection builds the same system,
+    in place of a ZeroDivisionError or a message about the face offsets.
+    A circle check stays the float closed-form test."""
+    sc = {**scenario_to_json_dict(bundle(name).scenario), field: value}
+    path = write_json(tmp_path / "tiny.json", sc)
+    for command in ["synth", "check"] if name == "basic" else ["synth"]:
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} = {value!r} rationalizes to 0, but {field} " \
+               "must be positive" in err, err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 GAIN = {"k11": 1.5173, "k22": 0.3707, "k23": 0.4925}

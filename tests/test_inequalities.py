@@ -6,11 +6,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from viskeep import demos, inequalities, synthesis
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
+    _bareiss,
     _column_basis,
     _implied,
     _over,
@@ -741,6 +743,38 @@ def test_bareiss_matches_gaussian_elimination(rnd):
             assert [F(v, den2) for v in first] == want
             assert [F(v, den2) for v in second] == solve_exact_oracle(M, rhs2)
     assert singular >= 300 and swapped >= 100
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
+
+
+@st.composite
+def _square_systems(draw):
+    """A k x k integer matrix, k = 1 to 3, and one or two right-hand sides:
+    small entries give zero pivots and singular matrices, large ones go
+    past 2**64, and half the matrices of k > 1 have a last row that
+    combines the others, so they are singular."""
+    k = draw(st.integers(1, 3))
+    row = st.lists(_ENTRY, min_size=k, max_size=k)
+    M = draw(st.lists(row, min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        coef = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
+        M[-1] = [sum(c * M[i][j] for i, c in enumerate(coef)) for j in range(k)]
+    return M, draw(st.lists(row, min_size=1, max_size=2))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_square_systems())
+@example(([[0]], [[5]]))
+@example(([[-2]], [[2**65], [-7]]))
+@example(([[0, 1], [1, 0]], [[2**65, -3]]))
+@example(([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[1, 2, 3], [0, 0, 0]]))
+@example(([[0, 2**70, 1], [-1, 0, 0], [0, 0, -2**66]], [[1, -2**65, 3]]))
+def test_closed_form_solve_matches_bareiss(system):
+    """Up to 3 unknowns the cofactor solve gives the tuple of the Bareiss
+    elimination it replaces, None included, for any determinant sign."""
+    M, rhs = system
+    assert _solve_exact(M, *rhs) == _bareiss(M, *rhs)
 
 
 def test_integer_key_classes_match_fraction_key(rnd):

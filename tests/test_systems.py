@@ -6,6 +6,7 @@ from itertools import zip_longest
 import numpy as np
 import pytest
 
+from viskeep import systems as systems_module
 from viskeep.boxes import Box
 from viskeep.demos import BASIC_SCENARIO, BUNDLES
 from viskeep.inequalities import normalized_key
@@ -330,6 +331,34 @@ def test_cone_certificate_matches_full_product_oracle(rnd):
     for sysd, K in rounded:
         slacks = [v.slack for v in check_D_invariant_cone(sysd, K).violations]
         assert slacks and all(-1e-15 < s < 0 for s in slacks), slacks
+
+
+def test_cone_certificate_builds_the_rows_of_a_fresh_system(monkeypatch):
+    """On a system whose rows no polytope has read yet, the certificate
+    builds them itself, with one shifted_cone call, and reports what the
+    oracle reports; a second certificate on that system reuses them."""
+    calls = []
+
+    def counted(*args, _fn=systems_module.shifted_cone):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(systems_module, "shifted_cone", counted)
+    for b in BUNDLES:
+        if b.name == "chain":
+            continue
+        res = min_norm_gain(b.scenario.polytope())
+        for K in (GainMatrix(*res.exact_gain), res.gain):
+            calls.clear()
+            sysd = b.scenario.system()
+            assert "gain_rows" not in vars(sysd)
+            got = check_D_invariant_cone(sysd, K)
+            assert len(calls) == 1
+            assert check_D_invariant_cone(sysd, K) == got
+            assert len(calls) == 1
+            want = cone_certificate_oracle(sysd, GainMatrix(*map(F, K.entries())))
+            assert (repr(got), got.to_csv()) == (repr(want), want.to_csv())
+            assert got.holds == (K.entries() == res.exact_gain)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
