@@ -151,41 +151,40 @@ def shifted_cone(
     cone: HalfspaceCone,
     E_family: Callable[[Sequence], Sequence],
     Q_vertices: Iterable[Sequence],
-    D_vertices: Iterable[Sequence],
+    D: Box,
 ) -> HalfspaceCone:
     """Shift each cone plane inward by the worst disturbance push.
 
     Row ``(g, xi)`` becomes ``(g, xi - max_{w, r} g . E(w) r)`` with the
     maximum over the parameter vertices ``w`` given (those of the parameters
-    ``E`` depends on suffice) and disturbance vertices ``r``.  On a face
-    ``g . s <= 1`` through ``v``, ``g . (v + F v) <= 1 - push`` is Nagumo's
-    ``g . F v + push <= 0``, which a step ``dt > 0`` only scales.
-    ``E`` is evaluated once per parameter vertex.  The pushes are compared
-    as integers: every ``E(w)``, every ``r`` and each plane go over one
-    denominator, and only the worst push of a plane becomes a Fraction.
+    ``E`` depends on suffice) and the points ``r`` of the box ``D``.  On a
+    face ``g . s <= 1`` through ``v``, ``g . (v + F v) <= 1 - push`` is
+    Nagumo's ``g . F v + push <= 0``, which a step ``dt > 0`` only scales.
+    ``E`` is evaluated once per parameter vertex.  The maximum over ``D``
+    is its support, ``sum_k max(c_k lo_k, c_k hi_k)`` for ``c = g . E(w)``,
+    which is the maximum over its vertices at ``l`` terms instead of
+    ``2^l`` dot products.  It is formed in integers: every ``E(w)``, the
+    bounds of ``D`` and each plane go over one denominator, and each
+    plane's shifted right-hand side is built as one Fraction.
     """
     E_list = [E_family(w) for w in Q_vertices]
-    D_list = list(D_vertices)
     # a push is an integer over dE * dD * (the plane's denominator)
     dE = lcm(*(x.denominator for E in E_list for row in E for x in row))
-    dD = lcm(*(x.denominator for r in D_list for x in r))
     E_int = [[[x.numerator * (dE // x.denominator) for x in row] for row in E]
              for E in E_list]
-    D_int = [[x.numerator * (dD // x.denominator) for x in r] for r in D_list]
+    bounds, dD = _over(D.lo + D.hi)
+    lo, hi = bounds[:D.dim], bounds[D.dim:]
     rows = []
     for g, xi in cone.rows:
         gn, dg = _over(g)
-        worst = None
+        nonzero = [(j, gj) for j, gj in enumerate(gn) if gj]
+        pushes = []
         for E in E_int:
-            # gE[k] = sum_i g_i * E[i][k], zero terms skipped
-            gE = [
-                sum(gi * Ei[k] for gi, Ei in zip(gn, E) if gi)
-                for k in range(len(E[0]) if E else 0)
-            ]
-            for r in D_int:
-                push = sum(c * rk for c, rk in zip(gE, r) if c)
-                if worst is None or push > worst:
-                    worst = push
-        shift = Fraction(worst, dg * dE * dD) if worst is not None else 0
-        rows.append(Row(g, xi - shift))
+            gE = [sum(gj * E[j][k] for j, gj in nonzero) for k in range(D.dim)]
+            pushes.append(sum(c * (hi[k] if c > 0 else lo[k])
+                              for k, c in enumerate(gE)))
+        den = dg * dE * dD
+        rows.append(Row(g, Fraction(
+            xi.numerator * den - max(pushes, default=0) * xi.denominator,
+            xi.denominator * den)))
     return HalfspaceCone(tuple(rows))

@@ -104,7 +104,7 @@ def _synth_payload(sc):
     payload = {
         "scenario": scenario_to_json_dict(sc),
         "feasible_conditions": sc.conditions().to_json_dict(),
-        "polytope_rows": len(poly.rows),
+        "polytope_rows": len(poly),
         "rationalization": rationalization_record(constants),
         "certificates": {
             "admissible": adm.holds,

@@ -18,9 +18,13 @@ a positive multiple of the row), the points and multipliers of a basis are
 solved into numerators over one determinant, in closed form up to 3
 unknowns and by Bareiss elimination beyond (:func:`_solve_exact`), and a
 test is an integer sign test such as ``a . num <= b * den``.  Fractions
-are built only at the edges: the rows themselves and the points handed
-back.  Irrational constants enter only through :func:`rationalize`, which
-makes the single approximation point explicit.
+are built only at the edges, and only when read: a system built from
+scaled integer rows (:func:`_scaled_rows`) keeps each row as the integers
+it was generated as and builds its Fraction rows on first read, by
+:meth:`~LinearInequalitySystem.to_text`, :meth:`~LinearInequalitySystem.eliminate`
+or a float point query; the points handed back are Fractions too.
+Irrational constants enter only through :func:`rationalize`, which makes
+the single approximation point explicit.
 """
 
 from __future__ import annotations
@@ -93,21 +97,28 @@ def _key_row(key: Sequence[int]) -> Row:
     return Row(tuple(Fraction(a // g) for a in key[:-1]), Fraction(key[-1], g))
 
 
-def _scaled_rows(scaled: Iterable[tuple[Sequence[int], int]]
-                 ) -> tuple[tuple[Row, ...], tuple[tuple[int, ...], ...]]:
+def _scaled_rows(scaled: Iterable[tuple[tuple[int, ...], int]]
+                 ) -> tuple[list[tuple[tuple[int, ...], int]],
+                            list[tuple[int, ...]]]:
     """The rows ``nums / den`` (``den > 0``, last entry the right-hand
     side) with exact duplicates dropped, keeping the first occurrence, and
-    their keys.  Duplicates are found on the integers; only the rows that
-    survive are built as Fractions."""
-    rows, keys, seen = [], [], set()
-    for nums, den in scaled:
+    their keys.  Duplicates are found on the integers: a ``nums`` tuple
+    seen before is skipped as it stands, and only a new one is made
+    primitive.  No Fraction is built; the kept ``(nums, den)`` pairs are
+    what a system builds its rows from on first read
+    (:meth:`LinearInequalitySystem._keyed`)."""
+    kept, keys, raw, seen = [], [], set(), set()
+    for row in scaled:
+        nums = row[0]
+        if nums in raw:
+            continue
+        raw.add(nums)
         key = _primitive(nums)
         if key not in seen:
             seen.add(key)
             keys.append(key)
-            rows.append(Row(tuple(Fraction(a, den) for a in nums[:-1]),
-                            Fraction(nums[-1], den)))
-    return tuple(rows), tuple(keys)
+            kept.append(row)
+    return kept, keys
 
 
 def _dot(a: Sequence[int], x: Sequence[int]) -> int:
@@ -125,7 +136,14 @@ def _holds(a: Sequence[int], x: tuple[Sequence[int], int]) -> bool:
 
 @dataclass(frozen=True)
 class LinearInequalitySystem:
-    """Immutable system ``A x <= b`` with exact rational entries."""
+    """Immutable system ``A x <= b`` with exact rational entries.
+
+    Every exact decision, and the row count, reads :attr:`int_rows`.  A
+    system built from scaled integer rows (:meth:`_keyed` with `scaled`)
+    holds those and each row's integers ``nums`` over ``den``, and builds
+    its Fraction :attr:`rows`, ``Fraction(a, den)`` per entry, on first
+    read.
+    """
 
     num_vars: int
     rows: tuple[Row, ...]
@@ -137,6 +155,18 @@ class LinearInequalitySystem:
                     f"row has {len(row.g)} coefficients, expected {self.num_vars}"
                 )
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: the rows of a system built
+        # from scaled integer rows, on first read
+        scaled = self.__dict__.get("_scaled")
+        if name != "rows" or scaled is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows = tuple(Row(tuple(Fraction(a, den) for a in nums[:-1]),
+                         Fraction(nums[-1], den)) for nums, den in scaled)
+        self.__dict__["rows"] = rows
+        return rows
+
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
         """Each row's integer form, :func:`normalized_key`; every exact
@@ -144,15 +174,25 @@ class LinearInequalitySystem:
         return tuple(map(normalized_key, self.rows))
 
     @classmethod
-    def _keyed(cls, num_vars: int, rows: Sequence[Row],
-               keys: Sequence[tuple[int, ...]]) -> "LinearInequalitySystem":
-        """System of `rows` whose integer forms `keys` are already known."""
-        system = cls(num_vars, tuple(rows))
-        system.__dict__["int_rows"] = tuple(keys)
+    def _keyed(cls, num_vars: int, keys: Sequence[tuple[int, ...]],
+               rows: Optional[Sequence[Row]] = None,
+               scaled: Optional[Sequence[tuple[tuple[int, ...], int]]] = None,
+               ) -> "LinearInequalitySystem":
+        """System whose integer forms `keys` are already known, with the
+        rows `rows`, or with the rows ``nums / den`` of the pairs `scaled`,
+        built on first read."""
+        system = object.__new__(cls)
+        state = system.__dict__
+        state["num_vars"] = num_vars
+        state["int_rows"] = tuple(keys)
+        if rows is None:
+            state["_scaled"] = tuple(scaled)
+        else:
+            state["rows"] = tuple(rows)
         return system
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.int_rows)
 
     # ------------------------------------------------------------------
     # Fourier-Motzkin elimination
@@ -189,7 +229,7 @@ class LinearInequalitySystem:
                 seen.add(key)
                 keys.append(key)
                 rows.append(_key_row(key) if row is None else row)
-        return LinearInequalitySystem._keyed(self.num_vars - 1, rows, keys)
+        return LinearInequalitySystem._keyed(self.num_vars - 1, keys, rows)
 
     def project(self, keep: Iterable[int]) -> "LinearInequalitySystem":
         """Repeated elimination of the complement of `keep`, ascending."""
@@ -239,10 +279,12 @@ class LinearInequalitySystem:
         Fourier-Motzkin elimination of the test system: the other rows
         plus ``-g_i . x + s <= -c_i`` with an auxiliary slack ``s``,
         projected onto ``s``.  Every decision is exact, so the route never
-        changes the result.
+        changes the result.  The survivors are carried as this system
+        holds them: as Fraction rows once those are built, else as the
+        scaled integer rows they are built from on first read.
         """
         ints, n = self.int_rows, self.num_vars
-        survivors = list(range(len(self.rows)))
+        survivors = list(range(len(ints)))
         by_elimination = len(survivors) <= n
         rows, found = (None, None) if by_elimination else _vertex_or_farkas(ints, n)
         i = 0
@@ -266,8 +308,10 @@ class LinearInequalitySystem:
                 survivors.pop(i)
             else:
                 i += 1
-        return LinearInequalitySystem._keyed(
-            n, [self.rows[j] for j in survivors], [ints[j] for j in survivors])
+        keys = [ints[j] for j in survivors]
+        if "rows" in self.__dict__:
+            return self._keyed(n, keys, rows=[self.rows[j] for j in survivors])
+        return self._keyed(n, keys, scaled=[self._scaled[j] for j in survivors])
 
     # ------------------------------------------------------------------
     # Point queries

@@ -507,21 +507,19 @@ def admissibility_rows(S: Box, U: Box) -> list[ScaledRow]:
     """Rows of ``K v in U`` over the window vertices, for the sparse gain.
 
     u1 = k11 * s1 and u2 = k22 * s2 + k23 * s3; each row is scaled so its
-    leading coefficient has magnitude 1.  Each vertex goes over one
-    denominator, so every row is a few integer products.
+    leading coefficient has magnitude 1.  The bounds of S and U go over one
+    denominator once, which a row's coefficients and bound share, so a row
+    is the integers of a vertex and a bound over the leading magnitude.
     """
+    bounds = S.lo + S.hi + U.lo + U.hi
+    ints = dict(zip(bounds, _over(bounds)[0]))
+    u_lo, u_hi = [ints[x] for x in U.lo], [ints[x] for x in U.hi]
     rows = []
     for v in S.vertices():
-        (v1, v2, v3), Vd = _over(v)
-        for g, bound in (
-            ((v1, 0, 0), U.hi[0]),
-            ((-v1, 0, 0), -U.lo[0]),
-            ((0, v2, v3), U.hi[1]),
-            ((0, -v2, -v3), -U.lo[1]),
-        ):
-            lead = next(abs(c) for c in g if c != 0)
-            rows.append((tuple(c * bound.denominator for c in g)
-                         + (bound.numerator * Vd,), bound.denominator * lead))
+        v1, v2, v3 = (ints[x] for x in v)
+        for g in ((v1, 0, 0, u_hi[0]), (-v1, 0, 0, -u_lo[0]),
+                  (0, v2, v3, u_hi[1]), (0, -v2, -v3, -u_lo[1])):
+            rows.append((g, next(abs(c) for c in g if c != 0)))
     return rows
 
 
@@ -545,11 +543,12 @@ def invariance_rows(sys: UncertainLinearSystem) -> list[ScaledRow]:
 
 def _pipeline_polytope(sys: UncertainLinearSystem) -> LinearInequalitySystem:
     """Invariance then admissibility rows, exact duplicates dropped once on
-    their integer keys; only the rows that survive are built as Fractions,
-    and their keys are the system's integer rows."""
-    rows, keys = _scaled_rows(invariance_rows(sys)
-                              + admissibility_rows(sys.S, sys.U))
-    return LinearInequalitySystem._keyed(3, rows, keys)
+    their integers.  The keys of the rows that survive are the system's
+    integer rows, and their Fractions are built only if something reads
+    them."""
+    scaled, keys = _scaled_rows(invariance_rows(sys)
+                                + admissibility_rows(sys.S, sys.U))
+    return LinearInequalitySystem._keyed(3, keys, scaled=scaled)
 
 
 def gain_polytope(sc: BasicScenario, system=None) -> LinearInequalitySystem:

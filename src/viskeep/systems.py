@@ -65,19 +65,34 @@ def _relevant_params(stack, row: Optional[int] = None) -> list[int]:
             if any(c != 0 for r in (M if row is None else (M[row],)) for c in r)]
 
 
-def _sub_vertices(box: Box, indices: list[int]):
-    """Vertices of the box varying only along `indices`; the other entries
-    are fixed at lo for determinism (a family that ignores them takes the
-    same values as over all vertices)."""
-    if not indices:
-        yield tuple(box.lo)
-        return
-    choices = [(box.lo[i], box.hi[i]) for i in indices]
-    for combo in product(*choices):
-        w = list(box.lo)
-        for i, val in zip(indices, combo):
-            w[i] = val
-        yield tuple(w)
+def _vertex_rows(stacks: Sequence[Sequence[Matrix]], rows: Sequence[int],
+                 params: Sequence[int], Q: Box) -> tuple[list, int]:
+    """Rows `rows` of each stack of `stacks`, side by side, at every vertex
+    ``w`` of the parameters `params`, lo before hi and the first parameter
+    slowest, as integers over one denominator: ``([(key, nums)], den)``,
+    ``key`` the values of ``w`` on `params`.
+
+    Those rows of every matrix of the stacks go over one denominator, and
+    so do the bounds of Q on `params`, once; each vertex is then the
+    integer combination ``N_0 dq + sum_l N_l qn_l`` of ``stack[0] + sum_l
+    stack[l] w_l``.  Rows that read no parameter outside `params` take at
+    these vertices every value they take over Q."""
+    N, dM = _over([x for l in (0, *(p + 1 for p in params))
+                   for stack in stacks for i in rows for x in stack[l][i]])
+    qn, dq = _over([b for p in params for b in (Q.lo[p], Q.hi[p])])
+    width = len(N) // (len(params) + 1)
+    out = []
+    for combo in product((0, 1), repeat=len(params)):
+        nums = [x * dq for x in N[:width]]
+        for k, c in enumerate(combo):
+            q = qn[2 * k + c]
+            if q:
+                for j, x in enumerate(N[(k + 1) * width:(k + 2) * width]):
+                    if x:
+                        nums[j] += x * q
+        out.append((tuple((Q.hi if c else Q.lo)[p] for p, c in zip(params, combo)),
+                    nums))
+    return out, dM * dq
 
 
 def _shifted_vertex_cones(sys: UncertainLinearSystem):
@@ -86,21 +101,19 @@ def _shifted_vertex_cones(sys: UncertainLinearSystem):
     inward by the worst disturbance push, with their face index ``f``
     (``i`` for ``s_i = hi_i``, ``n + i`` for ``s_i = lo_i``).  All 2n faces
     are shifted by one :func:`shifted_cone` call over the vertices of the
-    parameters E depends on."""
-    S = sys.S
+    parameters E depends on, with ``E(w)`` evaluated in integers: it is
+    ``N(w) / dE``, and ``g . E(w) r = g . N(w) (r / dE)``, so the pushes
+    of ``N`` over the box ``D / dE`` are those of ``E`` over ``D``."""
+    S, n, l = sys.S, sys.n, sys.l
     planes = vertex_cone(S, S.hi).rows + vertex_cone(S, S.lo).rows
-    e_vertices = list(_sub_vertices(sys.Q, _relevant_params(sys.E)))
-    shifted = shifted_cone(HalfspaceCone(planes), sys.eval_E,
-                           e_vertices, sys.D.vertices()).rows
+    E_rows, dE = _vertex_rows((sys.E,), range(n), _relevant_params(sys.E), sys.Q)
+    N = {key: [nums[i * l:(i + 1) * l] for i in range(n)] for key, nums in E_rows}
+    shifted = shifted_cone(HalfspaceCone(planes), N.__getitem__, N,
+                           sys.D.scaled(Fraction(1, dE))).rows
     for v in S.vertices():
         faces = [i if x == hi else S.dim + i
                  for i, (x, hi) in enumerate(zip(v, S.hi))]
         yield v, [(f, shifted[f]) for f in faces]
-
-
-def _ab_params(sys: UncertainLinearSystem, i: int) -> list[int]:
-    """Parameters with a nonzero row ``i`` of A or of B."""
-    return sorted(set(_relevant_params(sys.A, i)) | set(_relevant_params(sys.B, i)))
 
 
 def _gain_rows(sys: UncertainLinearSystem):
@@ -117,20 +130,16 @@ def _gain_rows(sys: UncertainLinearSystem):
     ``nums[:3] . k <= nums[3]``, which is linear in the gain because the
     face reads only entry ``i``.  ``nums / den`` (``den > 0``) is the row
     ``(g_i B(w)_i0 v_0, g_i B(w)_i1 v_1, g_i B(w)_i1 v_2,
-    xi - g_i v_i - g_i A(w)_i . v)`` exactly: every constant is put over
-    one denominator once, and a row costs a few integer products.
+    xi - g_i v_i - g_i A(w)_i . v)`` exactly.  Row ``i`` of A and B is
+    evaluated in integers over one denominator (:func:`_vertex_rows`), and
+    so are ``v`` and each face, so a row costs a few integer products.
     """
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
-    AB = []  # state i -> [(key, numerators of A(w)_i and B(w)_i, their den)]
-    for i in range(sys.n):
-        params = _ab_params(sys, i)
-        AB.append([
-            (tuple(w[l] for l in params),
-             *_over(_affine_row(sys.A, i, w) + _affine_row(sys.B, i, w)))
-            for w in _sub_vertices(sys.Q, params)
-        ])
-    terms = {}  # face -> [(key, coefficient terms, xi term, g_i term, den)]
+    # state i -> ([(key, numerators of A(w)_i and B(w)_i)], their den)
+    AB = [_vertex_rows((sys.A, sys.B), (i,), params, sys.Q)
+          for i, params in enumerate(sys.ab_params)]
+    terms = {}  # face -> ([(key, coefficient terms)], xi term, g_i term, den)
     for v, faces in _shifted_vertex_cones(sys):
         Vn, Vd = _over(v)
         cone = []
@@ -142,13 +151,15 @@ def _gain_rows(sys: UncertainLinearSystem):
                 gi = g[i]
                 g0 = gi.numerator * xi.denominator
                 x0 = xi.numerator * gi.denominator
-                den = gi.denominator * xi.denominator
-                terms[f] = [(key, [g0 * x for x in ABn], x0 * d, g0 * d, den * d)
-                            for key, ABn, d in AB[i]]
+                ab, d = AB[i]
+                terms[f] = ([(key, [g0 * x for x in ABn]) for key, ABn in ab],
+                            x0 * d, g0 * d, gi.denominator * xi.denominator * d)
+            rows, x0, g0, den = terms[f]
+            const = x0 * Vd - g0 * Vn[i]
             cone.append((i, tuple(
                 (key, (P[3] * Vn[0], P[4] * Vn[1], P[4] * Vn[2],
-                       x0 * Vd - g0 * Vn[i] - _dot(P, Vn)), den * Vd)
-                for key, P, x0, g0, den in terms[f]
+                       const - _dot(P, Vn)), den * Vd)
+                for key, P in rows
             )))
         yield v, tuple(cone)
 
@@ -225,6 +236,14 @@ class UncertainLinearSystem:
                 raise ValueError(f"{name} has dimension {box.dim}, expected {dim}")
             if not box.contains_origin():
                 raise ValueError(f"{name} must contain the origin")
+
+    @cached_property
+    def ab_params(self) -> tuple[list[int], ...]:
+        """Per state ``i``, the parameters with a nonzero row ``i`` of A or
+        of B; found once per system."""
+        return tuple(sorted(set(_relevant_params(self.A, i))
+                            | set(_relevant_params(self.B, i)))
+                     for i in range(self.n))
 
     @cached_property
     def gain_rows(self) -> tuple:
@@ -341,7 +360,7 @@ def check_D_invariant_cone(
     Q_verts = sys.Q.vertices()
     # state i -> key of each w: its values on the parameters of row i
     keys = [[tuple(w[l] for l in params) for w in Q_verts]
-            for params in (_ab_params(sys, i) for i in range(sys.n))]
+            for params in sys.ab_params]
     violations = []
     for v, cone in sys.gain_rows:
         failed = []  # (cone row, state, {key: slack} of its violations)

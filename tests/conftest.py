@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import pytest
 
-from viskeep.boxes import Box
+from viskeep.boxes import Box, HalfspaceCone
 from viskeep.demos import CIRCLE_SCENARIO
 from viskeep.inequalities import LinearInequalitySystem, Row, _implied
 from viskeep.scenarios import (
@@ -34,7 +34,6 @@ from viskeep.systems import (
     _relevant_params,
     _shifted_vertex_cones,
     _steps,
-    _sub_vertices,
     _zeros,
 )
 
@@ -351,6 +350,54 @@ def reduce_lp_oracle(system: LinearInequalitySystem) -> tuple[Row, ...]:
     return tuple(system.rows[j] for j in survivors)
 
 
+def sub_vertices(box: Box, indices: list[int]):
+    """Vertices of the box varying only along `indices`, lo before hi, the
+    first index slowest; the other entries are fixed at lo for
+    determinism (a family that ignores them takes the same values as over
+    all vertices)."""
+    if not indices:
+        yield tuple(box.lo)
+        return
+    choices = [(box.lo[i], box.hi[i]) for i in indices]
+    for combo in product(*choices):
+        w = list(box.lo)
+        for i, val in zip(indices, combo):
+            w[i] = val
+        yield tuple(w)
+
+
+def shifted_cone_oracle(cone: HalfspaceCone, E_family, Q_vertices,
+                        D: Box) -> HalfspaceCone:
+    """Each cone plane ``(g, xi)`` shifted to ``(g, xi - max g . E(w) r)``,
+    the maximum taken over the parameter vertices ``w`` given and every
+    vertex ``r`` of the box ``D``, by enumerating all of them: the oracle
+    for ``boxes.shifted_cone``, which takes the maximum over ``D`` as its
+    support.  The pushes are compared as integers, every ``E(w)``, every
+    ``r`` and each plane over one denominator."""
+    E_list = [E_family(w) for w in Q_vertices]
+    D_list = list(D.vertices())
+    dE = lcm(*(x.denominator for E in E_list for row in E for x in row))
+    dD = lcm(*(x.denominator for r in D_list for x in r))
+    E_int = [[[x.numerator * (dE // x.denominator) for x in row] for row in E]
+             for E in E_list]
+    D_int = [[x.numerator * (dD // x.denominator) for x in r] for r in D_list]
+    rows = []
+    for g, xi in cone.rows:
+        dg = lcm(*(x.denominator for x in g))
+        gn = [x.numerator * (dg // x.denominator) for x in g]
+        worst = None
+        for E in E_int:
+            gE = [sum(gi * Ei[k] for gi, Ei in zip(gn, E) if gi)
+                  for k in range(len(E[0]) if E else 0)]
+            for r in D_int:
+                push = sum(c * rk for c, rk in zip(gE, r) if c)
+                if worst is None or push > worst:
+                    worst = push
+        shift = Fraction(worst, dg * dE * dD) if worst is not None else 0
+        rows.append(Row(g, xi - shift))
+    return HalfspaceCone(tuple(rows))
+
+
 def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:
     """Rows of ``K v in U`` over the window vertices, for the sparse gain.
 
@@ -403,7 +450,7 @@ def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
         params = sorted(set(_relevant_params(sys.A, i))
                         | set(_relevant_params(sys.B, i)))
         AB.append([(sys.eval_A(w)[i], sys.eval_B(w)[i])
-                   for w in _sub_vertices(sys.Q, params)])
+                   for w in sub_vertices(sys.Q, params)])
     terms = {}  # face -> [(tau g_i A(w)_i, tau g_i B(w)_i)]
     rows: list[Row] = []
     for v, faces in tau_cones(sys, tau):

@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from viskeep.boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
 from viskeep.inequalities import Row
+
+from conftest import shifted_cone_oracle
 
 F = Fraction
 
@@ -95,7 +98,7 @@ def test_box_inside_every_vertex_cone(rnd):
 
 def test_shifted_cone_zero_disturbance():
     cone = HalfspaceCone((Row((F(1),), F(1)),))
-    out = shifted_cone(cone, lambda w: ((F(0),),), [()], [(F(1),)])
+    out = shifted_cone(cone, lambda w: ((F(0),),), [()], Box.from_bounds([(1, 1)]))
     assert out == cone
 
 
@@ -105,7 +108,7 @@ def test_shifted_cone_tau_scale_invariance():
     # vertex (xi = 1) moves tau times as far as the step-free shift
     cone = HalfspaceCone((Row((F(1), F(0)), F(1)), Row((F(0), F(1)), F(1))))
     E = lambda w: ((F(1), F(0)), (F(0), F(1)))
-    D = [(F(1, 4), F(1, 8)), (F(-1, 4), F(-1, 8))]
+    D = Box.symmetric((F(1, 4), F(1, 8)))
     lam = F(5)
 
     def one_step(tau, D):
@@ -113,7 +116,7 @@ def test_shifted_cone_tau_scale_invariance():
         return shifted_cone(cone, tE, [()], D)
 
     a = one_step(2, D)
-    b = one_step(2 * lam, [tuple(x / lam for x in r) for r in D])
+    b = one_step(2 * lam, D.scaled(1 / lam))
     assert a == b
     free = shifted_cone(cone, E, [()], D)
     assert a.rows == tuple(Row(g, 1 - 2 * (1 - xi)) for g, xi in free.rows)
@@ -122,8 +125,57 @@ def test_shifted_cone_tau_scale_invariance():
 def test_shifted_cone_scalar_example():
     # one plane s <= 1, unit disturbance channel, |r| <= 0.3: shift 0.3
     cone = HalfspaceCone((Row((F(1),), F(1)),))
-    out = shifted_cone(
-        cone, lambda w: ((F(1),),), [()],
-        [(F(3, 10),), (F(-3, 10),)],
-    )
+    out = shifted_cone(cone, lambda w: ((F(1),),), [()],
+                       Box.symmetric((F(3, 10),)))
     assert out.rows == (Row((F(1),), F(7, 10)),)
+
+
+_RATIONAL = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.builds(F, st.integers(-2**70, 2**70), st.integers(1, 2**70)),
+)
+
+
+@st.composite
+def _cone_problems(draw):
+    """Planes in n = 1 to 3 states with sparse, mixed-sign rational
+    coefficients, 0 to 3 matrices E(w) of n rows and l = 0 to 4 columns,
+    and a box D of dimension l whose intervals may be points, at 0 (a
+    channel of amplitude 0, like H_F = H_L = 0) or elsewhere."""
+    n, l = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    entry = st.one_of(st.just(F(0)), _RATIONAL)
+    planes = draw(st.lists(
+        st.builds(lambda g, xi: Row(tuple(g), xi),
+                  st.lists(entry, min_size=n, max_size=n), _RATIONAL),
+        min_size=1, max_size=4))
+    row = st.lists(entry, min_size=l, max_size=l).map(tuple)
+    Es = draw(st.lists(st.lists(row, min_size=n, max_size=n).map(tuple),
+                       min_size=0, max_size=3))
+    bounds = []
+    for _ in range(l):
+        kind = draw(st.sampled_from(("zero", "point", "interval")))
+        if kind == "zero":
+            bounds.append((0, 0))
+        elif kind == "point":
+            x = draw(_RATIONAL)
+            bounds.append((x, x))
+        else:
+            bounds.append(tuple(sorted(draw(st.lists(_RATIONAL, min_size=2,
+                                                     max_size=2)))))
+    return HalfspaceCone(tuple(planes)), Es, Box.from_bounds(bounds)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_cone_problems())
+@example((HalfspaceCone((Row((F(1),), F(1)),)), [((F(1),),)],
+          Box.symmetric((F(3, 10),))))
+@example((HalfspaceCone((Row((F(0), F(-2, 3)), F(1)),)),
+          [((F(1), F(-1)), (F(-5), F(2)))], Box.from_bounds([(0, 0), (-1, F(1, 2))])))
+@example((HalfspaceCone((Row((F(1),), F(1)),)), [((),)], Box((), ())))
+def test_shifted_cone_support_matches_vertex_enumeration(problem):
+    """The shift taken as the support of D equals the one taken over every
+    vertex of D, plane for plane."""
+    cone, Es, D = problem
+    args = (cone, Es.__getitem__, range(len(Es)), D)
+    assert shifted_cone(*args) == shifted_cone_oracle(*args)

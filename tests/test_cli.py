@@ -421,6 +421,35 @@ def test_synth_builds_the_certificate_rows_once(name, tmp_path, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
+def test_commands_build_no_fraction_row_they_do_not_write(name, tmp_path,
+                                                         monkeypatch):
+    """`check` and `synth` decide, reduce and certify on integer rows, so
+    no polytope they make builds its Fraction rows; --dump-polytope builds
+    those of the reduced polytope it writes, and of no other."""
+    made = []
+    keyed = LinearInequalitySystem._keyed.__func__
+
+    def recorded(cls, *args, **kwargs):
+        made.append(keyed(cls, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(LinearInequalitySystem, "_keyed", classmethod(recorded))
+    path = tmp_path / "scenario.json"
+    save_scenario(bundle(name).scenario, path)
+    for cmd in ("check", "synth"):
+        assert main([cmd, "--scenario", str(path),
+                     "--out", str(tmp_path / f"{cmd}.json")]) == 0
+    assert made and not [p for p in made if "rows" in vars(p)]
+    made.clear()
+    dump = tmp_path / "poly.txt"
+    assert main(["synth", "--scenario", str(path), "--out",
+                 str(tmp_path / "gain.json"), "--dump-polytope", str(dump)]) == 0
+    built = [p for p in made if "rows" in vars(p)]
+    assert len(made) == 2 and len(built) == 1
+    assert built[0].to_text() == dump.read_text()
+
+
 @pytest.mark.parametrize("name, field, value", [
     ("basic", "b", 1e-14), ("basic", "a", 1e-13), ("circle", "a", 1e-14),
 ])

@@ -829,6 +829,25 @@ def test_pipeline_rows_equal_the_fraction_pipeline(rnd):
         assert poly.int_rows == tuple(map(normalized_key, poly.rows))
 
 
+@pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
+def test_gain_polytope_builds_its_fraction_rows_only_when_read(name):
+    """Feasibility and redundancy removal read the integer rows alone, so
+    neither builds a Fraction row of the unreduced polytope, or of the
+    reduced one; the first read of the rows builds those of the Fraction
+    pipeline, and the reduced polytope then carries them as they are."""
+    sc = demos.bundle(name).scenario
+    sysd = sc.system()
+    poly = sc.polytope(sysd)
+    assert poly.is_feasible()
+    reduced = poly.reduce()
+    assert "rows" not in vars(poly) and "rows" not in vars(reduced)
+    assert len(reduced) < len(poly) == len(poly.int_rows)
+    assert poly.to_text() == pipeline_polytope_oracle(sysd).to_text()
+    assert len(poly) == len(poly.rows)
+    again = poly.reduce()
+    assert "rows" in vars(again) and again == reduced
+
+
 def test_eliminate_matches_fraction_elimination(rnd):
     systems = [sys_of(3, [(r.g, r.rhs) for r in gain_polytope(demos.BASIC_SCENARIO).rows])]
     for _ in range(150):

@@ -40,12 +40,11 @@ from viskeep.systems import (
     GainMatrix,
     _relevant_params,
     _shifted_vertex_cones,
-    _sub_vertices,
     check_admissible,
     check_D_invariant_cone,
 )
 
-from conftest import family_polytope, random_basic_scenario
+from conftest import family_polytope, random_basic_scenario, sub_vertices
 
 F = Fraction
 
@@ -342,13 +341,13 @@ def test_shifted_cone_needs_only_the_parameters_of_E():
     basic = next(b.scenario for b in BUNDLES if b.name == "basic")
     for sysd in (build_basic_system(basic), build_ubb_system(UBB_SCENARIO),
                  build_circle_system(CIRCLE_SCENARIO)):
-        e_vertices = list(_sub_vertices(sysd.Q, _relevant_params(sysd.E)))
+        e_vertices = list(sub_vertices(sysd.Q, _relevant_params(sysd.E)))
         assert len(e_vertices) == 4 and len(sysd.Q.vertices()) == 64
         shared = list(_shifted_vertex_cones(sysd))
         assert [v for v, _ in shared] == list(sysd.S.vertices())
         for v, faces in shared:
             full = shifted_cone(vertex_cone(sysd.S, v), sysd.eval_E,
-                                sysd.Q.vertices(), sysd.D.vertices())
+                                sysd.Q.vertices(), sysd.D)
             assert [row for _, row in faces] == list(full.rows)
 
 
