@@ -144,8 +144,9 @@ def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
 
     trace = simulate.simulate_scenario(sc, K, profile, s0, horizon, dt,
                                        noise_amplitude, seed)
-    sysd = sc.system()
-    rep = simulate.monitor(trace, sysd.S, sysd.U, tol=tol)
+    S = Box.symmetric((sc.a, sc.a, sc.b))
+    U = Box.symmetric((sc.V_F, sc.Omega_F))
+    rep = simulate.monitor(trace, S, U, tol=tol)
     trace.to_csv(out_dir / "trace.csv")
     payload = rep.to_json_dict()
     payload["clamp_events"] = trace.clamp_events
@@ -182,12 +183,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    sc = load_scenario(args.scenario)
-    try:
-        payload, poly = _synth_payload(sc)
-    except InfeasiblePolytopeError:
-        print("gain polytope is empty", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    payload, poly = _synth_payload(load_scenario(args.scenario))
     _write_json(args.out, payload)
     if args.dump_polytope:
         Path(args.dump_polytope).write_text(poly.to_text())
@@ -235,11 +231,8 @@ def cmd_simulate(args) -> int:
         if args.noise_amplitude is not None and sc.kind != "ubb":
             raise ValueError("--noise-amplitude applies to ubb scenarios only, "
                              f"not to {sc.kind}")
-        if args.gain:
-            K = _gain_of(_read_json(args.gain))
-        else:
-            res = min_norm_gain(sc.polytope())  # the optimum is unique
-            K = res.gain
+        K = _gain_of(_read_json(args.gain) if args.gain
+                     else _synth_payload(sc)[0])
         s0 = _parse_s0(args.s0) if args.s0 else (0.0, 0.0, 0.0)
         clean = _run_pair(sc, K, profile, s0, args.horizon, args.dt, out_dir,
                           args.tol, args.noise_amplitude, args.seed)
@@ -436,13 +429,18 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; each warning is printed as one ``warning: <message>``
-    line, and the library's (UserWarning) every time it is raised."""
+    line, and the library's (UserWarning) every time it is raised.  An
+    empty gain polytope, in synth or in a simulate with no --gain, exits 1
+    with one ``gain polytope is empty`` line."""
     args = _parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.simplefilter("always", UserWarning)
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
+        except InfeasiblePolytopeError as exc:  # a verdict, not bad input
+            print(exc, file=sys.stderr)
+            return EXIT_INFEASIBLE
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -12,17 +12,19 @@ Redundancy removal then decides every row by a primal simplex over the
 points that starts from the last vertex (:func:`_walk`).  Both move
 between bases of rows that meet in one point, and every pivot is exact.
 
-The exact work runs in Python integers, fraction-free.  Each row is read
-in its primitive integer form ``(a_1, ..., a_n, b)`` (:func:`normalized_key`,
-a positive multiple of the row), the points and multipliers of a basis are
-solved into numerators over one determinant, in closed form up to 3
-unknowns and by Bareiss elimination beyond (:func:`_solve_exact`), and a
-test is an integer sign test such as ``a . num <= b * den``.  Fractions
-are built only at the edges, and only when read: a system built from
-scaled integer rows (:func:`_scaled_rows`) keeps each row as the integers
-it was generated as and builds its Fraction rows on first read, by
-:meth:`~LinearInequalitySystem.to_text`, :meth:`~LinearInequalitySystem.eliminate`
-or a float point query; the points handed back are Fractions too.
+The exact work runs in Python integers, fraction-free.  A system stores
+each row once, as integer numerators over one positive denominator, and
+reads it in its primitive integer form ``(a_1, ..., a_n, b)`` (a positive
+multiple of the row, :attr:`~LinearInequalitySystem.int_rows`).
+Elimination combines those forms into new ones; the points and
+multipliers of a basis are solved into numerators over one determinant,
+in closed form up to 3 unknowns and by Bareiss elimination beyond
+(:func:`_solve_exact`), and a test is an integer sign test such as
+``a . num <= b * den``.  Fractions are built only at the edges, and only
+when read: a system's Fraction rows by
+:meth:`~LinearInequalitySystem.to_text`, a float point query or the
+small-system route of :meth:`~LinearInequalitySystem.reduce`; the points
+handed back are Fractions too.
 Irrational constants enter only through :func:`rationalize`, which makes
 the single approximation point explicit.
 """
@@ -78,25 +80,6 @@ def _over(values: Sequence) -> tuple[list[int], int]:
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def normalized_key(row: Row) -> tuple[int, ...]:
-    """Canonical form used for exact duplicate detection, and the integer
-    form every exact test reads: the primitive integer vector
-    ``(a_1, ..., a_n, b)``, a positive multiple of ``(g, rhs)`` with gcd 1.
-
-    The scale is positive, so ``a . x <= b`` is the same inequality, and two
-    rows share a key iff one is a positive multiple of the other.  A row
-    with all-zero coefficients gets ``b`` in {-1, 0, 1}.
-    """
-    return _primitive(_over(row.g + (row.rhs,))[0])
-
-
-def _key_row(key: Sequence[int]) -> Row:
-    """The row of `key` with integer coefficients of gcd 1 (a zero row
-    keeps the key's right-hand side in {-1, 0, 1})."""
-    g = gcd(*key[:-1]) or 1
-    return Row(tuple(Fraction(a // g) for a in key[:-1]), Fraction(key[-1], g))
-
-
 def _scaled_rows(scaled: Iterable[tuple[tuple[int, ...], int]]
                  ) -> tuple[list[tuple[tuple[int, ...], int]],
                             list[tuple[int, ...]]]:
@@ -105,8 +88,7 @@ def _scaled_rows(scaled: Iterable[tuple[tuple[int, ...], int]]
     their keys.  Duplicates are found on the integers: a ``nums`` tuple
     seen before is skipped as it stands, and only a new one is made
     primitive.  No Fraction is built; the kept ``(nums, den)`` pairs are
-    what a system builds its rows from on first read
-    (:meth:`LinearInequalitySystem._keyed`)."""
+    the rows a system stores (:meth:`LinearInequalitySystem._keyed`)."""
     kept, keys, raw, seen = [], [], set(), set()
     for row in scaled:
         nums = row[0]
@@ -134,62 +116,68 @@ def _holds(a: Sequence[int], x: tuple[Sequence[int], int]) -> bool:
     return _dot(a, num) <= a[-1] * den
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LinearInequalitySystem:
     """Immutable system ``A x <= b`` with exact rational entries.
 
-    Every exact decision, and the row count, reads :attr:`int_rows`.  A
-    system built from scaled integer rows (:meth:`_keyed` with `scaled`)
-    holds those and each row's integers ``nums`` over ``den``, and builds
-    its Fraction :attr:`rows`, ``Fraction(a, den)`` per entry, on first
-    read.
+    The system holds each row once, as integers ``nums`` over a positive
+    ``den`` with the right-hand side last (:attr:`scaled`).  Every exact
+    decision, and the row count, reads their primitive forms
+    :attr:`int_rows`; the Fraction :attr:`rows`, ``Fraction(a, den)`` per
+    entry, are built from them on first read.  Two systems are equal iff
+    they have the same number of variables and the same Fraction rows.
     """
 
     num_vars: int
-    rows: tuple[Row, ...]
+    scaled: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row.g) != self.num_vars:
+    def __init__(self, num_vars: int, rows: Iterable[Row]):
+        scaled = []
+        for row in rows:
+            if len(row.g) != num_vars:
                 raise ValueError(
-                    f"row has {len(row.g)} coefficients, expected {self.num_vars}"
+                    f"row has {len(row.g)} coefficients, expected {num_vars}"
                 )
+            nums, den = _over((*row.g, row.rhs))
+            scaled.append((tuple(nums), den))
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "scaled", tuple(scaled))
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute not set: the rows of a system built
-        # from scaled integer rows, on first read
-        scaled = self.__dict__.get("_scaled")
-        if name != "rows" or scaled is None:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows = tuple(Row(tuple(Fraction(a, den) for a in nums[:-1]),
-                         Fraction(nums[-1], den)) for nums, den in scaled)
-        self.__dict__["rows"] = rows
-        return rows
+    @cached_property
+    def rows(self) -> tuple[Row, ...]:
+        """Each row as Fractions, ``Fraction(a, den)`` per entry."""
+        return tuple(Row(tuple(Fraction(a, den) for a in nums[:-1]),
+                         Fraction(nums[-1], den)) for nums, den in self.scaled)
 
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each row's integer form, :func:`normalized_key`; every exact
-        decision reads these, never the Fractions."""
-        return tuple(map(normalized_key, self.rows))
+        """Each row's primitive integer form ``(a_1, ..., a_n, b)``, a
+        positive multiple of the row with gcd 1 (a row with all-zero
+        coefficients gets ``b`` in {-1, 0, 1}); every exact decision reads
+        these, never the Fractions, and two rows share one iff one is a
+        positive multiple of the other."""
+        return tuple(_primitive(nums) for nums, _ in self.scaled)
 
     @classmethod
     def _keyed(cls, num_vars: int, keys: Sequence[tuple[int, ...]],
-               rows: Optional[Sequence[Row]] = None,
-               scaled: Optional[Sequence[tuple[tuple[int, ...], int]]] = None,
+               scaled: Sequence[tuple[tuple[int, ...], int]],
                ) -> "LinearInequalitySystem":
-        """System whose integer forms `keys` are already known, with the
-        rows `rows`, or with the rows ``nums / den`` of the pairs `scaled`,
-        built on first read."""
+        """System of the rows ``nums / den`` of the pairs `scaled`, whose
+        integer forms `keys` are already known."""
         system = object.__new__(cls)
         state = system.__dict__
         state["num_vars"] = num_vars
+        state["scaled"] = tuple(scaled)
         state["int_rows"] = tuple(keys)
-        if rows is None:
-            state["_scaled"] = tuple(scaled)
-        else:
-            state["rows"] = tuple(rows)
         return system
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_vars, self.rows) == (other.num_vars, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.num_vars, self.rows))
 
     def __len__(self) -> int:
         return len(self.int_rows)
@@ -210,26 +198,29 @@ class LinearInequalitySystem:
         if not 0 <= var < self.num_vars:
             raise ValueError(f"variable index {var} out of range")
         zero, pos, neg = [], [], []
-        for row, key in zip(self.rows, self.int_rows):
+        for row, key in zip(self.scaled, self.int_rows):
             c = key[var]
             (zero if c == 0 else pos if c > 0 else neg).append((row, key))
 
         def drop(t: tuple) -> tuple:
             return t[:var] + t[var + 1:]
 
-        candidates = [(drop(key), Row(drop(row.g), row.rhs)) for row, key in zero]
-        candidates += [
-            # -n_var * p + p_var * n: a positive combination in which var cancels
-            (drop(_primitive([-n[var] * cp + p[var] * cn for cp, cn in zip(p, n)])), None)
-            for _, p in pos for _, n in neg
-        ]
-        rows, keys, seen = [], [], set()
+        candidates = [(drop(key), (drop(nums), den)) for (nums, den), key in zero]
+        for _, p in pos:
+            for _, n in neg:
+                # -n_var * p + p_var * n: a positive combination in which var
+                # cancels; its row is the key over the gcd of its
+                # coefficients, which leaves them integers of gcd 1
+                key = drop(_primitive([-n[var] * cp + p[var] * cn
+                                       for cp, cn in zip(p, n)]))
+                candidates.append((key, (key, gcd(*key[:-1]) or 1)))
+        scaled, keys, seen = [], [], set()
         for key, row in candidates:
             if key not in seen:
                 seen.add(key)
                 keys.append(key)
-                rows.append(_key_row(key) if row is None else row)
-        return LinearInequalitySystem._keyed(self.num_vars - 1, keys, rows)
+                scaled.append(row)
+        return self._keyed(self.num_vars - 1, keys, scaled)
 
     def project(self, keep: Iterable[int]) -> "LinearInequalitySystem":
         """Repeated elimination of the complement of `keep`, ascending."""
@@ -279,9 +270,7 @@ class LinearInequalitySystem:
         Fourier-Motzkin elimination of the test system: the other rows
         plus ``-g_i . x + s <= -c_i`` with an auxiliary slack ``s``,
         projected onto ``s``.  Every decision is exact, so the route never
-        changes the result.  The survivors are carried as this system
-        holds them: as Fraction rows once those are built, else as the
-        scaled integer rows they are built from on first read.
+        changes the result.
         """
         ints, n = self.int_rows, self.num_vars
         survivors = list(range(len(ints)))
@@ -308,10 +297,8 @@ class LinearInequalitySystem:
                 survivors.pop(i)
             else:
                 i += 1
-        keys = [ints[j] for j in survivors]
-        if "rows" in self.__dict__:
-            return self._keyed(n, keys, rows=[self.rows[j] for j in survivors])
-        return self._keyed(n, keys, scaled=[self._scaled[j] for j in survivors])
+        return self._keyed(n, [ints[j] for j in survivors],
+                           [self.scaled[j] for j in survivors])
 
     # ------------------------------------------------------------------
     # Point queries

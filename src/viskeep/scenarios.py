@@ -548,7 +548,7 @@ def _pipeline_polytope(sys: UncertainLinearSystem) -> LinearInequalitySystem:
     them."""
     scaled, keys = _scaled_rows(invariance_rows(sys)
                                 + admissibility_rows(sys.S, sys.U))
-    return LinearInequalitySystem._keyed(3, keys, scaled=scaled)
+    return LinearInequalitySystem._keyed(3, keys, scaled)
 
 
 def gain_polytope(sc: BasicScenario, system=None) -> LinearInequalitySystem:

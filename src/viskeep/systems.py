@@ -41,23 +41,6 @@ def _zeros(n: int, m: int) -> Matrix:
     return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
 
 
-def _affine_row(stack: Sequence[Matrix], i: int, q: Sequence) -> tuple:
-    """Row ``i`` of ``stack[0] + sum_l stack[l] * q_l``."""
-    out = list(stack[0][i])
-    for coeff_mat, ql in zip(stack[1:], q):
-        if ql == 0:
-            continue
-        for j, c in enumerate(coeff_mat[i]):
-            if c != 0:
-                out[j] = out[j] + c * ql
-    return tuple(out)
-
-
-def _affine(stack: Sequence[Matrix], q: Sequence) -> Matrix:
-    """Evaluate ``stack[0] + sum_l stack[l] * q_l``."""
-    return tuple(_affine_row(stack, i, q) for i in range(len(stack[0])))
-
-
 def _relevant_params(stack, row: Optional[int] = None) -> list[int]:
     """0-based parameter indices with a nonzero coefficient matrix, or with
     a nonzero row `row` of it."""
@@ -250,15 +233,6 @@ class UncertainLinearSystem:
         """The certificate rows of :func:`_gain_rows`, built on first use
         and then shared by the gain polytope and the cone certificate."""
         return tuple(_gain_rows(self))
-
-    def eval_A(self, q: Sequence) -> Matrix:
-        return _affine(self.A, q)
-
-    def eval_B(self, q: Sequence) -> Matrix:
-        return _affine(self.B, q)
-
-    def eval_E(self, q: Sequence) -> Matrix:
-        return _affine(self.E, q)
 
 
 class Violation(NamedTuple):

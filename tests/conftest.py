@@ -12,7 +12,13 @@ import pytest
 
 from viskeep.boxes import Box, HalfspaceCone
 from viskeep.demos import CIRCLE_SCENARIO
-from viskeep.inequalities import LinearInequalitySystem, Row, _implied
+from viskeep.inequalities import (
+    LinearInequalitySystem,
+    Row,
+    _implied,
+    _over,
+    _primitive,
+)
 from viskeep.scenarios import (
     BasicScenario,
     CircleScenario,
@@ -26,9 +32,8 @@ from viskeep.systems import (
     CertificateReport,
     GainMatrix,
     UncertainLinearSystem,
+    Matrix,
     Violation,
-    _affine,
-    _affine_row,
     _float_tuple,
     _mat,
     _relevant_params,
@@ -142,11 +147,19 @@ def solve_exact_oracle(M, rhs):
     return [row[k] for row in aug]
 
 
+def normalized_key(row: Row) -> tuple[int, ...]:
+    """The primitive integer form ``(a_1, ..., a_n, b)`` of a Fraction
+    row, a positive multiple of ``(g, rhs)`` with gcd 1, from the integers
+    a system stores it as: the key ``LinearInequalitySystem.int_rows``
+    holds for it."""
+    return _primitive(_over((*row.g, row.rhs))[0])
+
+
 def normalized_key_oracle(row: Row) -> tuple:
     """Fraction key of a row: coefficients scaled to integers with overall
     gcd 1 (positive scale), the rhs scaled alike; a row with all-zero
     coefficients keeps its rhs sign in {-1, 0, 1}.  The oracle for the
-    integer ``inequalities.normalized_key``: both split rows into the same
+    integer :func:`normalized_key`: both split rows into the same
     duplicate classes."""
     if all(c == 0 for c in row.g):
         r = row.rhs
@@ -449,7 +462,7 @@ def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
     for i in range(sys.n):
         params = sorted(set(_relevant_params(sys.A, i))
                         | set(_relevant_params(sys.B, i)))
-        AB.append([(sys.eval_A(w)[i], sys.eval_B(w)[i])
+        AB.append([(affine_row(sys.A, i, w), affine_row(sys.B, i, w))
                    for w in sub_vertices(sys.Q, params)])
     terms = {}  # face -> [(tau g_i A(w)_i, tau g_i B(w)_i)]
     rows: list[Row] = []
@@ -476,6 +489,24 @@ def pipeline_polytope_oracle(sys: UncertainLinearSystem, tau=1) -> LinearInequal
     return LinearInequalitySystem(3, dedup_oracle(rows))
 
 
+def affine_row(stack: Sequence[Matrix], i: int, q: Sequence) -> tuple:
+    """Row ``i`` of ``stack[0] + sum_l stack[l] * q_l``."""
+    out = list(stack[0][i])
+    for coeff_mat, ql in zip(stack[1:], q):
+        if ql == 0:
+            continue
+        for j, c in enumerate(coeff_mat[i]):
+            if c != 0:
+                out[j] = out[j] + c * ql
+    return tuple(out)
+
+
+def affine(stack: Sequence[Matrix], q: Sequence) -> Matrix:
+    """Evaluate ``stack[0] + sum_l stack[l] * q_l``: ``A(q)`` from the
+    stack ``sys.A``, and so on."""
+    return tuple(affine_row(stack, i, q) for i in range(len(stack[0])))
+
+
 def eval_matrices(sys: UncertainLinearSystem, q: Sequence):
     """Exact affine evaluation of ``(A(q), B(q), E(q))``; warns when q lies
     outside Q."""
@@ -485,7 +516,7 @@ def eval_matrices(sys: UncertainLinearSystem, q: Sequence):
         import warnings
 
         warnings.warn("parameter vector lies outside Q", stacklevel=2)
-    return sys.eval_A(q), sys.eval_B(q), sys.eval_E(q)
+    return affine(sys.A, q), affine(sys.B, q), affine(sys.E, q)
 
 
 def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:
@@ -657,7 +688,7 @@ class ClosedLoopFamily:
     F: tuple
 
     def __call__(self, q: Sequence):
-        return _affine(self.F, q)
+        return affine(self.F, q)
 
 
 def closed_loop(sys: UncertainLinearSystem, K: GainMatrix) -> ClosedLoopFamily:
@@ -712,7 +743,7 @@ def check_D_invariant_euler(
     violations = []
     for w in Q_verts:
         Fw = F(w)
-        Ew = sys.eval_E(w)
+        Ew = affine(sys.E, w)
         for v in S_verts:
             Fv = _mat_vec(Fw, v)
             for r in D_verts:
@@ -857,7 +888,7 @@ def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
         rows = {}
         for key, w in zip(keys[i], Q_verts):
             if key not in rows:
-                rows[key] = _affine_row(F, i, w)
+                rows[key] = affine_row(F, i, w)
         F_rows.append(rows)
     violations = []
     for v_exact, faces in tau_cones(sys, tau):

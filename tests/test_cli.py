@@ -347,19 +347,21 @@ def test_simulate_takes_demo_gain_files(demo_out, tmp_path):
                  "--out", str(tmp_path / "basic")]) == 0
 
 
-def test_simulate_without_gain_needs_no_reduce(demo_out, tmp_path, monkeypatch):
-    """Without --gain a pair runs the min-norm gain of the unreduced
-    polytope, the unique optimum that synth reports: the trace and the
-    violations are the bundle's, byte for byte, and nothing is reduced."""
+def test_simulate_without_gain_runs_the_synth_gain(demo_out, tmp_path,
+                                                   monkeypatch):
+    """Without --gain a pair runs the gain synth reports, from synth's own
+    pipeline: the trace and the violations are the bundle's, byte for byte,
+    and each run reduces its polytope once, as synth does."""
     reduced = []
     reduce = LinearInequalitySystem.reduce
 
     def counted(self):
-        reduced.append(len(self.rows))
+        reduced.append(len(self))
         return reduce(self)
 
     monkeypatch.setattr(LinearInequalitySystem, "reduce", counted)
-    for name in ("basic", "ubb", "circle"):
+    names = ("basic", "ubb", "circle")
+    for name in names:
         src, mine = demo_out / name, tmp_path / name
         noise = bundle(name).noise_amplitude
         assert main([
@@ -370,7 +372,25 @@ def test_simulate_without_gain_needs_no_reduce(demo_out, tmp_path, monkeypatch):
         ] + ([] if noise is None else ["--noise-amplitude", repr(noise)])) == 0
         for f in ("violations.json", "trace.csv"):
             assert (mine / f).read_bytes() == (src / f).read_bytes(), (name, f)
-    assert reduced == []
+    assert reduced == [len(bundle(name).scenario.polytope()) for name in names]
+
+
+def test_simulate_without_gain_on_an_empty_polytope_exits_1(tmp_path,
+                                                            capsys):
+    """An empty gain polytope ends a simulate with no --gain as it ends
+    synth: exit 1 with synth's one stderr line, and no run."""
+    empty = {**scenario_to_json_dict(BASIC_SCENARIO), "Omega_L": 0.27}
+    path = write_json(tmp_path / "empty.json", empty)
+    out = tmp_path / "run"
+    assert main(["synth", "--scenario", str(path)]) == 1
+    synth = capsys.readouterr()
+    assert main(["simulate", "--scenario", str(path), "--horizon", "0.1",
+                 "--out", str(out)]) == 1
+    simulated = capsys.readouterr()
+    assert simulated == synth
+    assert synth.err.splitlines()[-1] == "gain polytope is empty"
+    assert synth.out == ""
+    assert not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("name", ["basic", "ubb", "circle"])

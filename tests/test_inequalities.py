@@ -19,7 +19,6 @@ from viskeep.inequalities import (
     _solve_exact,
     _vertex_or_farkas,
     _walk,
-    normalized_key,
     rationalize,
 )
 from viskeep.scenarios import gain_polytope
@@ -29,6 +28,7 @@ from conftest import (
     admissibility_rows_oracle,
     eliminate_oracle,
     invariance_rows_oracle,
+    normalized_key,
     normalized_key_oracle,
     pipeline_polytope_oracle,
     random_family_scenario,
@@ -834,7 +834,7 @@ def test_gain_polytope_builds_its_fraction_rows_only_when_read(name):
     """Feasibility and redundancy removal read the integer rows alone, so
     neither builds a Fraction row of the unreduced polytope, or of the
     reduced one; the first read of the rows builds those of the Fraction
-    pipeline, and the reduced polytope then carries them as they are."""
+    pipeline, and a polytope reduced from it still holds only integers."""
     sc = demos.bundle(name).scenario
     sysd = sc.system()
     poly = sc.polytope(sysd)
@@ -845,7 +845,26 @@ def test_gain_polytope_builds_its_fraction_rows_only_when_read(name):
     assert poly.to_text() == pipeline_polytope_oracle(sysd).to_text()
     assert len(poly) == len(poly.rows)
     again = poly.reduce()
-    assert "rows" in vars(again) and again == reduced
+    assert "rows" not in vars(again)
+    assert again == reduced
+    assert again.to_text() == reduced.to_text()
+
+
+@pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
+def test_gain_polytope_eliminates_in_integers(name):
+    """Elimination reads and writes integer rows alone: eliminating a
+    variable of a gain polytope, or projecting it onto one, builds no
+    Fraction row of the polytope or of the result, and each result is the
+    Fraction elimination's, row for row."""
+    poly = demos.bundle(name).scenario.polytope()
+    got = [(poly.eliminate(var), poly.project((var,))) for var in range(3)]
+    assert not [p for p in (poly, *(p for pair in got for p in pair))
+                if "rows" in vars(p)]
+    for var, (eliminated, projected) in enumerate(got):
+        first, second = (v for v in range(3) if v != var)
+        assert eliminated.to_text() == eliminate_oracle(poly, var).to_text()
+        assert projected.to_text() == eliminate_oracle(
+            eliminate_oracle(poly, first), second - 1).to_text()
 
 
 def test_eliminate_matches_fraction_elimination(rnd):

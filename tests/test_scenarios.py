@@ -3,10 +3,11 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from viskeep.inequalities import LinearInequalitySystem, Row, normalized_key
+from viskeep.inequalities import LinearInequalitySystem, Row
 from viskeep.scenarios import (
     BasicScenario,
     CircleScenario,
@@ -44,7 +45,13 @@ from viskeep.systems import (
     check_D_invariant_cone,
 )
 
-from conftest import family_polytope, random_basic_scenario, sub_vertices
+from conftest import (
+    affine,
+    family_polytope,
+    normalized_key,
+    random_basic_scenario,
+    sub_vertices,
+)
 
 F = Fraction
 
@@ -346,7 +353,7 @@ def test_shifted_cone_needs_only_the_parameters_of_E():
         shared = list(_shifted_vertex_cones(sysd))
         assert [v for v, _ in shared] == list(sysd.S.vertices())
         for v, faces in shared:
-            full = shifted_cone(vertex_cone(sysd.S, v), sysd.eval_E,
+            full = shifted_cone(vertex_cone(sysd.S, v), partial(affine, sysd.E),
                                 sysd.Q.vertices(), sysd.D)
             assert [row for _, row in faces] == list(full.rows)
 

@@ -9,7 +9,6 @@ import pytest
 from viskeep import systems as systems_module
 from viskeep.boxes import Box
 from viskeep.demos import BASIC_SCENARIO, BUNDLES
-from viskeep.inequalities import normalized_key
 from viskeep.scenarios import (
     BasicScenario,
     _pipeline_polytope,
@@ -32,12 +31,14 @@ from viskeep.systems import (
 
 from conftest import (
     admissibility_oracle,
+    affine,
     check_D_invariant_euler,
     closed_loop,
     cone_certificate_oracle,
     cone_certificate_row_oracle,
     eval_matrices,
     is_exact_gain,
+    normalized_key,
     pipeline_polytope_oracle,
     random_basic_scenario,
     random_family_scenario,
@@ -109,7 +110,7 @@ def test_closed_loop_zero_gain_is_open_loop():
     sysd = build_basic_system(WINDOW)
     Fq = closed_loop(sysd, GainMatrix(F(0), F(0), F(0)))
     q = (F(1, 100),) * 6
-    assert Fq(q) == sysd.eval_A(q)
+    assert Fq(q) == affine(sysd.A, q)
 
 
 def test_closed_loop_entry():
