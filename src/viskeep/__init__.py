@@ -14,7 +14,7 @@ nonlinear simulators, traces and monitor (``SimTrace``,
 imported from :mod:`viskeep.simulate`, which loads numpy.
 """
 
-from .boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
+from .boxes import Box, shifted_cone
 from .chains import (
     ChainSpec,
     LinkGeometry,

@@ -1,9 +1,9 @@
-"""Axis-aligned boxes, their vertices, vertex cones and shifted cones.
+"""Axis-aligned boxes, their vertices and their shifted faces.
 
 Boxes are the only polytopes this package enumerates: state, input,
 disturbance and parameter sets are all interval products.  Bounds are stored
-exactly (as rationals) so the cone constructions can feed the exact
-certificate paths; float views are derived on demand.
+exactly (as rationals) so the face shifts can feed the exact certificate
+paths; float views are derived on demand.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .inequalities import Row, _over
+from .inequalities import _over
 
 VERTEX_DIMENSION_GUARD = 20
 
@@ -102,89 +102,41 @@ class Box:
         )
 
 
-@dataclass(frozen=True)
-class HalfspaceCone:
-    """Finite set of halfspaces ``g . s <= xi`` meeting at a common vertex."""
+def shifted_cone(S: Box, Es: Sequence[Sequence[Sequence]],
+                 D: Box) -> tuple[tuple[Fraction, Fraction], ...]:
+    """The ``2n`` faces of the box `S`, each shifted inward by the worst
+    disturbance push: ``s_i <= hi_i`` for every ``i``, then
+    ``s_i >= lo_i``, each as ``(g_i, xi)`` for ``g_i s_i <= xi``.
 
-    rows: tuple[Row, ...]
-
-    def contains(self, point: Sequence, tol=0) -> bool:
-        exact = tol == 0 and all(isinstance(x, (Fraction, int)) for x in point)
-        if exact:
-            return all(
-                sum(c * x for c, x in zip(row.g, point)) <= row.rhs
-                for row in self.rows
-            )
-        pt = [float(x) for x in point]
-        return all(
-            sum(float(c) * x for c, x in zip(row.g, pt)) <= float(row.rhs) + tol
-            for row in self.rows
-        )
-
-
-def vertex_cone(box: Box, v: Sequence) -> HalfspaceCone:
-    """Cone of the box faces through vertex `v`, rows scaled to xi = 1.
-
-    Requires the origin strictly inside the box, so that every face plane
-    has a positive offset and can be normalized to ``g . s <= 1``.
+    A face with bound ``b`` (``hi_i`` or ``lo_i``) is ``s_i / b <= 1``, so
+    ``g_i = 1 / b`` and ``xi = 1 - push``, ``push`` the largest
+    ``+-(E(w) r)_i / |b|`` (``+`` on ``hi_i``) over the matrices ``E(w)``
+    in `Es` (E at the vertices of the parameters it depends on suffices)
+    and the points ``r`` of the box ``D``.  At a window vertex ``v`` on
+    the face, ``g_i v_i = 1``, so ``g_i (v + F v)_i <= xi`` is Nagumo's
+    sub-tangentiality ``+-(F v)_i + max_r +-(E(w) r)_i <= 0``, which a
+    step ``dt > 0`` only scales.  The maximum over ``D`` is its support,
+    ``sum_k max(c_k lo_k, c_k hi_k)`` for ``c = +-E(w)_i``: ``l`` terms
+    instead of ``2^l`` dot products.  It is formed in integers, every
+    ``E(w)`` and the bounds of ``D`` each over one denominator.  The
+    origin must lie inside `S`, off its faces, so that every face offset
+    is positive; otherwise this is a ValueError.
     """
-    vertex = tuple(Fraction(x) for x in v)
-    rows = []
-    for i, (a, b, x) in enumerate(zip(box.lo, box.hi, vertex)):
-        if x == b:
-            if b <= 0:
-                raise ValueError("face offset not positive; origin must be interior")
-            coeff = 1 / b
-        elif x == a:
-            if a >= 0:
-                raise ValueError("face offset not positive; origin must be interior")
-            coeff = 1 / a
-        else:
-            raise ValueError(f"{v!r} is not a vertex of the box")
-        g = [Fraction(0)] * box.dim
-        g[i] = coeff
-        rows.append(Row(tuple(g), Fraction(1)))
-    return HalfspaceCone(tuple(rows))
-
-
-def shifted_cone(
-    cone: HalfspaceCone,
-    E_family: Callable[[Sequence], Sequence],
-    Q_vertices: Iterable[Sequence],
-    D: Box,
-) -> HalfspaceCone:
-    """Shift each cone plane inward by the worst disturbance push.
-
-    Row ``(g, xi)`` becomes ``(g, xi - max_{w, r} g . E(w) r)`` with the
-    maximum over the parameter vertices ``w`` given (those of the parameters
-    ``E`` depends on suffice) and the points ``r`` of the box ``D``.  On a
-    face ``g . s <= 1`` through ``v``, ``g . (v + F v) <= 1 - push`` is
-    Nagumo's ``g . F v + push <= 0``, which a step ``dt > 0`` only scales.
-    ``E`` is evaluated once per parameter vertex.  The maximum over ``D``
-    is its support, ``sum_k max(c_k lo_k, c_k hi_k)`` for ``c = g . E(w)``,
-    which is the maximum over its vertices at ``l`` terms instead of
-    ``2^l`` dot products.  It is formed in integers: every ``E(w)``, the
-    bounds of ``D`` and each plane go over one denominator, and each
-    plane's shifted right-hand side is built as one Fraction.
-    """
-    E_list = [E_family(w) for w in Q_vertices]
-    # a push is an integer over dE * dD * (the plane's denominator)
-    dE = lcm(*(x.denominator for E in E_list for row in E for x in row))
+    if not all(a < 0 < b for a, b in zip(S.lo, S.hi)):
+        raise ValueError("face offset not positive; origin must be interior")
+    # a support is an integer over dE * dD
+    dE = lcm(*(x.denominator for E in Es for row in E for x in row))
     E_int = [[[x.numerator * (dE // x.denominator) for x in row] for row in E]
-             for E in E_list]
+             for E in Es]
     bounds, dD = _over(D.lo + D.hi)
     lo, hi = bounds[:D.dim], bounds[D.dim:]
-    rows = []
-    for g, xi in cone.rows:
-        gn, dg = _over(g)
-        nonzero = [(j, gj) for j, gj in enumerate(gn) if gj]
-        pushes = []
-        for E in E_int:
-            gE = [sum(gj * E[j][k] for j, gj in nonzero) for k in range(D.dim)]
-            pushes.append(sum(c * (hi[k] if c > 0 else lo[k])
-                              for k, c in enumerate(gE)))
-        den = dg * dE * dD
-        rows.append(Row(g, Fraction(
-            xi.numerator * den - max(pushes, default=0) * xi.denominator,
-            xi.denominator * den)))
-    return HalfspaceCone(tuple(rows))
+    faces = []
+    for sign, S_bounds in ((1, S.hi), (-1, S.lo)):
+        for i, b in enumerate(S_bounds):
+            push = max((sum(c * (hi[k] if c > 0 else lo[k])
+                            for k, c in enumerate(sign * x for x in E[i]))
+                        for E in E_int), default=0)
+            faces.append((Fraction(b.denominator, b.numerator),
+                          1 - Fraction(push * b.denominator,
+                                       dE * dD * abs(b.numerator))))
+    return tuple(faces)

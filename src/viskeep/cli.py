@@ -139,11 +139,13 @@ def _gain_of(data) -> GainMatrix:
 
 def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
               noise_amplitude=None, seed=0) -> bool:
-    """Run one pair, write trace.csv and violations.json; True if clean."""
+    """Run one pair, write trace.csv and violations.json into `out_dir`,
+    made if missing; True if clean."""
     from . import simulate  # the float layer, loaded by runs alone
 
     trace = simulate.simulate_scenario(sc, K, profile, s0, horizon, dt,
                                        noise_amplitude, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     S = Box.symmetric((sc.a, sc.a, sc.b))
     U = Box.symmetric((sc.V_F, sc.Omega_F))
     rep = simulate.monitor(trace, S, U, tol=tol)
@@ -156,10 +158,12 @@ def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
 
 def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir,
                tol=BOUND_TOL) -> bool:
-    """Run a chain, write trace_link<k>.csv and violations.json; True if clean."""
+    """Run a chain, write trace_link<k>.csv and violations.json into
+    `out_dir`, made if missing; True if clean."""
     from . import simulate  # the float layer, loaded by runs alone
 
     traces = simulate.simulate_chain(spec, gains, profile, s0, horizon, dt)
+    out_dir.mkdir(parents=True, exist_ok=True)
     clean = True
     reports = []
     for k, trace in enumerate(traces, start=1):
@@ -210,8 +214,7 @@ def cmd_simulate(args) -> int:
     if not args.chain_spec and args.gains:
         raise ValueError("--gains applies to --chain-spec runs; a pair takes "
                          "its gain from --gain")
-    out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out or ".")  # made by _run_pair or _run_chain
     profile = (profile_from_json_dict(_read_json(args.profile)) if args.profile
                else LeaderProfile(constant(0.0), constant(0.0)))
     if args.chain_spec:

@@ -524,19 +524,19 @@ def admissibility_rows(S: Box, U: Box) -> list[ScaledRow]:
 
 
 def invariance_rows(sys: UncertainLinearSystem) -> list[ScaledRow]:
-    """Shifted-cone certificate rows, rearranged as inequalities in
+    """Shifted-face certificate rows, rearranged as inequalities in
     ``(k11, k22, k23)``.
 
-    For each window vertex ``v`` and each face ``g . s <= 1`` of its cone,
-    ``g . (I + F(w)) v <= 1 - max g . E r`` is linear in the gain entries
-    because ``F = A + B K``; as ``g . v = 1`` it is Nagumo's ``g . F(w) v +
-    max g . E r <= 0``, which a step ``dt > 0`` only scales.  The face of
-    state ``i`` reads row ``i`` of A and B alone, so it is enumerated over
-    the vertices of the parameters whose A or B slice has a nonzero row
-    ``i``.  Rows come by window vertex, then face, then parameter vertex,
-    and may repeat; see :func:`~viskeep.systems._gain_rows`.  They are the
-    system's cached ``gain_rows``, which the exact cone certificate reads
-    too."""
+    For each window vertex ``v`` and each face ``g_i s_i <= 1`` of S
+    through it, ``g_i ((I + F(w)) v)_i <= 1 - max g_i (E r)_i`` is linear in
+    the gain entries because ``F = A + B K``; as ``g_i v_i = 1`` it is
+    Nagumo's ``g_i (F(w) v)_i + max g_i (E r)_i <= 0``, which a step
+    ``dt > 0`` only scales.  The face of state ``i`` reads row ``i`` of A
+    and B alone, so it is enumerated over the vertices of the parameters
+    whose A or B slice has a nonzero row ``i``.  Rows come by window
+    vertex, then face, then parameter vertex, and may repeat; see
+    :func:`~viskeep.systems._gain_rows`.  They are the system's cached
+    ``gain_rows``, which the exact cone certificate reads too."""
     return [(nums, den) for _, cone in sys.gain_rows
             for _, rows in cone for _, nums, den in rows]
 

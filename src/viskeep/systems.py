@@ -6,11 +6,12 @@ disturbance (D) and parameter (Q).  A feedback ``u = K s`` is certified by
 checking finitely many vertex conditions:
 
 * admissibility: ``K v`` inside U for every vertex ``v`` of S;
-* D-invariance: ``(I + F(w)) v``, ``F = A + B K``, inside the vertex cone
-  of ``v`` with each plane shifted inward by the worst disturbance push.
-  As ``g . v = 1`` on a face ``g . s <= 1`` through ``v``, that is Nagumo's
-  sub-tangentiality ``g . F(w) v + max_r g . E(w) r <= 0`` (Blanchini,
-  Automatica 1999); a one-step form with step ``dt`` scales it by ``dt``.
+* D-invariance: ``(I + F(w)) v``, ``F = A + B K``, on the inner side of
+  every face of S through ``v``, each face shifted inward by the worst
+  disturbance push.  For the face ``s_i = hi_i`` (or ``lo_i``) that is
+  Nagumo's sub-tangentiality ``+-(F(w) v)_i + max_r +-(E(w) r)_i <= 0``
+  (Blanchini, Automatica 1999); a one-step form with step ``dt`` scales
+  it by ``dt``.
 
 Both run in exact arithmetic only: every quantity goes over a common
 denominator and each test is an integer sign test.  A float gain entry is
@@ -27,7 +28,7 @@ from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
-from .boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
+from .boxes import Box, shifted_cone
 from .inequalities import _dot, _over
 
 Matrix = tuple[tuple, ...]
@@ -78,66 +79,53 @@ def _vertex_rows(stacks: Sequence[Sequence[Matrix]], rows: Sequence[int],
     return out, dM * dq
 
 
-def _shifted_vertex_cones(sys: UncertainLinearSystem):
-    """Yield ``(v, faces)`` for every window vertex ``v`` in ``S.vertices()``
-    order: ``faces`` pairs the rows of ``vertex_cone(S, v)``, each shifted
-    inward by the worst disturbance push, with their face index ``f``
-    (``i`` for ``s_i = hi_i``, ``n + i`` for ``s_i = lo_i``).  All 2n faces
-    are shifted by one :func:`shifted_cone` call over the vertices of the
-    parameters E depends on, with ``E(w)`` evaluated in integers: it is
-    ``N(w) / dE``, and ``g . E(w) r = g . N(w) (r / dE)``, so the pushes
-    of ``N`` over the box ``D / dE`` are those of ``E`` over ``D``."""
-    S, n, l = sys.S, sys.n, sys.l
-    planes = vertex_cone(S, S.hi).rows + vertex_cone(S, S.lo).rows
-    E_rows, dE = _vertex_rows((sys.E,), range(n), _relevant_params(sys.E), sys.Q)
-    N = {key: [nums[i * l:(i + 1) * l] for i in range(n)] for key, nums in E_rows}
-    shifted = shifted_cone(HalfspaceCone(planes), N.__getitem__, N,
-                           sys.D.scaled(Fraction(1, dE))).rows
-    for v in S.vertices():
-        faces = [i if x == hi else S.dim + i
-                 for i, (x, hi) in enumerate(zip(v, S.hi))]
-        yield v, [(f, shifted[f]) for f in faces]
-
-
 def _gain_rows(sys: UncertainLinearSystem):
-    """The shifted-cone certificate as inequalities in the sparse gain
+    """The shifted-face certificate as inequalities in the sparse gain
     ``(k11, k22, k23)``, in integers; read them as the system's cached
     :attr:`UncertainLinearSystem.gain_rows`, built by this once.
 
     Yields ``(v, cone)`` for every window vertex ``v`` in ``S.vertices()``
-    order.  ``cone`` holds, for each face ``g . s <= xi`` of the shifted
-    vertex cone in turn, its state ``i`` and a list of ``(key, nums, den)``
-    over the vertices ``w`` of the parameters in row ``i`` of A and B
-    (``key`` is their values): the condition
-    ``g . (I + F(w)) v <= xi``, ``F = A + B K``, read as
-    ``nums[:3] . k <= nums[3]``, which is linear in the gain because the
-    face reads only entry ``i``.  ``nums / den`` (``den > 0``) is the row
+    order.  ``cone`` holds, for each state ``i`` in turn, the face
+    ``g_i s_i <= xi`` of S through ``v`` (face ``i`` of
+    :func:`boxes.shifted_cone` if ``v_i = hi_i``, else face ``n + i``),
+    shifted inward by the worst disturbance push: its state ``i`` and a
+    list of ``(key, nums, den)`` over the vertices ``w`` of the parameters
+    in row ``i`` of A and B (``key`` is their values).  That list is the
+    condition ``g_i ((I + F(w)) v)_i <= xi``, ``F = A + B K``, read as
+    ``nums[:3] . k <= nums[3]``, which is linear in the gain.
+    ``nums / den`` (``den > 0``) is the row
     ``(g_i B(w)_i0 v_0, g_i B(w)_i1 v_1, g_i B(w)_i1 v_2,
-    xi - g_i v_i - g_i A(w)_i . v)`` exactly.  Row ``i`` of A and B is
-    evaluated in integers over one denominator (:func:`_vertex_rows`), and
-    so are ``v`` and each face, so a row costs a few integer products.
+    xi - g_i v_i - g_i A(w)_i . v)`` exactly.  The 2n faces are shifted by
+    one :func:`shifted_cone` call over E at the vertices of the
+    parameters it depends on.  Row ``i`` of A and B is evaluated in
+    integers over one denominator (:func:`_vertex_rows`), and so are ``v``
+    and each face, so a row costs a few integer products.
     """
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
+    n, l = sys.n, sys.l
+    E_rows, dE = _vertex_rows((sys.E,), range(n), _relevant_params(sys.E), sys.Q)
+    Es = [[[Fraction(x, dE) for x in nums[i * l:(i + 1) * l]] for i in range(n)]
+          for _, nums in E_rows]
+    faces = shifted_cone(sys.S, Es, sys.D)
     # state i -> ([(key, numerators of A(w)_i and B(w)_i)], their den)
     AB = [_vertex_rows((sys.A, sys.B), (i,), params, sys.Q)
           for i, params in enumerate(sys.ab_params)]
-    terms = {}  # face -> ([(key, coefficient terms)], xi term, g_i term, den)
-    for v, faces in _shifted_vertex_cones(sys):
+    # face f -> ([(key, coefficient terms)], xi term, g_i term, den): the
+    # row's terms over gi.den xi.den d Vd, d the denominator of A(w)_i and
+    # B(w)_i, Vd that of v
+    terms = []
+    for f, (gi, xi) in enumerate(faces):
+        g0 = gi.numerator * xi.denominator
+        x0 = xi.numerator * gi.denominator
+        ab, d = AB[f % n]
+        terms.append(([(key, [g0 * x for x in ABn]) for key, ABn in ab],
+                      x0 * d, g0 * d, gi.denominator * xi.denominator * d))
+    for v in sys.S.vertices():
         Vn, Vd = _over(v)
         cone = []
-        for f, (g, xi) in faces:
-            i = f % sys.n
-            if f not in terms:
-                # the row's terms over gi.den xi.den d Vd, d the
-                # denominator of A(w)_i and B(w)_i, Vd that of v
-                gi = g[i]
-                g0 = gi.numerator * xi.denominator
-                x0 = xi.numerator * gi.denominator
-                ab, d = AB[i]
-                terms[f] = ([(key, [g0 * x for x in ABn]) for key, ABn in ab],
-                            x0 * d, g0 * d, gi.denominator * xi.denominator * d)
-            rows, x0, g0, den = terms[f]
+        for i, (x, hi) in enumerate(zip(v, sys.S.hi)):
+            rows, x0, g0, den = terms[i if x == hi else n + i]
             const = x0 * Vd - g0 * Vn[i]
             cone.append((i, tuple(
                 (key, (P[3] * Vn[0], P[4] * Vn[1], P[4] * Vn[2],
@@ -308,13 +296,15 @@ def check_admissible(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
 def check_D_invariant_cone(
     sys: UncertainLinearSystem, K: GainMatrix, _tau=None
 ) -> CertificateReport:
-    """Shifted vertex-cone condition: ``(I + F(w)) v`` in C_v shifted.
+    """Shifted-face condition: ``(I + F(w)) v`` inside every face of S
+    through ``v``, shifted.
 
-    Each plane ``g . s <= 1`` of the cone at vertex ``v`` is offset inward
-    by the worst case ``g . E(w) r`` over the vertices of D and of the
-    parameters E depends on, computed once per face of S.  As ``g . v = 1``,
-    this is Nagumo's ``g . F(w) v + max g . E r <= 0``, which a step
-    ``dt > 0`` only scales.  A face of ``s_i`` reads only entry ``i`` of
+    The face ``s_i <= hi_i`` (or ``s_i >= lo_i``), read as
+    ``g_i s_i <= 1``, is offset inward by the worst case
+    ``g_i (E(w) r)_i`` over the vertices of D and of the parameters E
+    depends on, computed once per face of S.  As ``g_i v_i = 1``, this is
+    Nagumo's ``g_i (F(w) v)_i + max g_i (E r)_i <= 0``, which a step
+    ``dt > 0`` only scales.  The face of ``s_i`` reads only entry ``i`` of
     ``(I + F(w)) v``, and row ``i`` of ``F(w)`` depends only on the
     parameters with a nonzero row ``i`` of A or B, so each entry is formed
     once per vertex of those parameters and its violations are reported
@@ -324,7 +314,7 @@ def check_D_invariant_cone(
     ``sys.gain_rows``: the gain ``k = Kn / Kd`` (a float entry read as the
     rational it is) fails a row iff ``nums[3] * Kd - nums[:3] . Kn < 0``,
     and that integer over ``den * Kd`` is the slack
-    ``xi - g . (I + F(w)) v`` exactly.  The rows are those the gain
+    ``xi - g_i ((I + F(w)) v)_i`` exactly.  The rows are those the gain
     polytope of `sys` was built from: built once per system, by whichever
     of the two reads them first.  The third parameter is ignored; it
     stays for the call ``check_D_invariant_cone(sysd, K, 1)`` in

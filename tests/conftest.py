@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import pytest
 
-from viskeep.boxes import Box, HalfspaceCone
+from viskeep.boxes import Box, shifted_cone
 from viskeep.demos import CIRCLE_SCENARIO
 from viskeep.inequalities import (
     LinearInequalitySystem,
@@ -37,7 +37,6 @@ from viskeep.systems import (
     _float_tuple,
     _mat,
     _relevant_params,
-    _shifted_vertex_cones,
     _steps,
     _zeros,
 )
@@ -379,36 +378,46 @@ def sub_vertices(box: Box, indices: list[int]):
         yield tuple(w)
 
 
-def shifted_cone_oracle(cone: HalfspaceCone, E_family, Q_vertices,
-                        D: Box) -> HalfspaceCone:
-    """Each cone plane ``(g, xi)`` shifted to ``(g, xi - max g . E(w) r)``,
-    the maximum taken over the parameter vertices ``w`` given and every
-    vertex ``r`` of the box ``D``, by enumerating all of them: the oracle
-    for ``boxes.shifted_cone``, which takes the maximum over ``D`` as its
-    support.  The pushes are compared as integers, every ``E(w)``, every
-    ``r`` and each plane over one denominator."""
-    E_list = [E_family(w) for w in Q_vertices]
-    D_list = list(D.vertices())
-    dE = lcm(*(x.denominator for E in E_list for row in E for x in row))
-    dD = lcm(*(x.denominator for r in D_list for x in r))
-    E_int = [[[x.numerator * (dE // x.denominator) for x in row] for row in E]
-             for E in E_list]
-    D_int = [[x.numerator * (dD // x.denominator) for x in r] for r in D_list]
+def vertex_cone_oracle(box: Box, v: Sequence) -> list[Row]:
+    """The faces of the box through its vertex `v`, one per state, as
+    Fraction rows ``g . s <= 1``: ``g`` is zero but for ``g_i = 1 / hi_i``
+    if ``v_i = hi_i``, else ``1 / lo_i``.  A face offset that is not
+    positive, or a `v` that is not a vertex, is a ValueError."""
     rows = []
-    for g, xi in cone.rows:
-        dg = lcm(*(x.denominator for x in g))
-        gn = [x.numerator * (dg // x.denominator) for x in g]
-        worst = None
-        for E in E_int:
-            gE = [sum(gi * Ei[k] for gi, Ei in zip(gn, E) if gi)
-                  for k in range(len(E[0]) if E else 0)]
-            for r in D_int:
-                push = sum(c * rk for c, rk in zip(gE, r) if c)
-                if worst is None or push > worst:
-                    worst = push
-        shift = Fraction(worst, dg * dE * dD) if worst is not None else 0
-        rows.append(Row(g, xi - shift))
-    return HalfspaceCone(tuple(rows))
+    for i, (a, b, x) in enumerate(zip(box.lo, box.hi, v)):
+        if x not in (a, b):
+            raise ValueError(f"{v!r} is not a vertex of the box")
+        bound = b if x == b else a
+        if not (bound > 0 if x == b else bound < 0):
+            raise ValueError("face offset not positive; origin must be interior")
+        g = [Fraction(0)] * box.dim
+        g[i] = 1 / Fraction(bound)
+        rows.append(Row(tuple(g), Fraction(1)))
+    return rows
+
+
+def shifted_planes_oracle(planes: Sequence[Row], Es, D: Box) -> list[Row]:
+    """Each plane ``(g, xi)`` shifted to ``(g, xi - max g . E r)``, the
+    maximum taken over the matrices ``E`` in `Es` and every vertex ``r`` of
+    the box ``D`` by enumerating all of them, in Fraction arithmetic."""
+    D_verts = D.vertices()
+    rows = []
+    for g, xi in planes:
+        pushes = [sum(gj * sum(e * rk for e, rk in zip(E[j], r))
+                      for j, gj in enumerate(g) if gj)
+                  for E in Es for r in D_verts]
+        rows.append(Row(g, xi - max(pushes, default=0)))
+    return rows
+
+
+def shifted_cone_oracle(S: Box, Es, D: Box) -> tuple:
+    """The faces of ``boxes.shifted_cone``, which takes the maximum over
+    ``D`` as its support, by enumeration: the planes of the vertex cones
+    at ``S.hi`` and ``S.lo`` shifted by :func:`shifted_planes_oracle`, each
+    read back as ``(g_i, xi)``."""
+    planes = vertex_cone_oracle(S, S.hi) + vertex_cone_oracle(S, S.lo)
+    return tuple((g[f % S.dim], xi) for f, (g, xi)
+                 in enumerate(shifted_planes_oracle(planes, Es, D)))
 
 
 def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:
@@ -431,14 +440,31 @@ def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:
     return rows
 
 
+def vertex_faces(S: Box, faces, v) -> list:
+    """The faces of S through its vertex `v`, picked from the ``2n`` faces
+    `faces` of ``boxes.shifted_cone``: ``(f, faces[f])`` for each state
+    ``i``, with ``f = i`` if ``v_i = hi_i``, else ``n + i``."""
+    return [(f, faces[f]) for f in (i if x == hi else S.dim + i
+                                    for i, (x, hi) in enumerate(zip(v, S.hi)))]
+
+
 def tau_cones(sys: UncertainLinearSystem, tau):
-    """The vertex cones of ``systems._shifted_vertex_cones`` for the
-    one-step form with step `tau`: each step-free plane ``g . s <= xi``,
-    whose ``1 - xi`` is the worst disturbance push, becomes
-    ``g . s <= 1 - tau (1 - xi)``.  Exact for a rational `tau`."""
+    """The vertex cones of the certificate for the one-step form with step
+    `tau`, in ``S.vertices()`` order: the faces of ``boxes.shifted_cone``
+    over E at the vertices of its parameters, picked at each vertex by
+    :func:`vertex_faces`.  Each face ``(g_i, xi)``, whose ``1 - xi`` is the
+    worst disturbance push, becomes the plane ``g . s <= 1 - tau (1 - xi)``
+    with ``g`` zero but for ``g_i``.  Exact for a rational `tau`."""
     tau = Fraction(tau) if isinstance(tau, (int, Fraction)) else tau
-    for v, faces in _shifted_vertex_cones(sys):
-        yield v, [(f, Row(g, 1 - tau * (1 - xi))) for f, (g, xi) in faces]
+    Es = [affine(sys.E, w) for w in sub_vertices(sys.Q, _relevant_params(sys.E))]
+    faces = shifted_cone(sys.S, Es, sys.D)
+    for v in sys.S.vertices():
+        cone = []
+        for f, (gi, xi) in vertex_faces(sys.S, faces, v):
+            g = [Fraction(0)] * sys.n
+            g[f % sys.n] = gi
+            cone.append((f, Row(tuple(g), 1 - tau * (1 - xi))))
+        yield v, cone
 
 
 def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:

@@ -3,10 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from viskeep.boxes import Box, HalfspaceCone, shifted_cone, vertex_cone
-from viskeep.inequalities import Row
+from viskeep.boxes import Box, shifted_cone
 
-from conftest import shifted_cone_oracle
+from conftest import shifted_cone_oracle, vertex_faces
 
 F = Fraction
 
@@ -45,89 +44,101 @@ def test_contains_origin():
     assert not Box.from_bounds([(1, 2)]).contains_origin()
 
 
+def bare_faces(S: Box):
+    """The faces of `S` with no disturbance: ``(1 / bound, 1)`` each."""
+    return shifted_cone(S, [], Box((), ()))
+
+
 def test_vertex_cone_square():
+    # s_i <= 1 is face i, s_i >= -1 (read -s_i <= 1) is face n + i; a
+    # vertex's cone picks one of the two for each state
     box = Box.symmetric((1, 1))
-    cone = vertex_cone(box, (1, 1))
-    assert cone.rows == (
-        Row((F(1), F(0)), F(1)),
-        Row((F(0), F(1)), F(1)),
-    )
-    cone2 = vertex_cone(box, (1, -1))
-    assert cone2.rows == (
-        Row((F(1), F(0)), F(1)),
-        Row((F(0), F(-1)), F(1)),
-    )
+    faces = bare_faces(box)
+    assert faces == ((F(1), F(1)), (F(1), F(1)), (F(-1), F(1)), (F(-1), F(1)))
+    assert vertex_faces(box, faces, (1, 1)) == [(0, (F(1), F(1))),
+                                                (1, (F(1), F(1)))]
+    assert vertex_faces(box, faces, (1, -1)) == [(0, (F(1), F(1))),
+                                                 (3, (F(-1), F(1)))]
 
 
 def test_vertex_cone_window_scaling():
     a, b = F(2, 5), F(11, 14)
     box = Box.symmetric((a, a, b))
-    cone = vertex_cone(box, (a, a, b))
-    assert cone.rows == (
-        Row((1 / a, F(0), F(0)), F(1)),
-        Row((F(0), 1 / a, F(0)), F(1)),
-        Row((F(0), F(0), 1 / b), F(1)),
-    )
+    assert bare_faces(box) == ((1 / a, F(1)), (1 / a, F(1)), (1 / b, F(1)),
+                               (-1 / a, F(1)), (-1 / a, F(1)), (-1 / b, F(1)))
+    assert [f for f, _ in vertex_faces(box, bare_faces(box), (a, -a, b))] \
+        == [0, 4, 2]
 
 
-def test_vertex_cone_rejects_non_vertex():
-    box = Box.symmetric((1, 1))
-    with pytest.raises(ValueError):
-        vertex_cone(box, (0, 1))
+@pytest.mark.parametrize("bounds", [[(-1, 1), (0, 1)], [(-1, 1), (-1, 0)],
+                                    [(0, 0)]])
+def test_shifted_cone_rejects_origin_not_interior(bounds):
+    S = Box.from_bounds(bounds)
+    with pytest.raises(ValueError, match="origin must be interior"):
+        shifted_cone(S, [((F(1),),) * S.dim], Box.symmetric((1,)))
 
 
 def test_every_vertex_tight_on_own_cone():
     box = Box.from_bounds([(-2, 1), (-1, 3), (F(-1, 2), F(1, 3))])
+    faces = bare_faces(box)
     for v in box.vertices():
-        cone = vertex_cone(box, v)
-        for g, xi in cone.rows:
-            assert sum(c * x for c, x in zip(g, v)) == xi
+        for f, (g, xi) in vertex_faces(box, faces, v):
+            assert g * v[f % box.dim] == xi == 1
 
 
 def test_box_inside_every_vertex_cone(rnd):
     box = Box.from_bounds([(-1, 2), (F(-1, 2), 1)])
+    faces = bare_faces(box)
     for v in box.vertices():
-        cone = vertex_cone(box, v)
+        cone = vertex_faces(box, faces, v)
         for _ in range(50):
             p = tuple(
                 lo + F(rnd.randint(0, 16), 16) * (hi - lo)
                 for lo, hi in zip(box.lo, box.hi)
             )
-            assert cone.contains(p)
+            assert all(g * p[f % box.dim] <= xi for f, (g, xi) in cone)
 
 
 def test_shifted_cone_zero_disturbance():
-    cone = HalfspaceCone((Row((F(1),), F(1)),))
-    out = shifted_cone(cone, lambda w: ((F(0),),), [()], Box.from_bounds([(1, 1)]))
-    assert out == cone
+    # E = 0 over any D, or any E over D = {0}: each face is (1 / bound, 1)
+    S = Box.from_bounds([(-2, 1), (F(-1, 3), F(5, 2))])
+    want = ((F(1), F(1)), (F(2, 5), F(1)), (F(-1, 2), F(1)), (F(-3), F(1)))
+    zero_E = [((F(0),), (F(0),))]
+    assert shifted_cone(S, zero_E, Box.from_bounds([(1, 1)])) == want
+    some_E = [((F(3),), (F(-7, 2),)), ((F(-1),), (F(1, 9),))]
+    assert shifted_cone(S, some_E, Box.from_bounds([(0, 0)])) == want
+    assert bare_faces(S) == want
 
 
 def test_shifted_cone_tau_scale_invariance():
-    # a step tau enters the one-step cone only through tau E(w) r: step 2
-    # with D equals step 2 lam with D / lam, and each plane through the
-    # vertex (xi = 1) moves tau times as far as the step-free shift
-    cone = HalfspaceCone((Row((F(1), F(0)), F(1)), Row((F(0), F(1)), F(1))))
-    E = lambda w: ((F(1), F(0)), (F(0), F(1)))
+    # a step tau enters the one-step faces only through tau E(w) r: step 2
+    # with D equals step 2 lam with D / lam, and each face (xi = 1 at the
+    # vertex) moves tau times as far as the step-free shift
+    S = Box.symmetric((1, 1))
+    E = ((F(1), F(0)), (F(0), F(1)))
     D = Box.symmetric((F(1, 4), F(1, 8)))
     lam = F(5)
 
     def one_step(tau, D):
-        tE = lambda w: tuple(tuple(tau * x for x in row) for row in E(w))
-        return shifted_cone(cone, tE, [()], D)
+        return shifted_cone(S, [tuple(tuple(tau * x for x in row) for row in E)], D)
 
     a = one_step(2, D)
     b = one_step(2 * lam, D.scaled(1 / lam))
     assert a == b
-    free = shifted_cone(cone, E, [()], D)
-    assert a.rows == tuple(Row(g, 1 - 2 * (1 - xi)) for g, xi in free.rows)
+    free = shifted_cone(S, [E], D)
+    assert a == tuple((g, 1 - 2 * (1 - xi)) for g, xi in free)
 
 
 def test_shifted_cone_scalar_example():
-    # one plane s <= 1, unit disturbance channel, |r| <= 0.3: shift 0.3
-    cone = HalfspaceCone((Row((F(1),), F(1)),))
-    out = shifted_cone(cone, lambda w: ((F(1),),), [()],
+    # one state, unit disturbance channel, |r| <= 0.3: both faces shift 0.3
+    out = shifted_cone(Box.symmetric((1,)), [((F(1),),)],
                        Box.symmetric((F(3, 10),)))
-    assert out.rows == (Row((F(1),), F(7, 10)),)
+    assert out == ((F(1), F(7, 10)), (F(-1), F(7, 10)))
+    # -2 <= s <= 1 and -0.3 <= r <= 0.1: s <= 1 moves by 0.1, and
+    # -s / 2 <= 1 by 0.3 / 2
+    out = shifted_cone(Box.from_bounds([(-2, 1)]), [((F(1),),)],
+                       Box.from_bounds([(F(-3, 10), F(1, 10))]))
+    assert out == ((F(1), F(9, 10)), (F(-1, 2), F(17, 20)))
 
 
 _RATIONAL = st.one_of(
@@ -135,20 +146,23 @@ _RATIONAL = st.one_of(
     st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
     st.builds(F, st.integers(-2**70, 2**70), st.integers(1, 2**70)),
 )
+_POSITIVE = st.one_of(
+    st.integers(1, 4).map(F),
+    st.builds(F, st.integers(1, 10**6), st.integers(1, 10**6)),
+    st.builds(F, st.integers(1, 2**70), st.integers(1, 2**70)),
+)
 
 
 @st.composite
 def _cone_problems(draw):
-    """Planes in n = 1 to 3 states with sparse, mixed-sign rational
-    coefficients, 0 to 3 matrices E(w) of n rows and l = 0 to 4 columns,
-    and a box D of dimension l whose intervals may be points, at 0 (a
-    channel of amplitude 0, like H_F = H_L = 0) or elsewhere."""
+    """A box S of n = 1 to 3 states with the origin inside and rational
+    bounds, 0 to 3 matrices E(w) of n rows and l = 0 to 4 columns with
+    sparse, mixed-sign rational entries, and a box D of dimension l whose
+    intervals may be points, at 0 (a channel of amplitude 0, like
+    H_F = H_L = 0) or elsewhere."""
     n, l = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    S = Box.from_bounds([(-draw(_POSITIVE), draw(_POSITIVE)) for _ in range(n)])
     entry = st.one_of(st.just(F(0)), _RATIONAL)
-    planes = draw(st.lists(
-        st.builds(lambda g, xi: Row(tuple(g), xi),
-                  st.lists(entry, min_size=n, max_size=n), _RATIONAL),
-        min_size=1, max_size=4))
     row = st.lists(entry, min_size=l, max_size=l).map(tuple)
     Es = draw(st.lists(st.lists(row, min_size=n, max_size=n).map(tuple),
                        min_size=0, max_size=3))
@@ -163,19 +177,17 @@ def _cone_problems(draw):
         else:
             bounds.append(tuple(sorted(draw(st.lists(_RATIONAL, min_size=2,
                                                      max_size=2)))))
-    return HalfspaceCone(tuple(planes)), Es, Box.from_bounds(bounds)
+    return S, Es, Box.from_bounds(bounds)
 
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_cone_problems())
-@example((HalfspaceCone((Row((F(1),), F(1)),)), [((F(1),),)],
-          Box.symmetric((F(3, 10),))))
-@example((HalfspaceCone((Row((F(0), F(-2, 3)), F(1)),)),
+@example((Box.symmetric((1,)), [((F(1),),)], Box.symmetric((F(3, 10),))))
+@example((Box.from_bounds([(-1, 1), (F(-3, 2), 2)]),
           [((F(1), F(-1)), (F(-5), F(2)))], Box.from_bounds([(0, 0), (-1, F(1, 2))])))
-@example((HalfspaceCone((Row((F(1),), F(1)),)), [((),)], Box((), ())))
+@example((Box.symmetric((1,)), [((),)], Box((), ())))
 def test_shifted_cone_support_matches_vertex_enumeration(problem):
-    """The shift taken as the support of D equals the one taken over every
-    vertex of D, plane for plane."""
-    cone, Es, D = problem
-    args = (cone, Es.__getitem__, range(len(Es)), D)
-    assert shifted_cone(*args) == shifted_cone_oracle(*args)
+    """The shift taken as the support of D, in integers, equals the one
+    taken over every vertex of D with the Fraction planes of each vertex
+    cone, face for face."""
+    assert shifted_cone(*problem) == shifted_cone_oracle(*problem)

@@ -393,6 +393,35 @@ def test_simulate_without_gain_on_an_empty_polytope_exits_1(tmp_path,
     assert not (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["empty polytope", "missing profile",
+                                  "missing chain gains"])
+def test_simulate_makes_no_out_dir_when_it_ends_before_the_run(
+        basic_file, tmp_path, case):
+    """A simulate that ends before it has a trace, on an empty gain
+    polytope (exit 1) or a missing input file (exit 2), leaves no --out
+    directory behind; a clean run into it then writes the run's files."""
+    out = tmp_path / "runs" / "run"
+    if case == "empty polytope":
+        empty = {**scenario_to_json_dict(BASIC_SCENARIO), "Omega_L": 0.27}
+        argv = ["--scenario", str(write_json(tmp_path / "empty.json", empty))]
+        code = 1
+    elif case == "missing profile":
+        argv = ["--scenario", str(basic_file),
+                "--profile", str(tmp_path / "missing.json")]
+        code = 2
+    else:
+        spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+        argv = ["--chain-spec", str(spec),
+                "--gains", str(tmp_path / "missing.json")]
+        code = 2
+    assert main(["simulate", *argv, "--horizon", "0.1", "--out", str(out)]) == code
+    assert not (tmp_path / "runs").exists()
+    assert main(["simulate", "--scenario", str(basic_file), "--horizon", "0.1",
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["trace.csv",
+                                                     "violations.json"]
+
+
 @pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
 def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
     """One synth rationalizes its scenario's constants once and builds its

@@ -3,7 +3,6 @@ import math
 import random
 import warnings
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -29,7 +28,7 @@ from viskeep.scenarios import (
     scenario_from_json_dict,
     scenario_to_json_dict,
 )
-from viskeep.boxes import shifted_cone, vertex_cone
+from viskeep.boxes import shifted_cone
 from viskeep.demos import (
     BUNDLES,
     CHAIN_SPEC,
@@ -40,7 +39,6 @@ from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
     GainMatrix,
     _relevant_params,
-    _shifted_vertex_cones,
     check_admissible,
     check_D_invariant_cone,
 )
@@ -50,7 +48,11 @@ from conftest import (
     family_polytope,
     normalized_key,
     random_basic_scenario,
+    shifted_cone_oracle,
+    shifted_planes_oracle,
     sub_vertices,
+    tau_cones,
+    vertex_cone_oracle,
 )
 
 F = Fraction
@@ -341,21 +343,24 @@ def test_polytope_sample_gains_are_certified(rnd):
 
 
 def test_shifted_cone_needs_only_the_parameters_of_E():
-    """The shared face shifts, taken over the vertices of E's parameters (4)
-    with each face of the window shifted once, give at every window vertex
-    the rows of that vertex's own cone shifted over all 64 parameter
+    """The faces shifted once over E at the vertices of its parameters (4),
+    as the gain rows take them, give at every window vertex the Fraction
+    planes of that vertex's own cone shifted over all 64 parameter
     vertices, row for row."""
     basic = next(b.scenario for b in BUNDLES if b.name == "basic")
     for sysd in (build_basic_system(basic), build_ubb_system(UBB_SCENARIO),
                  build_circle_system(CIRCLE_SCENARIO)):
         e_vertices = list(sub_vertices(sysd.Q, _relevant_params(sysd.E)))
         assert len(e_vertices) == 4 and len(sysd.Q.vertices()) == 64
-        shared = list(_shifted_vertex_cones(sysd))
+        E_all = [affine(sysd.E, w) for w in sysd.Q.vertices()]
+        assert shifted_cone(sysd.S, [affine(sysd.E, w) for w in e_vertices],
+                            sysd.D) == shifted_cone_oracle(sysd.S, E_all, sysd.D)
+        shared = list(tau_cones(sysd, 1))
         assert [v for v, _ in shared] == list(sysd.S.vertices())
         for v, faces in shared:
-            full = shifted_cone(vertex_cone(sysd.S, v), partial(affine, sysd.E),
-                                sysd.Q.vertices(), sysd.D)
-            assert [row for _, row in faces] == list(full.rows)
+            full = shifted_planes_oracle(vertex_cone_oracle(sysd.S, v), E_all,
+                                         sysd.D)
+            assert [row for _, row in faces] == full
 
 
 def test_orbit_polytope_is_certified_but_rejects_reference_gain():
