@@ -180,30 +180,26 @@ class ChainLengthResult(NamedTuple):
 def max_chain_length(maps: ParameterMaps, n_max: int) -> ChainLengthResult:
     """Largest N with the propagated-growth sum still below one.
 
-    Evaluates, by direct summation for each N,
-    ``sum_{i=2..N} (1 - cos b_i + a_i b_i / (d_i - a_i))
-    * prod_{k=i+1..N} (1 + a_k sin b_k / (d_k - a_k)) < 1``.
-    Each link geometry it evaluates must be one a :class:`ChainSpec`
-    accepts; otherwise it raises a ValueError.
+    The sum ``S_N = sum_{i=2..N} c_i prod_{k=i+1..N} (1 + alpha_k)``, with
+    ``c_i = 1 - cos b_i + a_i b_i / (d_i - a_i)`` and
+    ``alpha_k = a_k sin b_k / (d_k - a_k)``, is carried from one N to the
+    next by ``S_N = (1 + alpha_N) S_{N-1} + c_N``, ``S_1 = 0``: one map
+    evaluation per N, so the cost is linear in `n_max`.  Each link
+    geometry it evaluates must be one a :class:`ChainSpec` accepts;
+    otherwise it raises a ValueError.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    best = 1
+    total = 0.0
     for N in range(2, n_max + 1):
-        _check_geometry(LinkGeometry(maps.f_a(N), maps.f_b(N), maps.f_d(N)))
-        total = 0.0
-        for i in range(2, N + 1):
-            a, b, d = maps.f_a(i), maps.f_b(i), maps.f_d(i)
-            term = 1 - math.cos(b) + a * b / (d - a)
-            for k in range(i + 1, N + 1):
-                ak, bk, dk = maps.f_a(k), maps.f_b(k), maps.f_d(k)
-                term *= 1 + ak * math.sin(bk) / (dk - ak)
-            total += term
-        if total < 1:
-            best = N
-        else:
-            return ChainLengthResult(best, False)
-    return ChainLengthResult(best, True)
+        a, b, d = maps.f_a(N), maps.f_b(N), maps.f_d(N)
+        _check_geometry(LinkGeometry(a, b, d))
+        alpha = a * math.sin(b) / (d - a)
+        c = 1 - math.cos(b) + a * b / (d - a)
+        total = (1 + alpha) * total + c
+        if not total < 1:
+            return ChainLengthResult(N - 1, False)
+    return ChainLengthResult(n_max, True)
 
 
 def closed_chain_check(

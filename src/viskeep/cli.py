@@ -38,6 +38,7 @@ from .chains import (
 )
 from .inequalities import LinearInequalitySystem
 from .scenarios import (
+    exact_constants,
     load_scenario,
     rationalization_record,
     save_scenario,
@@ -94,7 +95,7 @@ def _synth_payload(sc):
     its certificates, plus that polytope; raises InfeasiblePolytopeError.
     The scenario's constants are rationalized and its uncertain system is
     built once, for all three and the rationalization record."""
-    constants = sc.constants()
+    constants = exact_constants(sc)
     sysd = sc.system(constants)
     poly = sc.polytope(sysd).reduce()
     result = min_norm_gain(poly)
@@ -137,43 +138,50 @@ def _gain_of(data) -> GainMatrix:
     return GainMatrix(*(float(g[key]) for key in keys))
 
 
+def _write_runs(runs, out_dir, tol) -> tuple[list[dict], bool]:
+    """Monitor each run ``(trace, S, U, csv name)`` against its window S and
+    input box U and write its trace CSV into `out_dir`, made if missing:
+    the monitor reports, each with the run's ``clamp_events``, and True if
+    every run is clean and never clamped."""
+    from . import simulate  # the float layer, loaded by runs alone
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    reports, clean = [], True
+    for trace, S, U, name in runs:
+        rep = simulate.monitor(trace, S, U, tol=tol)
+        trace.to_csv(out_dir / name)
+        reports.append({**rep.to_json_dict(), "clamp_events": trace.clamp_events})
+        clean = clean and rep.clean and trace.clamp_events == 0
+    return reports, clean
+
+
 def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
               noise_amplitude=None, seed=0) -> bool:
     """Run one pair, write trace.csv and violations.json into `out_dir`,
     made if missing; True if clean."""
-    from . import simulate  # the float layer, loaded by runs alone
+    from . import simulate
 
     trace = simulate.simulate_scenario(sc, K, profile, s0, horizon, dt,
                                        noise_amplitude, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
     S = Box.symmetric((sc.a, sc.a, sc.b))
     U = Box.symmetric((sc.V_F, sc.Omega_F))
-    rep = simulate.monitor(trace, S, U, tol=tol)
-    trace.to_csv(out_dir / "trace.csv")
-    payload = rep.to_json_dict()
-    payload["clamp_events"] = trace.clamp_events
-    _write_json(out_dir / "violations.json", payload)
-    return rep.clean and trace.clamp_events == 0
+    (report,), clean = _write_runs([(trace, S, U, "trace.csv")], out_dir, tol)
+    _write_json(out_dir / "violations.json", report)
+    return clean
 
 
 def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir,
                tol=BOUND_TOL) -> bool:
-    """Run a chain, write trace_link<k>.csv and violations.json into
-    `out_dir`, made if missing; True if clean."""
-    from . import simulate  # the float layer, loaded by runs alone
+    """Run a chain, write trace_link<k>.csv and violations.json, one report
+    per link, into `out_dir`, made if missing; True if clean."""
+    from . import simulate
 
     traces = simulate.simulate_chain(spec, gains, profile, s0, horizon, dt)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    clean = True
-    reports = []
-    for k, trace in enumerate(traces, start=1):
-        g = spec.links[k - 1]
-        S = Box.symmetric((g.a, g.a, g.b))
-        U = Box.symmetric((spec.robots[k].V, spec.robots[k].Omega))
-        rep = simulate.monitor(trace, S, U, tol=tol)
-        trace.to_csv(out_dir / f"trace_link{k}.csv")
-        reports.append(rep.to_json_dict())
-        clean = clean and rep.clean and trace.clamp_events == 0
+    runs = [(trace, Box.symmetric((g.a, g.a, g.b)),
+             Box.symmetric((robot.V, robot.Omega)), f"trace_link{k}.csv")
+            for k, (trace, g, robot)
+            in enumerate(zip(traces, spec.links, spec.robots[1:]), start=1)]
+    reports, clean = _write_runs(runs, out_dir, tol)
     _write_json(out_dir / "violations.json", {"links": reports})
     return clean
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, fields
-from fractions import Fraction
-from typing import NamedTuple, Optional
+from dataclasses import dataclass, fields, replace
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .boxes import Box
 from .inequalities import (
@@ -32,11 +32,7 @@ from .inequalities import (
     rationalize,
 )
 from .profiles import _number, _shown
-from .systems import (
-    UncertainLinearSystem,
-    _mat,
-    _zeros,
-)
+from .systems import UncertainLinearSystem
 
 HALF_PI = math.pi / 2
 
@@ -51,7 +47,8 @@ class BasicScenario:
     """Box window (half-widths a, a, b), standoff d, speed and turn bounds.
 
     Each scenario class carries its family's JSON kind, conditions, gain
-    polytope, uncertain system and exact constants; its simulator is
+    polytope, uncertain system and the floats its model reads besides the
+    fields, which :func:`exact_constants` rationalizes; its simulator is
     :func:`viskeep.simulate.simulate_scenario`, keyed on the kind.  The
     polytope is built from `system` when one is passed: the scenario's
     uncertain system, already built by the caller."""
@@ -90,8 +87,12 @@ class BasicScenario:
     def system(self, constants=None) -> UncertainLinearSystem:
         return build_basic_system(self, constants)
 
-    def constants(self) -> ExactBasic:
-        return exact_basic(self)
+    def derived(self) -> dict:
+        """The floats besides the fields that the model reads: the sine
+        and cosine of b, and the lateral disturbance amplitudes, 0 for a
+        basic scenario (a ubb one's fields override them)."""
+        return {"sin_b": math.sin(self.b), "cos_b": math.cos(self.b),
+                "H_F": 0.0, "H_L": 0.0}
 
     def check_extras(self, report: FeasibilityReport) -> dict:
         """Keys `viskeep check` adds: the exact FME projection's verdict
@@ -172,8 +173,13 @@ class CircleScenario:
     def system(self, constants=None) -> UncertainLinearSystem:
         return build_circle_system(self, constants)
 
-    def constants(self) -> ExactCircle:
-        return exact_circle(self)
+    def derived(self) -> dict:
+        """The floats besides the fields that the model reads: the sine
+        and cosine of gamma, b + gamma and b - gamma."""
+        g, b = self.gamma, self.b
+        return {"sin_g": math.sin(g), "cos_g": math.cos(g),
+                "sin_bpg": math.sin(b + g), "cos_bpg": math.cos(b + g),
+                "sin_bmg": math.sin(b - g), "cos_bmg": math.cos(b - g)}
 
     def check_extras(self, report: FeasibilityReport) -> dict:
         return {}
@@ -184,85 +190,28 @@ class CircleScenario:
 # ----------------------------------------------------------------------
 
 
-class ExactBasic(NamedTuple):
-    a: Fraction
-    b: Fraction
-    d: Fraction
-    V_F: Fraction
-    V_L: Fraction
-    Omega_F: Fraction
-    Omega_L: Fraction
-    sin_b: Fraction
-    cos_b: Fraction
-    H_F: Fraction = Fraction(0)
-    H_L: Fraction = Fraction(0)
-
-
-class ExactCircle(NamedTuple):
-    a: Fraction
-    b: Fraction
-    gamma: Fraction
-    rho: Fraction
-    V_F: Fraction
-    V_L: Fraction
-    Omega_F: Fraction
-    Omega_L: Fraction
-    sin_g: Fraction
-    cos_g: Fraction
-    sin_bpg: Fraction
-    cos_bpg: Fraction
-    sin_bmg: Fraction
-    cos_bmg: Fraction
-
-
 #: The constants a scenario requires positive; H_F and H_L may be 0.
 _POSITIVE = ("a", "b", "d", "gamma", "rho", "V_F", "V_L", "Omega_F", "Omega_L")
 
 
-def _positive(sc, constants):
-    """`constants` if every one of them the scenario requires positive
-    stayed positive when rationalized; else a ValueError that names the
-    first one that became 0: a value below ``1 / (2 * 10**12)``, half the
-    least positive rational :func:`rationalize` can give."""
+def exact_constants(sc) -> SimpleNamespace:
+    """The scenario's constants rationalized, as attributes: every field,
+    and the sines and cosines its family declares (:meth:`derived`).  A
+    ValueError names the first constant the scenario requires positive that
+    rationalizes to 0: a value below ``1 / (2 * 10**12)``, half the least
+    positive rational :func:`rationalize` can give."""
+    values = {**sc.derived(), **{f.name: getattr(sc, f.name) for f in fields(sc)}}
+    c = {name: rationalize(x) for name, x in values.items()}
     for name in _POSITIVE:
-        if name in constants._fields and getattr(constants, name) == 0:
-            raise ValueError(f"{name} = {getattr(sc, name)!r} rationalizes "
+        if c.get(name) == 0:
+            raise ValueError(f"{name} = {values[name]!r} rationalizes "
                              f"to 0, but {name} must be positive")
-    return constants
-
-
-def exact_basic(sc: BasicScenario) -> ExactBasic:
-    """The scenario's constants rationalized; a ValueError if one that
-    must be positive rationalizes to 0."""
-    rat = rationalize
-    return _positive(sc, ExactBasic(
-        a=rat(sc.a), b=rat(sc.b), d=rat(sc.d),
-        V_F=rat(sc.V_F), V_L=rat(sc.V_L),
-        Omega_F=rat(sc.Omega_F), Omega_L=rat(sc.Omega_L),
-        sin_b=rat(math.sin(sc.b)), cos_b=rat(math.cos(sc.b)),
-        H_F=rat(getattr(sc, "H_F", 0.0)), H_L=rat(getattr(sc, "H_L", 0.0)),
-    ))
-
-
-def exact_circle(sc: CircleScenario) -> ExactCircle:
-    """The scenario's constants rationalized; a ValueError if one that
-    must be positive rationalizes to 0."""
-    rat = rationalize
-    return _positive(sc, ExactCircle(
-        a=rat(sc.a), b=rat(sc.b), gamma=rat(sc.gamma), rho=rat(sc.rho),
-        V_F=rat(sc.V_F), V_L=rat(sc.V_L),
-        Omega_F=rat(sc.Omega_F), Omega_L=rat(sc.Omega_L),
-        sin_g=rat(math.sin(sc.gamma)), cos_g=rat(math.cos(sc.gamma)),
-        sin_bpg=rat(math.sin(sc.b + sc.gamma)),
-        cos_bpg=rat(math.cos(sc.b + sc.gamma)),
-        sin_bmg=rat(math.sin(sc.b - sc.gamma)),
-        cos_bmg=rat(math.cos(sc.b - sc.gamma)),
-    ))
+    return SimpleNamespace(**c)
 
 
 def rationalization_record(constants) -> dict:
     """Exact values chosen for the scenario constants, as 'p/q' strings."""
-    return {name: str(val) for name, val in constants._asdict().items()}
+    return {name: str(val) for name, val in vars(constants).items()}
 
 
 # ----------------------------------------------------------------------
@@ -270,97 +219,76 @@ def rationalization_record(constants) -> dict:
 # ----------------------------------------------------------------------
 
 
-def _basic_Q(c: ExactBasic) -> Box:
-    one = Fraction(1)
-    return Box.from_bounds([
-        (c.sin_b / c.b - one, 0),
-        (-(one - c.cos_b) / c.b, (one - c.cos_b) / c.b),
-        (-c.a, c.a),
-        (-c.a, c.a),
-        (c.cos_b - one, 0),
-        (-c.sin_b, c.sin_b),
-    ])
+_Z3 = ((0, 0, 0),) * 3
+_Z2 = ((0, 0),) * 3
 
 
-def build_basic_system(sc: BasicScenario,
-                       constants: Optional[ExactBasic] = None,
-                       ) -> UncertainLinearSystem:
-    """Three-state, two-input, two-disturbance family for the basic window.
+def _pursuit_system(c, A0, B0, E0, Q: Box) -> UncertainLinearSystem:
+    """The pursuit family every scenario shares, given what its window
+    changes: the constant parts `A0`, `B0`, `E0` and the parameter box `Q`.
 
-    State (dp1, p2, beta), input (v_F, w_F), disturbance (v_L, w_L);
+    Three states, input (v_F, w_F) and disturbance (v_L, w_L); the
     parameters q1..q6 absorb the trigonometric nonlinearities, each ranging
-    over the interval it realizes on the window.  `constants` are the
-    scenario's exact constants when the caller has them already.
-    """
-    c = exact_basic(sc) if constants is None else constants
-    z = _zeros(3, 3)
-    A0 = _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    A1 = _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    A2 = _mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    B0 = _mat([[-1, 0], [0, -c.d], [0, -1]])
-    B3 = _mat([[0, 0], [0, -1], [0, 0]])
-    B4 = _mat([[0, 1], [0, 0], [0, 0]])
-    E0 = _mat([[1, 0], [0, 0], [0, 1]])
-    E5 = _mat([[1, 0], [0, 0], [0, 0]])
-    E6 = _mat([[0, 0], [1, 0], [0, 0]])
-    zb = _zeros(3, 2)
+    over the interval it realizes on the window, and enter A, B and E the
+    same way in every family.  S, U and D are the boxes of the constants
+    `c`.  Matrix entries are plain ints and Fractions."""
     return UncertainLinearSystem(
         n=3, m=2, l=2, p=6,
-        A=(A0, A1, A2, z, z, z, z),
-        B=(B0, zb, zb, B3, B4, zb, zb),
-        E=(E0, zb, zb, zb, zb, E5, E6),
+        A=(A0, ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+           ((0, 0, 1), (0, 0, 0), (0, 0, 0)), _Z3, _Z3, _Z3, _Z3),
+        B=(B0, _Z2, _Z2, ((0, 0), (0, -1), (0, 0)),
+           ((0, 1), (0, 0), (0, 0)), _Z2, _Z2),
+        E=(E0, _Z2, _Z2, _Z2, _Z2, ((1, 0), (0, 0), (0, 0)),
+           ((0, 0), (1, 0), (0, 0))),
         S=Box.symmetric((c.a, c.a, c.b)),
         U=Box.symmetric((c.V_F, c.Omega_F)),
         D=Box.symmetric((c.V_L, c.Omega_L)),
-        Q=_basic_Q(c),
+        Q=Q,
     )
 
 
-def build_ubb_system(sc: UbbScenario,
-                     constants: Optional[ExactBasic] = None,
-                     ) -> UncertainLinearSystem:
+def build_basic_system(sc: BasicScenario, constants=None) -> UncertainLinearSystem:
+    """The pursuit family on the basic window, a standoff d ahead, in the
+    state (dp1, p2, beta).  `constants` are the scenario's
+    :func:`exact_constants` when the caller has them already."""
+    c = exact_constants(sc) if constants is None else constants
+    return _pursuit_system(
+        c,
+        A0=((0, 0, 0), (0, 0, 1), (0, 0, 0)),
+        B0=((-1, 0), (0, -c.d), (0, -1)),
+        E0=((1, 0), (0, 0), (0, 1)),
+        Q=Box.from_bounds([
+            (c.sin_b / c.b - 1, 0),
+            (-(1 - c.cos_b) / c.b, (1 - c.cos_b) / c.b),
+            (-c.a, c.a),
+            (-c.a, c.a),
+            (c.cos_b - 1, 0),
+            (-c.sin_b, c.sin_b),
+        ]),
+    )
+
+
+def build_ubb_system(sc: UbbScenario, constants=None) -> UncertainLinearSystem:
     """Basic family with the disturbance vector enlarged to
     (v_L, w_L, h_F, h_L): the lateral perturbations enter through E(q).
     The basic family's system is built from the same constants, which also
     hold the disturbance amplitudes."""
-    c = exact_basic(sc) if constants is None else constants
+    c = exact_constants(sc) if constants is None else constants
     base = build_basic_system(sc, c)
-    E0 = _mat([[1, 0, 0, 0], [0, 0, -1, 1], [0, 1, 0, 0]])
-    E5 = _mat([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
-    E6 = _mat([[0, 0, 0, -1], [1, 0, 0, 0], [0, 0, 0, 0]])
-    zb = _zeros(3, 4)
-    return UncertainLinearSystem(
-        n=3, m=2, l=4, p=6,
-        A=base.A, B=base.B,
-        E=(E0, zb, zb, zb, zb, E5, E6),
-        S=base.S, U=base.U,
+    z = ((0, 0, 0, 0),) * 3
+    return replace(
+        base, l=4,
+        E=(((1, 0, 0, 0), (0, 0, -1, 1), (0, 1, 0, 0)), z, z, z, z,
+           ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
+           ((0, 0, 0, -1), (1, 0, 0, 0), (0, 0, 0, 0))),
         D=Box.symmetric(base.D.hi + (c.H_F, c.H_L)),
-        Q=base.Q,
     )
 
 
-def build_circle_system(sc: CircleScenario,
-                        constants: Optional[ExactCircle] = None,
-                        ) -> UncertainLinearSystem:
-    """Orbit-window family in the shifted coordinates
+def build_circle_system(sc: CircleScenario, constants=None) -> UncertainLinearSystem:
+    """The pursuit family on the orbit window, in the shifted coordinates
     (dp1, dp2, dbeta) with input (v_F, dw_F) and disturbance (v_L, dw_L)."""
-    c = exact_circle(sc) if constants is None else constants
-    one = Fraction(1)
-    z = _zeros(3, 3)
-    zb = _zeros(3, 2)
-    A0 = _mat([[0, c.rho, -c.sin_g], [-c.rho, 0, c.cos_g], [0, 0, 0]])
-    A1 = _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    A2 = _mat([[0, 0, 1], [0, 0, 0], [0, 0, 0]])
-    B0 = _mat([
-        [-1, (one - c.cos_g) / c.rho],
-        [0, -c.sin_g / c.rho],
-        [0, -1],
-    ])
-    B3 = _mat([[0, 0], [0, -1], [0, 0]])
-    B4 = _mat([[0, 1], [0, 0], [0, 0]])
-    E0 = _mat([[c.cos_g, 0], [c.sin_g, 0], [0, 1]])
-    E5 = _mat([[1, 0], [0, 0], [0, 0]])
-    E6 = _mat([[0, 0], [1, 0], [0, 0]])
+    c = exact_constants(sc) if constants is None else constants
     Q = Box.from_bounds([
         ((c.sin_bpg - c.sin_g) / c.b - c.cos_g,
          (c.sin_bmg + c.sin_g) / c.b - c.cos_g),
@@ -376,14 +304,11 @@ def build_circle_system(sc: CircleScenario,
             "parameter box does not contain the origin (window wider than "
             "twice the bearing angle)", stacklevel=2,
         )
-    return UncertainLinearSystem(
-        n=3, m=2, l=2, p=6,
-        A=(A0, A1, A2, z, z, z, z),
-        B=(B0, zb, zb, B3, B4, zb, zb),
-        E=(E0, zb, zb, zb, zb, E5, E6),
-        S=Box.symmetric((c.a, c.a, c.b)),
-        U=Box.symmetric((c.V_F, c.Omega_F)),
-        D=Box.symmetric((c.V_L, c.Omega_L)),
+    return _pursuit_system(
+        c,
+        A0=((0, c.rho, -c.sin_g), (-c.rho, 0, c.cos_g), (0, 0, 0)),
+        B0=((-1, (1 - c.cos_g) / c.rho), (0, -c.sin_g / c.rho), (0, -1)),
+        E0=((c.cos_g, 0), (c.sin_g, 0), (0, 1)),
         Q=Q,
     )
 

@@ -34,14 +34,6 @@ from .inequalities import _dot, _over
 Matrix = tuple[tuple, ...]
 
 
-def _mat(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
-def _zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
 def _relevant_params(stack, row: Optional[int] = None) -> list[int]:
     """0-based parameter indices with a nonzero coefficient matrix, or with
     a nonzero row `row` of it."""
@@ -172,6 +164,7 @@ class UncertainLinearSystem:
 
     ``A`` holds ``p + 1`` matrices: the constant part followed by one
     coefficient matrix per parameter component; likewise ``B`` and ``E``.
+    Their entries are exact: ints and Fractions.
     """
 
     n: int

@@ -23,7 +23,7 @@ from viskeep.scenarios import (
     BasicScenario,
     CircleScenario,
     UbbScenario,
-    exact_basic,
+    exact_constants,
     feasible_basic,
 )
 from viskeep.simulate import LeaderProfile, SimTrace, _checked
@@ -35,13 +35,20 @@ from viskeep.systems import (
     Matrix,
     Violation,
     _float_tuple,
-    _mat,
     _relevant_params,
     _steps,
-    _zeros,
 )
 
 FLOAT_TOL = 1e-9  # the absolute tolerance of the oracles' float paths
+
+
+def mat(rows) -> Matrix:
+    """`rows` as a matrix of Fractions, each entry read exactly."""
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+
+
+def zeros(n: int, m: int) -> Matrix:
+    return mat([[0] * m] * n)
 
 
 def random_basic_scenario(rnd: random.Random, want_feasible=None,
@@ -560,6 +567,28 @@ def constant_noise(h_f: float, h_l: float) -> Callable[[int], tuple]:
     return lambda i: (h_f, h_l)
 
 
+def max_chain_length_oracle(maps, n_max: int) -> tuple[int, bool]:
+    """``(max_robots, capped)`` by the direct double sum for each N,
+    ``sum_{i=2..N} (1 - cos b_i + a_i b_i / (d_i - a_i))
+    * prod_{k=i+1..N} (1 + a_k sin b_k / (d_k - a_k)) < 1``: the oracle
+    for the recurrence of ``chains.max_chain_length``."""
+    best = 1
+    for N in range(2, n_max + 1):
+        total = 0.0
+        for i in range(2, N + 1):
+            a, b, d = maps.f_a(i), maps.f_b(i), maps.f_d(i)
+            term = 1 - math.cos(b) + a * b / (d - a)
+            for k in range(i + 1, N + 1):
+                ak, bk, dk = maps.f_a(k), maps.f_b(k), maps.f_d(k)
+                term *= 1 + ak * math.sin(bk) / (dk - ak)
+            total += term
+        if total < 1:
+            best = N
+        else:
+            return best, False
+    return best, True
+
+
 def family_polytope(sc: BasicScenario) -> LinearInequalitySystem:
     """Basic gain polytope from the eight hand-expanded inequality families
     of the vertex construction: the oracle for the generic shifted-cone
@@ -570,7 +599,7 @@ def family_polytope(sc: BasicScenario) -> LinearInequalitySystem:
     families; none for the turn-rate pair), the admissibility rows are
     appended and exact duplicates dropped.
     """
-    c = exact_basic(sc)
+    c = exact_constants(sc)
     one = Fraction(1)
     zero = Fraction(0)
     r = c.b / c.a
@@ -1204,9 +1233,9 @@ def random_moderate_system(rnd: random.Random):
     U = Box.symmetric([rnd.uniform(0.5, 1.5) for _ in range(2)])
     D = Box.symmetric([rnd.uniform(0.1, 0.5) for _ in range(2)])
     Q = Box.symmetric([rnd.uniform(0.1, 0.4) for _ in range(3)])
-    A = [rmat(3, 3, 0.6), rmat(3, 3, 0.3), rmat(3, 3, 0.3), _zeros(3, 3)]
-    B = [rmat(3, 2, 0.6), rmat(3, 2, 0.3), rmat(3, 2, 0.3), _zeros(3, 2)]
-    E = [rmat(3, 2, 0.4), _zeros(3, 2), _zeros(3, 2), rmat(3, 2, 0.3)]
+    A = [rmat(3, 3, 0.6), rmat(3, 3, 0.3), rmat(3, 3, 0.3), zeros(3, 3)]
+    B = [rmat(3, 2, 0.6), rmat(3, 2, 0.3), rmat(3, 2, 0.3), zeros(3, 2)]
+    E = [rmat(3, 2, 0.4), zeros(3, 2), zeros(3, 2), rmat(3, 2, 0.3)]
     K = GainMatrix(rnd.uniform(-0.8, 0.8), rnd.uniform(-0.8, 0.8),
                    rnd.uniform(-0.8, 0.8))
     Km = [[float(x) for x in row] for row in K.matrix()]
@@ -1245,7 +1274,7 @@ def random_moderate_system(rnd: random.Random):
 
     def scale_stack(stack):
         return tuple(
-            _mat([[x * lam for x in row] for row in M]) for M in stack
+            mat([[x * lam for x in row] for row in M]) for M in stack
         )
 
     sysd = UncertainLinearSystem(

@@ -19,6 +19,8 @@ from viskeep.chains import (
 )
 from viskeep.scenarios import feasible_basic
 
+from conftest import max_chain_length_oracle
+
 PI = math.pi
 
 FOUR_ROBOTS = ChainSpec.make(
@@ -121,6 +123,44 @@ def test_max_chain_length_cap_flag():
     maps = ParameterMaps.constant(0.1, 1e-12, 7.0)
     res = max_chain_length(maps, 60)
     assert res.capped and res.max_robots == 60
+
+
+def test_max_chain_length_recurrence_matches_direct_sum(rnd):
+    """The recurrence against the direct double sum, on constant maps and
+    on maps that vary with the robot index, whose bounds land on both
+    sides of the cap."""
+    results = set()
+    for case in range(60):
+        a, b = rnd.uniform(0.05, 0.9), math.exp(rnd.uniform(-4, 0.4))
+        gap = math.exp(rnd.uniform(-2, 2.5))
+        if case % 2:
+            maps = ParameterMaps.constant(a, b, a + gap)
+        else:
+            w = rnd.uniform(0.5, 3)
+            maps = ParameterMaps(
+                lambda k, a=a, w=w: a * (1 + 0.5 * math.sin(w * k)),
+                lambda k, b=b, w=w: b * (1 + 0.5 * math.cos(w * k)) / 1.5,
+                lambda k, a=a, g=gap: 1.5 * a + g * (1 + 1 / k),
+            )
+        want = max_chain_length_oracle(maps, 60)
+        assert tuple(max_chain_length(maps, 60)) == want, (case, want)
+        results.add(want[1])
+    assert results == {True, False}
+
+
+def test_max_chain_length_is_linear_in_n_max():
+    """A near-degenerate window takes every robot up to the cap, and the
+    search evaluates the maps once per robot, not once per term of each
+    length's sum."""
+    calls = []
+
+    def f_a(k):
+        calls.append(k)
+        return 1e-4
+
+    maps = ParameterMaps(f_a, lambda k: 1e-3, lambda k: 3.0)
+    assert max_chain_length(maps, 200) == (200, True)
+    assert calls == list(range(2, 201))
 
 
 # ----------------------------------------------------------------------

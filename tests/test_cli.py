@@ -135,6 +135,33 @@ def test_simulate_chain(tmp_path):
     assert code == 0
     for k in (1, 2, 3):
         assert (out / f"trace_link{k}.csv").exists()
+    links = json.loads((out / "violations.json").read_text())["links"]
+    assert [link["clamp_events"] for link in links] == [0, 0, 0]
+
+
+def test_chain_violations_record_clamp_events(tmp_path):
+    """Each link of a chain's violations.json records its clamp_events, as
+    a pair's file does: with 20 times the demo's gains the inputs saturate,
+    the run exits 1, and the file shows which links were clamped."""
+    spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+    gains = write_json(tmp_path / "gains.json", [
+        {key: 20 * k for key, k in g.items()} for g in (
+            {"k11": 0.2066, "k22": 0.0315, "k23": 0.3361},
+            {"k11": 0.5087, "k22": 0.0669, "k23": 0.3400},
+            {"k11": 1.7273, "k22": 0.2678, "k23": 0.3348},
+        )
+    ])
+    profile = write_json(tmp_path / "profile.json", PROFILE_JSON["chain"])
+    out = tmp_path / "run"
+    assert main([
+        "simulate", "--chain-spec", str(spec), "--gains", str(gains),
+        "--profile", str(profile),
+        "--s0", "0,0,0.0374;0,0,0.2244;0,0,0.2618",
+        "--horizon", "3.0", "--out", str(out),
+    ]) == 1
+    links = json.loads((out / "violations.json").read_text())["links"]
+    clamps = [link["clamp_events"] for link in links]
+    assert len(clamps) == 3 and max(clamps) > 0, links
 
 
 def test_chain_command(tmp_path):
@@ -427,22 +454,25 @@ def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
     """One synth rationalizes its scenario's constants once and builds its
     uncertain system once, for the polytope, both certificates and the
     rationalization record; ubb hands its constants to the basic system it
-    extends."""
+    extends.  The rationalization is counted where cli calls it and where
+    a build_*_system function would."""
     calls = []
-    for build in ("build_basic_system", "build_ubb_system",
-                  "build_circle_system", "exact_basic", "exact_circle"):
-        def counted(sc, *args, _fn=getattr(scenarios, build), _name=build):
+    for module, fn in ((scenarios, "build_basic_system"),
+                       (scenarios, "build_ubb_system"),
+                       (scenarios, "build_circle_system"),
+                       (scenarios, "exact_constants"),
+                       (cli, "exact_constants")):
+        def counted(sc, *args, _fn=getattr(module, fn), _name=fn):
             calls.append(_name)
             return _fn(sc, *args)
-        monkeypatch.setattr(scenarios, build, counted)
+        monkeypatch.setattr(module, fn, counted)
     path = tmp_path / "scenario.json"
     save_scenario(bundle(name).scenario, path)
     assert main(["synth", "--scenario", str(path),
                  "--out", str(tmp_path / "gain.json")]) == 0
-    exact = "exact_circle" if name == "circle" else "exact_basic"
     built = {"basic": ["build_basic_system"], "circle": ["build_circle_system"],
              "ubb": ["build_ubb_system", "build_basic_system"]}[name]
-    assert sorted(calls) == sorted(built + [exact]), calls
+    assert sorted(calls) == sorted(built + ["exact_constants"]), calls
 
 
 @pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
@@ -501,6 +531,8 @@ def test_commands_build_no_fraction_row_they_do_not_write(name, tmp_path,
 
 @pytest.mark.parametrize("name, field, value", [
     ("basic", "b", 1e-14), ("basic", "a", 1e-13), ("circle", "a", 1e-14),
+    ("ubb", "V_L", 1e-14), ("circle", "V_L", 1e-14),
+    ("circle", "Omega_L", 1e-14), ("ubb", "H_F", 1e-14),
 ])
 def test_constant_that_rationalizes_to_zero_exits_2(name, field, value,
                                                      tmp_path, capsys):
@@ -508,13 +540,20 @@ def test_constant_that_rationalizes_to_zero_exits_2(name, field, value,
     rationalizes to 0, is an input error that names it: exit 2 from synth
     and from a basic check, whose exact projection builds the same system,
     in place of a ZeroDivisionError or a message about the face offsets.
-    A circle check stays the float closed-form test."""
+    A circle or ubb check stays the float closed-form test.  A disturbance
+    amplitude may be 0, so one that rationalizes to 0 is no error: synth
+    exits 0 and records it as 0."""
     sc = {**scenario_to_json_dict(bundle(name).scenario), field: value}
     path = write_json(tmp_path / "tiny.json", sc)
     for command in ["synth", "check"] if name == "basic" else ["synth"]:
         out = tmp_path / f"{command}.json"
-        assert main([command, "--scenario", str(path), "--out", str(out)]) == 2
+        code = main([command, "--scenario", str(path), "--out", str(out)])
         err = capsys.readouterr().err
+        if field == "H_F":
+            assert code == 0, err
+            assert json.loads(out.read_text())["rationalization"][field] == "0"
+            continue
+        assert code == 2
         assert f"error: {field} = {value!r} rationalizes to 0, but {field} " \
                "must be positive" in err, err
         assert "Traceback" not in err

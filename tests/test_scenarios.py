@@ -15,7 +15,7 @@ from viskeep.scenarios import (
     build_circle_system,
     build_ubb_system,
     derive_conditions_fme,
-    exact_basic,
+    exact_constants,
     feasible_basic,
     feasible_circle,
     feasible_ubb,
@@ -142,7 +142,7 @@ def test_circle_system_rotation_terms():
 
 
 def test_rationalization_is_recorded():
-    rec = rationalization_record(exact_basic(WINDOW))
+    rec = rationalization_record(exact_constants(WINDOW))
     assert rec["a"] == "2/5"
     assert "/" in rec["sin_b"]
 
@@ -252,7 +252,7 @@ def test_window_polytope_k11_floor():
 
 def test_admissibility_row_present_verbatim():
     poly = gain_polytope(WINDOW)
-    c = exact_basic(WINDOW)
+    c = exact_constants(WINDOW)
     assert Row((F(1), F(0), F(0)), c.V_F / c.a) in poly.rows
 
 
@@ -325,7 +325,7 @@ def test_polytope_sample_gains_are_certified(rnd):
     # rejection sampling from the polytope bounding box
     poly = gain_polytope(WINDOW)
     sysd = build_basic_system(WINDOW)
-    c = exact_basic(WINDOW)
+    c = exact_constants(WINDOW)
     box = (c.V_F / c.a, c.Omega_F / c.a, c.Omega_F / c.a * c.a / c.b)
     hits = 0
     for _ in range(6000):

@@ -24,9 +24,7 @@ from viskeep.systems import (
     check_admissible,
     check_D_invariant_cone,
     simulate_linear_switching,
-    _mat,
     _switching_segments,
-    _zeros,
 )
 
 from conftest import (
@@ -38,12 +36,14 @@ from conftest import (
     cone_certificate_row_oracle,
     eval_matrices,
     is_exact_gain,
+    mat,
     normalized_key,
     pipeline_polytope_oracle,
     random_basic_scenario,
     random_family_scenario,
     switching_oracle,
     switching_segments_oracle,
+    zeros,
 )
 from conftest import random_moderate_system as _random_moderate_system
 
@@ -61,12 +61,12 @@ def synthesized_gain(sc=WINDOW):
 def toy_system(A0, l=1, p=0, E0=None):
     """3-state, 2-input family with constant matrices."""
     n = 3
-    E0 = E0 if E0 is not None else _zeros(n, l)
+    E0 = E0 if E0 is not None else zeros(n, l)
     return UncertainLinearSystem(
         n=n, m=2, l=l, p=p,
-        A=( _mat(A0), ) + tuple(_zeros(n, n) for _ in range(p)),
-        B=( _zeros(n, 2), ) + tuple(_zeros(n, 2) for _ in range(p)),
-        E=( E0, ) + tuple(_zeros(n, l) for _ in range(p)),
+        A=( mat(A0), ) + tuple(zeros(n, n) for _ in range(p)),
+        B=( zeros(n, 2), ) + tuple(zeros(n, 2) for _ in range(p)),
+        E=( E0, ) + tuple(zeros(n, l) for _ in range(p)),
         S=Box.symmetric((1, 1, 1)),
         U=Box.symmetric((1, 1)),
         D=Box.symmetric([1] * l),
@@ -82,9 +82,9 @@ def toy_system(A0, l=1, p=0, E0=None):
 def test_eval_at_origin_gives_constant_part():
     sysd = build_basic_system(WINDOW)
     A, B, E = eval_matrices(sysd, (0,) * 6)
-    assert A == _mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
-    assert B == _mat([[-1, 0], [0, -2], [0, -1]])
-    assert E == _mat([[1, 0], [0, 0], [0, 1]])
+    assert A == mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
+    assert B == mat([[-1, 0], [0, -2], [0, -1]])
+    assert E == mat([[1, 0], [0, 0], [0, 1]])
 
 
 def test_eval_standoff_coupling():
@@ -124,7 +124,7 @@ def test_closed_loop_entry():
 def test_closed_loop_zero_input_matrix():
     sysd = toy_system([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     Fq = closed_loop(sysd, GainMatrix(F(3), F(-2), F(1)))
-    assert Fq(()) == _zeros(3, 3)
+    assert Fq(()) == zeros(3, 3)
 
 
 # ----------------------------------------------------------------------
@@ -251,7 +251,7 @@ def test_cone_verdict_independent_of_tau_without_disturbance(rnd):
         quiet = UncertainLinearSystem(
             n=3, m=2, l=2, p=3,
             A=sysd.A, B=sysd.B,
-            E=tuple(_zeros(3, 2) for _ in range(4)),
+            E=tuple(zeros(3, 2) for _ in range(4)),
             S=sysd.S, U=sysd.U, D=sysd.D, Q=sysd.Q,
         )
         verdicts = {
@@ -275,7 +275,7 @@ def test_certificate_does_not_depend_on_the_step(rnd):
         sysd, K = _random_moderate_system(rnd)
         quiet = UncertainLinearSystem(
             n=3, m=2, l=2, p=3, A=sysd.A, B=sysd.B,
-            E=tuple(_zeros(3, 2) for _ in range(4)),
+            E=tuple(zeros(3, 2) for _ in range(4)),
             S=sysd.S, U=sysd.U, D=sysd.D, Q=sysd.Q,
         )
         systems += [sysd, quiet]
