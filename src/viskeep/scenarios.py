@@ -163,6 +163,7 @@ class CircleScenario:
             raise ValueError("Omega_F must be positive")
         if not 0 < self.Omega_L < self.rho:
             raise ValueError("Omega_L must lie in (0, rho)")
+        _circle_q(SimpleNamespace(**self.derived(), a=self.a, b=self.b))
 
     def conditions(self) -> FeasibilityReport:
         return feasible_circle(self)
@@ -285,10 +286,11 @@ def build_ubb_system(sc: UbbScenario, constants=None) -> UncertainLinearSystem:
     )
 
 
-def build_circle_system(sc: CircleScenario, constants=None) -> UncertainLinearSystem:
-    """The pursuit family on the orbit window, in the shifted coordinates
-    (dp1, dp2, dbeta) with input (v_F, dw_F) and disturbance (v_L, dw_L)."""
-    c = exact_constants(sc) if constants is None else constants
+def _circle_q(c) -> Box:
+    """The parameter box of the orbit window, from its constants `c`: a
+    ValueError names each interval that misses 0.  `CircleScenario` checks
+    it in floats when it is made, and the system is built from the exact
+    box."""
     Q = Box.from_bounds([
         ((c.sin_bpg - c.sin_g) / c.b - c.cos_g,
          (c.sin_bmg + c.sin_g) / c.b - c.cos_g),
@@ -299,17 +301,26 @@ def build_circle_system(sc: CircleScenario, constants=None) -> UncertainLinearSy
         (c.cos_bpg - c.cos_g, c.cos_bmg - c.cos_g),
         (-c.sin_bmg - c.sin_g, c.sin_bpg - c.sin_g),
     ])
-    if not Q.contains_origin():
-        warnings.warn(
-            "parameter box does not contain the origin (window wider than "
-            "twice the bearing angle)", stacklevel=2,
-        )
+    missed = [f"q{i} ranges over [{float(lo):.6g}, {float(hi):.6g}]"
+              for i, (lo, hi) in enumerate(zip(Q.lo, Q.hi), start=1)
+              if not lo <= 0 <= hi]
+    if missed:
+        raise ValueError("parameter box Q misses the origin: "
+                         + ", ".join(missed)
+                         + "; the orbit window needs b <= 2 * gamma")
+    return Q
+
+
+def build_circle_system(sc: CircleScenario, constants=None) -> UncertainLinearSystem:
+    """The pursuit family on the orbit window, in the shifted coordinates
+    (dp1, dp2, dbeta) with input (v_F, dw_F) and disturbance (v_L, dw_L)."""
+    c = exact_constants(sc) if constants is None else constants
     return _pursuit_system(
         c,
         A0=((0, c.rho, -c.sin_g), (-c.rho, 0, c.cos_g), (0, 0, 0)),
         B0=((-1, (1 - c.cos_g) / c.rho), (0, -c.sin_g / c.rho), (0, -1)),
         E0=((c.cos_g, 0), (c.sin_g, 0), (0, 1)),
-        Q=Q,
+        Q=_circle_q(c),
     )
 
 

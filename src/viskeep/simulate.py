@@ -88,20 +88,29 @@ class SimTrace:
                    "hF", "hL", "xF", "yF", "thF", "xL", "yL", "thL")
 
     def to_csv(self, path) -> None:
-        """One row per sample, each value as ``%.12g``; without noise the
-        hF and hL fields are empty."""
-        blocks = [self.times[:, None], self.states, self.inputs, self.leader]
-        noise_cell = ""
-        if self.noise is not None:
-            blocks.append(self.noise)
-            noise_cell = "%.12g"
-        blocks += [self.pose_f, self.pose_l]
-        row = ",".join(["%.12g"] * 8 + [noise_cell] * 2 + ["%.12g"] * 6) + "\n"
-        data = np.hstack(blocks)
-        with open(path, "w") as fh:
-            fh.write(",".join(self.CSV_COLUMNS) + "\n")
-            for i in range(0, len(data), 4096):  # chunks keep tolist() small
-                fh.writelines(row % tuple(r) for r in data[i:i + 4096].tolist())
+        """One line per sample, each value ``"%.12g" % x`` and every line
+        ended by ``\\n``; without noise the hF and hL fields are empty.  The
+        formatter (:mod:`viskeep.tracecsv`) is loaded by the first trace
+        written."""
+        from .tracecsv import format_csv_rows
+
+        n = len(self.times)
+        noise = np.broadcast_to(0.0, (n, 2)) if self.noise is None else self.noise
+        parts = (self.times[:, None], self.states, self.inputs, self.leader,
+                 noise, self.pose_f, self.pose_l)
+        blank = np.zeros(len(self.CSV_COLUMNS), bool)
+        blank[8:10] = self.noise is None
+        block = np.empty((_CSV_ROWS, len(self.CSV_COLUMNS)))
+        with open(path, "wb") as fh:
+            fh.write(",".join(self.CSV_COLUMNS).encode() + b"\n")
+            for i in range(0, n, _CSV_ROWS):
+                rows = block[:min(_CSV_ROWS, n - i)]
+                np.concatenate([p[i:i + len(rows)] for p in parts], axis=1,
+                               out=rows)
+                fh.write(format_csv_rows(rows, blank))
+
+
+_CSV_ROWS = 1024  # rows per format_csv_rows call: bounds its buffers
 
 
 @dataclass(frozen=True)

@@ -560,6 +560,28 @@ def test_constant_that_rationalizes_to_zero_exits_2(name, field, value,
         assert not out.exists()
 
 
+WIDE_CIRCLE = {"type": "circle", "a": 0.1, "b": 1.0, "gamma": 0.2, "rho": 0.1,
+               "V_F": 0.9, "V_L": 0.1, "Omega_F": 1.0, "Omega_L": 0.05}
+
+
+@pytest.mark.parametrize("command", ["check", "synth", "simulate"])
+def test_circle_window_whose_parameter_box_misses_the_origin_exits_2(
+        command, tmp_path, capsys):
+    """b = 1 is more than twice gamma = 0.2, so q1 and q5 range below 0:
+    the scenario is rejected when it is loaded, with both intervals named,
+    where check called it feasible and synth and simulate warned, then
+    ended on 'Q must contain the origin'."""
+    path = write_json(tmp_path / "wide.json", WIDE_CIRCLE)
+    out = tmp_path / "out"
+    argv = [command, "--scenario", str(path), "--out", str(out)]
+    assert main(argv + (["--horizon", "0.1"] if command == "simulate" else [])) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: parameter box Q misses the origin: q1 ranges over "
+                   "[-0.246697, -0.0640412], q5 ranges over [-0.617709, "
+                   "-0.28336]; the orbit window needs b <= 2 * gamma\n")
+    assert not out.exists()
+
+
 GAIN = {"k11": 1.5173, "k22": 0.3707, "k23": 0.4925}
 V = PROFILE_JSON["basic"]["v"]
 

@@ -3,10 +3,12 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from viskeep.inequalities import LinearInequalitySystem, Row
+from viskeep import scenarios
+from viskeep.inequalities import LinearInequalitySystem, Row, rationalize
 from viskeep.scenarios import (
     BasicScenario,
     CircleScenario,
@@ -94,6 +96,22 @@ def test_circle_hypothesis_violation_raises():
     with pytest.raises(ValueError):
         CircleScenario(a=0.5, b=math.pi / 4, gamma=math.pi / 6, rho=0.3,
                        V_F=0.8, V_L=0.06, Omega_F=1.0, Omega_L=0.1)
+
+
+def test_circle_parameter_box_must_hold_the_origin():
+    """A window wider than twice its bearing is rejected when it is made,
+    in floats, and its exact box, which the system is built from, misses
+    the origin on the same intervals."""
+    wide = dict(a=0.1, b=1.0, gamma=0.2, rho=0.1, V_F=0.9, V_L=0.1,
+                Omega_F=1.0, Omega_L=0.05)
+    message = r"misses the origin: q1 ranges over \[.*\], q5 ranges over"
+    with pytest.raises(ValueError, match=message):
+        CircleScenario(**wide)
+    floats = {**CircleScenario.derived(SimpleNamespace(**wide)), **wide}
+    exact = SimpleNamespace(**{k: rationalize(v) for k, v in floats.items()})
+    with pytest.raises(ValueError, match=message):
+        scenarios._circle_q(exact)
+    assert scenarios._circle_q(exact_constants(ORBIT)).contains_origin()
 
 
 def test_circle_hypothesis_margin():

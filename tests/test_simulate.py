@@ -6,8 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from viskeep import simulate
+from viskeep import simulate, tracecsv
 from viskeep.boxes import Box
 from viskeep.chains import ChainSpec
 from viskeep.demos import (
@@ -744,32 +745,110 @@ def test_monitor_counts_non_finite_samples():
     assert rep.max_excess["beta"] == math.inf
 
 
-def _reference_csv(trace, path):
-    """Per-cell writer that `SimTrace.to_csv` must match byte for byte."""
-    blank = np.full((len(trace.times), 2), np.nan)
-    noise = trace.noise if trace.noise is not None else blank
-    data = np.column_stack([
-        trace.times, trace.states, trace.inputs, trace.leader, noise,
-        trace.pose_f, trace.pose_l,
-    ])
-    with open(path, "w") as fh:
-        fh.write(",".join(trace.CSV_COLUMNS) + "\n")
-        for row in data:
-            fh.write(",".join(
-                "" if math.isnan(x) else f"{x:.12g}" for x in row
-            ) + "\n")
+def _reference_csv(trace) -> bytes:
+    """Per-cell writer that `SimTrace.to_csv` must match byte for byte:
+    every value ``"%.12g" % x``, and hF and hL blank when the run has no
+    noise."""
+    noise = trace.noise if trace.noise is not None else [None] * len(trace.times)
+    lines = [",".join(trace.CSV_COLUMNS)]
+    for t, s, u, d, h, pf, pl in zip(trace.times, trace.states, trace.inputs,
+                                     trace.leader, noise, trace.pose_f,
+                                     trace.pose_l):
+        cells = ["%.12g" % x for x in (t, *s, *u, *d)]
+        cells += ["", ""] if h is None else ["%.12g" % x for x in h]
+        cells += ["%.12g" % x for x in (*pf, *pl)]
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_matches_reference_writer(tmp_path):
+    """Every demo family's trace: basic, ubb with noise, circle, the three
+    links of the chain, and a diverged basic run whose non-finite state and
+    input cells are written as nan and inf, not dropped."""
     basic = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
                            BASIC_S0, T=2.0, dt=1e-3)
     ubb = simulate_ubb(UBB_SCENARIO, REF_GAIN_UBB, UBB_PROFILE,
                        uniform_noise(0.1, 0.1, seed=3), UBB_S0, T=2.0, dt=1e-3)
-    for trace in (basic, ubb):
+    circle = simulate_circle(CIRCLE_SCENARIO, REF_GAIN_CIRCLE, CIRCLE_PROFILE,
+                             CIRCLE_S0, T=2.0, dt=1e-3)
+    chain = simulate_chain(CHAIN_SPEC, REF_GAINS_CHAIN, CHAIN_PROFILE,
+                           CHAIN_S0, T=2.0, dt=1e-3)
+    diverged = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
+                              BASIC_S0, T=0.01, dt=1e-3)
+    diverged.states[4, 2] = math.nan
+    diverged.states[5, 0] = -math.inf
+    diverged.inputs[6, 0] = math.inf
+    for trace in (basic, ubb, circle, *chain, diverged):
         trace.to_csv(tmp_path / "new.csv")
-        _reference_csv(trace, tmp_path / "ref.csv")
-        assert (tmp_path / "new.csv").read_bytes() == \
-            (tmp_path / "ref.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == _reference_csv(trace)
+    lines = (tmp_path / "new.csv").read_text().splitlines()
+    assert lines[5].split(",")[3] == "nan" and lines[7].split(",")[4] == "inf"
+    assert lines[6].split(",")[1] == "-inf"
+
+
+def _percent_g_rows(values, blank) -> bytes:
+    return "".join(
+        ",".join("" if b else "%.12g" % x for x, b in zip(row, blank)) + "\n"
+        for row in values.tolist()
+    ).encode()
+
+
+def _ulps(x):
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+CSV_EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    *_ulps(1e-4), 9.9999999999995e-05, 999999999999.5, 1e12,
+    123456789012.5, 123456789013.5, 99999999999.95, 0.00012345678901235,
+    *(y for k in range(-5, 13) for y in _ulps(float(f"1e{k}"))),
+]
+
+
+def test_format_csv_rows_edge_cases():
+    """Each edge value and its negative, four to a row, cell for cell as
+    ``"%.12g" % x``; a row of 16 cells with blank hF and hL keeps their
+    commas."""
+    cells = np.array(CSV_EDGES + [-x for x in CSV_EDGES])
+    cells = np.resize(cells, (len(cells) + 3) // 4 * 4).reshape(-1, 4)
+    for blank in ([False] * 4, [False, True, False, True]):
+        assert tracecsv.format_csv_rows(cells, blank) == \
+            _percent_g_rows(cells, blank)
+    row = np.arange(16) * 1.5 - 3
+    blank = np.zeros(16, bool)
+    blank[8:10] = True
+    assert tracecsv.format_csv_rows(row[None], blank) == \
+        b"-3,-1.5,0,1.5,3,4.5,6,7.5,,,12,13.5,15,16.5,18,19.5\n"
+
+
+def _ties():
+    """Values on or next to a rounding tie of the 12th digit: k + 0.5 is an
+    exact tie for 12-digit k, and a 13-digit decimal ending in 5 lands just
+    beside one, at any exponent."""
+    k = st.integers(10 ** 11, 10 ** 12 - 1)
+    return st.one_of(
+        k.map(lambda k: k + 0.5),
+        st.builds(lambda k, j: float(f"{k}5e{j}"), k, st.integers(-20, 5)),
+    )
+
+
+_CSV_CELLS = st.one_of(st.floats(), st.floats(1e-5, 1e13),
+                       st.floats(-1e13, -1e-5), _ties())
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.integers(1, 16).flatmap(lambda cols: st.tuples(
+    st.lists(st.lists(_CSV_CELLS, min_size=cols, max_size=cols),
+             min_size=1, max_size=8),
+    st.lists(st.booleans(), min_size=cols, max_size=cols))))
+def test_format_csv_rows_matches_percent_g(table):
+    """Over the whole float range, nan and the infinities included, every
+    cell of the array writer is ``"%.12g" % x`` and a blank column is
+    empty."""
+    rows, blank = table
+    values = np.array(rows, dtype=np.float64)
+    assert tracecsv.format_csv_rows(values, blank) == \
+        _percent_g_rows(values, blank)
 
 
 def test_csv_output(tmp_path):
