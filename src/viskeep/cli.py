@@ -139,18 +139,21 @@ def _gain_of(data) -> GainMatrix:
 
 
 def _write_runs(runs, out_dir, tol) -> tuple[list[dict], bool]:
-    """Monitor each run ``(trace, S, U, csv name)`` against its window S and
-    input box U and write its trace CSV into `out_dir`, made if missing:
-    the monitor reports, each with the run's ``clamp_events``, and True if
-    every run is clean and never clamped."""
+    """Monitor each link ``(trace, S, U, csv name)`` of one run against its
+    window S and input box U and write its trace CSV into `out_dir`, made if
+    missing: the monitor reports, each with the link's ``clamp_events`` and
+    its step-doubling ``integration_error``, and True if every link is clean
+    and never clamped."""
     from . import simulate  # the float layer, loaded by runs alone
 
+    errors = simulate.integration_error([trace for trace, *_ in runs])
     out_dir.mkdir(parents=True, exist_ok=True)
     reports, clean = [], True
-    for trace, S, U, name in runs:
+    for (trace, S, U, name), error in zip(runs, errors):
         rep = simulate.monitor(trace, S, U, tol=tol)
         trace.to_csv(out_dir / name)
-        reports.append({**rep.to_json_dict(), "clamp_events": trace.clamp_events})
+        reports.append({**rep.to_json_dict(), "clamp_events": trace.clamp_events,
+                        "integration_error": error})
         clean = clean and rep.clean and trace.clamp_events == 0
     return reports, clean
 
@@ -394,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile")
     p.add_argument("--s0")
     p.add_argument("--horizon", type=float, default=60.0)
-    p.add_argument("--dt", type=float, default=1e-3)
+    p.add_argument("--dt", type=float, default=demos.DEFAULT_DT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--noise-amplitude", type=float, default=None)

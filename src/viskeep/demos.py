@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .chains import ChainSpec
 from .scenarios import BasicScenario, CircleScenario, UbbScenario
-from .profiles import LeaderProfile, profile_from_json_dict
+from .profiles import BOUND_TOL, LeaderProfile, profile_from_json_dict
 from .systems import GainMatrix
 
 PI = math.pi
@@ -84,7 +84,13 @@ REF_GAINS_CHAIN = (
 )
 
 DEFAULT_HORIZON = 60.0
-DEFAULT_DT = 1e-3
+# The step of every run: the coarsest of 1, 2 or 5 times a power of ten at
+# which every bundle's step-doubling estimate (simulate.integration_error)
+# stays below ERROR_TARGET, the monitor's own tolerance, so the integrator
+# cannot move a sample by more than the slack the monitor grants.  The
+# estimates at 1e-2 are 4e-13 to 7.5e-11; at 2e-2 the ubb run's is 1.2e-9.
+ERROR_TARGET = BOUND_TOL
+DEFAULT_DT = 1e-2
 
 
 @dataclass(frozen=True)

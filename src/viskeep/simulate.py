@@ -12,8 +12,9 @@ It runs in blocks of steps, each in three parts:
    against its bound in bulk;
 2. a time loop, Python generated once per link count, integrates what
    feeds back: each link's centered state, with its feedback, clamp
-   counter, wrap guard and noise draw.  Every state component is a local
-   and the four stages are unrolled;
+   counter, wrap guard and lateral noise, which holds one value per
+   ``NOISE_HOLD`` interval.  Every state component is a local and the four
+   stages are unrolled;
 3. the world poses, which no link reads, are integrated after the loop
    on whole arrays, from the inputs the loop recorded at every stage.
 
@@ -23,6 +24,8 @@ at the step where that loop raises it: a profile sample out of bound is
 held until the loop reaches its step.  The feedback is evaluated at every
 stage, inputs are clamped to their boxes with an event counter, and a
 monitor checks every sample against the state and input boxes.
+:func:`integration_error` estimates each run's global error by step
+doubling.
 
 This is the package's float layer, and it loads numpy; the exact layer
 never imports it.  The leader profiles are defined in
@@ -35,6 +38,7 @@ instead of silently hiding an excursion.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from array import array
@@ -71,7 +75,8 @@ class SimTrace:
     ``states`` holds the monitored relative coordinates (window-centered),
     ``inputs`` the monitored follower inputs, ``leader`` the disturbance
     pair as monitored (shifted turn rate for orbit runs).  ``pose_f`` and
-    ``pose_l`` are world poses (x, y, theta).
+    ``pose_l`` are world poses (x, y, theta).  ``rerun(dt)`` integrates
+    the run the trace came from again at step `dt`, every link of it.
     """
 
     times: np.ndarray
@@ -83,6 +88,8 @@ class SimTrace:
     noise: Optional[np.ndarray] = None
     clamp_events: int = 0
     meta: dict = field(default_factory=dict)
+    rerun: Optional[Callable[[float], list]] = field(
+        default=None, repr=False, compare=False)
 
     CSV_COLUMNS = ("t", "dp1", "p2", "beta", "vF", "wF", "vL", "wL",
                    "hF", "hL", "xF", "yF", "thF", "xL", "yL", "thL")
@@ -193,8 +200,8 @@ def _rk4_source(n: int) -> str:
                 f"vF{r}_{m} = V_{r} if u1 > V_{r} else nV_{r} if u1 < nV_{r} else u1",
                 f"uw{r}_{m} = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2"]
 
-    loop = ["if noise_step is not None:",
-            f"    h = noise_step(i); hs.extend(h); {noise}, = h"]
+    loop = ["if noise is not None:",
+            f"    h = noise[i // per_hold]; hs.extend(h); {noise}, = h"]
     for r in links:  # the record: wrap guard, clamp counter, realized inputs
         loop += [f"if abs(s3_{r} + o3_{r}) > pi:",
                  f"    raise ValueError(f'heading difference left (-pi, pi) on "
@@ -229,8 +236,8 @@ def _rk4_source(n: int) -> str:
     loop += [f"{a} = {a} + sixth * (k1_{a} + 2.0 * (k2_{a} + k3_{a}) + k4_{a})"
              for a in state]
     head = [
-        "def run(params, rho, dt, i0, i1, stop, lead, noise_step, y, clamps, "
-        "ys, us, ks, hs):",
+        "def run(params, rho, dt, i0, i1, stop, lead, noise, per_hold, y, "
+        "clamps, ys, us, ks, hs):",
         "cos, sin, pi, half, sixth = math.cos, math.sin, math.pi, 0.5 * dt, dt / 6.0",
         "".join(f"(k11_{r}, k22_{r}, k23_{r}, V_{r}, Om_{r}, o1_{r}, o2_{r}, "
                 f"o3_{r}), " for r in links) + "= params",
@@ -247,6 +254,7 @@ def _rk4_source(n: int) -> str:
 
 _RK4: dict = {}  # link count -> its compiled run()
 _BLOCK = 1024  # steps per block: bounds what a run holds beyond its traces
+NOISE_HOLD = 0.1  # s: each lateral noise value holds this long
 
 
 def _samples(sig: Callable[[float], float], bound: float, name: str,
@@ -328,26 +336,29 @@ def _poses(pose: Sequence, e: np.ndarray, w: np.ndarray, h, dt: float):
 def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
                s0: Sequence, poses: Sequence, T: float, dt: float,
                metas: Sequence, rho: float = 0.0,
-               noise_step: Optional[Callable[[int], tuple]] = None,
-               ) -> list[SimTrace]:
+               noise: Optional[Sequence[tuple]] = None) -> list[SimTrace]:
     """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link.
 
     ``links[k]`` is ``(gain, (V, Omega), (o1, o2, o3))``: link k's gain, its
     follower's input bounds and its window center in raw relative
     coordinates.  ``lead_limits`` bounds the profile of robot 0, ``s0``
     holds the window-centered link states and ``poses`` the n world poses.
-    ``rho`` is added back to every turn rate (orbit runs), and
-    ``noise_step(i)`` gives the lateral noise of each robot, held across the
-    stages of step i.
+    ``rho`` is added back to every turn rate (orbit runs), and ``noise[j]``
+    gives the lateral noise of each robot over hold interval j, the times
+    ``[j, j + 1) * NOISE_HOLD``: it is held across the stages of every step
+    in that interval, and `dt` must divide the hold.
 
     The steps run in blocks of ``_BLOCK``.  Each block samples the leader
     profile on its whole time grid, runs the link states through the
     generated loop, then integrates every world pose on whole arrays.  A
     profile sample out of bound is raised when the loop reaches it, so an
-    earlier wrap-guard or noise error still comes first.
+    earlier wrap-guard error still comes first.  Each trace's ``rerun(dt)``
+    integrates the same run again at another step (see
+    :func:`integration_error`).
     """
     params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
     n, n_steps = len(links), _steps(T, dt)
+    per_hold = None if noise is None else _hold_steps(dt)
     if n not in _RK4:
         scope = {"math": math}
         exec(_rk4_source(n), scope)
@@ -359,7 +370,7 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     # robot's noise.  Link k joins robots k and k + 1.
     Y = np.empty((n_steps + 1, 3 + 6 * n))
     U = np.empty((n_steps + 1, 2 + 2 * n))
-    H = np.empty((n_steps + 1, n + 1)) if noise_step is not None else None
+    H = np.empty((n_steps + 1, n + 1)) if noise is not None else None
     Y[0, [6 * r + c for r in range(n + 1) for c in range(3)]] = np.ravel(poses)
 
     def block(i0: int, y: list, clamps: list):
@@ -372,7 +383,7 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
         ys, us, ks, hs = array("d"), array("d"), array("d"), array("d")
         y, clamps = run(params, rho, dt, i0, min(i1, stop + 1), stop,
                         zip(*(X[:, g].tolist() for g in range(3) for X in (V, Wr))),
-                        noise_step, y, clamps, ys, us, ks, hs)
+                        noise, per_hold, y, clamps, ys, us, ks, hs)
         if err is not None:
             raise err
         rows, Ys = slice(i0, i1), np.frombuffer(ys).reshape(-1, n, 3)
@@ -404,15 +415,43 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
         y, clamps = block(i0, y, clamps)
 
     times = np.arange(n_steps + 1) * dt
+    rerun = functools.partial(_integrate, links, lead_limits, profile, s0,
+                              poses, T, metas=metas, rho=rho, noise=noise)
     return [
         SimTrace(
             times=times, states=Y[:, 6 * k + 3:6 * k + 6],
             inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
             noise=None if H is None else H[:, [k + 1, k]],
             pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
-            clamp_events=clamps[k], meta=meta,
+            clamp_events=clamps[k], meta=meta, rerun=rerun,
         )
         for k, meta in enumerate(metas)
+    ]
+
+
+def integration_error(traces: Sequence[SimTrace]) -> list[float]:
+    """Step-doubling estimate of the global error of each link of one run
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.4).
+
+    The run is integrated again at ``2 dt`` on the same grid, and each
+    link's estimate is ``max |y_dt - y_2dt| / 15`` over its state and both
+    poses at the shared times, 15 being ``2**4 - 1`` for RK4.  Where
+    ``2 dt`` does not fit the run (an odd step count, or with noise an odd
+    number of steps per hold) the second run is at ``dt / 2``, compared on
+    the run's own grid and scaled by ``16 / 15``.  Nothing of the second
+    run is kept.
+    """
+    first = traces[0]
+    dt, n_steps = first.meta["dt"], len(first.times) - 1
+    if n_steps % 2 == 0 and (first.noise is None or _hold_steps(dt) % 2 == 0):
+        other, here, there, factor = first.rerun(2 * dt), 2, 1, 15.0
+    else:
+        other, here, there, factor = first.rerun(0.5 * dt), 1, 2, 15.0 / 16.0
+    return [
+        max(float(np.abs(a[::here] - b[::there]).max())
+            for a, b in ((x.states, y.states), (x.pose_f, y.pose_f),
+                         (x.pose_l, y.pose_l))) / factor
+        for x, y in zip(traces, other)
     ]
 
 
@@ -433,7 +472,7 @@ def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0") -> tuple:
 
 def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
                    T: float, dt: float, kind: str, offset: tuple,
-                   rho: float = 0.0, noise_step=None) -> SimTrace:
+                   rho: float = 0.0, noise=None) -> SimTrace:
     """A pair is a one-link run: the follower starts at the origin pose and
     the leader is placed from the state."""
     s = _check_s0(s0, (sc.a, sc.a, sc.b))
@@ -442,8 +481,7 @@ def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
     meta = {"kind": kind, "dt": dt, "T": T, "integrator": "rk4", "gain": gain}
     return _integrate(
         [(gain, (sc.V_F, sc.Omega_F), offset)], (sc.V_L, sc.Omega_L),
-        profile, [s], [leader, (0.0, 0.0, 0.0)], T, dt, [meta], rho,
-        noise_step,
+        profile, [s], [leader, (0.0, 0.0, 0.0)], T, dt, [meta], rho, noise,
     )[0]
 
 
@@ -453,34 +491,57 @@ def simulate_basic(sc: BasicScenario, K: GainMatrix, profile: LeaderProfile,
     return _simulate_pair(sc, K, profile, s0, T, dt, "basic", (sc.d, 0.0, 0.0))
 
 
-def uniform_noise(amp_f: float, amp_l: float, seed: int = 0) -> Callable[[int], tuple]:
-    """Per-step uniform lateral noise, held constant across RK4 stages."""
-    rng = random.Random(seed)
-    return lambda i: (rng.uniform(-amp_f, amp_f), rng.uniform(-amp_l, amp_l))
+def _hold_steps(dt: float) -> int:
+    """Steps of size `dt` (finite and positive) in one noise hold:
+    ``NOISE_HOLD / dt`` as a positive integer, or a ValueError that names
+    both."""
+    m = round(NOISE_HOLD / dt)
+    if m < 1 or abs(m * dt - NOISE_HOLD) > 1e-9:
+        raise ValueError(f"dt={dt!r} does not divide the noise hold "
+                         f"{NOISE_HOLD!r} s")
+    return m
+
+
+def uniform_noise(amp_f: float, amp_l: float,
+                  seed: int = 0) -> Callable[[int], list]:
+    """Uniform lateral noise, one ``(hF, hL)`` pair per hold interval.
+
+    ``draw(n)`` gives the pairs of intervals 0 .. n - 1: the first n pairs
+    of one ``random.Random(seed)``, so interval j's pair depends only on the
+    seed and j, never on the step.  (numpy's generator would load
+    ``numpy.random``, about 6 MB, for a few hundred draws.)
+    """
+    def draw(n: int) -> list:
+        rng = random.Random(seed)
+        return [(rng.uniform(-amp_f, amp_f), rng.uniform(-amp_l, amp_l))
+                for _ in range(n)]
+
+    return draw
 
 
 def simulate_ubb(
     sc: UbbScenario,
     K: GainMatrix,
     profile: LeaderProfile,
-    h_sampler: Optional[Callable[[int], tuple]] = None,
+    h_sampler: Optional[Callable[[int], Sequence]] = None,
     s0: Sequence = (0.0, 0.0, 0.0),
     T: float = 60.0,
     dt: float = 1e-3,
     seed: int = 0,
 ) -> SimTrace:
-    """Run with lateral disturbances resampled every integration step."""
+    """Run with lateral disturbances defined in time: ``h_sampler(n)``
+    gives the ``(hF, hL)`` pairs of the first n hold intervals (see
+    :func:`uniform_noise`, the default with amplitudes ``(H_F, H_L)``), and
+    each pair holds for ``NOISE_HOLD`` seconds, so `dt` must divide it."""
     if h_sampler is None:
         h_sampler = uniform_noise(sc.H_F, sc.H_L, seed)
-
-    def noise_step(i: int) -> tuple:
-        hF, hL = h_sampler(i)
-        if not (abs(hF) <= sc.H_F + BOUND_TOL and abs(hL) <= sc.H_L + BOUND_TOL):
-            raise ValueError("noise sample exceeds its amplitude bound")
-        return hL, hF  # robot order: leader, follower
-
+    n = _steps(T, dt) // _hold_steps(dt) + 1  # hold intervals the run meets
+    pairs = np.asarray(h_sampler(n), dtype=float).reshape(n, 2)
+    if not (np.abs(pairs) <= (sc.H_F + BOUND_TOL, sc.H_L + BOUND_TOL)).all():
+        raise ValueError("noise sample exceeds its amplitude bound")
+    noise = pairs[:, ::-1].tolist()  # robot order: leader, follower
     return _simulate_pair(sc, K, profile, s0, T, dt, "ubb", (sc.d, 0.0, 0.0),
-                          noise_step=noise_step)
+                          noise=noise)
 
 
 def simulate_circle(sc: CircleScenario, K: GainMatrix, profile: LeaderProfile,

@@ -26,7 +26,7 @@ from viskeep.scenarios import (
     exact_constants,
     feasible_basic,
 )
-from viskeep.simulate import LeaderProfile, SimTrace, _checked
+from viskeep.simulate import LeaderProfile, SimTrace, _checked, _hold_steps
 from viskeep.synthesis import InfeasiblePolytopeError, SynthesisResult
 from viskeep.systems import (
     CertificateReport,
@@ -562,9 +562,10 @@ def reconstruct_relative(pose_f: Sequence, pose_l: Sequence) -> tuple:
     return (c * dx + s * dy, -s * dx + c * dy, tl - tf)
 
 
-def constant_noise(h_f: float, h_l: float) -> Callable[[int], tuple]:
-    """Lateral noise held at (h_f, h_l) for the whole run."""
-    return lambda i: (h_f, h_l)
+def constant_noise(h_f: float, h_l: float) -> Callable[[int], list]:
+    """Lateral noise held at (h_f, h_l) for the whole run: the same pair for
+    each of the n hold intervals."""
+    return lambda n: [(h_f, h_l)] * n
 
 
 def max_chain_length_oracle(maps, n_max: int) -> tuple[int, bool]:
@@ -1109,7 +1110,7 @@ def integrate_oracle(
     dt: float,
     metas: Sequence,
     rho: float = 0.0,
-    noise_step: Optional[Callable[[int], tuple]] = None,
+    noise: Optional[Sequence[tuple]] = None,
 ) -> list[SimTrace]:
     """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link:
     the plain RK4 loop, one ``deriv`` call per stage, that the generated
@@ -1119,9 +1120,9 @@ def integrate_oracle(
     follower's input bounds and its window center in raw relative
     coordinates.  ``lead_limits`` bounds the profile of robot 0, ``s0``
     holds the window-centered link states and ``poses`` the n world poses.
-    ``rho`` is added back to every turn rate (orbit runs), and
-    ``noise_step(i)`` gives the lateral noise of each robot, held across the
-    stages of step i.
+    ``rho`` is added back to every turn rate (orbit runs), and ``noise[j]``
+    gives the lateral noise of each robot over hold interval j, held across
+    the stages of every step in it.
 
     The state vector is robot 0's pose, then for each link its centered
     state and its follower's pose.
@@ -1130,6 +1131,7 @@ def integrate_oracle(
     prof_v = _checked(profile.v, lead_limits[0], "v")
     prof_w = _checked(profile.omega, lead_limits[1], "omega")
     n_steps = _steps(T, dt)
+    per_hold = None if noise is None else _hold_steps(dt)
     half, sixth = 0.5 * dt, dt / 6.0
     h = (0.0,) * (len(links) + 1)
 
@@ -1167,8 +1169,8 @@ def integrate_oracle(
     clamps = [0] * len(links)
     for i in range(n_steps + 1):
         t = i * dt
-        if noise_step is not None:
-            h = noise_step(i)
+        if noise is not None:
+            h = noise[i // per_hold]
             hs.extend(h)
         u = []
         for r, (k11, k22, k23, V, Om, o1, o2, o3) in enumerate(params, 1):
@@ -1205,7 +1207,7 @@ def integrate_oracle(
     Y = np.frombuffer(ys).reshape(n_steps + 1, -1)
     U = np.frombuffer(us).reshape(n_steps + 1, -1)
     H = (np.frombuffer(hs).reshape(n_steps + 1, -1)
-         if noise_step is not None else None)
+         if noise is not None else None)
     times = np.arange(n_steps + 1) * dt
     return [
         SimTrace(

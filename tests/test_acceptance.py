@@ -68,6 +68,7 @@ from viskeep.scenarios import (
 from viskeep.simulate import (
     LeaderProfile,
     constant,
+    integration_error,
     monitor,
     simulate_basic,
     simulate_chain,
@@ -407,19 +408,17 @@ def test_criterion_9_schedule_generation():
 
 
 def test_criterion_10_integration_fidelity():
-    coarse = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
-                            BASIC_S0, T=60.0, dt=1e-3)
-    fine = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
-                          BASIC_S0, T=60.0, dt=5e-4)
-    halving = float(np.abs(coarse.states - fine.states[::2]).max())
+    trace = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
+                           BASIC_S0, T=60.0, dt=1e-3)
+    (estimate,) = integration_error([trace])
 
     rel = np.array([
         reconstruct_relative(pf, pl)
-        for pf, pl in zip(coarse.pose_f, coarse.pose_l)
+        for pf, pl in zip(trace.pose_f, trace.pose_l)
     ])
     rel[:, 0] -= BASIC_SCENARIO.d
-    cross = float(np.abs(rel - coarse.states).max())
+    cross = float(np.abs(rel - trace.states).max())
 
-    ok = halving < 1e-6 and cross < 1e-6
-    gate("criterion 10 (step halving and pose cross-reconstruction)", ok,
-         f"halving {halving:.2e}, cross {cross:.2e}")
+    ok = estimate < 1e-6 and cross < 1e-6
+    gate("criterion 10 (step-doubling estimate and pose cross-reconstruction)",
+         ok, f"estimate {estimate:.2e}, cross {cross:.2e}")

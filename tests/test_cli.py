@@ -15,6 +15,8 @@ from viskeep.demos import (
     BASIC_SCENARIO,
     CHAIN_S0,
     CHAIN_SPEC,
+    DEFAULT_DT,
+    ERROR_TARGET,
     PROFILE_JSON,
     bundle,
 )
@@ -757,6 +759,37 @@ def test_library_warning_is_one_stable_line_each_time(tmp_path, capsys,
         assert ("warning: scenario fails the closed-form solvability "
                 "conditions") in err.splitlines()
         assert ".py:" not in err and "UserWarning" not in err
+
+
+def test_simulate_dt_must_divide_the_noise_hold(tmp_path, capsys):
+    """A ubb run's noise holds each value for NOISE_HOLD, so a step that
+    does not divide it is an input error that names both values."""
+    path = tmp_path / "scenario.json"
+    save_scenario(bundle("ubb").scenario, path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(path), "--dt", "0.03",
+                 "--horizon", "0.3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dt=0.03 does not divide the noise hold 0.1 s" in err, err
+    assert not out.exists()
+
+
+def test_simulate_and_demo_share_one_step():
+    parser = build_parser()
+    for argv in (["simulate"], ["demo"]):
+        assert parser.parse_args(argv).dt == DEFAULT_DT
+
+
+def test_violations_report_the_integration_error(demo_out):
+    """Every pair's violations.json and every chain link's report carry a
+    step-doubling integration_error, below the demo's error target."""
+    reports = [json.loads((demo_out / name / "violations.json").read_text())
+               for name in ("basic", "ubb", "circle")]
+    links = json.loads((demo_out / "chain" / "violations.json").read_text())
+    reports += links["links"]
+    assert len(reports) == 6
+    for report in reports:
+        assert 0.0 < report["integration_error"] < ERROR_TARGET, report
 
 
 @pytest.mark.parametrize("family", ["basic", "circle", "chain"])

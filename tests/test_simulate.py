@@ -21,6 +21,9 @@ from viskeep.demos import (
     CIRCLE_PROFILE,
     CIRCLE_S0,
     CIRCLE_SCENARIO,
+    DEFAULT_DT,
+    DEFAULT_HORIZON,
+    ERROR_TARGET,
     REF_GAIN_BASIC,
     REF_GAIN_CIRCLE,
     REF_GAIN_UBB,
@@ -40,6 +43,7 @@ from viskeep.simulate import (
     BOUND_TOL,
     LeaderProfile,
     constant,
+    integration_error,
     monitor,
     profile_from_json_dict,
     random_hold,
@@ -110,7 +114,7 @@ def test_random_hold_builds_one_generator_per_interval(monkeypatch):
             super().__init__(*args)
 
     profile = LeaderProfile(constant(0.0), random_hold(0.05, 0.5, seed=2))
-    monkeypatch.setattr(simulate.random, "Random", Counting)
+    monkeypatch.setattr(random, "Random", Counting)
     simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, profile, (0.0, 0.0, 0.0),
                    T=3.0, dt=1e-3)
     assert 1 <= len(built) <= 7  # hold intervals 0..6 of the 3 s run
@@ -338,6 +342,126 @@ def test_oversized_noise_rejected():
     with pytest.raises(ValueError, match="amplitude"):
         simulate_ubb(UBB_SCENARIO, REF_GAIN_UBB, UBB_PROFILE,
                      constant_noise(0.2, 0.0), UBB_S0, T=0.01, dt=1e-3)
+
+
+def test_noise_is_defined_in_time():
+    """A ubb run at dt = 1e-3 and one at 1e-2 see the same disturbance: at
+    their shared times the hF and hL columns are equal bit for bit, and
+    each value holds for one NOISE_HOLD."""
+    fine, coarse = (simulate_ubb(UBB_SCENARIO, REF_GAIN_UBB, UBB_PROFILE,
+                                 None, UBB_S0, T=5.0, dt=dt, seed=4)
+                    for dt in (1e-3, 1e-2))
+    assert fine.noise[::10].tobytes() == coarse.noise.tobytes()
+    per_hold = round(simulate.NOISE_HOLD / 1e-3)
+    holds = fine.noise[:-1].reshape(-1, per_hold, 2)
+    assert (holds == holds[:, :1]).all()
+    assert len(np.unique(holds[:, 0, 0])) == len(holds)
+
+
+def test_uniform_noise_draws_by_interval():
+    """Interval j's pair depends only on the seed and j: a longer draw
+    extends a shorter one."""
+    draw = uniform_noise(0.1, 0.05, seed=9)
+    assert draw(600)[:7] == draw(7)
+    assert draw(7) != uniform_noise(0.1, 0.05, seed=10)(7)
+    assert (np.abs(draw(600)) <= (0.1, 0.05)).all()
+
+
+@pytest.mark.parametrize("dt", [0.03, 0.3, 0.15])
+def test_dt_that_does_not_divide_the_noise_hold_is_rejected(dt):
+    with pytest.raises(ValueError, match="does not divide the noise hold") as exc:
+        simulate_ubb(UBB_SCENARIO, REF_GAIN_UBB, UBB_PROFILE, None, UBB_S0,
+                     T=3 * dt, dt=dt)
+    assert repr(dt) in str(exc.value) and repr(simulate.NOISE_HOLD) in str(exc.value)
+    simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE, BASIC_S0,
+                   T=3 * dt, dt=dt)  # a run without noise has no hold
+
+
+@pytest.mark.parametrize("item_seed", [0, 1, 2001])
+def test_ubb_runs_clean_with_a_sampler_passed_in(item_seed):
+    """The call a caller with its own seed makes: a uniform_noise sampler
+    passed positionally to simulate_ubb, 3 s at dt = 1e-3."""
+    sc = UBB_SCENARIO
+    noise = simulate.uniform_noise(sc.H_F, sc.H_L, item_seed)
+    trace = simulate.simulate_ubb(sc, REF_GAIN_UBB, UBB_PROFILE, noise,
+                                  UBB_S0, 3.0, 1e-3)
+    sysd = build_ubb_system(sc)
+    assert monitor(trace, sysd.S, sysd.U).clean
+    assert trace.clamp_events == 0
+    assert trace.noise.shape == (3001, 2)
+
+
+# ----------------------------------------------------------------------
+# convergence and the step-doubling error estimate
+# ----------------------------------------------------------------------
+
+
+def _bundle_run(name, dt):
+    """The demo's run of a bundle at step dt, with its synthesized gains:
+    every link of it, as a list."""
+    b = bundle(name)
+    if name == "chain":
+        gains = [_synth_gain(b.scenario.link_scenario(k))
+                 for k in range(1, b.scenario.n)]
+        return simulate_chain(b.scenario, gains, b.profile, b.s0,
+                              DEFAULT_HORIZON, dt)
+    return [simulate.simulate_scenario(b.scenario, _synth_gain(b.scenario),
+                                       b.profile, b.s0, DEFAULT_HORIZON, dt,
+                                       b.noise_amplitude, 0)]
+
+
+def _max_gap(fine, coarse):
+    """Largest difference of states and poses at the coarse run's times."""
+    k = (len(fine.times) - 1) // (len(coarse.times) - 1)
+    return max(float(np.abs(a[::k] - b).max())
+               for a, b in ((fine.states, coarse.states),
+                            (fine.pose_f, coarse.pose_f),
+                            (fine.pose_l, coarse.pose_l)))
+
+
+def test_ubb_run_converges_at_fourth_order():
+    """Runs at dt, dt/2 and dt/4 of the ubb bundle: each halving shrinks the
+    difference about 16 times, as RK4's global error does once the
+    disturbance is the same signal at every step."""
+    runs = [_bundle_run("ubb", 0.05 / 2 ** k)[0] for k in range(3)]
+    ratio = _max_gap(runs[1], runs[0]) / _max_gap(runs[2], runs[1])
+    assert 8.0 <= ratio <= 32.0, ratio
+
+
+def test_integration_error_matches_the_true_error():
+    """On the basic bundle at the demo's step the estimate lies within a
+    factor of 4 of the error against a dt/8 reference."""
+    (trace,) = _bundle_run("basic", DEFAULT_DT)
+    (estimate,) = integration_error([trace])
+    (reference,) = _bundle_run("basic", DEFAULT_DT / 8)
+    true = _max_gap(reference, trace)
+    assert true / 4 <= estimate <= 4 * true, (estimate, true)
+
+
+def test_integration_error_falls_back_to_half_steps():
+    """A run whose step count is odd, or whose hold holds an odd number of
+    steps, is estimated against dt/2, scaled by 16/15."""
+    odd = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
+                         BASIC_S0, T=2.5, dt=0.1)
+    half = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
+                          BASIC_S0, T=2.5, dt=0.05)
+    assert integration_error([odd]) == [_max_gap(half, odd) * 16 / 15]
+    noisy = simulate_ubb(UBB_SCENARIO, REF_GAIN_UBB, UBB_PROFILE, None, UBB_S0,
+                         T=2.0, dt=0.02)
+    (estimate,) = integration_error([noisy])
+    assert 0.0 < estimate < 1e-8
+
+
+def test_default_dt_is_the_coarsest_step_within_the_error_target():
+    """At DEFAULT_DT every demo run, each chain link included, estimates
+    its error below ERROR_TARGET; at the next step of the 1, 2, 5 ladder,
+    2 * DEFAULT_DT, some run does not."""
+    def worst(dt):
+        return max(error for name in ("basic", "ubb", "circle", "chain")
+                   for error in integration_error(_bundle_run(name, dt)))
+
+    assert worst(DEFAULT_DT) < ERROR_TARGET
+    assert worst(2 * DEFAULT_DT) > ERROR_TARGET
 
 
 # ----------------------------------------------------------------------
