@@ -47,6 +47,7 @@ from .scenarios import (
 from .profiles import (
     BOUND_TOL,
     LeaderProfile,
+    _check_amplitude,
     _check_tol,
     _finite_number,
     _shown,
@@ -245,6 +246,8 @@ def cmd_simulate(args) -> int:
         if args.noise_amplitude is not None and sc.kind != "ubb":
             raise ValueError("--noise-amplitude applies to ubb scenarios only, "
                              f"not to {sc.kind}")
+        if args.noise_amplitude is not None:
+            _check_amplitude(args.noise_amplitude)
         K = _gain_of(_read_json(args.gain) if args.gain
                      else _synth_payload(sc)[0])
         s0 = _parse_s0(args.s0) if args.s0 else (0.0, 0.0, 0.0)

@@ -10,13 +10,17 @@ It runs in blocks of steps, each in three parts:
    t + dt/2 (k2, k3) and t + dt (k4), by the array forms of the built-in
    signals (:mod:`viskeep.profiles`) or one call per sample, and checked
    against its bound in bulk;
-2. a time loop, Python generated once per link count, integrates what
-   feeds back: each link's centered state, with its feedback, clamp
-   counter, wrap guard and lateral noise, which holds one value per
-   ``NOISE_HOLD`` interval.  Every state component is a local and the four
-   stages are unrolled;
-3. the world poses, which no link reads, are integrated after the loop
-   on whole arrays, from the inputs the loop recorded at every stage.
+2. a time loop, Python generated once per link count and noise setting,
+   integrates only what feeds back: each link's centered state, with its
+   feedback, wrap guard and lateral noise, which holds one value per
+   ``NOISE_HOLD`` interval (a noise-free loop has no noise terms at all).
+   Every state component is a local and the four stages are unrolled.
+   Each step records one row: each link's state, then its follower's
+   inputs at stages 2, 3 and 4;
+3. what no link reads is computed after the loop on whole arrays: the
+   followers' inputs at each sample and their clamp counts, from the
+   recorded states; the noise columns, from the hold table; and the world
+   poses, integrated from the inputs at every stage.
 
 Each expression keeps the float operations of a plain RK4 loop in their
 order, so a trace is bit-for-bit that loop's, and each error is raised
@@ -52,6 +56,7 @@ from .chains import ChainSpec
 from .profiles import (  # noqa: F401 -- the profile names this module re-exports
     BOUND_TOL,
     LeaderProfile,
+    _check_amplitude,
     _check_tol,
     _checked,
     constant,
@@ -180,79 +185,80 @@ def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> Violatio
 # ----------------------------------------------------------------------
 
 
-def _rk4_source(n: int) -> str:
-    """Source of ``run``, one block of the time loop of an n-link chain (see
-    _integrate).
+def _rk4_source(n: int, noisy: bool) -> str:
+    """Source of ``run``, one block of the time loop of an n-link chain with
+    lateral noise or without it (see _integrate).
 
     The state is each link r's centered state ``s1_r, s2_r, s3_r``, all
     locals: no world pose enters a link derivative, so the poses are left to
     `_poses`.  ``lead`` yields robot 0's speed offset and turn rate at t,
-    t + dt/2 and t + dt of each step, and the followers' realized inputs are
-    recorded at every stage for `_poses`.  The run stops after the record of
-    step ``stop``.
+    t + dt/2 and t + dt of each step.  Each step appends one row to
+    ``rec``: each link's state at t, then each follower's realized inputs
+    at stages 2, 3 and 4, stage by stage.  The run stops after the row of
+    step ``stop``, whose inputs are padded with zeros.  The loop keeps only
+    what feeds back into the next step: `_integrate` derives the followers'
+    stage-1 inputs, the clamp counts and the noise columns from the rows
+    and the hold table after the block.
     """
     links = range(1, n + 1)
     state = [f"{c}{r}" for r in links for c in ("s1_", "s2_", "s3_")]
-    noise = ", ".join(f"h{r}" for r in range(n + 1))
-
-    def feedback(r, m, s1, s2, s3):  # link r's clamped inputs at stage m
-        return [f"u1, u2 = k11_{r} * {s1}, k22_{r} * {s2} + k23_{r} * {s3}",
-                f"vF{r}_{m} = V_{r} if u1 > V_{r} else nV_{r} if u1 < nV_{r} else u1",
-                f"uw{r}_{m} = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2"]
-
-    loop = ["if noise is not None:",
-            f"    h = noise[i // per_hold]; hs.extend(h); {noise}, = h"]
-    for r in links:  # the record: wrap guard, clamp counter, realized inputs
+    row = ", ".join(state)
+    # Without noise every h is 0.0, and the loop leaves out the terms
+    # - h * sb, - h and + h * cb.  That is exact: sb - 0.0 is sb, and adding
+    # +-0.0 leaves a partial sum as it is unless the sum is -0.0.  None is:
+    # a sum is -0.0 only if both its terms are, a difference only if its
+    # left term is, cb - 1.0 never is, and sb is only where beta = s3 + o3
+    # is, which takes an o3 of -0.0 (o3 is 0.0 or the orbit's gamma > 0).
+    loop = [f"{', '.join(f'h{r}' for r in range(n + 1))}, = noise[i // per_hold]"
+            ] if noisy else []
+    for r in links:
         loop += [f"if abs(s3_{r} + o3_{r}) > pi:",
                  f"    raise ValueError(f'heading difference left (-pi, pi) on "
-                 f"link {r} at t={{i * dt:.6g}}; invariance lost')",
-                 *feedback(r, 1, f"s1_{r}", f"s2_{r}", f"s3_{r}"),
-                 f"if abs(u1) > V_{r} or abs(u2) > Om_{r}: n{r} += 1"]
-    loop += [f"ys.extend(({', '.join(state)}))",
-             f"us.extend(({', '.join(f'vF{r}_1, uw{r}_1' for r in links)}))",
-             "if i == stop: break"]
+                 f"link {r} at t={{i * dt:.6g}}; invariance lost')"]
+    loop += ["if i == stop:", f"    put(({row},) + pad)", "    break"]
     for m, step, v, w in ((1, None, "v", "w"), (2, "half", "vh", "wh"),
                           (3, "half", "vh", "wh"), (4, "dt", "v1", "w1")):
         z = {a: a if step is None else f"z_{a}" for a in state}
         if step is not None:
-            loop += [f"z_{a} = {a} + {step} * k{m - 1}_{a}" for a in state]
+            loop += [f"z_{a} = {a} + {step} * k{m - 1}_{a}" for a in z]
         for r in links:  # robot r pursues robot r - 1, which moves at v, w
             s1, s2, s3 = (z[f"{c}{r}"] for c in ("s1_", "s2_", "s3_"))
-            if step is not None:  # stage 1 reuses the record's feedback
-                loop += feedback(r, m, s1, s2, s3)
             vF, wF = f"vF{r}_{m}", f"wF{r}_{m}"
-            loop += [
+            h_sb, h, h_cb = ((f" - h{r - 1} * sb", f" - h{r}",
+                              f" + h{r - 1} * cb") if noisy else ("",) * 3)
+            loop += [  # link r's clamped inputs at stage m, then its k_m
+                f"u1, u2 = k11_{r} * {s1}, k22_{r} * {s2} + k23_{r} * {s3}",
+                f"{vF} = V_{r} if u1 > V_{r} else nV_{r} if u1 < nV_{r} else u1",
+                f"uw{r}_{m} = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2",
                 f"{wF}, beta = uw{r}_{m} + rho, {s3} + o3_{r}",
                 "cb, sb = cos(beta), sin(beta)",
                 f"k{m}_s1_{r} = (cb - 1.0) - {vF} + ({s2} + o2_{r}) * {wF} "
-                f"+ {v} * cb - h{r - 1} * sb",
-                f"k{m}_s2_{r} = sb - h{r} - ({s1} + o1_{r}) * {wF} "
-                f"+ {v} * sb + h{r - 1} * cb",
+                f"+ {v} * cb{h_sb}",
+                f"k{m}_s2_{r} = sb{h} - ({s1} + o1_{r}) * {wF} "
+                f"+ {v} * sb{h_cb}",
                 f"k{m}_s3_{r} = {w} - {wF}",
             ]
             v, w = vF, wF
-    loop += ["ks.extend((" + ", ".join(f"vF{r}_{m}, wF{r}_{m}" for m in (2, 3, 4)
-                                       for r in links) + "))"]
+    loop += [f"put(({row}, " + ", ".join(
+        f"vF{r}_{m}, wF{r}_{m}" for m in (2, 3, 4) for r in links) + "))"]
     loop += [f"{a} = {a} + sixth * (k1_{a} + 2.0 * (k2_{a} + k3_{a}) + k4_{a})"
              for a in state]
     head = [
-        "def run(params, rho, dt, i0, i1, stop, lead, noise, per_hold, y, "
-        "clamps, ys, us, ks, hs):",
+        "def run(params, rho, dt, i0, i1, stop, lead, noise, per_hold, y, rec):",
         "cos, sin, pi, half, sixth = math.cos, math.sin, math.pi, 0.5 * dt, dt / 6.0",
         "".join(f"(k11_{r}, k22_{r}, k23_{r}, V_{r}, Om_{r}, o1_{r}, o2_{r}, "
                 f"o3_{r}), " for r in links) + "= params",
         *(f"nV_{r}, nOm_{r} = -V_{r}, -Om_{r}" for r in links),
-        f"{', '.join(state)}, = y",
-        f"{noise}, = (0.0,) * {n + 1}",
-        f"{', '.join(f'n{r}' for r in links)}, = clamps",
+        f"{row}, = y",
+        f"put, pad = rec.extend, (0.0,) * {6 * n}",
         "for i, (v, w, vh, wh, v1, w1) in zip(range(i0, i1), lead):",
         *("    " + line for line in loop),
-        f"return ({', '.join(state)},), ({', '.join(f'n{r}' for r in links)},)",
+        f"return {row},",
     ]
     return "\n    ".join(head) + "\n"
 
 
-_RK4: dict = {}  # link count -> its compiled run()
+_RK4: dict = {}  # (link count, noisy) -> its compiled run()
 _BLOCK = 1024  # steps per block: bounds what a run holds beyond its traces
 NOISE_HOLD = 0.1  # s: each lateral noise value holds this long
 
@@ -350,7 +356,9 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
 
     The steps run in blocks of ``_BLOCK``.  Each block samples the leader
     profile on its whole time grid, runs the link states through the
-    generated loop, then integrates every world pose on whole arrays.  A
+    generated loop, then fills the followers' inputs at t and the clamp
+    counts from the recorded states and integrates every world pose, on
+    whole arrays.  A
     profile sample out of bound is raised when the loop reaches it, so an
     earlier wrap-guard error still comes first.  Each trace's ``rerun(dt)``
     integrates the same run again at another step (see
@@ -359,46 +367,55 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
     n, n_steps = len(links), _steps(T, dt)
     per_hold = None if noise is None else _hold_steps(dt)
-    if n not in _RK4:
+    key = (n, noise is not None)
+    if key not in _RK4:
         scope = {"math": math}
-        exec(_rk4_source(n), scope)
-        _RK4[n] = scope["run"]
-    run = _RK4[n]
+        exec(_rk4_source(*key), scope)
+        _RK4[key] = scope["run"]
+    run = _RK4[key]
+    k11, k22, k23, V_F, Om_F = np.array(params).T[:5]
 
     # rows of Y: each robot's pose with each link's state between them; of
     # U: each robot's realized inputs (the profile for robot 0); of H: each
-    # robot's noise.  Link k joins robots k and k + 1.
+    # robot's noise, from the hold table.  Link k joins robots k and k + 1.
     Y = np.empty((n_steps + 1, 3 + 6 * n))
     U = np.empty((n_steps + 1, 2 + 2 * n))
-    H = np.empty((n_steps + 1, n + 1)) if noise is not None else None
+    H = (None if noise is None else
+         np.asarray(noise, dtype=float)[np.arange(n_steps + 1) // per_hold])
     Y[0, [6 * r + c for r in range(n + 1) for c in range(3)]] = np.ravel(poses)
+    clamps = np.zeros(n, dtype=int)
 
-    def block(i0: int, y: list, clamps: list):
+    def block(i0: int, y: tuple) -> tuple:
         """Steps i0 .. i1 - 1: their rows, and the poses after them; returns
-        the link states and clamp counters after them."""
+        the link states after them."""
         i1 = min(i0 + _BLOCK, n_steps + 1)
         V, W, err, j = _lead(profile, lead_limits, i0, i1, n_steps, dt)
         stop = n_steps if err is None else i0 + j
         Wr = W + rho  # robot 0's turn rates as integrated
-        ys, us, ks, hs = array("d"), array("d"), array("d"), array("d")
-        y, clamps = run(params, rho, dt, i0, min(i1, stop + 1), stop,
-                        zip(*(X[:, g].tolist() for g in range(3) for X in (V, Wr))),
-                        noise, per_hold, y, clamps, ys, us, ks, hs)
+        rec = array("d")
+        y = run(params, rho, dt, i0, min(i1, stop + 1), stop,
+                zip(*(X[:, g].tolist() for g in range(3) for X in (V, Wr))),
+                noise, per_hold, y, rec)
         if err is not None:
             raise err
-        rows, Ys = slice(i0, i1), np.frombuffer(ys).reshape(-1, n, 3)
+        rows, R = slice(i0, i1), np.frombuffer(rec).reshape(i1 - i0, 9 * n)
+        S = R[:, :3 * n].reshape(-1, n, 3)
         for c in range(3):
-            Y[rows, 3 + c::6] = Ys[:, :, c]
+            Y[rows, 3 + c::6] = S[:, :, c]
+        # the followers' inputs at t, by the loop's float operations and its
+        # clamp, which a NaN falls through; a step counts where either clamps
+        u1, u2 = k11 * S[:, :, 0], k22 * S[:, :, 1] + k23 * S[:, :, 2]
+        clamps[:] += ((np.abs(u1) > V_F) | (np.abs(u2) > Om_F)).sum(axis=0)
+        for u, bound, col in ((u1, V_F, 2), (u2, Om_F, 3)):
+            U[rows, col::2] = np.where(u > bound, bound,
+                                       np.where(u < -bound, -bound, u))
         U[rows, 0], U[rows, 1] = V[:, 0], W[:, 0]
-        U[rows, 2:] = np.frombuffer(us).reshape(-1, 2 * n)
-        if H is not None:
-            H[rows] = np.frombuffer(hs).reshape(-1, n + 1)
         m = min(i1, n_steps) - i0  # steps with stages
         if m == 0:
-            return y, clamps
+            return y
         # each robot's inputs at the four stages: the profile for robot 0,
-        # the record and then the stages of the loop for the followers
-        K = np.frombuffer(ks).reshape(m, 3, n, 2).transpose(1, 0, 2, 3)
+        # the inputs at t and then the recorded stages for the followers
+        K = R[:m, 3 * n:].reshape(m, 3, n, 2).transpose(1, 0, 2, 3)
         E, Q = np.empty((4, m, n + 1)), np.empty((4, m, n + 1))
         E[:, :, 0], Q[:, :, 0] = V[:m, [0, 1, 1, 2]].T, Wr[:m, [0, 1, 1, 2]].T
         E[0, :, 1:], Q[0, :, 1:] = U[i0:i0 + m, 2::2], U[i0:i0 + m, 3::2] + rho
@@ -408,11 +425,11 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
                       0.0 if H is None else H[i0:i0 + m], dt)
         for c, col in enumerate(pose):
             Y[i0 + 1:i0 + m + 1, c::6] = col
-        return y, clamps
+        return y
 
-    y, clamps = [x for s in s0 for x in s], [0] * n
+    y = tuple(x for s in s0 for x in s)
     for i0 in range(0, n_steps + 1, _BLOCK):
-        y, clamps = block(i0, y, clamps)
+        y = block(i0, y)
 
     times = np.arange(n_steps + 1) * dt
     rerun = functools.partial(_integrate, links, lead_limits, profile, s0,
@@ -423,7 +440,7 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
             inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
             noise=None if H is None else H[:, [k + 1, k]],
             pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
-            clamp_events=clamps[k], meta=meta, rerun=rerun,
+            clamp_events=int(clamps[k]), meta=meta, rerun=rerun,
         )
         for k, meta in enumerate(metas)
     ]
@@ -509,8 +526,12 @@ def uniform_noise(amp_f: float, amp_l: float,
     ``draw(n)`` gives the pairs of intervals 0 .. n - 1: the first n pairs
     of one ``random.Random(seed)``, so interval j's pair depends only on the
     seed and j, never on the step.  (numpy's generator would load
-    ``numpy.random``, about 6 MB, for a few hundred draws.)
+    ``numpy.random``, about 6 MB, for a few hundred draws.)  Each amplitude
+    must be a finite number >= 0.
     """
+    for amp in (amp_f, amp_l):
+        _check_amplitude(amp)
+
     def draw(n: int) -> list:
         rng = random.Random(seed)
         return [(rng.uniform(-amp_f, amp_f), rng.uniform(-amp_l, amp_l))

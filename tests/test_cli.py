@@ -811,6 +811,24 @@ def test_noise_amplitude_only_for_ubb(tmp_path, capsys, family):
     assert not (out / "violations.json").exists()
 
 
+@pytest.mark.parametrize("amp", ["-0.05", "-0.0001", "nan", "inf", "-inf"])
+def test_noise_amplitude_must_be_finite_and_nonnegative(tmp_path, capsys, amp):
+    """A ubb run rejects a negative or non-finite amplitude before it runs,
+    naming the value, with the message uniform_noise raises."""
+    path = tmp_path / "scenario.json"
+    save_scenario(bundle("ubb").scenario, path)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(path), f"--noise-amplitude={amp}",
+                 "--horizon", "0.1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    message = f"noise amplitude must be a finite number >= 0, not {float(amp)!r}"
+    assert err == f"error: {message}\n", err
+    assert not out.exists()
+    with pytest.raises(ValueError) as exc:
+        simulate.uniform_noise(0.0, float(amp))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("family", ["basic", "chain"])
 def test_gain_flag_of_the_other_mode_exits_2(tmp_path, capsys, family):
     sc = bundle(family).scenario

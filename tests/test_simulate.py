@@ -293,19 +293,48 @@ def test_bad_grid_rejected():
 # ----------------------------------------------------------------------
 
 
+def _same_run_but_noise(plain, quiet):
+    """`quiet`, run with a noise table of zeros, is `plain` bit for bit:
+    every trace array and clamp count, and its noise columns are zeros."""
+    assert len(plain) == len(quiet)
+    for a, b in zip(plain, quiet):
+        for name in ("times", "states", "inputs", "leader", "pose_f", "pose_l"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+        assert a.clamp_events == b.clamp_events
+        assert a.noise is None and not b.noise.any()
+
+
 def test_zero_noise_matches_plain_run():
-    plain = simulate_basic(
-        BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE, BASIC_S0,
-        T=3.0, dt=1e-3,
-    )
+    """The noise-free loop leaves out the noise terms; a ubb run whose noise
+    is all zeros keeps them, and both give the same trace, 3 s at dt = 1e-3
+    and the demo's horizon at its step."""
     quiet_sc = UBB_SCENARIO.__class__(
         a=0.4, b=math.pi / 4, d=2.0, V_F=0.9, V_L=0.1,
         Omega_F=math.pi / 3, Omega_L=math.pi / 15, H_F=0.0, H_L=0.0,
     )
-    noisy = simulate_ubb(quiet_sc, REF_GAIN_BASIC, BASIC_PROFILE,
-                         constant_noise(0.0, 0.0), BASIC_S0, T=3.0, dt=1e-3)
-    assert np.array_equal(plain.states, noisy.states)
-    assert np.array_equal(plain.pose_l, noisy.pose_l)
+    for T, dt in ((3.0, 1e-3), (DEFAULT_HORIZON, DEFAULT_DT)):
+        plain = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
+                               BASIC_S0, T=T, dt=dt)
+        noisy = simulate_ubb(quiet_sc, REF_GAIN_BASIC, BASIC_PROFILE,
+                             constant_noise(0.0, 0.0), BASIC_S0, T=T, dt=dt)
+        _same_run_but_noise([plain], [noisy])
+
+
+def test_zero_noise_table_matches_noise_free_chain():
+    """The demo chain's three links through _integrate at the demo's step,
+    once without noise and once with a table of zeros for its four robots:
+    the noise-free and the noisy loop agree bit for bit."""
+    link = simulate_chain(CHAIN_SPEC, REF_GAINS_CHAIN, CHAIN_PROFILE,
+                          CHAIN_S0, 0.1, DEFAULT_DT)[0]
+    # links, lead limits, profile, s0 and poses, as simulate_chain builds them
+    args, kw = link.rerun.args[:5], link.rerun.keywords
+    assert len(kw["metas"]) == 3 and kw["noise"] is None
+    holds = round(DEFAULT_HORIZON / simulate.NOISE_HOLD) + 1
+    plain, quiet = (simulate._integrate(*args, DEFAULT_HORIZON, DEFAULT_DT,
+                                        **{**kw, "noise": noise})
+                    for noise in (None, [(0.0,) * 4] * holds))
+    _same_run_but_noise(plain, quiet)
 
 
 def test_noisy_run_respects_bounds():
@@ -632,12 +661,19 @@ def _pair_run(K, profile):
                                    (0.3, -0.3, 0.2), T=2.0)]
 
 
+def _noisy_run(K):  # noise at the ubb scenario's full amplitudes
+    noise = uniform_noise(UBB_SCENARIO.H_F, UBB_SCENARIO.H_L, seed=3)
+    return lambda: [simulate_ubb(UBB_SCENARIO, K, UBB_PROFILE, noise, UBB_S0,
+                                 T=2.0)]
+
+
 INTEGRATOR_CASES = {
     **{name: lambda name=name: _demo_run(name)
        for name in ("basic", "ubb", "circle", "chain")},
     **{f"chain-{n}": lambda n=n: _chain_run(n) for n in (1, 2, 3, 4)},
     "clamped": lambda: _pair_run(GainMatrix(9.0, 7.0, 5.0), BASIC_PROFILE),
     "clamped-turn": lambda: _pair_run(GainMatrix(1.0, 9.0, 7.0), BASIC_PROFILE),
+    "clamped-noisy": lambda: _noisy_run(GainMatrix(9.0, 7.0, 5.0)),
     "random-hold": lambda: _pair_run(REF_GAIN_BASIC, LeaderProfile(
         random_hold(0.08, 0.3, seed=7), random_hold(math.pi / 20, 0.5, seed=8))),
 }
