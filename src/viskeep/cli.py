@@ -374,8 +374,27 @@ def cmd_demo(args) -> int:
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse reads a token such as ``-0.1,0,0`` or ``-inf`` as an unknown
+    option, so ``--s0 -0.1,0,0`` would fail where ``--s0=-0.1,0,0`` runs.
+    Every option here but ``-h`` is long, so a token that starts with a
+    single ``-`` is the value of the long option before it, and is parsed
+    as ``--option=value``."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for tok in sys.argv[1:] if args is None else args:
+            if (joined and joined[-1].startswith("--") and "=" not in joined[-1]
+                    and tok.startswith("-") and not tok.startswith("--")
+                    and tok != "-h"):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="viskeep",
         description="visibility-keeping gain synthesis and validation",
     )

@@ -22,6 +22,7 @@ decided like any rational gain; a NaN or infinite entry is a ValueError.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -360,16 +361,44 @@ def _steps(T: float, dt: float) -> int:
     return n
 
 
+def _switching_draws(sys: UncertainLinearSystem, n_runs: int,
+                     total_steps: int, dt: float, dwell: float, seed: int):
+    """The random draws of :func:`simulate_linear_switching`, all from one
+    ``random.Random(seed)``: first the ``(n_runs, n)`` start states, each
+    coordinate ``lo + (hi - lo) * rng.random()`` in S, then per dwell
+    segment the ``(q, d)`` pair of arrays of each run's Q-vertex and
+    D-vertex index.  A box has ``2**k`` vertices (one or two values per
+    axis), so an index is a little-endian word of ``rng.randbytes`` masked
+    with ``count - 1``, one byte wide up to 256 vertices.  (numpy's
+    generator would load ``numpy.random``, about 6 MB, for these draws.)"""
+    import numpy as np
+
+    rng = random.Random(seed)
+    lo, hi = np.array(sys.S.lo_f), np.array(sys.S.hi_f)
+    u = np.array([rng.random() for _ in range(n_runs * sys.n)])
+    yield lo + (hi - lo) * u.reshape(n_runs, sys.n)
+
+    def indices(count: int):
+        width = next(w for w in (1, 2, 4, 8) if count <= 1 << 8 * w)
+        words = np.frombuffer(rng.randbytes(width * n_runs), f"<u{width}")
+        return words & (count - 1)
+
+    n_q, n_d = len(sys.Q.vertices()), len(sys.D.vertices())
+    steps_per_dwell = max(1, int(round(dwell / dt)))
+    for _ in range(-(-total_steps // steps_per_dwell)):
+        yield indices(n_q), indices(n_d)
+
+
 def _switching_segments(sys: UncertainLinearSystem, K: GainMatrix,
                         n_runs: int, total_steps: int, dt: float, dwell: float,
                         seed: int):
     """The states of every run, one dwell segment at a time: yields the
     ``(steps, n, runs)`` buffer of each segment, valid until the next one
-    (see :func:`simulate_linear_switching`).  The oracle's one numpy
-    import is here, so that loading this module needs none."""
+    (see :func:`simulate_linear_switching`).  numpy is imported here and
+    in :func:`_switching_draws`, so that loading this module needs none."""
     import numpy as np
 
-    rng = np.random.default_rng(seed)
+    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
     n = sys.n
     A, B, E = (np.array([[[float(x) for x in row] for row in M] for M in stack])
                for stack in (sys.A, sys.B, sys.E))
@@ -393,14 +422,14 @@ def _switching_segments(sys: UncertainLinearSystem, K: GainMatrix,
     phi_q = np.ascontiguousarray(phi_q.transpose(1, 2, 0))
     psi_q = eye + dtF / 2 + dtF2 / 6 + dtF3 / 24
 
-    x = rng.uniform(np.array(sys.S.lo_f), np.array(sys.S.hi_f), size=(n_runs, n)).T
+    x = next(draws).T
     steps_per_dwell = max(1, int(round(dwell / dt)))
     buf = np.empty((min(steps_per_dwell, total_steps), n, n_runs))
     done = 0
     while done < total_steps:
         seg = min(steps_per_dwell, total_steps - done)
-        qi = rng.integers(0, len(Qv), size=n_runs)
-        d = Dv[rng.integers(0, len(Dv), size=n_runs)]
+        qi, di = next(draws)
+        d = Dv[di]
         c = np.einsum("rij,rj->ri", Eq[qi], d) if sys.l else np.zeros((n_runs, n))
         phi = phi_q.take(qi, axis=2)  # C order, as the kernel expects
         psi = np.ascontiguousarray((dt * np.einsum("rij,rj->ri", psi_q[qi], c)).T)
@@ -435,7 +464,10 @@ def simulate_linear_switching(
     """Randomized trajectories of ``sdot = F(q) s + E(q) d`` stay in S?
 
     ``q(t)`` and ``d(t)`` are piecewise constant with the given dwell time,
-    drawn uniformly from the vertices of Q and D.  Integration uses the
+    drawn uniformly from the vertices of Q and D.  ``seed`` drives every
+    draw, the start states uniform in S included, through one
+    ``random.Random(seed)`` (see :func:`_switching_draws`): the same seed
+    gives the same runs.  Integration uses the
     degree-4 Taylor step, which coincides with classical RK4 on a linear
     time-invariant segment.  Returns ``(ok, max_excess)`` where max_excess
     is the largest box violation observed at any step (0.0 for clean runs,

@@ -37,6 +37,7 @@ from viskeep.systems import (
     _float_tuple,
     _relevant_params,
     _steps,
+    _switching_draws,
 )
 
 FLOAT_TOL = 1e-9  # the absolute tolerance of the oracles' float paths
@@ -990,9 +991,11 @@ def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                      tol: float = 1e-6):
     """Linear switching runs stepped one ``dt`` at a time, runs-first, with
     the box excess taken after every step: the oracle for
-    ``systems.simulate_linear_switching``, with the same random draws in
-    the same order and the same degree-4 Taylor step."""
-    rng = np.random.default_rng(seed)
+    ``systems.simulate_linear_switching``, with the same draws (from
+    ``systems._switching_draws``) and the same degree-4 Taylor step."""
+    steps_per_dwell = max(1, int(round(dwell / dt)))
+    total_steps = int(round(horizon / dt))
+    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
     n = sys.n
     A = _stack_f(sys.A)
     B = _stack_f(sys.B)
@@ -1003,16 +1006,14 @@ def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
     lo = np.array(sys.S.lo_f)
     hi = np.array(sys.S.hi_f)
 
-    x = rng.uniform(lo, hi, size=(n_runs, n))
-    steps_per_dwell = max(1, int(round(dwell / dt)))
-    total_steps = int(round(horizon / dt))
+    x = next(draws)
     eye = np.eye(n)
     max_excess = 0.0
     done = 0
     while done < total_steps:
         seg = min(steps_per_dwell, total_steps - done)
-        q = Qv[rng.integers(0, len(Qv), size=n_runs)]
-        d = Dv[rng.integers(0, len(Dv), size=n_runs)]
+        qi, di = next(draws)
+        q, d = Qv[qi], Dv[di]
         if sys.p:
             Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:])
             Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:])
@@ -1049,7 +1050,7 @@ def switching_segments_oracle(sys: UncertainLinearSystem, K: GainMatrix,
     ``phi`` and ``psi`` rebuilt for every run in every segment: the oracle
     for ``systems._switching_segments``, which builds them once per
     parameter vertex and must give the same floats bit for bit."""
-    rng = np.random.default_rng(seed)
+    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
     n = sys.n
     A = _stack_f(sys.A)
     B = _stack_f(sys.B)
@@ -1057,18 +1058,15 @@ def switching_segments_oracle(sys: UncertainLinearSystem, K: GainMatrix,
     Km = np.array([[float(x) for x in row] for row in K.matrix()])
     Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
     Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
-    lo = np.array(sys.S.lo_f)
-    hi = np.array(sys.S.hi_f)
-
-    x = rng.uniform(lo, hi, size=(n_runs, n)).T
+    x = next(draws).T
     steps_per_dwell = max(1, int(round(dwell / dt)))
     buf = np.empty((min(steps_per_dwell, total_steps), n, n_runs))
     eye = np.eye(n)
     done = 0
     while done < total_steps:
         seg = min(steps_per_dwell, total_steps - done)
-        q = Qv[rng.integers(0, len(Qv), size=n_runs)]
-        d = Dv[rng.integers(0, len(Dv), size=n_runs)]
+        qi, di = next(draws)
+        q, d = Qv[qi], Dv[di]
         Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:]) if sys.p else np.broadcast_to(A[0], (n_runs, n, n))
         Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:]) if sys.p else np.broadcast_to(B[0], (n_runs, n, sys.m))
         Eq = E[0] + np.einsum("rl,lij->rij", q, E[1:]) if sys.p else np.broadcast_to(E[0], (n_runs, n, sys.l))

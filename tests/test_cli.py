@@ -737,6 +737,34 @@ def test_simulate_rejects_nan_start(basic_file, tmp_path, capsys, s0):
     assert "s0 lies outside the visibility window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["basic", "chain"])
+def test_option_value_may_start_with_a_minus(tmp_path, capsys, family):
+    """``--s0 -0.1,0,0`` runs as ``--s0=-0.1,0,0`` does: argparse alone
+    reads a value that starts with ``-`` as an unknown option."""
+    if family == "chain":
+        spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+        gains = write_json(tmp_path / "gains.json", [
+            {"k11": 0.2066, "k22": 0.0315, "k23": 0.3361},
+            {"k11": 0.5087, "k22": 0.0669, "k23": 0.3400},
+            {"k11": 1.7273, "k22": 0.2678, "k23": 0.3348},
+        ])
+        argv = ["--chain-spec", str(spec), "--gains", str(gains)]
+        s0 = "-0.1,0,0;0,0,0;0,0,0"
+    else:
+        save_scenario(BASIC_SCENARIO, tmp_path / "basic.json")
+        argv = ["--scenario", str(tmp_path / "basic.json")]
+        s0 = "-0.1,0,0"
+    runs = []
+    for name, given in (("spaced", ["--s0", s0]), ("joined", [f"--s0={s0}"])):
+        out = tmp_path / name
+        code = main(["simulate", *argv, *given, "--horizon", "1",
+                     "--out", str(out)])
+        runs.append((code, capsys.readouterr().err,
+                     {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and "violations.json" in runs[0][2]
+
+
 def test_simulate_rejects_nan_chain_start(tmp_path, capsys):
     spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
     gains = write_json(tmp_path / "gains.json",
@@ -811,19 +839,22 @@ def test_noise_amplitude_only_for_ubb(tmp_path, capsys, family):
     assert not (out / "violations.json").exists()
 
 
-@pytest.mark.parametrize("amp", ["-0.05", "-0.0001", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("amp", ["-0.05", "-0.0001", "nan", "inf", "-inf",
+                                 "-nan"])
 def test_noise_amplitude_must_be_finite_and_nonnegative(tmp_path, capsys, amp):
     """A ubb run rejects a negative or non-finite amplitude before it runs,
-    naming the value, with the message uniform_noise raises."""
+    naming the value, with the message uniform_noise raises, whether the
+    value is joined to the option or follows it."""
     path = tmp_path / "scenario.json"
     save_scenario(bundle("ubb").scenario, path)
     out = tmp_path / "run"
-    assert main(["simulate", "--scenario", str(path), f"--noise-amplitude={amp}",
-                 "--horizon", "0.1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
     message = f"noise amplitude must be a finite number >= 0, not {float(amp)!r}"
-    assert err == f"error: {message}\n", err
-    assert not out.exists()
+    for given in ([f"--noise-amplitude={amp}"], ["--noise-amplitude", amp]):
+        assert main(["simulate", "--scenario", str(path), *given,
+                     "--horizon", "0.1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n", err
+        assert not out.exists()
     with pytest.raises(ValueError) as exc:
         simulate.uniform_noise(0.0, float(amp))
     assert str(exc.value) == message
@@ -969,6 +1000,29 @@ def test_exact_layer_imports_no_numpy():
         "import viskeep.chains, viskeep.systems, viskeep.demos, viskeep.profiles\n"
         "print('numpy' in sys.modules, 'viskeep.simulate' in sys.modules)\n")
     assert out.split() == ["False", "False"]
+
+
+def test_runs_load_no_numpy_random(tmp_path):
+    """The linear switching oracle, a noisy ubb run and a demo pass draw
+    their random numbers from the random module: numpy is loaded, but
+    numpy.random (about 6 MB) is not."""
+    out = _python(
+        "import sys\n"
+        "from viskeep import cli, simulate, systems\n"
+        "from viskeep.demos import bundle\n"
+        "from viskeep.synthesis import min_norm_gain\n"
+        "ubb = bundle('ubb')\n"
+        "sc = ubb.scenario\n"
+        "K = min_norm_gain(sc.polytope()).gain\n"
+        "ok, _ = systems.simulate_linear_switching(sc.system(), K, n_runs=20,\n"
+        "                                          horizon=1.0, dt=1e-2)\n"
+        "trace = simulate.simulate_scenario(sc, K, ubb.profile, ubb.s0, 1.0, 1e-2,\n"
+        "                                   ubb.noise_amplitude, seed=3)\n"
+        "assert ok and trace.noise.any()\n"
+        "assert cli.main(['demo', '--horizon', '1', '--out', sys.argv[1]]) == 0\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n",
+        str(tmp_path / "demo"))
+    assert out.split()[-2:] == ["True", "False"]
 
 
 # Runs each argv list of the JSON argument through cli.main with numpy

@@ -24,6 +24,7 @@ from viskeep.systems import (
     check_admissible,
     check_D_invariant_cone,
     simulate_linear_switching,
+    _switching_draws,
     _switching_segments,
 )
 
@@ -415,6 +416,47 @@ def test_integer_certificates_match_fraction_oracles(rnd):
 # ----------------------------------------------------------------------
 # linear switching oracle
 # ----------------------------------------------------------------------
+
+
+def _draws(sysd, seed, n_runs=200, segments=30):
+    """Start states and per-segment index pairs of ``segments`` dwell
+    segments of 100 steps."""
+    x0, *pairs = _switching_draws(sysd, n_runs, 100 * segments, 1e-3, 0.1,
+                                  seed)
+    return x0, pairs
+
+
+def test_switching_draws_depend_on_the_seed_alone():
+    sysd = build_basic_system(BASIC_SCENARIO)
+    x0, pairs = _draws(sysd, 5)
+    again_x0, again = _draws(sysd, 5)
+    other_x0, other = _draws(sysd, 6)
+    assert x0.tobytes() == again_x0.tobytes()
+    assert [(q.tobytes(), d.tobytes()) for q, d in pairs] == [
+        (q.tobytes(), d.tobytes()) for q, d in again]
+    assert not np.array_equal(x0, other_x0)
+    assert any(not np.array_equal(q, oq) for (q, _), (oq, _) in zip(pairs, other))
+
+
+def test_switching_draws_index_every_vertex_and_start_in_S():
+    """Indices stay below each vertex count (64 and 4 on basic and circle,
+    64 and 16 on ubb, 512 parameter vertices read from 2-byte words), and
+    30 segments of 200 runs meet every index; a family with no parameters
+    and no disturbance draws index 0 only."""
+    cases = [b.scenario.system() for b in BUNDLES if b.name != "chain"]
+    cases += [toy_system([[0, 0, 0]] * 3, p=9),
+              toy_system([[0, 0, 0]] * 3, l=0)]
+    for sysd in cases:
+        x0, pairs = _draws(sysd, 3)
+        assert x0.shape == (200, sysd.n) and len(pairs) == 30
+        assert ((np.array(sysd.S.lo_f) <= x0) & (x0 <= np.array(sysd.S.hi_f))).all()
+        n_q, n_d = len(sysd.Q.vertices()), len(sysd.D.vertices())
+        q = np.concatenate([q for q, _ in pairs])
+        d = np.concatenate([d for _, d in pairs])
+        assert q.shape == d.shape == (6000,)
+        assert set(q.tolist()) == set(range(n_q)), n_q
+        assert set(d.tolist()) == set(range(n_d)), n_d
+    assert {len(c.Q.vertices()) for c in cases} == {1, 64, 512}
 
 
 def test_taylor_step_matches_rk4_on_linear_segment():
