@@ -57,6 +57,7 @@ from .profiles import (
 from .synthesis import InfeasiblePolytopeError, min_norm_gain
 from .systems import (
     GainMatrix,
+    _steps,
     check_admissible,
     check_D_invariant_cone,
 )
@@ -335,7 +336,12 @@ def cmd_fme(args) -> int:
 
 def cmd_demo(args) -> int:
     """Each bundle's files are what check (chain for the chain bundle),
-    synth and simulate write for its scenario.json and profile.json."""
+    synth and simulate write for its scenario.json and profile.json.  The
+    step and horizon are checked before any file is written."""
+    from . import simulate
+
+    _steps(args.horizon, args.dt)
+    simulate._hold_steps(args.dt)  # the ubb bundle's noise holds
     out_root = Path(args.out)
     summary = {}
     for b in demos.BUNDLES:

@@ -104,7 +104,7 @@ class SimTrace:
         ended by ``\\n``; without noise the hF and hL fields are empty.  The
         formatter (:mod:`viskeep.tracecsv`) is loaded by the first trace
         written."""
-        from .tracecsv import format_csv_rows
+        from .tracecsv import CsvWorkspace
 
         n = len(self.times)
         noise = np.broadcast_to(0.0, (n, 2)) if self.noise is None else self.noise
@@ -113,16 +113,17 @@ class SimTrace:
         blank = np.zeros(len(self.CSV_COLUMNS), bool)
         blank[8:10] = self.noise is None
         block = np.empty((_CSV_ROWS, len(self.CSV_COLUMNS)))
+        workspace = CsvWorkspace(block.size)
         with open(path, "wb") as fh:
             fh.write(",".join(self.CSV_COLUMNS).encode() + b"\n")
             for i in range(0, n, _CSV_ROWS):
                 rows = block[:min(_CSV_ROWS, n - i)]
                 np.concatenate([p[i:i + len(rows)] for p in parts], axis=1,
                                out=rows)
-                fh.write(format_csv_rows(rows, blank))
+                fh.write(workspace.format(rows, blank))
 
 
-_CSV_ROWS = 1024  # rows per format_csv_rows call: bounds its buffers
+_CSV_ROWS = 1024  # rows per chunk: sizes the one workspace of a trace
 
 
 @dataclass(frozen=True)

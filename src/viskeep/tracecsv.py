@@ -5,7 +5,10 @@ Each cell is built in a fixed-width byte row from lookup tables, and the
 cells that the tables cannot write exactly are written by ``%.12g``
 itself, so that operator is the only output contract.  `SimTrace.to_csv`
 in :mod:`viskeep.simulate` loads this module when it writes its first
-trace.
+trace, and formats each trace's chunks in one `CsvWorkspace`: every
+intermediate and the cells' byte rows are written into buffers made once
+per trace and dropped with it, so no chunk allocates and faults in fresh
+memory.
 """
 
 from __future__ import annotations
@@ -64,53 +67,103 @@ _DIGIT_WORDS, _LAST_DIGIT, _TEMPLATE = _tables()
 def format_csv_rows(values, blank) -> bytes:
     """CSV lines of the rows of the 2-D float array `values`: each cell
     ``"%.12g" % x``, empty in the columns where the bool mask `blank` is
-    true, and every line ended by ``\\n``.
-
-    A cell with e = floor(log10|x|) in [-4, 11], where ``%.12g`` writes
-    fixed notation, gets its 12 significant digits from n = rint(m),
-    m = |x| * 10**(11 - e): the power of ten is exact and the product
-    rounded once, so m is within 1.2e-4 of the exact scaled value, and n is
-    that value's rounding when m is farther than 2.5e-4 from a half-integer
-    and 10**11 <= m, n < 10**12.  Every other cell is written by
-    ``"%.12g" % x`` itself: 0, -0.0, non-finite values, |x| < 1e-4, values
-    that round to 1e12 or more, near-ties and an exponent log10 got wrong
-    by one."""
+    true, and every line ended by ``\\n``.  It runs `CsvWorkspace.format`
+    in a workspace of its own size."""
     values = np.asarray(values, dtype=np.float64)
-    rows, cols = values.shape
-    x = values.ravel()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.abs(x)
-        e = np.floor(np.log10(mag))
-        fast = (e >= -4) & (e <= 11)
-        e[~fast] = 11  # any row of the tables: these cells are rewritten
-        row = e.astype(np.intp) + 4
-        m = mag * _SCALE[row]
-        n = np.rint(m)
-        fast &= (np.abs(m - np.floor(m) - 0.5) > 2.5e-4) & (m >= 1e11) \
-            & (n < 1e12)
-    n[~fast] = 1e11
-    high = np.floor(n / 1e8)  # exact: n is an integer below 2**53
-    n -= high * 1e8
-    mid = np.floor(n / 1e4)
-    n -= mid * 1e4
-    groups = [g.astype(np.intp) for g in (high, mid, n)]
-    last = np.maximum(np.maximum(_LAST_DIGIT[0][groups[0]],
-                                 _LAST_DIGIT[1][groups[1]]),
-                      _LAST_DIGIT[2][groups[2]])
-    key = (row * 12 + last) * 2 + (x < 0)
-    empty = np.tile(np.asarray(blank, bool), rows)
-    key[empty] = _BLANK_KEY
-    cells = np.empty((rows, cols, 4), np.uint64)
-    words = cells.reshape(-1, 4)
-    words[:, 0] = _TEMPLATE[0][key]
-    for w, g in enumerate(groups, start=1):
-        np.bitwise_and(_TEMPLATE[w][key], _DIGIT_WORDS[g], out=words[:, w])
-    separators = np.zeros((cols, 8), np.uint8)
-    separators[:, 7] = ord(",")
-    separators[-1, 7] = ord("\n")
-    cells[:, :, 3] |= separators.view(np.uint64).ravel()
-    slow = np.flatnonzero(~fast & ~empty)
-    if slow.size:
-        text = np.array([b"%.12g" % v for v in x[slow].tolist()], "S31")
-        words.view(np.uint8)[slow, :31] = text.view(np.uint8).reshape(-1, 31)
-    return cells.tobytes().translate(None, b"\0")
+    return bytes(CsvWorkspace(values.size).format(values, blank))
+
+
+class CsvWorkspace:
+    """The working buffers of `format_csv_rows` for up to `cells` cells,
+    made once, so a trace written in chunks allocates none per chunk: every
+    intermediate, and the 32-byte slot rows of the cells over a bytearray
+    that `bytearray.translate` joins in place.  A call rewrites every slot
+    of its cells and zeroes the slots past them, which the join drops.
+    Table lookups take ``mode="clip"`` (every index is in range), so
+    np.take writes into its `out` directly, not through a copy."""
+
+    def __init__(self, cells: int):
+        self.real = np.empty((3, cells))
+        self.index = np.empty((4, cells), np.intp)
+        self.flag = np.empty((3, cells), bool)
+        self.last = np.empty((2, cells), np.int8)
+        self.word = np.empty((2, cells), np.uint64)
+        self.text = bytearray(32 * cells)
+        self.slots = np.frombuffer(self.text, np.uint64).reshape(-1, 4)
+
+    def format(self, values, blank) -> bytearray:
+        """`format_csv_rows` of `values`, at most `cells` cells.
+
+        A cell with e = floor(log10|x|) in [-4, 11], where ``%.12g`` writes
+        fixed notation, gets its 12 significant digits from n = rint(m),
+        m = |x| * 10**(11 - e): the power of ten is exact and the product
+        rounded once, so m is within 1.2e-4 of the exact scaled value, and
+        n is that value's rounding when m is farther than 2.5e-4 from a
+        half-integer and 10**11 <= m, n < 10**12.  Every other cell is
+        written by ``"%.12g" % x`` itself: 0, -0.0, non-finite values,
+        |x| < 1e-4, values that round to 1e12 or more, near-ties and an
+        exponent log10 got wrong by one."""
+        values = np.asarray(values, dtype=np.float64)
+        rows, cols = values.shape
+        size = values.size
+        x = values.ravel()
+        mag, e, n = (r[:size] for r in self.real)
+        row, *groups = (i[:size] for i in self.index)
+        fast, other, empty = (f[:size] for f in self.flag)
+        last, digit = (k[:size] for k in self.last)
+        template, digits = (w[:size] for w in self.word)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.abs(x, out=mag)
+            np.floor(np.log10(mag, out=e), out=e)
+            np.greater_equal(e, -4, out=fast)
+            fast &= np.less_equal(e, 11, out=other)
+            # any row of the tables: these cells are rewritten
+            np.copyto(e, 11, where=np.logical_not(fast, out=other))
+            np.copyto(row, e, casting="unsafe")
+            row += 4
+            m = np.take(_SCALE, row, out=e, mode="clip")
+            m *= mag
+            np.rint(m, out=n)
+            np.subtract(m, np.floor(m, out=mag), out=mag)
+            mag -= 0.5
+            fast &= np.greater(np.abs(mag, out=mag), 2.5e-4, out=other)
+            fast &= np.greater_equal(m, 1e11, out=other)
+            fast &= np.less(n, 1e12, out=other)
+        np.copyto(n, 1e11, where=np.logical_not(fast, out=other))
+        for g, scale in zip(groups, (1e8, 1e4)):
+            # exact: n is an integer below 2**53
+            high = np.floor(np.divide(n, scale, out=mag), out=mag)
+            np.copyto(g, high, casting="unsafe")
+            n -= np.multiply(high, scale, out=mag)
+        np.copyto(groups[2], n, casting="unsafe")
+        np.take(_LAST_DIGIT[0], groups[0], out=last, mode="clip")
+        for j in (1, 2):
+            np.maximum(last, np.take(_LAST_DIGIT[j], groups[j], out=digit,
+                                     mode="clip"), out=last)
+        key = row
+        key *= 12
+        key += last
+        key *= 2
+        key += np.less(x, 0, out=other)
+        empty.reshape(rows, cols)[...] = np.asarray(blank, bool)
+        np.copyto(key, _BLANK_KEY, where=empty)
+        words = self.slots[:size]
+        words[:, 0] = np.take(_TEMPLATE[0], key, out=template, mode="clip")
+        for w, g in enumerate(groups, start=1):
+            np.bitwise_and(
+                np.take(_TEMPLATE[w], key, out=template, mode="clip"),
+                np.take(_DIGIT_WORDS, g, out=digits, mode="clip"),
+                out=words[:, w])
+        separators = np.zeros((cols, 8), np.uint8)
+        separators[:, 7] = ord(",")
+        separators[-1, 7] = ord("\n")
+        words.reshape(rows, cols, 4)[:, :, 3] |= \
+            separators.view(np.uint64).ravel()
+        self.slots[size:] = 0
+        np.logical_not(np.logical_or(fast, empty, out=other), out=other)
+        slow = np.flatnonzero(other)
+        if slow.size:
+            text = np.array([b"%.12g" % v for v in x[slow].tolist()], "S31")
+            words.view(np.uint8)[slow, :31] = \
+                text.view(np.uint8).reshape(-1, 31)
+        return self.text.translate(None, b"\0")

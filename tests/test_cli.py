@@ -802,6 +802,21 @@ def test_simulate_dt_must_divide_the_noise_hold(tmp_path, capsys):
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("argv", [["--dt", "0.04", "--horizon", "2"],
+                                  ["--dt", "0"], ["--horizon", "nan"],
+                                  ["--horizon", "0.015"]])
+def test_demo_checks_step_and_horizon_before_writing(tmp_path, capsys, argv):
+    """A step or horizon that a run would reject, a step that does not
+    divide the ubb noise hold included, ends the demo before it writes
+    anything: exit 2, one error line and no --out directory."""
+    out = tmp_path / "demo"
+    assert main(["demo", "--out", str(out), *argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not out.exists()
+
+
 def test_simulate_and_demo_share_one_step():
     parser = build_parser()
     for argv in (["simulate"], ["demo"]):
