@@ -91,15 +91,19 @@ class Box:
             raise ValueError(
                 f"vertex enumeration limited to {VERTEX_DIMENSION_GUARD} dims"
             )
-        axes = [
-            (b,) if a == b else (b, a) for a, b in zip(self.lo, self.hi)
-        ]
-        return tuple(product(*axes))
+        return _vertices(self.lo, self.hi)
 
     def vertices_f(self) -> tuple[tuple[float, ...], ...]:
         return tuple(
             tuple(float(x) for x in v) for v in self.vertices()
         )
+
+
+def _vertices(lo: Sequence, hi: Sequence) -> tuple[tuple, ...]:
+    """The vertices of the box with bounds `lo` and `hi`, in the order of
+    :meth:`Box.vertices`; the bounds may be any numbers that compare as
+    the box's do, such as its bounds as integers over one denominator."""
+    return tuple(product(*((b,) if a == b else (b, a) for a, b in zip(lo, hi))))
 
 
 def shifted_cone(S: Box, Es: Sequence[Sequence[Sequence]],

@@ -16,17 +16,19 @@ The exact work runs in Python integers, fraction-free.  A system stores
 each row once, as integer numerators over one positive denominator, and
 reads it in its primitive integer form ``(a_1, ..., a_n, b)`` (a positive
 multiple of the row, :attr:`~LinearInequalitySystem.int_rows`).
-Elimination combines those forms into new ones; the points and
-multipliers of a basis are solved into numerators over one determinant,
-in closed form up to 3 unknowns and by Bareiss elimination beyond
-(:func:`_solve_exact`), and a test is an integer sign test such as
-``a . num <= b * den``.  Fractions are built only at the edges, and only
-when read: a system's Fraction rows by
+Elimination combines those forms into new ones.  Each basis of the
+simplex is inverted once, as its adjugate over its determinant, in closed
+form up to 3 unknowns and by Bareiss elimination beyond (:func:`_adjugate`);
+its point, its multipliers and its edges are integer dot products with
+that inverse, numerators over the determinant, and a test is an integer
+sign test such as ``a . num <= b * den``.  Fractions are built only at the
+edges, and only when read: a system's Fraction rows by
 :meth:`~LinearInequalitySystem.to_text`, a float point query or the
 small-system route of :meth:`~LinearInequalitySystem.reduce`; the points
 handed back are Fractions too.
 Irrational constants enter only through :func:`rationalize`, which makes
-the single approximation point explicit.
+the single approximation point explicit and finds the nearest bounded
+rational by a continued fraction in integers.
 """
 
 from __future__ import annotations
@@ -43,17 +45,55 @@ DEFAULT_MAX_DENOMINATOR = 10**12
 
 
 def rationalize(x: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Fraction:
-    """Nearest rational with denominator <= max_denominator.
+    """Nearest rational with denominator <= max_denominator, the value of
+    ``Fraction(x).limit_denominator(max_denominator)``, found in integers.
 
     This is the only place where a float is *rounded* into the exact world;
     plain ``Fraction(x)`` conversions elsewhere are exact by construction.
+    The continued fraction of ``x = n / d`` stops before a convergent's
+    denominator passes the bound.  The last convergent ``p1 / q1`` and the
+    largest semiconvergent ``(p0 + k p1) / (q0 + k q1)`` lie on either side
+    of ``x``, ``1 / (q1 (q0 + k q1))`` apart, and ``p1 / q1`` lies ``r / (q1
+    d)`` from ``x`` (``r`` the last remainder): it is the answer, ties
+    included, iff ``2 r (q0 + k q1) <= d``.
     """
-    return Fraction(x).limit_denominator(max_denominator)
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
+    n, d = x.as_integer_ratio()
+    if d <= max_denominator:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, rem = n, d
+    while True:
+        a = num // rem
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, rem = rem, num - a * rem
+    k = (max_denominator - q0) // q1
+    if 2 * rem * (q0 + k * q1) <= d:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
+#: Most digits a number in an inequality file may need: Python's default
+#: limit for integer-string conversion, past which none is written back.
+MAX_DIGITS = 4300
 
 
 def rational(text: str) -> Fraction:
     """`text` read as a rational; a zero denominator is a ValueError like
-    any other malformed number."""
+    any other malformed number.  So is a token whose digits and exponent
+    need more than :data:`MAX_DIGITS` digits together, rejected before
+    ``Fraction`` expands the power of ten."""
+    mantissa, _, exponent = text.lower().partition("e")
+    try:
+        scale = abs(int(exponent)) if exponent else 0
+    except ValueError:  # not an exponent; Fraction rejects the token
+        scale = 0
+    if sum(c.isdigit() for c in mantissa) + scale > MAX_DIGITS:
+        raise ValueError(f"{text!r} needs more than {MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -357,12 +397,16 @@ class LinearInequalitySystem:
             if "<=" not in line:
                 raise ValueError(f"line {lineno}: missing '<='")
             lhs, _, rhs = line.partition("<=")
-            coeffs = [rational(tok) for tok in lhs.split()]
+            try:
+                coeffs = [rational(tok) for tok in lhs.split()]
+                bound = rational(rhs.strip())
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
             if width is None:
                 width = len(coeffs)
             elif len(coeffs) != width:
                 raise ValueError(f"line {lineno}: inconsistent variable count")
-            rows.append(Row(tuple(coeffs), rational(rhs.strip())))
+            rows.append(Row(tuple(coeffs), bound))
         if width is None:
             raise ValueError("no rows found")
         return cls(width, tuple(rows))
@@ -399,18 +443,16 @@ def _implied(others: list[Row], row: Row, num_vars: int) -> bool:
     return lower is not None and lower > upper
 
 
-def _solve_exact(M: Sequence[Sequence[int]],
-                 *rhs: Sequence[int]) -> Optional[tuple]:
-    """Exact solution of ``M x = rhs_i`` over the integers for each
-    right-hand side given: ``(num_1, ..., det)`` with ``x_i = num_i / det``
-    and ``det = |det M| > 0``, or None if M is singular.
+def _adjugate(M: Sequence[Sequence[int]]
+              ) -> Optional[tuple[Sequence[Sequence[int]], int]]:
+    """``(adj, det)`` with ``adj M = M adj = det I`` and ``det = |det M| >
+    0``, or None if M is singular.
 
-    ``num_i`` is ``det M`` times the solution, the Cramer numerators
-    ``det(M_j)`` (``M`` with column j replaced by ``rhs_i``), sign-flipped
-    with the determinant when it is negative, so the tuple is unique.  Up
-    to 3 unknowns, which every basis of the sparse gain has, it is formed
-    in closed form: ``det M`` by cofactors and the numerators as ``adj(M)
-    rhs_i``.  Larger systems go through :func:`_bareiss`.
+    ``adj`` is the adjugate of M, sign-flipped with the determinant when it
+    is negative, so the pair is unique.  Up to 3 unknowns, which every
+    basis of the sparse gain has, it is the closed form by cofactors;
+    larger matrices go through :func:`_bareiss` against the columns of the
+    identity, whose numerators are the columns of ``adj``.
     """
     k = len(M)
     if k == 3:
@@ -428,12 +470,25 @@ def _solve_exact(M: Sequence[Sequence[int]],
         det = M[0][0]
         adj = ((1,),)
     else:
-        return _bareiss(M, *rhs)
+        found = _bareiss(M, *([int(i == j) for i in range(k)] for j in range(k)))
+        return None if found is None else (tuple(zip(*found[:-1])), found[-1])
     if not det:
         return None
     if det < 0:
-        det = -det
-        adj = tuple(tuple(-x for x in row) for row in adj)
+        return tuple(tuple(-x for x in row) for row in adj), -det
+    return adj, det
+
+
+def _solve_exact(M: Sequence[Sequence[int]],
+                 *rhs: Sequence[int]) -> Optional[tuple]:
+    """Exact solution of ``M x = rhs_i`` over the integers for each
+    right-hand side given: ``(num_1, ..., det)`` with ``x_i = num_i / det``,
+    ``num_i = adj rhs_i`` and ``det = |det M| > 0`` (:func:`_adjugate`), or
+    None if M is singular."""
+    found = _adjugate(M)
+    if found is None:
+        return None
+    adj, det = found
     return (*([_dot(row, y) for row in adj] for y in rhs), det)
 
 
@@ -477,20 +532,44 @@ def _bareiss(M: Sequence[Sequence[int]],
     return (*nums, sign * prev)
 
 
+class _Vertex(NamedTuple):
+    """A simplex basis, the positions of rows with independent normals, and
+    the adjugate and determinant of those normals (:func:`_adjugate`): its
+    point is ``adj b / det``, the multipliers of a normal ``a`` are ``adj^T
+    a / det``, and column ``p`` of ``adj`` is the edge off row ``basis[p]``
+    alone."""
+
+    basis: list[int]
+    adj: Sequence[Sequence[int]]
+    det: int
+
+
+def _vertex(rows: Sequence[tuple[int, ...]], basis: list[int]) -> _Vertex:
+    """The basis `basis` of `rows`, inverted."""
+    return _Vertex(basis, *_adjugate([rows[k][:-1] for k in basis]))
+
+
+def _pivot(rows: Sequence[tuple[int, ...]], v: _Vertex, pos: int,
+           k: int) -> _Vertex:
+    """The basis `v` with row `k` in place of ``v.basis[pos]``, inverted
+    unless the two rows share a normal, which leaves the matrix as it is."""
+    basis = v.basis[:pos] + [k] + v.basis[pos + 1:]
+    if rows[k][:-1] == rows[v.basis[pos]][:-1]:
+        return v._replace(basis=basis)
+    return _vertex(rows, basis)
+
+
 def _point(rows: Sequence[tuple[int, ...]],
-           basis: Sequence[int]) -> tuple[list[int], int]:
-    """The point ``num / den`` where the rows at `basis` are tight."""
-    return _solve_exact([rows[k][:-1] for k in basis],
-                        [rows[k][-1] for k in basis])
+           v: _Vertex) -> tuple[list[int], int]:
+    """The point ``num / den`` where the rows of the basis `v` are tight."""
+    b = [rows[k][-1] for k in v.basis]
+    return [_dot(row, b) for row in v.adj], v.det
 
 
-def _multipliers(rows: Sequence[tuple[int, ...]], basis: Sequence[int],
-                 *normals: Sequence[int]) -> tuple:
-    """For each of `normals`, the multipliers of the basis rows' normals
-    that sum to it, over one common denominator: ``(num_1, ..., den)``."""
-    r = len(basis)
-    return _solve_exact([[rows[k][v] for k in basis] for v in range(r)],
-                        *(a[:r] for a in normals))
+def _multipliers(v: _Vertex, a: Sequence[int]) -> list[int]:
+    """The multipliers of the normals of the basis `v` that sum to the
+    normal of `a`, as numerators over ``v.det``."""
+    return [_dot(col, a) for col in zip(*v.adj)]
 
 
 def _column_basis(keys: Sequence[tuple[int, ...]], num_vars: int) -> list[int]:
@@ -500,9 +579,12 @@ def _column_basis(keys: Sequence[tuple[int, ...]], num_vars: int) -> list[int]:
     Every other column ``T`` is then ``A[:, T] = A[:, S] C`` for the basis
     ``S``, so ``a . x = a_S . (x_S + C x_T)`` for every row: the system in
     the variables ``S`` has the same points up to that linear map, the same
-    empty row sets and the same implied rows."""
+    empty row sets and the same implied rows.  No column is visited after
+    the ``len(keys)``-th pick, since the rank is at most the row count."""
     basis, echelon = [], []  # echelon: (position of the lead, column)
     for v in range(num_vars):
+        if len(basis) == len(keys):  # full rank: no column is independent
+            break
         col = [a[v] for a in keys]
         for p, e in echelon:
             if col[p]:
@@ -515,7 +597,8 @@ def _column_basis(keys: Sequence[tuple[int, ...]], num_vars: int) -> list[int]:
 
 
 def _vertex_or_farkas(keys: Sequence[tuple[int, ...]], num_vars: int
-                      ) -> tuple[Optional[list[tuple[int, ...]]], list[int]]:
+                      ) -> tuple[Optional[list[tuple[int, ...]]],
+                                 _Vertex | list[int]]:
     """One cold linear program that finds a vertex of the integer rows
     `keys`, or a Farkas set when they have no common point.
 
@@ -528,29 +611,32 @@ def _vertex_or_farkas(keys: Sequence[tuple[int, ...]], num_vars: int
     such rows (the column basis of the transposed normals), ``o`` first, so
     ``y = e_o`` is a basic feasible solution and no first phase is needed.
 
-    Each step solves the basis point ``x``.  If it satisfies every row, the
-    reduced costs ``b_j - a_j . x`` are all ``>= 0`` and ``x`` is a vertex.
-    Otherwise the lowest violated row ``j`` enters, and one solve gives the
-    multipliers ``y`` of ``a_o`` and ``d`` of ``a_j`` in the basis rows.
-    The basis row with the least ``y_k / d_k`` over ``d_k > 0`` leaves, ties
-    to the lowest row (Bland's rule: no cycling).  With no ``d_k > 0`` the
-    program is unbounded: ``a_j - sum d_k a_k = 0`` sums row ``j`` and the
-    rows with ``d_k < 0`` to ``0 <= negative``, since ``x`` violates ``j``
-    and is tight on the basis rows, a Farkas set.
+    Each step inverts the basis once (:class:`_Vertex`) and reads the point
+    ``x`` from it.  If it satisfies every row, the reduced costs ``b_j -
+    a_j . x`` are all ``>= 0`` and ``x`` is a vertex.  Otherwise the lowest
+    violated row ``j`` enters, and the same inverse gives the multipliers
+    ``y`` of ``a_o`` and ``d`` of ``a_j`` in the basis rows.  The basis row
+    with the least ``y_k / d_k`` over ``d_k > 0`` leaves, ties to the lowest
+    row (Bland's rule: no cycling).  With no ``d_k > 0`` the program is
+    unbounded: ``a_j - sum d_k a_k = 0`` sums row ``j`` and the rows with
+    ``d_k < 0`` to ``0 <= negative``, since ``x`` violates ``j`` and is
+    tight on the basis rows, a Farkas set.
 
-    Returns ``(rows, basis)``, the rows in the ``r`` variables and the
-    positions of that vertex's rows, or ``(None, farkas)``."""
+    Returns ``(rows, vertex)``, the rows in the ``r`` variables and that
+    vertex's basis, or ``(None, farkas)``."""
     cols = _column_basis(keys, num_vars)
     r = len(cols)
     rows = [tuple(a[v] for v in cols) + (a[-1],) for a in keys]
-    basis = _column_basis(list(zip(*(a[:r] for a in rows))), len(rows))
-    obj = rows[basis[0]] if basis else ()
+    vertex = _vertex(rows, _column_basis(list(zip(*(a[:r] for a in rows))),
+                                         len(rows)))
+    obj = rows[vertex.basis[0]] if vertex.basis else ()
     while True:
-        x = _point(rows, basis)
+        x = _point(rows, vertex)
         j = next((j for j, a in enumerate(rows) if not _holds(a, x)), None)
         if j is None:
-            return rows, basis
-        y, d, _ = _multipliers(rows, basis, obj, rows[j])
+            return rows, vertex
+        basis = vertex.basis
+        y, d = _multipliers(vertex, obj), _multipliers(vertex, rows[j])
         leave = None  # the position in `basis` of the least y_k / d_k
         for p, dk in enumerate(d):
             if dk > 0:
@@ -562,28 +648,29 @@ def _vertex_or_farkas(keys: Sequence[tuple[int, ...]], num_vars: int
                     leave = p
         if leave is None:
             return None, [j] + [k for k, dk in zip(basis, d) if dk < 0]
-        basis[leave] = j
+        vertex = _pivot(rows, vertex, leave, j)
 
 
 def _walk(rows: Sequence[tuple[int, ...]], others: Sequence[int], i: int,
-          basis: Sequence[int]) -> Optional[list[int]]:
+          vertex: _Vertex) -> Optional[_Vertex]:
     """Decide whether the rows `others` (ascending positions in `rows`)
     imply row `i`, by a primal simplex for ``max a_i . x`` over them started at the
-    vertex `basis`: ``len(basis)`` positions among `others` and `i` whose
-    rows meet in a point that satisfies all of them, with the normals
-    spanning every variable.
+    vertex `vertex`: a basis among `others` and `i` whose rows meet in a
+    point that satisfies all of them, with the normals spanning every
+    variable.
 
-    Returns the basis of a vertex of `others` at which the maximum is
+    Returns a basis of a vertex of `others` at which the maximum is
     reached, at most ``b_i`` (the row is implied), or None as soon as a
     point of `others` violates row `i` or an edge runs off unbounded (the
-    row is needed).  If `i` is in `basis`, it is pivoted out first: the edge
+    row is needed).  If `i` is in the basis, it is pivoted out first: the edge
     that leaves its plane outwards, and a positive step along it already
     violates it.  Then, while some multiplier of ``a_i`` in the basis rows
     is negative, the row of lowest position among them leaves and the
     ratio test picks the row that enters, ties to the lowest position
-    (Bland's rule: no cycling).  Points, multipliers and edges are solved
-    exactly (:func:`_solve_exact`)."""
-    a, basis, r = rows[i], list(basis), len(basis)
+    (Bland's rule: no cycling).  Each basis is inverted once
+    (:class:`_Vertex`), and its point, multipliers and edges are read from
+    that inverse."""
+    a = rows[i]
 
     def edge(pos: int, out: int, x: tuple[list[int], int]
              ) -> Optional[tuple[int, int]]:
@@ -592,35 +679,34 @@ def _walk(rows: Sequence[tuple[int, ...]], others: Sequence[int], i: int,
         and moves ``a . x`` of that row by `out`; None if no row of
         `others` bounds the edge."""
         num, den = x
-        d, _ = _solve_exact([rows[k][:-1] for k in basis],
-                            [out if p == pos else 0 for p in range(r)])
+        d = [out * row[pos] for row in vertex.adj]
         best = None  # (row, slack, rate): the least slack / rate
         for k in others:
             rate = _dot(rows[k], d)
-            if rate > 0 and k not in basis:
+            if rate > 0 and k not in vertex.basis:
                 slack = rows[k][-1] * den - _dot(rows[k], num)
                 if best is None or slack * best[2] < best[1] * rate:
                     best = (k, slack, rate)
         return None if best is None else best[:2]
 
     x = None  # the point of the basis, solved when a step needs it
-    if i in basis:
-        pos = basis.index(i)
-        x = _point(rows, basis)
+    if i in vertex.basis:
+        pos = vertex.basis.index(i)
+        x = _point(rows, vertex)
         found = edge(pos, 1, x)
         if found is None or found[1] > 0:
             return None
-        basis[pos] = found[0]  # a zero step: the point stays
+        vertex = _pivot(rows, vertex, pos, found[0])  # a zero step: the point stays
     while True:
-        lam, _ = _multipliers(rows, basis, a)
-        neg = [k for k, l in zip(basis, lam) if l < 0]
+        lam = _multipliers(vertex, a)
+        neg = [k for k, l in zip(vertex.basis, lam) if l < 0]
         if not neg:
-            return basis
-        pos = basis.index(min(neg))
-        found = edge(pos, -1, x or _point(rows, basis))
+            return vertex
+        pos = vertex.basis.index(min(neg))
+        found = edge(pos, -1, x or _point(rows, vertex))
         if found is None:
             return None
-        basis[pos] = found[0]
-        x = _point(rows, basis)
+        vertex = _pivot(rows, vertex, pos, found[0])
+        x = _point(rows, vertex)
         if _dot(a, x[0]) > a[-1] * x[1]:
             return None

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .boxes import Box
+from .boxes import Box, _vertices
 from .inequalities import (
     LinearInequalitySystem,
     _over,
@@ -446,13 +446,13 @@ def admissibility_rows(S: Box, U: Box) -> list[ScaledRow]:
     leading coefficient has magnitude 1.  The bounds of S and U go over one
     denominator once, which a row's coefficients and bound share, so a row
     is the integers of a vertex and a bound over the leading magnitude.
+    The vertices are taken from those integers, in ``S.vertices()`` order.
     """
-    bounds = S.lo + S.hi + U.lo + U.hi
-    ints = dict(zip(bounds, _over(bounds)[0]))
-    u_lo, u_hi = [ints[x] for x in U.lo], [ints[x] for x in U.hi]
+    ints, _ = _over(S.lo + S.hi + U.lo + U.hi)
+    n, m = S.dim, U.dim
+    u_lo, u_hi = ints[2 * n:2 * n + m], ints[2 * n + m:]
     rows = []
-    for v in S.vertices():
-        v1, v2, v3 = (ints[x] for x in v)
+    for v1, v2, v3 in _vertices(ints[:n], ints[n:2 * n]):
         for g in ((v1, 0, 0, u_hi[0]), (-v1, 0, 0, -u_lo[0]),
                   (0, v2, v3, u_hi[1]), (0, -v2, -v3, -u_lo[1])):
             rows.append((g, next(abs(c) for c in g if c != 0)))

@@ -977,6 +977,20 @@ def test_fme_zero_denominator_exits_2(tmp_path, capsys):
     assert "zero denominator in '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token, args", [
+    ("1e100000000", []), ("1e-100000000", []), ("1e200000", ["--keep", "0"]),
+])
+def test_fme_huge_exponent_exits_2_as_it_is_read(tmp_path, capsys, token, args):
+    """A number past 4300 digits is refused before Fraction expands its
+    power of ten: 1e100000000 spent over 20 s there, and 1e200000 ran the
+    LP on 664,386-bit integers before its output failed to print."""
+    path = tmp_path / "sys.txt"
+    path.write_text(f"0 1 <= 1\n1 0 <= {token}\n")
+    assert main(["fme", "--input", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert f"error: line 2: '{token}' needs more than 4300 digits" in err
+
+
 @pytest.mark.parametrize("n", [4.0, True])
 def test_chain_spec_with_non_integer_n_exits_2(tmp_path, capsys, n):
     spec = write_json(tmp_path / "chain.json",

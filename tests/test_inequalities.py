@@ -1,5 +1,6 @@
 import ast
 import math
+import re
 import warnings
 from fractions import Fraction
 from itertools import combinations
@@ -12,16 +13,20 @@ from viskeep import demos, inequalities, synthesis
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
+    _adjugate,
     _bareiss,
     _column_basis,
+    _dot,
     _implied,
     _over,
     _solve_exact,
+    _vertex,
     _vertex_or_farkas,
     _walk,
+    rational,
     rationalize,
 )
-from viskeep.scenarios import gain_polytope
+from viskeep.scenarios import BasicScenario, gain_polytope
 
 from conftest import (
     _farkas_set_oracle,
@@ -59,6 +64,50 @@ def test_rational_arithmetic_is_exact():
     x = rationalize(0.1)
     assert x == F(1, 10)
     assert rationalize(3.0) == 3
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.0 ** -1021, 2.0 ** -1021),  # subnormal and tiny
+    st.integers(-2**60, 2**60).map(float),
+    # already representable: a denominator of at most 2**20
+    st.builds(lambda k, j: k / 2**j, st.integers(-2**40, 2**40),
+              st.integers(0, 20)),
+    st.integers(-10**6, 10**6).map(lambda n: n + 0.5),  # ties at m = 1
+)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_FLOATS, st.sampled_from([1, 2, 10**6, 10**12]))
+@example(0.5, 1)
+@example(-2.5, 1)
+@example(5e-324, 10**12)
+@example(-0.0, 1)
+@example(0.1, 10**12)
+def test_rationalize_matches_limit_denominator(x, m):
+    """The integer continued fraction gives what Fraction gives, ties to
+    the convergent included."""
+    got = rationalize(x, m)
+    assert type(got) is F and got == F(x).limit_denominator(m)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_rationalize_needs_a_positive_bound(m):
+    for x in (0.1, 0.5, 3.0):
+        with pytest.raises(ValueError):
+            rationalize(x, m)
+
+
+def test_rational_bounds_the_digits_of_a_token():
+    """A token may need up to 4300 digits, Python's default limit for
+    writing an integer back; its mantissa digits and exponent count."""
+    assert rational("1e4299") == 10**4299
+    assert rational("-" + "9" * 4300) == -(10**4300 - 1)
+    assert rational("1e-4299") == F(1, 10**4299)
+    for token in ("1e4300", "1.5e4299", "1e-4300", "1e100000000", "1E+5000"):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"'{token}' needs more than 4300")):
+            rational(token)
 
 
 # ----------------------------------------------------------------------
@@ -514,6 +563,51 @@ def test_reduce_of_feasible_bundles_runs_one_cold_lp(monkeypatch):
         assert calls == [len(poly.rows)], name
 
 
+def test_each_basis_is_inverted_once(monkeypatch):
+    """``reduce()`` of the bundle polytopes and ``is_feasible()`` of an
+    empty basic polytope hand ``_adjugate`` no matrix twice in a row: a
+    basis is inverted when it is made, and its point, multipliers and edges
+    are read from that inverse, from one walk to the next too.  The crash
+    basis stops at full rank: ``_column_basis`` reads no column after the
+    ``len(keys)``-th pick."""
+    inverted, late_reads, stopped = [], [], []
+    adjugate, column_basis = inequalities._adjugate, inequalities._column_basis
+
+    def recorded(M):
+        inverted.append([tuple(row) for row in M])
+        return adjugate(M)
+
+    def watched(keys, num_vars):
+        read = set()
+
+        class Watched(tuple):
+            def __getitem__(self, v):
+                read.add(v)
+                return tuple.__getitem__(self, v)
+
+        basis = column_basis([Watched(a) for a in keys], num_vars)
+        if basis and len(basis) == len(keys):
+            late_reads.extend(v for v in read if v > basis[-1])
+            stopped.append(basis[-1] < num_vars - 1)
+        return basis
+
+    monkeypatch.setattr(inequalities, "_adjugate", recorded)
+    monkeypatch.setattr(inequalities, "_column_basis", watched)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        empty = gain_polytope(BasicScenario(
+            a=0.4, b=math.pi / 4, d=2.0, V_F=0.9, V_L=0.1,
+            Omega_F=math.pi / 3, Omega_L=0.27))
+    runs = {name: poly.reduce for name, poly in _bundle_polytopes().items()}
+    runs["empty basic"] = empty.is_feasible
+    for name, run in runs.items():
+        inverted.clear()
+        run()
+        assert inverted, name
+        assert all(a != b for a, b in zip(inverted, inverted[1:])), name
+    assert not empty.is_feasible() and not late_reads and any(stopped)
+
+
 def test_walk_follows_blands_rule():
     """From the origin of the triangle ``x, y >= 0``, ``x + y <= 1``, the
     walk for ``x <= 2`` lets ``-x <= 0`` leave (its multiplier is the
@@ -522,9 +616,10 @@ def test_walk_follows_blands_rule():
     implied there, and the end basis is the one the tie picked."""
     tri = sys_of(2, [((-1, 0), 0), ((0, -1), 0), ((0, 1), 1), ((1, 1), 1),
                      ((1, 0), 1), ((1, 0), 2)])
-    assert _walk(tri.int_rows, range(5), 5, [0, 1]) == [3, 1]
+    rows = tri.int_rows
+    assert _walk(rows, range(5), 5, _vertex(rows, [0, 1])).basis == [3, 1]
     # without x + y <= 1 the others are the unit square, where x + y reaches 2
-    assert _walk(tri.int_rows, (0, 1, 2, 4), 3, [0, 1]) is None
+    assert _walk(rows, (0, 1, 2, 4), 3, _vertex(rows, [0, 1])) is None
 
 
 def test_certificates_accept_tight_combinations():
@@ -544,7 +639,7 @@ def test_certificates_accept_tight_combinations():
     assert not empty.is_feasible()
     point = sys_of(2, [((-1, 0), -1), ((0, -1), -1), ((1, 1), 2)])  # just (1, 1)
     rows, vertex = _vertex_or_farkas(point.int_rows, 2)
-    assert rows is not None and len(vertex) == 2
+    assert rows is not None and len(vertex.basis) == 2
     assert point.is_feasible() and point.reduce() == point
 
 
@@ -584,6 +679,8 @@ def test_crash_basis_finds_a_vertex_or_a_farkas_set(num_vars, rows, end):
     system = sys_of(num_vars, rows)
     ints = system.int_rows
     reduced, found = _vertex_or_farkas(ints, num_vars)
+    if reduced is not None:
+        found = found.basis
     if end is not None:
         assert sorted(found) == end
     if reduced is None:
@@ -749,12 +846,12 @@ _ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 
 
 @st.composite
-def _square_systems(draw):
-    """A k x k integer matrix, k = 1 to 3, and one or two right-hand sides:
-    small entries give zero pivots and singular matrices, large ones go
-    past 2**64, and half the matrices of k > 1 have a last row that
+def _square_systems(draw, max_k=3):
+    """A k x k integer matrix, k = 1 to `max_k`, and one or two right-hand
+    sides: small entries give zero pivots and singular matrices, large ones
+    go past 2**64, and half the matrices of k > 1 have a last row that
     combines the others, so they are singular."""
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, max_k))
     row = st.lists(_ENTRY, min_size=k, max_size=k)
     M = draw(st.lists(row, min_size=k, max_size=k))
     if k > 1 and draw(st.booleans()):
@@ -775,6 +872,30 @@ def test_closed_form_solve_matches_bareiss(system):
     elimination it replaces, None included, for any determinant sign."""
     M, rhs = system
     assert _solve_exact(M, *rhs) == _bareiss(M, *rhs)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_square_systems(6))
+@example(([[0]], [[5]]))
+@example(([[-3]], [[2]]))
+@example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 2, 0]], [[1, 2, 3, 4]]))
+@example(([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0]]))
+def test_adjugate_inverts_up_to_the_determinant(system):
+    """``adj M = M adj = det I`` with ``det = |det M| > 0``, None exactly
+    when Fraction elimination finds M singular, for 1 to 6 unknowns; and
+    the numerators of :func:`_solve_exact` are ``adj rhs``."""
+    M, rhs = system
+    found, det = _adjugate(M), abs(_det(M))
+    if det == 0:
+        assert found is None and _solve_exact(M, *rhs) is None
+        return
+    adj, d = found
+    assert d == det > 0
+    eye = [[d * (i == j) for j in range(len(M))] for i in range(len(M))]
+    assert [[_dot(row, col) for col in zip(*M)] for row in adj] == eye
+    assert [[_dot(row, col) for col in zip(*adj)] for row in M] == eye
+    assert _solve_exact(M, *rhs) == (*([_dot(row, y) for row in adj]
+                                       for y in rhs), d)
 
 
 def test_integer_key_classes_match_fraction_key(rnd):
