@@ -117,32 +117,19 @@ def feasible_chain(spec: ChainSpec) -> FeasibilityReport:
     the tail robot's turn-rate floor, and a two-sided sandwich for every
     interior robot.
     """
-    conds: list[ConditionMargin] = []
     V = [r.V for r in spec.robots]
     Om = [r.Omega for r in spec.robots]
-    for k in range(1, spec.n):  # link k: robot k+1 follows robot k
-        bound = _link_bounds(V[k - 1], *spec.links[k - 1]).speed
-        conds.append(
-            ConditionMargin(f"speed_{k + 1}", V[k], bound, V[k] - bound)
-        )
-    up1 = _link_bounds(V[0], *spec.links[0]).leader_turn
-    conds.append(ConditionMargin("turn_rate_1_upper", Om[0], up1, up1 - Om[0]))
-    for k in range(2, spec.n):  # interior robots
-        lo = _link_bounds(V[k - 2], *spec.links[k - 2]).follower_turn
-        hi = _link_bounds(V[k - 1], *spec.links[k - 1]).leader_turn
-        conds.append(
-            ConditionMargin(f"turn_rate_{k}_lower", Om[k - 1], lo, Om[k - 1] - lo)
-        )
-        conds.append(
-            ConditionMargin(f"turn_rate_{k}_upper", Om[k - 1], hi, hi - Om[k - 1])
-        )
-    lo_n = _link_bounds(V[spec.n - 2], *spec.links[spec.n - 2]).follower_turn
-    conds.append(
-        ConditionMargin(
-            f"turn_rate_{spec.n}_lower", Om[spec.n - 1], lo_n,
-            Om[spec.n - 1] - lo_n,
-        )
-    )
+    # link k: robot k+1 follows robot k
+    bounds = [_link_bounds(V[k - 1], *spec.links[k - 1]) for k in range(1, spec.n)]
+    conds = [ConditionMargin(f"speed_{k + 1}", V[k], b.speed, V[k] - b.speed)
+             for k, b in enumerate(bounds, start=1)]
+    for r, w in enumerate(Om, start=1):  # follower of link r-1, leader of link r
+        if r > 1:
+            lo = bounds[r - 2].follower_turn
+            conds.append(ConditionMargin(f"turn_rate_{r}_lower", w, lo, w - lo))
+        if r < spec.n:
+            hi = bounds[r - 1].leader_turn
+            conds.append(ConditionMargin(f"turn_rate_{r}_upper", w, hi, hi - w))
     return _report(conds)
 
 

@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from . import demos
@@ -459,10 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_warning(message, *_where, **_kw) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of :func:`main`, built on its first call, not at import."""
@@ -470,22 +465,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; each warning is printed as one ``warning: <message>``
-    line, and the library's (UserWarning) every time it is raised.  An
-    empty gain polytope, in synth or in a simulate with no --gain, exits 1
-    with one ``gain polytope is empty`` line."""
+    """Run one command.  An empty gain polytope, in synth or in a simulate
+    with no --gain, exits 1 with one ``gain polytope is empty`` line."""
     args = _parser().parse_args(argv)
-    with warnings.catch_warnings():
-        warnings.simplefilter("always", UserWarning)
-        warnings.showwarning = _print_warning
-        try:
-            return args.func(args)
-        except InfeasiblePolytopeError as exc:  # a verdict, not bad input
-            print(exc, file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+    try:
+        return args.func(args)
+    except InfeasiblePolytopeError as exc:  # a verdict, not bad input
+        print(exc, file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -11,28 +11,24 @@ Three scenario families are supported:
 
 Each scenario owns (i) an exact uncertain-system transcription of the
 relative dynamics, (ii) closed-form solvability conditions, and (iii) the
-polytope of feasible sparse gains ``(k11, k22, k23)``, built for every family
-by one route: the shifted-cone certificate of its uncertain system.
+polytope of feasible sparse gains ``(k11, k22, k23)``: for every family the
+rows of its uncertain system's two certificates, which
+:func:`viskeep.systems._pipeline_polytope` builds.  This module transcribes
+scenarios into systems and builds no row itself.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .boxes import Box, _vertices
-from .inequalities import (
-    LinearInequalitySystem,
-    _over,
-    _scaled_rows,
-    rationalize,
-)
+from .boxes import Box
+from .inequalities import LinearInequalitySystem, rationalize
 from .profiles import _number, _shown
-from .systems import UncertainLinearSystem
+from .systems import UncertainLinearSystem, _pipeline_polytope
 
 HALF_PI = math.pi / 2
 
@@ -361,15 +357,6 @@ class FeasibilityReport:
             "conditions": [c._asdict() for c in self.conditions],
         }
 
-    def to_text(self) -> str:
-        lines = [f"feasible: {self.feasible}"]
-        for c in self.conditions:
-            lines.append(
-                f"  {c.condition}: lhs={c.lhs:.6g} rhs={c.rhs:.6g} "
-                f"slack={c.slack:+.6g}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def _report(conds: list[ConditionMargin]) -> FeasibilityReport:
     return FeasibilityReport(all(c.slack >= 0 for c in conds), tuple(conds))
@@ -434,80 +421,21 @@ def feasible_circle(sc: CircleScenario) -> FeasibilityReport:
 # ----------------------------------------------------------------------
 
 
-#: A row ``nums[:-1] . k <= nums[-1]`` over the gain ``k``, given as the
-#: integers ``nums`` over ``den > 0``: the row of Fractions ``nums / den``.
-ScaledRow = tuple[tuple[int, ...], int]
-
-
-def admissibility_rows(S: Box, U: Box) -> list[ScaledRow]:
-    """Rows of ``K v in U`` over the window vertices, for the sparse gain.
-
-    u1 = k11 * s1 and u2 = k22 * s2 + k23 * s3; each row is scaled so its
-    leading coefficient has magnitude 1.  The bounds of S and U go over one
-    denominator once, which a row's coefficients and bound share, so a row
-    is the integers of a vertex and a bound over the leading magnitude.
-    The vertices are taken from those integers, in ``S.vertices()`` order.
-    """
-    ints, _ = _over(S.lo + S.hi + U.lo + U.hi)
-    n, m = S.dim, U.dim
-    u_lo, u_hi = ints[2 * n:2 * n + m], ints[2 * n + m:]
-    rows = []
-    for v1, v2, v3 in _vertices(ints[:n], ints[n:2 * n]):
-        for g in ((v1, 0, 0, u_hi[0]), (-v1, 0, 0, -u_lo[0]),
-                  (0, v2, v3, u_hi[1]), (0, -v2, -v3, -u_lo[1])):
-            rows.append((g, next(abs(c) for c in g if c != 0)))
-    return rows
-
-
-def invariance_rows(sys: UncertainLinearSystem) -> list[ScaledRow]:
-    """Shifted-face certificate rows, rearranged as inequalities in
-    ``(k11, k22, k23)``.
-
-    For each window vertex ``v`` and each face ``g_i s_i <= 1`` of S
-    through it, ``g_i ((I + F(w)) v)_i <= 1 - max g_i (E r)_i`` is linear in
-    the gain entries because ``F = A + B K``; as ``g_i v_i = 1`` it is
-    Nagumo's ``g_i (F(w) v)_i + max g_i (E r)_i <= 0``, which a step
-    ``dt > 0`` only scales.  The face of state ``i`` reads row ``i`` of A
-    and B alone, so it is enumerated over the vertices of the parameters
-    whose A or B slice has a nonzero row ``i``.  Rows come by window
-    vertex, then face, then parameter vertex, and may repeat; see
-    :func:`~viskeep.systems._gain_rows`.  They are the system's cached
-    ``gain_rows``, which the exact cone certificate reads too."""
-    return [(nums, den) for _, cone in sys.gain_rows
-            for _, rows in cone for _, nums, den in rows]
-
-
-def _pipeline_polytope(sys: UncertainLinearSystem) -> LinearInequalitySystem:
-    """Invariance then admissibility rows, exact duplicates dropped once on
-    their integers.  The keys of the rows that survive are the system's
-    integer rows, and their Fractions are built only if something reads
-    them."""
-    scaled, keys = _scaled_rows(invariance_rows(sys)
-                                + admissibility_rows(sys.S, sys.U))
-    return LinearInequalitySystem._keyed(3, keys, scaled)
-
-
 def gain_polytope(sc: BasicScenario, system=None) -> LinearInequalitySystem:
-    """Feasible-gain polytope for the basic window, from the shifted-cone
-    pipeline like the other families; warns when the closed-form
-    solvability conditions fail.  `system` is ``build_basic_system(sc)``,
-    built here when not passed."""
-    if not feasible_basic(sc).feasible:
-        warnings.warn("scenario fails the closed-form solvability conditions",
-                      stacklevel=2)
+    """Feasible-gain polytope for the basic window: the rows of both
+    certificates of `system`, ``build_basic_system(sc)``, built here when
+    not passed (:func:`~viskeep.systems._pipeline_polytope`)."""
     return _pipeline_polytope(build_basic_system(sc) if system is None else system)
 
 
 def gain_polytope_ubb(sc: UbbScenario, system=None) -> LinearInequalitySystem:
-    """Feasible-gain polytope under lateral disturbances, from the generic
-    shifted-cone pipeline; membership is equivalent to passing both the
-    admissibility and cone certificates of the ubb system (`system`, built
-    here when not passed)."""
+    """Feasible-gain polytope under lateral disturbances, same route
+    (`system` built here when not passed)."""
     return _pipeline_polytope(build_ubb_system(sc) if system is None else system)
 
 
 def gain_polytope_circle(sc: CircleScenario, system=None) -> LinearInequalitySystem:
-    """Feasible-gain polytope for the orbit window, same pipeline."""
+    """Feasible-gain polytope for the orbit window, same route."""
     return _pipeline_polytope(build_circle_system(sc) if system is None else system)
 
 

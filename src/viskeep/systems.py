@@ -13,10 +13,13 @@ checking finitely many vertex conditions:
   (Blanchini, Automatica 1999); a one-step form with step ``dt`` scales
   it by ``dt``.
 
-Both run in exact arithmetic only: every quantity goes over a common
-denominator and each test is an integer sign test.  A float gain entry is
-a dyadic rational, so it is read as ``Fraction(k)`` without rounding and
-decided like any rational gain; a NaN or infinite entry is a ValueError.
+The gain polytope is those conditions written as rows in the sparse gain
+(:func:`_pipeline_polytope`), and both certificates test a gain against
+the same rows.  Both run in exact arithmetic only: every quantity goes
+over a common denominator and each test is an integer sign test.  A float
+gain entry is a dyadic rational, so it is read as ``Fraction(k)`` without
+rounding and decided like any rational gain; a NaN or infinite entry is a
+ValueError.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from functools import cached_property
 from itertools import product
 from typing import NamedTuple, Optional, Sequence
 
-from .boxes import Box, shifted_cone
-from .inequalities import _dot, _over
+from .boxes import Box, _vertices, shifted_cone
+from .inequalities import LinearInequalitySystem, _dot, _over, _scaled_rows
 
 Matrix = tuple[tuple, ...]
 
@@ -128,6 +131,26 @@ def _gain_rows(sys: UncertainLinearSystem):
         yield v, tuple(cone)
 
 
+#: The bound each of a vertex's rows of :func:`_admissibility_rows` states.
+_ADMISSIBILITY_LABELS = ("u[0] <= hi", "u[0] >= lo", "u[1] <= hi", "u[1] >= lo")
+
+
+def _admissibility_rows(S: Box, U: Box) -> tuple[list, int]:
+    """``K v in U`` for the sparse gain at every vertex ``v`` of S, in
+    integers: ``(rows, den)``, ``rows`` holding per vertex, in
+    ``S.vertices()`` order, the four rows of :data:`_ADMISSIBILITY_LABELS`,
+    each ``nums[:3] . k <= nums[3]``, as ``u1 = k11 v1`` and
+    ``u2 = k22 v2 + k23 v3``.  The bounds of S and U go over the one
+    denominator ``den`` once, so a row is the integers of a vertex and of
+    a bound, and ``nums / den`` is the row in the units of S and U."""
+    ints, den = _over(S.lo + S.hi + U.lo + U.hi)
+    n, m = S.dim, U.dim
+    u_lo, u_hi = ints[2 * n:2 * n + m], ints[2 * n + m:]
+    return [((v1, 0, 0, u_hi[0]), (-v1, 0, 0, -u_lo[0]),
+             (0, v2, v3, u_hi[1]), (0, -v2, -v3, -u_lo[1]))
+            for v1, v2, v3 in _vertices(ints[:n], ints[n:2 * n])], den
+
+
 @dataclass(frozen=True)
 class GainMatrix:
     """Sparse 2x3 feedback ``[[k11, 0, 0], [0, k22, k23]]``."""
@@ -217,6 +240,23 @@ class UncertainLinearSystem:
         return tuple(_gain_rows(self))
 
 
+def _pipeline_polytope(sys: UncertainLinearSystem) -> LinearInequalitySystem:
+    """The gain polytope of `sys`: the certificate rows of
+    :attr:`~UncertainLinearSystem.gain_rows`, then the admissibility rows
+    of :func:`_admissibility_rows`, each scaled so that its leading
+    coefficient has magnitude 1, with exact duplicates dropped once on
+    their integers.  A gain lies in it iff it passes both certificates,
+    which test these same rows.  The keys of the rows that survive are the
+    system's integer rows, and their Fractions are built only if something
+    reads them."""
+    adm, _ = _admissibility_rows(sys.S, sys.U)
+    scaled, keys = _scaled_rows(
+        [(nums, den) for _, cone in sys.gain_rows
+         for _, rows in cone for _, nums, den in rows]
+        + [(g, next(abs(c) for c in g if c != 0)) for rows in adm for g in rows])
+    return LinearInequalitySystem._keyed(3, keys, scaled)
+
+
 class Violation(NamedTuple):
     vertex: tuple
     q_vertex: Optional[tuple]
@@ -264,26 +304,21 @@ def _float_tuple(v) -> tuple:
 def check_admissible(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
     """``K v`` inside U for every vertex ``v`` of S.
 
-    The entries of K (a float read as the rational it is), the vertices
-    of S and those of U are each put over one denominator, so ``K v`` and
-    its bounds are integers over ``den`` and every test is an integer sign
-    test."""
+    Each bound is an integer sign test on the gain polytope's
+    admissibility rows (:func:`_admissibility_rows`), as the cone
+    certificate's are on its invariance rows: the gain ``k = Kn / Kd`` (a
+    float entry read as the rational it is) fails a row iff
+    ``nums[3] * Kd - nums[:3] . Kn < 0``, and that integer over
+    ``den * Kd`` is the slack, the bound less ``(K v)_j``, exactly."""
     Kn, Kd = _over(K.as_fractions())
-    Vd = math.lcm(*(x.denominator for x in S.lo + S.hi))
-    Un, Ud = _over(U.lo + U.hi)
-    den = Kd * Vd * Ud
-    lo = [x * Kd * Vd for x in Un[:U.dim]]
-    hi = [x * Kd * Vd for x in Un[U.dim:]]
+    rows, den = _admissibility_rows(S, U)
     violations = []
-    for v in S.vertices():
-        V0, V1, V2 = (x.numerator * (Vd // x.denominator) for x in v)
-        u = (Kn[0] * V0 * Ud, (Kn[1] * V1 + Kn[2] * V2) * Ud)
-        for j, (lo_b, hi_b, val) in enumerate(zip(lo, hi, u)):
-            for row, gap in ((f"u[{j}] <= hi", hi_b - val),
-                             (f"u[{j}] >= lo", val - lo_b)):
-                if gap < 0:
-                    violations.append(
-                        Violation(_float_tuple(v), None, None, row, gap / den))
+    for v, vertex_rows in zip(S.vertices(), rows):
+        for label, nums in zip(_ADMISSIBILITY_LABELS, vertex_rows):
+            gap = nums[3] * Kd - _dot(nums, Kn)
+            if gap < 0:
+                violations.append(
+                    Violation(_float_tuple(v), None, None, label, gap / (den * Kd)))
     return CertificateReport(not violations, tuple(violations), "admissibility")
 
 

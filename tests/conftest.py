@@ -432,7 +432,9 @@ def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:
     """Rows of ``K v in U`` over the window vertices, for the sparse gain.
 
     u1 = k11 * s1 and u2 = k22 * s2 + k23 * s3; each row is scaled so its
-    leading coefficient has magnitude 1.  Built in ``Fraction`` arithmetic.
+    leading coefficient has magnitude 1, as ``systems._pipeline_polytope``
+    scales the rows of ``systems._admissibility_rows``.  Built in
+    ``Fraction`` arithmetic.
     """
     rows = []
     for v in S.vertices():
@@ -486,9 +488,9 @@ def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
     parameters whose A or B slice has a nonzero row ``i``.  Rows come by
     window vertex, then face, then parameter vertex, and may repeat.  Built
     in ``Fraction`` arithmetic: with :func:`admissibility_rows_oracle`, the
-    oracle for the integer rows of ``scenarios.invariance_rows``, which
-    equal these at ``tau = 1`` and these divided by `tau` at any other
-    step."""
+    oracle for the integer rows of ``UncertainLinearSystem.gain_rows``,
+    which equal these at ``tau = 1`` and these divided by `tau` at any
+    other step."""
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
     tau = Fraction(tau)
@@ -517,7 +519,7 @@ def invariance_rows_oracle(sys: UncertainLinearSystem, tau=1) -> list[Row]:
 def pipeline_polytope_oracle(sys: UncertainLinearSystem, tau=1) -> LinearInequalitySystem:
     """Invariance rows at step `tau` then admissibility rows as Fractions,
     duplicates dropped on the Fraction key: the polytope
-    ``scenarios._pipeline_polytope`` must give row for row at ``tau = 1``,
+    ``systems._pipeline_polytope`` must give row for row at ``tau = 1``,
     and key for key at any ``tau > 0``."""
     rows = invariance_rows_oracle(sys, tau) + admissibility_rows_oracle(sys.S, sys.U)
     return LinearInequalitySystem(3, dedup_oracle(rows))

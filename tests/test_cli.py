@@ -776,17 +776,20 @@ def test_simulate_rejects_nan_chain_start(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "synth"])
-def test_library_warning_is_one_stable_line_each_time(tmp_path, capsys,
-                                                      command):
+def test_infeasible_scenario_writes_no_warning(tmp_path, capsys, command):
+    """A scenario that fails the closed-form conditions is a verdict, which
+    check and synth state in their exit code and output; neither writes a
+    ``warning:`` line."""
     sc = scenario_to_json_dict(BASIC_SCENARIO)
     sc["Omega_L"] = 0.27
     path = write_json(tmp_path / "bad.json", sc)
-    for _ in range(2):
-        main([command, "--scenario", str(path), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
-        assert ("warning: scenario fails the closed-form solvability "
-                "conditions") in err.splitlines()
-        assert ".py:" not in err and "UserWarning" not in err
+    assert main([command, "--scenario", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert not any(line.startswith("warning:") for line in err.splitlines())
+    assert err.splitlines() == (["infeasible: leader_turn_rate"]
+                                if command == "check"
+                                else ["gain polytope is empty"])
 
 
 def test_simulate_dt_must_divide_the_noise_hold(tmp_path, capsys):
@@ -943,6 +946,20 @@ def test_bundle_synth_matches_recorded_bytes(name, tmp_path):
                  "--dump-polytope", str(dump)]) == 0
     assert gain.read_bytes() == (DATA / f"{name}_gain.json").read_bytes()
     assert dump.read_bytes() == (DATA / f"{name}_polytope.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("chain_demo_closed", ["--spec", "SPEC", "--closed"]),
+    ("chain_generated", ["--generate", "a=0.1,d=7,n=6,V1=0.02"]),
+])
+def test_chain_matches_recorded_bytes(name, argv, tmp_path):
+    """The chain JSON of the demo chain with --closed, and of a generated
+    six-robot schedule, byte for byte as recorded in tests/data."""
+    spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+    out = tmp_path / "out.json"
+    argv = [str(spec) if tok == "SPEC" else tok for tok in argv]
+    assert main(["chain", *argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
 
 def test_main_builds_one_parser(basic_file, tmp_path, capsys, monkeypatch):

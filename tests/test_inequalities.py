@@ -1,7 +1,6 @@
 import ast
 import math
 import re
-import warnings
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -505,9 +504,7 @@ def test_reduce_matches_the_per_row_lp_oracle_on_gain_polytopes(rnd):
     row decided by the cold per-row programs of the oracle."""
     feasible = empty = 0
     for kind in ("basic", "ubb", "circle") * 12:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the closed-form warning
-            poly = random_family_scenario(rnd, kind).polytope()
+        poly = random_family_scenario(rnd, kind).polytope()
         assert poly.reduce().rows == reduce_lp_oracle(poly), kind
         if poly.is_feasible():
             feasible += 1
@@ -593,11 +590,9 @@ def test_each_basis_is_inverted_once(monkeypatch):
 
     monkeypatch.setattr(inequalities, "_adjugate", recorded)
     monkeypatch.setattr(inequalities, "_column_basis", watched)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        empty = gain_polytope(BasicScenario(
-            a=0.4, b=math.pi / 4, d=2.0, V_F=0.9, V_L=0.1,
-            Omega_F=math.pi / 3, Omega_L=0.27))
+    empty = gain_polytope(BasicScenario(
+        a=0.4, b=math.pi / 4, d=2.0, V_F=0.9, V_L=0.1,
+        Omega_F=math.pi / 3, Omega_L=0.27))
     runs = {name: poly.reduce for name, poly in _bundle_polytopes().items()}
     runs["empty basic"] = empty.is_feasible
     for name, run in runs.items():
@@ -943,9 +938,7 @@ def test_pipeline_rows_equal_the_fraction_pipeline(rnd):
     cases += [random_family_scenario(rnd, kind)
               for kind in ("basic", "ubb", "circle") for _ in range(3)]
     for sc in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            poly = sc.polytope()
+        poly = sc.polytope()
         assert poly.rows == pipeline_polytope_oracle(sc.system()).rows
         assert poly.int_rows == tuple(map(normalized_key, poly.rows))
 

@@ -121,7 +121,6 @@ def _random_family_polytopes(rnd):
             for kind in ("basic", "ubb", "circle") for _ in range(14)]
 
 
-@pytest.mark.filterwarnings("ignore:scenario fails")
 def test_min_norm_gain_matches_enumeration_oracle(rnd):
     """The exact min-norm loop against the exhaustive active-set
     enumeration, on the unreduced and the reduced polytopes of random
@@ -170,7 +169,6 @@ def test_min_norm_gain_matches_oracle_on_small_systems(rnd):
         _assert_matches_oracle(q, want)
 
 
-@pytest.mark.filterwarnings("ignore:scenario fails")
 def test_min_norm_gain_of_bundles_needs_no_reduce(rnd, monkeypatch):
     """min_norm_gain reduces no feasible polytope: not the bundled and
     chain-link ones, not random-family ones, reduced or not.  An empty one

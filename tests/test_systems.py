@@ -9,18 +9,14 @@ import pytest
 from viskeep import systems as systems_module
 from viskeep.boxes import Box
 from viskeep.demos import BASIC_SCENARIO, BUNDLES
-from viskeep.scenarios import (
-    BasicScenario,
-    _pipeline_polytope,
-    build_basic_system,
-    gain_polytope,
-)
+from viskeep.scenarios import BasicScenario, build_basic_system, gain_polytope
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
     CertificateReport,
     GainMatrix,
     UncertainLinearSystem,
     Violation,
+    _pipeline_polytope,
     check_admissible,
     check_D_invariant_cone,
     simulate_linear_switching,
