@@ -190,20 +190,24 @@ def max_chain_length(maps: ParameterMaps, n_max: int) -> ChainLengthResult:
 
 
 def closed_chain_check(
-    spec: ChainSpec, wrap: Optional[LinkGeometry] = None
+    spec: ChainSpec, wrap: Optional[LinkGeometry] = None,
+    open_report: Optional[FeasibilityReport] = None,
 ) -> FeasibilityReport:
     """Append the wrap-around link (robot 1 pursuing robot n).
 
     The chain conditions cap the guide speed from above while the wrap link
     demands it exceed the tail speed; the report carries that contradicting
-    pair alongside the open-chain conditions.  Defaults the wrap geometry to
-    the first link's, since a ring gives robot 1 no window of its own.
+    pair alongside the open-chain conditions, ``feasible_chain(spec)``
+    unless a caller that has it passes it as `open_report`.  Defaults the
+    wrap geometry to the first link's, since a ring gives robot 1 no window
+    of its own.
     """
     if wrap is None:
         wrap = spec.links[0]
     else:
         wrap = LinkGeometry(*wrap)
-    open_report = feasible_chain(spec)
+    if open_report is None:
+        open_report = feasible_chain(spec)
     V = [r.V for r in spec.robots]
     # invert the speed floors from the tail back to robot 1
     x = V[-1]

@@ -293,7 +293,8 @@ def cmd_chain(args) -> int:
         payload["feasible"] = report.to_json_dict()
         feasible = report.feasible
         if args.closed:
-            payload["closed"] = closed_chain_check(spec).to_json_dict()
+            payload["closed"] = closed_chain_check(
+                spec, open_report=report).to_json_dict()
     if args.maps:
         vals = _key_values(args.maps)
         try:

@@ -1,11 +1,9 @@
 """Bundled benchmark runs: one per supported scenario family.
 
 Each bundle fixes the scenario parameters, the leader motion, the initial
-relative state and the horizon, and carries the reference gain matrix used
-in the original study of these scenarios, so synthesized gains can be
-compared against them.  The basic, ubb and chain reference gains are
-certified solutions of their scenarios; the circle reference gain is not
-(see the comment at ``REF_GAIN_CIRCLE``).
+relative state and the horizon.  The demo runs the gains it synthesizes.
+The reference gains of the original study of these scenarios, which only
+the tests read, are kept in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from typing import Optional, Sequence
 from .chains import ChainSpec
 from .scenarios import BasicScenario, CircleScenario, UbbScenario
 from .profiles import BOUND_TOL, LeaderProfile, profile_from_json_dict
-from .systems import GainMatrix
 
 PI = math.pi
 
@@ -46,7 +43,6 @@ BASIC_SCENARIO = BasicScenario(
 )
 BASIC_PROFILE = profile_from_json_dict(PROFILE_JSON["basic"])
 BASIC_S0 = (0.3285, -0.1626, 0.1071)
-REF_GAIN_BASIC = GainMatrix(1.5173, 0.3707, 0.4925)
 
 UBB_SCENARIO = UbbScenario(
     a=0.4, b=PI / 4, d=2.0, V_F=0.95, V_L=0.03, Omega_F=PI / 4,
@@ -55,7 +51,6 @@ UBB_SCENARIO = UbbScenario(
 UBB_PROFILE = profile_from_json_dict(PROFILE_JSON["ubb"])
 UBB_S0 = BASIC_S0
 UBB_NOISE_AMPLITUDE = 0.1
-REF_GAIN_UBB = GainMatrix(1.6735, 0.5896, 0.5326)
 
 CIRCLE_SCENARIO = CircleScenario(
     a=0.4, b=PI / 4, gamma=PI / 6, rho=0.3, V_F=0.8, V_L=0.06,
@@ -63,13 +58,6 @@ CIRCLE_SCENARIO = CircleScenario(
 )
 CIRCLE_PROFILE = profile_from_json_dict(PROFILE_JSON["circle"])
 CIRCLE_S0 = (0.0, 0.0, 0.5597)
-# Kept for provenance only: this gain is not a solution of CIRCLE_SCENARIO.
-# At the window corner (-a, -a, b), with the leader on the orbit, the
-# nonlinear field has ds1 = -0.166 under it, and a run from 0.95 of that
-# corner leaves the window on dp1; its k11*a = 0.552 is below the 0.779
-# that the gain polytope requires.  Which constant was transcribed wrongly,
-# the gain or the scenario, is not known.
-REF_GAIN_CIRCLE = GainMatrix(1.3812, 0.6051, 0.5508)
 
 CHAIN_SPEC = ChainSpec.make(
     links=[(0.4, PI / 14, 3.0), (0.4, PI / 9, 3.0), (0.4, PI / 4, 3.0)],
@@ -77,11 +65,6 @@ CHAIN_SPEC = ChainSpec.make(
 )
 CHAIN_PROFILE = profile_from_json_dict(PROFILE_JSON["chain"])
 CHAIN_S0 = ((0.0, 0.0, 0.0374), (0.0, 0.0, 0.2244), (0.0, 0.0, 0.2618))
-REF_GAINS_CHAIN = (
-    GainMatrix(0.2066, 0.0315, 0.3361),
-    GainMatrix(0.5087, 0.0669, 0.3400),
-    GainMatrix(1.7273, 0.2678, 0.3348),
-)
 
 DEFAULT_HORIZON = 60.0
 # The step of every run: the coarsest of 1, 2 or 5 times a power of ten at
@@ -99,17 +82,15 @@ class DemoBundle:
     scenario: object
     profile: LeaderProfile
     s0: Sequence
-    ref_gain: object
     noise_amplitude: Optional[float] = None
 
 
 BUNDLES = (
-    DemoBundle("basic", BASIC_SCENARIO, BASIC_PROFILE, BASIC_S0, REF_GAIN_BASIC),
-    DemoBundle("ubb", UBB_SCENARIO, UBB_PROFILE, UBB_S0, REF_GAIN_UBB,
+    DemoBundle("basic", BASIC_SCENARIO, BASIC_PROFILE, BASIC_S0),
+    DemoBundle("ubb", UBB_SCENARIO, UBB_PROFILE, UBB_S0,
                noise_amplitude=UBB_NOISE_AMPLITUDE),
-    DemoBundle("circle", CIRCLE_SCENARIO, CIRCLE_PROFILE, CIRCLE_S0,
-               REF_GAIN_CIRCLE),
-    DemoBundle("chain", CHAIN_SPEC, CHAIN_PROFILE, CHAIN_S0, REF_GAINS_CHAIN),
+    DemoBundle("circle", CIRCLE_SCENARIO, CIRCLE_PROFILE, CIRCLE_S0),
+    DemoBundle("chain", CHAIN_SPEC, CHAIN_PROFILE, CHAIN_S0),
 )
 
 

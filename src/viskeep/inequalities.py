@@ -7,7 +7,10 @@ feasibility decisions and redundancy removal produce certificates that are
 free of floating-point ambiguity.  Feasibility is one linear program over
 nonnegative multipliers of the rows, solved from a crash basis of the
 rows by a revised simplex, a dual simplex over the points: it finds a
-vertex of the rows or a Farkas set (:func:`_vertex_or_farkas`).
+vertex of the rows or a Farkas set (:func:`_vertex_or_farkas`).  The crash
+basis, the lowest rows with independent normals, also gives the rank of
+the normals; only below full rank are the rows rewritten in the variables
+of a column basis of their normals.
 Redundancy removal then decides every row by a primal simplex over the
 points that starts from the last vertex (:func:`_walk`).  Both move
 between bases of rows that meet in one point, and every pivot is exact.
@@ -597,19 +600,22 @@ def _column_basis(keys: Sequence[tuple[int, ...]], num_vars: int) -> list[int]:
 
 
 def _vertex_or_farkas(keys: Sequence[tuple[int, ...]], num_vars: int
-                      ) -> tuple[Optional[list[tuple[int, ...]]],
+                      ) -> tuple[Optional[Sequence[tuple[int, ...]]],
                                  _Vertex | list[int]]:
     """One cold linear program that finds a vertex of the integer rows
     `keys`, or a Farkas set when they have no common point.
 
-    The rows are first taken in the ``r`` variables of their
-    :func:`_column_basis`, where the normals span all ``r`` dimensions.  The
-    program is ``min sum y_j b_j`` over ``y >= 0`` with ``sum y_j a_j =
+    The program is ``min sum y_j b_j`` over ``y >= 0`` with ``sum y_j a_j =
     a_o``, the normal of the first nonzero row ``o``.  Its dual is ``max
     a_o . x`` over the rows, so it is unbounded iff they are empty.  A basis
-    is ``r`` rows with independent normals; the crash basis is the lowest
-    such rows (the column basis of the transposed normals), ``o`` first, so
-    ``y = e_o`` is a basic feasible solution and no first phase is needed.
+    is ``r`` rows with independent normals, ``r`` the rank of the normals.
+    The crash basis is the lowest such rows, ``o`` first (the column basis
+    of the transposed normals), so ``y = e_o`` is a basic feasible solution
+    and no first phase is needed; its size gives ``r``.  At full rank the
+    rows are the keys as they stand.  Below it they are taken in the ``r``
+    variables of the normals' :func:`_column_basis`, where they span all
+    ``r`` dimensions; rows are independent there iff they are in all
+    ``num_vars``, so the crash basis is the same.
 
     Each step inverts the basis once (:class:`_Vertex`) and reads the point
     ``x`` from it.  If it satisfies every row, the reduced costs ``b_j -
@@ -622,18 +628,21 @@ def _vertex_or_farkas(keys: Sequence[tuple[int, ...]], num_vars: int
     ``d_k < 0`` to ``0 <= negative``, since ``x`` violates ``j`` and is
     tight on the basis rows, a Farkas set.
 
-    Returns ``(rows, vertex)``, the rows in the ``r`` variables and that
-    vertex's basis, or ``(None, farkas)``."""
-    cols = _column_basis(keys, num_vars)
-    r = len(cols)
-    rows = [tuple(a[v] for v in cols) + (a[-1],) for a in keys]
-    vertex = _vertex(rows, _column_basis(list(zip(*(a[:r] for a in rows))),
-                                         len(rows)))
-    obj = rows[vertex.basis[0]] if vertex.basis else ()
+    Returns ``(rows, vertex)``, the rows in the ``r`` variables (`keys`
+    itself at full rank) and that vertex's basis, or ``(None, farkas)``."""
+    crash = _column_basis(list(zip(*keys))[:num_vars], len(keys))
+    rows = keys
+    if len(crash) < num_vars:
+        cols = _column_basis(keys, num_vars)
+        rows = [tuple(a[v] for v in cols) + (a[-1],) for a in keys]
+    vertex = _vertex(rows, crash)
+    obj = rows[crash[0]] if crash else ()
     while True:
-        x = _point(rows, vertex)
-        j = next((j for j, a in enumerate(rows) if not _holds(a, x)), None)
-        if j is None:
+        num, den = _point(rows, vertex)
+        for j, a in enumerate(rows):
+            if sum(map(mul, a, num)) > a[-1] * den:
+                break
+        else:
             return rows, vertex
         basis = vertex.basis
         y, d = _multipliers(vertex, obj), _multipliers(vertex, rows[j])

@@ -15,6 +15,7 @@ from viskeep.demos import CIRCLE_SCENARIO
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
+    _column_basis,
     _implied,
     _over,
     _primitive,
@@ -38,6 +39,23 @@ from viskeep.systems import (
     _relevant_params,
     _steps,
     _switching_draws,
+)
+
+# The reference gains of the original study of the demo bundles.  The
+# basic, ubb and chain gains are certified solutions of their scenarios.
+REF_GAIN_BASIC = GainMatrix(1.5173, 0.3707, 0.4925)
+REF_GAIN_UBB = GainMatrix(1.6735, 0.5896, 0.5326)
+# Kept for provenance only: this gain is not a solution of CIRCLE_SCENARIO.
+# At the window corner (-a, -a, b), with the leader on the orbit, the
+# nonlinear field has ds1 = -0.166 under it, and a run from 0.95 of that
+# corner leaves the window on dp1; its k11*a = 0.552 is below the 0.779
+# that the gain polytope requires.  Which constant was transcribed wrongly,
+# the gain or the scenario, is not known.
+REF_GAIN_CIRCLE = GainMatrix(1.3812, 0.6051, 0.5508)
+REF_GAINS_CHAIN = (
+    GainMatrix(0.2066, 0.0315, 0.3361),
+    GainMatrix(0.5087, 0.0669, 0.3400),
+    GainMatrix(1.7273, 0.2678, 0.3348),
 )
 
 FLOAT_TOL = 1e-9  # the absolute tolerance of the oracles' float paths
@@ -324,6 +342,41 @@ def _farkas_set_oracle(keys: Sequence[tuple[int, ...]],
                             [0] * num_vars + [1], [a[-1] for a in keys],
                             lambda value, den: value < 0)
     return found[1] if found is not None and found[0] else None
+
+
+def vertex_or_farkas_oracle(keys: Sequence[tuple[int, ...]], num_vars: int
+                            ) -> tuple[list[tuple[int, ...]], Optional[list[int]],
+                                       Optional[list[int]]]:
+    """The cold program of ``inequalities._vertex_or_farkas`` by its column
+    route: the column basis of the keys, every row rebuilt in those ``r``
+    variables, and the crash basis as the column basis of their transposed
+    normals, whatever the rank.  The same dual simplex then runs in
+    Fractions, each basis solved afresh (``solve_exact_oracle``): the lowest
+    violated row enters, the least ``y_k / d_k`` over ``d_k > 0`` leaves,
+    ties to the lowest row.
+
+    Returns ``(rows, basis, farkas)``: the rebuilt rows, and either the
+    basis of the vertex found or the Farkas set, the other None."""
+    cols = _column_basis(keys, num_vars)
+    r = len(cols)
+    rows = [tuple(a[v] for v in cols) + (a[-1],) for a in keys]
+    basis = _column_basis(list(zip(*(a[:r] for a in rows))), len(rows))
+    obj = rows[basis[0]][:-1] if basis else ()
+    while True:
+        normals = [rows[k][:-1] for k in basis]
+        x = solve_exact_oracle(normals, [rows[k][-1] for k in basis])
+        j = next((j for j, a in enumerate(rows)
+                  if sum(c * v for c, v in zip(a, x)) > a[-1]), None)
+        if j is None:
+            return rows, basis, None
+        transposed = list(zip(*normals))
+        y = solve_exact_oracle(transposed, obj)
+        d = solve_exact_oracle(transposed, rows[j][:-1])
+        bounded = [p for p in range(r) if d[p] > 0]
+        if not bounded:
+            return rows, None, [j] + [k for k, dk in zip(basis, d) if dk < 0]
+        leave = min(bounded, key=lambda p: (y[p] / d[p], basis[p]))
+        basis = basis[:leave] + [j] + basis[leave + 1:]
 
 
 def _implies_oracle(keys: Sequence[tuple[int, ...]], num_vars: int,

@@ -16,6 +16,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    REF_GAIN_BASIC,
+    REF_GAIN_CIRCLE,
+    REF_GAIN_UBB,
+    REF_GAINS_CHAIN,
     check_D_invariant_euler,
     random_basic_scenario,
     random_moderate_system,
@@ -44,10 +48,6 @@ from viskeep.demos import (
     CIRCLE_PROFILE,
     CIRCLE_S0,
     CIRCLE_SCENARIO,
-    REF_GAIN_BASIC,
-    REF_GAIN_CIRCLE,
-    REF_GAIN_UBB,
-    REF_GAINS_CHAIN,
     UBB_NOISE_AMPLITUDE,
     UBB_PROFILE,
     UBB_S0,

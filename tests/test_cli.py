@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from viskeep import cli, scenarios, simulate, systems
+from viskeep import chains, cli, scenarios, simulate, systems
 from viskeep.cli import build_parser, main
 from viskeep.demos import (
     BASIC_SCENARIO,
@@ -961,6 +961,25 @@ def test_chain_matches_recorded_bytes(name, argv, tmp_path):
     assert main(["chain", *argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
+
+def test_closed_chain_reuses_the_open_report(tmp_path, monkeypatch):
+    """``chain --spec <demo chain> --closed`` evaluates the open chain once:
+    the closed check prepends the report the command already has."""
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return feasible_chain(spec)
+
+    feasible_chain = chains.feasible_chain
+    monkeypatch.setattr(chains, "feasible_chain", counted)
+    monkeypatch.setattr(cli, "feasible_chain", counted)
+    spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+    out = tmp_path / "out.json"
+    assert main(["chain", "--spec", str(spec), "--closed",
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_bytes() == (DATA / "chain_demo_closed.json").read_bytes()
 
 def test_main_builds_one_parser(basic_file, tmp_path, capsys, monkeypatch):
     """Two calls share one parser, and it still parses after an argparse

@@ -39,6 +39,7 @@ from conftest import (
     reduce_lp_oracle,
     solve_exact_oracle,
     system_from_rows,
+    vertex_or_farkas_oracle,
 )
 
 F = Fraction
@@ -699,6 +700,83 @@ def test_crash_basis_finds_a_vertex_or_a_farkas_set(num_vars, rows, end):
         is (_farkas_set_oracle(ints, num_vars) is None)
     assert system.reduce().rows == reduce_lp_oracle(system) \
         == _reduce_oracle(system), system.to_text()
+
+
+@st.composite
+def _crash_systems(draw):
+    """Integer rows ``(a_1, ..., a_n, b)`` in 1-4 variables whose normals
+    are combinations of ``r <= n`` random vectors, so they have rank at most
+    ``r``, with zero normals (``0 <= b``) and repeated normals (scaled or
+    negated, each with its own ``b``) mixed in."""
+    n = draw(st.integers(1, 4))
+    r = min(draw(st.integers(0, n + 2)), n)
+    small = st.integers(-2, 2)
+    spans = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(r)]
+    keys = []
+    for _ in range(draw(st.integers(0, n + 6))):
+        twist = draw(st.integers(0, 5)) if keys else 0
+        b = draw(st.integers(-3, 3))
+        if twist <= 2:  # a combination of the spanning vectors
+            c = draw(st.lists(small, min_size=r, max_size=r))
+            a = [sum(ck * s[v] for ck, s in zip(c, spans)) for v in range(n)]
+        elif twist == 3:  # a zero normal: 0 <= b
+            a = [0] * n
+        else:  # a repeated normal, scaled by -2, -1, 1 or 2
+            k = draw(st.sampled_from((-2, -1, 1, 2)))
+            a = [k * x for x in draw(st.sampled_from(keys))[:-1]]
+        keys.append((*a, b))
+    return n, keys
+
+
+@settings(max_examples=400, deadline=None)
+@given(_crash_systems())
+@example((3, [(0, 0, 0, 1), (1, 2, 3, 1), (-2, -4, -6, -3), (3, 6, 9, 7)]))
+@example((2, [(1, 1, 1), (-1, -1, 0)]))
+@example((2, [(1, 1, 0), (-1, -1, -1)]))
+@example((2, []))
+def test_crash_basis_comes_first_as_on_the_column_route(case):
+    """The cold program returns the basis or the Farkas set that the column
+    route finds (``vertex_or_farkas_oracle``: the column basis of the keys,
+    the rows rebuilt in those ``r`` variables, the crash basis from their
+    transposed normals), and the same rows: at full rank the keys
+    themselves, with no row rebuilt; below it the rows in the ``r``
+    variables of the column basis."""
+    num_vars, keys = case
+    rows, found = _vertex_or_farkas(keys, num_vars)
+    want_rows, basis, farkas = vertex_or_farkas_oracle(keys, num_vars)
+    if rows is None:
+        assert basis is None and found == farkas
+        return
+    assert farkas is None and found.basis == basis
+    assert list(rows) == want_rows
+    if len(_column_basis(keys, num_vars)) == num_vars:
+        assert all(a is k for a, k in zip(rows, keys))
+
+
+def test_full_rank_reduce_takes_no_column_basis_of_the_keys(monkeypatch):
+    """Every bundle polytope's normals span all 3 variables, so its
+    ``reduce()`` reads the rank off the crash basis, a column basis of the
+    transposed normals, and never takes the column basis of its rows.  A
+    system whose normals span 2 of 3 variables takes it once."""
+    calls = []
+    column_basis = inequalities._column_basis
+
+    def counted(vectors, num_vars):
+        calls.append([tuple(v) for v in vectors])
+        return column_basis(vectors, num_vars)
+
+    monkeypatch.setattr(inequalities, "_column_basis", counted)
+    for name, poly in _bundle_polytopes().items():
+        calls.clear()
+        poly.reduce()
+        keys = set(poly.int_rows)
+        assert calls, name
+        assert not any(keys & set(vectors) for vectors in calls), name
+    plane = sys_of(3, [((1, 1, 0), 2), ((-1, -1, 0), 1), ((0, 0, 1), 1),
+                       ((1, 1, 1), 3), ((2, 2, -1), 4), ((-1, -1, 1), 2)])
+    calls.clear()
+    plane.reduce()
+    assert sum(vectors == list(plane.int_rows) for vectors in calls) == 1
 
 
 def test_inequalities_imports_no_numpy():

@@ -25,10 +25,6 @@ from viskeep.demos import (
     DEFAULT_DT,
     DEFAULT_HORIZON,
     ERROR_TARGET,
-    REF_GAIN_BASIC,
-    REF_GAIN_CIRCLE,
-    REF_GAIN_UBB,
-    REF_GAINS_CHAIN,
     UBB_PROFILE,
     UBB_S0,
     UBB_SCENARIO,
@@ -59,7 +55,15 @@ from viskeep.simulate import (
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import GainMatrix
 
-from conftest import constant_noise, integrate_oracle, reconstruct_relative
+from conftest import (
+    REF_GAIN_BASIC,
+    REF_GAIN_CIRCLE,
+    REF_GAIN_UBB,
+    REF_GAINS_CHAIN,
+    constant_noise,
+    integrate_oracle,
+    reconstruct_relative,
+)
 
 STILL = LeaderProfile(constant(0.0), constant(0.0))
 
@@ -817,7 +821,7 @@ def test_chain_run_holds_little_beyond_its_traces():
     b = bundle("chain")
 
     def run(T):
-        return simulate_chain(b.scenario, b.ref_gain, b.profile, b.s0, T=T)
+        return simulate_chain(b.scenario, REF_GAINS_CHAIN, b.profile, b.s0, T=T)
 
     # tracemalloc looks up the line of every allocation.  CPython 3.11 keeps
     # a code object's line array, which makes that lookup cheap, once a
