@@ -3,7 +3,8 @@
 Boxes are the only polytopes this package enumerates: state, input,
 disturbance and parameter sets are all interval products.  Bounds are stored
 exactly (as rationals) so the face shifts can feed the exact certificate
-paths; float views are derived on demand.
+paths, and a membership query reads its point exactly too; float views
+are derived on demand.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import product
 from math import lcm
 from typing import Iterable, Sequence
 
-from .inequalities import _over
+from .inequalities import _over, _rationals
 
 VERTEX_DIMENSION_GUARD = 20
 
@@ -64,16 +65,13 @@ class Box:
         return all(a <= 0 <= b for a, b in zip(self.lo, self.hi))
 
     def contains(self, point: Sequence, tol=0) -> bool:
+        """True iff ``lo_i - tol <= point_i <= hi_i + tol`` for every ``i``,
+        decided exactly: each coordinate and `tol` is read as the rational
+        it is (:func:`~viskeep.inequalities._rationals`)."""
         if len(point) != self.dim:
             raise ValueError("point dimension mismatch")
-        if tol == 0 and all(isinstance(x, (Fraction, int)) for x in point):
-            return all(
-                a <= x <= b for a, x, b in zip(self.lo, point, self.hi)
-            )
-        return all(
-            float(a) - tol <= float(x) <= float(b) + tol
-            for a, x, b in zip(self.lo, point, self.hi)
-        )
+        *xs, t = _rationals((*point, tol))
+        return all(a - t <= x <= b + t for a, x, b in zip(self.lo, xs, self.hi))
 
     def scaled(self, factor) -> "Box":
         f = Fraction(factor)

@@ -190,22 +190,17 @@ def max_chain_length(maps: ParameterMaps, n_max: int) -> ChainLengthResult:
 
 
 def closed_chain_check(
-    spec: ChainSpec, wrap: Optional[LinkGeometry] = None,
-    open_report: Optional[FeasibilityReport] = None,
+    spec: ChainSpec, open_report: Optional[FeasibilityReport] = None,
 ) -> FeasibilityReport:
     """Append the wrap-around link (robot 1 pursuing robot n).
 
     The chain conditions cap the guide speed from above while the wrap link
     demands it exceed the tail speed; the report carries that contradicting
     pair alongside the open-chain conditions, ``feasible_chain(spec)``
-    unless a caller that has it passes it as `open_report`.  Defaults the
-    wrap geometry to the first link's, since a ring gives robot 1 no window
-    of its own.
+    unless a caller that has it passes it as `open_report`.  The wrap link
+    has the first link's geometry, since a ring gives robot 1 no window of
+    its own.
     """
-    if wrap is None:
-        wrap = spec.links[0]
-    else:
-        wrap = LinkGeometry(*wrap)
     if open_report is None:
         open_report = feasible_chain(spec)
     V = [r.V for r in spec.robots]
@@ -216,7 +211,7 @@ def closed_chain_check(
         c = 1 - math.cos(g.b) + g.a * g.b / (g.d - g.a)
         x = (x - c) / (1 + alpha)
     chain_upper = x
-    wrap_lower = _link_bounds(V[-1], *wrap).speed
+    wrap_lower = _link_bounds(V[-1], *spec.links[0]).speed
     conds = list(open_report.conditions)
     conds.append(
         ConditionMargin("speed_1_chain_upper", V[0], chain_upper, chain_upper - V[0])
@@ -230,6 +225,10 @@ def closed_chain_check(
         )
     )
     return _report(conds)
+
+
+#: The window angle of the first link of a generated schedule.
+_B_START = 0.02
 
 
 class ScheduleInfeasibleError(ValueError):
@@ -249,7 +248,6 @@ def generate_schedule(
     n: int,
     V_1: float,
     safety: float = 0.1,
-    b_start: float = 0.02,
 ) -> ChainSpec:
     """Heuristic feasible chain for fixed window sizes a and standoff d.
 
@@ -258,8 +256,8 @@ def generate_schedule(
     per-link floor inflated by (1 + safety); turn rates sit at the geometric
     mean of their sandwich (guide and tail robots use the single-sided bound
     scaled by the safety margin).  The sandwich forces the window angles to
-    grow by roughly (d + a) / ((d - a)(1 - safety)) per link, so `b_start`
-    must be modest for long chains.  Raises
+    grow by roughly (d + a) / ((d - a)(1 - safety)) per link, so the first
+    window angle, :data:`_B_START`, is modest.  Raises
     :class:`ScheduleInfeasibleError` with the achievable prefix length when
     the requested length cannot be met.
     """
@@ -272,7 +270,7 @@ def generate_schedule(
     if not 0 < safety < 1:
         raise ValueError("safety must lie in (0, 1)")
 
-    b = [b_start]
+    b = [_B_START]
     V = [V_1]
 
     def speed_after(V_prev: float, bk: float) -> float:

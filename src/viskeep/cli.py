@@ -270,13 +270,16 @@ def cmd_chain(args) -> int:
     feasible = True
     if args.generate:
         vals = _key_values(args.generate)
-        n = vals["n"]
+        try:
+            a, d, n, V_1 = (vals[key] for key in ("a", "d", "n", "V1"))
+        except KeyError as exc:
+            raise ValueError(f"generate needs a=..,d=..,n=..,V1=..; "
+                             f"{exc.args[0]!r} is missing") from None
         if not n.is_integer():
             raise ValueError(f"n must be an integer, not {n!r}")
         try:
             spec = generate_schedule(
-                a=vals["a"], d=vals["d"], n=int(n), V_1=vals["V1"],
-                safety=vals.get("safety", 0.1),
+                a=a, d=d, n=int(n), V_1=V_1, safety=vals.get("safety", 0.1),
             )
         except ScheduleInfeasibleError as exc:
             print(exc, file=sys.stderr)
@@ -344,7 +347,7 @@ def cmd_demo(args) -> int:
     simulate._hold_steps(args.dt)  # the ubb bundle's noise holds
     out_root = Path(args.out)
     summary = {}
-    for b in demos.BUNDLES:
+    for b in demos.BUNDLES.values():
         out_dir = out_root / b.name
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "profile.json", demos.PROFILE_JSON[b.name])

@@ -1,7 +1,8 @@
 """Bundled benchmark runs: one per supported scenario family.
 
 Each bundle fixes the scenario parameters, the leader motion, the initial
-relative state and the horizon.  The demo runs the gains it synthesizes.
+relative state and the horizon.  :data:`BUNDLES` holds them by name, in
+the order the demo writes them.  The demo runs the gains it synthesizes.
 The reference gains of the original study of these scenarios, which only
 the tests read, are kept in ``tests/conftest.py``.
 """
@@ -85,17 +86,10 @@ class DemoBundle:
     noise_amplitude: Optional[float] = None
 
 
-BUNDLES = (
+BUNDLES = {b.name: b for b in (
     DemoBundle("basic", BASIC_SCENARIO, BASIC_PROFILE, BASIC_S0),
     DemoBundle("ubb", UBB_SCENARIO, UBB_PROFILE, UBB_S0,
                noise_amplitude=UBB_NOISE_AMPLITUDE),
     DemoBundle("circle", CIRCLE_SCENARIO, CIRCLE_PROFILE, CIRCLE_S0),
     DemoBundle("chain", CHAIN_SPEC, CHAIN_PROFILE, CHAIN_S0),
-)
-
-
-def bundle(name: str) -> DemoBundle:
-    for b in BUNDLES:
-        if b.name == name:
-            return b
-    raise KeyError(name)
+)}

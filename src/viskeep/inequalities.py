@@ -24,11 +24,14 @@ simplex is inverted once, as its adjugate over its determinant, in closed
 form up to 3 unknowns and by Bareiss elimination beyond (:func:`_adjugate`);
 its point, its multipliers and its edges are integer dot products with
 that inverse, numerators over the determinant, and a test is an integer
-sign test such as ``a . num <= b * den``.  Fractions are built only at the
-edges, and only when read: a system's Fraction rows by
-:meth:`~LinearInequalitySystem.to_text`, a float point query or the
-small-system route of :meth:`~LinearInequalitySystem.reduce`; the points
-handed back are Fractions too.
+sign test such as ``a . num <= b * den``.  That adjugate is the only
+exact solve here; the Gram solve of :mod:`viskeep.synthesis` reads it
+too.  Fractions are built only at the edges, and only when read: a
+system's Fraction rows by :meth:`~LinearInequalitySystem.to_text` or the
+small-system route of :meth:`~LinearInequalitySystem.reduce`, and a point
+query's coordinates, each float read as the rational it is, so a point
+query is exact whatever its input; the points handed back are Fractions
+too.
 Irrational constants enter only through :func:`rationalize`, which makes
 the single approximation point explicit and finds the nearest bounded
 rational by a continued fraction in integers.
@@ -121,6 +124,16 @@ def _over(values: Sequence) -> tuple[list[int], int]:
     denominator."""
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _rationals(values: Sequence) -> list[Fraction]:
+    """Each value as the rational it is: a float is dyadic, so
+    ``Fraction(x)`` reads it without rounding.  A NaN or an infinity is a
+    ValueError."""
+    try:
+        return [Fraction(x) for x in values]
+    except (ValueError, OverflowError):
+        raise ValueError(f"not a finite number in {values!r}") from None
 
 
 def _scaled_rows(scaled: Iterable[tuple[tuple[int, ...], int]]
@@ -347,36 +360,30 @@ class LinearInequalitySystem:
     # Point queries
     # ------------------------------------------------------------------
 
-    def satisfies(self, point: Sequence, tol: float = 0.0) -> bool:
-        """True iff ``g . point <= rhs + tol`` for every row.
+    def satisfies(self, point: Sequence, tol=0) -> bool:
+        """True iff ``g . point <= rhs + tol`` for every row, decided
+        exactly: each coordinate and `tol` is read as the rational it is
+        (:func:`_rationals`), and each row is one integer sign test."""
+        if tol < 0:
+            raise ValueError("tol must be nonnegative")
+        return all(gap >= 0 for gap, _ in self._gaps(point, tol))
 
-        With ``tol == 0`` and a vector of rationals/ints the test is exact,
-        an integer sign test per row on the point over one denominator;
-        otherwise it is evaluated in floating point.
-        """
+    def slacks(self, point: Sequence) -> list[float]:
+        """Slack ``rhs - g . point`` per row (negative = violated): the
+        exact slack of the point read as rationals, rounded once."""
+        return [gap / den for gap, den in self._gaps(point, 0)]
+
+    def _gaps(self, point: Sequence, tol) -> list[tuple[int, int]]:
+        """Per row, ``rhs + tol - g . point`` as an integer over a positive
+        one: the row ``nums / den`` of :attr:`scaled` at ``num / d`` with
+        ``tol = t / d`` gives ``(b d + t den - a . num, den d)``."""
         if len(point) != self.num_vars:
             raise ValueError(
                 f"point has {len(point)} entries, expected {self.num_vars}"
             )
-        if tol < 0:
-            raise ValueError("tol must be nonnegative")
-        exact = tol == 0 and all(isinstance(x, (Fraction, int)) for x in point)
-        if exact:
-            pt = _over(point)
-            return all(_holds(a, pt) for a in self.int_rows)
-        pt = [float(x) for x in point]
-        return all(
-            sum(float(c) * x for c, x in zip(row.g, pt)) <= float(row.rhs) + tol
-            for row in self.rows
-        )
-
-    def slacks(self, point: Sequence) -> list[float]:
-        """Float slack ``rhs - g . point`` per row (negative = violated)."""
-        pt = [float(x) for x in point]
-        return [
-            float(row.rhs) - sum(float(c) * x for c, x in zip(row.g, pt))
-            for row in self.rows
-        ]
+        (*num, t), d = _over(_rationals((*point, tol)))
+        return [(nums[-1] * d + t * den - _dot(nums, num), den * d)
+                for nums, den in self.scaled]
 
     # ------------------------------------------------------------------
     # Text format: one row per line, "c1 c2 ... cn <= r", rationals "p/q"
@@ -449,13 +456,13 @@ def _implied(others: list[Row], row: Row, num_vars: int) -> bool:
 def _adjugate(M: Sequence[Sequence[int]]
               ) -> Optional[tuple[Sequence[Sequence[int]], int]]:
     """``(adj, det)`` with ``adj M = M adj = det I`` and ``det = |det M| >
-    0``, or None if M is singular.
+    0``, or None if M is singular: the one exact inverse of this layer, so
+    ``M x = y`` is solved as ``x = adj y / det``.
 
     ``adj`` is the adjugate of M, sign-flipped with the determinant when it
     is negative, so the pair is unique.  Up to 3 unknowns, which every
     basis of the sparse gain has, it is the closed form by cofactors;
-    larger matrices go through :func:`_bareiss` against the columns of the
-    identity, whose numerators are the columns of ``adj``.
+    larger matrices go through :func:`_bareiss`.
     """
     k = len(M)
     if k == 3:
@@ -473,8 +480,7 @@ def _adjugate(M: Sequence[Sequence[int]]
         det = M[0][0]
         adj = ((1,),)
     else:
-        found = _bareiss(M, *([int(i == j) for i in range(k)] for j in range(k)))
-        return None if found is None else (tuple(zip(*found[:-1])), found[-1])
+        return _bareiss(M)
     if not det:
         return None
     if det < 0:
@@ -482,35 +488,22 @@ def _adjugate(M: Sequence[Sequence[int]]
     return adj, det
 
 
-def _solve_exact(M: Sequence[Sequence[int]],
-                 *rhs: Sequence[int]) -> Optional[tuple]:
-    """Exact solution of ``M x = rhs_i`` over the integers for each
-    right-hand side given: ``(num_1, ..., det)`` with ``x_i = num_i / det``,
-    ``num_i = adj rhs_i`` and ``det = |det M| > 0`` (:func:`_adjugate`), or
-    None if M is singular."""
-    found = _adjugate(M)
-    if found is None:
-        return None
-    adj, det = found
-    return (*([_dot(row, y) for row in adj] for y in rhs), det)
+def _bareiss(M: Sequence[Sequence[int]]
+             ) -> Optional[tuple[Sequence[Sequence[int]], int]]:
+    """The pair of :func:`_adjugate` for any number of unknowns, from one
+    fraction-free (Bareiss) elimination of ``[M | I]``.
 
-
-def _bareiss(M: Sequence[Sequence[int]],
-             *rhs: Sequence[int]) -> Optional[tuple]:
-    """Fraction-free (Bareiss) solution of ``M x = rhs_i`` for any number
-    of unknowns, from one elimination; the same tuple as
-    :func:`_solve_exact`.
-
-    Every entry of the eliminated matrix is a minor of ``[M | rhs_i]``, so
+    Every entry of the eliminated matrix is a minor of ``[M | I]``, so
     each division by the previous pivot is exact and entries grow only as
     minors do, with no gcd taken (Bareiss, Math. Comp. 22, 1968; Edmonds,
-    J. Res. NBS 71B, 1967); back-substitution gives
-    the Cramer numerators ``det(M_i)`` (``M`` with column i replaced by
-    ``rhs``), also by exact division.  Entries below the diagonal are left
-    as they are; nothing reads them again.
+    J. Res. NBS 71B, 1967); back-substitution against each identity column
+    gives a column of the adjugate, the Cramer numerators ``det(M_i)``
+    (``M`` with column i replaced by that column), also by exact division.
+    Entries below the diagonal are left as they are; nothing reads them
+    again.
     """
-    k, width = len(M), len(M) + len(rhs)
-    aug = [list(row) + list(b) for row, b in zip(M, zip(*rhs))]
+    k = len(M)
+    aug = [list(row) + [int(i == j) for j in range(k)] for i, row in enumerate(M)]
     prev = 1
     for col in range(k):
         pivot = next((i for i in range(col, k) if aug[i][col]), None)
@@ -521,18 +514,18 @@ def _bareiss(M: Sequence[Sequence[int]],
         p = top[col]
         for row in aug[col + 1:]:
             a = row[col]
-            for j in range(col + 1, width):
+            for j in range(col + 1, 2 * k):
                 row[j] = (p * row[j] - a * top[j]) // prev
         prev = p
     sign = -1 if prev < 0 else 1  # the last pivot: det M, up to sign
-    nums = []
-    for c in range(k, width):
+    cols = []
+    for c in range(k, 2 * k):
         num = [0] * k
         for i in range(k - 1, -1, -1):
             row = aug[i]
             num[i] = (prev * row[c] - _dot(row[i + 1:k], num[i + 1:])) // row[i]
-        nums.append([sign * v for v in num])
-    return (*nums, sign * prev)
+        cols.append([sign * v for v in num])
+    return tuple(zip(*cols)), sign * prev
 
 
 class _Vertex(NamedTuple):

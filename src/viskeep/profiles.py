@@ -184,6 +184,10 @@ def profile_from_json_dict(data: dict) -> LeaderProfile:
 
     if not isinstance(data, dict):
         raise ValueError(f"profile must be a JSON object, not {_shown(data)}")
+    for key in ("v", "omega"):
+        if key not in data:
+            raise ValueError(
+                f"profile needs signals 'v' and 'omega'; {key!r} is missing")
     return LeaderProfile(v=build(data["v"]), omega=build(data["omega"]))
 
 

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .inequalities import LinearInequalitySystem, _dot, _holds, _solve_exact
+from .inequalities import LinearInequalitySystem, _adjugate, _dot, _holds
 from .systems import GainMatrix
 
 #: A point ``num / den`` with integer numerators and ``den > 0``.
@@ -53,15 +53,19 @@ def _kkt_point(rows: Sequence[tuple[int, ...]],
 
     A row's integer form has the row's plane, and multipliers scaled by a
     positive factor, so with the same signs.  The Gram system
-    ``[a_i . a_j] lam = b`` gives ``lam / det``, the point is
-    ``sum lam_i a_i / det``, and every test is an integer sign test."""
+    ``[a_i . a_j] lam = b`` gives ``lam = adj b / det`` (:func:`_adjugate`),
+    the point is ``sum lam_i a_i / det``, and every test is an integer sign
+    test."""
     A = [rows[i] for i in subset]
     n = len(A[0]) - 1
-    gram = [[_dot(ai[:n], aj) for aj in A] for ai in A]
-    found = _solve_exact(gram, [a[-1] for a in A])
-    if found is None or any(l > 0 for l in found[0]):
+    found = _adjugate([[_dot(ai[:n], aj) for aj in A] for ai in A])
+    if found is None:
         return None
-    lam, det = found
+    adj, det = found
+    b = [a[-1] for a in A]
+    lam = [_dot(row, b) for row in adj]
+    if any(l > 0 for l in lam):
+        return None
     point = ([sum(l * a[j] for l, a in zip(lam, A)) for j in range(n)], det)
     return point if all(_holds(a, point) for a in rows) else None
 

@@ -5,27 +5,28 @@ Each cell is built in a fixed-width byte row from lookup tables, and the
 cells that the tables cannot write exactly are written by ``%.12g``
 itself, so that operator is the only output contract.  `SimTrace.to_csv`
 in :mod:`viskeep.simulate` loads this module when it writes its first
-trace, and formats each trace's chunks in one `CsvWorkspace`: every
-intermediate and the cells' byte rows are written into buffers made once
-per trace and dropped with it, so no chunk allocates and faults in fresh
-memory.
+trace, and formats each trace's chunks in one `CsvWorkspace`, whose
+`format` is the module's one formatter: every intermediate and the cells'
+byte rows are written into buffers made once per trace and dropped with
+it, so no chunk allocates and faults in fresh memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Each cell of `format_csv_rows` is 32 bytes, four 8-byte words: its sign and
-# the "0." and up to three zeros before the digits of a value below 1 (word
-# 0), then its 12 significant digits, four per word, each followed by a slot
-# for the decimal point; the last slot, never a point, holds the separator.
+# Each cell of `CsvWorkspace.format` is 32 bytes, four 8-byte words: its
+# sign and the "0." and up to three zeros before the digits of a value below
+# 1 (word 0), then its 12 significant digits, four per word, each followed
+# by a slot for the decimal point; the last slot, never a point, holds the
+# separator.
 # A zero byte is an empty slot, and the joined cells drop them.
 _SCALE = np.array([float(10 ** (11 - e)) for e in range(-4, 12)])  # exact
 _BLANK_KEY = 16 * 12 * 2  # the template row after one per (e, last digit, sign)
 
 
 def _tables():
-    """The word tables of `format_csv_rows`:
+    """The word tables of `CsvWorkspace.format`:
 
     - the digit words of each four-digit group, each digit followed by a
       0xFF slot that the template masks;
@@ -64,18 +65,9 @@ def _tables():
 _DIGIT_WORDS, _LAST_DIGIT, _TEMPLATE = _tables()
 
 
-def format_csv_rows(values, blank) -> bytes:
-    """CSV lines of the rows of the 2-D float array `values`: each cell
-    ``"%.12g" % x``, empty in the columns where the bool mask `blank` is
-    true, and every line ended by ``\\n``.  It runs `CsvWorkspace.format`
-    in a workspace of its own size."""
-    values = np.asarray(values, dtype=np.float64)
-    return bytes(CsvWorkspace(values.size).format(values, blank))
-
-
 class CsvWorkspace:
-    """The working buffers of `format_csv_rows` for up to `cells` cells,
-    made once, so a trace written in chunks allocates none per chunk: every
+    """The working buffers of the formatter for up to `cells` cells, made
+    once, so a trace written in chunks allocates none per chunk: every
     intermediate, and the 32-byte slot rows of the cells over a bytearray
     that `bytearray.translate` joins in place.  A call rewrites every slot
     of its cells and zeroes the slots past them, which the join drops.
@@ -92,7 +84,9 @@ class CsvWorkspace:
         self.slots = np.frombuffer(self.text, np.uint64).reshape(-1, 4)
 
     def format(self, values, blank) -> bytearray:
-        """`format_csv_rows` of `values`, at most `cells` cells.
+        """CSV lines of the rows of the 2-D float array `values`, at most
+        `cells` cells: each cell ``"%.12g" % x``, empty in the columns where
+        the bool mask `blank` is true, and every line ended by ``\\n``.
 
         A cell with e = floor(log10|x|) in [-4, 11], where ``%.12g`` writes
         fixed notation, gets its 12 significant digits from n = rint(m),

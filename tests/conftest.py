@@ -155,7 +155,8 @@ def system_from_rows(num_vars: int, rows) -> LinearInequalitySystem:
 
 def solve_exact_oracle(M, rhs):
     """Gaussian elimination over the rationals; None if singular: the
-    oracle for the fraction-free ``inequalities._solve_exact``."""
+    oracle for ``adj rhs / det`` of the fraction-free
+    ``inequalities._adjugate`` and ``inequalities._bareiss``."""
     k = len(M)
     aug = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(M, rhs)]
     for col in range(k):

@@ -13,12 +13,12 @@ from viskeep import chains, cli, scenarios, simulate, systems
 from viskeep.cli import build_parser, main
 from viskeep.demos import (
     BASIC_SCENARIO,
+    BUNDLES,
     CHAIN_S0,
     CHAIN_SPEC,
     DEFAULT_DT,
     ERROR_TARGET,
     PROFILE_JSON,
-    bundle,
 )
 from viskeep.chains import chain_to_json_dict
 from viskeep.inequalities import LinearInequalitySystem
@@ -229,6 +229,32 @@ def test_chain_spec_errors_name_the_field(tmp_path, capsys, where, edit,
     assert not out.exists()
 
 
+def test_chain_generate_names_a_missing_key(tmp_path, capsys):
+    """A --generate list without one of its keys exits 2 with a line that
+    says what the list needs and which key is missing."""
+    out = tmp_path / "generated.json"
+    assert main(["chain", "--generate", "a=0.1,d=7,n=6",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: generate needs a=..,d=..,n=..,V1=..; " \
+                  "'V1' is missing\n"
+    assert not out.exists()
+
+
+def test_simulate_profile_names_a_missing_signal(basic_file, tmp_path,
+                                                 capsys):
+    """A profile without "omega" exits 2 with a line that names it."""
+    profile = write_json(tmp_path / "profile.json",
+                         {"v": PROFILE_JSON["basic"]["v"]})
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file), "--profile",
+                 str(profile), "--horizon", "1.0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: profile needs signals 'v' and 'omega'; " \
+                  "'omega' is missing\n"
+    assert not out.exists()
+
+
 def test_chain_command_generate(tmp_path):
     out = tmp_path / "generated.json"
     code = main(["chain", "--generate", "a=0.1,d=7,n=10,V1=0.02",
@@ -339,7 +365,7 @@ def test_demo_bundle(demo_out, tmp_path):
             "simulate", "--scenario", scenario,
             "--gain", str(src / "gain.json"),
             "--profile", str(src / "profile.json"),
-            "--s0", ",".join(repr(x) for x in bundle(name).s0),
+            "--s0", ",".join(repr(x) for x in BUNDLES[name].s0),
             "--horizon", "2.0", "--seed", "3", "--out", str(mine),
         ] + noise) == 0
         for f in ("check.json", "gain.json", "violations.json", "trace.csv"):
@@ -392,16 +418,16 @@ def test_simulate_without_gain_runs_the_synth_gain(demo_out, tmp_path,
     names = ("basic", "ubb", "circle")
     for name in names:
         src, mine = demo_out / name, tmp_path / name
-        noise = bundle(name).noise_amplitude
+        noise = BUNDLES[name].noise_amplitude
         assert main([
             "simulate", "--scenario", str(src / "scenario.json"),
             "--profile", str(src / "profile.json"),
-            "--s0", ",".join(repr(x) for x in bundle(name).s0),
+            "--s0", ",".join(repr(x) for x in BUNDLES[name].s0),
             "--horizon", "2.0", "--seed", "3", "--out", str(mine),
         ] + ([] if noise is None else ["--noise-amplitude", repr(noise)])) == 0
         for f in ("violations.json", "trace.csv"):
             assert (mine / f).read_bytes() == (src / f).read_bytes(), (name, f)
-    assert reduced == [len(bundle(name).scenario.polytope()) for name in names]
+    assert reduced == [len(BUNDLES[name].scenario.polytope()) for name in names]
 
 
 def test_simulate_without_gain_on_an_empty_polytope_exits_1(tmp_path,
@@ -469,7 +495,7 @@ def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
             return _fn(sc, *args)
         monkeypatch.setattr(module, fn, counted)
     path = tmp_path / "scenario.json"
-    save_scenario(bundle(name).scenario, path)
+    save_scenario(BUNDLES[name].scenario, path)
     assert main(["synth", "--scenario", str(path),
                  "--out", str(tmp_path / "gain.json")]) == 0
     built = {"basic": ["build_basic_system"], "circle": ["build_circle_system"],
@@ -491,7 +517,7 @@ def test_synth_builds_the_certificate_rows_once(name, tmp_path, monkeypatch):
 
     monkeypatch.setattr(systems, "shifted_cone", counted)
     path = tmp_path / "scenario.json"
-    save_scenario(bundle(name).scenario, path)
+    save_scenario(BUNDLES[name].scenario, path)
     assert main(["synth", "--scenario", str(path),
                  "--out", str(tmp_path / "gain.json")]) == 0
     assert len(calls) == 1
@@ -517,7 +543,7 @@ def test_commands_build_no_fraction_row_they_do_not_write(name, tmp_path,
 
     monkeypatch.setattr(LinearInequalitySystem, "_keyed", classmethod(recorded))
     path = tmp_path / "scenario.json"
-    save_scenario(bundle(name).scenario, path)
+    save_scenario(BUNDLES[name].scenario, path)
     for cmd in ("check", "synth"):
         assert main([cmd, "--scenario", str(path),
                      "--out", str(tmp_path / f"{cmd}.json")]) == 0
@@ -545,7 +571,7 @@ def test_constant_that_rationalizes_to_zero_exits_2(name, field, value,
     A circle or ubb check stays the float closed-form test.  A disturbance
     amplitude may be 0, so one that rationalizes to 0 is no error: synth
     exits 0 and records it as 0."""
-    sc = {**scenario_to_json_dict(bundle(name).scenario), field: value}
+    sc = {**scenario_to_json_dict(BUNDLES[name].scenario), field: value}
     path = write_json(tmp_path / "tiny.json", sc)
     for command in ["synth", "check"] if name == "basic" else ["synth"]:
         out = tmp_path / f"{command}.json"
@@ -796,7 +822,7 @@ def test_simulate_dt_must_divide_the_noise_hold(tmp_path, capsys):
     """A ubb run's noise holds each value for NOISE_HOLD, so a step that
     does not divide it is an input error that names both values."""
     path = tmp_path / "scenario.json"
-    save_scenario(bundle("ubb").scenario, path)
+    save_scenario(BUNDLES["ubb"].scenario, path)
     out = tmp_path / "run"
     assert main(["simulate", "--scenario", str(path), "--dt", "0.03",
                  "--horizon", "0.3", "--out", str(out)]) == 2
@@ -840,7 +866,7 @@ def test_violations_report_the_integration_error(demo_out):
 
 @pytest.mark.parametrize("family", ["basic", "circle", "chain"])
 def test_noise_amplitude_only_for_ubb(tmp_path, capsys, family):
-    sc = bundle(family).scenario
+    sc = BUNDLES[family].scenario
     path = tmp_path / "scenario.json"
     if family == "chain":
         write_json(path, chain_to_json_dict(sc))
@@ -864,7 +890,7 @@ def test_noise_amplitude_must_be_finite_and_nonnegative(tmp_path, capsys, amp):
     naming the value, with the message uniform_noise raises, whether the
     value is joined to the option or follows it."""
     path = tmp_path / "scenario.json"
-    save_scenario(bundle("ubb").scenario, path)
+    save_scenario(BUNDLES["ubb"].scenario, path)
     out = tmp_path / "run"
     message = f"noise amplitude must be a finite number >= 0, not {float(amp)!r}"
     for given in ([f"--noise-amplitude={amp}"], ["--noise-amplitude", amp]):
@@ -880,7 +906,7 @@ def test_noise_amplitude_must_be_finite_and_nonnegative(tmp_path, capsys, amp):
 
 @pytest.mark.parametrize("family", ["basic", "chain"])
 def test_gain_flag_of_the_other_mode_exits_2(tmp_path, capsys, family):
-    sc = bundle(family).scenario
+    sc = BUNDLES[family].scenario
     path = tmp_path / "scenario.json"
     gain = write_json(tmp_path / "gain.json",
                       {"k11": 1.5173, "k22": 0.3707, "k23": 0.4925})
@@ -940,7 +966,7 @@ def test_bundle_synth_matches_recorded_bytes(name, tmp_path):
     """The gain.json and --dump-polytope text of each pair bundle, byte for
     byte as recorded in tests/data."""
     path = tmp_path / "scenario.json"
-    save_scenario(bundle(name).scenario, path)
+    save_scenario(BUNDLES[name].scenario, path)
     gain, dump = tmp_path / "gain.json", tmp_path / "poly.txt"
     assert main(["synth", "--scenario", str(path), "--out", str(gain),
                  "--dump-polytope", str(dump)]) == 0
@@ -1074,9 +1100,9 @@ def test_runs_load_no_numpy_random(tmp_path):
     out = _python(
         "import sys\n"
         "from viskeep import cli, simulate, systems\n"
-        "from viskeep.demos import bundle\n"
+        "from viskeep.demos import BUNDLES\n"
         "from viskeep.synthesis import min_norm_gain\n"
-        "ubb = bundle('ubb')\n"
+        "ubb = BUNDLES['ubb']\n"
         "sc = ubb.scenario\n"
         "K = min_norm_gain(sc.polytope()).gain\n"
         "ok, _ = systems.simulate_linear_switching(sc.system(), K, n_runs=20,\n"
@@ -1115,7 +1141,7 @@ def test_exact_commands_run_with_numpy_blocked(tmp_path):
              "two.txt": "1 0 <= 2\n-1 0 <= -1\n1 1 <= 3\n"}
     names = ("basic", "ubb", "circle")
     for name in names:
-        files[f"{name}.json"] = json.dumps(scenario_to_json_dict(bundle(name).scenario))
+        files[f"{name}.json"] = json.dumps(scenario_to_json_dict(BUNDLES[name].scenario))
 
     def commands(root: Path) -> list[list[str]]:
         for file, text in files.items():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from viskeep import demos, inequalities, synthesis
+from viskeep.boxes import Box
 from viskeep.inequalities import (
     LinearInequalitySystem,
     Row,
@@ -18,7 +19,6 @@ from viskeep.inequalities import (
     _dot,
     _implied,
     _over,
-    _solve_exact,
     _vertex,
     _vertex_or_farkas,
     _walk,
@@ -26,6 +26,7 @@ from viskeep.inequalities import (
     rationalize,
 )
 from viskeep.scenarios import BasicScenario, gain_polytope
+from viskeep.systems import check_D_invariant_cone, check_admissible
 
 from conftest import (
     _farkas_set_oracle,
@@ -428,7 +429,7 @@ def test_reduce_matches_oracle_below_float_resolution(rnd):
 
 
 def _bundle_polytopes():
-    polys = {b.name: b.scenario.polytope() for b in demos.BUNDLES
+    polys = {b.name: b.scenario.polytope() for b in demos.BUNDLES.values()
              if b.name != "chain"}
     spec = demos.CHAIN_SPEC
     for k in range(1, spec.n):
@@ -686,12 +687,13 @@ def test_crash_basis_finds_a_vertex_or_a_farkas_set(num_vars, rows, end):
     else:
         cols = _column_basis(ints, num_vars)
         assert len(found) == len(cols)
-        solved = _solve_exact([reduced[k][:-1] for k in found],
-                              [reduced[k][-1] for k in found])
-        assert solved is not None
+        inverse = _adjugate([reduced[k][:-1] for k in found])
+        assert inverse is not None
+        adj, det = inverse
+        b = [reduced[k][-1] for k in found]
         point = [F(0)] * num_vars  # the other variables at zero
-        for v, x in zip(cols, solved[0]):
-            point[v] = F(x, solved[1])
+        for v, row in zip(cols, adj):
+            point[v] = F(_dot(row, b), det)
         assert system.satisfies(point)
         for k in found:
             row = system.rows[k]
@@ -818,6 +820,70 @@ def test_satisfies_rejects_negative_tol():
         sys_of(1, [((1,), 1)]).satisfies((0.0,), tol=-1e-3)
 
 
+_POINT_FLOATS = st.one_of(
+    st.floats(-4, 4), st.sampled_from([0.1, 1 / 3, -0.7]),
+    st.integers(-3, 3).map(lambda k: k + 2.0 ** -60))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.lists(_POINT_FLOATS, min_size=n, max_size=n),
+                       _POINT_FLOATS), min_size=1, max_size=5),
+    st.lists(_POINT_FLOATS, min_size=n, max_size=n),
+    st.one_of(st.just(0.0), st.floats(0, 1e-3), st.just(2.0 ** -70)),
+    st.lists(st.tuples(_POINT_FLOATS, _POINT_FLOATS).map(sorted),
+             min_size=n, max_size=n))))
+def test_point_queries_read_floats_exactly(case):
+    """``satisfies``, ``slacks`` and ``Box.contains`` on float points and
+    tolerances agree with a Fraction oracle that reads every float as the
+    rational it is: the same verdicts, and each slack the exact one rounded
+    once.  Tolerances down to 2**-70 and points 2**-60 off an integer are
+    seen, where a float sum would round them away."""
+    rows, point, tol, bounds = case
+    n = len(point)
+    system = sys_of(n, [(tuple(F(c) for c in g), F(r)) for g, r in rows])
+    x, t = [F(v) for v in point], F(tol)
+    gaps = [F(r) - sum(F(c) * v for c, v in zip(g, x)) for g, r in rows]
+    assert system.satisfies(point, tol) == all(gap + t >= 0 for gap in gaps)
+    assert system.slacks(point) == [float(gap) for gap in gaps]
+    box = Box.from_bounds(bounds)
+    assert box.contains(point, tol) == all(
+        F(a) - t <= v <= F(b) + t for (a, b), v in zip(bounds, x))
+
+
+def test_point_queries_refuse_non_finite_numbers():
+    """A NaN or infinite coordinate or tolerance is a ValueError, not a
+    silent False."""
+    system, box = sys_of(2, [((1, 1), 1)]), Box.symmetric((1, 1))
+    for bad in (math.nan, math.inf, -math.inf):
+        for query in (lambda: system.satisfies((0.0, bad)),
+                      lambda: system.satisfies((0.0, 0.0), tol=bad),
+                      lambda: system.slacks((bad, 0.0)),
+                      lambda: box.contains((bad, 0.0)),
+                      lambda: box.contains((0.0, 0.0), tol=bad)):
+            with pytest.raises(ValueError):
+                query()
+
+
+@pytest.mark.parametrize("name, slack", [
+    ("basic", -6.6e-17), ("ubb", -7.3e-17), ("circle", -9.4e-17)])
+def test_float_bundle_gain_is_judged_as_the_certificates_judge_it(name, slack):
+    """The float min-norm gain of each pair bundle lies just outside its
+    polytope, read exactly: ``satisfies`` says what the two exact
+    certificates say (False), and the least slack is the exact one rounded
+    once, a few 1e-17 below zero."""
+    sc = demos.BUNDLES[name].scenario
+    poly, sysd = sc.polytope(), sc.system()
+    gain = synthesis.min_norm_gain(poly).gain
+    certified = (check_admissible(gain, sysd.S, sysd.U).holds
+                 and check_D_invariant_cone(sysd, gain).holds)
+    assert poly.satisfies(gain.entries()) is certified is False
+    exact = min(row.rhs - sum(c * F(k) for c, k in zip(row.g, gain.entries()))
+                for row in poly.rows)
+    assert min(poly.slacks(gain.entries())) == float(exact)
+    assert float(exact) == pytest.approx(slack, abs=5e-19)
+
+
 # ----------------------------------------------------------------------
 # text format
 # ----------------------------------------------------------------------
@@ -873,13 +939,13 @@ def test_bareiss_matches_gaussian_elimination(rnd):
     """600 square systems, 2 to 6 unknowns: dense, singular (a combination
     row or a zero column), and permuted triangular ones that need a row
     swap at several pivots; each equation scaled to integers, which keeps
-    the solution.  A second right-hand side solved in the same call gets
-    the same numerators for the first and the oracle's for the second."""
+    the solution.  The adjugate of one elimination solves two right-hand
+    sides, ``adj rhs / det`` each, as the oracle does; a singular matrix
+    gives None."""
     singular = swapped = 0
     for t in range(600):
         k = rnd.randint(2, 6)
         M = [[_rational(rnd) for _ in range(k)] for _ in range(k)]
-        rhs = [_rational(rnd) for _ in range(k)]
         kind = t % 4
         if kind == 1:
             coef = [_rational(rnd) for _ in range(k - 1)]
@@ -895,23 +961,20 @@ def test_bareiss_matches_gaussian_elimination(rnd):
             col = rnd.randrange(k)
             for row in M:
                 row[col] = F(0)
-        ints = [_over(row + [r])[0] for row, r in zip(M, rhs)]
-        got = _solve_exact([r[:-1] for r in ints], [r[-1] for r in ints])
-        want = solve_exact_oracle(M, rhs)
-        rhs2 = [_rational(rnd) for _ in range(k)]
-        both = [_over(row + [r, r2])[0] for row, r, r2 in zip(M, rhs, rhs2)]
-        got2 = _solve_exact([r[:-2] for r in both], [r[-2] for r in both],
-                            [r[-1] for r in both])
-        if want is None:
+        rhs = [[_rational(rnd) for _ in range(k)] for _ in range(2)]
+        # each equation over one denominator: integer M and right-hand sides
+        ints = [_over(row + [r, r2])[0] for row, r, r2 in zip(M, *rhs)]
+        got = _bareiss([r[:-2] for r in ints])
+        if solve_exact_oracle(M, rhs[0]) is None:
             singular += 1
-            assert got is None and got2 is None and _det(M) == 0
-        else:
-            num, den = got
-            assert den == abs(_det([r[:-1] for r in ints])) > 0
-            assert [F(v, den) for v in num] == want
-            first, second, den2 = got2
-            assert [F(v, den2) for v in first] == want
-            assert [F(v, den2) for v in second] == solve_exact_oracle(M, rhs2)
+            assert got is None and _det(M) == 0
+            continue
+        adj, det = got
+        assert det == abs(_det([r[:-2] for r in ints])) > 0
+        for c, y in zip((-2, -1), rhs):
+            b = [r[c] for r in ints]
+            assert [F(_dot(row, b), det) for row in adj] == \
+                solve_exact_oracle(M, y)
     assert singular >= 300 and swapped >= 100
 
 
@@ -919,56 +982,52 @@ _ENTRY = st.one_of(st.integers(-3, 3), st.integers(-2**70, 2**70))
 
 
 @st.composite
-def _square_systems(draw, max_k=3):
-    """A k x k integer matrix, k = 1 to `max_k`, and one or two right-hand
-    sides: small entries give zero pivots and singular matrices, large ones
-    go past 2**64, and half the matrices of k > 1 have a last row that
-    combines the others, so they are singular."""
+def _square_matrices(draw, max_k=3):
+    """A k x k integer matrix, k = 1 to `max_k`: small entries give zero
+    pivots and singular matrices, large ones go past 2**64, and half the
+    matrices of k > 1 have a last row that combines the others, so they are
+    singular."""
     k = draw(st.integers(1, max_k))
     row = st.lists(_ENTRY, min_size=k, max_size=k)
     M = draw(st.lists(row, min_size=k, max_size=k))
     if k > 1 and draw(st.booleans()):
         coef = draw(st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1))
         M[-1] = [sum(c * M[i][j] for i, c in enumerate(coef)) for j in range(k)]
-    return M, draw(st.lists(row, min_size=1, max_size=2))
+    return M
 
 
 @settings(max_examples=500, deadline=None, database=None)
-@given(_square_systems())
-@example(([[0]], [[5]]))
-@example(([[-2]], [[2**65], [-7]]))
-@example(([[0, 1], [1, 0]], [[2**65, -3]]))
-@example(([[1, 2, 3], [2, 4, 6], [0, 0, 1]], [[1, 2, 3], [0, 0, 0]]))
-@example(([[0, 2**70, 1], [-1, 0, 0], [0, 0, -2**66]], [[1, -2**65, 3]]))
-def test_closed_form_solve_matches_bareiss(system):
-    """Up to 3 unknowns the cofactor solve gives the tuple of the Bareiss
-    elimination it replaces, None included, for any determinant sign."""
-    M, rhs = system
-    assert _solve_exact(M, *rhs) == _bareiss(M, *rhs)
+@given(_square_matrices())
+@example([[0]])
+@example([[-2]])
+@example([[0, 1], [1, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+@example([[0, 2**70, 1], [-1, 0, 0], [0, 0, -2**66]])
+def test_closed_form_solve_matches_bareiss(M):
+    """Up to 3 unknowns the cofactor inverse is the pair of the Bareiss
+    elimination it stands in for, None included, for any determinant
+    sign."""
+    assert _adjugate(M) == _bareiss(M)
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_square_systems(6))
-@example(([[0]], [[5]]))
-@example(([[-3]], [[2]]))
-@example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 2, 0]], [[1, 2, 3, 4]]))
-@example(([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0]]))
-def test_adjugate_inverts_up_to_the_determinant(system):
+@given(_square_matrices(6))
+@example([[0]])
+@example([[-3]])
+@example([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 2, 0]])
+@example([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 0], [0, 0, 0, 1]])
+def test_adjugate_inverts_up_to_the_determinant(M):
     """``adj M = M adj = det I`` with ``det = |det M| > 0``, None exactly
-    when Fraction elimination finds M singular, for 1 to 6 unknowns; and
-    the numerators of :func:`_solve_exact` are ``adj rhs``."""
-    M, rhs = system
+    when Fraction elimination finds M singular, for 1 to 6 unknowns."""
     found, det = _adjugate(M), abs(_det(M))
     if det == 0:
-        assert found is None and _solve_exact(M, *rhs) is None
+        assert found is None
         return
     adj, d = found
     assert d == det > 0
     eye = [[d * (i == j) for j in range(len(M))] for i in range(len(M))]
     assert [[_dot(row, col) for col in zip(*M)] for row in adj] == eye
     assert [[_dot(row, col) for col in zip(*adj)] for row in M] == eye
-    assert _solve_exact(M, *rhs) == (*([_dot(row, y) for row in adj]
-                                       for y in rhs), d)
 
 
 def test_integer_key_classes_match_fraction_key(rnd):
@@ -976,7 +1035,7 @@ def test_integer_key_classes_match_fraction_key(rnd):
     Fraction key: the unreduced rows of the pair bundles, and random rows
     with positive and negative multiples and all-zero coefficient rows."""
     rows = []
-    for b in demos.BUNDLES:
+    for b in demos.BUNDLES.values():
         if b.name != "chain":
             sysd = b.scenario.system()
             rows += invariance_rows_oracle(sysd) + admissibility_rows_oracle(sysd.S, sysd.U)
@@ -1012,7 +1071,7 @@ def test_pipeline_rows_equal_the_fraction_pipeline(rnd):
     """The integer pipeline builds the same rows, in the same order, as the
     Fraction rows deduplicated on the Fraction key, and its seeded integer
     rows are the rows' keys."""
-    cases = [b.scenario for b in demos.BUNDLES if b.name != "chain"]
+    cases = [b.scenario for b in demos.BUNDLES.values() if b.name != "chain"]
     cases += [random_family_scenario(rnd, kind)
               for kind in ("basic", "ubb", "circle") for _ in range(3)]
     for sc in cases:
@@ -1027,7 +1086,7 @@ def test_gain_polytope_builds_its_fraction_rows_only_when_read(name):
     neither builds a Fraction row of the unreduced polytope, or of the
     reduced one; the first read of the rows builds those of the Fraction
     pipeline, and a polytope reduced from it still holds only integers."""
-    sc = demos.bundle(name).scenario
+    sc = demos.BUNDLES[name].scenario
     sysd = sc.system()
     poly = sc.polytope(sysd)
     assert poly.is_feasible()
@@ -1048,7 +1107,7 @@ def test_gain_polytope_eliminates_in_integers(name):
     variable of a gain polytope, or projecting it onto one, builds no
     Fraction row of the polytope or of the result, and each result is the
     Fraction elimination's, row for row."""
-    poly = demos.bundle(name).scenario.polytope()
+    poly = demos.BUNDLES[name].scenario.polytope()
     got = [(poly.eliminate(var), poly.project((var,))) for var in range(3)]
     assert not [p for p in (poly, *(p for pair in got for p in pair))
                 if "rows" in vars(p)]

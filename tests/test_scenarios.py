@@ -360,7 +360,7 @@ def test_shifted_cone_needs_only_the_parameters_of_E():
     as the gain rows take them, give at every window vertex the Fraction
     planes of that vertex's own cone shifted over all 64 parameter
     vertices, row for row."""
-    basic = next(b.scenario for b in BUNDLES if b.name == "basic")
+    basic = BUNDLES["basic"].scenario
     for sysd in (build_basic_system(basic), build_ubb_system(UBB_SCENARIO),
                  build_circle_system(CIRCLE_SCENARIO)):
         e_vertices = list(sub_vertices(sysd.Q, _relevant_params(sysd.E)))

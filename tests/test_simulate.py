@@ -16,6 +16,7 @@ from viskeep.demos import (
     BASIC_PROFILE,
     BASIC_S0,
     BASIC_SCENARIO,
+    BUNDLES,
     CHAIN_PROFILE,
     CHAIN_S0,
     CHAIN_SPEC,
@@ -28,7 +29,6 @@ from viskeep.demos import (
     UBB_PROFILE,
     UBB_S0,
     UBB_SCENARIO,
-    bundle,
 )
 from viskeep.scenarios import (
     build_basic_system,
@@ -433,7 +433,7 @@ def test_ubb_runs_clean_with_a_sampler_passed_in(item_seed):
 def _bundle_run(name, dt):
     """The demo's run of a bundle at step dt, with its synthesized gains:
     every link of it, as a list."""
-    b = bundle(name)
+    b = BUNDLES[name]
     if name == "chain":
         gains = [_synth_gain(b.scenario.link_scenario(k))
                  for k in range(1, b.scenario.n)]
@@ -636,7 +636,7 @@ def _synth_gain(sc):
 
 
 def _demo_run(name):
-    b = bundle(name)
+    b = BUNDLES[name]
     if name == "chain":
         gains = [_synth_gain(b.scenario.link_scenario(k))
                  for k in range(1, b.scenario.n)]
@@ -818,7 +818,7 @@ def test_chain_run_holds_little_beyond_its_traces():
     """The integrator works in blocks, so a 10 s run on the demo chain peaks
     within 1 MB + 10 % of what its traces keep: the traces of a run that
     held a whole run's samples and stage inputs at once would not."""
-    b = bundle("chain")
+    b = BUNDLES["chain"]
 
     def run(T):
         return simulate_chain(b.scenario, REF_GAINS_CHAIN, b.profile, b.s0, T=T)
@@ -977,12 +977,12 @@ def test_format_csv_rows_edge_cases():
     cells = np.array(CSV_EDGES + [-x for x in CSV_EDGES])
     cells = np.resize(cells, (len(cells) + 3) // 4 * 4).reshape(-1, 4)
     for blank in ([False] * 4, [False, True, False, True]):
-        assert tracecsv.format_csv_rows(cells, blank) == \
+        assert tracecsv.CsvWorkspace(cells.size).format(cells, blank) == \
             _percent_g_rows(cells, blank)
     row = np.arange(16) * 1.5 - 3
     blank = np.zeros(16, bool)
     blank[8:10] = True
-    assert tracecsv.format_csv_rows(row[None], blank) == \
+    assert tracecsv.CsvWorkspace(row.size).format(row[None], blank) == \
         b"-3,-1.5,0,1.5,3,4.5,6,7.5,,,12,13.5,15,16.5,18,19.5\n"
 
 
@@ -1012,7 +1012,7 @@ def test_format_csv_rows_matches_percent_g(table):
     empty."""
     rows, blank = table
     values = np.array(rows, dtype=np.float64)
-    assert tracecsv.format_csv_rows(values, blank) == \
+    assert tracecsv.CsvWorkspace(values.size).format(values, blank) == \
         _percent_g_rows(values, blank)
 
 

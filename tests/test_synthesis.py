@@ -180,7 +180,7 @@ def test_min_norm_gain_of_bundles_needs_no_reduce(rnd, monkeypatch):
         calls.append(len(self.rows))
         return reduce(self)
 
-    polys = [b.scenario.polytope() for b in BUNDLES if b.name != "chain"]
+    polys = [b.scenario.polytope() for b in BUNDLES.values() if b.name != "chain"]
     polys += [gain_polytope(CHAIN_SPEC.link_scenario(k))
               for k in range(1, CHAIN_SPEC.n)]
     polys += _random_family_polytopes(rnd)

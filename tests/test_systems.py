@@ -265,7 +265,7 @@ def test_certificate_does_not_depend_on_the_step(rnd):
     oracle's cone verdict is the certificate's.  On the pair bundles,
     seeded scenarios of each family (feasible and infeasible) and random
     systems with their disturbance and without it."""
-    systems = [b.scenario.system() for b in BUNDLES if b.name != "chain"]
+    systems = [b.scenario.system() for b in BUNDLES.values() if b.name != "chain"]
     systems += [random_family_scenario(rnd, kind).system()
                 for kind in ("basic", "ubb", "circle") for _ in range(3)]
     for _ in range(2):
@@ -304,7 +304,7 @@ def test_cone_certificate_matches_full_product_oracle(rnd):
     violated row by less than 1e-15: the min-norm point lies on the
     polytope boundary, and rounding it to floats can push it out."""
     pairs = [_random_moderate_system(rnd) for _ in range(4)]
-    bundles = [b.scenario for b in BUNDLES if b.name != "chain"]
+    bundles = [b.scenario for b in BUNDLES.values() if b.name != "chain"]
     systems = [sc.system() for sc in bundles] + [sysd for sysd, _ in pairs]
     # the float gain holds on the basic bundle, each row by 0.028 or more
     gains = [GainMatrix(F(0), F(0), F(0)), GainMatrix(2.0, 0.5, 0.55)]
@@ -342,7 +342,7 @@ def test_cone_certificate_builds_the_rows_of_a_fresh_system(monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr(systems_module, "shifted_cone", counted)
-    for b in BUNDLES:
+    for b in BUNDLES.values():
         if b.name == "chain":
             continue
         res = min_norm_gain(b.scenario.polytope())
@@ -379,7 +379,7 @@ def test_integer_certificates_match_fraction_oracles(rnd):
     cone and admissibility certificates report byte for byte what the
     Fraction oracles report, holding and failing."""
     cases = []
-    for b in BUNDLES:
+    for b in BUNDLES.values():
         if b.name == "chain":
             continue
         sysd = b.scenario.system()
@@ -439,7 +439,7 @@ def test_switching_draws_index_every_vertex_and_start_in_S():
     64 and 16 on ubb, 512 parameter vertices read from 2-byte words), and
     30 segments of 200 runs meet every index; a family with no parameters
     and no disturbance draws index 0 only."""
-    cases = [b.scenario.system() for b in BUNDLES if b.name != "chain"]
+    cases = [b.scenario.system() for b in BUNDLES.values() if b.name != "chain"]
     cases += [toy_system([[0, 0, 0]] * 3, p=9),
               toy_system([[0, 0, 0]] * 3, l=0)]
     for sysd in cases:
@@ -519,7 +519,7 @@ def test_linear_switching_matches_per_step_oracle():
     rnd = random.Random(808)
     cases = []
     zero = GainMatrix(0.0, 0.0, 0.0)
-    for b in BUNDLES:
+    for b in BUNDLES.values():
         if b.name == "chain":
             continue
         sysd = b.scenario.system()
@@ -567,7 +567,7 @@ def test_linear_switching_bit_equal_to_per_run_operators():
         sysd = build_basic_system(sc)
         cases += [(sysd, min_norm_gain(gain_polytope(sc)).gain, 3000),
                   (sysd, zero, 3000)]
-    for b in BUNDLES:
+    for b in BUNDLES.values():
         if b.name != "chain":
             cases.append((b.scenario.system(), zero, 3000))
     toy = toy_system([[0.5, 0, 0], [0, -0.3, 0.2], [0, 0, 0.1]])
