@@ -21,7 +21,6 @@ from .scenarios import (
     ConditionMargin,
     FeasibilityReport,
     _link_bounds,
-    _report,
 )
 
 
@@ -130,7 +129,7 @@ def feasible_chain(spec: ChainSpec) -> FeasibilityReport:
         if r < spec.n:
             hi = bounds[r - 1].leader_turn
             conds.append(ConditionMargin(f"turn_rate_{r}_upper", w, hi, hi - w))
-    return _report(conds)
+    return FeasibilityReport(tuple(conds))
 
 
 class SaturationError(ValueError):
@@ -159,6 +158,13 @@ def min_speed_schedule(links: Sequence, V_1: float) -> list[float]:
     return speeds
 
 
+def _growth(a: float, b: float, d: float) -> tuple[float, float]:
+    """One link's terms of the speed-floor recursion ``V' = (1 + alpha) V
+    + c``: ``alpha = a sin b / (d - a)`` and ``c = 1 - cos b + a b / (d -
+    a)``."""
+    return a * math.sin(b) / (d - a), 1 - math.cos(b) + a * b / (d - a)
+
+
 class ChainLengthResult(NamedTuple):
     max_robots: int
     capped: bool  # True when the search hit n_max without reaching the bound
@@ -181,8 +187,7 @@ def max_chain_length(maps: ParameterMaps, n_max: int) -> ChainLengthResult:
     for N in range(2, n_max + 1):
         a, b, d = maps.f_a(N), maps.f_b(N), maps.f_d(N)
         _check_geometry(LinkGeometry(a, b, d))
-        alpha = a * math.sin(b) / (d - a)
-        c = 1 - math.cos(b) + a * b / (d - a)
+        alpha, c = _growth(a, b, d)
         total = (1 + alpha) * total + c
         if not total < 1:
             return ChainLengthResult(N - 1, False)
@@ -207,8 +212,7 @@ def closed_chain_check(
     # invert the speed floors from the tail back to robot 1
     x = V[-1]
     for g in reversed(spec.links):
-        alpha = g.a * math.sin(g.b) / (g.d - g.a)
-        c = 1 - math.cos(g.b) + g.a * g.b / (g.d - g.a)
+        alpha, c = _growth(*g)
         x = (x - c) / (1 + alpha)
     chain_upper = x
     wrap_lower = _link_bounds(V[-1], *spec.links[0]).speed
@@ -224,7 +228,7 @@ def closed_chain_check(
             "closure_gap", chain_upper, wrap_lower, chain_upper - wrap_lower
         )
     )
-    return _report(conds)
+    return FeasibilityReport(tuple(conds))
 
 
 #: The window angle of the first link of a generated schedule.

@@ -44,10 +44,8 @@ from .scenarios import (
     scenario_to_json_dict,
 )
 from .profiles import (
-    BOUND_TOL,
     LeaderProfile,
     _check_amplitude,
-    _check_tol,
     _finite_number,
     _shown,
     constant,
@@ -139,7 +137,7 @@ def _gain_of(data) -> GainMatrix:
     return GainMatrix(*(float(g[key]) for key in keys))
 
 
-def _write_runs(runs, out_dir, tol) -> tuple[list[dict], bool]:
+def _write_runs(runs, out_dir) -> tuple[list[dict], bool]:
     """Monitor each link ``(trace, S, U, csv name)`` of one run against its
     window S and input box U and write its trace CSV into `out_dir`, made if
     missing: the monitor reports, each with the link's ``clamp_events`` and
@@ -151,7 +149,7 @@ def _write_runs(runs, out_dir, tol) -> tuple[list[dict], bool]:
     out_dir.mkdir(parents=True, exist_ok=True)
     reports, clean = [], True
     for (trace, S, U, name), error in zip(runs, errors):
-        rep = simulate.monitor(trace, S, U, tol=tol)
+        rep = simulate.monitor(trace, S, U)
         trace.to_csv(out_dir / name)
         reports.append({**rep.to_json_dict(), "clamp_events": trace.clamp_events,
                         "integration_error": error})
@@ -159,8 +157,8 @@ def _write_runs(runs, out_dir, tol) -> tuple[list[dict], bool]:
     return reports, clean
 
 
-def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
-              noise_amplitude=None, seed=0) -> bool:
+def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, noise_amplitude=None,
+              seed=0) -> bool:
     """Run one pair, write trace.csv and violations.json into `out_dir`,
     made if missing; True if clean."""
     from . import simulate
@@ -169,13 +167,12 @@ def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, tol=BOUND_TOL,
                                        noise_amplitude, seed)
     S = Box.symmetric((sc.a, sc.a, sc.b))
     U = Box.symmetric((sc.V_F, sc.Omega_F))
-    (report,), clean = _write_runs([(trace, S, U, "trace.csv")], out_dir, tol)
+    (report,), clean = _write_runs([(trace, S, U, "trace.csv")], out_dir)
     _write_json(out_dir / "violations.json", report)
     return clean
 
 
-def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir,
-               tol=BOUND_TOL) -> bool:
+def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir) -> bool:
     """Run a chain, write trace_link<k>.csv and violations.json, one report
     per link, into `out_dir`, made if missing; True if clean."""
     from . import simulate
@@ -185,7 +182,7 @@ def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir,
              Box.symmetric((robot.V, robot.Omega)), f"trace_link{k}.csv")
             for k, (trace, g, robot)
             in enumerate(zip(traces, spec.links, spec.robots[1:]), start=1)]
-    reports, clean = _write_runs(runs, out_dir, tol)
+    reports, clean = _write_runs(runs, out_dir)
     _write_json(out_dir / "violations.json", {"links": reports})
     return clean
 
@@ -222,7 +219,6 @@ def cmd_simulate(args) -> int:
     if args.chain_spec and args.gain:
         raise ValueError("--gain applies to --scenario runs; a chain takes "
                          "its gains from --gains")
-    _check_tol(args.tol)  # before the run, not after it
     if not args.chain_spec and args.gains:
         raise ValueError("--gains applies to --chain-spec runs; a pair takes "
                          "its gain from --gain")
@@ -240,7 +236,7 @@ def cmd_simulate(args) -> int:
         s0 = ([_parse_s0(tok) for tok in args.s0.split(";")] if args.s0
               else [(0.0, 0.0, 0.0)] * (spec.n - 1))
         clean = _run_chain(spec, gains, profile, s0, args.horizon, args.dt,
-                           out_dir, args.tol)
+                           out_dir)
     else:
         sc = load_scenario(args.scenario)
         if args.noise_amplitude is not None and sc.kind != "ubb":
@@ -252,16 +248,30 @@ def cmd_simulate(args) -> int:
                      else _synth_payload(sc)[0])
         s0 = _parse_s0(args.s0) if args.s0 else (0.0, 0.0, 0.0)
         clean = _run_pair(sc, K, profile, s0, args.horizon, args.dt, out_dir,
-                          args.tol, args.noise_amplitude, args.seed)
+                          args.noise_amplitude, args.seed)
     return EXIT_OK if clean else EXIT_INFEASIBLE
 
 
-def _key_values(text: str) -> dict:
-    """``k1=v1,k2=v2`` as a dict of floats."""
+def _key_values(text: str, usage: str, required: tuple,
+                optional: tuple = ()) -> dict:
+    """``k1=v1,k2=v2`` as a dict of floats.  Each token must be
+    ``key=value`` with a key from `required` or `optional`, and every key
+    in `required` must be given; otherwise a ValueError that starts with
+    `usage` names the token or key at fault."""
+    keys = required + optional
     vals = {}
     for tok in text.split(","):
-        key, _, val = tok.partition("=")
-        vals[key.strip()] = float(val)
+        key, eq, val = tok.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"{usage}; {key!r} has no '=' and no value")
+        if key not in keys:
+            raise ValueError(f"{usage}; {key!r} is not one of "
+                             f"{', '.join(keys)}")
+        vals[key] = float(val)
+    for key in required:
+        if key not in vals:
+            raise ValueError(f"{usage}; {key!r} is missing")
     return vals
 
 
@@ -269,17 +279,15 @@ def cmd_chain(args) -> int:
     payload = {}
     feasible = True
     if args.generate:
-        vals = _key_values(args.generate)
-        try:
-            a, d, n, V_1 = (vals[key] for key in ("a", "d", "n", "V1"))
-        except KeyError as exc:
-            raise ValueError(f"generate needs a=..,d=..,n=..,V1=..; "
-                             f"{exc.args[0]!r} is missing") from None
+        vals = _key_values(args.generate, "generate needs a=..,d=..,n=..,V1=..",
+                           ("a", "d", "n", "V1"), ("safety",))
+        n = vals["n"]
         if not n.is_integer():
             raise ValueError(f"n must be an integer, not {n!r}")
         try:
             spec = generate_schedule(
-                a=a, d=d, n=int(n), V_1=V_1, safety=vals.get("safety", 0.1),
+                a=vals["a"], d=vals["d"], n=int(n), V_1=vals["V1"],
+                safety=vals.get("safety", 0.1),
             )
         except ScheduleInfeasibleError as exc:
             print(exc, file=sys.stderr)
@@ -299,11 +307,9 @@ def cmd_chain(args) -> int:
             payload["closed"] = closed_chain_check(
                 spec, open_report=report).to_json_dict()
     if args.maps:
-        vals = _key_values(args.maps)
-        try:
-            maps = ParameterMaps.constant(vals["a"], vals["b"], vals["d"])
-        except KeyError as exc:
-            raise ValueError("maps need a=..,b=..,d=..") from exc
+        vals = _key_values(args.maps, "maps need a=..,b=..,d=..",
+                           ("a", "b", "d"))
+        maps = ParameterMaps.constant(vals["a"], vals["b"], vals["d"])
         res = max_chain_length(maps, args.max_n)
         payload["max_chain_length"] = {
             "max_robots": res.max_robots, "capped": res.capped,
@@ -430,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=60.0)
     p.add_argument("--dt", type=float, default=demos.DEFAULT_DT)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--noise-amplitude", type=float, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)

@@ -204,11 +204,6 @@ def _checked(sig: Callable[[float], float], bound: float, name: str) -> Callable
     return f
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 <= tol < math.inf:  # NaN or inf would pass every sample
-        raise ValueError(f"tol must be a finite number >= 0, not {tol!r}")
-
-
 def _check_amplitude(amp: float) -> None:
     """A lateral noise amplitude is a finite number >= 0: a negative one
     would draw noise all the same, and NaN or inf no bounded noise."""

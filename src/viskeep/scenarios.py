@@ -230,7 +230,6 @@ def _pursuit_system(c, A0, B0, E0, Q: Box) -> UncertainLinearSystem:
     same way in every family.  S, U and D are the boxes of the constants
     `c`.  Matrix entries are plain ints and Fractions."""
     return UncertainLinearSystem(
-        n=3, m=2, l=2, p=6,
         A=(A0, ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
            ((0, 0, 1), (0, 0, 0), (0, 0, 0)), _Z3, _Z3, _Z3, _Z3),
         B=(B0, _Z2, _Z2, ((0, 0), (0, -1), (0, 0)),
@@ -274,7 +273,7 @@ def build_ubb_system(sc: UbbScenario, constants=None) -> UncertainLinearSystem:
     base = build_basic_system(sc, c)
     z = ((0, 0, 0, 0),) * 3
     return replace(
-        base, l=4,
+        base,
         E=(((1, 0, 0, 0), (0, 0, -1, 1), (0, 1, 0, 0)), z, z, z, z,
            ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
            ((0, 0, 0, -1), (1, 0, 0, 0), (0, 0, 0, 0))),
@@ -334,13 +333,12 @@ class ConditionMargin(NamedTuple):
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    feasible: bool
     conditions: tuple[ConditionMargin, ...]
 
-    def __post_init__(self):
-        ok = all(c.slack >= 0 for c in self.conditions)
-        if self.feasible != ok:
-            raise ValueError("feasible flag must mirror condition slacks")
+    @property
+    def feasible(self) -> bool:
+        """No condition has a negative slack."""
+        return all(c.slack >= 0 for c in self.conditions)
 
     def margin(self, condition: str) -> float:
         for c in self.conditions:
@@ -356,10 +354,6 @@ class FeasibilityReport:
             "feasible": self.feasible,
             "conditions": [c._asdict() for c in self.conditions],
         }
-
-
-def _report(conds: list[ConditionMargin]) -> FeasibilityReport:
-    return FeasibilityReport(all(c.slack >= 0 for c in conds), tuple(conds))
 
 
 class _LinkBounds(NamedTuple):
@@ -384,11 +378,11 @@ def _link_bounds(V_L: float, a: float, b: float, d: float,
 
 def _pair_report(sc, vf_bound: float, ol_bound: float,
                  of_bound: float) -> FeasibilityReport:
-    return _report([
+    return FeasibilityReport((
         ConditionMargin("follower_speed", sc.V_F, vf_bound, sc.V_F - vf_bound),
         ConditionMargin("leader_turn_rate", sc.Omega_L, ol_bound, ol_bound - sc.Omega_L),
         ConditionMargin("follower_turn_rate", sc.Omega_F, of_bound, sc.Omega_F - of_bound),
-    ])
+    ))
 
 
 def feasible_basic(sc: BasicScenario) -> FeasibilityReport:

@@ -57,7 +57,6 @@ from .profiles import (  # noqa: F401 -- the profile names this module re-export
     BOUND_TOL,
     LeaderProfile,
     _check_amplitude,
-    _check_tol,
     _checked,
     constant,
     profile_from_json_dict,
@@ -80,8 +79,9 @@ class SimTrace:
     ``states`` holds the monitored relative coordinates (window-centered),
     ``inputs`` the monitored follower inputs, ``leader`` the disturbance
     pair as monitored (shifted turn rate for orbit runs).  ``pose_f`` and
-    ``pose_l`` are world poses (x, y, theta).  ``rerun(dt)`` integrates
-    the run the trace came from again at step `dt`, every link of it.
+    ``pose_l`` are world poses (x, y, theta).  ``times`` is the grid
+    ``i * dt``, so the step is ``times[1]``.  ``rerun(dt)`` integrates the
+    run the trace came from again at step `dt`, every link of it.
     """
 
     times: np.ndarray
@@ -92,7 +92,6 @@ class SimTrace:
     pose_l: np.ndarray
     noise: Optional[np.ndarray] = None
     clamp_events: int = 0
-    meta: dict = field(default_factory=dict)
     rerun: Optional[Callable[[float], list]] = field(
         default=None, repr=False, compare=False)
 
@@ -147,10 +146,10 @@ class ViolationReport:
         }
 
 
-def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> ViolationReport:
-    """Per-sample box check of states against S and inputs against U; a
-    non-finite sample is a violation with infinite excess."""
-    _check_tol(tol)
+def monitor(trace: SimTrace, S: Box, U: Box) -> ViolationReport:
+    """Per-sample box check of states against S and inputs against U: a
+    sample more than ``BOUND_TOL`` outside its box is a violation, and a
+    non-finite sample is one with infinite excess."""
     labels_s = ("dp1", "p2", "beta")
     labels_u = ("vF", "wF")
     state_viol, input_viol = [], []
@@ -169,7 +168,7 @@ def monitor(trace: SimTrace, S: Box, U: Box, tol: float = BOUND_TOL) -> Violatio
             worst = float(col.max(initial=0.0))
             if worst > max_excess[label]:
                 max_excess[label] = worst
-            bad = np.nonzero(col > tol)[0]
+            bad = np.nonzero(col > BOUND_TOL)[0]
             for i in bad:
                 t = float(trace.times[i])
                 bound = float(hi[j] if arr[i, j] > hi[j] else lo[j])
@@ -342,7 +341,7 @@ def _poses(pose: Sequence, e: np.ndarray, w: np.ndarray, h, dt: float):
 
 def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
                s0: Sequence, poses: Sequence, T: float, dt: float,
-               metas: Sequence, rho: float = 0.0,
+               rho: float = 0.0,
                noise: Optional[Sequence[tuple]] = None) -> list[SimTrace]:
     """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link.
 
@@ -434,16 +433,16 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
 
     times = np.arange(n_steps + 1) * dt
     rerun = functools.partial(_integrate, links, lead_limits, profile, s0,
-                              poses, T, metas=metas, rho=rho, noise=noise)
+                              poses, T, rho=rho, noise=noise)
     return [
         SimTrace(
             times=times, states=Y[:, 6 * k + 3:6 * k + 6],
             inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
             noise=None if H is None else H[:, [k + 1, k]],
             pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
-            clamp_events=int(clamps[k]), meta=meta, rerun=rerun,
+            clamp_events=int(clamps[k]), rerun=rerun,
         )
-        for k, meta in enumerate(metas)
+        for k in range(n)
     ]
 
 
@@ -460,7 +459,7 @@ def integration_error(traces: Sequence[SimTrace]) -> list[float]:
     run is kept.
     """
     first = traces[0]
-    dt, n_steps = first.meta["dt"], len(first.times) - 1
+    dt, n_steps = float(first.times[1]), len(first.times) - 1
     if n_steps % 2 == 0 and (first.noise is None or _hold_steps(dt) % 2 == 0):
         other, here, there, factor = first.rerun(2 * dt), 2, 1, 15.0
     else:
@@ -489,24 +488,23 @@ def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0") -> tuple:
 
 
 def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
-                   T: float, dt: float, kind: str, offset: tuple,
-                   rho: float = 0.0, noise=None) -> SimTrace:
+                   T: float, dt: float, offset: tuple, rho: float = 0.0,
+                   noise=None) -> SimTrace:
     """A pair is a one-link run: the follower starts at the origin pose and
     the leader is placed from the state."""
     s = _check_s0(s0, (sc.a, sc.a, sc.b))
     gain = [float(K.k11), float(K.k22), float(K.k23)]
     leader = tuple(x + o for x, o in zip(s, offset))
-    meta = {"kind": kind, "dt": dt, "T": T, "integrator": "rk4", "gain": gain}
     return _integrate(
         [(gain, (sc.V_F, sc.Omega_F), offset)], (sc.V_L, sc.Omega_L),
-        profile, [s], [leader, (0.0, 0.0, 0.0)], T, dt, [meta], rho, noise,
+        profile, [s], [leader, (0.0, 0.0, 0.0)], T, dt, rho, noise,
     )[0]
 
 
 def simulate_basic(sc: BasicScenario, K: GainMatrix, profile: LeaderProfile,
                    s0: Sequence, T: float, dt: float = 1e-3) -> SimTrace:
     """Closed-loop run of the straight-pursuit model."""
-    return _simulate_pair(sc, K, profile, s0, T, dt, "basic", (sc.d, 0.0, 0.0))
+    return _simulate_pair(sc, K, profile, s0, T, dt, (sc.d, 0.0, 0.0))
 
 
 def _hold_steps(dt: float) -> int:
@@ -562,7 +560,7 @@ def simulate_ubb(
     if not (np.abs(pairs) <= (sc.H_F + BOUND_TOL, sc.H_L + BOUND_TOL)).all():
         raise ValueError("noise sample exceeds its amplitude bound")
     noise = pairs[:, ::-1].tolist()  # robot order: leader, follower
-    return _simulate_pair(sc, K, profile, s0, T, dt, "ubb", (sc.d, 0.0, 0.0),
+    return _simulate_pair(sc, K, profile, s0, T, dt, (sc.d, 0.0, 0.0),
                           noise=noise)
 
 
@@ -573,8 +571,7 @@ def simulate_circle(sc: CircleScenario, K: GainMatrix, profile: LeaderProfile,
     shifted turn rate."""
     offset = (math.sin(sc.gamma) / sc.rho, (1 - math.cos(sc.gamma)) / sc.rho,
               sc.gamma)
-    return _simulate_pair(sc, K, profile, s0, T, dt, "circle", offset,
-                          rho=sc.rho)
+    return _simulate_pair(sc, K, profile, s0, T, dt, offset, rho=sc.rho)
 
 
 def simulate_scenario(sc, K: GainMatrix, profile: LeaderProfile,
@@ -625,8 +622,4 @@ def simulate_chain(
     links = [((float(K.k11), float(K.k22), float(K.k23)), spec.robots[k],
               (g.d, 0.0, 0.0))
              for k, (K, g) in enumerate(zip(gains, spec.links), start=1)]
-    metas = [{"kind": "chain", "link": k, "dt": dt, "T": T, "integrator": "rk4",
-              "gain": list(gain)}
-             for k, (gain, _, _) in enumerate(links, start=1)]
-    return _integrate(links, spec.robots[0], lead_profile, s, poses, T, dt,
-                      metas)
+    return _integrate(links, spec.robots[0], lead_profile, s, poses, T, dt)

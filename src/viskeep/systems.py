@@ -186,15 +186,13 @@ class GainMatrix:
 class UncertainLinearSystem:
     """Affine-in-parameter family with box constraint sets.
 
-    ``A`` holds ``p + 1`` matrices: the constant part followed by one
-    coefficient matrix per parameter component; likewise ``B`` and ``E``.
-    Their entries are exact: ints and Fractions.
+    The sizes are those of the boxes: ``n`` states (S), ``m`` inputs (U),
+    ``l`` disturbances (D) and ``p`` parameters (Q).  ``A`` holds ``p + 1``
+    matrices: the constant part followed by one coefficient matrix per
+    parameter component; likewise ``B`` and ``E``.  Their entries are
+    exact: ints and Fractions.
     """
 
-    n: int
-    m: int
-    l: int
-    p: int
     A: tuple[Matrix, ...]
     B: tuple[Matrix, ...]
     E: tuple[Matrix, ...]
@@ -214,16 +212,14 @@ class UncertainLinearSystem:
             for M in stack:
                 if len(M) != rows or any(len(r) != cols for r in M):
                     raise ValueError(f"{name} matrix has wrong shape")
-        for name, box, dim in (
-            ("S", self.S, self.n),
-            ("U", self.U, self.m),
-            ("D", self.D, self.l),
-            ("Q", self.Q, self.p),
-        ):
-            if box.dim != dim:
-                raise ValueError(f"{name} has dimension {box.dim}, expected {dim}")
-            if not box.contains_origin():
+        for name in "SUDQ":
+            if not getattr(self, name).contains_origin():
                 raise ValueError(f"{name} must contain the origin")
+
+    n = property(lambda self: self.S.dim)
+    m = property(lambda self: self.U.dim)
+    l = property(lambda self: self.D.dim)  # noqa: E741 -- the paper's name
+    p = property(lambda self: self.Q.dim)
 
     @cached_property
     def ab_params(self) -> tuple[list[int], ...]:
@@ -267,15 +263,14 @@ class Violation(NamedTuple):
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of a vertex certificate; empty violations <=> holds."""
+    """Outcome of a vertex certificate: it holds iff no vertex violates it."""
 
-    holds: bool
     violations: tuple[Violation, ...]
     kind: str = "certificate"
 
-    def __post_init__(self):
-        if self.holds != (len(self.violations) == 0):
-            raise ValueError("holds must mirror emptiness of violations")
+    @property
+    def holds(self) -> bool:
+        return not self.violations
 
     def to_text(self) -> str:
         lines = [f"{self.kind}: {'HOLDS' if self.holds else 'FAILS'}"]
@@ -319,7 +314,7 @@ def check_admissible(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
             if gap < 0:
                 violations.append(
                     Violation(_float_tuple(v), None, None, label, gap / (den * Kd)))
-    return CertificateReport(not violations, tuple(violations), "admissibility")
+    return CertificateReport(tuple(violations), "admissibility")
 
 
 def check_D_invariant_cone(
@@ -375,8 +370,7 @@ def check_D_invariant_cone(
                             f"cone row {h}", slack,
                         )
                     )
-    return CertificateReport(not violations, tuple(violations),
-                             "D-invariance (shifted cone)")
+    return CertificateReport(tuple(violations), "D-invariance (shifted cone)")
 
 
 # ----------------------------------------------------------------------
@@ -486,6 +480,9 @@ def _switching_segments(sys: UncertainLinearSystem, K: GainMatrix,
         done += seg
 
 
+_SWITCHING_TOL = 1e-6  # box excess a run may show and still count as inside
+
+
 def simulate_linear_switching(
     sys: UncertainLinearSystem,
     K: GainMatrix,
@@ -494,7 +491,6 @@ def simulate_linear_switching(
     dt: float = 1e-3,
     dwell: float = 0.1,
     seed: int = 0,
-    tol: float = 1e-6,
 ):
     """Randomized trajectories of ``sdot = F(q) s + E(q) d`` stay in S?
 
@@ -506,7 +502,8 @@ def simulate_linear_switching(
     degree-4 Taylor step, which coincides with classical RK4 on a linear
     time-invariant segment.  Returns ``(ok, max_excess)`` where max_excess
     is the largest box violation observed at any step (0.0 for clean runs,
-    ``inf`` once a run is no longer finite).
+    ``inf`` once a run is no longer finite) and ok says that it is at most
+    ``_SWITCHING_TOL`` = 1e-6.
 
     The step operators ``phi`` and ``psi`` depend only on the parameter
     vertex (``psi`` applied to ``E(q) d``), so they are built once per
@@ -536,4 +533,4 @@ def simulate_linear_switching(
         if math.isnan(below) or math.isnan(above):
             excess = math.inf  # a run overflowed, then lost its value
         max_excess = max(max_excess, excess)
-    return max_excess <= tol, max_excess
+    return max_excess <= _SWITCHING_TOL, max_excess

@@ -880,7 +880,6 @@ def check_D_invariant_euler(
                             )
                         )
     return CertificateReport(
-        holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (one-step)",
     )
@@ -920,7 +919,6 @@ def admissibility_oracle(K: GainMatrix, S: Box, U: Box) -> CertificateReport:
                     Violation(_float_tuple(v), None, None, f"u[{j}] >= lo", float(val - lo_b))
                 )
     return CertificateReport(
-        holds=not violations,
         violations=tuple(violations),
         kind="admissibility",
     )
@@ -967,7 +965,6 @@ def cone_certificate_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                     )
                 )
     return CertificateReport(
-        holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
     )
@@ -1028,7 +1025,6 @@ def cone_certificate_row_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                         )
                     )
     return CertificateReport(
-        holds=not violations,
         violations=tuple(violations),
         kind="D-invariance (shifted cone)",
     )
@@ -1162,7 +1158,6 @@ def integrate_oracle(
     poses: Sequence,
     T: float,
     dt: float,
-    metas: Sequence,
     rho: float = 0.0,
     noise: Optional[Sequence[tuple]] = None,
 ) -> list[SimTrace]:
@@ -1269,9 +1264,9 @@ def integrate_oracle(
             inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
             noise=None if H is None else H[:, [k + 1, k]],
             pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
-            clamp_events=clamps[k], meta=meta,
+            clamp_events=clamps[k],
         )
-        for k, meta in enumerate(metas)
+        for k in range(len(links))
     ]
 
 
@@ -1334,7 +1329,6 @@ def random_moderate_system(rnd: random.Random):
         )
 
     sysd = UncertainLinearSystem(
-        n=3, m=2, l=2, p=3,
         A=scale_stack(A), B=scale_stack(B), E=scale_stack(E),
         S=S, U=U, D=D, Q=Q,
     )

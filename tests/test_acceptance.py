@@ -182,7 +182,7 @@ def test_criterion_3_circle_gain():
     still = LeaderProfile(v=constant(0.0), omega=constant(0.0))
     witness = monitor(simulate_circle(sc, REF_GAIN_CIRCLE, still, corner,
                                       T=1.0, dt=1e-3),
-                      sysd.S, sysd.U, tol=1e-9)
+                      sysd.S, sysd.U)
     escapes = any(label == "dp1" for _, label, _, _ in witness.state_violations)
 
     res = min_norm_gain(poly)
@@ -198,7 +198,7 @@ def test_criterion_3_circle_gain():
                                       (-sc.Omega_L, 0.0, sc.Omega_L)):
             prof = LeaderProfile(v=constant(v), omega=constant(w))
             trace = simulate_circle(sc, res.gain, prof, s0, T=5.0, dt=1e-3)
-            rep = monitor(trace, sysd.S, sysd.U, tol=1e-9)
+            rep = monitor(trace, sysd.S, sysd.U)
             runs += 1
             if not rep.clean or trace.clamp_events:
                 dirty.append(f"{signs} v={v:+.3f} w={w:+.3f}")
@@ -237,7 +237,7 @@ def test_criterion_4_simulation_invariance():
     trace = simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, BASIC_PROFILE,
                            BASIC_S0, T=60.0, dt=1e-3)
     sysd = build_basic_system(BASIC_SCENARIO)
-    rep = monitor(trace, sysd.S, sysd.U, tol=1e-9)
+    rep = monitor(trace, sysd.S, sysd.U)
     if not rep.clean or trace.clamp_events:
         issues.append(f"basic: {rep.max_excess}, clamps {trace.clamp_events}")
 
@@ -246,14 +246,14 @@ def test_criterion_4_simulation_invariance():
                                        UBB_NOISE_AMPLITUDE, seed=0),
                          UBB_S0, T=60.0, dt=1e-3)
     sysd = build_ubb_system(UBB_SCENARIO)
-    rep = monitor(trace, sysd.S, sysd.U, tol=1e-9)
+    rep = monitor(trace, sysd.S, sysd.U)
     if not rep.clean or trace.clamp_events:
         issues.append(f"ubb: {rep.max_excess}, clamps {trace.clamp_events}")
 
     trace = simulate_circle(CIRCLE_SCENARIO, REF_GAIN_CIRCLE, CIRCLE_PROFILE,
                             CIRCLE_S0, T=60.0, dt=1e-3)
     sysd = build_circle_system(CIRCLE_SCENARIO)
-    rep = monitor(trace, sysd.S, sysd.U, tol=1e-9)
+    rep = monitor(trace, sysd.S, sysd.U)
     if not rep.clean or trace.clamp_events:
         issues.append(f"circle: {rep.max_excess}, clamps {trace.clamp_events}")
 
@@ -263,7 +263,7 @@ def test_criterion_4_simulation_invariance():
         g = CHAIN_SPEC.links[k - 1]
         S = Box.symmetric((g.a, g.a, g.b))
         U = Box.symmetric((CHAIN_SPEC.robots[k].V, CHAIN_SPEC.robots[k].Omega))
-        rep = monitor(trace, S, U, tol=1e-9)
+        rep = monitor(trace, S, U)
         if not rep.clean or trace.clamp_events:
             issues.append(f"chain link {k}: {rep.max_excess}")
 
@@ -331,7 +331,7 @@ def test_criterion_7_linear_invariance_oracle():
             continue
         ok, excess = simulate_linear_switching(
             sysd, res.gain, n_runs=200, horizon=30.0, dt=1e-3,
-            dwell=0.1, seed=i, tol=1e-6,
+            dwell=0.1, seed=i,
         )
         if not ok:
             failures.append(f"{i}: excess {excess:.2e}")

@@ -241,6 +241,33 @@ def test_chain_generate_names_a_missing_key(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, values, key", [
+    ("--generate", "a=0.1,d=7,n=4,V1=0.02,saftey=0.5", "saftey"),
+    ("--maps", "a=0.1,b=0.2244,d=7,x=3", "x"),
+])
+def test_chain_key_lists_reject_an_unknown_key(tmp_path, capsys, option,
+                                               values, key):
+    """A key that --generate or --maps does not take, such as a misspelt
+    ``safety``, exits 2 with one line that names it; it is not ignored."""
+    out = tmp_path / "chain.json"
+    assert main(["chain", option, values, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key!r} is not one of" in err
+    assert not out.exists()
+
+
+def test_chain_generate_names_a_token_without_a_value(tmp_path, capsys):
+    """A --generate token with no ``=`` exits 2 with a line that names it."""
+    out = tmp_path / "generated.json"
+    assert main(["chain", "--generate", "a=0.1,d=7,n=6,V1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: generate needs a=..,d=..,n=..,V1=..; " \
+                  "'V1' has no '=' and no value\n"
+    assert not out.exists()
+
+
 def test_simulate_profile_names_a_missing_signal(basic_file, tmp_path,
                                                  capsys):
     """A profile without "omega" exits 2 with a line that names it."""
@@ -718,42 +745,16 @@ def test_simulate_rejects_non_finite_horizon(basic_file, tmp_path, capsys,
     assert not (out / "violations.json").exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_simulate_rejects_tol_that_is_not_finite_and_nonnegative(
-        basic_file, tmp_path, capsys, tol):
-    gain = write_json(tmp_path / "gain.json", {"k11": 0, "k22": 0, "k23": 0})
-    profile = write_json(tmp_path / "profile.json", {
-        "v": {"type": "constant", "value": 0.09},
-        "omega": {"type": "constant", "value": 0.2},
-    })
-    argv = ["simulate", "--scenario", str(basic_file), "--gain", str(gain),
-            "--profile", str(profile), "--horizon", "10"]
-    assert main(argv + ["--out", str(tmp_path / "run")]) == 1  # p2 leaves
-    out = tmp_path / "tol"
-    assert main(argv + ["--out", str(out), "--tol", tol]) == 2
-    assert "tol must be a finite number >= 0" in capsys.readouterr().err
-    assert not (out / "violations.json").exists()
-
-
-@pytest.mark.parametrize("run", ["pair", "chain"])
-def test_simulate_checks_tol_before_integrating(basic_file, tmp_path, capsys,
-                                                monkeypatch, run):
-    def no_run(*args, **kwargs):
-        raise AssertionError("integrated before the --tol check")
-
-    monkeypatch.setattr(simulate, "_integrate", no_run)
-    if run == "pair":
-        argv = ["--scenario", str(basic_file)]
-    else:
-        spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
-        gains = write_json(tmp_path / "gains.json",
-                           [{"k11": 0.2, "k22": 0.03, "k23": 0.3}] * 3)
-        argv = ["--chain-spec", str(spec), "--gains", str(gains)]
+def test_simulate_tol_is_a_usage_error(basic_file, tmp_path, capsys):
+    """The monitor judges every sample against one tolerance, BOUND_TOL:
+    ``simulate --tol`` is gone, and passing it is a usage error."""
     out = tmp_path / "run"
-    assert main(["simulate", *argv, "--tol", "nan", "--horizon", "60",
-                 "--out", str(out)]) == 2
-    assert "tol must be a finite number >= 0" in capsys.readouterr().err
-    assert not (out / "violations.json").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(basic_file), "--tol", "1e-9",
+              "--horizon", "0.1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-9" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("s0", ["nan,0,0", "0,0,nan"])

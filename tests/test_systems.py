@@ -12,10 +12,8 @@ from viskeep.demos import BASIC_SCENARIO, BUNDLES
 from viskeep.scenarios import BasicScenario, build_basic_system, gain_polytope
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
-    CertificateReport,
     GainMatrix,
     UncertainLinearSystem,
-    Violation,
     _pipeline_polytope,
     check_admissible,
     check_D_invariant_cone,
@@ -60,7 +58,6 @@ def toy_system(A0, l=1, p=0, E0=None):
     n = 3
     E0 = E0 if E0 is not None else zeros(n, l)
     return UncertainLinearSystem(
-        n=n, m=2, l=l, p=p,
         A=( mat(A0), ) + tuple(zeros(n, n) for _ in range(p)),
         B=( zeros(n, 2), ) + tuple(zeros(n, 2) for _ in range(p)),
         E=( E0, ) + tuple(zeros(n, l) for _ in range(p)),
@@ -168,9 +165,6 @@ def test_certificate_report_serialization():
     assert len(csv) == 1 + len(rep.violations)
     ok = check_admissible(GainMatrix(0.0, 0.0, 0.0), sysd.S, sysd.U)
     assert "HOLDS" in ok.to_text()
-    with pytest.raises(ValueError):
-        CertificateReport(holds=True, violations=ok.violations[:0] + (
-            Violation((0,), None, None, "x", -1.0),))
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +227,6 @@ def test_enlarging_disturbance_never_rescues(rnd):
         if check_D_invariant_cone(sysd, K).holds:
             continue
         bigger = UncertainLinearSystem(
-            n=3, m=2, l=2, p=3,
             A=sysd.A, B=sysd.B, E=sysd.E,
             S=sysd.S, U=sysd.U, D=sysd.D.scaled(2), Q=sysd.Q,
         )
@@ -246,7 +239,6 @@ def test_cone_verdict_independent_of_tau_without_disturbance(rnd):
     for _ in range(20):
         sysd, K = _random_moderate_system(rnd)
         quiet = UncertainLinearSystem(
-            n=3, m=2, l=2, p=3,
             A=sysd.A, B=sysd.B,
             E=tuple(zeros(3, 2) for _ in range(4)),
             S=sysd.S, U=sysd.U, D=sysd.D, Q=sysd.Q,
@@ -271,7 +263,7 @@ def test_certificate_does_not_depend_on_the_step(rnd):
     for _ in range(2):
         sysd, K = _random_moderate_system(rnd)
         quiet = UncertainLinearSystem(
-            n=3, m=2, l=2, p=3, A=sysd.A, B=sysd.B,
+            A=sysd.A, B=sysd.B,
             E=tuple(zeros(3, 2) for _ in range(4)),
             S=sysd.S, U=sysd.U, D=sysd.D, Q=sysd.Q,
         )
