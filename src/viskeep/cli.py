@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -207,7 +208,11 @@ def cmd_synth(args) -> int:
 
 
 def _parse_s0(text: str):
-    return tuple(float(tok) for tok in text.split(","))
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"--s0 takes numbers separated by commas, not "
+                         f"{text!r}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -232,7 +237,11 @@ def cmd_simulate(args) -> int:
                              "not to chains")
         if not args.gains:
             raise ValueError("chain simulation needs --gains")
-        gains = [_gain_of(g) for g in _read_json(args.gains)]
+        gains = _read_json(args.gains)
+        if not isinstance(gains, list):
+            raise ValueError(f"'--gains' must be a list of gains, one per "
+                             f"link, not {_shown(gains)}")
+        gains = [_gain_of(g) for g in gains]
         s0 = ([_parse_s0(tok) for tok in args.s0.split(";")] if args.s0
               else [(0.0, 0.0, 0.0)] * (spec.n - 1))
         clean = _run_chain(spec, gains, profile, s0, args.horizon, args.dt,
@@ -253,11 +262,13 @@ def cmd_simulate(args) -> int:
 
 
 def _key_values(text: str, usage: str, required: tuple,
-                optional: tuple = ()) -> dict:
+                optional: tuple = (), integers: tuple = ()) -> dict:
     """``k1=v1,k2=v2`` as a dict of floats.  Each token must be
-    ``key=value`` with a key from `required` or `optional`, and every key
-    in `required` must be given; otherwise a ValueError that starts with
-    `usage` names the token or key at fault."""
+    ``key=value`` with a key from `required` or `optional` and a finite
+    number for its value, an integer for a key in `integers`, and every key
+    in `required` must be given; otherwise a ValueError names the token or
+    key at fault, after `usage` (an integer's message, ``n must be an
+    integer``, stands alone)."""
     keys = required + optional
     vals = {}
     for tok in text.split(","):
@@ -268,7 +279,17 @@ def _key_values(text: str, usage: str, required: tuple,
         if key not in keys:
             raise ValueError(f"{usage}; {key!r} is not one of "
                              f"{', '.join(keys)}")
-        vals[key] = float(val)
+        try:
+            x = float(val)
+        except ValueError:
+            x = math.nan
+        else:
+            if key in integers and not x.is_integer():
+                raise ValueError(f"{key} must be an integer, not {x!r}")
+        if not math.isfinite(x):
+            raise ValueError(f"{usage}; {key!r} must be a finite number, "
+                             f"not {val.strip()!r}")
+        vals[key] = x
     for key in required:
         if key not in vals:
             raise ValueError(f"{usage}; {key!r} is missing")
@@ -280,13 +301,10 @@ def cmd_chain(args) -> int:
     feasible = True
     if args.generate:
         vals = _key_values(args.generate, "generate needs a=..,d=..,n=..,V1=..",
-                           ("a", "d", "n", "V1"), ("safety",))
-        n = vals["n"]
-        if not n.is_integer():
-            raise ValueError(f"n must be an integer, not {n!r}")
+                           ("a", "d", "n", "V1"), ("safety",), ("n",))
         try:
             spec = generate_schedule(
-                a=vals["a"], d=vals["d"], n=int(n), V_1=vals["V1"],
+                a=vals["a"], d=vals["d"], n=int(vals["n"]), V_1=vals["V1"],
                 safety=vals.get("safety", 0.1),
             )
         except ScheduleInfeasibleError as exc:

@@ -11,7 +11,7 @@ times, which the integrator samples a block of steps with: bit for bit its
 scalar calls, or NaN where it cannot reproduce them (a parameter that is not
 a finite int or float, an argument beyond the floats), which sends the block
 back to the scalar calls.  The sinusoids take numpy's sin and cos to round as
-math's do, as the integrator's world poses do (:func:`viskeep.simulate._poses`).
+math's do, as the integrator's pose of robot 0 does (:func:`viskeep.simulate._poses`).
 The array forms import numpy in their bodies.
 """
 

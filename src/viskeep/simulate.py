@@ -15,19 +15,21 @@ It runs in blocks of steps, each in three parts:
    feedback, wrap guard and lateral noise, which holds one value per
    ``NOISE_HOLD`` interval (a noise-free loop has no noise terms at all).
    Every state component is a local and the four stages are unrolled.
-   Each step records one row: each link's state, then its follower's
-   inputs at stages 2, 3 and 4;
+   Each step records one row: each link's state;
 3. what no link reads is computed after the loop on whole arrays: the
    followers' inputs at each sample and their clamp counts, from the
-   recorded states; the noise columns, from the hold table; and the world
-   poses, integrated from the inputs at every stage.
+   recorded states; the noise columns, from the hold table; robot 0's
+   world pose, integrated from the profile at every stage; and each
+   follower's world pose, placed from its leader's pose and its link's
+   state, so the poses never integrate the relative motion a second time.
 
-Each expression keeps the float operations of a plain RK4 loop in their
-order, so a trace is bit-for-bit that loop's, and each error is raised
-at the step where that loop raises it: a profile sample out of bound is
-held until the loop reaches its step.  The feedback is evaluated at every
-stage, inputs are clamped to their boxes with an event counter, and a
-monitor checks every sample against the state and input boxes.
+Every other expression keeps the float operations of a plain RK4 loop in
+their order, so a trace's states, inputs and robot 0's pose are
+bit-for-bit that loop's, and each error is raised at the step where that
+loop raises it: a profile sample out of bound is held until the loop
+reaches its step.  The feedback is evaluated at every stage, inputs are
+clamped to their boxes with an event counter, and a monitor checks every
+sample against the state and input boxes.
 :func:`integration_error` estimates each run's global error by step
 doubling.
 
@@ -79,9 +81,11 @@ class SimTrace:
     ``states`` holds the monitored relative coordinates (window-centered),
     ``inputs`` the monitored follower inputs, ``leader`` the disturbance
     pair as monitored (shifted turn rate for orbit runs).  ``pose_f`` and
-    ``pose_l`` are world poses (x, y, theta).  ``times`` is the grid
-    ``i * dt``, so the step is ``times[1]``.  ``rerun(dt)`` integrates the
-    run the trace came from again at step `dt`, every link of it.
+    ``pose_l`` are world poses (x, y, theta): robot 0's is integrated, and
+    each follower's is placed from its leader's and the link's state.
+    ``times`` is the grid ``i * dt``, so the step is ``times[1]``.
+    ``rerun(dt)`` integrates the run the trace came from again at step
+    `dt`, every link of it.
     """
 
     times: np.ndarray
@@ -190,14 +194,13 @@ def _rk4_source(n: int, noisy: bool) -> str:
     lateral noise or without it (see _integrate).
 
     The state is each link r's centered state ``s1_r, s2_r, s3_r``, all
-    locals: no world pose enters a link derivative, so the poses are left to
-    `_poses`.  ``lead`` yields robot 0's speed offset and turn rate at t,
-    t + dt/2 and t + dt of each step.  Each step appends one row to
-    ``rec``: each link's state at t, then each follower's realized inputs
-    at stages 2, 3 and 4, stage by stage.  The run stops after the row of
-    step ``stop``, whose inputs are padded with zeros.  The loop keeps only
-    what feeds back into the next step: `_integrate` derives the followers'
-    stage-1 inputs, the clamp counts and the noise columns from the rows
+    locals: no world pose enters a link derivative, so robot 0's pose is
+    left to `_poses` and the followers' to the placement in `_integrate`.
+    ``lead`` yields robot 0's speed offset and turn rate at t, t + dt/2 and
+    t + dt of each step.  Each step appends one row to ``rec``: each link's
+    state at t.  The run stops after the row of step ``stop``.  The loop
+    keeps only what feeds back into the next step: `_integrate` derives the
+    followers' inputs, the clamp counts and the noise columns from the rows
     and the hold table after the block.
     """
     links = range(1, n + 1)
@@ -215,7 +218,7 @@ def _rk4_source(n: int, noisy: bool) -> str:
         loop += [f"if abs(s3_{r} + o3_{r}) > pi:",
                  f"    raise ValueError(f'heading difference left (-pi, pi) on "
                  f"link {r} at t={{i * dt:.6g}}; invariance lost')"]
-    loop += ["if i == stop:", f"    put(({row},) + pad)", "    break"]
+    loop += [f"put(({row},))", "if i == stop:", "    break"]
     for m, step, v, w in ((1, None, "v", "w"), (2, "half", "vh", "wh"),
                           (3, "half", "vh", "wh"), (4, "dt", "v1", "w1")):
         z = {a: a if step is None else f"z_{a}" for a in state}
@@ -223,14 +226,14 @@ def _rk4_source(n: int, noisy: bool) -> str:
             loop += [f"z_{a} = {a} + {step} * k{m - 1}_{a}" for a in z]
         for r in links:  # robot r pursues robot r - 1, which moves at v, w
             s1, s2, s3 = (z[f"{c}{r}"] for c in ("s1_", "s2_", "s3_"))
-            vF, wF = f"vF{r}_{m}", f"wF{r}_{m}"
+            vF, wF = f"vF{r}", f"wF{r}"
             h_sb, h, h_cb = ((f" - h{r - 1} * sb", f" - h{r}",
                               f" + h{r - 1} * cb") if noisy else ("",) * 3)
             loop += [  # link r's clamped inputs at stage m, then its k_m
                 f"u1, u2 = k11_{r} * {s1}, k22_{r} * {s2} + k23_{r} * {s3}",
                 f"{vF} = V_{r} if u1 > V_{r} else nV_{r} if u1 < nV_{r} else u1",
-                f"uw{r}_{m} = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2",
-                f"{wF}, beta = uw{r}_{m} + rho, {s3} + o3_{r}",
+                f"uw = Om_{r} if u2 > Om_{r} else nOm_{r} if u2 < nOm_{r} else u2",
+                f"{wF}, beta = uw + rho, {s3} + o3_{r}",
                 "cb, sb = cos(beta), sin(beta)",
                 f"k{m}_s1_{r} = (cb - 1.0) - {vF} + ({s2} + o2_{r}) * {wF} "
                 f"+ {v} * cb{h_sb}",
@@ -239,8 +242,6 @@ def _rk4_source(n: int, noisy: bool) -> str:
                 f"k{m}_s3_{r} = {w} - {wF}",
             ]
             v, w = vF, wF
-    loop += [f"put(({row}, " + ", ".join(
-        f"vF{r}_{m}, wF{r}_{m}" for m in (2, 3, 4) for r in links) + "))"]
     loop += [f"{a} = {a} + sixth * (k1_{a} + 2.0 * (k2_{a} + k3_{a}) + k4_{a})"
              for a in state]
     head = [
@@ -250,7 +251,7 @@ def _rk4_source(n: int, noisy: bool) -> str:
                 f"o3_{r}), " for r in links) + "= params",
         *(f"nV_{r}, nOm_{r} = -V_{r}, -Om_{r}" for r in links),
         f"{row}, = y",
-        f"put, pad = rec.extend, (0.0,) * {6 * n}",
+        "put = rec.extend",
         "for i, (v, w, vh, wh, v1, w1) in zip(range(i0, i1), lead):",
         *("    " + line for line in loop),
         f"return {row},",
@@ -310,37 +311,36 @@ def _lead(profile: LeaderProfile, limits: tuple, i0: int, i1: int,
 
 
 def _poses(pose: Sequence, e: np.ndarray, w: np.ndarray, h, dt: float):
-    """World poses after each RK4 step from ``pose = (x, y, q)``, arrays
-    over the robots.
+    """Robot 0's world poses after each RK4 step from ``pose = (x, y, q)``:
+    a row ``(x, y, q)`` per step.
 
-    ``e[m]`` and ``w[m]`` hold each robot's speed factor 1 + v and its turn
-    rate at stage m of each step (one row per step), ``h`` its lateral noise
-    (0.0 without).  Each float expression is the plain loop's, and each sum
-    runs in the loop's order, so the poses are its poses bit for bit.  That
-    takes numpy's float64 sin and cos to round as math's do: none of 28
-    million samples differed under NumPy 2.4 on x86-64, and the oracle tests
-    in ``tests/test_simulate.py`` pin it.
+    ``e[m]`` and ``w[m]`` hold its speed factor 1 + v and its turn rate at
+    stage m of each step, ``h`` its lateral noise (0.0 without).  Each float
+    expression is the plain loop's, and each sum runs in the loop's order,
+    so the poses are its poses bit for bit.  That takes numpy's float64 sin
+    and cos to round as math's do: none of 28 million samples differed under
+    NumPy 2.4 on x86-64, and the oracle tests in ``tests/test_simulate.py``
+    pin it.
     """
     half, sixth = 0.5 * dt, dt / 6.0
 
     def advance(a, k):  # a + sixth * (k1 + 2 (k2 + k3) + k4), step by step
         incr = sixth * (k(0) + 2.0 * (k(1) + k(2)) + k(3))
-        return np.add.accumulate(np.concatenate((a[None], incr)))[1:]
+        return np.add.accumulate(np.concatenate(([a], incr)))[1:]
 
     def dxy(m):  # the x and y derivatives at stage m, side by side
         z = q if m == 0 else q + (dt if m == 3 else half) * w[m - 1]
         c, s = np.cos(z), np.sin(z)
-        return np.hstack((e[m] * c - h * s, e[m] * s + h * c))
+        return np.column_stack((e[m] * c - h * s, e[m] * s + h * c))
 
     x, y, q = pose
     qs = advance(q, w.__getitem__)
-    q = np.concatenate((q[None], qs[:-1]))
-    xy = advance(np.concatenate((x, y)), dxy)
-    return xy[:, :len(x)], xy[:, len(x):], qs
+    q = np.concatenate(([q], qs[:-1]))
+    return np.column_stack((advance((x, y), dxy), qs))
 
 
 def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
-               s0: Sequence, poses: Sequence, T: float, dt: float,
+               s0: Sequence, pose: Sequence, T: float, dt: float,
                rho: float = 0.0,
                noise: Optional[Sequence[tuple]] = None) -> list[SimTrace]:
     """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link.
@@ -348,7 +348,7 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     ``links[k]`` is ``(gain, (V, Omega), (o1, o2, o3))``: link k's gain, its
     follower's input bounds and its window center in raw relative
     coordinates.  ``lead_limits`` bounds the profile of robot 0, ``s0``
-    holds the window-centered link states and ``poses`` the n world poses.
+    holds the window-centered link states and ``pose`` robot 0's world pose.
     ``rho`` is added back to every turn rate (orbit runs), and ``noise[j]``
     gives the lateral noise of each robot over hold interval j, the times
     ``[j, j + 1) * NOISE_HOLD``: it is held across the stages of every step
@@ -357,12 +357,13 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     The steps run in blocks of ``_BLOCK``.  Each block samples the leader
     profile on its whole time grid, runs the link states through the
     generated loop, then fills the followers' inputs at t and the clamp
-    counts from the recorded states and integrates every world pose, on
-    whole arrays.  A
-    profile sample out of bound is raised when the loop reaches it, so an
-    earlier wrap-guard error still comes first.  Each trace's ``rerun(dt)``
-    integrates the same run again at another step (see
-    :func:`integration_error`).
+    counts from the recorded states, integrates robot 0's pose and places
+    each follower at each sample from its leader's pose and its link's raw
+    state ``(p1, p2, beta)``, the leader's position and heading in the
+    follower's frame, all on whole arrays.  A profile sample out of bound
+    is raised when the loop reaches it, so an earlier wrap-guard error
+    still comes first.  Each trace's ``rerun(dt)`` integrates the same run
+    again at another step (see :func:`integration_error`).
     """
     params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
     n, n_steps = len(links), _steps(T, dt)
@@ -382,12 +383,13 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     U = np.empty((n_steps + 1, 2 + 2 * n))
     H = (None if noise is None else
          np.asarray(noise, dtype=float)[np.arange(n_steps + 1) // per_hold])
-    Y[0, [6 * r + c for r in range(n + 1) for c in range(3)]] = np.ravel(poses)
+    Y[0, :3] = pose
     clamps = np.zeros(n, dtype=int)
 
     def block(i0: int, y: tuple) -> tuple:
-        """Steps i0 .. i1 - 1: their rows, and the poses after them; returns
-        the link states after them."""
+        """Steps i0 .. i1 - 1: their rows, with robot 0's poses after them
+        and each follower's pose placed; returns the link states after
+        them."""
         i1 = min(i0 + _BLOCK, n_steps + 1)
         V, W, err, j = _lead(profile, lead_limits, i0, i1, n_steps, dt)
         stop = n_steps if err is None else i0 + j
@@ -398,8 +400,8 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
                 noise, per_hold, y, rec)
         if err is not None:
             raise err
-        rows, R = slice(i0, i1), np.frombuffer(rec).reshape(i1 - i0, 9 * n)
-        S = R[:, :3 * n].reshape(-1, n, 3)
+        rows = slice(i0, i1)
+        S = np.frombuffer(rec).reshape(i1 - i0, n, 3)
         for c in range(3):
             Y[rows, 3 + c::6] = S[:, :, c]
         # the followers' inputs at t, by the loop's float operations and its
@@ -411,20 +413,18 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
                                        np.where(u < -bound, -bound, u))
         U[rows, 0], U[rows, 1] = V[:, 0], W[:, 0]
         m = min(i1, n_steps) - i0  # steps with stages
-        if m == 0:
-            return y
-        # each robot's inputs at the four stages: the profile for robot 0,
-        # the inputs at t and then the recorded stages for the followers
-        K = R[:m, 3 * n:].reshape(m, 3, n, 2).transpose(1, 0, 2, 3)
-        E, Q = np.empty((4, m, n + 1)), np.empty((4, m, n + 1))
-        E[:, :, 0], Q[:, :, 0] = V[:m, [0, 1, 1, 2]].T, Wr[:m, [0, 1, 1, 2]].T
-        E[0, :, 1:], Q[0, :, 1:] = U[i0:i0 + m, 2::2], U[i0:i0 + m, 3::2] + rho
-        E[1:, :, 1:], Q[1:, :, 1:] = K[..., 0], K[..., 1]
-        E += 1.0
-        pose = _poses([Y[i0, c::6] for c in range(3)], E, Q,
-                      0.0 if H is None else H[i0:i0 + m], dt)
-        for c, col in enumerate(pose):
-            Y[i0 + 1:i0 + m + 1, c::6] = col
+        if m > 0:  # robot 0's profile at the four stages of each step
+            stages = [0, 1, 1, 2]
+            Y[i0 + 1:i0 + m + 1, :3] = _poses(
+                Y[i0, :3], 1.0 + V[:m, stages].T, Wr[:m, stages].T,
+                0.0 if H is None else H[i0:i0 + m, 0], dt)
+        for k, (*_, o1, o2, o3) in enumerate(params):  # place robot k + 1
+            xl, yl, ql, s1, s2, s3 = Y[rows, 6 * k:6 * k + 6].T
+            p1, p2, q = s1 + o1, s2 + o2, ql - (s3 + o3)
+            c, s = np.cos(q), np.sin(q)
+            Y[rows, 6 * k + 6] = xl - (c * p1 - s * p2)
+            Y[rows, 6 * k + 7] = yl - (s * p1 + c * p2)
+            Y[rows, 6 * k + 8] = q
         return y
 
     y = tuple(x for s in s0 for x in s)
@@ -433,7 +433,7 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
 
     times = np.arange(n_steps + 1) * dt
     rerun = functools.partial(_integrate, links, lead_limits, profile, s0,
-                              poses, T, rho=rho, noise=noise)
+                              pose, T, rho=rho, noise=noise)
     return [
         SimTrace(
             times=times, states=Y[:, 6 * k + 3:6 * k + 6],
@@ -490,14 +490,13 @@ def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0") -> tuple:
 def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
                    T: float, dt: float, offset: tuple, rho: float = 0.0,
                    noise=None) -> SimTrace:
-    """A pair is a one-link run: the follower starts at the origin pose and
-    the leader is placed from the state."""
+    """A pair is a one-link run: the leader's pose is the raw state, so the
+    follower is placed at the origin pose."""
     s = _check_s0(s0, (sc.a, sc.a, sc.b))
-    gain = [float(K.k11), float(K.k22), float(K.k23)]
     leader = tuple(x + o for x, o in zip(s, offset))
     return _integrate(
-        [(gain, (sc.V_F, sc.Omega_F), offset)], (sc.V_L, sc.Omega_L),
-        profile, [s], [leader, (0.0, 0.0, 0.0)], T, dt, rho, noise,
+        [(K.as_floats().entries(), (sc.V_F, sc.Omega_F), offset)],
+        (sc.V_L, sc.Omega_L), profile, [s], leader, T, dt, rho, noise,
     )[0]
 
 
@@ -601,7 +600,7 @@ def simulate_chain(
     T: float,
     dt: float = 1e-3,
 ) -> list[SimTrace]:
-    """Simultaneous integration of all links.
+    """Simultaneous integration of all links, robot 0 at the origin pose.
 
     Link k+1's leader inputs are link k's realized (clamped) feedback, so
     each robot reacts only to the vehicle directly ahead.
@@ -611,15 +610,7 @@ def simulate_chain(
         raise ValueError("need one gain and one initial state per link")
     s = [_check_s0(x, (g.a, g.a, g.b), what=f"s0[{k}]")
          for k, (x, g) in enumerate(zip(s0, spec.links))]
-    # poses chained back from robot 1 at the origin
-    poses = [(0.0, 0.0, 0.0)]
-    for (s1, s2, s3), g in zip(s, spec.links):
-        p1, p2 = s1 + g.d, s2
-        x_prev, y_prev, th_prev = poses[-1]
-        th = th_prev - s3
-        c, s_ = math.cos(th), math.sin(th)
-        poses.append((x_prev - (c * p1 - s_ * p2), y_prev - (s_ * p1 + c * p2), th))
-    links = [((float(K.k11), float(K.k22), float(K.k23)), spec.robots[k],
-              (g.d, 0.0, 0.0))
+    links = [(K.as_floats().entries(), spec.robots[k], (g.d, 0.0, 0.0))
              for k, (K, g) in enumerate(zip(gains, spec.links), start=1)]
-    return _integrate(links, spec.robots[0], lead_profile, s, poses, T, dt)
+    return _integrate(links, spec.robots[0], lead_profile, s, (0.0, 0.0, 0.0),
+                      T, dt)

@@ -1155,7 +1155,7 @@ def integrate_oracle(
     lead_limits: tuple,
     profile: LeaderProfile,
     s0: Sequence,
-    poses: Sequence,
+    pose: Sequence,
     T: float,
     dt: float,
     rho: float = 0.0,
@@ -1163,18 +1163,23 @@ def integrate_oracle(
 ) -> list[SimTrace]:
     """Run robots 0..n-1, robot k+1 pursuing robot k, and record each link:
     the plain RK4 loop, one ``deriv`` call per stage, that the generated
-    ``simulate._integrate`` must match bit for bit.
+    ``simulate._integrate`` must match bit for bit in every state, input
+    and robot 0's pose.
 
     ``links[k]`` is ``(gain, (V, Omega), (o1, o2, o3))``: link k's gain, its
     follower's input bounds and its window center in raw relative
     coordinates.  ``lead_limits`` bounds the profile of robot 0, ``s0``
-    holds the window-centered link states and ``poses`` the n world poses.
+    holds the window-centered link states and ``pose`` robot 0's world pose.
     ``rho`` is added back to every turn rate (orbit runs), and ``noise[j]``
     gives the lateral noise of each robot over hold interval j, held across
     the stages of every step in it.
 
     The state vector is robot 0's pose, then for each link its centered
-    state and its follower's pose.
+    state and its follower's pose.  Each follower starts where its leader's
+    pose and its link's state place it; from then on every world pose is
+    integrated as a unicycle, jointly with the link states, so the poses
+    are an independent check of the relative dynamics that
+    ``simulate._integrate`` places its followers by.
     """
     params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
     prof_v = _checked(profile.v, lead_limits[0], "v")
@@ -1211,9 +1216,12 @@ def integrate_oracle(
             v, w, hL = vF, wF, hF
         return dy
 
-    y = list(poses[0])
-    for s, pose in zip(s0, poses[1:]):
-        y += (*s, *pose)
+    y = list(pose)
+    for (s1, s2, s3), (*_, o1, o2, o3) in zip(s0, params):
+        xl, yl, ql = y[-3:]
+        p1, p2, q = s1 + o1, s2 + o2, ql - (s3 + o3)
+        c, s = math.cos(q), math.sin(q)
+        y += (s1, s2, s3, xl - (c * p1 - s * p2), yl - (s * p1 + c * p2), q)
     ys, us, hs = array("d"), array("d"), array("d")
     clamps = [0] * len(links)
     for i in range(n_steps + 1):

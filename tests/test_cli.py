@@ -268,6 +268,52 @@ def test_chain_generate_names_a_token_without_a_value(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["chain", "--generate", "a=0.1,d=7,n=6,V1="], "V1"),
+    (["chain", "--maps", "a=0.1,b=x,d=7"], "b"),
+    (["chain", "--maps", "a=0.1,b=0.5,d=inf"], "d"),
+    (["chain", "--generate", "a=0.1,d=inf,n=6,V1=0.02"], "d"),
+    (["chain", "--generate", "a=0.1,d=7,n=6,V1=0.02,safety=nan"], "safety"),
+], ids=["empty", "text", "maps-inf", "generate-inf", "nan"])
+def test_chain_key_lists_name_a_value_that_is_not_a_finite_number(
+        tmp_path, capsys, argv, key):
+    """A --generate or --maps value that is empty, not a number or not
+    finite exits 2 with one line that names its key: an infinite d gave
+    max_robots 9 from --maps and an infeasible schedule from --generate."""
+    out = tmp_path / "chain.json"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key!r} must be a finite number" in err
+    assert not out.exists()
+
+
+def test_simulate_names_an_s0_that_is_not_numbers(basic_file, tmp_path,
+                                                  capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file), "--s0", "0.1,x,0",
+                 "--horizon", "1.0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --s0 takes numbers separated by commas, " \
+                  "not '0.1,x,0'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload", [5, {"a": 1}, "gains"])
+def test_simulate_gains_must_be_a_list(tmp_path, capsys, payload):
+    """A --gains file that holds no list exits 2 with one line that says so;
+    a number gave a TypeError traceback and exit 1, a dict ran its keys."""
+    spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+    gains = write_json(tmp_path / "gains.json", payload)
+    out = tmp_path / "run"
+    assert main(["simulate", "--chain-spec", str(spec), "--gains", str(gains),
+                 "--horizon", "1.0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: '--gains' must be a list of gains")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_profile_names_a_missing_signal(basic_file, tmp_path,
                                                  capsys):
     """A profile without "omega" exits 2 with a line that names it."""

@@ -596,6 +596,27 @@ def test_chain_pose_consistency():
         assert np.abs(rel - trace.states).max() < 1e-6
 
 
+@pytest.mark.parametrize("name", ["basic", "ubb", "circle", "chain"])
+def test_demo_poses_agree_with_states(name):
+    """At the demo's step and horizon every follower's pose, seen from its
+    leader's, gives back the link's state to rounding: the poses are placed
+    from the states, not integrated beside them."""
+    sc = BUNDLES[name].scenario
+    if name == "chain":
+        offsets = [(g.d, 0.0, 0.0) for g in sc.links]
+    elif name == "circle":
+        offsets = [(math.sin(sc.gamma) / sc.rho,
+                    (1 - math.cos(sc.gamma)) / sc.rho, sc.gamma)]
+    else:
+        offsets = [(sc.d, 0.0, 0.0)]
+    traces = _bundle_run(name, DEFAULT_DT)
+    assert len(traces) == len(offsets)
+    for trace, offset in zip(traces, offsets):
+        rel = np.array([reconstruct_relative(pf, pl)
+                        for pf, pl in zip(trace.pose_f, trace.pose_l)])
+        assert np.abs(rel - offset - trace.states).max() < 1e-13
+
+
 @pytest.mark.parametrize("K", [REF_GAIN_BASIC, GainMatrix(9.0, 7.0, 5.0)],
                          ids=["clean", "clamped"])
 def test_pair_is_a_one_link_chain(K):
@@ -692,13 +713,19 @@ def test_generated_integrator_matches_plain_loop(case, monkeypatch):
     slow = run()
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
-        for name in ("times", "states", "inputs", "leader", "noise",
-                     "pose_f", "pose_l"):
+        for name in ("times", "states", "inputs", "leader", "noise"):
             x, y = getattr(a, name), getattr(b, name)
             assert (x is None) == (y is None), name
             if x is not None:
                 assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
         assert a.clamp_events == b.clamp_events
+        # each follower is placed from its leader and its link's state, and
+        # the plain loop integrates it as a unicycle: the two agree to
+        # within rounding and truncation
+        assert a.pose_f.shape == b.pose_f.shape
+        assert np.abs(a.pose_f - b.pose_f).max() < 1e-10
+    # robot 0's pose is integrated by both, bit for bit
+    assert fast[0].pose_l.tobytes() == slow[0].pose_l.tobytes()
     if case.startswith("clamped"):
         assert fast[0].clamp_events > 0
     if case == "ubb":
