@@ -85,23 +85,36 @@ class Box:
         Dimensions collapsed to a point contribute a single value, so the
         list never holds duplicates.
         """
+        self._guard()
+        return _vertices(self.lo, self.hi)
+
+    def vertices_f(self) -> tuple[tuple[float, ...], ...]:
+        """:meth:`vertices` as floats, entry for entry, built from
+        :attr:`lo_f` and :attr:`hi_f`: one conversion per bound, not one per
+        vertex entry.  A dimension collapses where the exact bounds are
+        equal, so bounds that differ but round to one float still give the
+        vertex count of :meth:`vertices`."""
+        self._guard()
+        return _vertices(self.lo_f, self.hi_f,
+                         [a == b for a, b in zip(self.lo, self.hi)])
+
+    def _guard(self) -> None:
         if self.dim > VERTEX_DIMENSION_GUARD:
             raise ValueError(
                 f"vertex enumeration limited to {VERTEX_DIMENSION_GUARD} dims"
             )
-        return _vertices(self.lo, self.hi)
-
-    def vertices_f(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(
-            tuple(float(x) for x in v) for v in self.vertices()
-        )
 
 
-def _vertices(lo: Sequence, hi: Sequence) -> tuple[tuple, ...]:
+def _vertices(lo: Sequence, hi: Sequence, point=None) -> tuple[tuple, ...]:
     """The vertices of the box with bounds `lo` and `hi`, in the order of
     :meth:`Box.vertices`; the bounds may be any numbers that compare as
-    the box's do, such as its bounds as integers over one denominator."""
-    return tuple(product(*((b,) if a == b else (b, a) for a, b in zip(lo, hi))))
+    the box's do, such as its bounds as integers over one denominator.
+    ``point[i]`` says whether dimension ``i`` is a point interval; by
+    default, whether ``lo[i] == hi[i]``."""
+    if point is None:
+        point = [a == b for a, b in zip(lo, hi)]
+    return tuple(product(*((b,) if p else (b, a)
+                           for a, b, p in zip(lo, hi, point))))
 
 
 def shifted_cone(S: Box, Es: Sequence[Sequence[Sequence]],

@@ -73,6 +73,8 @@ def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[fl
     samples, and an integrator samples each interval thousands of times,
     so one generator is built per interval visited in a row.  The array
     form visits its intervals in ascending order through the same memo.
+    A hold so small that ``t / dt_hold`` overflows at a sampled ``t`` is a
+    ValueError that names the hold.
     """
     if dt_hold <= 0:
         raise ValueError(f"random profile hold must be positive, not {dt_hold!r}")
@@ -87,7 +89,11 @@ def random_hold(amplitude: float, dt_hold: float, seed: int = 0) -> Callable[[fl
         return val
 
     def f(t: float) -> float:
-        return value(int(t / dt_hold))
+        try:
+            return value(int(t / dt_hold))
+        except OverflowError:  # t / dt_hold is inf
+            raise ValueError(f"random profile hold {dt_hold!r} is too small: "
+                             f"t / hold overflows at t = {t:.6g}") from None
 
     def array(t):
         import numpy as np

@@ -22,7 +22,7 @@ decided as before the loop: the row sets of the reduced polytope are
 tried exhaustively, and none passes.  That reduce of an infeasible
 item's 2- or 3-row remnant makes the only ``eliminate`` calls of a
 ``synth`` run, which ``perfbench``'s span check requires; the route goes
-when that check stops requiring them (see ROADMAP).
+when that check stops requiring them (ROADMAP item 2).
 """
 
 from __future__ import annotations

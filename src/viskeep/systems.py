@@ -418,66 +418,117 @@ def _switching_draws(sys: UncertainLinearSystem, n_runs: int,
         yield indices(n_q), indices(n_d)
 
 
-def _switching_segments(sys: UncertainLinearSystem, K: GainMatrix,
-                        n_runs: int, total_steps: int, dt: float, dwell: float,
-                        seed: int):
-    """The states of every run, one dwell segment at a time: yields the
-    ``(steps, n, runs)`` buffer of each segment, valid until the next one
-    (see :func:`simulate_linear_switching`).  numpy is imported here and
-    in :func:`_switching_draws`, so that loading this module needs none."""
+def _step_table(phi, steps: int):
+    """``(operators, steps, n, 3n)``: row ``k`` of each ``phi`` of the
+    stack is ``[phi^(k+1) | sum_{j<=k} phi^j | I]``, whose first ``2n``
+    columns map ``[x; psi]`` to ``k + 1`` steps of ``x -> phi x + psi``.
+    Rows ``m`` to ``2m - 1`` are rows ``0`` to ``m - 1`` times
+    ``[[phi^m, 0], [0, phi^m], [0, sum_{j<m} phi^j]]``, as ``phi``
+    commutes with both blocks: one batched product per doubling."""
     import numpy as np
 
-    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
+    count, n = phi.shape[:2]
+    table = np.zeros((count, steps, n, 3 * n))
+    for i in range(n):
+        table[:, :, i, 2 * n + i] = 1.0
+    table[:, 0, :, :n] = phi
+    table[:, 0, :, n:2 * n] = np.eye(n)
+    rows = table.reshape(count, steps * n, 3 * n)
+    right = np.zeros((count, 3 * n, 2 * n))
+    m = 1
+    while m < steps:
+        c = min(m, steps - m)
+        right[:, :n, :n] = right[:, n:2 * n, n:] = table[:, m - 1, :, :n]
+        right[:, 2 * n:, n:] = table[:, m - 1, :, n:2 * n]
+        np.matmul(rows[:, :c * n], right, out=rows[:, m * n:(m + c) * n, :2 * n])
+        m += c
+    return table
+
+
+def _switching_operators(sys: UncertainLinearSystem, K: GainMatrix, dt: float,
+                         steps: int):
+    """The degree-4 step ``x -> phi(q) x + psi(q, d)`` at the vertices of
+    Q and D as ``(table, op, psi)``: the :func:`_step_table` of each
+    distinct ``phi`` (16 for the 64 vertices of the bundles' Q, as A and B
+    read four of its parameters), ``op[q]`` the table of Q-vertex ``q``,
+    and ``psi[q, d] = dt (I + dtF/2 + dtF^2/6 + dtF^3/24) E(q) d``, formed
+    from gathered rows as a run's would be."""
+    import numpy as np
+
     n = sys.n
     A, B, E = (np.array([[[float(x) for x in row] for row in M] for M in stack])
                for stack in (sys.A, sys.B, sys.E))
     Km = np.array([[float(x) for x in row] for row in K.matrix()])
-    Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
-    Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
-
-    # phi and the psi operator of every parameter vertex, built once; each
-    # segment gathers them per run (phi kept run-last, (n, n, vertices))
-    if sys.p:
-        Aq = A[0] + np.einsum("rl,lij->rij", Qv, A[1:])
-        Bq = B[0] + np.einsum("rl,lij->rij", Qv, B[1:])
-        Eq = E[0] + np.einsum("rl,lij->rij", Qv, E[1:])
-    else:
-        Aq, Bq, Eq = A[:1], B[:1], E[:1]
+    Qv, Dv = np.array(sys.Q.vertices_f()), np.array(sys.D.vertices_f())
+    Aq, Bq, Eq = (M[0] + np.einsum("rl,lij->rij", Qv, M[1:]) for M in (A, B, E))
     eye = np.eye(n)
     dtF = dt * (Aq + Bq @ Km)
     dtF2 = dtF @ dtF
     dtF3 = dtF2 @ dtF
-    phi_q = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
-    phi_q = np.ascontiguousarray(phi_q.transpose(1, 2, 0))
-    psi_q = eye + dtF / 2 + dtF2 / 6 + dtF3 / 24
+    phi = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
+    ops, op = np.unique(phi.reshape(len(phi), -1), axis=0, return_inverse=True)
+    q, d = np.divmod(np.arange(len(Qv) * len(Dv)), len(Dv))
+    c = np.einsum("rij,rj->ri", Eq[q], Dv[d])
+    psi = dt * np.einsum("rij,rj->ri", (eye + dtF / 2 + dtF2 / 6 + dtF3 / 24)[q], c)
+    return (_step_table(ops.reshape(-1, n, n), steps), op.reshape(-1),
+            psi.reshape(len(Qv), len(Dv), n))
 
-    x = next(draws).T
-    steps_per_dwell = max(1, int(round(dwell / dt)))
-    buf = np.empty((min(steps_per_dwell, total_steps), n, n_runs))
-    done = 0
-    while done < total_steps:
-        seg = min(steps_per_dwell, total_steps - done)
-        qi, di = next(draws)
-        d = Dv[di]
-        c = np.einsum("rij,rj->ri", Eq[qi], d) if sys.l else np.zeros((n_runs, n))
-        phi = phi_q.take(qi, axis=2)  # C order, as the kernel expects
-        psi = np.ascontiguousarray((dt * np.einsum("rij,rj->ri", psi_q[qi], c)).T)
-        out = buf[:seg]
-        np.einsum("ijr,jr->ir", phi, x, out=out[0])
-        out[0] += psi
-        # out[f + k] = phi^f out[k] + x_f, x_f being out[f - 1] from zero
-        phi_f, x_f, f = phi, psi, 1
-        while f < seg:
-            m = min(f, seg - f)
-            np.einsum("ijr,kjr->kir", phi_f, out[:m], out=out[f:f + m])
-            out[f:f + m] += x_f
-            f += m
-            if f < seg:  # then m was f: double it
-                x_f = np.einsum("ijr,jr->ir", phi_f, x_f) + x_f
-                phi_f = np.einsum("ijr,jkr->ikr", phi_f, phi_f)
-        yield out
-        x = out[-1].copy()  # the next segment overwrites the buffer
-        done += seg
+
+#: (segment, run) pairs per chunk of :func:`_switching_states`, and states
+#: per product
+_CHUNK_PAIRS = 4096
+_BLOCK_STATES = 1 << 17
+
+
+def _switching_states(sys: UncertainLinearSystem, K: GainMatrix,
+                      n_runs: int, total_steps: int, dt: float, dwell: float,
+                      seed: int):
+    """Every state of every run of :func:`simulate_linear_switching`, in
+    blocks ``(pairs, states)``: ``states[k, :, g]`` is the state ``k + 1``
+    steps into segment ``s`` of run ``r``, ``(s, r) = divmod(pairs[g],
+    n_runs)``, and is overwritten by the next block.  A chunk of segments
+    chains its start states, one gathered product per segment, then groups
+    its pairs by table: one product per group gives their states.  A
+    partial last segment is a chunk of its own.  numpy is imported in the
+    body, as in every float function here, so loading the module needs
+    none."""
+    import numpy as np
+
+    n = sys.n
+    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
+    steps = min(max(1, int(round(dwell / dt))), total_steps)
+    table, op, psi = _switching_operators(sys, K, dt, steps)
+    rows = table.reshape(len(table), steps * n, 3 * n)[:, :, :2 * n]
+    end = table[op, -1, :, :2 * n]  # each Q-vertex's step over a whole dwell
+    key = op.astype(np.min_scalar_type(len(table) - 1))  # a radix sort's keys
+    full, last = divmod(total_steps, steps)
+    per_chunk = max(1, _CHUNK_PAIRS // n_runs)
+    chunks = [(s, min(per_chunk, full - s), steps) for s in range(0, full, per_chunk)]
+    if last:
+        chunks.append((full, 1, last))
+    x = next(draws)
+    buf = np.empty(max(_BLOCK_STATES, steps * n))  # the states of one block
+    for first, count, seg in chunks:
+        y = np.empty((2 * n, count * n_runs))  # [x; psi] of each pair
+        u = np.empty(count * n_runs, dtype=key.dtype)
+        for j in range(count):
+            qi, di = next(draws)
+            runs = slice(j * n_runs, (j + 1) * n_runs)
+            u[runs] = key.take(qi)
+            y[:n, runs] = x.T
+            y[n:, runs] = psi[qi, di].T
+            # unread after the last segment
+            x = np.einsum("rij,jr->ri", end.take(qi, axis=0), y[:, runs])
+        order = np.argsort(u, kind="stable")
+        block = max(1, _BLOCK_STATES // (seg * n))
+        a = 0
+        for t, b in enumerate(np.cumsum(np.bincount(u, minlength=len(table))).tolist()):
+            for lo in range(a, b, block):
+                pairs = order[lo:min(lo + block, b)]
+                states = buf[:seg * n * len(pairs)].reshape(seg * n, len(pairs))
+                np.matmul(rows[t, :seg * n], y.take(pairs, axis=1), out=states)
+                yield first * n_runs + pairs, states.reshape(seg, n, len(pairs))
+            a = b
 
 
 _SWITCHING_TOL = 1e-6  # box excess a run may show and still count as inside
@@ -505,16 +556,12 @@ def simulate_linear_switching(
     ``inf`` once a run is no longer finite) and ok says that it is at most
     ``_SWITCHING_TOL`` = 1e-6.
 
-    The step operators ``phi`` and ``psi`` depend only on the parameter
-    vertex (``psi`` applied to ``E(q) d``), so they are built once per
-    vertex of Q and gathered per run at each switch.  Every run advances one
-    dwell segment at a time, with the states kept run-last, ``(n, runs)``,
-    in a preallocated ``(steps, n, runs)`` buffer.
-    The state ``f + k`` steps into a segment is ``phi^f`` applied to the
-    state ``k`` steps in, plus the state ``f`` steps in from zero, so the
-    filled part of the buffer doubles with each batched ``einsum``: 7 of
-    them for a 100-step segment.  The box excess is taken once per segment.
-    The floats differ from stepping one ``dt`` at a time only by rounding.
+    In a dwell segment the state ``k + 1`` steps in is
+    ``phi^(k+1) x + sum_{j<=k} phi^j psi``, so one step table per call
+    (:func:`_step_table`) and one product per group of runs that share it
+    give every state (:func:`_switching_states`).  Each run's states reduce
+    to a minimum and maximum, and the box excess is taken once.  The floats
+    differ from stepping one ``dt`` at a time only by rounding.
 
     ``horizon`` must be a positive integer multiple of ``dt``, and
     ``n_runs`` and ``dwell`` positive; anything else is a ValueError.
@@ -523,14 +570,20 @@ def simulate_linear_switching(
     if n_runs < 1 or dwell <= 0:
         raise ValueError(f"need n_runs >= 1 and dwell > 0, not {n_runs!r} "
                          f"and {dwell!r}")
-    max_excess = 0.0
-    for out in _switching_segments(sys, K, n_runs, total_steps, dt, dwell, seed):
-        # lo - min and max - hi per state: the largest lo - x and x - hi,
-        # as rounding a difference is monotone
-        below = (sys.S.lo_f - out.min(axis=(0, 2))).max(initial=0.0)
-        above = (out.max(axis=(0, 2)) - sys.S.hi_f).max(initial=0.0)
-        excess = float(max(below, above))
-        if math.isnan(below) or math.isnan(above):
-            excess = math.inf  # a run overflowed, then lost its value
-        max_excess = max(max_excess, excess)
+    import numpy as np
+
+    low = np.full(sys.n, math.inf)
+    high = np.full(sys.n, -math.inf)
+    for _, states in _switching_states(sys, K, n_runs, total_steps, dt, dwell,
+                                       seed):
+        # each pair's minimum and maximum over its steps, then over pairs
+        low = np.minimum(low, states.min(axis=0).min(axis=1))
+        high = np.maximum(high, states.max(axis=0).max(axis=1))
+    # lo - min and max - hi per state: the largest lo - x and x - hi, as
+    # rounding a difference is monotone
+    below = (np.array(sys.S.lo_f) - low).max(initial=0.0)
+    above = (high - np.array(sys.S.hi_f)).max(initial=0.0)
+    max_excess = float(max(below, above))
+    if math.isnan(below) or math.isnan(above):
+        max_excess = math.inf  # a run overflowed, then lost its value
     return max_excess <= _SWITCHING_TOL, max_excess

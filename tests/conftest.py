@@ -1037,54 +1037,68 @@ def _stack_f(stack) -> np.ndarray:
     )
 
 
-def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
-                     n_runs: int = 200, horizon: float = 30.0,
-                     dt: float = 1e-3, dwell: float = 0.1, seed: int = 0,
-                     tol: float = 1e-6):
-    """Linear switching runs stepped one ``dt`` at a time, runs-first, with
-    the box excess taken after every step: the oracle for
-    ``systems.simulate_linear_switching``, with the same draws (from
-    ``systems._switching_draws``) and the same degree-4 Taylor step."""
-    steps_per_dwell = max(1, int(round(dwell / dt)))
-    total_steps = int(round(horizon / dt))
-    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
-    n = sys.n
+def switching_operators_oracle(sys: UncertainLinearSystem, K: GainMatrix,
+                               qi, di, dt: float):
+    """``phi`` and ``psi`` of each run's degree-4 step, with ``A(q)``,
+    ``B(q)`` and ``E(q)`` rebuilt from the run's own vertices: the oracle
+    for ``systems._switching_operators``, which builds them once per vertex
+    and must give the same floats bit for bit."""
+    n, n_runs = sys.n, len(qi)
     A = _stack_f(sys.A)
     B = _stack_f(sys.B)
     E = _stack_f(sys.E)
     Km = np.array([[float(x) for x in row] for row in K.matrix()])
     Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
     Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
+    q, d = Qv[qi], Dv[di]
+    if sys.p:
+        Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:])
+        Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:])
+        Eq = E[0] + np.einsum("rl,lij->rij", q, E[1:])
+    else:
+        Aq = np.broadcast_to(A[0], (n_runs, n, n))
+        Bq = np.broadcast_to(B[0], (n_runs, n, sys.m))
+        Eq = np.broadcast_to(E[0], (n_runs, n, sys.l))
+    F = Aq + Bq @ Km
+    c = np.einsum("rij,rj->ri", Eq, d) if sys.l else np.zeros((n_runs, n))
+    eye = np.eye(n)
+    dtF = dt * F
+    dtF2 = dtF @ dtF
+    dtF3 = dtF2 @ dtF
+    phi = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
+    psi = dt * np.einsum(
+        "rij,rj->ri", eye + dtF / 2 + dtF2 / 6 + dtF3 / 24, c
+    )
+    return phi, psi
+
+
+def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
+                     n_runs: int = 200, horizon: float = 30.0,
+                     dt: float = 1e-3, dwell: float = 0.1, seed: int = 0,
+                     tol: float = 1e-6, keep_states: bool = False):
+    """Linear switching runs stepped one ``dt`` at a time, runs-first, with
+    the box excess taken after every step: the oracle for
+    ``systems.simulate_linear_switching``, with the same draws (from
+    ``systems._switching_draws``) and the same degree-4 Taylor step.
+    ``keep_states`` adds a third result, the ``(steps, runs, n)`` array of
+    every state after every step."""
+    steps_per_dwell = max(1, int(round(dwell / dt)))
+    total_steps = int(round(horizon / dt))
+    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
     lo = np.array(sys.S.lo_f)
     hi = np.array(sys.S.hi_f)
 
     x = next(draws)
-    eye = np.eye(n)
+    states = np.empty((total_steps, n_runs, sys.n)) if keep_states else None
     max_excess = 0.0
     done = 0
     while done < total_steps:
         seg = min(steps_per_dwell, total_steps - done)
-        qi, di = next(draws)
-        q, d = Qv[qi], Dv[di]
-        if sys.p:
-            Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:])
-            Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:])
-            Eq = E[0] + np.einsum("rl,lij->rij", q, E[1:])
-        else:
-            Aq = np.broadcast_to(A[0], (n_runs, n, n))
-            Bq = np.broadcast_to(B[0], (n_runs, n, sys.m))
-            Eq = np.broadcast_to(E[0], (n_runs, n, sys.l))
-        F = Aq + Bq @ Km
-        c = np.einsum("rij,rj->ri", Eq, d) if sys.l else np.zeros((n_runs, n))
-        dtF = dt * F
-        dtF2 = dtF @ dtF
-        dtF3 = dtF2 @ dtF
-        phi = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
-        psi = dt * np.einsum(
-            "rij,rj->ri", eye + dtF / 2 + dtF2 / 6 + dtF3 / 24, c
-        )
-        for _ in range(seg):
+        phi, psi = switching_operators_oracle(sys, K, *next(draws), dt)
+        for k in range(seg):
             x = np.einsum("rij,rj->ri", phi, x) + psi
+            if keep_states:
+                states[done + k] = x
             excess = max(
                 float(np.max(lo - x, initial=0.0)),
                 float(np.max(x - hi, initial=0.0)),
@@ -1092,62 +1106,9 @@ def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
             if excess > max_excess:
                 max_excess = excess
         done += seg
+    if keep_states:
+        return max_excess <= tol, max_excess, states
     return max_excess <= tol, max_excess
-
-
-def switching_segments_oracle(sys: UncertainLinearSystem, K: GainMatrix,
-                              n_runs: int, total_steps: int, dt: float,
-                              dwell: float, seed: int):
-    """The states of each dwell segment with ``A(q)``, ``B(q)``, ``E(q)``,
-    ``phi`` and ``psi`` rebuilt for every run in every segment: the oracle
-    for ``systems._switching_segments``, which builds them once per
-    parameter vertex and must give the same floats bit for bit."""
-    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
-    n = sys.n
-    A = _stack_f(sys.A)
-    B = _stack_f(sys.B)
-    E = _stack_f(sys.E)
-    Km = np.array([[float(x) for x in row] for row in K.matrix()])
-    Qv = np.array(sys.Q.vertices_f()) if sys.p else np.zeros((1, 0))
-    Dv = np.array(sys.D.vertices_f()) if sys.l else np.zeros((1, 0))
-    x = next(draws).T
-    steps_per_dwell = max(1, int(round(dwell / dt)))
-    buf = np.empty((min(steps_per_dwell, total_steps), n, n_runs))
-    eye = np.eye(n)
-    done = 0
-    while done < total_steps:
-        seg = min(steps_per_dwell, total_steps - done)
-        qi, di = next(draws)
-        q, d = Qv[qi], Dv[di]
-        Aq = A[0] + np.einsum("rl,lij->rij", q, A[1:]) if sys.p else np.broadcast_to(A[0], (n_runs, n, n))
-        Bq = B[0] + np.einsum("rl,lij->rij", q, B[1:]) if sys.p else np.broadcast_to(B[0], (n_runs, n, sys.m))
-        Eq = E[0] + np.einsum("rl,lij->rij", q, E[1:]) if sys.p else np.broadcast_to(E[0], (n_runs, n, sys.l))
-        F = Aq + Bq @ Km
-        c = np.einsum("rij,rj->ri", Eq, d) if sys.l else np.zeros((n_runs, n))
-        dtF = dt * F
-        dtF2 = dtF @ dtF
-        dtF3 = dtF2 @ dtF
-        phi = eye + dtF + dtF2 / 2 + dtF3 / 6 + (dtF3 @ dtF) / 24
-        psi = dt * np.einsum(
-            "rij,rj->ri", eye + dtF / 2 + dtF2 / 6 + dtF3 / 24, c
-        )
-        phi = np.ascontiguousarray(phi.transpose(1, 2, 0))
-        psi = np.ascontiguousarray(psi.T)
-        out = buf[:seg]
-        np.einsum("ijr,jr->ir", phi, x, out=out[0])
-        out[0] += psi
-        phi_f, x_f, f = phi, psi, 1
-        while f < seg:
-            m = min(f, seg - f)
-            np.einsum("ijr,kjr->kir", phi_f, out[:m], out=out[f:f + m])
-            out[f:f + m] += x_f
-            f += m
-            if f < seg:
-                x_f = np.einsum("ijr,jr->ir", phi_f, x_f) + x_f
-                phi_f = np.einsum("ijr,jkr->ikr", phi_f, phi_f)
-        yield out
-        x = out[-1].copy()
-        done += seg
 
 
 def integrate_oracle(

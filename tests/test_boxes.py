@@ -39,6 +39,25 @@ def test_point_interval_collapses_vertices():
     assert box.vertices() == ((F(0), F(1)), (F(0), F(-1)))
 
 
+def test_float_vertices_equal_the_fraction_route():
+    """``vertices_f`` is built from the float bounds, and gives what
+    converting each vertex of ``vertices`` gives, entry for entry: with a
+    point interval, asymmetric bounds, and bounds that differ but round to
+    one float (kept as two vertices, as ``vertices`` has them)."""
+    tiny = F(1, 10**400)
+    boxes = [Box.from_bounds([(0, 0), (F(-1, 3), F(5, 7)), (-2, F(1, 10))]),
+             Box.from_bounds([(0, tiny), (-1, 2)]),
+             Box((), ())]
+    for box in boxes:
+        want = tuple(tuple(float(x) for x in v) for v in box.vertices())
+        got = box.vertices_f()
+        assert got == want and len(got) == len(box.vertices())
+        assert all(type(x) is float for v in got for x in v)
+    assert len(boxes[1].vertices_f()) == 4
+    with pytest.raises(ValueError):
+        Box.symmetric([1] * 21).vertices_f()
+
+
 def test_contains_origin():
     assert Box.from_bounds([(-1, 1), (0, 2)]).contains_origin()
     assert not Box.from_bounds([(1, 2)]).contains_origin()

@@ -328,6 +328,22 @@ def test_simulate_profile_names_a_missing_signal(basic_file, tmp_path,
     assert not out.exists()
 
 
+def test_simulate_names_a_random_hold_too_small_for_the_run(basic_file,
+                                                            tmp_path, capsys):
+    """A random hold so small that ``t / hold`` overflows exits 2 with one
+    line that names the hold, not an OverflowError traceback."""
+    profile = write_json(tmp_path / "profile.json", {
+        "v": {"type": "random", "amplitude": 0.01, "hold": 1e-320},
+        "omega": {"type": "constant", "value": 0.0}})
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file), "--profile",
+                 str(profile), "--horizon", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: random profile hold 1e-320 is too small"), err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_chain_command_generate(tmp_path):
     out = tmp_path / "generated.json"
     code = main(["chain", "--generate", "a=0.1,d=7,n=10,V1=0.02",

@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction
-from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -18,8 +17,10 @@ from viskeep.systems import (
     check_admissible,
     check_D_invariant_cone,
     simulate_linear_switching,
+    _step_table,
     _switching_draws,
-    _switching_segments,
+    _switching_operators,
+    _switching_states,
 )
 
 from conftest import (
@@ -36,8 +37,8 @@ from conftest import (
     pipeline_polytope_oracle,
     random_basic_scenario,
     random_family_scenario,
+    switching_operators_oracle,
     switching_oracle,
-    switching_segments_oracle,
     zeros,
 )
 from conftest import random_moderate_system as _random_moderate_system
@@ -545,33 +546,95 @@ def test_linear_switching_matches_per_step_oracle():
     assert sum(e > 1e-3 for e in excesses) >= 6  # the others leave
 
 
-def test_linear_switching_bit_equal_to_per_run_operators():
-    """Operators built once per parameter vertex and gathered per run give
-    every state of every run bit for bit as operators rebuilt per run and
-    segment do: on the criterion-7 inputs (the certified gain, and the zero
-    gain, whose runs leave the box), on the pair bundles, on a
-    parameter-free family and on a partial last segment."""
+def test_switching_table_rows_bit_equal_to_per_run_operators():
+    """The step table, built once per distinct ``phi`` of the parameter
+    vertices, and ``psi``, built once per vertex pair, give every run of
+    every segment bit for bit the table rows and ``psi`` that operators
+    rebuilt from the run's own vertices give: on the criterion-7 inputs
+    (the certified gain, and the zero gain), on the pair bundles, on a
+    parameter-free family and on a table of fewer rows than a dwell."""
     rnd = random.Random(701)
     cases = []
     zero = GainMatrix(0.0, 0.0, 0.0)
     for _ in range(50):
         sc = random_basic_scenario(rnd, want_feasible=True)
         sysd = build_basic_system(sc)
-        cases += [(sysd, min_norm_gain(gain_polytope(sc)).gain, 3000),
-                  (sysd, zero, 3000)]
+        cases += [(sysd, min_norm_gain(gain_polytope(sc)).gain, 100),
+                  (sysd, zero, 100)]
     for b in BUNDLES.values():
         if b.name != "chain":
-            cases.append((b.scenario.system(), zero, 3000))
+            cases.append((b.scenario.system(), zero, 100))
     toy = toy_system([[0.5, 0, 0], [0, -0.3, 0.2], [0, 0, 0.1]])
-    cases += [(toy, zero, 3000), (cases[0][0], zero, 250)]
+    cases += [(toy, zero, 100), (cases[0][0], zero, 37)]
     for i, (sysd, K, steps) in enumerate(cases):
-        call = (sysd, K, 200, steps, 1e-3, 0.1, i)
-        segments = 0
-        for got, want in zip_longest(_switching_segments(*call),
-                                     switching_segments_oracle(*call)):
-            assert got.tobytes() == want.tobytes(), (i, segments)
-            segments += 1
-        assert segments == -(-steps // 100)
+        table, op, psi = _switching_operators(sysd, K, 1e-3, steps)
+        assert table.shape[:2] == (len(np.unique(op)), steps)
+        _, *pairs = _switching_draws(sysd, 200, 300, 1e-3, 0.1, i)
+        for qi, di in pairs:
+            phi_r, psi_r = switching_operators_oracle(sysd, K, qi, di, 1e-3)
+            assert np.array_equal(_step_table(phi_r, steps), table[op[qi]]), i
+            assert np.array_equal(psi_r, psi[qi, di]), i
+
+
+def test_linear_switching_states_match_per_step_oracle():
+    """Every state of every run, taken from the table products, lies within
+    ``1e-12 max(h_i, |x_i|)`` of the state the per-step oracle reaches, ``h``
+    the half-widths of S: on certified and zero gains (whose runs leave the
+    box), an unstable family, a parameter-free one (one table, whose 900
+    pairs take three blocks), a partial last segment, a dwell shorter than
+    one step and a call of two chunks."""
+    rnd = random.Random(909)
+    zero = GainMatrix(0.0, 0.0, 0.0)
+    basic = build_basic_system(BASIC_SCENARIO)
+    cases = [(basic, min_norm_gain(BASIC_SCENARIO.polytope()).gain, {}),
+             (basic, zero, {})]
+    for _ in range(3):
+        sc = random_basic_scenario(rnd, want_feasible=True)
+        cases.append((build_basic_system(sc),
+                      min_norm_gain(gain_polytope(sc)).gain, {}))
+    unstable = toy_system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    cases += [
+        (unstable, zero, {}),
+        (toy_system([[0.5, 0, 0], [0, -0.3, 0.2], [0, 0, 0.1]], l=0), zero, {}),
+        (basic, zero, {"horizon": 0.25}),  # partial last segment
+        (basic, zero, {"horizon": 0.05, "dwell": 4e-4}),  # dwell < dt
+        (basic, zero, {"n_runs": 150}),  # chunks of 27 and 3 segments
+    ]
+    for i, (sysd, K, kwargs) in enumerate(cases):
+        call = {"n_runs": 30, "horizon": 3.0, "dt": 1e-3, "dwell": 0.1,
+                "seed": i, **kwargs}
+        *_, want = switching_oracle(sysd, K, **call, keep_states=True)
+        got = np.full_like(want, np.nan)
+        steps = min(int(round(call["dwell"] / 1e-3)) or 1, len(want))
+        for pairs, states in _switching_states(
+                sysd, K, call["n_runs"], len(want), 1e-3, call["dwell"],
+                call["seed"]):
+            s, r = np.divmod(pairs, call["n_runs"])
+            for k in range(len(states)):
+                assert np.isnan(got[s * steps + k, r]).all()
+                got[s * steps + k, r] = states[k].T
+        half = (np.array(sysd.S.hi_f) - np.array(sysd.S.lo_f)) / 2
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(half, np.abs(want))), i
+
+
+def test_linear_switching_memory_does_not_grow_with_the_horizon():
+    """The segments go in chunks of bounded size, so the peak of a 30 s
+    call of 200 runs is that of a 3 s call, not ten times it."""
+    import tracemalloc
+
+    sysd = build_basic_system(BASIC_SCENARIO)
+    K = min_norm_gain(BASIC_SCENARIO.polytope()).gain
+    simulate_linear_switching(sysd, K, n_runs=200, horizon=3.0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for horizon in (3.0, 30.0):
+            tracemalloc.reset_peak()
+            simulate_linear_switching(sysd, K, n_runs=200, horizon=horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_linear_switching_flags_runs_that_overflow():
