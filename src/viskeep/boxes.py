@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Iterable, Sequence
 
 from .inequalities import _over, _rationals
@@ -117,41 +116,42 @@ def _vertices(lo: Sequence, hi: Sequence, point=None) -> tuple[tuple, ...]:
                            for a, b, p in zip(lo, hi, point))))
 
 
-def shifted_cone(S: Box, Es: Sequence[Sequence[Sequence]],
+def shifted_cone(S: Box, E_rows: Sequence[Sequence[int]], den: int,
                  D: Box) -> tuple[tuple[Fraction, Fraction], ...]:
     """The ``2n`` faces of the box `S`, each shifted inward by the worst
     disturbance push: ``s_i <= hi_i`` for every ``i``, then
     ``s_i >= lo_i``, each as ``(g_i, xi)`` for ``g_i s_i <= xi``.
 
-    A face with bound ``b`` (``hi_i`` or ``lo_i``) is ``s_i / b <= 1``, so
-    ``g_i = 1 / b`` and ``xi = 1 - push``, ``push`` the largest
-    ``+-(E(w) r)_i / |b|`` (``+`` on ``hi_i``) over the matrices ``E(w)``
-    in `Es` (E at the vertices of the parameters it depends on suffices)
-    and the points ``r`` of the box ``D``.  At a window vertex ``v`` on
-    the face, ``g_i v_i = 1``, so ``g_i (v + F v)_i <= xi`` is Nagumo's
-    sub-tangentiality ``+-(F v)_i + max_r +-(E(w) r)_i <= 0``, which a
-    step ``dt > 0`` only scales.  The maximum over ``D`` is its support,
-    ``sum_k max(c_k lo_k, c_k hi_k)`` for ``c = +-E(w)_i``: ``l`` terms
-    instead of ``2^l`` dot products.  It is formed in integers, every
-    ``E(w)`` and the bounds of ``D`` each over one denominator.  The
-    origin must lie inside `S`, off its faces, so that every face offset
-    is positive; otherwise this is a ValueError.
+    `E_rows` holds matrices ``E(w)`` in integers over the one positive
+    `den`, each as its entries row by row (``E(w)_ij = E[i l + j] / den``,
+    ``l = D.dim``), as :func:`systems._vertex_rows` gives them.  A face
+    with bound ``b`` is ``s_i / b <= 1``: ``g_i = 1 / b`` and ``xi = 1 -
+    push``, ``push`` the largest ``+-(E(w) r)_i / |b|`` (``+`` on
+    ``hi_i``) over those matrices (E at the vertices of the parameters it
+    depends on suffices) and the points ``r`` of ``D``.  At a window
+    vertex ``v`` on the face, ``g_i v_i = 1``, so ``g_i (v + F v)_i <=
+    xi`` is Nagumo's sub-tangentiality ``+-(F v)_i + max_r +-(E(w) r)_i
+    <= 0``, which a step ``dt > 0`` only scales.  The maximum over ``D``
+    is its support, ``sum_k max(c_k lo_k, c_k hi_k)`` for ``c =
+    +-E(w)_i``, in integers: ``l`` terms instead of ``2^l`` dot products.
+    The origin must lie inside `S`, off its faces, so that every face
+    offset is positive; otherwise this is a ValueError.
     """
     if not all(a < 0 < b for a, b in zip(S.lo, S.hi)):
         raise ValueError("face offset not positive; origin must be interior")
-    # a support is an integer over dE * dD
-    dE = lcm(*(x.denominator for E in Es for row in E for x in row))
-    E_int = [[[x.numerator * (dE // x.denominator) for x in row] for row in E]
-             for E in Es]
+    # a support is an integer over den * dD
+    l = D.dim
     bounds, dD = _over(D.lo + D.hi)
-    lo, hi = bounds[:D.dim], bounds[D.dim:]
+    lo, hi = bounds[:l], bounds[l:]
     faces = []
-    for sign, S_bounds in ((1, S.hi), (-1, S.lo)):
+    # the support of -c over [lo, hi] is that of c over [-hi, -lo]
+    for S_bounds, lo, hi in ((S.hi, lo, hi),
+                             (S.lo, [-y for y in hi], [-x for x in lo])):
         for i, b in enumerate(S_bounds):
-            push = max((sum(c * (hi[k] if c > 0 else lo[k])
-                            for k, c in enumerate(sign * x for x in E[i]))
-                        for E in E_int), default=0)
+            push = max((sum(c * (y if c > 0 else x)
+                            for c, x, y in zip(E[i * l:], lo, hi))
+                        for E in E_rows), default=0)
+            scale = den * dD * abs(b.numerator)
             faces.append((Fraction(b.denominator, b.numerator),
-                          1 - Fraction(push * b.denominator,
-                                       dE * dD * abs(b.numerator))))
+                          Fraction(scale - push * b.denominator, scale)))
     return tuple(faces)

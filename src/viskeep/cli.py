@@ -65,15 +65,18 @@ EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 
 
-def _write_json(path, payload) -> None:
+def _write_text(path, text: str) -> None:
+    """Write `text` to the file `path`, making its parent directory first,
+    or to stdout if `path` is None."""
     if path is None:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
     else:
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        Path(path).write_text(text)
+
+
+def _write_json(path, payload) -> None:
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _read_json(path):
@@ -200,7 +203,7 @@ def cmd_synth(args) -> int:
     payload, poly = _synth_payload(load_scenario(args.scenario))
     _write_json(args.out, payload)
     if args.dump_polytope:
-        Path(args.dump_polytope).write_text(poly.to_text())
+        _write_text(args.dump_polytope, poly.to_text())
     if not _certified(payload):
         print("certificate verification failed", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -352,11 +355,7 @@ def cmd_fme(args) -> int:
         keep = []
     projected = system.project(keep)
     feasible = projected.is_feasible()
-    out = projected.to_text()
-    if args.out:
-        Path(args.out).write_text(out)
-    else:
-        sys.stdout.write(out)
+    _write_text(args.out or None, projected.to_text())
     print(f"feasible: {feasible}", file=sys.stderr)
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 

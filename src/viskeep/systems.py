@@ -93,23 +93,22 @@ def _gain_rows(sys: UncertainLinearSystem):
     ``(g_i B(w)_i0 v_0, g_i B(w)_i1 v_1, g_i B(w)_i1 v_2,
     xi - g_i v_i - g_i A(w)_i . v)`` exactly.  The 2n faces are shifted by
     one :func:`shifted_cone` call over E at the vertices of the
-    parameters it depends on.  Row ``i`` of A and B is evaluated in
-    integers over one denominator (:func:`_vertex_rows`), and so are ``v``
-    and each face, so a row costs a few integer products.
+    parameters it depends on.  E there and row ``i`` of A and B are the
+    integers over one denominator of :func:`_vertex_rows`, and the
+    window's vertices go over one denominator once, so a face is picked
+    by an integer comparison and a row costs a few integer products.
     """
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
-    n, l = sys.n, sys.l
+    n, S = sys.n, sys.S
     E_rows, dE = _vertex_rows((sys.E,), range(n), _relevant_params(sys.E), sys.Q)
-    Es = [[[Fraction(x, dE) for x in nums[i * l:(i + 1) * l]] for i in range(n)]
-          for _, nums in E_rows]
-    faces = shifted_cone(sys.S, Es, sys.D)
+    faces = shifted_cone(S, [nums for _, nums in E_rows], dE, sys.D)
     # state i -> ([(key, numerators of A(w)_i and B(w)_i)], their den)
     AB = [_vertex_rows((sys.A, sys.B), (i,), params, sys.Q)
           for i, params in enumerate(sys.ab_params)]
     # face f -> ([(key, coefficient terms)], xi term, g_i term, den): the
     # row's terms over gi.den xi.den d Vd, d the denominator of A(w)_i and
-    # B(w)_i, Vd that of v
+    # B(w)_i, Vd that of the window's vertices
     terms = []
     for f, (gi, xi) in enumerate(faces):
         g0 = gi.numerator * xi.denominator
@@ -117,15 +116,17 @@ def _gain_rows(sys: UncertainLinearSystem):
         ab, d = AB[f % n]
         terms.append(([(key, [g0 * x for x in ABn]) for key, ABn in ab],
                       x0 * d, g0 * d, gi.denominator * xi.denominator * d))
-    for v in sys.S.vertices():
-        Vn, Vd = _over(v)
+    bounds, Vd = _over(S.lo + S.hi)
+    his = bounds[n:]
+    for v, Vn in zip(S.vertices(), _vertices(bounds[:n], his)):
+        v0, v1, v2 = Vn
         cone = []
-        for i, (x, hi) in enumerate(zip(v, sys.S.hi)):
-            rows, x0, g0, den = terms[i if x == hi else n + i]
-            const = x0 * Vd - g0 * Vn[i]
+        for i, x in enumerate(Vn):
+            rows, x0, g0, den = terms[i if x == his[i] else n + i]
+            const = x0 * Vd - g0 * x
             cone.append((i, tuple(
-                (key, (P[3] * Vn[0], P[4] * Vn[1], P[4] * Vn[2],
-                       const - _dot(P, Vn)), den * Vd)
+                (key, (P[3] * v0, P[4] * v1, P[4] * v2,
+                       const - P[0] * v0 - P[1] * v1 - P[2] * v2), den * Vd)
                 for key, P in rows
             )))
         yield v, tuple(cone)
@@ -340,37 +341,34 @@ def check_D_invariant_cone(
     and that integer over ``den * Kd`` is the slack
     ``xi - g_i ((I + F(w)) v)_i`` exactly.  The rows are those the gain
     polytope of `sys` was built from: built once per system, by whichever
-    of the two reads them first.  The third parameter is ignored; it
-    stays for the call ``check_D_invariant_cone(sysd, K, 1)`` in
-    ``perfbench/workloads.py``, which still passes a step tau.
+    of the two reads them first.  The vertices of Q, the keys of each
+    ``w`` and the Fraction slacks are built only once some row fails, so
+    a gain that holds costs the sign tests alone.  The third parameter is
+    ignored; it stays for the call ``check_D_invariant_cone(sysd, K, 1)``
+    in ``perfbench/workloads.py``, which still passes a step tau.
     """
+    kind = "D-invariance (shifted cone)"
     Kn, Kd = _over(K.as_fractions())
+    k0, k1, k2 = Kn
+    if all(b * Kd >= a0 * k0 + a1 * k1 + a2 * k2 for _, cone in sys.gain_rows
+           for _, rows in cone for _, (a0, a1, a2, b), _ in rows):
+        return CertificateReport((), kind)
     Q_verts = sys.Q.vertices()
     # state i -> key of each w: its values on the parameters of row i
     keys = [[tuple(w[l] for l in params) for w in Q_verts]
             for params in sys.ab_params]
     violations = []
     for v, cone in sys.gain_rows:
-        failed = []  # (cone row, state, {key: slack} of its violations)
-        for h, (i, rows) in enumerate(cone):
-            slacks = {}
-            for key, nums, den in rows:
-                gap = nums[3] * Kd - _dot(nums, Kn)
-                if gap < 0:
-                    slacks[key] = gap / (den * Kd)
-            if slacks:
-                failed.append((h, i, slacks))
+        # (cone row, state, {key: slack} of its violations) per face
+        failed = [(h, i, {key: gap / (den * Kd) for key, nums, den in rows
+                          if (gap := nums[3] * Kd - _dot(nums, Kn)) < 0})
+                  for h, (i, rows) in enumerate(cone)]
         for k, w in enumerate(Q_verts):
             for h, i, slacks in failed:
-                slack = slacks.get(keys[i][k])
-                if slack is not None:
-                    violations.append(
-                        Violation(
-                            _float_tuple(v), _float_tuple(w), None,
-                            f"cone row {h}", slack,
-                        )
-                    )
-    return CertificateReport(tuple(violations), "D-invariance (shifted cone)")
+                if (slack := slacks.get(keys[i][k])) is not None:
+                    violations.append(Violation(_float_tuple(v), _float_tuple(w),
+                                                None, f"cone row {h}", slack))
+    return CertificateReport(tuple(violations), kind)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import pytest
 
-from viskeep.boxes import Box, shifted_cone
+from viskeep.boxes import Box
 from viskeep.demos import CIRCLE_SCENARIO
 from viskeep.inequalities import (
     LinearInequalitySystem,
@@ -482,6 +482,13 @@ def shifted_cone_oracle(S: Box, Es, D: Box) -> tuple:
                  in enumerate(shifted_planes_oracle(planes, Es, D)))
 
 
+def integer_E(Es) -> tuple[list[list[int]], int]:
+    """The matrices `Es` as ``boxes.shifted_cone`` takes them: each as its
+    entries row by row, in integers over one positive denominator."""
+    den = lcm(*(Fraction(x).denominator for E in Es for row in E for x in row))
+    return [[int(x * den) for row in E for x in row] for E in Es], den
+
+
 def admissibility_rows_oracle(S: Box, U: Box) -> list[Row]:
     """Rows of ``K v in U`` over the window vertices, for the sparse gain.
 
@@ -515,13 +522,14 @@ def vertex_faces(S: Box, faces, v) -> list:
 def tau_cones(sys: UncertainLinearSystem, tau):
     """The vertex cones of the certificate for the one-step form with step
     `tau`, in ``S.vertices()`` order: the faces of ``boxes.shifted_cone``
-    over E at the vertices of its parameters, picked at each vertex by
-    :func:`vertex_faces`.  Each face ``(g_i, xi)``, whose ``1 - xi`` is the
-    worst disturbance push, becomes the plane ``g . s <= 1 - tau (1 - xi)``
-    with ``g`` zero but for ``g_i``.  Exact for a rational `tau`."""
+    over E at the vertices of its parameters, as :func:`shifted_cone_oracle`
+    enumerates them, picked at each vertex by :func:`vertex_faces`.  Each
+    face ``(g_i, xi)``, whose ``1 - xi`` is the worst disturbance push,
+    becomes the plane ``g . s <= 1 - tau (1 - xi)`` with ``g`` zero but
+    for ``g_i``.  Exact for a rational `tau`."""
     tau = Fraction(tau) if isinstance(tau, (int, Fraction)) else tau
     Es = [affine(sys.E, w) for w in sub_vertices(sys.Q, _relevant_params(sys.E))]
-    faces = shifted_cone(sys.S, Es, sys.D)
+    faces = shifted_cone_oracle(sys.S, Es, sys.D)
     for v in sys.S.vertices():
         cone = []
         for f, (gi, xi) in vertex_faces(sys.S, faces, v):

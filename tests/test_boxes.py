@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from viskeep.boxes import Box, shifted_cone
 
-from conftest import shifted_cone_oracle, vertex_faces
+from conftest import integer_E, shifted_cone_oracle, vertex_faces
 
 F = Fraction
 
@@ -65,7 +65,7 @@ def test_contains_origin():
 
 def bare_faces(S: Box):
     """The faces of `S` with no disturbance: ``(1 / bound, 1)`` each."""
-    return shifted_cone(S, [], Box((), ()))
+    return shifted_cone(S, [], 1, Box((), ()))
 
 
 def test_vertex_cone_square():
@@ -94,7 +94,7 @@ def test_vertex_cone_window_scaling():
 def test_shifted_cone_rejects_origin_not_interior(bounds):
     S = Box.from_bounds(bounds)
     with pytest.raises(ValueError, match="origin must be interior"):
-        shifted_cone(S, [((F(1),),) * S.dim], Box.symmetric((1,)))
+        shifted_cone(S, [(1,) * S.dim], 1, Box.symmetric((1,)))
 
 
 def test_every_vertex_tight_on_own_cone():
@@ -123,9 +123,12 @@ def test_shifted_cone_zero_disturbance():
     S = Box.from_bounds([(-2, 1), (F(-1, 3), F(5, 2))])
     want = ((F(1), F(1)), (F(2, 5), F(1)), (F(-1, 2), F(1)), (F(-3), F(1)))
     zero_E = [((F(0),), (F(0),))]
-    assert shifted_cone(S, zero_E, Box.from_bounds([(1, 1)])) == want
     some_E = [((F(3),), (F(-7, 2),)), ((F(-1),), (F(1, 9),))]
-    assert shifted_cone(S, some_E, Box.from_bounds([(0, 0)])) == want
+    assert integer_E(some_E) == ([[54, -63], [-18, 2]], 18)
+    for Es, D in ((zero_E, Box.from_bounds([(1, 1)])),
+                  (some_E, Box.from_bounds([(0, 0)]))):
+        assert shifted_cone(S, *integer_E(Es), D) == want
+        assert shifted_cone_oracle(S, Es, D) == want
     assert bare_faces(S) == want
 
 
@@ -134,30 +137,35 @@ def test_shifted_cone_tau_scale_invariance():
     # with D equals step 2 lam with D / lam, and each face (xi = 1 at the
     # vertex) moves tau times as far as the step-free shift
     S = Box.symmetric((1, 1))
-    E = ((F(1), F(0)), (F(0), F(1)))
+    E = (1, 0, 0, 1)  # the identity, row by row
     D = Box.symmetric((F(1, 4), F(1, 8)))
-    lam = F(5)
+    lam = 5
 
     def one_step(tau, D):
-        return shifted_cone(S, [tuple(tuple(tau * x for x in row) for row in E)], D)
+        return shifted_cone(S, [[tau * x for x in E]], 1, D)
 
     a = one_step(2, D)
-    b = one_step(2 * lam, D.scaled(1 / lam))
+    b = one_step(2 * lam, D.scaled(F(1, lam)))
     assert a == b
-    free = shifted_cone(S, [E], D)
+    free = shifted_cone(S, [E], 1, D)
+    assert free == shifted_cone_oracle(S, [((1, 0), (0, 1))], D)
     assert a == tuple((g, 1 - 2 * (1 - xi)) for g, xi in free)
+    # the same E over another denominator gives the same faces
+    assert shifted_cone(S, [[7 * x for x in E]], 7, D) == free
 
 
 def test_shifted_cone_scalar_example():
     # one state, unit disturbance channel, |r| <= 0.3: both faces shift 0.3
-    out = shifted_cone(Box.symmetric((1,)), [((F(1),),)],
+    out = shifted_cone(Box.symmetric((1,)), [(1,)], 1,
                        Box.symmetric((F(3, 10),)))
     assert out == ((F(1), F(7, 10)), (F(-1), F(7, 10)))
     # -2 <= s <= 1 and -0.3 <= r <= 0.1: s <= 1 moves by 0.1, and
-    # -s / 2 <= 1 by 0.3 / 2
-    out = shifted_cone(Box.from_bounds([(-2, 1)]), [((F(1),),)],
-                       Box.from_bounds([(F(-3, 10), F(1, 10))]))
-    assert out == ((F(1), F(9, 10)), (F(-1, 2), F(17, 20)))
+    # -s / 2 <= 1 by 0.3 / 2; E = 1 is 3 over 3 as well
+    for E, den in (((1,), 1), ((3,), 3)):
+        S, D = Box.from_bounds([(-2, 1)]), Box.from_bounds([(F(-3, 10), F(1, 10))])
+        out = shifted_cone(S, [E], den, D)
+        assert out == ((F(1), F(9, 10)), (F(-1, 2), F(17, 20)))
+        assert out == shifted_cone_oracle(S, [((F(1),),)], D)
 
 
 _RATIONAL = st.one_of(
@@ -206,7 +214,12 @@ def _cone_problems(draw):
           [((F(1), F(-1)), (F(-5), F(2)))], Box.from_bounds([(0, 0), (-1, F(1, 2))])))
 @example((Box.symmetric((1,)), [((),)], Box((), ())))
 def test_shifted_cone_support_matches_vertex_enumeration(problem):
-    """The shift taken as the support of D, in integers, equals the one
-    taken over every vertex of D with the Fraction planes of each vertex
-    cone, face for face."""
-    assert shifted_cone(*problem) == shifted_cone_oracle(*problem)
+    """The shift taken as the support of D, from the matrices in integers
+    over one denominator, equals the one taken over every vertex of D with
+    the Fraction planes of each vertex cone, face for face; so does the
+    shift from those integers over three times the denominator."""
+    S, Es, D = problem
+    want = shifted_cone_oracle(S, Es, D)
+    E_rows, den = integer_E(Es)
+    assert shifted_cone(S, E_rows, den, D) == want
+    assert shifted_cone(S, [[3 * x for x in E] for E in E_rows], 3 * den, D) == want

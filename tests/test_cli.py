@@ -421,6 +421,22 @@ def test_fme_matches_check_on_polytope_dump(basic_file, tmp_path):
                  "--out", str(tmp_path / "proj.txt")]) == 0
 
 
+def test_text_outputs_make_their_parent_directory(basic_file, tmp_path):
+    """`synth --dump-polytope` and `fme --out` make a missing parent
+    directory, as every --out of a JSON file does, and write the bytes
+    they write to an existing one."""
+    gain = tmp_path / "new" / "dir" / "gain.json"
+    dump = tmp_path / "other" / "dir" / "poly.txt"
+    assert main(["synth", "--scenario", str(basic_file), "--out", str(gain),
+                 "--dump-polytope", str(dump)]) == 0
+    assert gain.read_bytes() == (DATA / "basic_gain.json").read_bytes()
+    assert dump.read_bytes() == (DATA / "basic_polytope.txt").read_bytes()
+    kept = tmp_path / "x" / "y" / "kept.txt"
+    assert main(["fme", "--input", str(DATA / "basic_polytope.txt"),
+                 "--keep", "0,1,2", "--out", str(kept)]) == 0
+    assert kept.read_bytes() == (DATA / "basic_polytope.txt").read_bytes()
+
+
 @pytest.fixture(scope="module")
 def demo_out(tmp_path_factory):
     out = tmp_path_factory.mktemp("demo")

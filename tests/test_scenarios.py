@@ -47,6 +47,7 @@ from viskeep.systems import (
 from conftest import (
     affine,
     family_polytope,
+    integer_E,
     normalized_key,
     random_basic_scenario,
     shifted_cone_oracle,
@@ -366,8 +367,9 @@ def test_shifted_cone_needs_only_the_parameters_of_E():
         e_vertices = list(sub_vertices(sysd.Q, _relevant_params(sysd.E)))
         assert len(e_vertices) == 4 and len(sysd.Q.vertices()) == 64
         E_all = [affine(sysd.E, w) for w in sysd.Q.vertices()]
-        assert shifted_cone(sysd.S, [affine(sysd.E, w) for w in e_vertices],
-                            sysd.D) == shifted_cone_oracle(sysd.S, E_all, sysd.D)
+        E_rows, den = integer_E([affine(sysd.E, w) for w in e_vertices])
+        assert shifted_cone(sysd.S, E_rows, den, sysd.D) \
+            == shifted_cone_oracle(sysd.S, E_all, sysd.D)
         shared = list(tau_cones(sysd, 1))
         assert [v for v, _ in shared] == list(sysd.S.vertices())
         for v, faces in shared:

@@ -24,6 +24,7 @@ from viskeep.systems import (
 )
 
 from conftest import (
+    REF_GAIN_CIRCLE,
     admissibility_oracle,
     affine,
     check_D_invariant_euler,
@@ -350,6 +351,38 @@ def test_cone_certificate_builds_the_rows_of_a_fresh_system(monkeypatch):
             want = cone_certificate_oracle(sysd, GainMatrix(*map(F, K.entries())))
             assert (repr(got), got.to_csv()) == (repr(want), want.to_csv())
             assert got.holds == (K.entries() == res.exact_gain)
+
+
+def test_cone_certificate_reads_the_parameter_vertices_only_to_report(
+        monkeypatch):
+    """A gain that holds costs the sign tests alone: the exact min-norm
+    gain of each pair bundle passes without reading ``Q.vertices()``.  A
+    failing gain, the zero gain on each bundle and the circle reference
+    gain, reads them to build its report, entry for entry the oracle's."""
+    reads = []
+
+    def counted(box, _fn=Box.vertices):
+        reads.append(box)
+        return _fn(box)
+
+    monkeypatch.setattr(Box, "vertices", counted)
+    pairs = [b.scenario for b in BUNDLES.values() if b.name != "chain"]
+    failing = []
+    for sc in pairs:
+        sysd = sc.system()
+        reads.clear()
+        K = GainMatrix(*min_norm_gain(sc.polytope()).exact_gain)
+        assert check_D_invariant_cone(sysd, K).holds
+        assert not [box for box in reads if box is sysd.Q]
+        failing.append((sysd, GainMatrix(F(0), F(0), F(0))))
+    failing.append((BUNDLES["circle"].scenario.system(), REF_GAIN_CIRCLE))
+    for sysd, K in failing:
+        reads.clear()
+        got = check_D_invariant_cone(sysd, K)
+        assert not got.holds and [box for box in reads if box is sysd.Q]
+        want = cone_certificate_oracle(sysd, GainMatrix(*map(F, K.entries())))
+        assert (repr(got), got.to_text(), got.to_csv()) == (
+            repr(want), want.to_text(), want.to_csv())
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
