@@ -341,16 +341,30 @@ def cmd_chain(args) -> int:
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 
+def _parse_indices(text: str, option: str) -> set:
+    """The variable indices of ``--eliminate`` or ``--keep``, separated by
+    commas; ``""`` is none.  A token that is not an integer is a ValueError
+    that names `option` and the token."""
+    indices = set()
+    for tok in text.split(",") if text else ():
+        try:
+            indices.add(int(tok))
+        except ValueError:
+            raise ValueError(f"{option} takes variable indices separated by "
+                             f"commas, not {tok!r}") from None
+    return indices
+
+
 def cmd_fme(args) -> int:
     text = Path(args.input).read_text()
     system = LinearInequalitySystem.from_text(text)
     if args.eliminate is not None:
-        drop = {int(tok) for tok in args.eliminate.split(",")} if args.eliminate else set()
+        drop = _parse_indices(args.eliminate, "--eliminate")
         if not drop <= set(range(system.num_vars)):
             raise ValueError("eliminate contains an out-of-range variable index")
         keep = [i for i in range(system.num_vars) if i not in drop]
     elif args.keep is not None:
-        keep = sorted({int(tok) for tok in args.keep.split(",")} if args.keep else set())
+        keep = sorted(_parse_indices(args.keep, "--keep"))
     else:
         keep = []
     projected = system.project(keep)

@@ -46,13 +46,14 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-#: Default bound on denominators when approximating irrational constants.
+#: Bound on the denominator of every rationalized constant (see rationalize).
 DEFAULT_MAX_DENOMINATOR = 10**12
 
 
-def rationalize(x: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Fraction:
-    """Nearest rational with denominator <= max_denominator, the value of
-    ``Fraction(x).limit_denominator(max_denominator)``, found in integers.
+def rationalize(x: float) -> Fraction:
+    """Nearest rational with denominator <= DEFAULT_MAX_DENOMINATOR, the
+    value of ``Fraction(x).limit_denominator(DEFAULT_MAX_DENOMINATOR)``,
+    found in integers.
 
     This is the only place where a float is *rounded* into the exact world;
     plain ``Fraction(x)`` conversions elsewhere are exact by construction.
@@ -63,21 +64,20 @@ def rationalize(x: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR) -> Fra
     d)`` from ``x`` (``r`` the last remainder): it is the answer, ties
     included, iff ``2 r (q0 + k q1) <= d``.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator should be at least 1")
+    m = DEFAULT_MAX_DENOMINATOR
     n, d = x.as_integer_ratio()
-    if d <= max_denominator:
+    if d <= m:
         return Fraction(n, d)
     p0, q0, p1, q1 = 0, 1, 1, 0
     num, rem = n, d
     while True:
         a = num // rem
         q2 = q0 + a * q1
-        if q2 > max_denominator:
+        if q2 > m:
             break
         p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
         num, rem = rem, num - a * rem
-    k = (max_denominator - q0) // q1
+    k = (m - q0) // q1
     if 2 * rem * (q0 + k * q1) <= d:
         return Fraction(p1, q1)
     return Fraction(p0 + k * p1, q0 + k * q1)

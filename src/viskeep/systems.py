@@ -388,16 +388,21 @@ def _steps(T: float, dt: float) -> int:
     return n
 
 
+_SWITCHING_DWELL = 0.1  # time each switching run holds its vertices, in s
+_SWITCHING_TOL = 1e-6  # box excess a run may show and still count as inside
+
+
 def _switching_draws(sys: UncertainLinearSystem, n_runs: int,
-                     total_steps: int, dt: float, dwell: float, seed: int):
+                     total_steps: int, dt: float, seed: int):
     """The random draws of :func:`simulate_linear_switching`, all from one
     ``random.Random(seed)``: first the ``(n_runs, n)`` start states, each
-    coordinate ``lo + (hi - lo) * rng.random()`` in S, then per dwell
-    segment the ``(q, d)`` pair of arrays of each run's Q-vertex and
-    D-vertex index.  A box has ``2**k`` vertices (one or two values per
-    axis), so an index is a little-endian word of ``rng.randbytes`` masked
-    with ``count - 1``, one byte wide up to 256 vertices.  (numpy's
-    generator would load ``numpy.random``, about 6 MB, for these draws.)"""
+    coordinate ``lo + (hi - lo) * rng.random()`` in S, then per
+    ``_SWITCHING_DWELL`` segment the ``(q, d)`` pair of arrays of each
+    run's Q-vertex and D-vertex index.  A box has ``2**k`` vertices (one
+    or two values per axis), so an index is a little-endian word of
+    ``rng.randbytes`` masked with ``count - 1``, one byte wide up to 256
+    vertices.  (numpy's generator would load ``numpy.random``, about 6 MB,
+    for these draws.)"""
     import numpy as np
 
     rng = random.Random(seed)
@@ -411,7 +416,7 @@ def _switching_draws(sys: UncertainLinearSystem, n_runs: int,
         return words & (count - 1)
 
     n_q, n_d = len(sys.Q.vertices()), len(sys.D.vertices())
-    steps_per_dwell = max(1, int(round(dwell / dt)))
+    steps_per_dwell = max(1, int(round(_SWITCHING_DWELL / dt)))
     for _ in range(-(-total_steps // steps_per_dwell)):
         yield indices(n_q), indices(n_d)
 
@@ -479,8 +484,7 @@ _BLOCK_STATES = 1 << 17
 
 
 def _switching_states(sys: UncertainLinearSystem, K: GainMatrix,
-                      n_runs: int, total_steps: int, dt: float, dwell: float,
-                      seed: int):
+                      n_runs: int, total_steps: int, dt: float, seed: int):
     """Every state of every run of :func:`simulate_linear_switching`, in
     blocks ``(pairs, states)``: ``states[k, :, g]`` is the state ``k + 1``
     steps into segment ``s`` of run ``r``, ``(s, r) = divmod(pairs[g],
@@ -493,8 +497,8 @@ def _switching_states(sys: UncertainLinearSystem, K: GainMatrix,
     import numpy as np
 
     n = sys.n
-    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
-    steps = min(max(1, int(round(dwell / dt))), total_steps)
+    draws = _switching_draws(sys, n_runs, total_steps, dt, seed)
+    steps = min(max(1, int(round(_SWITCHING_DWELL / dt))), total_steps)
     table, op, psi = _switching_operators(sys, K, dt, steps)
     rows = table.reshape(len(table), steps * n, 3 * n)[:, :, :2 * n]
     end = table[op, -1, :, :2 * n]  # each Q-vertex's step over a whole dwell
@@ -529,27 +533,23 @@ def _switching_states(sys: UncertainLinearSystem, K: GainMatrix,
             a = b
 
 
-_SWITCHING_TOL = 1e-6  # box excess a run may show and still count as inside
-
-
 def simulate_linear_switching(
     sys: UncertainLinearSystem,
     K: GainMatrix,
     n_runs: int = 200,
     horizon: float = 30.0,
     dt: float = 1e-3,
-    dwell: float = 0.1,
     seed: int = 0,
 ):
     """Randomized trajectories of ``sdot = F(q) s + E(q) d`` stay in S?
 
-    ``q(t)`` and ``d(t)`` are piecewise constant with the given dwell time,
-    drawn uniformly from the vertices of Q and D.  ``seed`` drives every
-    draw, the start states uniform in S included, through one
-    ``random.Random(seed)`` (see :func:`_switching_draws`): the same seed
-    gives the same runs.  Integration uses the
-    degree-4 Taylor step, which coincides with classical RK4 on a linear
-    time-invariant segment.  Returns ``(ok, max_excess)`` where max_excess
+    ``q(t)`` and ``d(t)`` are piecewise constant, each value held for
+    ``_SWITCHING_DWELL`` = 0.1 s, and drawn uniformly from the vertices of
+    Q and D.  ``seed`` drives every draw, the start states uniform in S
+    included, through one ``random.Random(seed)`` (see
+    :func:`_switching_draws`): the same seed gives the same runs.
+    Integration uses the degree-4 Taylor step, which coincides with
+    classical RK4 on a linear time-invariant segment.  Returns ``(ok, max_excess)`` where max_excess
     is the largest box violation observed at any step (0.0 for clean runs,
     ``inf`` once a run is no longer finite) and ok says that it is at most
     ``_SWITCHING_TOL`` = 1e-6.
@@ -562,18 +562,16 @@ def simulate_linear_switching(
     differ from stepping one ``dt`` at a time only by rounding.
 
     ``horizon`` must be a positive integer multiple of ``dt``, and
-    ``n_runs`` and ``dwell`` positive; anything else is a ValueError.
+    ``n_runs`` positive; anything else is a ValueError.
     """
     total_steps = _steps(horizon, dt)
-    if n_runs < 1 or dwell <= 0:
-        raise ValueError(f"need n_runs >= 1 and dwell > 0, not {n_runs!r} "
-                         f"and {dwell!r}")
+    if n_runs < 1:
+        raise ValueError(f"need n_runs >= 1, not {n_runs!r}")
     import numpy as np
 
     low = np.full(sys.n, math.inf)
     high = np.full(sys.n, -math.inf)
-    for _, states in _switching_states(sys, K, n_runs, total_steps, dt, dwell,
-                                       seed):
+    for _, states in _switching_states(sys, K, n_runs, total_steps, dt, seed):
         # each pair's minimum and maximum over its steps, then over pairs
         low = np.minimum(low, states.min(axis=0).min(axis=1))
         high = np.maximum(high, states.max(axis=0).max(axis=1))

@@ -37,6 +37,7 @@ from viskeep.systems import (
     Violation,
     _float_tuple,
     _relevant_params,
+    _SWITCHING_DWELL,
     _steps,
     _switching_draws,
 )
@@ -1082,17 +1083,18 @@ def switching_operators_oracle(sys: UncertainLinearSystem, K: GainMatrix,
 
 def switching_oracle(sys: UncertainLinearSystem, K: GainMatrix,
                      n_runs: int = 200, horizon: float = 30.0,
-                     dt: float = 1e-3, dwell: float = 0.1, seed: int = 0,
+                     dt: float = 1e-3, seed: int = 0,
                      tol: float = 1e-6, keep_states: bool = False):
     """Linear switching runs stepped one ``dt`` at a time, runs-first, with
     the box excess taken after every step: the oracle for
     ``systems.simulate_linear_switching``, with the same draws (from
-    ``systems._switching_draws``) and the same degree-4 Taylor step.
+    ``systems._switching_draws``), the same dwell and the same degree-4
+    Taylor step.
     ``keep_states`` adds a third result, the ``(steps, runs, n)`` array of
     every state after every step."""
-    steps_per_dwell = max(1, int(round(dwell / dt)))
+    steps_per_dwell = max(1, int(round(_SWITCHING_DWELL / dt)))
     total_steps = int(round(horizon / dt))
-    draws = _switching_draws(sys, n_runs, total_steps, dt, dwell, seed)
+    draws = _switching_draws(sys, n_runs, total_steps, dt, seed)
     lo = np.array(sys.S.lo_f)
     hi = np.array(sys.S.hi_f)
 

@@ -332,8 +332,7 @@ def test_criterion_7_linear_invariance_oracle():
             failures.append(f"{i}: certificate")
             continue
         ok, excess = simulate_linear_switching(
-            sysd, res.gain, n_runs=200, horizon=30.0, dt=1e-3,
-            dwell=0.1, seed=i,
+            sysd, res.gain, n_runs=200, horizon=30.0, dt=1e-3, seed=i,
         )
         if not ok:
             failures.append(f"{i}: excess {excess:.2e}")

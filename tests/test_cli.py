@@ -1,8 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -186,13 +189,18 @@ def test_chain_command_uniform_infeasible(tmp_path):
 
 
 def test_chain_command_length_bound(tmp_path):
+    """34 robots fit the demo's geometry; a near-degenerate window takes
+    every robot up to --max-n 20000, in about 0.02 s, as the search is
+    linear in --max-n (test_max_chain_length_is_linear_in_n_max)."""
     out = tmp_path / "len.json"
-    code = main(["chain", "--maps", f"a=0.1,b={math.pi / 14},d=7",
-                 "--max-n", "100", "--out", str(out)])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert data["max_chain_length"]["max_robots"] == 34
-    assert data["max_chain_length"]["capped"] is False
+    for maps, max_n, robots, capped in (
+            (f"a=0.1,b={math.pi / 14},d=7", "100", 34, False),
+            ("a=0.0001,b=0.001,d=3", "20000", 20000, True)):
+        assert main(["chain", "--maps", maps, "--max-n", max_n,
+                     "--out", str(out)]) == 0
+        data = json.loads(out.read_text())["max_chain_length"]
+        assert data["max_robots"] == robots
+        assert data["capped"] is capped
 
 
 @pytest.mark.parametrize("maps", ["a=0.4,b=0.1,d=0.3", "a=-1,b=0.1,d=3",
@@ -386,6 +394,38 @@ def test_fme_out_of_range_index_exits_2(tmp_path, capsys, flag, index):
                  "--out", str(out)]) == 2
     assert "contains an out-of-range variable index" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, indices, token", [
+    ("--keep", "a", "a"), ("--eliminate", "1,,2", ""), ("--keep", "0,1.5", "1.5"),
+])
+def test_fme_index_lists_name_the_option_and_the_token(tmp_path, capsys, flag,
+                                                       indices, token):
+    """A token of --eliminate or --keep that is not an integer exits 2 with
+    one line that names the option and the token, not int()'s message."""
+    out = tmp_path / "projected.txt"
+    assert main(["fme", "--input", str(DATA / "basic_polytope.txt"), flag,
+                 indices, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {flag} takes variable indices separated by commas, "
+        f"not {token!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, code, feasible", [
+    ("1 1 <= 1\n-1 -1 <= 0\n", 0, True), ("1 1 <= 0\n-1 -1 <= -1\n", 1, False),
+], ids=["feasible", "empty"])
+def test_fme_decides_a_system_whose_normals_have_rank_1(tmp_path, capsys, text,
+                                                       code, feasible):
+    """``fme --eliminate ""`` keeps both variables of a system whose normals
+    have rank 1, so the exact LP decides it below full rank: ``x + y`` in
+    ``[0, 1]`` is feasible, ``x + y`` in ``[1, 0]`` is not."""
+    path = tmp_path / "sys.txt"
+    path.write_text(text)
+    assert main(["fme", "--input", str(path), "--eliminate", ""]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"feasible: {feasible}\n"
+    assert captured.out == LinearInequalitySystem.from_text(text).to_text()
 
 
 @pytest.mark.parametrize("flag", ["--eliminate", "--keep"])
@@ -931,15 +971,20 @@ def test_simulate_and_demo_share_one_step():
         assert parser.parse_args(argv).dt == DEFAULT_DT
 
 
+def _run_reports(out):
+    """The six run reports of a demo in `out`: each pair's violations.json
+    and each chain link's report."""
+    reports = [json.loads((out / name / "violations.json").read_text())
+               for name in ("basic", "ubb", "circle")]
+    reports += json.loads((out / "chain" / "violations.json").read_text())["links"]
+    assert len(reports) == 6
+    return reports
+
+
 def test_violations_report_the_integration_error(demo_out):
     """Every pair's violations.json and every chain link's report carry a
     step-doubling integration_error, below the demo's error target."""
-    reports = [json.loads((demo_out / name / "violations.json").read_text())
-               for name in ("basic", "ubb", "circle")]
-    links = json.loads((demo_out / "chain" / "violations.json").read_text())
-    reports += links["links"]
-    assert len(reports) == 6
-    for report in reports:
+    for report in _run_reports(demo_out):
         assert 0.0 < report["integration_error"] < ERROR_TARGET, report
 
 
@@ -1043,14 +1088,84 @@ DATA = Path(__file__).parent / "data"
 @pytest.mark.parametrize("name", ["basic", "ubb", "circle"])
 def test_bundle_synth_matches_recorded_bytes(name, tmp_path):
     """The gain.json and --dump-polytope text of each pair bundle, byte for
-    byte as recorded in tests/data."""
+    byte as recorded in tests/data; `fme --keep 0,1,2` reads that text into
+    the system's integer rows and writes it back unchanged."""
     path = tmp_path / "scenario.json"
     save_scenario(BUNDLES[name].scenario, path)
     gain, dump = tmp_path / "gain.json", tmp_path / "poly.txt"
     assert main(["synth", "--scenario", str(path), "--out", str(gain),
                  "--dump-polytope", str(dump)]) == 0
+    recorded = (DATA / f"{name}_polytope.txt").read_bytes()
     assert gain.read_bytes() == (DATA / f"{name}_gain.json").read_bytes()
-    assert dump.read_bytes() == (DATA / f"{name}_polytope.txt").read_bytes()
+    assert dump.read_bytes() == recorded
+    kept = tmp_path / "kept.txt"
+    assert main(["fme", "--input", str(DATA / f"{name}_polytope.txt"),
+                 "--keep", "0,1,2", "--out", str(kept)]) == 0
+    assert kept.read_bytes() == recorded
+
+
+@pytest.fixture(scope="module")
+def demo_seed0(tmp_path_factory):
+    """A full-horizon ``demo --seed 0``, the run the README tabulates."""
+    out = tmp_path_factory.mktemp("demo_seed0")
+    assert main(["demo", "--seed", "0", "--out", str(out)]) == 0
+    return out
+
+
+def test_demo_seed0_traces_hash_as_recorded(demo_seed0):
+    """The six trace CSVs of a full-horizon ``demo --seed 0`` hash as
+    tests/data/demo_seed0_csv.sha256 records (``sha256sum -c`` reads the
+    same file), which pins the integrator, the profiles and the CSV writer
+    byte for byte."""
+    recorded = dict(reversed(line.split()) for line in
+                    (DATA / "demo_seed0_csv.sha256").read_text().splitlines())
+    traces = sorted(p.relative_to(demo_seed0).as_posix()
+                    for p in demo_seed0.glob("*/*.csv"))
+    assert traces == sorted(recorded)
+    got = {name: hashlib.sha256((demo_seed0 / name).read_bytes()).hexdigest()
+           for name in traces}
+    assert got == recorded, (
+        "the pinned trace bytes assume that NumPy's float64 sin and cos "
+        "round as math's do: the RK4 loop calls math's, and robot 0's world "
+        "pose, each follower's placement and the sinusoid profiles call "
+        "NumPy's, so a NumPy build that rounds them otherwise moves these "
+        "bytes")
+
+
+def test_demo_seed0_integration_errors_meet_the_target(demo_seed0):
+    """Every run of a full-horizon ``demo --seed 0``, each chain link's
+    included, estimates its integration error below demos.ERROR_TARGET, as
+    the README states for DEFAULT_DT."""
+    for report in _run_reports(demo_seed0):
+        assert 0.0 < report["integration_error"] < ERROR_TARGET, report
+
+
+# The README's input file names, and the bundled file each stands for.  The
+# chain bundle's leader profile lies within the basic pair's bounds too.
+_README_FILES = {
+    "sc.json": "basic/scenario.json", "prof.json": "chain/profile.json",
+    "gain.json": "basic/gain.json", "chain.json": "chain/scenario.json",
+    "gains.json": "chain/gains.json",
+}
+
+
+def test_readme_command_lines_run(demo_seed0, tmp_path, monkeypatch):
+    """Each line of the README's command block, its continuations joined,
+    exits 0 on the bundled files it names, so a flag that the command line
+    renames or drops fails here."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    for name, bundled in _README_FILES.items():
+        shutil.copy(demo_seed0 / bundled, tmp_path / name)
+    shutil.copy(DATA / "basic_polytope.txt", tmp_path / "system.txt")
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line, comments=True) for line in lines]
+    assert {argv[1] for argv in commands} == {"demo", "check", "synth",
+                                              "simulate", "chain", "fme"}
+    for line, (prog, *argv) in zip(lines, commands):
+        assert prog == "viskeep" and main(argv) == 0, line
 
 
 @pytest.mark.parametrize("name, argv", [

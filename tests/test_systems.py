@@ -17,6 +17,7 @@ from viskeep.systems import (
     check_admissible,
     check_D_invariant_cone,
     simulate_linear_switching,
+    _SWITCHING_DWELL,
     _step_table,
     _switching_draws,
     _switching_operators,
@@ -443,8 +444,7 @@ def test_integer_certificates_match_fraction_oracles(rnd):
 def _draws(sysd, seed, n_runs=200, segments=30):
     """Start states and per-segment index pairs of ``segments`` dwell
     segments of 100 steps."""
-    x0, *pairs = _switching_draws(sysd, n_runs, 100 * segments, 1e-3, 0.1,
-                                  seed)
+    x0, *pairs = _switching_draws(sysd, n_runs, 100 * segments, 1e-3, seed)
     return x0, pairs
 
 
@@ -506,7 +506,7 @@ def test_certified_window_gain_survives_linear_switching():
     sysd = build_basic_system(WINDOW)
     K = synthesized_gain().as_floats()
     ok, excess = simulate_linear_switching(
-        sysd, K, n_runs=40, horizon=8.0, dt=1e-3, dwell=0.1, seed=11,
+        sysd, K, n_runs=40, horizon=8.0, dt=1e-3, seed=11,
     )
     assert ok, f"excess {excess}"
 
@@ -515,7 +515,7 @@ def test_linear_switching_detects_unstable_loop():
     sysd = toy_system([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     ok, excess = simulate_linear_switching(
         sysd, GainMatrix(0.0, 0.0, 0.0), n_runs=10, horizon=3.0,
-        dt=1e-3, dwell=0.1, seed=1,
+        dt=1e-3, seed=1,
     )
     assert not ok and excess > 1e-3
 
@@ -529,12 +529,10 @@ def test_linear_switching_detects_unstable_loop():
     {"n_runs": -3},
     {"dt": 0.0},
     {"dt": -1e-3},
-    {"dwell": 0.0},
-    {"dwell": -0.1},
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_linear_switching_rejects_runs_it_cannot_simulate(kwargs):
     sysd = build_basic_system(BASIC_SCENARIO)
-    call = {"n_runs": 4, "horizon": 0.01, "dt": 1e-3, "dwell": 0.1, **kwargs}
+    call = {"n_runs": 4, "horizon": 0.01, "dt": 1e-3, **kwargs}
     with pytest.raises(ValueError):
         simulate_linear_switching(sysd, GainMatrix(0.0, 0.0, 0.0), **call)
 
@@ -561,15 +559,14 @@ def test_linear_switching_matches_per_step_oracle():
     cases.append((unstable, zero, {}))
     basic = build_basic_system(BASIC_SCENARIO)
     cases += [
-        (basic, zero, {"horizon": 0.25, "dwell": 0.1}),  # partial last segment
-        (unstable, zero, {"horizon": 0.25, "dwell": 0.1}),
-        (basic, zero, {"horizon": 0.05, "dwell": 4e-4}),  # dwell < dt
-        (unstable, zero, {"horizon": 0.05, "dwell": 4e-4}),
+        (basic, zero, {"horizon": 0.25}),  # partial last segment
+        (unstable, zero, {"horizon": 0.25}),
+        (basic, zero, {"horizon": 1.0, "dt": 0.25}),  # dwell < dt
+        (unstable, zero, {"horizon": 1.0, "dt": 0.25}),
     ]
     excesses = []
     for i, (sysd, K, kwargs) in enumerate(cases):
-        call = {"n_runs": 30, "horizon": 3.0, "dt": 1e-3, "dwell": 0.1,
-                "seed": i, **kwargs}
+        call = {"n_runs": 30, "horizon": 3.0, "dt": 1e-3, "seed": i, **kwargs}
         ok, excess = simulate_linear_switching(sysd, K, **call)
         want_ok, want = switching_oracle(sysd, K, **call)
         assert ok == want_ok, (i, excess, want)
@@ -602,7 +599,7 @@ def test_switching_table_rows_bit_equal_to_per_run_operators():
     for i, (sysd, K, steps) in enumerate(cases):
         table, op, psi = _switching_operators(sysd, K, 1e-3, steps)
         assert table.shape[:2] == (len(np.unique(op)), steps)
-        _, *pairs = _switching_draws(sysd, 200, 300, 1e-3, 0.1, i)
+        _, *pairs = _switching_draws(sysd, 200, 300, 1e-3, i)
         for qi, di in pairs:
             phi_r, psi_r = switching_operators_oracle(sysd, K, qi, di, 1e-3)
             assert np.array_equal(_step_table(phi_r, steps), table[op[qi]]), i
@@ -630,18 +627,16 @@ def test_linear_switching_states_match_per_step_oracle():
         (unstable, zero, {}),
         (toy_system([[0.5, 0, 0], [0, -0.3, 0.2], [0, 0, 0.1]], l=0), zero, {}),
         (basic, zero, {"horizon": 0.25}),  # partial last segment
-        (basic, zero, {"horizon": 0.05, "dwell": 4e-4}),  # dwell < dt
+        (basic, zero, {"horizon": 1.0, "dt": 0.25}),  # dwell < dt
         (basic, zero, {"n_runs": 150}),  # chunks of 27 and 3 segments
     ]
     for i, (sysd, K, kwargs) in enumerate(cases):
-        call = {"n_runs": 30, "horizon": 3.0, "dt": 1e-3, "dwell": 0.1,
-                "seed": i, **kwargs}
+        call = {"n_runs": 30, "horizon": 3.0, "dt": 1e-3, "seed": i, **kwargs}
         *_, want = switching_oracle(sysd, K, **call, keep_states=True)
         got = np.full_like(want, np.nan)
-        steps = min(int(round(call["dwell"] / 1e-3)) or 1, len(want))
+        steps = min(int(round(_SWITCHING_DWELL / call["dt"])) or 1, len(want))
         for pairs, states in _switching_states(
-                sysd, K, call["n_runs"], len(want), 1e-3, call["dwell"],
-                call["seed"]):
+                sysd, K, call["n_runs"], len(want), call["dt"], call["seed"]):
             s, r = np.divmod(pairs, call["n_runs"])
             for k in range(len(states)):
                 assert np.isnan(got[s * steps + k, r]).all()
@@ -675,7 +670,7 @@ def test_linear_switching_flags_runs_that_overflow():
     infinite excess, not a clean run; the per-step oracle also fails it."""
     k = 1e4
     sysd = toy_system([[k, -k, 0], [k, k, 0], [0, 0, k]])
-    call = {"n_runs": 4, "horizon": 0.1, "dt": 1e-3, "dwell": 0.1}
+    call = {"n_runs": 4, "horizon": 0.1, "dt": 1e-3}
     zero = GainMatrix(0.0, 0.0, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         ok, excess = simulate_linear_switching(sysd, zero, **call)
