@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .profiles import _finite_number, _number, _shown
+from .profiles import _finite_number, _number, _read_json, _shown
 from .scenarios import (
     BasicScenario,
     ConditionMargin,
@@ -353,8 +353,7 @@ def chain_from_json_dict(data: dict) -> ChainSpec:
 
 
 def load_chain(path) -> ChainSpec:
-    with open(path) as fh:
-        return chain_from_json_dict(json.load(fh))
+    return chain_from_json_dict(_read_json(path))
 
 
 def save_chain(spec: ChainSpec, path, provenance: Optional[dict] = None):

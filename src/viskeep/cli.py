@@ -48,6 +48,7 @@ from .profiles import (
     LeaderProfile,
     _check_amplitude,
     _finite_number,
+    _read_json,
     _shown,
     constant,
     profile_from_json_dict,
@@ -77,11 +78,6 @@ def _write_text(path, text: str) -> None:
 
 def _write_json(path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def _check_payload(sc):

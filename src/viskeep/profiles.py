@@ -17,6 +17,7 @@ The array forms import numpy in their bodies.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -147,6 +148,15 @@ def _shown(val) -> str:
     if type(val) is int:
         return f"an int of {len(text.lstrip('-'))} digits"
     return f"a {type(val).__name__} whose repr has {len(text)} characters"
+
+
+def _read_json(path):
+    """The JSON value in file `path`; too deep a nesting is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _number(obj: dict, key: str, where: str, default=None):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from .boxes import Box
 from .inequalities import LinearInequalitySystem, rationalize
-from .profiles import _number, _shown
+from .profiles import _number, _read_json, _shown
 from .systems import UncertainLinearSystem, _pipeline_polytope
 
 HALF_PI = math.pi / 2
@@ -483,8 +483,7 @@ def scenario_from_json_dict(data: dict):
 
 
 def load_scenario(path):
-    with open(path) as fh:
-        return scenario_from_json_dict(json.load(fh))
+    return scenario_from_json_dict(_read_json(path))
 
 
 def save_scenario(sc, path):

@@ -12,8 +12,8 @@ It runs in blocks of steps, each in three parts:
    against its bound in bulk;
 2. a time loop, Python generated once per link count and noise setting,
    integrates only what feeds back: each link's centered state, with its
-   feedback, wrap guard and lateral noise, which holds one value per
-   ``NOISE_HOLD`` interval (a noise-free loop has no noise terms at all).
+   feedback, wrap guard and lateral noise (none in a noise-free loop), from
+   one row per step: robot 0's three profile samples and each robot's noise.
    Every state component is a local and the four stages are unrolled.
    Each step records one row: each link's state;
 3. what no link reads is computed after the loop on whole arrays: the
@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import math
 import random
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -196,29 +195,27 @@ def _rk4_source(n: int, noisy: bool) -> str:
     The state is each link r's centered state ``s1_r, s2_r, s3_r``, all
     locals: no world pose enters a link derivative, so robot 0's pose is
     left to `_poses` and the followers' to the placement in `_integrate`.
-    ``lead`` yields robot 0's speed offset and turn rate at t, t + dt/2 and
-    t + dt of each step.  Each step appends one row to ``rec``: each link's
-    state at t.  The run stops after the row of step ``stop``.  The loop
-    keeps only what feeds back into the next step: `_integrate` derives the
-    followers' inputs, the clamp counts and the noise columns from the rows
-    and the hold table after the block.
+    ``rows`` holds a row per step with stages: robot 0's speed offset and
+    turn rate at t, t + dt/2 and t + dt, then in a noisy run each robot's
+    lateral noise.  Each step appends each link's state at t to ``rec``, and
+    with ``last`` set so does the step after the rows, which has no stages.
+    Only what feeds back into the next step is computed: `_integrate`
+    derives the followers' inputs and clamp counts from ``rec``.
     """
     links = range(1, n + 1)
     state = [f"{c}{r}" for r in links for c in ("s1_", "s2_", "s3_")]
     row = ", ".join(state)
+    record = [  # each wrap guard, then the row of step i0 + len(rec) // 3n
+        f"if abs(s3_{r} + o3_{r}) > pi: raise ValueError(f'heading difference left "
+        f"(-pi, pi) on link {r} at t={{(i0 + len(rec) // {3 * n}) * dt:.6g}}; "
+        "invariance lost')" for r in links] + [f"put(({row},))"]
     # Without noise every h is 0.0, and the loop leaves out the terms
     # - h * sb, - h and + h * cb.  That is exact: sb - 0.0 is sb, and adding
     # +-0.0 leaves a partial sum as it is unless the sum is -0.0.  None is:
     # a sum is -0.0 only if both its terms are, a difference only if its
     # left term is, cb - 1.0 never is, and sb is only where beta = s3 + o3
     # is, which takes an o3 of -0.0 (o3 is 0.0 or the orbit's gamma > 0).
-    loop = [f"{', '.join(f'h{r}' for r in range(n + 1))}, = noise[i // per_hold]"
-            ] if noisy else []
-    for r in links:
-        loop += [f"if abs(s3_{r} + o3_{r}) > pi:",
-                 f"    raise ValueError(f'heading difference left (-pi, pi) on "
-                 f"link {r} at t={{i * dt:.6g}}; invariance lost')"]
-    loop += [f"put(({row},))", "if i == stop:", "    break"]
+    loop = list(record)
     for m, step, v, w in ((1, None, "v", "w"), (2, "half", "vh", "wh"),
                           (3, "half", "vh", "wh"), (4, "dt", "v1", "w1")):
         z = {a: a if step is None else f"z_{a}" for a in state}
@@ -244,16 +241,19 @@ def _rk4_source(n: int, noisy: bool) -> str:
             v, w = vF, wF
     loop += [f"{a} = {a} + sixth * (k1_{a} + 2.0 * (k2_{a} + k3_{a}) + k4_{a})"
              for a in state]
+    noise = "".join(f", h{r}" for r in range(n + 1)) if noisy else ""
     head = [
-        "def run(params, rho, dt, i0, i1, stop, lead, noise, per_hold, y, rec):",
+        "def run(params, rho, dt, i0, rows, last, y, rec):",
         "cos, sin, pi, half, sixth = math.cos, math.sin, math.pi, 0.5 * dt, dt / 6.0",
         "".join(f"(k11_{r}, k22_{r}, k23_{r}, V_{r}, Om_{r}, o1_{r}, o2_{r}, "
                 f"o3_{r}), " for r in links) + "= params",
         *(f"nV_{r}, nOm_{r} = -V_{r}, -Om_{r}" for r in links),
         f"{row}, = y",
         "put = rec.extend",
-        "for i, (v, w, vh, wh, v1, w1) in zip(range(i0, i1), lead):",
+        f"for v, w, vh, wh, v1, w1{noise} in rows:",
         *("    " + line for line in loop),
+        "if last:",
+        *("    " + line for line in record),
         f"return {row},",
     ]
     return "\n    ".join(head) + "\n"
@@ -291,9 +291,9 @@ def _lead(profile: LeaderProfile, limits: tuple, i0: int, i1: int,
           last: int, dt: float):
     """Robot 0's speed offsets and turn rates at t, t + dt/2 and t + dt of
     steps i0 .. i1 - 1, a row per step (step `last` sampled at t only),
-    then the error the plain loop meets first among these samples and the
-    offset of its step (None, None without one).  Rows from that step on
-    may hold zeros."""
+    then the error the plain loop meets first among these samples (None
+    without one) and the count m of steps with stages, those before the
+    error's step or `last`.  Rows from row m on may hold zeros."""
     t = np.arange(i0, i1) * dt
     grid = np.column_stack((t, t + 0.5 * dt, t + dt)).ravel()
     if i1 == last + 1:
@@ -307,7 +307,7 @@ def _lead(profile: LeaderProfile, limits: tuple, i0: int, i1: int,
         err, bad = w_err, len(ws)
     V, W = np.zeros((2, i1 - i0, 3))
     V.flat[:len(vs)], W.flat[:len(ws)] = vs, ws
-    return V, W, err, (None if err is None else bad // 3)
+    return V, W, err, (min(i1, last) - i0 if err is None else bad // 3)
 
 
 def _poses(pose: Sequence, e: np.ndarray, w: np.ndarray, h, dt: float):
@@ -367,7 +367,6 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     """
     params = [(*gain, V, Om, *offset) for gain, (V, Om), offset in links]
     n, n_steps = len(links), _steps(T, dt)
-    per_hold = None if noise is None else _hold_steps(dt)
     key = (n, noise is not None)
     if key not in _RK4:
         scope = {"math": math}
@@ -378,11 +377,11 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
 
     # rows of Y: each robot's pose with each link's state between them; of
     # U: each robot's realized inputs (the profile for robot 0); of H: each
-    # robot's noise, from the hold table.  Link k joins robots k and k + 1.
+    # robot's noise (no column without noise).  Link k joins robots k, k + 1.
     Y = np.empty((n_steps + 1, 3 + 6 * n))
     U = np.empty((n_steps + 1, 2 + 2 * n))
-    H = (None if noise is None else
-         np.asarray(noise, dtype=float)[np.arange(n_steps + 1) // per_hold])
+    H = (np.empty((n_steps + 1, 0)) if noise is None else np.asarray(
+        noise, dtype=float)[np.arange(n_steps + 1) // _hold_steps(dt)])
     Y[0, :3] = pose
     clamps = np.zeros(n, dtype=int)
 
@@ -391,17 +390,15 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
         and each follower's pose placed; returns the link states after
         them."""
         i1 = min(i0 + _BLOCK, n_steps + 1)
-        V, W, err, j = _lead(profile, lead_limits, i0, i1, n_steps, dt)
-        stop = n_steps if err is None else i0 + j
+        V, W, err, m = _lead(profile, lead_limits, i0, i1, n_steps, dt)
         Wr = W + rho  # robot 0's turn rates as integrated
-        rec = array("d")
-        y = run(params, rho, dt, i0, min(i1, stop + 1), stop,
-                zip(*(X[:, g].tolist() for g in range(3) for X in (V, Wr))),
-                noise, per_hold, y, rec)
+        lead = np.hstack((np.dstack((V, Wr)).reshape(-1, 6), H[i0:i1]))
+        rec = []
+        y = run(params, rho, dt, i0, lead[:m].tolist(), i0 + m < i1, y, rec)
         if err is not None:
             raise err
         rows = slice(i0, i1)
-        S = np.frombuffer(rec).reshape(i1 - i0, n, 3)
+        S = np.array(rec).reshape(i1 - i0, n, 3)
         for c in range(3):
             Y[rows, 3 + c::6] = S[:, :, c]
         # the followers' inputs at t, by the loop's float operations and its
@@ -412,12 +409,11 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
             U[rows, col::2] = np.where(u > bound, bound,
                                        np.where(u < -bound, -bound, u))
         U[rows, 0], U[rows, 1] = V[:, 0], W[:, 0]
-        m = min(i1, n_steps) - i0  # steps with stages
         if m > 0:  # robot 0's profile at the four stages of each step
             stages = [0, 1, 1, 2]
             Y[i0 + 1:i0 + m + 1, :3] = _poses(
                 Y[i0, :3], 1.0 + V[:m, stages].T, Wr[:m, stages].T,
-                0.0 if H is None else H[i0:i0 + m, 0], dt)
+                0.0 if noise is None else H[i0:i0 + m, 0], dt)
         for k, (*_, o1, o2, o3) in enumerate(params):  # place robot k + 1
             xl, yl, ql, s1, s2, s3 = Y[rows, 6 * k:6 * k + 6].T
             p1, p2, q = s1 + o1, s2 + o2, ql - (s3 + o3)
@@ -438,7 +434,7 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
         SimTrace(
             times=times, states=Y[:, 6 * k + 3:6 * k + 6],
             inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
-            noise=None if H is None else H[:, [k + 1, k]],
+            noise=None if noise is None else H[:, [k + 1, k]],
             pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
             clamp_events=int(clamps[k]), rerun=rerun,
         )

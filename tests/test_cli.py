@@ -322,6 +322,29 @@ def test_simulate_gains_must_be_a_list(tmp_path, capsys, payload):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    "check --scenario DEEP", "synth --scenario DEEP",
+    "simulate --scenario DEEP", "simulate --scenario BASIC --profile DEEP",
+    "simulate --scenario BASIC --gain DEEP",
+    "simulate --chain-spec CHAIN --gains DEEP",
+    "simulate --chain-spec DEEP --gains DEEP", "chain --spec DEEP",
+])
+def test_deeply_nested_json_exits_2_naming_the_file(basic_file, tmp_path,
+                                                    capsys, argv):
+    """A JSON input nested deeper than the parser reads exits 2 with one
+    line that names the file; it raised a RecursionError, exit 1."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    files = {"DEEP": deep, "BASIC": basic_file,
+             "CHAIN": write_json(tmp_path / "chain.json",
+                                 chain_to_json_dict(CHAIN_SPEC))}
+    out = tmp_path / "run"
+    assert main([str(files.get(tok, tok)) for tok in argv.split()]
+                + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+    assert not out.exists()
+
+
 def test_simulate_profile_names_a_missing_signal(basic_file, tmp_path,
                                                  capsys):
     """A profile without "omega" exits 2 with a line that names it."""

@@ -732,12 +732,21 @@ def test_generated_integrator_matches_plain_loop(case, monkeypatch):
         assert fast[0].noise is not None
 
 
-def _wrap_run():
+def _wrap_run():  # the guard trips at t = 1.571, in the run's second block
     sc = BASIC_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
                                   V_L=0.1, Omega_F=math.pi / 3, Omega_L=2.2)
     spin = LeaderProfile(constant(0.0), constant(2.0))
     return simulate_basic(sc, GainMatrix(0.0, 0.0, 0.0), spin, (0, 0, 0),
                           T=3.0)
+
+
+def _noisy_wrap_run():  # the same spin, with lateral noise on both robots
+    sc = UBB_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
+                                V_L=0.1, Omega_F=math.pi / 3, Omega_L=2.2,
+                                H_F=0.05, H_L=0.05)
+    spin = LeaderProfile(constant(0.0), constant(2.0))
+    return simulate_ubb(sc, GainMatrix(0.0, 0.0, 0.0), spin, None, (0, 0, 0),
+                        T=3.0, seed=4)
 
 
 def _chain_wrap_run():  # robot 1 follows the spinning leader, robot 2 not
@@ -757,9 +766,10 @@ def _bound_run():  # |v| = 0.2 |sin t| passes V_L = 0.1 at t = pi/6
 
 @pytest.mark.parametrize("run, match", [
     (_wrap_run, "heading difference left .* on link 1 at t="),
+    (_noisy_wrap_run, "heading difference left .* on link 1 at t=1.571;"),
     (_chain_wrap_run, "on link 2 at t="),
     (_bound_run, "exceeds its bound: \\|v\\(0.52"),
-], ids=["wrap", "chain-wrap", "profile-bound"])
+], ids=["wrap", "noisy-wrap", "chain-wrap", "profile-bound"])
 def test_generated_integrator_raises_like_plain_loop(run, match, monkeypatch):
     messages = []
     for integrate in (simulate._integrate, integrate_oracle):
@@ -789,13 +799,19 @@ def _crossing(bound, t_cross):
     return 2 * bound, math.asin(0.5) / t_cross
 
 
-@pytest.mark.parametrize("signal", ["v", "omega", "v-plain"])
-def test_profile_excess_at_a_half_step_of_a_later_block(signal, monkeypatch):
-    """The profile first leaves its bound at the t + dt/2 sample of a step
+@pytest.mark.parametrize("signal, j", [
+    (signal, j) for j in (simulate._BLOCK + 476, 2 * simulate._BLOCK)
+    for signal in ("v", "omega", "v-plain")
+], ids=["v", "omega", "v-plain", "v-block-start", "omega-block-start",
+        "v-plain-block-start"])
+def test_profile_excess_at_a_half_step_of_a_later_block(signal, j,
+                                                        monkeypatch):
+    """The profile first leaves its bound at the t + dt/2 sample of step j,
     past the first block: the run raises it at that step, as the plain
     loop does, whether the block was sampled by the array form or by a
-    plain callable."""
-    dt, j = 1e-3, simulate._BLOCK + 476
+    plain callable.  At a block's first step the block integrates no step
+    and only guards and records its stop row."""
+    dt = 1e-3
     name = signal.split("-")[0]
     bound = BASIC_SCENARIO.V_L if name == "v" else BASIC_SCENARIO.Omega_L
     amp, rate = _crossing(bound, (j + 0.25) * dt)
@@ -813,18 +829,45 @@ def test_profile_excess_at_a_half_step_of_a_later_block(signal, monkeypatch):
     assert f"exceeds its bound: |{name}({t + 0.5 * dt:.6g})|" in message
 
 
+@pytest.mark.parametrize("j, n_steps", [
+    (9 * simulate._BLOCK, 9 * simulate._BLOCK + 10),
+    (simulate._BLOCK + 2, simulate._BLOCK + 2),
+], ids=["block-start", "final-sample"])
+def test_profile_excess_at_the_time_of_a_step(j, n_steps, monkeypatch):
+    """The profile leaves its bound from t = j dt on, a time that the k4
+    sample of step j - 1, the float (j - 1) dt + dt, falls one ulp short
+    of: step j is the stop row, guarded and recorded before the excess is
+    raised, as in the plain loop.  Step j is the first of a later block,
+    which integrates no step, or the run's final step, sampled at t = T
+    only."""
+    dt = 1e-3
+    t = j * dt
+    assert (j - 1) * dt + dt < t
+    bound = BASIC_SCENARIO.V_L
+    profile = LeaderProfile(lambda s: 2 * bound if s >= t else 0.0,
+                            constant(0.0))
+    message = _oracle_error(
+        lambda: simulate_basic(BASIC_SCENARIO, REF_GAIN_BASIC, profile,
+                               (0.0, 0.0, 0.0), T=n_steps * dt),
+        monkeypatch)
+    assert f"exceeds its bound: |v({t:.6g})|" in message
+
+
 @pytest.mark.parametrize("t_bad, kind, match", [
     (1.8, "excess", "heading difference left .* at t=1.571"),
     (1.2, "excess", "exceeds its bound: \\|v\\(1.2"),
     (1.2, "overflow", "math domain error"),
-], ids=["wrap-first", "excess-first", "domain-error-first"])
+    (1.57125, "excess", "heading difference left .* at t=1.571"),
+], ids=["wrap-first", "excess-first", "domain-error-first", "wrap-at-stop"])
 def test_wrap_guard_and_profile_errors_keep_their_order(t_bad, kind, match,
                                                         monkeypatch):
     """The spinning leader trips the wrap guard at t = 1.571, in the block
     that also holds the profile's first excess at t = 1.8: the guard's
     error still comes first.  An excess at 1.2 comes first in its turn, and
     so does a sine whose argument leaves the floats at t = 1.2, an error
-    math.sin raises and the array form cannot."""
+    math.sin raises and the array form cannot.  An excess at the half step
+    of t = 1.571 makes that step the block's stop row, which is guarded
+    before the excess is raised."""
     dt = 1e-3
     assert 1571 // simulate._BLOCK == 1800 // simulate._BLOCK
     sc = BASIC_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
