@@ -10,12 +10,11 @@ sustain, and rules out closed (cyclic) chains outright.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .profiles import _finite_number, _number, _read_json, _shown
+from .profiles import _finite_number, _number, _read_json, _shown, _write_json
 from .scenarios import (
     BasicScenario,
     ConditionMargin,
@@ -356,7 +355,5 @@ def load_chain(path) -> ChainSpec:
     return chain_from_json_dict(_read_json(path))
 
 
-def save_chain(spec: ChainSpec, path, provenance: Optional[dict] = None):
-    with open(path, "w") as fh:
-        json.dump(chain_to_json_dict(spec, provenance), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def save_chain(spec: ChainSpec, path):
+    _write_json(path, chain_to_json_dict(spec))

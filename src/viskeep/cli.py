@@ -45,11 +45,14 @@ from .scenarios import (
     scenario_to_json_dict,
 )
 from .profiles import (
+    InvarianceLostError,
     LeaderProfile,
     _check_amplitude,
     _finite_number,
     _read_json,
     _shown,
+    _write_json,
+    _write_text,
     constant,
     profile_from_json_dict,
 )
@@ -64,20 +67,6 @@ from .systems import (
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
-
-
-def _write_text(path, text: str) -> None:
-    """Write `text` to the file `path`, making its parent directory first,
-    or to stdout if `path` is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        Path(path).write_text(text)
-
-
-def _write_json(path, payload) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _check_payload(sc):
@@ -460,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains")
     p.add_argument("--profile")
     p.add_argument("--s0")
-    p.add_argument("--horizon", type=float, default=60.0)
+    p.add_argument("--horizon", type=float, default=demos.DEFAULT_HORIZON)
     p.add_argument("--dt", type=float, default=demos.DEFAULT_DT)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise-amplitude", type=float, default=None)
@@ -502,11 +491,13 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command.  An empty gain polytope, in synth or in a simulate
-    with no --gain, exits 1 with one ``gain polytope is empty`` line."""
+    with no --gain, exits 1 with one ``gain polytope is empty`` line, and a
+    run whose heading difference leaves (-pi, pi) exits 1 with the line that
+    says where."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InfeasiblePolytopeError as exc:  # a verdict, not bad input
+    except (InfeasiblePolytopeError, InvarianceLostError) as exc:  # verdicts
         print(exc, file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -4,7 +4,9 @@ A profile is a pair of plain functions of time, the leader's speed offset
 and its turn rate, built from their JSON form by
 :func:`profile_from_json_dict`.  This module needs no numpy, so the
 command-line front end and the bundled demos can read and check profiles
-without loading the float layer (:mod:`viskeep.simulate`).
+without loading the float layer (:mod:`viskeep.simulate`).  For the same
+reason it holds what both layers share: the package's one JSON reader and
+writer, the monitor's tolerance ``BOUND_TOL`` and ``InvarianceLostError``.
 
 Each built-in signal also carries ``array``, its form over a numpy array of
 times, which the integrator samples a block of steps with: bit for bit its
@@ -20,10 +22,17 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable
 
 BOUND_TOL = 1e-9
+
+
+class InvarianceLostError(ValueError):
+    """A run's heading difference left (-pi, pi): a verdict on the run,
+    which the command line reports as a violated run, not as bad input."""
 
 
 def _with_array(f: Callable[[float], float], array) -> Callable[[float], float]:
@@ -157,6 +166,22 @@ def _read_json(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def _write_text(path, text: str) -> None:
+    """Write `text` to the file `path`, making its parent directory first,
+    or to stdout if `path` is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
+
+
+def _write_json(path, payload) -> None:
+    """Write `payload` as JSON, indented and key-sorted, and a newline, as
+    :func:`_write_text` does: every JSON file the package writes."""
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _number(obj: dict, key: str, where: str, default=None):

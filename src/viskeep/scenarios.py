@@ -19,7 +19,6 @@ scenarios into systems and builds no row itself.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields, replace
 from types import SimpleNamespace
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 from .boxes import Box
 from .inequalities import LinearInequalitySystem, rationalize
-from .profiles import _number, _read_json, _shown
+from .profiles import _number, _read_json, _shown, _write_json
 from .systems import UncertainLinearSystem, _pipeline_polytope
 
 HALF_PI = math.pi / 2
@@ -487,6 +486,4 @@ def load_scenario(path):
 
 
 def save_scenario(sc, path):
-    with open(path, "w") as fh:
-        json.dump(scenario_to_json_dict(sc), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, scenario_to_json_dict(sc))

@@ -56,6 +56,7 @@ from .boxes import Box
 from .chains import ChainSpec
 from .profiles import (  # noqa: F401 -- the profile names this module re-exports
     BOUND_TOL,
+    InvarianceLostError,
     LeaderProfile,
     _check_amplitude,
     _checked,
@@ -206,9 +207,10 @@ def _rk4_source(n: int, noisy: bool) -> str:
     state = [f"{c}{r}" for r in links for c in ("s1_", "s2_", "s3_")]
     row = ", ".join(state)
     record = [  # each wrap guard, then the row of step i0 + len(rec) // 3n
-        f"if abs(s3_{r} + o3_{r}) > pi: raise ValueError(f'heading difference left "
-        f"(-pi, pi) on link {r} at t={{(i0 + len(rec) // {3 * n}) * dt:.6g}}; "
-        "invariance lost')" for r in links] + [f"put(({row},))"]
+        f"if abs(s3_{r} + o3_{r}) > pi: raise InvarianceLostError(f'heading "
+        f"difference left (-pi, pi) on link {r} at "
+        f"t={{(i0 + len(rec) // {3 * n}) * dt:.6g}}; invariance lost')"
+        for r in links] + [f"put(({row},))"]
     # Without noise every h is 0.0, and the loop leaves out the terms
     # - h * sb, - h and + h * cb.  That is exact: sb - 0.0 is sb, and adding
     # +-0.0 leaves a partial sum as it is unless the sum is -0.0.  None is:
@@ -369,7 +371,7 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     n, n_steps = len(links), _steps(T, dt)
     key = (n, noise is not None)
     if key not in _RK4:
-        scope = {"math": math}
+        scope = {"math": math, "InvarianceLostError": InvarianceLostError}
         exec(_rk4_source(*key), scope)
         _RK4[key] = scope["run"]
     run = _RK4[key]

@@ -1,9 +1,11 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -20,10 +22,11 @@ from viskeep.demos import (
     CHAIN_S0,
     CHAIN_SPEC,
     DEFAULT_DT,
+    DEFAULT_HORIZON,
     ERROR_TARGET,
     PROFILE_JSON,
 )
-from viskeep.chains import chain_to_json_dict
+from viskeep.chains import chain_to_json_dict, save_chain
 from viskeep.inequalities import LinearInequalitySystem
 from viskeep.scenarios import save_scenario, scenario_to_json_dict
 
@@ -994,6 +997,40 @@ def test_simulate_and_demo_share_one_step():
         assert parser.parse_args(argv).dt == DEFAULT_DT
 
 
+def test_simulate_and_demo_share_one_horizon():
+    parser = build_parser()
+    for argv in (["simulate"], ["demo"]):
+        assert parser.parse_args(argv).horizon == DEFAULT_HORIZON
+
+
+@pytest.mark.parametrize("family, omega, horizon", [
+    ("basic", 0.2, 60.0), ("chain", 0.05, 80.0),
+])
+def test_heading_wrap_is_a_violated_run(tmp_path, capsys, family, omega,
+                                        horizon):
+    """With zero gains the follower never turns, so a leader that turns at
+    a constant rate drives the heading difference past pi: the wrap guard
+    ends the run with exit 1, a violated run, not 2, bad input, and the
+    line that names the link and the time."""
+    profile = write_json(tmp_path / "prof.json", {
+        "v": {"type": "constant", "value": 0.0},
+        "omega": {"type": "constant", "value": omega}})
+    zero = {"k11": 0, "k22": 0, "k23": 0}
+    if family == "chain":
+        spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
+        gains = write_json(tmp_path / "gains.json", [zero] * 3)
+        argv = ["--chain-spec", str(spec), "--gains", str(gains)]
+    else:
+        save_scenario(BASIC_SCENARIO, tmp_path / "basic.json")
+        gain = write_json(tmp_path / "gain.json", zero)
+        argv = ["--scenario", str(tmp_path / "basic.json"), "--gain", str(gain)]
+    assert main(["simulate", *argv, "--profile", str(profile), "--horizon",
+                 str(horizon), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("heading difference left (-pi, pi) on link 1 at t="), err
+    assert err.endswith("; invariance lost\n") and len(err.splitlines()) == 1
+
+
 def _run_reports(out):
     """The six run reports of a demo in `out`: each pair's violations.json
     and each chain link's report."""
@@ -1189,6 +1226,69 @@ def test_readme_command_lines_run(demo_seed0, tmp_path, monkeypatch):
                                               "simulate", "chain", "fme"}
     for line, (prog, *argv) in zip(lines, commands):
         assert prog == "viskeep" and main(argv) == 0, line
+
+
+@pytest.mark.parametrize("save, obj", [(save_scenario, BASIC_SCENARIO),
+                                       (save_chain, CHAIN_SPEC)])
+def test_saved_json_makes_its_parent_directory(tmp_path, save, obj):
+    """save_scenario and save_chain write through the package's one JSON
+    writer: the parent directory is made if missing, and the bytes are the
+    writer's, indented and key-sorted with a final newline."""
+    path = tmp_path / "missing" / "deeper" / "out.json"
+    save(obj, path)
+    data = json.loads(path.read_text())
+    assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _readme_code_names(readme: str, modules: set) -> list[str]:
+    """Each dotted name inside a backtick span of `readme` whose head is
+    ``viskeep`` or one of `modules`, in order."""
+    heads = "|".join(sorted(modules | {"viskeep"}))
+    name = re.compile(rf"(?<![\w./])(?:{heads})(?:\.\w+)+")
+    return [m.group() for span in re.findall(r"`([^`\n]+)`", readme)
+            for m in name.finditer(span)]
+
+
+def _resolves(name: str) -> bool:
+    """True if `name`, with or without its ``viskeep.`` head, is an
+    attribute or submodule of the package."""
+    parts = name.split(".")
+    obj, path = importlib.import_module("viskeep"), "viskeep"
+    for part in parts[1:] if parts[0] == "viskeep" else parts:
+        path += "." + part
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(path)
+        except ImportError:
+            return False
+    return True
+
+
+def test_readme_names_what_exists():
+    """Every code name the README gives is real: each backticked dotted name
+    headed by ``viskeep`` or a package module is a package attribute, a
+    BENCHMARK.json metric or a file of the package, and each
+    ``tests/FILE::name`` reference names a test of that file."""
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    package = Path(cli.__file__).parent
+    files = {p.name for p in package.glob("*.py")}
+    modules = {name[:-3] for name in files} - {"__init__"}
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in bench["end_to_end"] + bench["per_layer"]}
+    names = _readme_code_names(readme, modules)
+    assert names
+    stale = [name for name in names
+             if name not in metrics and name not in files and not _resolves(name)]
+    assert stale == []
+    refs = re.findall(r"tests/([\w/]+\.py)::(\w+)", readme)
+    assert refs
+    missing = [f"{file}::{test}" for file, test in refs
+               if not (root / "tests" / file).exists() or not re.search(
+                   rf"^def {test}\(", (root / "tests" / file).read_text(), re.M)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("name, argv", [
