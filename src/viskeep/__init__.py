@@ -1,11 +1,11 @@
 """viskeep: visibility-keeping feedback synthesis for pursuit pairs and chains.
 
-Build a box visibility window around a desired relative pose, transcribe
-the nonlinear pursuit kinematics into a linear uncertain family, construct
-the polytope of feedback gains that render the window invariant under all
-admissible leader motions, pick the minimum-norm gain with an exact
-optimality certificate, and validate the result against the original
-nonlinear dynamics in simulation.
+Build a visibility window around a desired relative pose: a box ahead,
+under bounded lateral noise (ubb) or none (basic: ubb with zero noise), or
+an orbit (circle).  Transcribe the pursuit kinematics into a linear
+uncertain family, construct the polytope of feedback gains that render the
+window invariant under all admissible leader motions, pick the minimum-norm
+gain with an exact certificate, and validate it on the nonlinear dynamics.
 
 Importing the package loads the exact layer only, without numpy.  The
 nonlinear simulators, traces and monitor (``SimTrace``,

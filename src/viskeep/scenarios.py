@@ -1,15 +1,15 @@
 """Visibility-pursuit scenario definitions and feasible-gain polytopes.
 
-Three scenario families are supported:
+Three scenario families are supported, on two windows:
 
-* **basic** -- follower keeps a leader travelling near-straight inside a box
-  visibility window displaced a standoff ``d`` ahead;
-* **ubb** -- same, with unknown-but-bounded lateral disturbances on both
-  vehicles;
+* **ubb** -- follower keeps a leader travelling near-straight inside a box
+  visibility window displaced a standoff ``d`` ahead, under
+  unknown-but-bounded lateral disturbances ``H_F``, ``H_L`` on both;
+* **basic** -- ubb with zero noise, whose JSON form has no ``H_F``, ``H_L``;
 * **circle** -- leader orbits a fixed target; the window is parameterized by
   a bearing angle ``gamma`` and orbit rate ``rho`` instead of ``d``.
 
-Each scenario owns (i) an exact uncertain-system transcription of the
+Each window owns (i) an exact uncertain-system transcription of the
 relative dynamics, (ii) closed-form solvability conditions, and (iii) the
 polytope of feasible sparse gains ``(k11, k22, k23)``: for every family the
 rows of its uncertain system's two certificates, which
@@ -20,7 +20,7 @@ scenarios into systems and builds no row itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -39,16 +39,18 @@ HALF_PI = math.pi / 2
 
 @dataclass(frozen=True)
 class BasicScenario:
-    """Box window (half-widths a, a, b), standoff d, speed and turn bounds.
+    """Box window (half-widths a, a, b), standoff d, speed and turn bounds;
+    lateral disturbance amplitudes H_F = H_L = 0, fields of a ubb one.
 
-    Each scenario class carries its family's JSON kind, conditions, gain
-    polytope, uncertain system and the floats its model reads besides the
-    fields, which :func:`exact_constants` rationalizes; its simulator is
-    :func:`viskeep.simulate.simulate_scenario`, keyed on the kind.  The
-    polytope is built from `system` when one is passed: the scenario's
-    uncertain system, already built by the caller."""
+    A scenario class carries its JSON kind, conditions, gain polytope (from
+    `system` when the caller passes it), uncertain system, window offset and
+    orbit rate, and the floats its model reads besides the fields.  This one
+    serves basic and ubb, and reaches the entry point of its kind by name
+    at the call, as perfbench binds it."""
 
     kind = "basic"
+    # not fields: a basic scenario's JSON form names neither
+    H_F = H_L = 0.0
 
     a: float
     b: float
@@ -66,28 +68,31 @@ class BasicScenario:
         if not 0 < self.b <= HALF_PI + 1e-12:
             raise ValueError("b must lie in (0, pi/2]")
         for name in ("V_F", "V_L"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
+            if not 0 < getattr(self, name) < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
         for name in ("Omega_F", "Omega_L"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
     def conditions(self) -> FeasibilityReport:
-        return feasible_basic(self)
+        return globals()[f"feasible_{self.kind}"](self)
 
     def polytope(self, system=None) -> LinearInequalitySystem:
         return gain_polytope(self, system)
 
     def system(self, constants=None) -> UncertainLinearSystem:
-        return build_basic_system(self, constants)
+        return globals()[f"build_{self.kind}_system"](self, constants)
 
     def derived(self) -> dict:
         """The floats besides the fields that the model reads: the sine
-        and cosine of b, and the lateral disturbance amplitudes, 0 for a
-        basic scenario (a ubb one's fields override them)."""
+        and cosine of b, and the lateral disturbance amplitudes."""
         return {"sin_b": math.sin(self.b), "cos_b": math.cos(self.b),
-                "H_F": 0.0, "H_L": 0.0}
+                "H_F": self.H_F, "H_L": self.H_L}
+
+    @property
+    def offset_and_rate(self) -> tuple:
+        """A run's window center, raw, and its orbit rate."""
+        return (self.d, 0.0, 0.0), 0.0
 
     def check_extras(self, report: FeasibilityReport) -> dict:
         """Keys `viskeep check` adds: the exact FME projection's verdict
@@ -97,7 +102,8 @@ class BasicScenario:
 
 @dataclass(frozen=True)
 class UbbScenario(BasicScenario):
-    """Basic scenario plus lateral disturbance amplitudes."""
+    """Basic scenario whose lateral disturbance amplitudes are fields; at
+    zero they give the basic model."""
 
     kind = "ubb"
 
@@ -106,18 +112,8 @@ class UbbScenario(BasicScenario):
 
     def __post_init__(self):
         super().__post_init__()
-        # zero amplitudes degrade gracefully to the undisturbed scenario
         if self.H_F < 0 or self.H_L < 0:
             raise ValueError("H_F and H_L must be nonnegative")
-
-    def conditions(self) -> FeasibilityReport:
-        return feasible_ubb(self)
-
-    def polytope(self, system=None) -> LinearInequalitySystem:
-        return gain_polytope_ubb(self, system)
-
-    def system(self, constants=None) -> UncertainLinearSystem:
-        return build_ubb_system(self, constants)
 
     def check_extras(self, report: FeasibilityReport) -> dict:
         return {}
@@ -177,6 +173,12 @@ class CircleScenario:
                 "sin_bpg": math.sin(b + g), "cos_bpg": math.cos(b + g),
                 "sin_bmg": math.sin(b - g), "cos_bmg": math.cos(b - g)}
 
+    @property
+    def offset_and_rate(self) -> tuple:
+        """A run's window center, raw, and its orbit rate."""
+        g, rho = self.gamma, self.rho
+        return (math.sin(g) / rho, (1 - math.cos(g)) / rho, g), rho
+
     def check_extras(self, report: FeasibilityReport) -> dict:
         return {}
 
@@ -219,39 +221,43 @@ _Z3 = ((0, 0, 0),) * 3
 _Z2 = ((0, 0),) * 3
 
 
-def _pursuit_system(c, A0, B0, E0, Q: Box) -> UncertainLinearSystem:
+def _pursuit_system(c, A0, B0, E, D: Box, Q: Box) -> UncertainLinearSystem:
     """The pursuit family every scenario shares, given what its window
-    changes: the constant parts `A0`, `B0`, `E0` and the parameter box `Q`.
+    changes: the constant parts `A0`, `B0`, the disturbance matrices `E`
+    with their box `D`, and the parameter box `Q`.
 
-    Three states, input (v_F, w_F) and disturbance (v_L, w_L); the
-    parameters q1..q6 absorb the trigonometric nonlinearities, each ranging
-    over the interval it realizes on the window, and enter A, B and E the
-    same way in every family.  S, U and D are the boxes of the constants
-    `c`.  Matrix entries are plain ints and Fractions."""
+    Three states and input (v_F, w_F); the parameters q1..q6 absorb the
+    trigonometric nonlinearities, each ranging over the interval it
+    realizes on the window, and enter A and B the same way in every family.
+    S and U are the boxes of the constants `c`.  Matrix entries are plain
+    ints and Fractions."""
     return UncertainLinearSystem(
         A=(A0, ((0, 0, 0), (0, 0, 1), (0, 0, 0)),
            ((0, 0, 1), (0, 0, 0), (0, 0, 0)), _Z3, _Z3, _Z3, _Z3),
         B=(B0, _Z2, _Z2, ((0, 0), (0, -1), (0, 0)),
            ((0, 1), (0, 0), (0, 0)), _Z2, _Z2),
-        E=(E0, _Z2, _Z2, _Z2, _Z2, ((1, 0), (0, 0), (0, 0)),
-           ((0, 0), (1, 0), (0, 0))),
+        E=E,
         S=Box.symmetric((c.a, c.a, c.b)),
         U=Box.symmetric((c.V_F, c.Omega_F)),
-        D=Box.symmetric((c.V_L, c.Omega_L)),
+        D=D,
         Q=Q,
     )
 
 
-def build_basic_system(sc: BasicScenario, constants=None) -> UncertainLinearSystem:
-    """The pursuit family on the basic window, a standoff d ahead, in the
-    state (dp1, p2, beta).  `constants` are the scenario's
-    :func:`exact_constants` when the caller has them already."""
+def _box_system(sc: BasicScenario, constants) -> UncertainLinearSystem:
+    """The pursuit family on the box window, a standoff d ahead, in the
+    state (dp1, p2, beta), disturbed by (v_L, w_L, h_F, h_L): a zero
+    amplitude adds nothing to a face shift.  `constants` may be None."""
     c = exact_constants(sc) if constants is None else constants
+    z = ((0, 0, 0, 0),) * 3
     return _pursuit_system(
         c,
         A0=((0, 0, 0), (0, 0, 1), (0, 0, 0)),
         B0=((-1, 0), (0, -c.d), (0, -1)),
-        E0=((1, 0), (0, 0), (0, 1)),
+        E=(((1, 0, 0, 0), (0, 0, -1, 1), (0, 1, 0, 0)), z, z, z, z,
+           ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
+           ((0, 0, 0, -1), (1, 0, 0, 0), (0, 0, 0, 0))),
+        D=Box.symmetric((c.V_L, c.Omega_L, c.H_F, c.H_L)),
         Q=Box.from_bounds([
             (c.sin_b / c.b - 1, 0),
             (-(1 - c.cos_b) / c.b, (1 - c.cos_b) / c.b),
@@ -263,21 +269,14 @@ def build_basic_system(sc: BasicScenario, constants=None) -> UncertainLinearSyst
     )
 
 
+def build_basic_system(sc: BasicScenario, constants=None) -> UncertainLinearSystem:
+    """:func:`_box_system`: perfbench wraps this name; ROADMAP item 2 drops it."""
+    return _box_system(sc, constants)
+
+
 def build_ubb_system(sc: UbbScenario, constants=None) -> UncertainLinearSystem:
-    """Basic family with the disturbance vector enlarged to
-    (v_L, w_L, h_F, h_L): the lateral perturbations enter through E(q).
-    The basic family's system is built from the same constants, which also
-    hold the disturbance amplitudes."""
-    c = exact_constants(sc) if constants is None else constants
-    base = build_basic_system(sc, c)
-    z = ((0, 0, 0, 0),) * 3
-    return replace(
-        base,
-        E=(((1, 0, 0, 0), (0, 0, -1, 1), (0, 1, 0, 0)), z, z, z, z,
-           ((1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 0)),
-           ((0, 0, 0, -1), (1, 0, 0, 0), (0, 0, 0, 0))),
-        D=Box.symmetric(base.D.hi + (c.H_F, c.H_L)),
-    )
+    """:func:`_box_system`: perfbench wraps this name; ROADMAP item 2 drops it."""
+    return _box_system(sc, constants)
 
 
 def _circle_q(c) -> Box:
@@ -313,7 +312,9 @@ def build_circle_system(sc: CircleScenario, constants=None) -> UncertainLinearSy
         c,
         A0=((0, c.rho, -c.sin_g), (-c.rho, 0, c.cos_g), (0, 0, 0)),
         B0=((-1, (1 - c.cos_g) / c.rho), (0, -c.sin_g / c.rho), (0, -1)),
-        E0=((c.cos_g, 0), (c.sin_g, 0), (0, 1)),
+        E=(((c.cos_g, 0), (c.sin_g, 0), (0, 1)), _Z2, _Z2, _Z2, _Z2,
+           ((1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (0, 0))),
+        D=Box.symmetric((c.V_L, c.Omega_L)),
         Q=_circle_q(c),
     )
 
@@ -384,14 +385,19 @@ def _pair_report(sc, vf_bound: float, ol_bound: float,
     ))
 
 
+def _box_conditions(sc: BasicScenario) -> FeasibilityReport:
+    """Closed-form solvability test for the box window."""
+    return _pair_report(sc, *_link_bounds(sc.V_L, sc.a, sc.b, sc.d, sc.H_F, sc.H_L))
+
+
 def feasible_basic(sc: BasicScenario) -> FeasibilityReport:
-    """Closed-form solvability test for the basic window."""
-    return _pair_report(sc, *_link_bounds(sc.V_L, sc.a, sc.b, sc.d))
+    """:func:`_box_conditions`: perfbench wraps this name; ROADMAP item 2 drops it."""
+    return _box_conditions(sc)
 
 
 def feasible_ubb(sc: UbbScenario) -> FeasibilityReport:
-    """Solvability test with lateral disturbance amplitudes H_F, H_L."""
-    return _pair_report(sc, *_link_bounds(sc.V_L, sc.a, sc.b, sc.d, sc.H_F, sc.H_L))
+    """:func:`_box_conditions`: perfbench wraps this name; ROADMAP item 2 drops it."""
+    return _box_conditions(sc)
 
 
 def feasible_circle(sc: CircleScenario) -> FeasibilityReport:
@@ -414,22 +420,25 @@ def feasible_circle(sc: CircleScenario) -> FeasibilityReport:
 # ----------------------------------------------------------------------
 
 
+def _polytope(sc, system) -> LinearInequalitySystem:
+    """Feasible-gain polytope: the rows of both certificates of `system`,
+    ``sc.system()`` if None (:func:`~viskeep.systems._pipeline_polytope`)."""
+    return _pipeline_polytope(sc.system() if system is None else system)
+
+
 def gain_polytope(sc: BasicScenario, system=None) -> LinearInequalitySystem:
-    """Feasible-gain polytope for the basic window: the rows of both
-    certificates of `system`, ``build_basic_system(sc)``, built here when
-    not passed (:func:`~viskeep.systems._pipeline_polytope`)."""
-    return _pipeline_polytope(build_basic_system(sc) if system is None else system)
+    """:func:`_polytope` of a box-window scenario: perfbench wraps it."""
+    return _polytope(sc, system)
 
 
 def gain_polytope_ubb(sc: UbbScenario, system=None) -> LinearInequalitySystem:
-    """Feasible-gain polytope under lateral disturbances, same route
-    (`system` built here when not passed)."""
-    return _pipeline_polytope(build_ubb_system(sc) if system is None else system)
+    """:func:`_polytope`: perfbench wraps this name; ROADMAP item 2 drops it."""
+    return _polytope(sc, system)
 
 
 def gain_polytope_circle(sc: CircleScenario, system=None) -> LinearInequalitySystem:
-    """Feasible-gain polytope for the orbit window, same route."""
-    return _pipeline_polytope(build_circle_system(sc) if system is None else system)
+    """:func:`_polytope`: perfbench wraps this name; ROADMAP item 2 drops it."""
+    return _polytope(sc, system)
 
 
 def derive_conditions_fme(sc: BasicScenario) -> bool:
@@ -453,10 +462,7 @@ SCENARIO_CLASSES = (BasicScenario, UbbScenario, CircleScenario)
 
 
 def scenario_to_json_dict(sc) -> dict:
-    out = {"type": sc.kind}
-    for f in fields(sc):
-        out[f.name] = getattr(sc, f.name)
-    return out
+    return {"type": sc.kind, **{f.name: getattr(sc, f.name) for f in fields(sc)}}
 
 
 def scenario_from_json_dict(data: dict):

@@ -66,7 +66,7 @@ from .profiles import (  # noqa: F401 -- the profile names this module re-export
     sinusoid,
     sum_of,
 )
-from .scenarios import BasicScenario, CircleScenario, UbbScenario
+from .scenarios import CircleScenario, UbbScenario
 from .systems import GainMatrix, _steps
 
 # ----------------------------------------------------------------------
@@ -486,10 +486,10 @@ def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0") -> tuple:
 
 
 def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
-                   T: float, dt: float, offset: tuple, rho: float = 0.0,
-                   noise=None) -> SimTrace:
-    """A pair is a one-link run: the leader's pose is the raw state, so the
-    follower is placed at the origin pose."""
+                   T: float, dt: float, noise=None) -> SimTrace:
+    """A pair is a one-link run about ``sc.offset_and_rate``: the leader's
+    pose is the raw state, so the follower is placed at the origin pose."""
+    offset, rho = sc.offset_and_rate
     s = _check_s0(s0, (sc.a, sc.a, sc.b))
     leader = tuple(x + o for x, o in zip(s, offset))
     return _integrate(
@@ -498,10 +498,12 @@ def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
     )[0]
 
 
-def simulate_basic(sc: BasicScenario, K: GainMatrix, profile: LeaderProfile,
+def simulate_basic(sc, K: GainMatrix, profile: LeaderProfile,
                    s0: Sequence, T: float, dt: float = 1e-3) -> SimTrace:
-    """Closed-loop run of the straight-pursuit model."""
-    return _simulate_pair(sc, K, profile, s0, T, dt, (sc.d, 0.0, 0.0))
+    """Noise-free closed-loop run of a pair scenario of any family; on the
+    orbit window, `profile.omega` is the leader's turn rate less the orbit
+    rate, which the run adds back to both turn rates."""
+    return _simulate_pair(sc, K, profile, s0, T, dt)
 
 
 def _hold_steps(dt: float) -> int:
@@ -557,37 +559,28 @@ def simulate_ubb(
     if not (np.abs(pairs) <= (sc.H_F + BOUND_TOL, sc.H_L + BOUND_TOL)).all():
         raise ValueError("noise sample exceeds its amplitude bound")
     noise = pairs[:, ::-1].tolist()  # robot order: leader, follower
-    return _simulate_pair(sc, K, profile, s0, T, dt, (sc.d, 0.0, 0.0),
-                          noise=noise)
+    return _simulate_pair(sc, K, profile, s0, T, dt, noise)
 
 
 def simulate_circle(sc: CircleScenario, K: GainMatrix, profile: LeaderProfile,
                     s0: Sequence, T: float, dt: float = 1e-3) -> SimTrace:
-    """Orbit-window run: feedback acts on the shifted state and the orbit
-    rate is added back to both turn rates; `profile.omega` is the leader's
-    shifted turn rate."""
-    offset = (math.sin(sc.gamma) / sc.rho, (1 - math.cos(sc.gamma)) / sc.rho,
-              sc.gamma)
-    return _simulate_pair(sc, K, profile, s0, T, dt, offset, rho=sc.rho)
+    """:func:`simulate_basic`: perfbench wraps this name; ROADMAP item 2 drops it."""
+    return _simulate_pair(sc, K, profile, s0, T, dt)
 
 
 def simulate_scenario(sc, K: GainMatrix, profile: LeaderProfile,
                       s0: Sequence, T: float, dt: float,
                       noise_amplitude: Optional[float] = None,
                       seed: int = 0) -> SimTrace:
-    """Run a pair scenario with its family's simulator, chosen by
-    ``sc.kind``.  A ubb run takes uniform lateral noise of amplitude
-    ``noise_amplitude`` on both vehicles, or of ``(H_F, H_L)`` when it is
-    None, drawn from ``seed``; the other families have no noise."""
-    if sc.kind == "basic":
+    """Run a pair scenario.  A ubb run draws uniform lateral noise, of
+    amplitude ``noise_amplitude`` on both vehicles, or of ``(H_F, H_L)``
+    when it is None, from ``seed``, so its trace has noise columns even at
+    zero amplitude; a run of the other families draws none."""
+    if sc.kind != "ubb":
         return simulate_basic(sc, K, profile, s0, T, dt)
-    if sc.kind == "ubb":
-        amp = noise_amplitude
-        noise = None if amp is None else uniform_noise(amp, amp, seed)
-        return simulate_ubb(sc, K, profile, noise, s0, T, dt, seed=seed)
-    if sc.kind == "circle":
-        return simulate_circle(sc, K, profile, s0, T, dt)
-    raise ValueError(f"no simulator for scenario kind {sc.kind!r}")
+    amp = noise_amplitude
+    noise = None if amp is None else uniform_noise(amp, amp, seed)
+    return simulate_ubb(sc, K, profile, noise, s0, T, dt, seed=seed)
 
 
 def simulate_chain(

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from viskeep import chains, cli, scenarios, simulate, systems
 from viskeep.cli import build_parser, main
@@ -28,7 +29,12 @@ from viskeep.demos import (
 )
 from viskeep.chains import chain_to_json_dict, save_chain
 from viskeep.inequalities import LinearInequalitySystem
-from viskeep.scenarios import save_scenario, scenario_to_json_dict
+from viskeep.scenarios import (
+    save_scenario,
+    scenario_from_json_dict,
+    scenario_to_json_dict,
+)
+from viskeep.synthesis import InfeasiblePolytopeError
 
 
 @pytest.fixture
@@ -99,6 +105,51 @@ def test_synth_infeasible(tmp_path):
     sc["V_L"] = 0.999
     path = write_json(tmp_path / "sat.json", sc)
     assert main(["synth", "--scenario", str(path)]) == 1
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**400, 10**400),
+    st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@st.composite
+def _scenario_dicts(draw):
+    """A bundle's scenario JSON under a random type, with up to three of
+    its fields dropped, scaled or replaced by any JSON value, and a key
+    maybe added."""
+    data = scenario_to_json_dict(
+        draw(st.sampled_from([b.scenario for b in list(BUNDLES.values())[:3]])))
+    data["type"] = draw(_JSON_VALUES if draw(st.integers(0, 3)) == 3 else
+                        st.sampled_from([data["type"], "basic", "ubb", "circle"]))
+    for key in draw(st.lists(st.sampled_from(list(data)[1:]), max_size=3,
+                             unique=True)):
+        how = draw(st.sampled_from(["drop", "scale", "any"]))
+        if how == "drop":
+            del data[key]
+        elif how == "scale":
+            data[key] *= draw(st.floats(0.0, 3.0))
+        else:
+            data[key] = draw(_JSON_VALUES)
+    data.update(draw(st.dictionaries(
+        st.sampled_from(["d", "gamma", "rho", "H_F", "H_L", "x"]),
+        st.one_of(st.floats(0.0, 1.0), _JSON_VALUES), max_size=1)))
+    return data
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_scenario_dicts())
+def test_scenario_loader_raises_only_input_errors(data):
+    """Whatever a scenario file holds, loading it, `check` and `synth` end
+    in a ValueError (exit 2) or an empty gain polytope (exit 1), never in a
+    traceback."""
+    try:
+        sc = scenario_from_json_dict(data)
+        cli._check_payload(sc)
+        cli._synth_payload(sc)
+    except (ValueError, InfeasiblePolytopeError):
+        pass
 
 
 def test_simulate_with_gain_file(basic_file, tmp_path):
@@ -652,9 +703,10 @@ def test_simulate_makes_no_out_dir_when_it_ends_before_the_run(
 def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
     """One synth rationalizes its scenario's constants once and builds its
     uncertain system once, for the polytope, both certificates and the
-    rationalization record; ubb hands its constants to the basic system it
-    extends.  The rationalization is counted where cli calls it and where
-    a build_*_system function would."""
+    rationalization record, through its family's builder: basic and ubb
+    share the box-window body, so ubb builds no basic system besides its
+    own.  The rationalization is counted where cli calls it and where a
+    build_*_system function would."""
     calls = []
     for module, fn in ((scenarios, "build_basic_system"),
                        (scenarios, "build_ubb_system"),
@@ -670,7 +722,7 @@ def test_synth_builds_the_uncertain_system_once(name, tmp_path, monkeypatch):
     assert main(["synth", "--scenario", str(path),
                  "--out", str(tmp_path / "gain.json")]) == 0
     built = {"basic": ["build_basic_system"], "circle": ["build_circle_system"],
-             "ubb": ["build_ubb_system", "build_basic_system"]}[name]
+             "ubb": ["build_ubb_system"]}[name]
     assert sorted(calls) == sorted(built + ["exact_constants"]), calls
 
 

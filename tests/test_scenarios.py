@@ -31,11 +31,15 @@ from viskeep.scenarios import (
 )
 from viskeep.boxes import shifted_cone
 from viskeep.demos import (
+    BASIC_PROFILE,
+    BASIC_S0,
     BUNDLES,
     CHAIN_SPEC,
     CIRCLE_SCENARIO,
+    DEFAULT_DT,
     UBB_SCENARIO,
 )
+from viskeep.simulate import simulate_basic, simulate_ubb
 from viskeep.synthesis import min_norm_gain
 from viskeep.systems import (
     GainMatrix,
@@ -199,7 +203,7 @@ def test_disturbed_conditions():
     assert feasible_ubb(DISTURBED).feasible
 
 
-def test_zero_disturbance_reduces_to_basic():
+def test_zero_disturbance_reduces_to_basic(tmp_path):
     quiet = UbbScenario(a=0.4, b=math.pi / 4, d=2.0, V_F=0.9, V_L=0.1,
                         Omega_F=math.pi / 3, Omega_L=math.pi / 15,
                         H_F=0.0, H_L=0.0)
@@ -208,6 +212,25 @@ def test_zero_disturbance_reduces_to_basic():
     ru, rb = feasible_ubb(quiet), feasible_basic(base)
     for cu, cb in zip(ru.conditions, rb.conditions):
         assert cu.rhs == cb.rhs and cu.slack == cb.slack
+    # the ubb run draws its zero noise, the basic run draws none: the same
+    # states and poses bit for bit, and CSVs apart only in the hF and hL
+    # cells, 0 against blank
+    K = GainMatrix(*REF_GAIN)
+    noisy = simulate_ubb(quiet, K, BASIC_PROFILE, None, BASIC_S0, T=5.0,
+                         dt=DEFAULT_DT)
+    plain = simulate_basic(base, K, BASIC_PROFILE, BASIC_S0, T=5.0,
+                           dt=DEFAULT_DT)
+    for name in ("states", "pose_f"):
+        assert getattr(noisy, name).tobytes() == getattr(plain, name).tobytes()
+    noisy.to_csv(tmp_path / "ubb.csv")
+    plain.to_csv(tmp_path / "basic.csv")
+    ubb, basic = ([line.split(",") for line in (tmp_path / name).read_text()
+                   .splitlines()] for name in ("ubb.csv", "basic.csv"))
+    assert ubb[0] == basic[0] and len(ubb) == len(basic) == 502
+    hf = noisy.CSV_COLUMNS.index("hF")
+    for u, b in zip(ubb[1:], basic[1:]):
+        assert (u[hf:hf + 2], b[hf:hf + 2]) == (["0", "0"], ["", ""])
+        assert u[:hf] + u[hf + 2:] == b[:hf] + b[hf + 2:]
 
 
 def test_disturbance_eating_the_margin():
@@ -442,10 +465,26 @@ def test_scenario_json_round_trip(tmp_path):
 
 
 def test_scenario_json_schema_fields():
+    """ubb writes both noise amplitudes; basic, ubb with zero noise, writes
+    neither."""
     data = scenario_to_json_dict(DISTURBED)
     assert data["type"] == "ubb"
     assert set(data) == {"type", "a", "b", "d", "V_F", "V_L", "Omega_F",
                          "Omega_L", "H_F", "H_L"}
+    data = scenario_to_json_dict(WINDOW)
+    assert data["type"] == "basic"
+    assert set(data) == {"type", "a", "b", "d", "V_F", "V_L", "Omega_F",
+                         "Omega_L"}
+
+
+@pytest.mark.parametrize("key", ["H_F", "H_L"])
+def test_basic_scenario_json_has_no_noise_field(key):
+    """A basic scenario reads its zero amplitudes from its class, not from
+    its JSON form, where either is an unknown field, as any other key."""
+    data = {**scenario_to_json_dict(WINDOW), key: 0.0}
+    with pytest.raises(ValueError) as exc:
+        scenario_from_json_dict(data)
+    assert str(exc.value) == f"unknown basic scenario field '{key}'"
 
 
 def test_scenario_json_rejects_unknown_type():

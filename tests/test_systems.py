@@ -81,7 +81,8 @@ def test_eval_at_origin_gives_constant_part():
     A, B, E = eval_matrices(sysd, (0,) * 6)
     assert A == mat([[0, 0, 0], [0, 0, 1], [0, 0, 0]])
     assert B == mat([[-1, 0], [0, -2], [0, -1]])
-    assert E == mat([[1, 0], [0, 0], [0, 1]])
+    # disturbance (v_L, w_L, h_F, h_L): basic is ubb with zero noise
+    assert E == mat([[1, 0, 0, 0], [0, 0, -1, 1], [0, 1, 0, 0]])
 
 
 def test_eval_standoff_coupling():
