@@ -126,24 +126,42 @@ def _gain_of(data) -> GainMatrix:
     return GainMatrix(*(float(g[key]) for key in keys))
 
 
-def _write_runs(runs, out_dir) -> tuple[list[dict], bool]:
-    """Monitor each link ``(trace, S, U, csv name)`` of one run against its
-    window S and input box U and write its trace CSV into `out_dir`, made if
-    missing: the monitor reports, each with the link's ``clamp_events`` and
-    its step-doubling ``integration_error``, and True if every link is clean
-    and never clamped."""
+def _write_runs(run, boxes, out_dir, document) -> bool:
+    """Run `run()`, the link traces of one run, monitor each link against
+    its ``(S, U, csv name)`` of `boxes`, write its trace CSV into `out_dir`,
+    made if missing, and write ``document(reports)`` as violations.json:
+    the monitor reports, each with the link's ``clamp_events`` and its
+    step-doubling ``integration_error``.  True if every link is clean and
+    never clamped.
+
+    A run the wrap guard ends writes each link's trace up to the last
+    sample before the wrap, reports no ``integration_error`` (a rerun at
+    ``2 dt`` would wrap too) and names the link and time as
+    ``heading_wrap``; the error is then raised again."""
     from . import simulate  # the float layer, loaded by runs alone
 
-    errors = simulate.integration_error([trace for trace, *_ in runs])
+    try:
+        traces, wrap = run(), None
+    except InvarianceLostError as err:
+        traces, wrap = err.traces, err
+    errors = None if wrap else simulate.integration_error(traces)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports, clean = [], True
-    for (trace, S, U, name), error in zip(runs, errors):
+    for k, (trace, (S, U, name)) in enumerate(zip(traces, boxes)):
         rep = simulate.monitor(trace, S, U)
         trace.to_csv(out_dir / name)
-        reports.append({**rep.to_json_dict(), "clamp_events": trace.clamp_events,
-                        "integration_error": error})
+        report = {**rep.to_json_dict(), "clamp_events": trace.clamp_events}
+        if errors is not None:
+            report["integration_error"] = errors[k]
+        reports.append(report)
         clean = clean and rep.clean and trace.clamp_events == 0
-    return reports, clean
+    payload = document(reports)
+    if wrap is not None:
+        payload["heading_wrap"] = {"link": wrap.link, "t": wrap.t}
+    _write_json(out_dir / "violations.json", payload)
+    if wrap is not None:
+        raise wrap
+    return clean
 
 
 def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, noise_amplitude=None,
@@ -152,13 +170,13 @@ def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, noise_amplitude=None,
     made if missing; True if clean."""
     from . import simulate
 
-    trace = simulate.simulate_scenario(sc, K, profile, s0, horizon, dt,
-                                       noise_amplitude, seed)
-    S = Box.symmetric((sc.a, sc.a, sc.b))
-    U = Box.symmetric((sc.V_F, sc.Omega_F))
-    (report,), clean = _write_runs([(trace, S, U, "trace.csv")], out_dir)
-    _write_json(out_dir / "violations.json", report)
-    return clean
+    def run():
+        return [simulate.simulate_scenario(sc, K, profile, s0, horizon, dt,
+                                           noise_amplitude, seed)]
+
+    boxes = [(Box.symmetric((sc.a, sc.a, sc.b)),
+              Box.symmetric((sc.V_F, sc.Omega_F)), "trace.csv")]
+    return _write_runs(run, boxes, out_dir, lambda reports: reports[0])
 
 
 def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir) -> bool:
@@ -166,14 +184,14 @@ def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir) -> bool:
     per link, into `out_dir`, made if missing; True if clean."""
     from . import simulate
 
-    traces = simulate.simulate_chain(spec, gains, profile, s0, horizon, dt)
-    runs = [(trace, Box.symmetric((g.a, g.a, g.b)),
-             Box.symmetric((robot.V, robot.Omega)), f"trace_link{k}.csv")
-            for k, (trace, g, robot)
-            in enumerate(zip(traces, spec.links, spec.robots[1:]), start=1)]
-    reports, clean = _write_runs(runs, out_dir)
-    _write_json(out_dir / "violations.json", {"links": reports})
-    return clean
+    def run():
+        return simulate.simulate_chain(spec, gains, profile, s0, horizon, dt)
+
+    boxes = [(Box.symmetric((g.a, g.a, g.b)),
+              Box.symmetric((robot.V, robot.Omega)), f"trace_link{k}.csv")
+             for k, (g, robot) in enumerate(zip(spec.links, spec.robots[1:]),
+                                            start=1)]
+    return _write_runs(run, boxes, out_dir, lambda reports: {"links": reports})
 
 
 def cmd_check(args) -> int:

@@ -14,6 +14,12 @@ of a column basis of their normals.
 Redundancy removal then decides every row by a primal simplex over the
 points that starts from the last vertex (:func:`_walk`).  Both move
 between bases of rows that meet in one point, and every pivot is exact.
+Parallel rows are settled without a program (:func:`_tightest`): a row
+that a parallel row with a strictly smaller bound implies adds no
+constraint, so feasibility is decided on the tightest rows alone, and on
+a nonempty system redundancy removal drops those rows before its walks,
+as the row-by-row rule would; an empty system keeps them to visit (see
+:meth:`~LinearInequalitySystem.reduce`).
 
 The exact work runs in Python integers, fraction-free.  A system stores
 each row once, as integer numerators over one positive denominator, and
@@ -291,10 +297,13 @@ class LinearInequalitySystem:
 
     def is_feasible(self) -> bool:
         """Exact nonemptiness of the solution set, decided by one exact
-        linear program (:func:`_vertex_or_farkas`): it finds a vertex of
-        the rows, or a Farkas set, whose nonnegative combination reads
-        ``0 <= negative``."""
-        return _vertex_or_farkas(self.int_rows, self.num_vars)[0] is not None
+        linear program (:func:`_vertex_or_farkas`) on the tightest rows of
+        each direction (:func:`_tightest`), which have the points of all
+        rows: it finds a vertex of them, or a Farkas set, whose nonnegative
+        combination reads ``0 <= negative``."""
+        ints, n = self.int_rows, self.num_vars
+        return _vertex_or_farkas([ints[j] for j in _tightest(ints, n)],
+                                 n)[0] is not None
 
     # ------------------------------------------------------------------
     # Redundancy removal
@@ -310,17 +319,30 @@ class LinearInequalitySystem:
         Farkas set (:func:`_vertex_or_farkas`), and every row is decided
         from there:
 
-        * nonempty: row ``i`` is dropped iff ``max g_i . x`` over the other
-          survivors is at most ``c_i``, found by a primal simplex that starts
-          at the current vertex (:func:`_walk`).  It stops at the first point
-          that violates the row, or at an unbounded edge, and the row is
-          kept; the next row starts from the same vertex.  At an optimum the
-          row is dropped, and its end vertex, one of the remaining
-          survivors, is where the next row starts;
+        * nonempty: first every row that a parallel row with a strictly
+          smaller bound implies is dropped, in one integer pass
+          (:func:`_tightest`).  Such a row is strictly slack on the
+          polytope, so the survivors without it imply it whenever it is
+          visited: a point of them that violated it would, on the segment
+          to a point of the polytope, reach a point of the polytope where
+          it is tight.  By the same segment it never decides another row,
+          and no vertex of the polytope has it in its basis, so the cold
+          vertex stays a start.  Then row ``i`` is dropped iff ``max g_i .
+          x`` over the other survivors is at most ``c_i``, found by a
+          primal simplex that starts at the current vertex (:func:`_walk`).
+          It stops at the first point that violates the row, or at an
+          unbounded edge, and the row is kept; the next row starts from the
+          same vertex.  At an optimum the row is dropped, and its end
+          vertex, one of the remaining survivors, is where the next row
+          starts;
         * empty, with a Farkas set: a row outside the set is dropped with no
           program, since the others are still empty.  A row inside it is
           dropped iff the other survivors are empty too, and their Farkas
           set takes over; otherwise every point of the others violates it.
+          Here the rows kept depend on the order of the visits, so looser
+          parallel rows stay: ``x <= 0, x <= 1, -x <= -1/2, -x <= -2``
+          reduces to ``x <= 1, -x <= -2``, but to ``x <= 0, -x <= -2``
+          once ``x <= 1`` is dropped first.
 
         A system of at most ``num_vars`` rows is decided row by row by
         Fourier-Motzkin elimination of the test system: the other rows
@@ -332,6 +354,8 @@ class LinearInequalitySystem:
         survivors = list(range(len(ints)))
         by_elimination = len(survivors) <= n
         rows, found = (None, None) if by_elimination else _vertex_or_farkas(ints, n)
+        if rows is not None:
+            survivors = _tightest(ints, n)
         i = 0
         while i < len(survivors):
             k = survivors[i]
@@ -423,6 +447,30 @@ class LinearInequalitySystem:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _tightest(keys: Sequence[tuple[int, ...]], num_vars: int) -> list[int]:
+    """The positions, ascending, of the integer rows `keys` that no parallel
+    row with a strictly smaller right-hand side implies.
+
+    A row ``a . x <= b`` is keyed on its normal over the gcd ``g`` of its
+    coefficients, so two rows share a key iff their normals are positive
+    multiples of each other, and reads ``b / g`` as its bound along that
+    key.  One pass finds the least bound of each key, comparing bounds by
+    cross-multiplication, and a second keeps the rows at it; a row with a
+    zero normal is kept.  A row dropped here is implied by a kept row alone,
+    so the kept rows have the points of all of them."""
+    least, keyed = {}, []  # key -> (b, g) of its least bound; (key, b, g) per row
+    for a in keys:
+        normal, b = a[:num_vars], a[-1]
+        g = gcd(*normal)
+        key = None if not g else normal if g == 1 else tuple(c // g for c in normal)
+        keyed.append((key, b, g))
+        best = least.get(key)
+        if key is not None and (best is None or b * best[1] < best[0] * g):
+            least[key] = (b, g)
+    return [j for j, (key, b, g) in enumerate(keyed)
+            if key is None or b * least[key][1] <= least[key][0] * g]
 
 
 def _implied(others: list[Row], row: Row, num_vars: int) -> bool:

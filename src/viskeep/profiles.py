@@ -31,8 +31,15 @@ BOUND_TOL = 1e-9
 
 
 class InvarianceLostError(ValueError):
-    """A run's heading difference left (-pi, pi): a verdict on the run,
-    which the command line reports as a violated run, not as bad input."""
+    """A run's heading difference left (-pi, pi) on link `link` at the
+    sample of time `t`: a verdict on the run, which the command line
+    reports as a violated run, not as bad input.  The integrator sets
+    `traces`, each link's trace up to the last sample before `t`."""
+
+    def __init__(self, link: int, t: float):
+        super().__init__(f"heading difference left (-pi, pi) on link {link} "
+                         f"at t={t:.6g}; invariance lost")
+        self.link, self.t, self.traces = link, t, []
 
 
 def _with_array(f: Callable[[float], float], array) -> Callable[[float], float]:

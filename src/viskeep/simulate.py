@@ -207,9 +207,8 @@ def _rk4_source(n: int, noisy: bool) -> str:
     state = [f"{c}{r}" for r in links for c in ("s1_", "s2_", "s3_")]
     row = ", ".join(state)
     record = [  # each wrap guard, then the row of step i0 + len(rec) // 3n
-        f"if abs(s3_{r} + o3_{r}) > pi: raise InvarianceLostError(f'heading "
-        f"difference left (-pi, pi) on link {r} at "
-        f"t={{(i0 + len(rec) // {3 * n}) * dt:.6g}}; invariance lost')"
+        f"if abs(s3_{r} + o3_{r}) > pi: "
+        f"raise InvarianceLostError({r}, (i0 + len(rec) // {3 * n}) * dt)"
         for r in links] + [f"put(({row},))"]
     # Without noise every h is 0.0, and the loop leaves out the terms
     # - h * sb, - h and + h * cb.  That is exact: sb - 0.0 is sb, and adding
@@ -390,15 +389,22 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
     def block(i0: int, y: tuple) -> tuple:
         """Steps i0 .. i1 - 1: their rows, with robot 0's poses after them
         and each follower's pose placed; returns the link states after
-        them."""
+        them.  A wrap-guard error is raised once the rows before its step
+        are filled, with the traces up to them."""
         i1 = min(i0 + _BLOCK, n_steps + 1)
         V, W, err, m = _lead(profile, lead_limits, i0, i1, n_steps, dt)
         Wr = W + rho  # robot 0's turn rates as integrated
         lead = np.hstack((np.dstack((V, Wr)).reshape(-1, 6), H[i0:i1]))
         rec = []
-        y = run(params, rho, dt, i0, lead[:m].tolist(), i0 + m < i1, y, rec)
-        if err is not None:
-            raise err
+        try:
+            y = run(params, rho, dt, i0, lead[:m].tolist(), i0 + m < i1, y, rec)
+        except InvarianceLostError as wrap:  # rows up to its step stay
+            err, m = wrap, len(rec) // (3 * n)
+            i1 = i0 + m
+            V, W, Wr = V[:m], W[:m], Wr[:m]
+        else:
+            if err is not None:
+                raise err
         rows = slice(i0, i1)
         S = np.array(rec).reshape(i1 - i0, n, 3)
         for c in range(3):
@@ -423,25 +429,33 @@ def _integrate(links: Sequence, lead_limits: tuple, profile: LeaderProfile,
             Y[rows, 6 * k + 6] = xl - (c * p1 - s * p2)
             Y[rows, 6 * k + 7] = yl - (s * p1 + c * p2)
             Y[rows, 6 * k + 8] = q
+        if err is not None:
+            err.traces = traces(i1)
+            raise err
         return y
+
+    rerun = functools.partial(_integrate, links, lead_limits, profile, s0,
+                              pose, T, rho=rho, noise=noise)
+
+    def traces(stop: int) -> list[SimTrace]:
+        """Each link's trace of samples 0 .. stop - 1, all on one times
+        array."""
+        times, Ys, Us = np.arange(stop) * dt, Y[:stop], U[:stop]
+        return [
+            SimTrace(
+                times=times, states=Ys[:, 6 * k + 3:6 * k + 6],
+                inputs=Us[:, 2 * k + 2:2 * k + 4], leader=Us[:, 2 * k:2 * k + 2],
+                noise=None if noise is None else H[:stop, [k + 1, k]],
+                pose_f=Ys[:, 6 * k + 6:6 * k + 9], pose_l=Ys[:, 6 * k:6 * k + 3],
+                clamp_events=int(clamps[k]), rerun=rerun,
+            )
+            for k in range(n)
+        ]
 
     y = tuple(x for s in s0 for x in s)
     for i0 in range(0, n_steps + 1, _BLOCK):
         y = block(i0, y)
-
-    times = np.arange(n_steps + 1) * dt
-    rerun = functools.partial(_integrate, links, lead_limits, profile, s0,
-                              pose, T, rho=rho, noise=noise)
-    return [
-        SimTrace(
-            times=times, states=Y[:, 6 * k + 3:6 * k + 6],
-            inputs=U[:, 2 * k + 2:2 * k + 4], leader=U[:, 2 * k:2 * k + 2],
-            noise=None if noise is None else H[:, [k + 1, k]],
-            pose_f=Y[:, 6 * k + 6:6 * k + 9], pose_l=Y[:, 6 * k:6 * k + 3],
-            clamp_events=int(clamps[k]), rerun=rerun,
-        )
-        for k in range(n)
-    ]
+    return traces(n_steps + 1)
 
 
 def integration_error(traces: Sequence[SimTrace]) -> list[float]:

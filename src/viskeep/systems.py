@@ -80,7 +80,7 @@ def _gain_rows(sys: UncertainLinearSystem):
     ``(k11, k22, k23)``, in integers; read them as the system's cached
     :attr:`UncertainLinearSystem.gain_rows`, built by this once.
 
-    Yields ``(v, cone)`` for every window vertex ``v`` in ``S.vertices()``
+    Returns ``(v, cone)`` for every window vertex ``v`` in ``S.vertices()``
     order.  ``cone`` holds, for each state ``i`` in turn, the face
     ``g_i s_i <= xi`` of S through ``v`` (face ``i`` of
     :func:`boxes.shifted_cone` if ``v_i = hi_i``, else face ``n + i``),
@@ -97,6 +97,13 @@ def _gain_rows(sys: UncertainLinearSystem):
     integers over one denominator of :func:`_vertex_rows`, and the
     window's vertices go over one denominator once, so a face is picked
     by an integer comparison and a row costs a few integer products.
+
+    When S is symmetric and each lower face is the negated upper face
+    (``g_{n+i} = -g_i``, ``xi_{n+i} = xi_i``, as for a symmetric D), the
+    cone at ``-v``, vertex ``2^n - 1 - m`` for vertex ``m``, equals the
+    cone at ``v`` integer for integer, since ``g_i`` and ``v_i`` flip sign
+    together.  Then only the first half of the vertices is built, and each
+    mirror gets the same tuple; any other system builds every vertex.
     """
     if (sys.n, sys.m) != (3, 2):
         raise ValueError("gain rows require a 3-state, 2-input system")
@@ -117,8 +124,13 @@ def _gain_rows(sys: UncertainLinearSystem):
         terms.append(([(key, [g0 * x for x in ABn]) for key, ABn in ab],
                       x0 * d, g0 * d, gi.denominator * xi.denominator * d))
     bounds, Vd = _over(S.lo + S.hi)
-    his = bounds[n:]
-    for v, Vn in zip(S.vertices(), _vertices(bounds[:n], his)):
+    los, his = bounds[:n], bounds[n:]
+    verts = _vertices(los, his)
+    mirrored = (los == [-x for x in his]
+                and all(faces[n + i] == (-gi, xi)
+                        for i, (gi, xi) in enumerate(faces[:n])))
+    cones = []
+    for Vn in verts[:len(verts) // 2] if mirrored else verts:
         v0, v1, v2 = Vn
         cone = []
         for i, x in enumerate(Vn):
@@ -129,7 +141,16 @@ def _gain_rows(sys: UncertainLinearSystem):
                        const - P[0] * v0 - P[1] * v1 - P[2] * v2), den * Vd)
                 for key, P in rows
             )))
-        yield v, tuple(cone)
+        cones.append(tuple(cone))
+    if mirrored:
+        cones += cones[::-1]
+    return tuple(zip(S.vertices(), cones))
+
+
+def _distinct_cones(gain_rows) -> list:
+    """Each cone of `gain_rows` once, in order: a mirrored vertex shares
+    the cone object of its mirror (:func:`_gain_rows`)."""
+    return list({id(cone): cone for _, cone in gain_rows}.values())
 
 
 #: The bound each of a vertex's rows of :func:`_admissibility_rows` states.
@@ -234,7 +255,7 @@ class UncertainLinearSystem:
     def gain_rows(self) -> tuple:
         """The certificate rows of :func:`_gain_rows`, built on first use
         and then shared by the gain polytope and the cone certificate."""
-        return tuple(_gain_rows(self))
+        return _gain_rows(self)
 
 
 def _pipeline_polytope(sys: UncertainLinearSystem) -> LinearInequalitySystem:
@@ -248,7 +269,7 @@ def _pipeline_polytope(sys: UncertainLinearSystem) -> LinearInequalitySystem:
     reads them."""
     adm, _ = _admissibility_rows(sys.S, sys.U)
     scaled, keys = _scaled_rows(
-        [(nums, den) for _, cone in sys.gain_rows
+        [(nums, den) for cone in _distinct_cones(sys.gain_rows)
          for _, rows in cone for _, nums, den in rows]
         + [(g, next(abs(c) for c in g if c != 0)) for rows in adm for g in rows])
     return LinearInequalitySystem._keyed(3, keys, scaled)
@@ -350,7 +371,8 @@ def check_D_invariant_cone(
     kind = "D-invariance (shifted cone)"
     Kn, Kd = _over(K.as_fractions())
     k0, k1, k2 = Kn
-    if all(b * Kd >= a0 * k0 + a1 * k1 + a2 * k2 for _, cone in sys.gain_rows
+    if all(b * Kd >= a0 * k0 + a1 * k1 + a2 * k2
+           for cone in _distinct_cones(sys.gain_rows)
            for _, rows in cone for _, (a0, a1, a2, b), _ in rows):
         return CertificateReport((), kind)
     Q_verts = sys.Q.vertices()

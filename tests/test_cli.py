@@ -1063,7 +1063,11 @@ def test_heading_wrap_is_a_violated_run(tmp_path, capsys, family, omega,
     """With zero gains the follower never turns, so a leader that turns at
     a constant rate drives the heading difference past pi: the wrap guard
     ends the run with exit 1, a violated run, not 2, bad input, and the
-    line that names the link and the time."""
+    line that names the link and the time.  The run still writes its
+    files: each trace CSV up to the last sample before the wrap, byte for
+    byte the CSV of a run that stops there, and a violations.json that
+    names the link and time of the wrap as ``heading_wrap``, with no
+    integration error."""
     profile = write_json(tmp_path / "prof.json", {
         "v": {"type": "constant", "value": 0.0},
         "omega": {"type": "constant", "value": omega}})
@@ -1072,15 +1076,32 @@ def test_heading_wrap_is_a_violated_run(tmp_path, capsys, family, omega,
         spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
         gains = write_json(tmp_path / "gains.json", [zero] * 3)
         argv = ["--chain-spec", str(spec), "--gains", str(gains)]
+        names = [f"trace_link{k}.csv" for k in range(1, CHAIN_SPEC.n)]
     else:
         save_scenario(BASIC_SCENARIO, tmp_path / "basic.json")
         gain = write_json(tmp_path / "gain.json", zero)
         argv = ["--scenario", str(tmp_path / "basic.json"), "--gain", str(gain)]
-    assert main(["simulate", *argv, "--profile", str(profile), "--horizon",
-                 str(horizon), "--out", str(tmp_path / "run")]) == 1
+        names = ["trace.csv"]
+    argv += ["--profile", str(profile)]
+    run = tmp_path / "run"
+    assert main(["simulate", *argv, "--horizon", str(horizon),
+                 "--out", str(run)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("heading difference left (-pi, pi) on link 1 at t="), err
     assert err.endswith("; invariance lost\n") and len(err.splitlines()) == 1
+    report = json.loads((run / "violations.json").read_text())
+    wrap = report.pop("heading_wrap")
+    assert wrap["link"] == 1 and f"at t={wrap['t']:.6g};" in err
+    reports = report["links"] if family == "chain" else [report]
+    assert len(reports) == len(names)
+    assert all("integration_error" not in r for r in reports)
+    assert not reports[0]["clean"]
+    steps = round(wrap["t"] / DEFAULT_DT) - 1  # the last sample kept
+    short = tmp_path / "short"
+    assert main(["simulate", *argv, "--horizon", repr(steps * DEFAULT_DT),
+                 "--out", str(short)]) == 1  # a violated run, to the end
+    for name in names:
+        assert (run / name).read_bytes() == (short / name).read_bytes(), name
 
 
 def _run_reports(out):

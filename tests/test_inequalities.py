@@ -1,5 +1,6 @@
 import ast
 import math
+import operator
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -556,6 +557,102 @@ def test_reduce_of_feasible_bundles_runs_one_cold_lp(monkeypatch):
         calls.clear()
         poly.reduce()
         assert calls == [len(poly.rows)], name
+
+
+def _directions(system):
+    """The distinct directions of the normals of `system`'s rows, each
+    normal scaled to a first nonzero entry of magnitude 1."""
+    out = set()
+    for row in system.rows:
+        lead = next(abs(c) for c in row.g if c)
+        out.add(tuple(c / lead for c in row.g))
+    return out
+
+
+def test_reduce_walks_once_per_tightest_row(monkeypatch):
+    """A feasible bundle polytope is reduced with one walk per direction of
+    its normals, from the tightest row of each: 10 of 24 rows on basic and
+    ubb, 14 of 40 on circle.  The rows a parallel row with a smaller bound
+    implies are dropped after the cold program, with no walk."""
+    walks = []
+    walk = inequalities._walk
+
+    def counted(rows, others, i, vertex):
+        walks.append(i)
+        return walk(rows, others, i, vertex)
+
+    monkeypatch.setattr(inequalities, "_walk", counted)
+    polys = _bundle_polytopes()
+    for name, poly in polys.items():
+        walks.clear()
+        poly.reduce()
+        assert len(walks) == len(set(walks)) == len(_directions(poly)), name
+    counts = {}
+    for name in ("basic", "ubb", "circle"):
+        walks.clear()
+        polys[name].reduce()
+        counts[name] = (len(walks), len(polys[name]))
+    assert counts == {"basic": (10, 24), "ubb": (10, 24), "circle": (14, 40)}
+
+
+@st.composite
+def _planted_systems(draw):
+    """A system of 1-6 integer rows in 1-3 variables with nonzero normals,
+    nonempty by construction (each bound at least the row at an integer
+    point) or with bounds drawn at random, and that system with strictly
+    looser parallel copies planted at random positions: a row ``a . x <=
+    b`` planted as ``k a . x <= k b + e`` for ``k`` in 1..3 and ``e >=
+    1``."""
+    n = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+    normal = st.lists(small, min_size=n, max_size=n).filter(any)
+    point = draw(st.none() | st.lists(small, min_size=n, max_size=n))
+    base = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = draw(normal)
+        b = (draw(st.integers(-4, 4)) if point is None
+             else sum(map(operator.mul, a, point)) + draw(st.integers(0, 3)))
+        base.append((tuple(a), b))
+    planted = list(base)
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = draw(st.sampled_from(base))
+        k, e = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+        planted.insert(draw(st.integers(0, len(planted))),
+                       (tuple(k * c for c in a), k * b + e))
+    return sys_of(n, base), sys_of(n, planted)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_planted_systems())
+@example((sys_of(1, [((1,), 0), ((-1,), -2)]),
+          sys_of(1, [((1,), 0), ((1,), 1), ((-1,), -1), ((-1,), -2)])))
+def test_reduce_and_is_feasible_ignore_looser_parallel_rows(case):
+    """Rows that a parallel row with a smaller bound implies change neither
+    verdict: ``is_feasible()`` is the unplanted system's, empty or not, and
+    a nonempty system reduces to the unplanted system's rows, which are
+    the per-row programs' of the oracle.  An empty system reduces as the
+    oracle does too."""
+    base, planted = case
+    assert planted.is_feasible() == base.is_feasible()
+    got = planted.reduce().rows
+    assert got == reduce_lp_oracle(planted)
+    if base.is_feasible():
+        assert got == base.reduce().rows
+
+
+def test_empty_reduce_keeps_its_visit_order():
+    """On an empty system the rows ``reduce()`` keeps depend on the order
+    in which it visits them, so a looser parallel row stays a row to visit
+    there: ``x <= 0, x <= 1, -x <= -1/2, -x <= -2`` reduces to ``x <= 1,
+    -x <= -2``, as the oracle's per-row programs do, while dropping the
+    looser ``x <= 1`` first would leave ``x <= 0, -x <= -2``."""
+    rows = [((1,), 0), ((1,), 1), ((-1,), F(-1, 2)), ((-1,), -2)]
+    system = sys_of(1, rows)
+    assert not system.is_feasible()
+    want = sys_of(1, [((1,), 1), ((-1,), -2)]).rows
+    assert system.reduce().rows == reduce_lp_oracle(system) == want
+    without = sys_of(1, rows[:1] + rows[2:])
+    assert without.reduce().rows == sys_of(1, [((1,), 0), ((-1,), -2)]).rows
 
 
 def test_each_basis_is_inverted_once(monkeypatch):

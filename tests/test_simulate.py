@@ -38,6 +38,7 @@ from viskeep.scenarios import (
 )
 from viskeep.simulate import (
     BOUND_TOL,
+    InvarianceLostError,
     LeaderProfile,
     constant,
     integration_error,
@@ -732,30 +733,30 @@ def test_generated_integrator_matches_plain_loop(case, monkeypatch):
         assert fast[0].noise is not None
 
 
-def _wrap_run():  # the guard trips at t = 1.571, in the run's second block
+def _wrap_run(T=3.0):  # the guard trips at t = 1.571, in the run's second block
     sc = BASIC_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
                                   V_L=0.1, Omega_F=math.pi / 3, Omega_L=2.2)
     spin = LeaderProfile(constant(0.0), constant(2.0))
     return simulate_basic(sc, GainMatrix(0.0, 0.0, 0.0), spin, (0, 0, 0),
-                          T=3.0)
+                          T=T)
 
 
-def _noisy_wrap_run():  # the same spin, with lateral noise on both robots
+def _noisy_wrap_run(T=3.0):  # the same spin, with lateral noise on both robots
     sc = UBB_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
                                 V_L=0.1, Omega_F=math.pi / 3, Omega_L=2.2,
                                 H_F=0.05, H_L=0.05)
     spin = LeaderProfile(constant(0.0), constant(2.0))
     return simulate_ubb(sc, GainMatrix(0.0, 0.0, 0.0), spin, None, (0, 0, 0),
-                        T=3.0, seed=4)
+                        T=T, seed=4)
 
 
-def _chain_wrap_run():  # robot 1 follows the spinning leader, robot 2 not
+def _chain_wrap_run(T=5.0):  # robot 1 follows the spinning leader, robot 2 not
     spec = ChainSpec.make([(0.4, math.pi / 2, 3.0)] * 2,
                           [(0.02, 2.0), (0.3, 2.5), (0.3, 0.01)])
     spin = LeaderProfile(constant(0.0), constant(1.9))
     return simulate_chain(spec, [GainMatrix(0.0, 0.0, 5.0),
                                  GainMatrix(0.0, 0.0, 0.0)],
-                          spin, [(0.0, 0.0, 0.0)] * 2, T=5.0)
+                          spin, [(0.0, 0.0, 0.0)] * 2, T=T)
 
 
 def _bound_run():  # |v| = 0.2 |sin t| passes V_L = 0.1 at t = pi/6
@@ -778,6 +779,44 @@ def test_generated_integrator_raises_like_plain_loop(run, match, monkeypatch):
             run()
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
+
+
+def _block_wrap_run(T=3.0):  # the guard trips at the second block's first step
+    sc = BASIC_SCENARIO.__class__(a=0.4, b=math.pi / 2, d=2.0, V_F=0.9,
+                                  V_L=0.1, Omega_F=math.pi / 3, Omega_L=3.2)
+    rate = math.pi / ((simulate._BLOCK - 0.5) * 1e-3)
+    spin = LeaderProfile(constant(0.0), constant(rate))
+    return simulate_basic(sc, GainMatrix(0.0, 0.0, 0.0), spin, (0, 0, 0),
+                          T=T)
+
+
+@pytest.mark.parametrize("run, link, stop", [
+    (_wrap_run, 1, 1571), (_noisy_wrap_run, 1, 1571), (_chain_wrap_run, 2, None),
+    (_block_wrap_run, 1, simulate._BLOCK),
+], ids=["wrap", "noisy-wrap", "chain-wrap", "block-start-wrap"])
+def test_wrap_guard_hands_over_the_traces_before_it(run, link, stop):
+    """The wrap guard's error names the link and the time of the sample
+    where the heading difference left (-pi, pi), and holds each link's
+    trace up to the sample before it: bit for bit the traces of the same
+    run stopped there, clamp counts included, also when the wrap falls on
+    the first step of a block."""
+    dt = 1e-3
+    with pytest.raises(InvarianceLostError) as exc:
+        run()
+    err = exc.value
+    n = len(err.traces[0].times)
+    assert (err.link, err.t) == (link, n * dt)
+    assert stop is None or n == stop
+    short = run(T=(n - 1) * dt)
+    short = short if isinstance(short, list) else [short]
+    assert len(err.traces) == len(short)
+    for got, want in zip(err.traces, short):
+        for name in ("times", "states", "inputs", "leader", "noise",
+                     "pose_f", "pose_l"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None) == (b is None), name
+            assert a is None or a.tobytes() == b.tobytes(), name
+        assert got.clamp_events == want.clamp_events
 
 
 def _oracle_error(run, monkeypatch) -> str:

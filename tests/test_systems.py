@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from viskeep import systems as systems_module
 from viskeep.boxes import Box
+from viskeep.inequalities import Row
 from viskeep.demos import BASIC_SCENARIO, BUNDLES
 from viskeep.scenarios import BasicScenario, build_basic_system, gain_polytope
 from viskeep.synthesis import min_norm_gain
@@ -33,6 +35,7 @@ from conftest import (
     cone_certificate_oracle,
     cone_certificate_row_oracle,
     eval_matrices,
+    invariance_rows_oracle,
     is_exact_gain,
     mat,
     normalized_key,
@@ -435,6 +438,81 @@ def test_integer_certificates_match_fraction_oracles(rnd):
         assert (repr(got), got.to_csv()) == (repr(want), want.to_csv())
         verdicts.add(("admissible", got.holds))
     assert verdicts == {True, False, ("admissible", True), ("admissible", False)}
+
+
+def _gain_rows_as_fractions(sysd) -> list[Row]:
+    """Every row of ``sysd.gain_rows`` as Fractions, by window vertex, then
+    face, then parameter vertex: the order of ``invariance_rows_oracle``."""
+    return [Row(tuple(F(x, den) for x in nums[:3]), F(nums[3], den))
+            for _, cone in sysd.gain_rows for _, rows in cone
+            for _, nums, den in rows]
+
+
+def _distinct_cone_count(sysd) -> int:
+    return len({id(cone) for _, cone in sysd.gain_rows})
+
+
+def test_gain_rows_match_the_oracle_for_every_family(rnd):
+    """On the pair bundles and seeded scenarios of each family, S and its
+    shifted faces are symmetric, so ``_gain_rows`` builds the cones of half
+    the window's vertices and gives each other vertex the cone of its
+    mirror, ``2^n - 1 - m`` for vertex ``m``, as the same object.  Row for
+    row they are the Fraction oracle's, built at every vertex."""
+    scenarios = [b.scenario for b in BUNDLES.values() if b.name != "chain"]
+    scenarios += [random_family_scenario(rnd, kind)
+                  for kind in ("basic", "ubb", "circle") for _ in range(3)]
+    for sc in scenarios:
+        sysd = sc.system()
+        cones = [cone for _, cone in sysd.gain_rows]
+        assert len(cones) == 2 ** sysd.n and _distinct_cone_count(sysd) == 4
+        assert all(cones[m] is cones[len(cones) - 1 - m]
+                   for m in range(len(cones))), sc.kind
+        assert [v for v, _ in sysd.gain_rows] == list(sysd.S.vertices())
+        assert _gain_rows_as_fractions(sysd) == invariance_rows_oracle(sysd)
+
+
+def test_gain_rows_of_an_asymmetric_system_take_the_full_path():
+    """With a disturbance box D that is not symmetric, the lower face of a
+    state is not the negated upper face, and with a window S that is not
+    symmetric, ``-v`` is no vertex: each vertex gets its own cone, and the
+    rows and the cone certificate's report are the oracles'."""
+    sysd = BUNDLES["ubb"].scenario.system()
+    D = Box(sysd.D.lo, tuple(2 * x for x in sysd.D.hi))
+    S = Box(tuple(x / 2 for x in sysd.S.lo), sysd.S.hi)
+    for changed in (replace(sysd, D=D), replace(sysd, S=S)):
+        assert _distinct_cone_count(changed) == 8
+        assert _gain_rows_as_fractions(changed) == invariance_rows_oracle(changed)
+        K = GainMatrix(F(0), F(0), F(0))
+        got = check_D_invariant_cone(changed, K)
+        want = cone_certificate_oracle(changed, K)
+        assert not got.holds and (repr(got), got.to_csv()) == (
+            repr(want), want.to_csv())
+
+
+def test_cone_certificate_reads_each_mirrored_cone_once():
+    """A gain that holds is tested against each distinct cone once: 4 of
+    the 8 vertex cones on the basic bundle.  A gain that fails still
+    reports the violations at every window vertex, the oracle's report."""
+    sc = BUNDLES["basic"].scenario
+    sysd = sc.system()
+    reads = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads.append(id(self))
+            return super().__iter__()
+
+    counted = {id(cone): Counted(cone) for _, cone in sysd.gain_rows}
+    sysd.__dict__["gain_rows"] = tuple((v, counted[id(cone)])
+                                       for v, cone in sysd.gain_rows)
+    K = GainMatrix(*min_norm_gain(sc.polytope()).exact_gain)
+    assert check_D_invariant_cone(sysd, K).holds
+    assert len(reads) == len(set(reads)) == len(counted) == 4
+    zero = GainMatrix(F(0), F(0), F(0))
+    got = check_D_invariant_cone(sysd, zero)
+    want = cone_certificate_oracle(sysd, zero)
+    assert (repr(got), got.to_csv()) == (repr(want), want.to_csv())
+    assert {v.vertex for v in got.violations} == set(sysd.S.vertices_f())
 
 
 # ----------------------------------------------------------------------
