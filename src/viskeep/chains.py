@@ -193,20 +193,15 @@ def max_chain_length(maps: ParameterMaps, n_max: int) -> ChainLengthResult:
     return ChainLengthResult(n_max, True)
 
 
-def closed_chain_check(
-    spec: ChainSpec, open_report: Optional[FeasibilityReport] = None,
-) -> FeasibilityReport:
+def closed_chain_check(spec: ChainSpec) -> FeasibilityReport:
     """Append the wrap-around link (robot 1 pursuing robot n).
 
     The chain conditions cap the guide speed from above while the wrap link
     demands it exceed the tail speed; the report carries that contradicting
-    pair alongside the open-chain conditions, ``feasible_chain(spec)``
-    unless a caller that has it passes it as `open_report`.  The wrap link
-    has the first link's geometry, since a ring gives robot 1 no window of
-    its own.
+    pair after the open-chain conditions, ``feasible_chain(spec)``.  The
+    wrap link has the first link's geometry, since a ring gives robot 1 no
+    window of its own.
     """
-    if open_report is None:
-        open_report = feasible_chain(spec)
     V = [r.V for r in spec.robots]
     # invert the speed floors from the tail back to robot 1
     x = V[-1]
@@ -215,7 +210,7 @@ def closed_chain_check(
         x = (x - c) / (1 + alpha)
     chain_upper = x
     wrap_lower = _link_bounds(V[-1], *spec.links[0]).speed
-    conds = list(open_report.conditions)
+    conds = list(feasible_chain(spec).conditions)
     conds.append(
         ConditionMargin("speed_1_chain_upper", V[0], chain_upper, chain_upper - V[0])
     )
@@ -260,7 +255,10 @@ def generate_schedule(
     mean of their sandwich (guide and tail robots use the single-sided bound
     scaled by the safety margin).  The sandwich forces the window angles to
     grow by roughly (d + a) / ((d - a)(1 - safety)) per link, so the first
-    window angle, :data:`_B_START`, is modest.  Raises
+    window angle, :data:`_B_START`, is modest.  One pass over the links
+    evaluates each link's bounds once, for its follower's speed and for
+    the sandwich of the robot after it, and the turn rates read them back.
+    A window angle is at most ``asin(1) = pi/2``.  Raises
     :class:`ScheduleInfeasibleError` with the achievable prefix length when
     the requested length cannot be met.
     """
@@ -273,40 +271,32 @@ def generate_schedule(
     if not 0 < safety < 1:
         raise ValueError("safety must lie in (0, 1)")
 
-    b = [_B_START]
-    V = [V_1]
-
-    def speed_after(V_prev: float, bk: float) -> float:
+    b, V, bounds = [_B_START], [V_1], []  # bounds[k - 1]: link k's
+    for k in range(1, n):  # link k: robot k + 1 pursues robot k
+        bounds.append(_link_bounds(V[-1], a, b[-1], d))
         # inflate the per-link increment; keeps every speed floor slack
         # positive without compounding the whole recursion
-        floor = _link_bounds(V_prev, a, bk, d).speed
-        return floor + safety * (floor - V_prev)
-
-    V.append(speed_after(V[0], b[0]))
-    if V[-1] >= 1:
-        raise ScheduleInfeasibleError(1, "first link saturates the speed")
-    for k in range(2, n):
-        # choose b_{k+1} so the sandwich for robot k keeps relative width
-        lo = _link_bounds(V[k - 2], a, b[k - 2], d).follower_turn
-        need = lo * (d + a) / ((1 - V[k - 1]) * (1 - safety))
-        if need > 1:
-            raise ScheduleInfeasibleError(k, f"robot {k} sandwich closes")
-        b_next = max(b[-1], math.asin(need))
-        if b_next > math.pi / 2:
-            raise ScheduleInfeasibleError(k, f"robot {k} window exceeds pi/2")
-        b.append(b_next)
-        V.append(speed_after(V[k - 1], b_next))
+        floor = bounds[-1].speed
+        V.append(floor + safety * (floor - V[-1]))
         if V[-1] >= 1:
-            raise ScheduleInfeasibleError(k, f"speed saturates at robot {k + 1}")
+            raise ScheduleInfeasibleError(k, "first link saturates the speed"
+                                          if k == 1 else
+                                          f"speed saturates at robot {k + 1}")
+        if k + 1 < n:  # b_{k+1} keeps robot k + 1's sandwich wide enough
+            need = (bounds[-1].follower_turn * (d + a)
+                    / ((1 - V[-1]) * (1 - safety)))
+            if need > 1:
+                raise ScheduleInfeasibleError(
+                    k + 1, f"robot {k + 1} sandwich closes")
+            b.append(max(b[-1], math.asin(need)))
 
-    omegas = [(1 - safety) * _link_bounds(V[0], a, b[0], d).leader_turn]
-    for k in range(2, n):
-        lo = _link_bounds(V[k - 2], a, b[k - 2], d).follower_turn
-        hi = _link_bounds(V[k - 1], a, b[k - 1], d).leader_turn
+    omegas = [(1 - safety) * bounds[0].leader_turn]
+    for k in range(2, n):  # robot k: link k - 1's follower, link k's leader
+        lo, hi = bounds[k - 2].follower_turn, bounds[k - 1].leader_turn
         if not lo < hi:
             raise ScheduleInfeasibleError(k, f"robot {k} sandwich empty")
         omegas.append(math.sqrt(lo * hi))
-    omegas.append((1 + safety) * _link_bounds(V[n - 2], a, b[n - 2], d).follower_turn)
+    omegas.append((1 + safety) * bounds[-1].follower_turn)
 
     spec = ChainSpec.make(
         links=[(a, bk, d) for bk in b],

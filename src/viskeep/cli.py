@@ -126,13 +126,13 @@ def _gain_of(data) -> GainMatrix:
     return GainMatrix(*(float(g[key]) for key in keys))
 
 
-def _write_runs(run, boxes, out_dir, document) -> bool:
+def _write_runs(run, links, out_dir, document) -> bool:
     """Run `run()`, the link traces of one run, monitor each link against
-    its ``(S, U, csv name)`` of `boxes`, write its trace CSV into `out_dir`,
-    made if missing, and write ``document(reports)`` as violations.json:
-    the monitor reports, each with the link's ``clamp_events`` and its
-    step-doubling ``integration_error``.  True if every link is clean and
-    never clamped.
+    the boxes of its ``(pair scenario, csv name)`` of `links`, write its
+    trace CSV into `out_dir`, made if missing, and write
+    ``document(reports)`` as violations.json: the monitor reports, each
+    with the link's ``clamp_events`` and its step-doubling
+    ``integration_error``.  True if every link is clean and never clamped.
 
     A run the wrap guard ends writes each link's trace up to the last
     sample before the wrap, reports no ``integration_error`` (a rerun at
@@ -147,8 +147,9 @@ def _write_runs(run, boxes, out_dir, document) -> bool:
     errors = None if wrap else simulate.integration_error(traces)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports, clean = [], True
-    for k, (trace, (S, U, name)) in enumerate(zip(traces, boxes)):
-        rep = simulate.monitor(trace, S, U)
+    for k, (trace, (sc, name)) in enumerate(zip(traces, links)):
+        rep = simulate.monitor(trace, Box.symmetric((sc.a, sc.a, sc.b)),
+                               Box.symmetric((sc.V_F, sc.Omega_F)))
         trace.to_csv(out_dir / name)
         report = {**rep.to_json_dict(), "clamp_events": trace.clamp_events}
         if errors is not None:
@@ -174,9 +175,8 @@ def _run_pair(sc, K, profile, s0, horizon, dt, out_dir, noise_amplitude=None,
         return [simulate.simulate_scenario(sc, K, profile, s0, horizon, dt,
                                            noise_amplitude, seed)]
 
-    boxes = [(Box.symmetric((sc.a, sc.a, sc.b)),
-              Box.symmetric((sc.V_F, sc.Omega_F)), "trace.csv")]
-    return _write_runs(run, boxes, out_dir, lambda reports: reports[0])
+    return _write_runs(run, [(sc, "trace.csv")], out_dir,
+                       lambda reports: reports[0])
 
 
 def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir) -> bool:
@@ -187,11 +187,9 @@ def _run_chain(spec, gains, profile, s0, horizon, dt, out_dir) -> bool:
     def run():
         return simulate.simulate_chain(spec, gains, profile, s0, horizon, dt)
 
-    boxes = [(Box.symmetric((g.a, g.a, g.b)),
-              Box.symmetric((robot.V, robot.Omega)), f"trace_link{k}.csv")
-             for k, (g, robot) in enumerate(zip(spec.links, spec.robots[1:]),
-                                            start=1)]
-    return _write_runs(run, boxes, out_dir, lambda reports: {"links": reports})
+    links = [(spec.link_scenario(k), f"trace_link{k}.csv")
+             for k in range(1, spec.n)]
+    return _write_runs(run, links, out_dir, lambda reports: {"links": reports})
 
 
 def cmd_check(args) -> int:
@@ -328,8 +326,7 @@ def cmd_chain(args) -> int:
         payload["feasible"] = report.to_json_dict()
         feasible = report.feasible
         if args.closed:
-            payload["closed"] = closed_chain_check(
-                spec, open_report=report).to_json_dict()
+            payload["closed"] = closed_chain_check(spec).to_json_dict()
     if args.maps:
         vals = _key_values(args.maps, "maps need a=..,b=..,d=..",
                            ("a", "b", "d"))
@@ -511,7 +508,7 @@ def main(argv=None) -> int:
     """Run one command.  An empty gain polytope, in synth or in a simulate
     with no --gain, exits 1 with one ``gain polytope is empty`` line, and a
     run whose heading difference leaves (-pi, pi) exits 1 with the line that
-    says where."""
+    says where.  A run too large to allocate is an input error, exit 2."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
@@ -520,6 +517,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

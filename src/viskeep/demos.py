@@ -68,11 +68,12 @@ CHAIN_PROFILE = profile_from_json_dict(PROFILE_JSON["chain"])
 CHAIN_S0 = ((0.0, 0.0, 0.0374), (0.0, 0.0, 0.2244), (0.0, 0.0, 0.2618))
 
 DEFAULT_HORIZON = 60.0
-# The step of every run: the coarsest of 1, 2 or 5 times a power of ten at
-# which every bundle's step-doubling estimate (simulate.integration_error)
-# stays below ERROR_TARGET, the monitor's own tolerance, so the integrator
-# cannot move a sample by more than the slack the monitor grants.  The
-# estimates at 1e-2 are 4e-13 to 7.5e-11; at 2e-2 the ubb run's is 1.2e-9.
+# The step of every run the command line makes (the simulate_* functions
+# default to 1e-3): the coarsest of 1, 2 or 5 times a power of ten at which
+# every bundle's step-doubling estimate (simulate.integration_error) stays
+# below ERROR_TARGET, the monitor's own tolerance, so the integrator cannot
+# move a sample by more than the slack the monitor grants.  The estimates
+# at 1e-2 are 4e-13 to 7.5e-11; at 2e-2 the ubb run's is 1.2e-9.
 ERROR_TARGET = BOUND_TOL
 DEFAULT_DT = 1e-2
 

@@ -489,14 +489,19 @@ def integration_error(traces: Sequence[SimTrace]) -> list[float]:
 # ----------------------------------------------------------------------
 
 
-def _check_s0(s0: Sequence, half_widths: Sequence, what: str = "s0") -> tuple:
-    """`s0` as floats, once it is known to lie in the window."""
+def _check_s0(s0: Sequence, sc, what: str = "s0") -> tuple:
+    """`s0` as floats, once it is known to lie in the window of `sc`."""
     if len(s0) != 3:
         raise ValueError(f"{what} must have three components")
-    for x, h in zip(s0, half_widths):
+    for x, h in zip(s0, (sc.a, sc.a, sc.b)):
         if not abs(float(x)) <= float(h) + 1e-12:  # NaN fails too
             raise ValueError(f"{what} lies outside the visibility window")
     return tuple(float(x) for x in s0)
+
+
+def _link(sc, K: GainMatrix) -> tuple:
+    """Pair scenario `sc` under gain `K` as a link of `_integrate`."""
+    return K.as_floats().entries(), (sc.V_F, sc.Omega_F), sc.offset_and_rate[0]
 
 
 def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
@@ -504,12 +509,10 @@ def _simulate_pair(sc, K: GainMatrix, profile: LeaderProfile, s0: Sequence,
     """A pair is a one-link run about ``sc.offset_and_rate``: the leader's
     pose is the raw state, so the follower is placed at the origin pose."""
     offset, rho = sc.offset_and_rate
-    s = _check_s0(s0, (sc.a, sc.a, sc.b))
+    s = _check_s0(s0, sc)
     leader = tuple(x + o for x, o in zip(s, offset))
-    return _integrate(
-        [(K.as_floats().entries(), (sc.V_F, sc.Omega_F), offset)],
-        (sc.V_L, sc.Omega_L), profile, [s], leader, T, dt, rho, noise,
-    )[0]
+    return _integrate([_link(sc, K)], (sc.V_L, sc.Omega_L), profile, [s],
+                      leader, T, dt, rho, noise)[0]
 
 
 def simulate_basic(sc, K: GainMatrix, profile: LeaderProfile,
@@ -605,17 +608,16 @@ def simulate_chain(
     T: float,
     dt: float = 1e-3,
 ) -> list[SimTrace]:
-    """Simultaneous integration of all links, robot 0 at the origin pose.
+    """Simultaneous integration of all links, robot 0 at the origin pose,
+    each link the run of its pair scenario, ``spec.link_scenario(k)``.
 
     Link k+1's leader inputs are link k's realized (clamped) feedback, so
     each robot reacts only to the vehicle directly ahead.
     """
-    n = spec.n
-    if len(gains) != n - 1 or len(s0) != n - 1:
+    if len(gains) != spec.n - 1 or len(s0) != spec.n - 1:
         raise ValueError("need one gain and one initial state per link")
-    s = [_check_s0(x, (g.a, g.a, g.b), what=f"s0[{k}]")
-         for k, (x, g) in enumerate(zip(s0, spec.links))]
-    links = [(K.as_floats().entries(), spec.robots[k], (g.d, 0.0, 0.0))
-             for k, (K, g) in enumerate(zip(gains, spec.links), start=1)]
-    return _integrate(links, spec.robots[0], lead_profile, s, (0.0, 0.0, 0.0),
-                      T, dt)
+    links = [spec.link_scenario(k) for k in range(1, spec.n)]
+    s = [_check_s0(x, sc, what=f"s0[{k}]")
+         for k, (x, sc) in enumerate(zip(s0, links))]
+    return _integrate([_link(sc, K) for sc, K in zip(links, gains)],
+                      spec.robots[0], lead_profile, s, (0.0, 0.0, 0.0), T, dt)

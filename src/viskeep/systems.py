@@ -400,10 +400,11 @@ def check_D_invariant_cone(
 
 def _steps(T: float, dt: float) -> int:
     """Number of steps of size ``dt`` in a finite horizon ``T``: a positive
-    integer, or a ValueError."""
-    if not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T < dt:
-        raise ValueError(f"need finite dt > 0 and T >= dt, not dt={dt!r} "
-                         f"and T={T!r}")
+    integer, or a ValueError, also where ``T / dt`` overflows."""
+    if (not (math.isfinite(T) and math.isfinite(dt)) or dt <= 0 or T < dt
+            or not math.isfinite(T / dt)):
+        raise ValueError(f"need finite dt > 0, T >= dt and T / dt, not "
+                         f"dt={dt!r} and T={T!r}")
     n = int(round(T / dt))
     if abs(n * dt - T) > 1e-9:
         raise ValueError("T must be an integer multiple of dt")

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from viskeep import chains, cli, scenarios, simulate, systems
+from viskeep import cli, scenarios, simulate, systems
 from viskeep.cli import build_parser, main
 from viskeep.demos import (
     BASIC_SCENARIO,
@@ -931,13 +931,20 @@ def test_simulate_gain_entries_are_json_numbers(basic_file, tmp_path, capsys,
     assert not (out / "violations.json").exists()
 
 
-@pytest.mark.parametrize("horizon", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["--horizon", "inf"], ["--horizon", "1e400"], ["--horizon", "nan"],
+    ["--horizon", "1e300", "--dt", "1e-300"],  # T / dt overflows
+], ids=["inf", "1e400", "nan", "1e300/1e-300"])
 def test_simulate_rejects_non_finite_horizon(basic_file, tmp_path, capsys,
-                                             horizon):
+                                             argv):
+    """A horizon, or a step count T / dt, that is not finite exits 2 with
+    one error line."""
     out = tmp_path / "run"
-    assert main(["simulate", "--scenario", str(basic_file),
-                 "--horizon", horizon, "--out", str(out)]) == 2
-    assert "finite" in capsys.readouterr().err
+    assert main(["simulate", "--scenario", str(basic_file), *argv,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "finite" in err
     assert not (out / "violations.json").exists()
 
 
@@ -1031,7 +1038,8 @@ def test_simulate_dt_must_divide_the_noise_hold(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["--dt", "0.04", "--horizon", "2"],
                                   ["--dt", "0"], ["--horizon", "nan"],
-                                  ["--horizon", "0.015"]])
+                                  ["--horizon", "0.015"],
+                                  ["--horizon", "1e300", "--dt", "1e-300"]])
 def test_demo_checks_step_and_horizon_before_writing(tmp_path, capsys, argv):
     """A step or horizon that a run would reject, a step that does not
     divide the ubb noise hold included, ends the demo before it writes
@@ -1189,6 +1197,91 @@ def test_simulate_needs_scenario_or_chain_spec(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["simulate", "--horizon", "0.1", "--out", str(out)]) == 2
     assert "--scenario or --chain-spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["chain"], "nothing to do: pass --spec, --generate or --maps"),
+    (["simulate", "--chain-spec", "CHAIN", "--horizon", "0.1"],
+     "chain simulation needs --gains"),
+    (["simulate", "--scenario", "BASIC", "--gain", "GAIN", "--s0", "0.1,0",
+      "--horizon", "0.1"], "s0 must have three components"),
+    (["simulate", "--scenario", "BASIC", "--gain", "GAIN", "--profile",
+      "PROFILE", "--horizon", "0.1"], "unknown profile type 'triangle'"),
+], ids=["chain-nothing-to-do", "chain-without-gains", "s0-two-numbers",
+        "unknown-profile-type"])
+def test_commands_name_an_input_fault_and_write_nothing(
+        basic_file, tmp_path, capsys, argv, message):
+    """A command with nothing to do, a chain run without gains, a start
+    that is not three numbers and a profile signal of no known type each
+    exit 2 with one line that names the fault, and write nothing."""
+    files = {"BASIC": basic_file,
+             "CHAIN": write_json(tmp_path / "chain.json",
+                                 chain_to_json_dict(CHAIN_SPEC)),
+             "GAIN": write_json(tmp_path / "gain.json", GAIN),
+             "PROFILE": write_json(tmp_path / "profile.json", {
+                 "v": {"type": "triangle"},
+                 "omega": PROFILE_JSON["basic"]["omega"]})}
+    out = tmp_path / "out"
+    assert main([str(files.get(tok, tok)) for tok in argv]
+                + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, edit, message", [
+    ("ubb", {"H_F": -0.1}, "H_F and H_L must be nonnegative"),
+    ("circle", {"a": -0.1}, "a must be positive"),
+    ("circle", {"gamma": 0.0}, "gamma must lie in (0, pi/2)"),
+    ("circle", {"gamma": math.pi / 2}, "gamma must lie in (0, pi/2)"),
+    ("circle", {"rho": 0.0}, "rho must be positive"),
+    ("circle", {"b": 0.5}, "b must be at least gamma"),
+    ("circle", {"V_F": 1.0}, "V_F must lie in (0, 1)"),
+    ("circle", {"V_L": 0.0}, "V_L must lie in (0, 1)"),
+    ("circle", {"Omega_F": 0.0}, "Omega_F must be positive"),
+], ids=["ubb-negative-H_F", "circle-a", "circle-gamma-0", "circle-gamma-pi/2",
+        "circle-rho", "circle-b-below-gamma", "circle-V_F", "circle-V_L",
+        "circle-Omega_F"])
+def test_scenario_out_of_range_names_the_field(tmp_path, capsys, family, edit,
+                                               message):
+    """A bundle scenario with one field edited out of its range exits 2
+    from check with one line that names the field, and writes nothing."""
+    sc = {**scenario_to_json_dict(BUNDLES[family].scenario), **edit}
+    out = tmp_path / "check.json"
+    assert main(["check", "--scenario",
+                 str(write_json(tmp_path / "scenario.json", sc)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_chain_generate_past_its_length_exits_1(tmp_path, capsys):
+    """A schedule longer than the geometry sustains is a verdict: exit 1
+    with the one line that says how many robots fit, and no file."""
+    out = tmp_path / "generated.json"
+    assert main(["chain", "--generate", "a=0.1,d=7,n=60,V1=0.02",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "no feasible schedule at the requested length; achievable prefix: "
+        "16 robots (robot 16 sandwich closes)\n")
+    assert not out.exists()
+
+
+def test_run_too_large_to_allocate_exits_2(basic_file, tmp_path, capsys,
+                                           monkeypatch):
+    """A run whose arrays cannot be allocated is an input error: exit 2
+    with one error line, no traceback and no violations.json."""
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 671. GiB")
+
+    monkeypatch.setattr(simulate, "_integrate", out_of_memory)
+    gain = write_json(tmp_path / "gain.json", GAIN)
+    out = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(basic_file), "--gain",
+                 str(gain), "--horizon", "0.1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 671. GiB\n"
+    assert "Traceback" not in err
+    assert not (out / "violations.json").exists()
 
 
 def test_scenario_beside_chain_spec_exits_2(basic_file, tmp_path, capsys):
@@ -1377,25 +1470,6 @@ def test_chain_matches_recorded_bytes(name, argv, tmp_path):
     assert main(["chain", *argv, "--out", str(out)]) == 0
     assert out.read_bytes() == (DATA / f"{name}.json").read_bytes()
 
-
-def test_closed_chain_reuses_the_open_report(tmp_path, monkeypatch):
-    """``chain --spec <demo chain> --closed`` evaluates the open chain once:
-    the closed check prepends the report the command already has."""
-    calls = []
-
-    def counted(spec):
-        calls.append(spec)
-        return feasible_chain(spec)
-
-    feasible_chain = chains.feasible_chain
-    monkeypatch.setattr(chains, "feasible_chain", counted)
-    monkeypatch.setattr(cli, "feasible_chain", counted)
-    spec = write_json(tmp_path / "chain.json", chain_to_json_dict(CHAIN_SPEC))
-    out = tmp_path / "out.json"
-    assert main(["chain", "--spec", str(spec), "--closed",
-                 "--out", str(out)]) == 0
-    assert len(calls) == 1
-    assert out.read_bytes() == (DATA / "chain_demo_closed.json").read_bytes()
 
 def test_main_builds_one_parser(basic_file, tmp_path, capsys, monkeypatch):
     """Two calls share one parser, and it still parses after an argparse

@@ -608,6 +608,7 @@ def test_linear_switching_detects_unstable_loop():
     {"n_runs": -3},
     {"dt": 0.0},
     {"dt": -1e-3},
+    {"horizon": 1e300, "dt": 1e-300},  # T / dt overflows
 ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
 def test_linear_switching_rejects_runs_it_cannot_simulate(kwargs):
     sysd = build_basic_system(BASIC_SCENARIO)
